@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use mdw_bench::setup::load_scale;
 use mdw_core::admission::AdmissionConfig;
-use mdw_core::budget::{MonotonicTime, QueryBudget};
+use mdw_rdf::budget::{MonotonicTime, QueryBudget};
 use mdw_core::error::MdwError;
 use mdw_core::lineage::LineageRequest;
 use mdw_core::search::SearchRequest;
@@ -67,11 +67,12 @@ fn mixed_load(warehouse: &MetadataWarehouse, chain_start: &Term) -> LoadOutcome 
                             // permits are held long enough to create real
                             // contention at the gate.
                             _ => warehouse
-                                .sem_match_with_budget(
+                                .sem_match_explained(
                                     &SemMatch::new("{ ?a ?p ?b . ?c ?q ?d }")
                                         .rulebase("OWLPRIME")
                                         .select(&["?a", "?d"]),
                                     &budget,
+                                    true,
                                 )
                                 .map(|_| ()),
                         };

@@ -26,13 +26,13 @@
 use std::time::{Duration, Instant};
 
 use mdw_bench::setup::{load_scale, parse_scale};
-use mdw_core::budget::QueryBudget;
+use mdw_rdf::budget::QueryBudget;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::Scale;
 use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
 use mdw_rdf::vocab;
-use mdw_sparql::{execute_explained, parser, SemMatch};
+use mdw_sparql::{execute, parser, ExecOptions, SemMatch};
 
 /// One timed mode: minimum wall-clock over `iters` runs, the charged step
 /// count, and the canonically sorted rows for the equivalence check.
@@ -53,15 +53,9 @@ fn measure_direct(store: &Store, query_text: &str, use_planner: bool, iters: usi
     for _ in 0..iters {
         let budget = QueryBudget::unlimited();
         let t = Instant::now();
-        let (out, report) = execute_explained(
-            &query,
-            graph,
-            store.dict(),
-            &budget,
-            mdw_rdf::ParallelPolicy::sequential(),
-            use_planner,
-        )
-        .expect("ablation query executes");
+        let options = ExecOptions { budget: budget.clone(), use_planner, ..ExecOptions::default() };
+        let (out, report) =
+            execute(&query, graph, store.dict(), &options).expect("ablation query executes");
         let elapsed = t.elapsed();
         if elapsed < best {
             best = elapsed;

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::budget::TimeSource;
+use mdw_rdf::budget::TimeSource;
 
 /// The workload classes the gate distinguishes, mirroring the paper's two
 /// production services plus the raw SPARQL endpoint.
@@ -532,7 +532,7 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::ManualTime;
+    use mdw_rdf::budget::ManualTime;
     use crate::resilience::TestClock;
 
     fn gate(total: usize, per_class: usize, queued: usize) -> AdmissionController {

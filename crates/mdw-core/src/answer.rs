@@ -34,6 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::stats::FrozenStats;
 use mdw_rdf::term::Term;
@@ -43,7 +44,6 @@ use mdw_rdf::QueryContext;
 use mdw_reason::EntailedGraph;
 use mdw_sparql::{ExplainReport, QueryOutput, SemMatch};
 
-use crate::budget::{Completeness, QueryBudget, TruncationReason};
 use crate::synonyms::{normalize, SynonymTable};
 
 /// Candidates executed unless the caller overrides `top_k`.

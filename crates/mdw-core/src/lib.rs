@@ -34,7 +34,6 @@
 pub mod admission;
 pub mod answer;
 pub mod assist;
-pub mod budget;
 pub mod error;
 pub mod governance;
 pub mod history;
@@ -59,9 +58,6 @@ pub use answer::{
     RankedCandidate,
 };
 pub use assist::{find_sources, SourceCandidates};
-pub use budget::{
-    deadline_budget, CancellationToken, Completeness, QueryBudget, TimeSource, TruncationReason,
-};
 pub use error::MdwError;
 pub use governance::{who_can_access, AccessReport};
 pub use history::{History, VersionDiff, VersionRecord};

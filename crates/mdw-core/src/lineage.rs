@@ -39,14 +39,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::TriplePattern;
 use mdw_rdf::vocab;
 use mdw_rdf::QueryContext;
 use mdw_reason::EntailedGraph;
-
-use crate::budget::{Completeness, QueryBudget, TruncationReason};
 
 /// Traversal direction along `isMappedTo` edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -862,7 +861,7 @@ mod tests {
     #[test]
     fn cancelled_lineage_is_empty_truncated() {
         let (store, m) = setup();
-        let token = crate::budget::CancellationToken::new();
+        let token = mdw_rdf::budget::CancellationToken::new();
         token.cancel();
         let req = LineageRequest::downstream(dwh("client_information_id"))
             .with_budget(QueryBudget::unlimited().with_cancellation(&token));

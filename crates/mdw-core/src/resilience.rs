@@ -218,6 +218,14 @@ mod tests {
         let other = clock.clone();
         other.advance(Duration::from_millis(1));
         assert_eq!(clock.now(), Duration::from_millis(43));
+        // A query deadline measured on the clock trips when it is advanced,
+        // without sleeping.
+        use mdw_rdf::budget::{QueryBudget, TruncationReason};
+        let budget = QueryBudget::unlimited()
+            .with_deadline(Duration::from_millis(10), std::sync::Arc::new(clock.clone()));
+        assert!(budget.check().is_ok());
+        clock.advance(Duration::from_millis(11));
+        assert_eq!(budget.check(), Err(TruncationReason::DeadlineExceeded));
     }
 
     #[test]

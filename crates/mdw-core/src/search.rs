@@ -25,6 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
@@ -32,7 +33,6 @@ use mdw_rdf::vocab;
 use mdw_rdf::QueryContext;
 use mdw_reason::EntailedGraph;
 
-use crate::budget::{Completeness, QueryBudget, TruncationReason};
 use crate::model::{AbstractionLevel, Area};
 use crate::synonyms::SynonymTable;
 
@@ -801,7 +801,7 @@ mod tests {
     #[test]
     fn cancelled_search_returns_truncated_empty() {
         let (store, m) = setup();
-        let token = crate::budget::CancellationToken::new();
+        let token = mdw_rdf::budget::CancellationToken::new();
         token.cancel();
         let req = SearchRequest::new("customer")
             .with_budget(QueryBudget::unlimited().with_cancellation(&token));

@@ -20,23 +20,24 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use mdw_rdf::budget::{Completeness, QueryBudget, TimeSource, TruncationReason};
 use mdw_rdf::frozen::{FrozenIndex, FrozenStore};
 use mdw_rdf::journal::{Journal, JournalOp};
 use mdw_rdf::persist::{self, RecoveryReport, SaveReport};
-use mdw_rdf::store::{GraphStats, Store};
+use mdw_rdf::store::{GraphStats, Store, TripleSource};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::Triple;
 use mdw_rdf::par::ParallelPolicy;
 use mdw_rdf::QueryContext;
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
-use mdw_sparql::{ExplainReport, QueryOutput, SemMatch};
+use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
 
 use crate::admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, BreakerConfig, BreakerState,
-    CircuitBreaker, Permit, QueryClass,
+    CircuitBreaker, QueryClass,
 };
+use crate::answer::{self, AnswerRequest, AnswerResult, ExecutedCandidate};
 use crate::assist::{self, SourceCandidates};
-use crate::budget::{Completeness, QueryBudget, TimeSource, TruncationReason};
 use crate::error::MdwError;
 use crate::governance::{self, AccessReport, GovernanceGaps};
 use crate::history::{History, VersionDiff, VersionRecord};
@@ -122,7 +123,7 @@ struct AnswerCounters {
 }
 
 impl AnswerCounters {
-    fn record(&self, result: &crate::answer::AnswerResult) {
+    fn record(&self, result: &AnswerResult) {
         self.answered.fetch_add(1, Ordering::Relaxed);
         self.candidates_planned
             .fetch_add(result.candidates.len() as u64, Ordering::Relaxed);
@@ -204,24 +205,7 @@ impl MetadataWarehouse {
     pub fn with_model(model: &str) -> Self {
         let mut store = Store::new();
         store.create_model(model).expect("fresh store");
-        let rulebase = Rulebase::owlprime(store.dict_mut());
-        MetadataWarehouse {
-            store,
-            model: model.to_string(),
-            rulebase,
-            materialization: None,
-            synonyms: SynonymTable::banking(),
-            history: History::new(),
-            sources: SourceRegistry::new(),
-            durability: None,
-            admission: None,
-            breaker: None,
-            frozen_store: OnceLock::new(),
-            prev_snapshot: None,
-            parallelism: ParallelPolicy::sequential(),
-            planner: PlannerCounters::default(),
-            answer_counters: AnswerCounters::default(),
-        }
+        Self::from_store(store, model).expect("model was just created")
     }
 
     /// Wraps an existing store (e.g. one reloaded from disk via
@@ -357,11 +341,6 @@ impl MetadataWarehouse {
     /// bit-identical to sequential execution for every policy.
     pub fn set_parallelism(&mut self, policy: ParallelPolicy) {
         self.parallelism = policy;
-    }
-
-    /// The current worker-thread policy.
-    pub fn parallelism(&self) -> ParallelPolicy {
-        self.parallelism
     }
 
     /// The current-model name.
@@ -655,76 +634,103 @@ impl MetadataWarehouse {
         self.breaker.as_ref().map(|b| b.state())
     }
 
-    /// Acquires a slot from the admission gate (a no-op `None` permit when
-    /// admission is off). Shed requests surface as [`MdwError::Overloaded`].
-    fn admit(&self, class: QueryClass) -> Result<Option<Permit>, MdwError> {
-        match &self.admission {
-            Some(gate) => Ok(Some(gate.admit(class)?)),
-            None => Ok(None),
-        }
-    }
-
     fn empty_index() -> &'static FrozenIndex {
         static EMPTY: OnceLock<FrozenIndex> = OnceLock::new();
         EMPTY.get_or_init(|| FrozenIndex::from_spo_rows(Vec::new()))
     }
 
-    /// The view a query runs against, plus whether it is degraded: the
-    /// entailed graph normally, the base graph alone (no inference) while
-    /// the breaker is open. Either way the base is the pinned frozen
-    /// snapshot, so a query never observes a half-applied mutation.
-    fn query_view(&self) -> Result<(EntailedGraph<'_>, bool), MdwError> {
-        if let Some(b) = &self.breaker {
-            if !b.allow() {
-                let graph = self.snapshot_store().model(&self.model)?;
-                return Ok((EntailedGraph::new(graph, Self::empty_index()), true));
-            }
+    /// The single query choke point: every admitted request — search,
+    /// lineage, `SEM_MATCH`, keyword answer — runs through here, and each
+    /// stage is wired exactly once, in this order:
+    ///
+    /// 1. an admission permit for `class` (shed requests surface as
+    ///    [`MdwError::Overloaded`]), held until the request returns;
+    /// 2. one breaker decision for the whole request;
+    /// 3. the view of `model` in the pinned [`Self::snapshot_store`]
+    ///    generation — entailed (base ∪ semantic index) when `rulebase` is
+    ///    set and the breaker allows it, otherwise the base facts alone
+    ///    behind an empty overlay — so a request never observes a
+    ///    half-applied mutation;
+    /// 4. a [`QueryContext`] on that same generation carrying `budget` and
+    ///    the worker-thread policy;
+    /// 5. `run`, the workload itself;
+    /// 6. `verdict`, which stamps the breaker decision onto the result's
+    ///    `degraded` flag(s) and yields the request's final completeness;
+    /// 7. one recorded breaker outcome, if the entailed path was used.
+    fn run_query<T>(
+        &self,
+        class: QueryClass,
+        budget: &QueryBudget,
+        model: &str,
+        rulebase: bool,
+        run: impl FnOnce(&EntailedGraph<'_>, &QueryContext) -> Result<T, MdwError>,
+        verdict: fn(&mut T, bool) -> &Completeness,
+    ) -> Result<T, MdwError> {
+        let _permit = self.admission.as_ref().map(|gate| gate.admit(class)).transpose()?;
+        let degraded = self.breaker.as_ref().is_some_and(|b| !b.allow());
+        let entailed = rulebase && !degraded;
+        let base = self.snapshot_store().model(model)?;
+        let derived = match &self.materialization {
+            _ if !entailed => Self::empty_index(),
+            // The semantic index is built over the current model only.
+            Some(m) if model == self.model => m.frozen(),
+            _ => return Err(MdwError::IndexNotBuilt),
+        };
+        let view = EntailedGraph::new(base, derived);
+        let ctx = self.context().with_budget(budget.clone());
+        let mut result = run(&view, &ctx)?;
+        let completeness = verdict(&mut result, degraded);
+        if entailed {
+            self.record_entailment_outcome(completeness);
         }
-        Ok((self.entailed()?, false))
+        Ok(result)
     }
 
-    /// Feeds a completed query's verdict to the breaker: a budget blow-up
-    /// on the entailed path (deadline or step cap) counts as a failure,
-    /// anything else as a success. Degraded (fallback) answers never probe
-    /// the entailed path, so they are not recorded.
-    fn record_entailment_outcome(&self, degraded: bool, completeness: &Completeness) {
-        if degraded {
-            return;
-        }
-        if let Some(b) = &self.breaker {
-            match completeness {
-                Completeness::Truncated {
-                    reason: TruncationReason::DeadlineExceeded | TruncationReason::StepLimit,
-                } => b.record_failure(),
-                _ => b.record_success(),
+    /// Feeds a request's final verdict to the breaker: a budget blow-up on
+    /// the entailed path (deadline or step cap) counts as a failure,
+    /// anything else as a success. Base-only answers (degraded, or no
+    /// rulebase named) never probe the entailed path, so [`Self::run_query`]
+    /// does not record them.
+    fn record_entailment_outcome(&self, completeness: &Completeness) {
+        let Some(breaker) = &self.breaker else { return };
+        match completeness.reason() {
+            Some(TruncationReason::DeadlineExceeded | TruncationReason::StepLimit) => {
+                breaker.record_failure()
             }
+            _ => breaker.record_success(),
         }
     }
 
-    /// Runs the Section IV.A search. Honors the request's
-    /// [`QueryBudget`](crate::budget::QueryBudget), the admission gate, and
-    /// the entailment breaker.
+    /// Runs the Section IV.A search. Honors the request's [`QueryBudget`],
+    /// the admission gate, and the entailment breaker.
     pub fn search(&self, request: &SearchRequest) -> Result<SearchResults, MdwError> {
-        let _permit = self.admit(QueryClass::Search)?;
-        let (view, degraded) = self.query_view()?;
-        let ctx = self.context().with_budget(request.budget.clone());
-        let mut results = search::search(&view, &ctx, &self.synonyms, request);
-        results.degraded = degraded;
-        self.record_entailment_outcome(degraded, &results.completeness);
-        Ok(results)
+        self.run_query(
+            QueryClass::Search,
+            &request.budget,
+            &self.model,
+            true,
+            |view, ctx| Ok(search::search(view, ctx, &self.synonyms, request)),
+            |results, degraded| {
+                results.degraded = degraded;
+                &results.completeness
+            },
+        )
     }
 
     /// Runs the Section IV.B lineage traversal. Honors the request's
-    /// [`QueryBudget`](crate::budget::QueryBudget), the admission gate, and
-    /// the entailment breaker.
+    /// [`QueryBudget`], the admission gate, and the entailment breaker.
     pub fn lineage(&self, request: &LineageRequest) -> Result<LineageResult, MdwError> {
-        let _permit = self.admit(QueryClass::Lineage)?;
-        let (view, degraded) = self.query_view()?;
-        let ctx = self.context().with_budget(request.budget.clone());
-        let mut result = lineage::trace(&view, &ctx, request);
-        result.degraded = degraded;
-        self.record_entailment_outcome(degraded, &result.completeness);
-        Ok(result)
+        self.run_query(
+            QueryClass::Lineage,
+            &request.budget,
+            &self.model,
+            true,
+            |view, ctx| Ok(lineage::trace(view, ctx, request)),
+            |result, degraded| {
+                result.degraded = degraded;
+                &result.completeness
+            },
+        )
     }
 
     /// Schema-level flow aggregation (Figure 7, coarse granularity).
@@ -766,72 +772,67 @@ impl MetadataWarehouse {
         Ok(assist::find_sources(&view, self.store.dict(), concept))
     }
 
-    /// Executes a `SEM_MATCH`-style query against this warehouse. When the
-    /// query names a rulebase, the built semantic index is supplied
-    /// automatically.
+    /// Executes a `SEM_MATCH`-style query against this warehouse with an
+    /// unlimited budget and the cost-based planner — shorthand for
+    /// [`Self::sem_match_explained`].
     pub fn sem_match(&self, query: &SemMatch) -> Result<QueryOutput, MdwError> {
-        self.sem_match_with_budget(query, &QueryBudget::unlimited())
+        self.sem_match_explained(query, &QueryBudget::unlimited(), true)
+            .map(|(out, _)| out)
     }
 
-    /// [`Self::sem_match`] under a [`QueryBudget`]: the executor checks the
-    /// budget at bounded intervals and returns a partial result tagged
-    /// `Truncated` instead of running away. Honors the admission gate and
-    /// the entailment breaker — while the breaker is open the query runs
-    /// without the semantic index and the output is flagged degraded.
-    pub fn sem_match_with_budget(
-        &self,
-        query: &SemMatch,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutput, MdwError> {
-        self.sem_match_explained(query, budget, true).map(|(out, _)| out)
-    }
-
-    /// [`Self::sem_match_with_budget`] plus a planner switch and the
-    /// [`ExplainReport`] for the plan the executor ran: chosen join order,
-    /// estimated against observed cardinalities, and pushed filter
-    /// conjuncts. With `use_planner` false the query runs in written
-    /// pattern order — the baseline an ablation compares against. Either
-    /// way the outcome feeds the warehouse's cumulative
-    /// [`planner_stats`](Self::planner_stats) counters.
+    /// Executes a `SEM_MATCH`-style query under a [`QueryBudget`] and
+    /// returns the [`ExplainReport`] for the plan the executor ran: chosen
+    /// join order, estimated against observed cardinalities, and pushed
+    /// filter conjuncts. The query reads the model it names (the current
+    /// one by default) and, when it names a rulebase, the built semantic
+    /// index is supplied automatically — while the breaker is open it runs
+    /// on base facts alone and the output is flagged degraded. The executor
+    /// checks the budget at bounded intervals and returns a partial result
+    /// tagged `Truncated` instead of running away. With `use_planner`
+    /// false the query runs in written pattern order — the baseline an
+    /// ablation compares against. Either way the outcome feeds the
+    /// warehouse's cumulative [`planner_stats`](Self::planner_stats)
+    /// counters.
     pub fn sem_match_explained(
         &self,
         query: &SemMatch,
         budget: &QueryBudget,
         use_planner: bool,
     ) -> Result<(QueryOutput, ExplainReport), MdwError> {
-        let _permit = self.admit(QueryClass::Sparql)?;
-        self.sem_match_inner(query, budget, use_planner)
+        self.run_query(
+            QueryClass::Sparql,
+            budget,
+            query.model_name().unwrap_or(&self.model),
+            query.rulebase_name().is_some(),
+            |view, ctx| self.execute_sparql(view, ctx, query, use_planner),
+            |(out, _), degraded| {
+                out.degraded = degraded;
+                &out.completeness
+            },
+        )
     }
 
-    /// The permit-free execution core shared by [`Self::sem_match_explained`]
-    /// and [`Self::answer`]: candidate queries executed under an `Answer`
-    /// permit must not also contend for `Sparql` slots (one admitted request,
-    /// one permit), but they take the identical breaker / planner / counter
-    /// path.
-    fn sem_match_inner(
+    /// Parses one `SEM_MATCH` query and executes it on the view and context
+    /// [`Self::run_query`] pinned — shared by [`Self::sem_match_explained`]
+    /// and the candidate executions of [`Self::answer`].
+    fn execute_sparql(
         &self,
+        view: &EntailedGraph<'_>,
+        ctx: &QueryContext,
         query: &SemMatch,
-        budget: &QueryBudget,
         use_planner: bool,
     ) -> Result<(QueryOutput, ExplainReport), MdwError> {
-        let degraded = self.breaker.as_ref().is_some_and(|b| !b.allow());
-        let entailments = if degraded { None } else { self.materialization.as_ref() };
-        let mut query = query.clone().model(&self.model);
-        if degraded {
-            // Base-graph answers: the rulebase is unavailable, not an error.
-            query = query.without_rulebase();
-        }
-        let (mut out, report) = query.execute_explained(
-            &self.store,
-            entailments,
-            budget,
-            self.parallelism,
+        let parsed = parser::parse(&query.to_sparql())?;
+        // An empty overlay adds nothing: scan the base alone, which also
+        // hands the planner the snapshot's statistics.
+        let source: &dyn TripleSource =
+            if view.derived().is_empty() { view.base() } else { view };
+        let options = ExecOptions {
+            budget: ctx.budget().clone(),
+            par: ctx.parallelism(),
             use_planner,
-        )?;
-        out.degraded = degraded;
-        if entailments.is_some() {
-            self.record_entailment_outcome(degraded, &out.completeness);
-        }
+        };
+        let (out, report) = mdw_sparql::execute(&parsed, source, ctx.dict(), &options)?;
         self.planner.record(&report);
         Ok((out, report))
     }
@@ -847,16 +848,41 @@ impl MetadataWarehouse {
     /// bounded join paths between the matched schema nodes, ranks the
     /// resulting SPARQL candidates by match score × path length ×
     /// cardinality estimate, and executes the top-k through the regular
-    /// planner/budget stack. One `Answer` admission permit covers the whole
-    /// request — planning and every candidate execution — and all phases
-    /// charge the request's single [`QueryBudget`], so truncation verdicts
-    /// are truthful prefixes of the unbudgeted run.
-    pub fn answer(&self, request: &crate::answer::AnswerRequest) -> Result<crate::answer::AnswerResult, MdwError> {
-        let _permit = self.admit(QueryClass::Answer)?;
-        let (view, degraded) = self.query_view()?;
-        let ctx = self.context().with_budget(request.budget.clone());
+    /// planner/budget stack. The whole request — planning and every
+    /// candidate execution — is one pass through the query choke point:
+    /// one `Answer` admission permit, one breaker decision, one pinned
+    /// view, one recorded outcome. All phases charge the request's single
+    /// [`QueryBudget`], so truncation verdicts are truthful prefixes of the
+    /// unbudgeted run.
+    pub fn answer(&self, request: &AnswerRequest) -> Result<AnswerResult, MdwError> {
+        let result = self.run_query(
+            QueryClass::Answer,
+            &request.budget,
+            &self.model,
+            true,
+            |view, ctx| self.answer_on(view, ctx, request),
+            |result, degraded| {
+                result.degraded = degraded;
+                for executed in &mut result.executed {
+                    executed.output.degraded = degraded;
+                }
+                &result.completeness
+            },
+        )?;
+        self.answer_counters.record(&result);
+        Ok(result)
+    }
+
+    /// The keyword-answering workload on a pinned view: plan candidates,
+    /// execute the top-k, pool their rows.
+    fn answer_on(
+        &self,
+        view: &EntailedGraph<'_>,
+        ctx: &QueryContext,
+        request: &AnswerRequest,
+    ) -> Result<AnswerResult, MdwError> {
         let stats = ctx.planner_stats(&self.model)?;
-        let plan = crate::answer::plan_candidates(&view, &ctx, &self.synonyms, &stats, request);
+        let plan = answer::plan_candidates(view, ctx, &self.synonyms, &stats, request);
         let mut truncated = plan.truncated;
         let mut executed = Vec::new();
         let mut answered_coverage: Option<usize> = None;
@@ -875,14 +901,14 @@ impl MetadataWarehouse {
             if answered_coverage.is_some_and(|n| c.covered_tokens < n) {
                 break;
             }
-            let (out, report) = self.sem_match_inner(&c.query, &request.budget, true)?;
+            let (out, report) = self.execute_sparql(view, ctx, &c.query, true)?;
             if let Some(reason) = out.completeness.reason() {
                 truncated = Some(reason);
             }
             if !out.rows.is_empty() && answered_coverage.is_none() {
                 answered_coverage = Some(c.covered_tokens);
             }
-            executed.push(crate::answer::ExecutedCandidate {
+            executed.push(ExecutedCandidate {
                 sparql: c.sparql.clone(),
                 rank: c.rank,
                 rows: out.rows.len(),
@@ -890,8 +916,8 @@ impl MetadataWarehouse {
                 report,
             });
         }
-        let answers = crate::answer::pool_answers(&executed);
-        let result = crate::answer::AnswerResult {
+        let answers = answer::pool_answers(&executed);
+        Ok(AnswerResult {
             tokens: plan.tokens,
             matches: plan.matches,
             unmatched_tokens: plan.unmatched_tokens,
@@ -902,10 +928,8 @@ impl MetadataWarehouse {
                 Some(reason) => Completeness::Truncated { reason },
                 None => Completeness::Complete,
             },
-            degraded,
-        };
-        self.answer_counters.record(&result);
-        Ok(result)
+            degraded: false,
+        })
     }
 
     /// Cumulative keyword-answering counters over every [`Self::answer`]
@@ -957,7 +981,9 @@ impl MetadataWarehouse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdw_rdf::budget::ManualTime;
     use mdw_rdf::vocab;
+    use std::time::Duration;
 
     fn dm(l: &str) -> Term {
         Term::iri(vocab::cs::dm(l))
@@ -1008,11 +1034,18 @@ mod tests {
     }
 
     #[test]
-    fn search_without_index_fails() {
+    fn entailed_queries_without_index_fail() {
         let mut w = MetadataWarehouse::new();
         w.ingest(vec![]).unwrap();
         assert!(matches!(
             w.search(&SearchRequest::new("x")),
+            Err(MdwError::IndexNotBuilt)
+        ));
+        // SEM_MATCH needs the index only when it names a rulebase.
+        let q = SemMatch::new("{ ?x rdf:type ?c }").select(&["?x"]);
+        assert_eq!(w.sem_match(&q).unwrap().rows.len(), 0);
+        assert!(matches!(
+            w.sem_match(&q.rulebase("OWLPRIME")),
             Err(MdwError::IndexNotBuilt)
         ));
     }
@@ -1047,17 +1080,57 @@ mod tests {
     }
 
     #[test]
-    fn sem_match_auto_supplies_index() {
+    fn sem_match_rulebase_is_opt_in_and_index_is_auto_supplied() {
+        let w = loaded_warehouse();
+        let base_only = SemMatch::new("{ ?x rdf:type dm:Attribute }")
+            .alias("dm", vocab::cs::DM)
+            .select(&["?x"]);
+        // Without the OWL index, customer_id is not an Attribute.
+        assert!(w.sem_match(&base_only).unwrap().rows.is_empty());
+        let entailed = base_only.clone().rulebase("OWLPRIME");
+        assert_eq!(w.sem_match(&entailed).unwrap().rows.len(), 1);
+
+        // The braces around the pattern are optional.
+        let braceless = SemMatch::new("?x rdf:type dm:Attribute")
+            .rulebase("OWLPRIME")
+            .alias("dm", vocab::cs::DM)
+            .select(&["?x"]);
+        assert_eq!(w.sem_match(&braceless).unwrap(), w.sem_match(&entailed).unwrap());
+
+        // SEM_MODELS: the current model is the default and may be named;
+        // an unknown model is an error.
+        let named = entailed.clone().model(DEFAULT_MODEL);
+        assert_eq!(w.sem_match(&named).unwrap().rows.len(), 1);
+        assert!(matches!(
+            w.sem_match(&entailed.model("NOPE")),
+            Err(MdwError::Rdf(mdw_rdf::RdfError::UnknownModel(_)))
+        ));
+    }
+
+    #[test]
+    fn sem_match_listing1_shape_groups_under_inherited_classes() {
         let w = loaded_warehouse();
         let out = w
             .sem_match(
-                &SemMatch::new("{ ?x rdf:type dm:Attribute }")
-                    .rulebase("OWLPRIME")
-                    .alias("dm", vocab::cs::DM)
-                    .select(&["?x"]),
+                &SemMatch::new(
+                    "{ ?object rdf:type ?c . ?c rdfs:label ?class . ?object dm:hasName ?term }",
+                )
+                .rulebase("OWLPRIME")
+                .alias("dm", vocab::cs::DM)
+                .select(&["?class", "?object"])
+                .filter("regex(?term, \"customer\", \"i\")")
+                .group_by(&["?class", "?object"])
+                .order_by(&["?class"]),
             )
             .unwrap();
-        assert_eq!(out.rows.len(), 1);
+        // customer_id appears under both its own class and the inherited
+        // Attribute class.
+        let classes: Vec<_> = out
+            .rows
+            .iter()
+            .map(|r| r[0].as_ref().unwrap().label().to_string())
+            .collect();
+        assert_eq!(classes, vec!["Attribute", "Column"]);
     }
 
     #[test]
@@ -1322,9 +1395,31 @@ mod tests {
         assert_eq!(w.load_synonym_edges().unwrap(), 0);
     }
 
+    /// One request per workload through the facade, reduced to the two
+    /// verdicts the query choke point owns.
+    type Probe = fn(&MetadataWarehouse) -> Result<(bool, Completeness), MdwError>;
+
+    const WORKLOADS: [(QueryClass, Probe); 4] = [
+        (QueryClass::Search, |w| {
+            let r = w.search(&SearchRequest::new("customer"))?;
+            Ok((r.degraded, r.completeness))
+        }),
+        (QueryClass::Lineage, |w| {
+            let r = w.lineage(&LineageRequest::downstream(dwh("client_information_id")))?;
+            Ok((r.degraded, r.completeness))
+        }),
+        (QueryClass::Sparql, |w| {
+            let r = w.sem_match(&SemMatch::new("{ ?x rdf:type ?c }").rulebase("OWLPRIME"))?;
+            Ok((r.degraded, r.completeness))
+        }),
+        (QueryClass::Answer, |w| {
+            let r = w.answer(&AnswerRequest::new("column"))?;
+            Ok((r.degraded, r.completeness))
+        }),
+    ];
+
     #[test]
-    fn overloaded_search_is_shed_with_typed_error() {
-        use std::time::Duration;
+    fn zero_quota_sheds_every_workload_with_typed_overloaded() {
         let mut w = loaded_warehouse();
         w.enable_admission(AdmissionConfig {
             max_concurrent: 0,
@@ -1333,12 +1428,17 @@ mod tests {
             max_wait: Duration::from_millis(10),
             retry_after: Duration::from_millis(250),
         });
-        match w.search(&SearchRequest::new("customer")) {
-            Err(MdwError::Overloaded(o)) => assert_eq!(o.class, QueryClass::Search),
-            other => panic!("expected Overloaded, got {other:?}"),
+        for (class, probe) in WORKLOADS {
+            match probe(&w) {
+                Err(MdwError::Overloaded(o)) => {
+                    assert_eq!(o.class, class);
+                    assert!(o.retry_after >= Duration::from_millis(250));
+                }
+                other => panic!("{class:?}: expected Overloaded, got {other:?}"),
+            }
         }
         let stats = w.admission_stats().unwrap();
-        assert_eq!(stats.total_shed(), 1);
+        assert_eq!(stats.total_shed(), WORKLOADS.len() as u64);
         assert_eq!(stats.total_admitted(), 0);
     }
 
@@ -1347,7 +1447,7 @@ mod tests {
         let w = loaded_warehouse();
         // "column" exact-matches the Application1_View_Column label, so the
         // TypeOf candidate runs and returns the class's only named instance.
-        let result = w.answer(&crate::answer::AnswerRequest::new("column")).unwrap();
+        let result = w.answer(&AnswerRequest::new("column")).unwrap();
         assert!(result.completeness.is_complete());
         assert!(!result.degraded);
         assert!(!result.executed.is_empty());
@@ -1368,37 +1468,16 @@ mod tests {
         let w = loaded_warehouse();
         // No label contains "customer"; the fallback name-filter candidate
         // still finds customer_id by its hasName value.
-        let result = w.answer(&crate::answer::AnswerRequest::new("customer")).unwrap();
+        let result = w.answer(&AnswerRequest::new("customer")).unwrap();
         assert!(result.matches.is_empty());
         assert_eq!(result.unmatched_tokens, vec!["customer".to_string()]);
         assert!(result.answers.iter().any(|a| a.name == "customer_id"));
     }
 
     #[test]
-    fn overloaded_answer_is_shed_with_typed_error() {
-        use std::time::Duration;
-        let mut w = loaded_warehouse();
-        w.enable_admission(AdmissionConfig {
-            max_concurrent: 0,
-            per_class: [0; crate::admission::CLASS_COUNT],
-            max_queued: 0,
-            max_wait: Duration::from_millis(10),
-            retry_after: Duration::from_millis(250),
-        });
-        match w.answer(&crate::answer::AnswerRequest::new("column")) {
-            Err(MdwError::Overloaded(o)) => {
-                assert_eq!(o.class, QueryClass::Answer);
-                assert!(o.retry_after >= Duration::from_millis(250));
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(w.admission_stats().unwrap().total_shed(), 1);
-    }
-
-    #[test]
     fn answer_budget_trips_are_truthful_and_counted() {
         let w = loaded_warehouse();
-        let req = crate::answer::AnswerRequest::new("column")
+        let req = AnswerRequest::new("column")
             .with_budget(QueryBudget::unlimited().with_max_steps(2));
         let result = w.answer(&req).unwrap();
         assert!(!result.completeness.is_complete());
@@ -1418,45 +1497,49 @@ mod tests {
         assert_eq!(w.admission().unwrap().active(), 0);
     }
 
-    #[test]
-    fn breaker_fallback_serves_degraded_base_graph_answers() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        use crate::budget::{Completeness, ManualTime, QueryBudget, TruncationReason};
-
+    /// A warehouse whose breaker a single starved search has just opened
+    /// (`failure_threshold` 1, 60 s cool-down).
+    fn tripped_warehouse(success_threshold: u32) -> (MetadataWarehouse, Arc<ManualTime>) {
         let mut w = loaded_warehouse();
         let time = Arc::new(ManualTime::new());
         w.enable_breaker(
             BreakerConfig {
                 failure_threshold: 1,
                 cooldown: Duration::from_secs(60),
-                success_threshold: 1,
+                success_threshold,
             },
             time.clone(),
         );
         assert_eq!(w.breaker_state(), Some(BreakerState::Closed));
-
         // A query that blows its step budget counts as an entailment failure.
         let starved = SearchRequest::new("customer")
             .with_budget(QueryBudget::unlimited().with_max_steps(0));
         let r = w.search(&starved).unwrap();
         assert_eq!(r.completeness.reason(), Some(TruncationReason::StepLimit));
         assert_eq!(w.breaker_state(), Some(BreakerState::Open));
+        (w, time)
+    }
 
-        // Open breaker: answers come from the base graph, flagged degraded —
-        // the asserted class is still found, the inferred superclass is not.
+    #[test]
+    fn open_breaker_degrades_every_workload_to_base_graph_answers() {
+        let (w, time) = tripped_warehouse(1);
+        for (class, probe) in WORKLOADS {
+            let (degraded, completeness) = probe(&w).unwrap();
+            assert!(degraded, "{class:?}");
+            assert!(completeness.is_complete(), "{class:?}");
+            // Degraded answers never probe the entailed path: no outcome.
+            assert_eq!(w.breaker_state(), Some(BreakerState::Open), "{class:?}");
+        }
+
+        // The answers come from the base graph: the asserted class is still
+        // found, the inferred superclass is not.
         let r = w.search(&SearchRequest::new("customer")).unwrap();
-        assert!(r.degraded);
-        assert!(matches!(r.completeness, Completeness::Complete));
         assert!(r.group("Column").is_some());
         assert!(r.group("Attribute").is_none());
-
         let lin = w
             .lineage(&LineageRequest::downstream(dwh("client_information_id")))
             .unwrap();
-        assert!(lin.degraded);
         assert!(lin.endpoint(&dwh("customer_id")).is_some());
-
         let out = w
             .sem_match(
                 &SemMatch::new("{ ?x rdf:type dm:Attribute }")
@@ -1465,7 +1548,6 @@ mod tests {
                     .select(&["?x"]),
             )
             .unwrap();
-        assert!(out.degraded);
         assert!(out.rows.is_empty());
 
         // Cool-down elapses → half-open probe succeeds → healthy again.
@@ -1473,6 +1555,27 @@ mod tests {
         let r = w.search(&SearchRequest::new("customer")).unwrap();
         assert!(!r.degraded);
         assert!(r.group("Attribute").is_some());
+        assert_eq!(w.breaker_state(), Some(BreakerState::Closed));
+    }
+
+    #[test]
+    fn every_admitted_request_records_exactly_one_breaker_outcome() {
+        // Half-open, two successes needed to close: one keyword request
+        // that executes two clean candidates is still a single success.
+        let (w, time) = tripped_warehouse(2);
+        time.advance(Duration::from_secs(61));
+        assert_eq!(w.breaker_state(), Some(BreakerState::HalfOpen));
+        let result = w.answer(&AnswerRequest::new("column attribute")).unwrap();
+        assert!(result.executed.len() >= 2, "executed: {:?}", result.executed.len());
+        assert!(!result.degraded);
+        assert!(result.executed.iter().all(|e| !e.output.degraded));
+        assert_eq!(w.breaker_state(), Some(BreakerState::HalfOpen));
+        // A base-only query (no rulebase named) is no evidence either way…
+        w.sem_match(&SemMatch::new("{ ?x rdf:type ?c }")).unwrap();
+        assert_eq!(w.breaker_state(), Some(BreakerState::HalfOpen));
+        // …and the second entailed request closes the breaker.
+        w.lineage(&LineageRequest::downstream(dwh("client_information_id")))
+            .unwrap();
         assert_eq!(w.breaker_state(), Some(BreakerState::Closed));
     }
 

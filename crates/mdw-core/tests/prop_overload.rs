@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use mdw_core::budget::{Completeness, QueryBudget, TruncationReason};
+use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_core::ingest::Extract;
 use mdw_core::lineage::LineageRequest;
 use mdw_core::search::SearchRequest;
@@ -114,8 +114,9 @@ proptest! {
         let query = SemMatch::new("{ ?x rdf:type ?c }").select(&["?x", "?c"]);
         let full = w.sem_match(&query).unwrap();
         let budgeted = w
-            .sem_match_with_budget(&query, &QueryBudget::unlimited().with_max_rows(max_rows))
-            .unwrap();
+            .sem_match_explained(&query, &QueryBudget::unlimited().with_max_rows(max_rows), true)
+            .unwrap()
+            .0;
 
         prop_assert!(budgeted.rows.len() <= full.rows.len());
         prop_assert_eq!(&budgeted.rows[..], &full.rows[..budgeted.rows.len()]);
@@ -142,7 +143,7 @@ proptest! {
         let query = SemMatch::new("{ ?x rdf:type ?c }").select(&["?x", "?c"]);
         let full = w.sem_match(&query).unwrap();
         let budget = QueryBudget::unlimited().with_max_steps(max_steps);
-        let budgeted = w.sem_match_with_budget(&query, &budget).unwrap();
+        let budgeted = w.sem_match_explained(&query, &budget, true).unwrap().0;
 
         prop_assert!(budgeted.rows.len() <= full.rows.len());
         prop_assert_eq!(&budgeted.rows[..], &full.rows[..budgeted.rows.len()]);

@@ -9,8 +9,8 @@
 //! order. The executor here then evaluates the plan with budget-charged
 //! nested index-loop joins, optionally partitioning the leaf scan of a
 //! BGP across worker threads with a deterministic in-order merge.
-//! [`execute_explained`] additionally returns an [`ExplainReport`]
-//! pairing the plan's estimates with observed cardinalities.
+//! [`execute`] returns the rows together with an [`ExplainReport`] pairing
+//! the plan's estimates with observed cardinalities.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -116,81 +116,47 @@ fn term_display(t: &Term) -> String {
     }
 }
 
-/// Executes a parsed query against a triple source and its dictionary.
+/// How [`execute`] runs a query. The default is an unlimited budget,
+/// sequential execution, and cost-based planning.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// The resource budget. When it trips (steps, rows, deadline,
+    /// cancellation) evaluation stops at the next check point and the
+    /// partial rows come back tagged [`Completeness::Truncated`] — never
+    /// an error, never a panic.
+    pub budget: QueryBudget,
+    /// Worker-thread policy. It only affects wall-clock time: the leaf
+    /// scan+filter stage of BGP evaluation partitions its prefix run across
+    /// scoped worker threads and merges in scan order, so rows, row order,
+    /// and truncation verdicts are bit-identical to sequential execution.
+    pub par: ParallelPolicy,
+    /// Whether the cost-based planner orders the patterns. `false`
+    /// evaluates them in written order with no filter pushdown (the
+    /// `--no-planner` baseline): the same row set, but evaluation order —
+    /// and therefore work and unsorted row order — differ.
+    pub use_planner: bool,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            budget: QueryBudget::unlimited(),
+            par: ParallelPolicy::sequential(),
+            use_planner: true,
+        }
+    }
+}
+
+/// Executes a parsed query against a triple source and its dictionary,
+/// returning the rows together with the plan the executor ran: chosen join
+/// order and estimated-vs-actual per-pattern cardinalities.
 pub fn execute(
     query: &Query,
     source: &dyn TripleSource,
     dict: &Dictionary,
-) -> Result<QueryOutput, SparqlError> {
-    execute_with_budget(query, source, dict, &QueryBudget::unlimited())
-}
-
-/// Executes a parsed query under a resource budget. When the budget trips
-/// (steps, rows, deadline, cancellation) evaluation stops at the next
-/// check point and the partial rows come back tagged
-/// [`Completeness::Truncated`] — never an error, never a panic.
-pub fn execute_with_budget(
-    query: &Query,
-    source: &dyn TripleSource,
-    dict: &Dictionary,
-    budget: &QueryBudget,
-) -> Result<QueryOutput, SparqlError> {
-    execute_with_options(query, source, dict, budget, ParallelPolicy::sequential())
-}
-
-/// Executes a parsed query under a resource budget and a worker-thread
-/// policy. The policy only affects wall-clock time: the leaf scan+filter
-/// stage of BGP evaluation partitions its prefix run across scoped worker
-/// threads and merges in scan order, so rows, row order, and truncation
-/// verdicts are bit-identical to sequential execution.
-pub fn execute_with_options(
-    query: &Query,
-    source: &dyn TripleSource,
-    dict: &Dictionary,
-    budget: &QueryBudget,
-    par: ParallelPolicy,
-) -> Result<QueryOutput, SparqlError> {
-    execute_with_planner(query, source, dict, budget, par, true)
-}
-
-/// Like [`execute_with_options`], with explicit control over whether the
-/// cost-based planner orders the patterns (`false` evaluates them in
-/// written order with no filter pushdown — the `--no-planner` baseline).
-/// Either way the result rows are the same set; only evaluation order,
-/// and therefore work and unsorted row order, differ.
-pub fn execute_with_planner(
-    query: &Query,
-    source: &dyn TripleSource,
-    dict: &Dictionary,
-    budget: &QueryBudget,
-    par: ParallelPolicy,
-    use_planner: bool,
-) -> Result<QueryOutput, SparqlError> {
-    run_planned(query, source, dict, budget, par, use_planner).map(|(out, _)| out)
-}
-
-/// Executes a query and returns the chosen plan with estimated-vs-actual
-/// per-pattern cardinalities alongside the result — the `--explain`
-/// entry point.
-pub fn execute_explained(
-    query: &Query,
-    source: &dyn TripleSource,
-    dict: &Dictionary,
-    budget: &QueryBudget,
-    par: ParallelPolicy,
-    use_planner: bool,
+    options: &ExecOptions,
 ) -> Result<(QueryOutput, ExplainReport), SparqlError> {
-    run_planned(query, source, dict, budget, par, use_planner)
-}
-
-fn run_planned(
-    query: &Query,
-    source: &dyn TripleSource,
-    dict: &Dictionary,
-    budget: &QueryBudget,
-    par: ParallelPolicy,
-    use_planner: bool,
-) -> Result<(QueryOutput, ExplainReport), SparqlError> {
+    let &ExecOptions { ref budget, par, use_planner } = options;
     let type_id = dict.lookup(&vocab::rdf_type());
     let stats = if use_planner { source.planner_stats(type_id) } else { None };
     let query_plan = if use_planner {
@@ -1308,9 +1274,16 @@ mod tests {
         store
     }
 
+    fn try_run(
+        store: &Store,
+        q: &str,
+        options: &ExecOptions,
+    ) -> Result<(QueryOutput, ExplainReport), SparqlError> {
+        execute(&parse(q).unwrap(), store.model("m").unwrap(), store.dict(), options)
+    }
+
     fn run(store: &Store, q: &str) -> QueryOutput {
-        let query = parse(q).unwrap();
-        execute(&query, store.model("m").unwrap(), store.dict()).unwrap()
+        try_run(store, q, &ExecOptions::default()).unwrap().0
     }
 
     #[test]
@@ -1588,17 +1561,14 @@ mod tests {
     #[test]
     fn projecting_ungrouped_var_is_error() {
         let store = sample_store();
-        let query = parse(
-            "SELECT ?x (COUNT(?c) AS ?n) WHERE { ?x a ?c } GROUP BY ?c",
-        )
-        .unwrap();
-        let err = execute(&query, store.model("m").unwrap(), store.dict()).unwrap_err();
+        let q = "SELECT ?x (COUNT(?c) AS ?n) WHERE { ?x a ?c } GROUP BY ?c";
+        let err = try_run(&store, q, &ExecOptions::default()).unwrap_err();
         assert!(matches!(err, SparqlError::Semantic(_)));
     }
 
     fn run_budgeted(store: &Store, q: &str, budget: &QueryBudget) -> QueryOutput {
-        let query = parse(q).unwrap();
-        execute_with_budget(&query, store.model("m").unwrap(), store.dict(), budget).unwrap()
+        let options = ExecOptions { budget: budget.clone(), ..ExecOptions::default() };
+        try_run(store, q, &options).unwrap().0
     }
 
     #[test]
@@ -1739,11 +1709,8 @@ mod tests {
     #[test]
     fn bad_regex_reported() {
         let store = sample_store();
-        let query = parse(
-            "SELECT ?x WHERE { ?x <hasName> ?n FILTER(regex(?n, \"(unclosed\", \"i\")) }",
-        )
-        .unwrap();
-        let err = execute(&query, store.model("m").unwrap(), store.dict()).unwrap_err();
+        let q = "SELECT ?x WHERE { ?x <hasName> ?n FILTER(regex(?n, \"(unclosed\", \"i\")) }";
+        let err = try_run(&store, q, &ExecOptions::default()).unwrap_err();
         assert!(matches!(err, SparqlError::BadRegex(_)));
     }
 
@@ -1752,25 +1719,14 @@ mod tests {
         // The planner pushes the regex conjunct into the BGP; the compile
         // error must still surface, not silently drop rows.
         let store = sample_store();
-        let query = parse(
-            "SELECT ?x WHERE { ?x a <Customer> . ?x <hasName> ?n FILTER(regex(?n, \"(unclosed\", \"i\")) }",
-        )
-        .unwrap();
-        let err = execute(&query, store.model("m").unwrap(), store.dict()).unwrap_err();
+        let q = "SELECT ?x WHERE { ?x a <Customer> . ?x <hasName> ?n FILTER(regex(?n, \"(unclosed\", \"i\")) }";
+        let err = try_run(&store, q, &ExecOptions::default()).unwrap_err();
         assert!(matches!(err, SparqlError::BadRegex(_)));
     }
 
     fn run_mode(store: &Store, q: &str, use_planner: bool) -> QueryOutput {
-        let query = parse(q).unwrap();
-        execute_with_planner(
-            &query,
-            store.model("m").unwrap(),
-            store.dict(),
-            &QueryBudget::unlimited(),
-            ParallelPolicy::sequential(),
-            use_planner,
-        )
-        .unwrap()
+        let options = ExecOptions { use_planner, ..ExecOptions::default() };
+        try_run(store, q, &options).unwrap().0
     }
 
     fn sorted_rows(out: &QueryOutput) -> Vec<String> {
@@ -1802,20 +1758,8 @@ mod tests {
         let store = sample_store();
         // Written order is adversarial: the 6-row hasName/type-var scan
         // first, the 1-instance Institution pattern second.
-        let query = parse(
-            "SELECT ?x ?n WHERE { ?x <hasName> ?n . ?x a <Institution> }",
-        )
-        .unwrap();
-        let budget = QueryBudget::unlimited();
-        let (out, report) = execute_explained(
-            &query,
-            store.model("m").unwrap(),
-            store.dict(),
-            &budget,
-            ParallelPolicy::sequential(),
-            true,
-        )
-        .unwrap();
+        let q = "SELECT ?x ?n WHERE { ?x <hasName> ?n . ?x a <Institution> }";
+        let (out, report) = try_run(&store, q, &ExecOptions::default()).unwrap();
         assert_eq!(out.rows.len(), 1);
         assert!(report.planner_used);
         assert!(report.reordered(), "planner should flip the adversarial order");
@@ -1825,15 +1769,8 @@ mod tests {
         assert_eq!(entries[0].actual_rows, 1);
         assert_eq!(entries[1].actual_rows, 1); // acme's single name
         // The naive plan reports the written order and no estimates.
-        let (_, naive) = execute_explained(
-            &query,
-            store.model("m").unwrap(),
-            store.dict(),
-            &QueryBudget::unlimited(),
-            ParallelPolicy::sequential(),
-            false,
-        )
-        .unwrap();
+        let written = ExecOptions { use_planner: false, ..ExecOptions::default() };
+        let (_, naive) = try_run(&store, q, &written).unwrap();
         assert!(!naive.planner_used);
         assert!(!naive.reordered());
         assert_eq!(naive.bgps[0].entries[0].estimated_rows, 0);
@@ -1861,28 +1798,14 @@ mod tests {
             .insert("m", &Term::iri("acme"), &Term::iri("hasName"), &Term::plain("ACME"))
             .unwrap();
         let q = "SELECT ?x ?n WHERE { ?x <hasName> ?n . ?x a <Institution> }";
-        let query = parse(q).unwrap();
 
         let planned_budget = QueryBudget::unlimited();
-        let on = execute_with_planner(
-            &query,
-            store.model("m").unwrap(),
-            store.dict(),
-            &planned_budget,
-            ParallelPolicy::sequential(),
-            true,
-        )
-        .unwrap();
+        let planned = ExecOptions { budget: planned_budget.clone(), ..ExecOptions::default() };
+        let (on, _) = try_run(&store, q, &planned).unwrap();
         let naive_budget = QueryBudget::unlimited();
-        let off = execute_with_planner(
-            &query,
-            store.model("m").unwrap(),
-            store.dict(),
-            &naive_budget,
-            ParallelPolicy::sequential(),
-            false,
-        )
-        .unwrap();
+        let written =
+            ExecOptions { budget: naive_budget.clone(), use_planner: false, ..ExecOptions::default() };
+        let (off, _) = try_run(&store, q, &written).unwrap();
         assert_eq!(on.rows, off.rows);
         assert_eq!(on.rows.len(), 1);
         // The planner's step count is a small constant; the naive order

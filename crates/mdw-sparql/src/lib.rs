@@ -25,12 +25,16 @@
 //!   frozen-index statistics ([`mdw_rdf::FrozenStats`]): selectivity-ranked
 //!   greedy join ordering with plan-time bound-set propagation and filter
 //!   pushdown,
-//! * [`exec`] — the physical executor: budget-charged nested index-loop
-//!   joins driven by the plan, over any
+//! * [`exec`] — the physical executor: one entry point,
+//!   [`execute`](exec::execute), running budget-charged nested index-loop
+//!   joins driven by the plan over any
 //!   [`TripleSource`](mdw_rdf::TripleSource) — a plain model or an
-//!   entailed view (rulebase opted in),
-//! * [`sem_match`] — the Oracle-flavoured entry point used by the
-//!   reproduction of the paper's listings.
+//!   entailed view (rulebase opted in) — under
+//!   [`ExecOptions`](exec::ExecOptions) (budget, worker threads, planner
+//!   switch),
+//! * [`sem_match`] — the Oracle-flavoured query *builder* used by the
+//!   reproduction of the paper's listings; the warehouse facade in
+//!   `mdw-core` is what runs it.
 
 pub mod ast;
 pub mod error;
@@ -43,10 +47,7 @@ pub mod sem_match;
 
 pub use ast::Query;
 pub use error::SparqlError;
-pub use exec::{
-    execute, execute_explained, execute_with_budget, execute_with_options, execute_with_planner,
-    QueryOutput, ResultRow,
-};
+pub use exec::{execute, ExecOptions, QueryOutput, ResultRow};
 pub use plan::{ExplainBgp, ExplainEntry, ExplainReport, QueryPlan};
 pub use regex_lite::Regex;
 pub use sem_match::SemMatch;

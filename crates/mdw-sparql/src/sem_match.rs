@@ -1,4 +1,4 @@
-//! The `SEM_MATCH`-style query facade.
+//! The `SEM_MATCH`-style query builder.
 //!
 //! The paper's two listings query the warehouse through Oracle's `SEM_MATCH`
 //! table function: a SPARQL pattern, `SEM_MODELS('DWH_CURR')`,
@@ -7,42 +7,27 @@
 //! that surface as a builder:
 //!
 //! ```
-//! use mdw_rdf::{Store, Term};
 //! use mdw_sparql::SemMatch;
 //!
-//! let mut store = Store::new();
-//! store.create_model("DWH_CURR").unwrap();
-//! store.insert("DWH_CURR",
-//!     &Term::iri("http://ex.org/t1"),
-//!     &Term::iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
-//!     &Term::iri("http://ex.org/Table")).unwrap();
-//!
-//! let out = SemMatch::new("{ ?x rdf:type ?c }")
-//!     .model("DWH_CURR")
+//! let q = SemMatch::new("{ ?x rdf:type ?c }")
+//!     .rulebase("OWLPRIME")
 //!     .alias("ex", "http://ex.org/")
-//!     .select(&["?x", "?c"])
-//!     .execute(&store, None)
-//!     .unwrap();
-//! assert_eq!(out.rows.len(), 1);
+//!     .select(&["?x", "?c"]);
+//! assert!(q.to_sparql().contains("SELECT ?x ?c"));
+//! assert_eq!(q.rulebase_name(), Some("OWLPRIME"));
+//! assert_eq!(q.model_name(), None);
 //! ```
 //!
-//! When a rulebase is named, the caller supplies the matching
-//! [`Materialization`] (the semantic index built by `mdw-reason`); the query
-//! then runs over the entailed view, exactly like a `SEM_MATCH` call that
-//! names `SEM_RULEBASES('OWLPRIME')`.
+//! The builder only describes a query. The warehouse facade
+//! (`mdw-core`'s `MetadataWarehouse::sem_match_explained`) runs it: it
+//! parses [`SemMatch::to_sparql`], resolves the model (the current one
+//! unless [`SemMatch::model`] names another), and — when a rulebase is
+//! named — evaluates over the entailed view, exactly like a `SEM_MATCH`
+//! call that names `SEM_RULEBASES('OWLPRIME')`.
 
 use std::collections::BTreeMap;
 
-use mdw_rdf::store::Store;
 use mdw_rdf::vocab;
-use mdw_reason::{EntailedGraph, Materialization};
-
-use crate::error::SparqlError;
-use crate::exec::{execute_explained, QueryOutput};
-use crate::plan::ExplainReport;
-use mdw_rdf::budget::QueryBudget;
-use mdw_rdf::par::ParallelPolicy;
-use crate::parser::parse;
 
 /// Builder for a `SEM_MATCH`-flavoured query.
 #[derive(Debug, Clone)]
@@ -61,8 +46,12 @@ pub struct SemMatch {
 
 impl SemMatch {
     /// Starts a query from a SPARQL group pattern (with or without the
-    /// surrounding braces). The standard aliases `rdf:`, `rdfs:`, `owl:`,
-    /// and `xsd:` are pre-registered, as they are in Oracle.
+    /// surrounding braces) or from a full `SELECT`/`ASK` query text, which
+    /// is rendered verbatim after the alias `PREFIX` lines (its own
+    /// `PREFIX` declarations win; the projection, filter, grouping,
+    /// ordering and limit clauses of this builder do not apply to it). The
+    /// standard aliases `rdf:`, `rdfs:`, `owl:`, and `xsd:` are
+    /// pre-registered, as they are in Oracle.
     pub fn new(pattern: impl Into<String>) -> Self {
         let mut aliases = BTreeMap::new();
         aliases.insert("rdf".to_string(), vocab::rdf::NS.to_string());
@@ -95,12 +84,14 @@ impl SemMatch {
         self
     }
 
-    /// Drops any named rulebase, so the query runs over base facts alone —
-    /// the warehouse's degraded-fallback path while its entailment breaker
-    /// is open.
-    pub fn without_rulebase(mut self) -> Self {
-        self.rulebase = None;
-        self
+    /// The model named by [`Self::model`], if any.
+    pub fn model_name(&self) -> Option<&str> {
+        self.model.as_deref()
+    }
+
+    /// The rulebase named by [`Self::rulebase`], if any.
+    pub fn rulebase_name(&self) -> Option<&str> {
+        self.rulebase.as_deref()
     }
 
     /// `SEM_ALIAS(prefix, namespace)`.
@@ -155,6 +146,13 @@ impl SemMatch {
         for (prefix, ns) in &self.aliases {
             q.push_str(&format!("PREFIX {prefix}: <{ns}>\n"));
         }
+        let body = self.pattern.trim();
+        let starts_with =
+            |kw: &str| body.get(..kw.len()).is_some_and(|head| head.eq_ignore_ascii_case(kw));
+        if ["SELECT", "ASK", "PREFIX"].into_iter().any(starts_with) {
+            q.push_str(body);
+            return q;
+        }
         q.push_str("SELECT ");
         if self.distinct {
             q.push_str("DISTINCT ");
@@ -164,7 +162,6 @@ impl SemMatch {
         } else {
             q.push_str(&self.select.join(" "));
         }
-        let body = self.pattern.trim();
         let body = body.strip_prefix('{').unwrap_or(body);
         let body = body.strip_suffix('}').unwrap_or(body);
         q.push_str("\nWHERE {\n");
@@ -184,189 +181,11 @@ impl SemMatch {
         }
         q
     }
-
-    /// Executes against a store. If a rulebase was named, `entailments`
-    /// must be the materialization of that rulebase over the model; passing
-    /// `None` with a named rulebase is an error (the paper's "indexes only
-    /// exist if built").
-    pub fn execute(
-        &self,
-        store: &Store,
-        entailments: Option<&Materialization>,
-    ) -> Result<QueryOutput, SparqlError> {
-        self.execute_with_budget(store, entailments, &QueryBudget::unlimited())
-    }
-
-    /// [`SemMatch::execute`] under a resource budget: the traversal stops
-    /// at the budget and the partial rows come back tagged
-    /// [`Completeness::Truncated`](mdw_rdf::budget::Completeness).
-    pub fn execute_with_budget(
-        &self,
-        store: &Store,
-        entailments: Option<&Materialization>,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutput, SparqlError> {
-        self.execute_with_options(store, entailments, budget, ParallelPolicy::sequential())
-    }
-
-    /// [`SemMatch::execute_with_budget`] plus a worker-thread policy for
-    /// the executor's parallel leaf scans (results stay bit-identical to
-    /// sequential execution).
-    pub fn execute_with_options(
-        &self,
-        store: &Store,
-        entailments: Option<&Materialization>,
-        budget: &QueryBudget,
-        par: ParallelPolicy,
-    ) -> Result<QueryOutput, SparqlError> {
-        self.execute_explained(store, entailments, budget, par, true)
-            .map(|(out, _)| out)
-    }
-
-    /// [`SemMatch::execute_with_options`] plus a planner switch and the
-    /// [`ExplainReport`] describing the plan the executor actually ran —
-    /// join order chosen, cardinality estimates against observed rows,
-    /// and which filter conjuncts were pushed into the scans. With
-    /// `use_planner` false the query runs in written pattern order
-    /// (the pre-planner behaviour), which is what ablation comparisons
-    /// measure against.
-    pub fn execute_explained(
-        &self,
-        store: &Store,
-        entailments: Option<&Materialization>,
-        budget: &QueryBudget,
-        par: ParallelPolicy,
-        use_planner: bool,
-    ) -> Result<(QueryOutput, ExplainReport), SparqlError> {
-        let model_name = self
-            .model
-            .as_deref()
-            .ok_or_else(|| SparqlError::Semantic("no model specified".to_string()))?;
-        let graph = store
-            .model(model_name)
-            .map_err(|e| SparqlError::Semantic(e.to_string()))?;
-        let query = parse(&self.to_sparql())?;
-        match (&self.rulebase, entailments) {
-            (None, _) => execute_explained(&query, graph, store.dict(), budget, par, use_planner),
-            (Some(_), Some(m)) => {
-                let base = graph.freeze();
-                let view = EntailedGraph::new(&base, m.frozen());
-                execute_explained(&query, &view, store.dict(), budget, par, use_planner)
-            }
-            (Some(rb), None) => Err(SparqlError::Semantic(format!(
-                "rulebase {rb} requested but no entailment index supplied"
-            ))),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::term::Term;
-    use mdw_reason::Rulebase;
-
-    fn setup() -> (Store, Materialization) {
-        let mut store = Store::new();
-        store.create_model("DWH_CURR").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
-        let dm = |l: &str| Term::iri(vocab::cs::dm(l));
-        let triples = vec![
-            // hierarchy
-            (dm("Application1_View_Column"), Term::iri(vocab::rdfs::SUB_CLASS_OF), dm("Attribute")),
-            (dm("Attribute"), Term::iri(vocab::rdfs::SUB_CLASS_OF), dm("Application1_Item")),
-            // labels
-            (dm("Attribute"), Term::iri(vocab::rdfs::LABEL), Term::plain("Attribute")),
-            (
-                dm("Application1_View_Column"),
-                Term::iri(vocab::rdfs::LABEL),
-                Term::plain("Column"),
-            ),
-            // instance
-            (
-                Term::iri(vocab::cs::dwh("customer_id")),
-                Term::iri(vocab::rdf::TYPE),
-                dm("Application1_View_Column"),
-            ),
-            (
-                Term::iri(vocab::cs::dwh("customer_id")),
-                Term::iri(vocab::cs::HAS_NAME),
-                Term::plain("customer_id"),
-            ),
-        ];
-        for (s, p, o) in triples {
-            store.insert("DWH_CURR", &s, &p, &o).unwrap();
-        }
-        let m = Materialization::materialize(store.model("DWH_CURR").unwrap(), &rb, store.dict());
-        (store, m)
-    }
-
-    #[test]
-    fn listing1_shape_without_rulebase_misses_inherited_types() {
-        let (store, _) = setup();
-        let out = SemMatch::new("{ ?object rdf:type dm:Attribute }")
-            .model("DWH_CURR")
-            .alias("dm", vocab::cs::DM)
-            .select(&["?object"])
-            .execute(&store, None)
-            .unwrap();
-        // Without the OWL index, customer_id is not an Attribute.
-        assert!(out.rows.is_empty());
-    }
-
-    #[test]
-    fn listing1_shape_with_rulebase_sees_inherited_types() {
-        let (store, m) = setup();
-        let out = SemMatch::new(
-            "{ ?object rdf:type ?c . ?c rdfs:label ?class . ?object dm:hasName ?term }",
-        )
-        .model("DWH_CURR")
-        .rulebase("OWLPRIME")
-        .alias("dm", vocab::cs::DM)
-        .select(&["?class", "?object"])
-        .filter("regex(?term, \"customer\", \"i\")")
-        .group_by(&["?class", "?object"])
-        .order_by(&["?class"])
-        .execute(&store, Some(&m))
-        .unwrap();
-        // customer_id appears under both its own class and the inherited
-        // Attribute class.
-        assert_eq!(out.rows.len(), 2);
-        let classes: Vec<_> = out
-            .rows
-            .iter()
-            .map(|r| r[0].as_ref().unwrap().label().to_string())
-            .collect();
-        assert_eq!(classes, vec!["Attribute", "Column"]);
-    }
-
-    #[test]
-    fn rulebase_without_entailments_is_error() {
-        let (store, _) = setup();
-        let err = SemMatch::new("{ ?x rdf:type ?c }")
-            .model("DWH_CURR")
-            .rulebase("OWLPRIME")
-            .select(&["?x"])
-            .execute(&store, None)
-            .unwrap_err();
-        assert!(matches!(err, SparqlError::Semantic(_)));
-    }
-
-    #[test]
-    fn missing_model_is_error() {
-        let (store, _) = setup();
-        let err = SemMatch::new("{ ?x rdf:type ?c }")
-            .select(&["?x"])
-            .execute(&store, None)
-            .unwrap_err();
-        assert!(matches!(err, SparqlError::Semantic(_)));
-        let err = SemMatch::new("{ ?x rdf:type ?c }")
-            .model("NOPE")
-            .select(&["?x"])
-            .execute(&store, None)
-            .unwrap_err();
-        assert!(matches!(err, SparqlError::Semantic(_)));
-    }
 
     #[test]
     fn to_sparql_renders_all_clauses() {
@@ -389,18 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn braces_optional_in_pattern() {
-        let (store, _) = setup();
-        let with = SemMatch::new("{ ?x rdf:type ?c }")
-            .model("DWH_CURR")
-            .select(&["?x"])
-            .execute(&store, None)
-            .unwrap();
-        let without = SemMatch::new("?x rdf:type ?c")
-            .model("DWH_CURR")
-            .select(&["?x"])
-            .execute(&store, None)
-            .unwrap();
-        assert_eq!(with.rows.len(), without.rows.len());
+    fn full_query_text_is_kept_verbatim_after_the_aliases() {
+        for text in ["SELECT ?x WHERE { ?x a dm:T }", "ask { ?x a dm:T }"] {
+            let q = SemMatch::new(text).alias("dm", vocab::cs::DM).select(&["?y"]).to_sparql();
+            assert!(q.starts_with("PREFIX dm:"));
+            assert!(q.ends_with(text), "{q}");
+            assert!(crate::parser::parse(&q).is_ok());
+        }
     }
 }

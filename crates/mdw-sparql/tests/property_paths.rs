@@ -4,7 +4,7 @@
 use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
 use mdw_rdf::vocab;
-use mdw_sparql::exec::execute;
+use mdw_sparql::exec::{execute, ExecOptions};
 use mdw_sparql::parser::parse;
 
 /// The Figure 3 mapping chain plus extra shape for path operators:
@@ -42,7 +42,8 @@ fn chain_store() -> Store {
 
 fn run(store: &Store, q: &str) -> Vec<Vec<String>> {
     let query = parse(q).unwrap();
-    let out = execute(&query, store.model("m").unwrap(), store.dict()).unwrap();
+    let (out, _) =
+        execute(&query, store.model("m").unwrap(), store.dict(), &ExecOptions::default()).unwrap();
     out.rows
         .iter()
         .map(|r| {

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use metadata_warehouse::core::admission::AdmissionConfig;
 use metadata_warehouse::core::answer::AnswerRequest;
-use metadata_warehouse::core::budget::{Completeness, MonotonicTime, QueryBudget};
+use metadata_warehouse::rdf::budget::{Completeness, MonotonicTime, QueryBudget};
 use metadata_warehouse::rdf::ParallelPolicy;
 use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::governance::render_access;
@@ -580,43 +580,18 @@ fn cmd_sparql(args: &Args) -> Result<(), String> {
         .first()
         .ok_or("sparql needs a QUERY argument")?;
     let warehouse = open_warehouse(args)?;
-    // Full SELECT queries run through the parser directly; bare `{ … }`
-    // patterns go through SemMatch with the standard aliases.
-    let upper = pattern_or_query.trim_start().to_uppercase();
-    let is_full_query =
-        upper.starts_with("SELECT") || upper.starts_with("PREFIX") || upper.starts_with("ASK");
-    let budget = budget_from_args(args)?;
-    let use_planner = !args.flag("no-planner");
-    let (output, report) = if is_full_query {
-        let query = metadata_warehouse::sparql::parser::parse(&with_default_prefixes(
-            pattern_or_query,
-        ))
+    // A bare `{ … }` pattern or a full SELECT/ASK text: either way one
+    // SEM_MATCH with the standard aliases, through the warehouse.
+    let mut sem = SemMatch::new(pattern_or_query.clone())
+        .alias("dm", vocab::cs::DM)
+        .alias("dt", vocab::cs::DT)
+        .alias("dwh", vocab::cs::DWH);
+    if !args.flag("no-rulebase") {
+        sem = sem.rulebase("OWLPRIME");
+    }
+    let (output, report) = warehouse
+        .sem_match_explained(&sem, &budget_from_args(args)?, !args.flag("no-planner"))
         .map_err(|e| e.to_string())?;
-        let graph = warehouse
-            .store()
-            .model(warehouse.model_name())
-            .map_err(|e| e.to_string())?;
-        metadata_warehouse::sparql::exec::execute_explained(
-            &query,
-            graph,
-            warehouse.store().dict(),
-            &budget,
-            warehouse.parallelism(),
-            use_planner,
-        )
-        .map_err(|e| e.to_string())?
-    } else {
-        let mut sem = SemMatch::new(pattern_or_query.clone())
-            .alias("dm", vocab::cs::DM)
-            .alias("dt", vocab::cs::DT)
-            .alias("dwh", vocab::cs::DWH);
-        if !args.flag("no-rulebase") {
-            sem = sem.rulebase("OWLPRIME");
-        }
-        warehouse
-            .sem_match_explained(&sem, &budget, use_planner)
-            .map_err(|e| e.to_string())?
-    };
     print!("{}", output.to_table());
     println!("({} rows)", output.rows.len());
     if args.flag("explain") {
@@ -734,11 +709,12 @@ fn drill_overload(args: &Args) -> Result<(), String> {
                             // permit is held long enough to create real
                             // contention at the gate.
                             _ => warehouse
-                                .sem_match_with_budget(
+                                .sem_match_explained(
                                     &SemMatch::new("{ ?a ?p ?b . ?c ?q ?d }")
                                         .rulebase("OWLPRIME")
                                         .select(&["?a", "?d"]),
                                     &budget,
+                                    true,
                                 )
                                 .map(|_| ()),
                         };
@@ -1594,21 +1570,4 @@ fn percentile_us(sorted: &[u64], pct: f64) -> u64 {
     }
     let idx = ((sorted.len() - 1) as f64 * pct / 100.0).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Prepends the warehouse's standard prefixes to a full query unless it
-/// declares its own.
-fn with_default_prefixes(query: &str) -> String {
-    if query.trim_start().to_uppercase().starts_with("PREFIX") {
-        return query.to_string();
-    }
-    format!(
-        "PREFIX rdf: <{}>\nPREFIX rdfs: <{}>\nPREFIX owl: <{}>\nPREFIX dm: <{}>\nPREFIX dt: <{}>\nPREFIX dwh: <{}>\n{query}",
-        vocab::rdf::NS,
-        vocab::rdfs::NS,
-        vocab::owl::NS,
-        vocab::cs::DM,
-        vocab::cs::DT,
-        vocab::cs::DWH,
-    )
 }

@@ -22,11 +22,12 @@ use proptest::prelude::*;
 
 use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass, CLASS_COUNT};
 use metadata_warehouse::core::answer::AnswerRequest;
-use metadata_warehouse::core::budget::{CancellationToken, QueryBudget, TruncationReason};
 use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
-use metadata_warehouse::rdf::budget::MonotonicTime;
+use metadata_warehouse::rdf::budget::{
+    CancellationToken, MonotonicTime, QueryBudget, TruncationReason,
+};
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::ParallelPolicy;

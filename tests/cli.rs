@@ -116,6 +116,18 @@ fn sparql_pattern_and_full_query() {
     // ASK through the full-query path.
     let out = run_ok(&["sparql", "@STORE", "ASK { ?x a dm:Application }"]);
     assert!(out.contains("true"));
+    // Both forms go through the warehouse, so both see the semantic index:
+    // same rows for the same pattern, fewer once the rulebase is off.
+    let rows = |args: &[&str]| -> usize {
+        let out = run_ok(args);
+        let line = out.lines().find(|l| l.ends_with(" rows)")).expect("row-count line");
+        line[1..].split(' ').next().unwrap().parse().expect("row count")
+    };
+    let pattern = rows(&["sparql", "@STORE", "{ ?x rdf:type dm:Attribute }"]);
+    let select = "SELECT ?x WHERE { ?x rdf:type dm:Attribute }";
+    assert!(pattern > 0);
+    assert_eq!(rows(&["sparql", "@STORE", select]), pattern);
+    assert!(rows(&["sparql", "@STORE", select, "--no-rulebase"]) < pattern);
 }
 
 #[test]

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use metadata_warehouse::core::budget::{
+use metadata_warehouse::rdf::budget::{
     CancellationToken, QueryBudget, TruncationReason, CHECK_INTERVAL,
 };
 use metadata_warehouse::core::ingest::Extract;
@@ -170,13 +170,15 @@ proptest! {
         ];
         for query in &queries {
             let baseline = w
-                .sem_match_with_budget(query, &make_budget(variant, limit))
-                .unwrap();
+                .sem_match_explained(query, &make_budget(variant, limit), true)
+                .unwrap()
+                .0;
             for threads in THREADS {
                 w.set_parallelism(policy(threads));
                 let got = w
-                    .sem_match_with_budget(query, &make_budget(variant, limit))
-                    .unwrap();
+                    .sem_match_explained(query, &make_budget(variant, limit), true)
+                    .unwrap()
+                    .0;
                 prop_assert_eq!(&got, &baseline, "sparql diverged at {} threads", threads);
             }
             w.set_parallelism(policy(1));
@@ -277,7 +279,7 @@ fn cross_thread_cancel_stops_all_step_meter_workers_within_one_interval() {
         let query = scope.spawn({
             let budget = budget.clone();
             let sparql = &sparql;
-            move || w.sem_match_with_budget(sparql, &budget).unwrap()
+            move || w.sem_match_explained(sparql, &budget, true).unwrap().0
         });
         // Let the scan get properly under way, then pull the plug.
         while observer.steps_charged() < CHECK_INTERVAL {
@@ -323,7 +325,7 @@ fn cancelled_parallel_rows_are_a_prefix_of_the_sequential_answer() {
         let query = scope.spawn({
             let budget = budget.clone();
             let sparql = &sparql;
-            move || w.sem_match_with_budget(sparql, &budget).unwrap()
+            move || w.sem_match_explained(sparql, &budget, true).unwrap().0
         });
         while observer.steps_charged() < CHECK_INTERVAL {
             std::thread::yield_now();

@@ -193,6 +193,12 @@ fn historization_across_releases() {
     assert_eq!(diff.added.len(), 2);
     assert!(diff.removed.is_empty());
 
+    // SEM_MODELS: the same query door reads a historized release by name.
+    let named = SemMatch::new("{ ?x dm:hasName \"risk_exposure_amount\" }").alias("dm", vocab::cs::DM);
+    assert!(w.sem_match(&named.clone().model(&v1.model)).unwrap().rows.is_empty());
+    assert_eq!(w.sem_match(&named.clone().model(&v2.model)).unwrap().rows.len(), 1);
+    assert_eq!(w.sem_match(&named).unwrap().rows.len(), 1);
+
     // The incremental index extension makes the new column searchable
     // without a rebuild.
     let results = w.search(&SearchRequest::new("risk_exposure")).unwrap();

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use metadata_warehouse::core::budget::{
+use metadata_warehouse::rdf::budget::{
     Completeness, ManualTime, QueryBudget, TimeSource, TruncationReason,
 };
 use metadata_warehouse::core::ingest::Extract;

@@ -12,7 +12,7 @@ use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::Term;
 use metadata_warehouse::relational::lineage::RelLineageRequest;
 use metadata_warehouse::relational::{load_extracts, rel_lineage, RelationalStore};
-use metadata_warehouse::sparql::exec::execute;
+use metadata_warehouse::sparql::exec::{execute, ExecOptions};
 use metadata_warehouse::sparql::parser::parse;
 
 fn item(i: u8) -> Term {
@@ -66,7 +66,7 @@ proptest! {
         ))
         .unwrap();
         let graph = w.store().model(w.model_name()).unwrap();
-        let out = execute(&query, graph, w.store().dict()).unwrap();
+        let (out, _) = execute(&query, graph, w.store().dict(), &ExecOptions::default()).unwrap();
         let mut path_set: Vec<String> = out
             .rows
             .iter()
@@ -127,7 +127,7 @@ proptest! {
         ))
         .unwrap();
         let graph = w.store().model(w.model_name()).unwrap();
-        let out = execute(&query, graph, w.store().dict()).unwrap();
+        let (out, _) = execute(&query, graph, w.store().dict(), &ExecOptions::default()).unwrap();
         let answer = out.rows[0][0].as_ref().unwrap().label() == "true";
         prop_assert_eq!(answer, reachable);
     }

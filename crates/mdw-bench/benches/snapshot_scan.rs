@@ -7,7 +7,7 @@
 //! bound-predicate, and bound-object prefix scans — the shapes the query
 //! layers (search, lineage, SPARQL) actually issue — run at 1 and 8 reader
 //! threads. The lock-based variant takes a fresh read lock per scan, exactly
-//! as the seed `SharedStore` did; the frozen variant clones an `Arc` once
+//! as the seed store did; the frozen variant clones an `Arc` once
 //! per thread and never synchronizes again.
 
 use std::sync::Arc;
@@ -32,9 +32,9 @@ fn table1_graph() -> Arc<FrozenGraph> {
     warehouse
         .ingest(corpus.into_extracts())
         .expect("corpus ingests cleanly");
-    let frozen = warehouse.store().freeze();
     Arc::clone(
-        frozen
+        warehouse
+            .store()
             .model_arc(warehouse.model_name())
             .expect("current model present"),
     )

@@ -165,7 +165,7 @@ pub fn fig3_snippet() -> String {
 /// Re-derives the edge category of one triple (mirrors the census logic for
 /// display purposes).
 fn edge_category_of(
-    store: &mdw_rdf::Store,
+    store: &mdw_rdf::FrozenStore,
     nodes: &mdw_core::model::NodeClassification,
     t: mdw_rdf::Triple,
 ) -> EdgeCategory {

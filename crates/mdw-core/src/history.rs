@@ -13,12 +13,18 @@
 //! (`HIST_<tag>`), records its statistics, and can diff any two versions.
 //! The shared append-only dictionary keeps snapshots cheap in string storage
 //! (terms are interned once), and since a version is by definition immutable
-//! it is stored as an `Arc`-shared [`FrozenGraph`](mdw_rdf::FrozenGraph):
-//! taking a snapshot freezes the current model (amortized O(1) — the frozen
-//! form is cached between writes) and registers the shared handle under the
-//! historization name, copying no triples at all.
+//! it shares the storage engine's own columns: taking a snapshot registers
+//! the current model's solid base index
+//! ([`LsmStore::install_model`](mdw_rdf::lsm::LsmStore::install_model))
+//! under the historization name — one `Arc` clone, no triples copied. Later
+//! writes to the current model land in new runs and a new base; the version
+//! keeps the index it was given.
 
-use mdw_rdf::store::{GraphStats, Store};
+use std::sync::Arc;
+
+use mdw_rdf::frozen::FrozenStore;
+use mdw_rdf::lsm::LsmStore;
+use mdw_rdf::store::GraphStats;
 use mdw_rdf::triple::Triple;
 
 use crate::error::MdwError;
@@ -71,29 +77,36 @@ impl History {
         Self::default()
     }
 
-    /// Takes a complete snapshot of `source_model` under `tag`.
-    /// Fails if the tag was already used or the source model is missing.
+    /// Takes a complete snapshot of `source_model` under `tag`, as published
+    /// by `engine` right now. Fails if the tag was already used or the
+    /// source model is missing.
     ///
-    /// The snapshot shares the source model's frozen form by `Arc` —
-    /// amortized O(1) in the triple count, not a deep copy. Later writes to
-    /// the source thaw a private replacement and leave the version intact.
+    /// O(1) in the triple count when the source model is solid (the
+    /// warehouse folds it first): the version shares its base index by
+    /// `Arc`. A model with runs still stacked on it is folded into a
+    /// private copy instead.
     pub fn snapshot(
         &mut self,
-        store: &mut Store,
+        engine: &LsmStore,
         source_model: &str,
         tag: &str,
     ) -> Result<&VersionRecord, MdwError> {
         if self.get(tag).is_some() {
             return Err(MdwError::InvalidRequest(format!("version {tag} already exists")));
         }
-        let frozen = store.model(source_model)?.freeze();
-        let stats = frozen.stats();
+        let current = engine.snapshot();
+        let source = current.model(source_model)?;
+        let index = if source.is_stacked() {
+            Arc::new(source.compact())
+        } else {
+            Arc::clone(source.base_arc())
+        };
         let model = format!("{HIST_PREFIX}{tag}");
-        store.insert_frozen_model(&model, frozen)?;
+        engine.install_model(&model, index)?;
         self.versions.push(VersionRecord {
             tag: tag.to_string(),
             model,
-            stats,
+            stats: source.stats(),
             sequence: self.versions.len(),
         });
         Ok(self.versions.last().expect("just pushed"))
@@ -125,8 +138,13 @@ impl History {
     }
 
     /// Diffs two historized versions (added/removed triples of `to`
-    /// relative to `from`).
-    pub fn diff(&self, store: &Store, from: &str, to: &str) -> Result<VersionDiff, MdwError> {
+    /// relative to `from`) as `store` holds them.
+    pub fn diff(
+        &self,
+        store: &FrozenStore,
+        from: &str,
+        to: &str,
+    ) -> Result<VersionDiff, MdwError> {
         let from_rec = self
             .get(from)
             .ok_or_else(|| MdwError::NotFound(format!("version {from}")))?;
@@ -158,120 +176,114 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::LsmConfig;
     use mdw_rdf::term::Term;
 
-    fn store_with_facts(n: usize) -> Store {
-        let mut store = Store::new();
-        store.create_model("DWH_CURR").unwrap();
+    fn fact(s: &str, o: &str) -> (Term, Term, Term) {
+        (
+            Term::iri(format!("http://ex.org/{s}")),
+            Term::iri("http://ex.org/p"),
+            Term::iri(format!("http://ex.org/{o}")),
+        )
+    }
+
+    fn insert(engine: &LsmStore, s: &str, o: &str) {
+        let (s, p, o) = fact(s, o);
+        engine.write_batch("DWH_CURR", &[JournalOp::Insert(s, p, o)]).unwrap();
+    }
+
+    fn remove(engine: &LsmStore, s: &str, o: &str) {
+        let (s, p, o) = fact(s, o);
+        engine.write_batch("DWH_CURR", &[JournalOp::Remove(s, p, o)]).unwrap();
+    }
+
+    /// An engine holding `n` facts in a solid `DWH_CURR`.
+    fn engine_with_facts(n: usize) -> LsmStore {
+        let engine = LsmStore::in_memory(LsmConfig { auto_compact: false, ..LsmConfig::default() });
         for i in 0..n {
-            store
-                .insert(
-                    "DWH_CURR",
-                    &Term::iri(format!("http://ex.org/s{i}")),
-                    &Term::iri("http://ex.org/p"),
-                    &Term::iri(format!("http://ex.org/o{i}")),
-                )
-                .unwrap();
+            insert(&engine, &format!("s{i}"), &format!("o{i}"));
         }
-        store
+        engine.seal_now().unwrap();
+        engine.compact_once().unwrap();
+        engine
+    }
+
+    fn len(engine: &LsmStore, model: &str) -> usize {
+        engine.snapshot().model(model).unwrap().len()
     }
 
     #[test]
     fn snapshot_is_complete_copy() {
-        let mut store = store_with_facts(5);
+        let engine = engine_with_facts(5);
         let mut history = History::new();
-        let rec = history.snapshot(&mut store, "DWH_CURR", "2009.1").unwrap();
+        let rec = history.snapshot(&engine, "DWH_CURR", "2009.1").unwrap();
         assert_eq!(rec.stats.edges, 5);
         assert_eq!(rec.model, "HIST_2009.1");
-        assert_eq!(store.model("HIST_2009.1").unwrap().len(), 5);
+        assert_eq!(len(&engine, "HIST_2009.1"), 5);
     }
 
     #[test]
-    fn snapshot_is_isolated_from_future_changes() {
-        let mut store = store_with_facts(3);
+    fn snapshot_shares_the_base_and_stays_isolated() {
+        let engine = engine_with_facts(4);
         let mut history = History::new();
-        history.snapshot(&mut store, "DWH_CURR", "v1").unwrap();
-        store
-            .insert(
-                "DWH_CURR",
-                &Term::iri("http://ex.org/new"),
-                &Term::iri("http://ex.org/p"),
-                &Term::iri("http://ex.org/x"),
-            )
-            .unwrap();
-        assert_eq!(store.model("DWH_CURR").unwrap().len(), 4);
-        assert_eq!(store.model("HIST_v1").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn snapshot_shares_frozen_arc_and_stays_isolated() {
-        let mut store = store_with_facts(4);
-        let mut history = History::new();
-        // Pre-freeze so we can verify the version shares the same snapshot.
-        let before = store.model("DWH_CURR").unwrap().freeze();
-        history.snapshot(&mut store, "DWH_CURR", "v1").unwrap();
-        let hist = store.model("HIST_v1").unwrap();
-        assert!(hist.is_frozen(), "a version is an Arc'd frozen snapshot");
+        let before = Arc::clone(engine.snapshot().model("DWH_CURR").unwrap().base_arc());
+        history.snapshot(&engine, "DWH_CURR", "v1").unwrap();
         assert!(
-            std::sync::Arc::ptr_eq(&before, &hist.freeze()),
-            "snapshot must share the source's frozen form, not copy it"
+            Arc::ptr_eq(&before, engine.snapshot().model("HIST_v1").unwrap().base_arc()),
+            "snapshot must share the source's base index, not copy it"
         );
-        // Mutating the source thaws a private replacement; the version and
-        // the held handle still read the old state.
-        store
-            .insert(
-                "DWH_CURR",
-                &Term::iri("http://ex.org/late"),
-                &Term::iri("http://ex.org/p"),
-                &Term::iri("http://ex.org/x"),
-            )
-            .unwrap();
-        assert_eq!(store.model("DWH_CURR").unwrap().len(), 5);
-        assert_eq!(store.model("HIST_v1").unwrap().len(), 4);
+        // Writing to the source — and folding it — leaves the version and
+        // the held handle reading the old state.
+        insert(&engine, "late", "x");
+        engine.seal_now().unwrap();
+        engine.compact_once().unwrap();
+        assert_eq!(len(&engine, "DWH_CURR"), 5);
+        assert_eq!(len(&engine, "HIST_v1"), 4);
         assert_eq!(before.len(), 4);
     }
 
     #[test]
-    fn duplicate_tag_rejected() {
-        let mut store = store_with_facts(1);
+    fn snapshot_of_a_stacked_model_folds_a_private_copy() {
+        let engine = engine_with_facts(3);
+        insert(&engine, "unsealed", "x");
+        assert!(engine.snapshot().model("DWH_CURR").unwrap().is_stacked());
         let mut history = History::new();
-        history.snapshot(&mut store, "DWH_CURR", "v1").unwrap();
+        let rec = history.snapshot(&engine, "DWH_CURR", "v1").unwrap();
+        assert_eq!(rec.stats.edges, 4);
+        assert_eq!(len(&engine, "HIST_v1"), 4);
+        assert!(!engine.snapshot().model("HIST_v1").unwrap().is_stacked());
+    }
+
+    #[test]
+    fn duplicate_tag_rejected() {
+        let engine = engine_with_facts(1);
+        let mut history = History::new();
+        history.snapshot(&engine, "DWH_CURR", "v1").unwrap();
         assert!(matches!(
-            history.snapshot(&mut store, "DWH_CURR", "v1"),
+            history.snapshot(&engine, "DWH_CURR", "v1"),
             Err(MdwError::InvalidRequest(_))
         ));
     }
 
     #[test]
     fn missing_source_model_rejected() {
-        let mut store = Store::new();
+        let engine = engine_with_facts(0);
         let mut history = History::new();
-        assert!(history.snapshot(&mut store, "missing", "v1").is_err());
+        assert!(history.snapshot(&engine, "missing", "v1").is_err());
     }
 
     #[test]
     fn diff_between_versions() {
-        let mut store = store_with_facts(2);
+        let engine = engine_with_facts(2);
         let mut history = History::new();
-        history.snapshot(&mut store, "DWH_CURR", "v1").unwrap();
+        history.snapshot(&engine, "DWH_CURR", "v1").unwrap();
         // Add one, remove one.
-        store
-            .insert(
-                "DWH_CURR",
-                &Term::iri("http://ex.org/added"),
-                &Term::iri("http://ex.org/p"),
-                &Term::iri("http://ex.org/x"),
-            )
-            .unwrap();
-        let removed = {
-            let pat = store
-                .pattern(Some(&Term::iri("http://ex.org/s0")), None, None)
-                .unwrap();
-            store.model("DWH_CURR").unwrap().scan(pat).next().unwrap()
-        };
-        store.model_mut("DWH_CURR").unwrap().remove(removed);
-        history.snapshot(&mut store, "DWH_CURR", "v2").unwrap();
+        insert(&engine, "added", "x");
+        remove(&engine, "s0", "o0");
+        history.snapshot(&engine, "DWH_CURR", "v2").unwrap();
 
+        let store = engine.snapshot();
         let diff = history.diff(&store, "v1", "v2").unwrap();
         assert_eq!(diff.added.len(), 1);
         assert_eq!(diff.removed.len(), 1);
@@ -286,28 +298,21 @@ mod tests {
 
     #[test]
     fn diff_unknown_version_fails() {
-        let store = store_with_facts(1);
+        let engine = engine_with_facts(1);
         let history = History::new();
         assert!(matches!(
-            history.diff(&store, "a", "b"),
+            history.diff(&engine.snapshot(), "a", "b"),
             Err(MdwError::NotFound(_))
         ));
     }
 
     #[test]
     fn growth_series_in_order() {
-        let mut store = store_with_facts(2);
+        let engine = engine_with_facts(2);
         let mut history = History::new();
-        history.snapshot(&mut store, "DWH_CURR", "v1").unwrap();
-        store
-            .insert(
-                "DWH_CURR",
-                &Term::iri("http://ex.org/n"),
-                &Term::iri("http://ex.org/p"),
-                &Term::iri("http://ex.org/m"),
-            )
-            .unwrap();
-        history.snapshot(&mut store, "DWH_CURR", "v2").unwrap();
+        history.snapshot(&engine, "DWH_CURR", "v1").unwrap();
+        insert(&engine, "n", "m");
+        history.snapshot(&engine, "DWH_CURR", "v2").unwrap();
         let series = history.growth_series();
         assert_eq!(series.len(), 2);
         assert!(series[1].2 > series[0].2);

@@ -9,24 +9,26 @@
 //!
 //! An [`Extract`] is one converted source export (an application scanner,
 //! the Protégé ontology file, the DBpedia synonym collection — they all
-//! enter through the *same* staging area). [`ingest`] stages every extract
-//! and bulk-loads the staging area into a model, producing an
-//! [`IngestReport`] with per-stage counts and timings — the trace the
-//! Figure 4 reproduction prints.
+//! enter through the *same* staging area).
+//! [`MetadataWarehouse::ingest`](crate::warehouse::MetadataWarehouse::ingest)
+//! stages every extract, validates it, and bulk-loads it through the
+//! warehouse's write door, producing an [`IngestReport`] with per-stage
+//! counts and timings — the trace the Figure 4 reproduction prints.
+//! [`ingest_resilient`](crate::warehouse::MetadataWarehouse::ingest_resilient)
+//! does the same per extract under a retry policy and reports each
+//! extract's fate; [`ingest_stream`] drives a bare [`LsmStore`] from many
+//! threads.
 
 use std::time::{Duration, Instant};
 
-use mdw_rdf::failpoint;
 use mdw_rdf::journal::JournalOp;
 use mdw_rdf::lsm::LsmStore;
-use mdw_rdf::staging::{LoadReport, StagingArea};
-use mdw_rdf::store::Store;
+use mdw_rdf::staging::LoadReport;
 use mdw_rdf::term::Term;
 use mdw_rdf::turtle;
 use mdw_rdf::RdfError;
 
 use crate::error::MdwError;
-use crate::resilience::{run_with_retry, Clock, RetryPolicy};
 
 /// One source export, already converted to RDF triples.
 #[derive(Debug, Clone)]
@@ -81,29 +83,6 @@ impl IngestReport {
     pub fn is_clean(&self) -> bool {
         self.load.is_clean()
     }
-}
-
-/// Stages all extracts and bulk-loads them into `model` of `store`.
-pub fn ingest(
-    store: &mut Store,
-    model: &str,
-    extracts: Vec<Extract>,
-) -> Result<IngestReport, MdwError> {
-    let mut staging = StagingArea::new();
-    let stage_start = Instant::now();
-    let mut per_extract = Vec::with_capacity(extracts.len());
-    for extract in extracts {
-        per_extract.push((extract.source.clone(), extract.triples.len()));
-        staging.stage_batch(&extract.source, extract.triples);
-    }
-    let stage_time = stage_start.elapsed();
-    let staged = staging.len();
-
-    let load_start = Instant::now();
-    let load = staging.bulk_load(store, model)?;
-    let load_time = load_start.elapsed();
-
-    Ok(IngestReport { extracts: per_extract, staged, load, stage_time, load_time })
 }
 
 /// How one extract fared in a resilient ingest.
@@ -178,80 +157,6 @@ impl ResilientIngestReport {
             .iter()
             .all(|o| o.status.is_loaded() && o.rejected == 0)
     }
-}
-
-/// Stages and loads each extract *independently*, retrying transient
-/// failures with backoff and quarantining extracts that cannot load — one
-/// bad delivery no longer poisons the whole release ingest.
-///
-/// Classification: transient errors ([`MdwError::is_transient`]) are
-/// retried up to `policy.max_attempts` with `clock`-injected backoff;
-/// permanent errors quarantine the extract immediately, as does an extract
-/// whose every triple fails validation (a systematically broken export —
-/// retrying cannot help).
-///
-/// Failpoints consulted per attempt: `ingest::extract::<source>` first,
-/// then the generic `ingest::extract`, plus whatever the staging and
-/// persistence layers have armed.
-pub fn ingest_resilient(
-    store: &mut Store,
-    model: &str,
-    extracts: Vec<Extract>,
-    policy: &RetryPolicy,
-    clock: &dyn Clock,
-) -> Result<ResilientIngestReport, MdwError> {
-    // A missing model is a caller bug, not a per-extract fault.
-    store.model(model)?;
-    let mut report = ResilientIngestReport::default();
-    for extract in extracts {
-        let source = extract.source.clone();
-        let triples = extract.triples.len();
-        let specific = format!("ingest::extract::{source}");
-        let attempt_once = |store: &mut Store, _attempt: u32| -> Result<LoadReport, MdwError> {
-            failpoint::check(&specific)?;
-            failpoint::check("ingest::extract")?;
-            let mut staging = StagingArea::new();
-            staging.stage_batch(&source, extract.triples.clone());
-            Ok(staging.bulk_load(store, model)?)
-        };
-        let outcome = match run_with_retry(policy, clock, |a| attempt_once(store, a)) {
-            Ok(retried) => {
-                let load = retried.value;
-                let fully_rejected = triples > 0 && load.rejections.len() == triples;
-                let status = if fully_rejected {
-                    ExtractStatus::Quarantined {
-                        reason: format!(
-                            "validation rejected all {triples} triples (first: {})",
-                            load.rejections[0].reason
-                        ),
-                        attempts: retried.attempts,
-                    }
-                } else if retried.attempts > 1 {
-                    ExtractStatus::RetriedThenLoaded { attempts: retried.attempts }
-                } else {
-                    ExtractStatus::Loaded
-                };
-                ExtractOutcome {
-                    source,
-                    triples,
-                    status,
-                    loaded: load.loaded,
-                    duplicates: load.duplicates,
-                    rejected: if fully_rejected { 0 } else { load.rejections.len() },
-                }
-            }
-            Err((error, attempts)) => ExtractOutcome {
-                source,
-                triples,
-                status: ExtractStatus::Quarantined { reason: error.to_string(), attempts },
-                loaded: 0,
-                duplicates: 0,
-                rejected: 0,
-            },
-        };
-        report.outcomes.push(outcome);
-    }
-    Ok(report)
 }
 
 /// How one extract fared on the streaming (LSM) write path.
@@ -341,8 +246,8 @@ impl StreamIngestReport {
 /// of the Figure 4 bulk load — sources deliver continuously instead of in
 /// one release drop).
 ///
-/// Unlike [`ingest`], the store is shared (`&LsmStore`), so many threads
-/// can stream at once; the LSM write path orders and batches them.
+/// Unlike the warehouse's bulk ingest, the store is shared (`&LsmStore`),
+/// so many threads can stream at once; the LSM write path orders and batches them.
 /// Backpressure sheds ([`RdfError::Backpressure`]) and validation
 /// rejections are per-extract outcomes, not errors — only environmental
 /// failures (I/O, injected faults, corruption) abort the run.
@@ -381,12 +286,12 @@ pub fn ingest_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warehouse::MetadataWarehouse;
     use mdw_rdf::vocab;
 
     #[test]
     fn ingest_multiple_extracts() {
-        let mut store = Store::new();
-        store.create_model("DWH_CURR").unwrap();
+        let mut w = MetadataWarehouse::new();
         let facts = Extract::new(
             "app-scanner",
             vec![(
@@ -403,18 +308,16 @@ mod tests {
                 Term::iri("http://ex.org/Item"),
             )],
         );
-        let report = ingest(&mut store, "DWH_CURR", vec![facts, ontology]).unwrap();
+        let report = w.ingest(vec![facts, ontology]).unwrap();
         assert_eq!(report.staged, 2);
         assert_eq!(report.load.loaded, 2);
         assert!(report.is_clean());
         assert_eq!(report.extracts.len(), 2);
-        assert_eq!(store.model("DWH_CURR").unwrap().len(), 2);
+        assert_eq!(w.stats().unwrap().edges, 2);
     }
 
     #[test]
     fn ingest_from_turtle() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
         let extract = Extract::from_turtle(
             "ontology-file",
             "@prefix dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#> .\n\
@@ -432,29 +335,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(extract.len(), 1);
-        let report = ingest(&mut store, "m", vec![extract]).unwrap();
+        let report = MetadataWarehouse::new().ingest(vec![extract]).unwrap();
         assert_eq!(report.load.loaded, 1);
     }
 
     #[test]
-    fn rejections_surface_in_report() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let bad = Extract::new(
+    fn rejections_and_duplicates_surface_in_report() {
+        let mut w = MetadataWarehouse::new();
+        let ok = (Term::iri("http://ex.org/a"), Term::iri("http://ex.org/p"), Term::iri("http://ex.org/b"));
+        let mixed = Extract::new(
             "broken-export",
-            vec![(Term::plain("literal-subject"), Term::iri("p"), Term::iri("o"))],
+            vec![
+                (Term::plain("literal-subject"), Term::iri("p"), Term::iri("o")),
+                ok.clone(),
+                ok.clone(),
+            ],
         );
-        let report = ingest(&mut store, "m", vec![bad]).unwrap();
+        let report = w.ingest(vec![mixed]).unwrap();
         assert!(!report.is_clean());
         assert_eq!(report.load.rejections.len(), 1);
         assert_eq!(report.load.rejections[0].triple.source, "broken-export");
-    }
-
-    #[test]
-    fn missing_model_is_error() {
-        let mut store = Store::new();
-        let err = ingest(&mut store, "missing", vec![]).unwrap_err();
-        assert!(matches!(err, MdwError::Rdf(_)));
+        // Counted against the model, not the delivery: one new triple, one
+        // repeat of it — and a second delivery is all duplicates.
+        assert_eq!((report.load.loaded, report.load.duplicates), (1, 1));
+        let again = w.ingest(vec![Extract::new("other", vec![ok])]).unwrap();
+        assert_eq!((again.load.loaded, again.load.duplicates), (0, 1));
+        assert_eq!(w.stats().unwrap().edges, 1);
     }
 
     mod stream {
@@ -562,7 +468,7 @@ mod tests {
 
     mod resilient {
         use super::*;
-        use crate::resilience::{failpoint, FailSpec, TestClock};
+        use crate::resilience::{failpoint, FailSpec, RetryPolicy, TestClock};
 
         fn good_extract(source: &str, node: &str) -> Extract {
             Extract::new(
@@ -578,20 +484,14 @@ mod tests {
         #[test]
         fn flaky_source_succeeds_after_three_transient_failures() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let mut w = MetadataWarehouse::new();
             // The first three delivery attempts fail, the fourth works.
             failpoint::arm("ingest::extract::flaky", FailSpec::Times(3));
             let clock = TestClock::new();
             let policy = RetryPolicy::default(); // 4 attempts
-            let report = ingest_resilient(
-                &mut store,
-                "m",
-                vec![good_extract("flaky", "t1")],
-                &policy,
-                &clock,
-            )
-            .unwrap();
+            let report = w
+                .ingest_resilient(vec![good_extract("flaky", "t1")], &policy, &clock)
+                .unwrap();
             assert_eq!(report.outcomes.len(), 1);
             assert_eq!(
                 report.outcomes[0].status,
@@ -607,19 +507,17 @@ mod tests {
         #[test]
         fn exhausted_retries_quarantine_the_extract() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let mut w = MetadataWarehouse::new();
             failpoint::arm("ingest::extract::dead", FailSpec::Always);
             let clock = TestClock::new();
             let policy = RetryPolicy::default().with_max_attempts(3);
-            let report = ingest_resilient(
-                &mut store,
-                "m",
-                vec![good_extract("dead", "t1"), good_extract("healthy", "t2")],
-                &policy,
-                &clock,
-            )
-            .unwrap();
+            let report = w
+                .ingest_resilient(
+                    vec![good_extract("dead", "t1"), good_extract("healthy", "t2")],
+                    &policy,
+                    &clock,
+                )
+                .unwrap();
             // The dead source is quarantined; the healthy one still loads.
             assert_eq!(report.quarantined_sources(), vec!["dead"]);
             match &report.outcomes[0].status {
@@ -630,15 +528,16 @@ mod tests {
                 other => panic!("expected quarantine, got {other:?}"),
             }
             assert_eq!(report.outcomes[1].status, ExtractStatus::Loaded);
-            assert_eq!(store.model("m").unwrap().len(), 1);
+            assert_eq!(w.stats().unwrap().edges, 1);
+            // Only what loaded is attributed to a source.
+            assert_eq!(w.sources(), vec!["healthy"]);
             failpoint::reset();
         }
 
         #[test]
         fn fully_rejected_extract_is_quarantined_without_retry() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let mut w = MetadataWarehouse::new();
             let bad = Extract::new(
                 "broken-export",
                 vec![
@@ -647,14 +546,7 @@ mod tests {
                 ],
             );
             let clock = TestClock::new();
-            let report = ingest_resilient(
-                &mut store,
-                "m",
-                vec![bad],
-                &RetryPolicy::default(),
-                &clock,
-            )
-            .unwrap();
+            let report = w.ingest_resilient(vec![bad], &RetryPolicy::default(), &clock).unwrap();
             match &report.outcomes[0].status {
                 ExtractStatus::Quarantined { attempts, reason } => {
                     // Validation failure is permanent — one attempt only.
@@ -664,14 +556,13 @@ mod tests {
                 other => panic!("expected quarantine, got {other:?}"),
             }
             assert!(clock.sleeps().is_empty());
-            assert_eq!(store.model("m").unwrap().len(), 0);
+            assert_eq!(w.stats().unwrap().edges, 0);
         }
 
         #[test]
         fn partial_rejection_still_loads_the_extract() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let mut w = MetadataWarehouse::new();
             let mixed = Extract::new(
                 "mixed",
                 vec![
@@ -683,14 +574,9 @@ mod tests {
                     (Term::plain("lit"), Term::iri("p"), Term::iri("o")),
                 ],
             );
-            let report = ingest_resilient(
-                &mut store,
-                "m",
-                vec![mixed],
-                &RetryPolicy::no_retry(),
-                &TestClock::new(),
-            )
-            .unwrap();
+            let report = w
+                .ingest_resilient(vec![mixed], &RetryPolicy::no_retry(), &TestClock::new())
+                .unwrap();
             assert_eq!(report.outcomes[0].status, ExtractStatus::Loaded);
             assert_eq!(report.outcomes[0].loaded, 1);
             assert_eq!(report.outcomes[0].rejected, 1);
@@ -700,17 +586,15 @@ mod tests {
         #[test]
         fn generic_failpoint_hits_every_extract() {
             failpoint::reset();
-            let mut store = Store::new();
-            store.create_model("m").unwrap();
+            let mut w = MetadataWarehouse::new();
             failpoint::arm("ingest::extract", FailSpec::Always);
-            let report = ingest_resilient(
-                &mut store,
-                "m",
-                vec![good_extract("a", "t1"), good_extract("b", "t2")],
-                &RetryPolicy::no_retry(),
-                &TestClock::new(),
-            )
-            .unwrap();
+            let report = w
+                .ingest_resilient(
+                    vec![good_extract("a", "t1"), good_extract("b", "t2")],
+                    &RetryPolicy::no_retry(),
+                    &TestClock::new(),
+                )
+                .unwrap();
             assert_eq!(report.quarantined_sources(), vec!["a", "b"]);
             failpoint::reset();
         }

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::Graph;
+use mdw_rdf::store::TripleSource;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::TriplePattern;
 use mdw_rdf::vocab;
@@ -184,7 +184,7 @@ impl NodeClassification {
 /// Priority when a node qualifies for several kinds (a class is also an
 /// instance of `owl:Class`): Value (literals are unambiguous) > Class >
 /// Property > Instance.
-pub fn classify_nodes(graph: &Graph, dict: &Dictionary) -> NodeClassification {
+pub fn classify_nodes(graph: &dyn TripleSource, dict: &Dictionary) -> NodeClassification {
     let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
     let ty = lookup(vocab::rdf::TYPE);
     let sub_class = lookup(vocab::rdfs::SUB_CLASS_OF);
@@ -196,7 +196,7 @@ pub fn classify_nodes(graph: &Graph, dict: &Dictionary) -> NodeClassification {
     let mut classes: std::collections::HashSet<TermId> = Default::default();
     let mut properties: std::collections::HashSet<TermId> = Default::default();
 
-    for t in graph.iter() {
+    for t in graph.scan_pattern(TriplePattern::any()) {
         // Predicates are properties by use.
         properties.insert(t.p);
         if Some(t.p) == ty {
@@ -222,7 +222,7 @@ pub fn classify_nodes(graph: &Graph, dict: &Dictionary) -> NodeClassification {
     }
 
     let mut kinds = HashMap::new();
-    for t in graph.iter() {
+    for t in graph.scan_pattern(TriplePattern::any()) {
         for id in [t.s, t.o] {
             if kinds.contains_key(&id) {
                 continue;
@@ -309,7 +309,7 @@ pub struct Census {
 }
 
 /// Computes the Table I census of a graph.
-pub fn census(graph: &Graph, dict: &Dictionary) -> Census {
+pub fn census(graph: &dyn TripleSource, dict: &Dictionary) -> Census {
     let nodes = classify_nodes(graph, dict);
     let vocab_ids = VocabIds::resolve(dict);
 
@@ -318,7 +318,7 @@ pub fn census(graph: &Graph, dict: &Dictionary) -> Census {
 
     let mut edge_counts_map: HashMap<EdgeCategory, usize> = HashMap::new();
     let mut matrix_map: HashMap<(EdgeCategory, NodeKind, NodeKind), usize> = HashMap::new();
-    for t in graph.iter() {
+    for t in graph.scan_pattern(TriplePattern::any()) {
         let cat = classify_edge(t, &nodes, &vocab_ids);
         *edge_counts_map.entry(cat).or_insert(0) += 1;
         let sk = nodes.kind(t.s).unwrap_or(NodeKind::Instance);
@@ -339,7 +339,7 @@ pub fn census(graph: &Graph, dict: &Dictionary) -> Census {
         edge_counts,
         matrix,
         total_nodes: nodes.len(),
-        total_edges: graph.len(),
+        total_edges: graph.len_triples(),
     }
 }
 
@@ -365,13 +365,17 @@ impl Census {
 
 /// Finds all instances of a class via direct `rdf:type` edges (no
 /// inference) — a low-level helper used by tests and reports.
-pub fn direct_instances_of(graph: &Graph, dict: &Dictionary, class: &Term) -> Vec<TermId> {
+pub fn direct_instances_of(
+    graph: &dyn TripleSource,
+    dict: &Dictionary,
+    class: &Term,
+) -> Vec<TermId> {
     let (Some(ty), Some(class_id)) = (dict.lookup(&Term::iri(vocab::rdf::TYPE)), dict.lookup(class))
     else {
         return Vec::new();
     };
     graph
-        .scan(TriplePattern::with_po(ty, class_id))
+        .scan_pattern(TriplePattern::with_po(ty, class_id))
         .map(|t| t.s)
         .collect()
 }

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::Graph;
+use mdw_rdf::store::{Graph, TripleSource};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::vocab;
@@ -120,15 +120,15 @@ pub struct ComposedMapping {
 /// `a isMappedTo b isMappedTo c`, produce the end-to-end mapping `a → c`.
 /// Conditions of the two hops are conjoined. The result is returned, not
 /// inserted — the caller decides whether to materialize shortcuts.
-pub fn compose_mappings(graph: &Graph, dict: &Dictionary) -> Vec<ComposedMapping> {
+pub fn compose_mappings(graph: &dyn TripleSource, dict: &Dictionary) -> Vec<ComposedMapping> {
     let Some(mapped) = dict.lookup(&Term::iri(vocab::cs::IS_MAPPED_TO)) else {
         return Vec::new();
     };
     // Conditions of reified mappings: (from, to) → condition.
     let conditions = reified_conditions(graph, dict);
     let mut out = Vec::new();
-    for first in graph.scan(TriplePattern::with_p(mapped)) {
-        for second in graph.scan(TriplePattern::with_sp(first.o, mapped)) {
+    for first in graph.scan_pattern(TriplePattern::with_p(mapped)) {
+        for second in graph.scan_pattern(TriplePattern::with_sp(first.o, mapped)) {
             let c1 = conditions.get(&(first.s, first.o));
             let c2 = conditions.get(&(second.s, second.o));
             let condition = match (c1, c2) {
@@ -149,7 +149,7 @@ pub fn compose_mappings(graph: &Graph, dict: &Dictionary) -> Vec<ComposedMapping
     out
 }
 
-fn reified_conditions(graph: &Graph, dict: &Dictionary) -> BTreeMap<(TermId, TermId), String> {
+fn reified_conditions(graph: &dyn TripleSource, dict: &Dictionary) -> BTreeMap<(TermId, TermId), String> {
     let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
     let mut out = BTreeMap::new();
     let (Some(maps_from), Some(maps_to), Some(cond)) = (
@@ -159,12 +159,12 @@ fn reified_conditions(graph: &Graph, dict: &Dictionary) -> BTreeMap<(TermId, Ter
     ) else {
         return out;
     };
-    for f in graph.scan(TriplePattern::with_p(maps_from)) {
+    for f in graph.scan_pattern(TriplePattern::with_p(maps_from)) {
         let mapping = f.s;
-        let Some(to) = graph.scan(TriplePattern::with_sp(mapping, maps_to)).next() else {
+        let Some(to) = graph.scan_pattern(TriplePattern::with_sp(mapping, maps_to)).next() else {
             continue;
         };
-        let Some(c) = graph.scan(TriplePattern::with_sp(mapping, cond)).next() else {
+        let Some(c) = graph.scan_pattern(TriplePattern::with_sp(mapping, cond)).next() else {
             continue;
         };
         if let Some(Term::Literal(lit)) = dict.term(c.o) {
@@ -179,7 +179,7 @@ fn reified_conditions(graph: &Graph, dict: &Dictionary) -> BTreeMap<(TermId, Ter
 /// includes both what it owns and what points at it). Literal nodes are
 /// collected but not expanded.
 pub fn extract_submodel(
-    graph: &Graph,
+    graph: &dyn TripleSource,
     dict: &Dictionary,
     roots: &[Term],
     depth: usize,
@@ -196,7 +196,7 @@ pub fn extract_submodel(
         if d >= depth {
             continue;
         }
-        for t in graph.scan(TriplePattern::with_s(node)) {
+        for t in graph.scan_pattern(TriplePattern::with_s(node)) {
             triples.insert(t);
             let expandable = dict
                 .term(t.o)
@@ -206,7 +206,7 @@ pub fn extract_submodel(
                 frontier.push_back((t.o, d + 1));
             }
         }
-        for t in graph.scan(TriplePattern::with_o(node)) {
+        for t in graph.scan_pattern(TriplePattern::with_o(node)) {
             triples.insert(t);
             if visited.insert(t.s) {
                 frontier.push_back((t.s, d + 1));

@@ -50,27 +50,32 @@ impl SourceRegistry {
             .extend(triples);
     }
 
-    /// Computes the effect of a *replacing* delivery and updates the
-    /// registry. Returns `(to_insert, to_remove, report)`:
-    /// `to_insert` are triples the model may not have yet; `to_remove` are
-    /// triples that must leave the model (no other source asserts them).
-    pub fn replace(
-        &mut self,
+    /// Computes the effect of a *replacing* delivery without applying it.
+    /// Returns `(to_insert, to_remove, report)`: `to_insert` are triples
+    /// the model may not have yet; `to_remove` are triples that must leave
+    /// the model (no other source asserts them). The caller writes both,
+    /// and only once the write is acknowledged records the delivery with
+    /// [`replace`](Self::replace).
+    pub fn diff(
+        &self,
         source: &str,
-        new_set: BTreeSet<Triple>,
+        new_set: &BTreeSet<Triple>,
     ) -> (Vec<Triple>, Vec<Triple>, SyncReport) {
-        let old_set = self.by_source.remove(source).unwrap_or_default();
+        let empty = BTreeSet::new();
+        let old_set = self.by_source.get(source).unwrap_or(&empty);
 
-        let added: Vec<Triple> = new_set.difference(&old_set).copied().collect();
-        let dropped: Vec<Triple> = old_set.difference(&new_set).copied().collect();
-        let unchanged = old_set.intersection(&new_set).count();
+        let added: Vec<Triple> = new_set.difference(old_set).copied().collect();
+        let unchanged = old_set.intersection(new_set).count();
 
         // A dropped triple is only removed from the model if no other
         // source still asserts it.
         let mut to_remove = Vec::new();
         let mut retained = 0usize;
-        for &t in &dropped {
-            let still_asserted = self.by_source.values().any(|set| set.contains(&t));
+        for &t in old_set.difference(new_set) {
+            let still_asserted = self
+                .by_source
+                .iter()
+                .any(|(other, set)| other != source && set.contains(&t));
             if still_asserted {
                 retained += 1;
             } else {
@@ -78,7 +83,6 @@ impl SourceRegistry {
             }
         }
 
-        self.by_source.insert(source.to_string(), new_set);
         let report = SyncReport {
             added: added.len(),
             removed: to_remove.len(),
@@ -86,6 +90,12 @@ impl SourceRegistry {
             unchanged,
         };
         (added, to_remove, report)
+    }
+
+    /// Records a *replacing* delivery: the source now asserts exactly
+    /// `new_set`.
+    pub fn replace(&mut self, source: &str, new_set: BTreeSet<Triple>) {
+        self.by_source.insert(source.to_string(), new_set);
     }
 
     /// The sources currently registered.
@@ -113,7 +123,7 @@ mod tests {
         let mut reg = SourceRegistry::new();
         reg.record_additive("app1", [t(1, 0, 1), t(2, 0, 2), t(3, 0, 3)]);
         let new_set: BTreeSet<Triple> = [t(2, 0, 2), t(4, 0, 4)].into_iter().collect();
-        let (added, removed, report) = reg.replace("app1", new_set);
+        let (added, removed, report) = reg.diff("app1", &new_set);
         assert_eq!(added, vec![t(4, 0, 4)]);
         assert_eq!(removed, vec![t(1, 0, 1), t(3, 0, 3)]);
         assert_eq!(report, SyncReport { added: 1, removed: 2, retained_by_others: 0, unchanged: 1 });
@@ -125,7 +135,7 @@ mod tests {
         reg.record_additive("app1", [t(1, 0, 1), t(9, 9, 9)]);
         reg.record_additive("ontology", [t(9, 9, 9)]);
         // app1 drops everything.
-        let (_, removed, report) = reg.replace("app1", BTreeSet::new());
+        let (_, removed, report) = reg.diff("app1", &BTreeSet::new());
         // t(9,9,9) survives because the ontology still asserts it.
         assert_eq!(removed, vec![t(1, 0, 1)]);
         assert_eq!(report.retained_by_others, 1);
@@ -135,10 +145,13 @@ mod tests {
     fn first_delivery_is_all_added() {
         let mut reg = SourceRegistry::new();
         let new_set: BTreeSet<Triple> = [t(1, 0, 1)].into_iter().collect();
-        let (added, removed, report) = reg.replace("fresh", new_set);
+        let (added, removed, report) = reg.diff("fresh", &new_set);
         assert_eq!(added.len(), 1);
         assert!(removed.is_empty());
         assert_eq!(report.unchanged, 0);
+        // The diff alone records nothing; the acknowledged write does.
+        assert_eq!(reg.triples_of("fresh"), 0);
+        reg.replace("fresh", new_set);
         assert_eq!(reg.triples_of("fresh"), 1);
         assert_eq!(reg.sources(), vec!["fresh"]);
     }
@@ -148,7 +161,7 @@ mod tests {
         let mut reg = SourceRegistry::new();
         let set: BTreeSet<Triple> = [t(1, 0, 1), t(2, 0, 2)].into_iter().collect();
         reg.replace("s", set.clone());
-        let (added, removed, report) = reg.replace("s", set);
+        let (added, removed, report) = reg.diff("s", &set);
         assert!(added.is_empty());
         assert!(removed.is_empty());
         assert_eq!(report.unchanged, 2);

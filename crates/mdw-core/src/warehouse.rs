@@ -16,18 +16,23 @@
 //! 5. [`MetadataWarehouse::snapshot`] historizes the current graph at each
 //!    release.
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TimeSource, TruncationReason};
+use mdw_rdf::failpoint;
 use mdw_rdf::frozen::{FrozenIndex, FrozenStore};
-use mdw_rdf::journal::{Journal, JournalOp};
-use mdw_rdf::persist::{self, RecoveryReport, SaveReport};
-use mdw_rdf::store::{GraphStats, Store, TripleSource};
-use mdw_rdf::term::Term;
-use mdw_rdf::triple::Triple;
+use mdw_rdf::journal::JournalOp;
+use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
 use mdw_rdf::par::ParallelPolicy;
+use mdw_rdf::persist::SaveReport;
+use mdw_rdf::staging::{LoadReport, StagingArea};
+use mdw_rdf::store::{GraphStats, TripleSource};
+use mdw_rdf::term::Term;
+use mdw_rdf::triple::{check_well_formed, Triple};
 use mdw_rdf::QueryContext;
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
@@ -41,11 +46,13 @@ use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
 use crate::governance::{self, AccessReport, GovernanceGaps};
 use crate::history::{History, VersionDiff, VersionRecord};
-use crate::ingest::{ingest, ingest_resilient, Extract, IngestReport, ResilientIngestReport};
+use crate::ingest::{
+    Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport,
+};
 use crate::lineage::{self, FlowRow, Hop, ImpactSummary, LineageRequest, LineageResult};
 use crate::model::{census, Census};
 use crate::search::{self, SearchRequest, SearchResults};
-use crate::resilience::{Clock, RetryPolicy};
+use crate::resilience::{run_with_retry, Clock, RetryPolicy};
 use crate::sync::{SourceRegistry, SyncReport};
 use crate::synonyms::SynonymTable;
 
@@ -53,12 +60,19 @@ use crate::synonyms::SynonymTable;
 /// (`SEM_MODELS('DWH_CURR')`).
 pub const DEFAULT_MODEL: &str = "DWH_CURR";
 
-/// Disk attachment of a durable warehouse: the store directory plus its
-/// open write-ahead journal.
-#[derive(Debug)]
-struct Durability {
-    dir: PathBuf,
-    journal: Journal,
+/// The storage engine's tuning, fixed. The warehouse is the engine's only
+/// writer and folds the run stack itself at the end of every bulk delivery
+/// ([`MetadataWarehouse::fold`]), so there is no background compactor to
+/// wake and no compaction debt to stall on; the memtable limit stays at the
+/// engine default, which bounds what every publish re-freezes.
+fn engine_config() -> LsmConfig {
+    LsmConfig {
+        max_runs: usize::MAX,
+        stall_runs: usize::MAX,
+        stall_mem_ops: usize::MAX,
+        auto_compact: false,
+        ..LsmConfig::default()
+    }
 }
 
 /// Cumulative query-planner activity across every `SEM_MATCH` query this
@@ -162,23 +176,21 @@ pub struct AnswerStats {
 /// The meta-data warehouse.
 #[derive(Debug)]
 pub struct MetadataWarehouse {
-    store: Store,
+    /// The one storage engine: every write is journaled, published and —
+    /// after a crash — recovered here.
+    lsm: LsmStore,
+    /// The generation `lsm` last published, re-pinned after every write.
+    /// Every query reads it through its [`QueryContext`]; contexts handed
+    /// out earlier keep the generation they pinned.
+    pinned: Arc<FrozenStore>,
     model: String,
     rulebase: Rulebase,
     materialization: Option<Materialization>,
     synonyms: SynonymTable,
     history: History,
     sources: SourceRegistry,
-    durability: Option<Durability>,
     admission: Option<AdmissionController>,
     breaker: Option<CircuitBreaker>,
-    /// Frozen snapshot of the store, built lazily per mutation epoch and
-    /// handed to every query as its pinned [`QueryContext`] generation.
-    frozen_store: OnceLock<Arc<FrozenStore>>,
-    /// The previously published snapshot: the next freeze reuses its
-    /// dictionary allocation when no new term was interned, and numbers
-    /// itself as the successor generation.
-    prev_snapshot: Option<Arc<FrozenStore>>,
     /// Worker-thread policy attached to every [`QueryContext`] this
     /// warehouse hands out; sequential unless configured.
     parallelism: ParallelPolicy,
@@ -203,136 +215,157 @@ impl MetadataWarehouse {
 
     /// Creates a warehouse with a custom current-model name.
     pub fn with_model(model: &str) -> Self {
-        let mut store = Store::new();
-        store.create_model(model).expect("fresh store");
-        Self::from_store(store, model).expect("model was just created")
+        Self::on_engine(LsmStore::in_memory(engine_config()), model)
     }
 
-    /// Wraps an existing store (e.g. one reloaded from disk via
-    /// [`mdw_rdf::persist::load_store`]) as a warehouse over `model`.
-    /// The model must exist; the semantic index starts unbuilt.
-    pub fn from_store(mut store: Store, model: &str) -> Result<Self, MdwError> {
-        store.model(model)?;
-        let rulebase = Rulebase::owlprime(store.dict_mut());
-        Ok(MetadataWarehouse {
-            store,
+    /// Opens (or creates) a durable warehouse in `dir` with the default
+    /// model: [`LsmStore::open`] recovers the last acknowledged state
+    /// (base snapshot, sealed runs, journal replay, truncating any torn
+    /// journal tail) and keeps the journal open, so every subsequent
+    /// mutation is logged before it is applied or acknowledged.
+    pub fn open(dir: &Path) -> Result<(Self, LsmOpenReport), MdwError> {
+        Self::open_with_model(dir, DEFAULT_MODEL)
+    }
+
+    /// [`Self::open`] with a custom current-model name.
+    pub fn open_with_model(dir: &Path, model: &str) -> Result<(Self, LsmOpenReport), MdwError> {
+        let (lsm, report) = LsmStore::open(dir, engine_config())?;
+        Ok((Self::on_engine(lsm, model), report))
+    }
+
+    /// A warehouse over `lsm` with `model` as its current model (created
+    /// empty if the engine does not hold it). The rulebase binds its
+    /// vocabulary in the engine's dictionary; the semantic index starts
+    /// unbuilt.
+    fn on_engine(lsm: LsmStore, model: &str) -> Self {
+        let rulebase = lsm.with_dict(Rulebase::owlprime);
+        if !lsm.snapshot().has_model(model) {
+            lsm.install_model(model, Arc::default())
+                .expect("the snapshot just showed the name free");
+        }
+        MetadataWarehouse {
+            pinned: lsm.snapshot(),
+            lsm,
             model: model.to_string(),
             rulebase,
             materialization: None,
             synonyms: SynonymTable::banking(),
             history: History::new(),
             sources: SourceRegistry::new(),
-            durability: None,
             admission: None,
             breaker: None,
-            frozen_store: OnceLock::new(),
-            prev_snapshot: None,
             parallelism: ParallelPolicy::sequential(),
             planner: PlannerCounters::default(),
             answer_counters: AnswerCounters::default(),
-        })
-    }
-
-    /// Opens (or creates) a durable warehouse in `dir` with the default
-    /// model: recovers the last committed state (snapshot + journal
-    /// replay, truncating any torn journal tail) and keeps the journal
-    /// open so every subsequent mutation is logged before it is
-    /// acknowledged.
-    pub fn open(dir: &Path) -> Result<(Self, RecoveryReport), MdwError> {
-        Self::open_with_model(dir, DEFAULT_MODEL)
-    }
-
-    /// [`Self::open`] with a custom current-model name.
-    pub fn open_with_model(dir: &Path, model: &str) -> Result<(Self, RecoveryReport), MdwError> {
-        let (mut store, report) = persist::recover(dir)?;
-        if !store.has_model(model) {
-            store.create_model(model)?;
         }
-        let mut warehouse = Self::from_store(store, model)?;
-        let journal = Journal::open(dir)?;
-        warehouse.durability = Some(Durability { dir: dir.to_path_buf(), journal });
-        Ok((warehouse, report))
-    }
-
-    /// Makes an in-memory warehouse durable: snapshots the current state
-    /// into `dir` and starts journaling there. Returns the snapshot
-    /// report.
-    pub fn attach_durability(&mut self, dir: &Path) -> Result<SaveReport, MdwError> {
-        let mut journal = Journal::open(dir)?;
-        let base = journal.next_seq().saturating_sub(1);
-        let report = persist::save_snapshot(&self.store, dir, base)?;
-        journal.rotate(base)?;
-        self.durability = Some(Durability { dir: dir.to_path_buf(), journal });
-        Ok(report)
     }
 
     /// Whether mutations are journaled to disk.
     pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
+        self.store_dir().is_some()
     }
 
     /// The store directory, when durable.
     pub fn store_dir(&self) -> Option<&Path> {
-        self.durability.as_ref().map(|d| d.dir.as_path())
+        self.lsm.dir()
     }
 
-    /// Folds the journal into a fresh snapshot: write the whole store
-    /// atomically, then rotate the journal down to just a base marker
-    /// (the rotate step is `journal::rotate`-failpoint-gated, so crash
-    /// drills can kill between snapshot publish and journal truncation —
-    /// replay over the new snapshot is idempotent either way).
-    /// Returns `None` when the warehouse is not durable.
+    /// Folds everything — base, runs, memtable, historized models — into a
+    /// fresh solid snapshot on disk and trims the journal down to a base
+    /// marker ([`LsmStore::checkpoint`]; the trim is failpoint-gated, so
+    /// crash drills can kill between snapshot publish and journal
+    /// truncation — replay over the new snapshot is idempotent either
+    /// way). Returns `None` when the warehouse is not durable.
     pub fn checkpoint(&mut self) -> Result<Option<SaveReport>, MdwError> {
-        let Some(d) = self.durability.as_mut() else {
+        if !self.is_durable() {
             return Ok(None);
-        };
-        let base = d.journal.next_seq().saturating_sub(1);
-        let report = persist::save_snapshot(&self.store, &d.dir, base)?;
-        d.journal.rotate(base)?;
+        }
+        let report = self.lsm.checkpoint()?;
+        self.pinned = self.lsm.snapshot();
         Ok(Some(report))
     }
 
-    /// Appends one batch to the journal, if durable. Called *after* the
-    /// in-memory mutation succeeded: the journal is a redo log, and a
-    /// batch is only acknowledged to the caller once it is on disk.
-    fn journal_batch(&mut self, ops: Vec<JournalOp>) -> Result<(), MdwError> {
-        if ops.is_empty() {
-            return Ok(());
+    /// The single write door: every mutation of the current model —
+    /// `ingest`, `ingest_resilient`, `resync`, `insert_fact`,
+    /// `load_synonym_edges` — is one delivery through here, and each stage
+    /// is wired exactly once, in this order:
+    ///
+    /// 1. the engine validates the batch, journals it (one fsync) and only
+    ///    then applies it to the memtable ([`LsmStore::write_batch`]): when
+    ///    the journal append fails nothing was applied, nothing below runs,
+    ///    and the caller gets the error;
+    /// 2. the generation the engine published is re-pinned, so the next
+    ///    query sees the delivery whole;
+    /// 3. provenance: the inserted triples are attributed to `source`
+    ///    (additive deliveries; a replacing delivery records its own set
+    ///    once this returns);
+    /// 4. the semantic index is extended with the triples the model gained
+    ///    when the delivery only added, and dropped when it removed (no
+    ///    truth maintenance for retracted facts).
+    ///
+    /// Returns how many triples the model gained. A delivery with nothing
+    /// to write is a no-op. Bulk deliveries end with [`Self::fold`].
+    fn write(
+        &mut self,
+        source: Option<&str>,
+        inserts: Vec<(Term, Term, Term)>,
+        removes: Vec<(Term, Term, Term)>,
+    ) -> Result<usize, MdwError> {
+        if inserts.is_empty() && removes.is_empty() {
+            return Ok(0);
         }
-        if let Some(d) = self.durability.as_mut() {
-            d.journal.append(&self.model, &ops)?;
-        }
-        Ok(())
-    }
+        let (inserted, removed) = (inserts.len(), !removes.is_empty());
+        let ops: Vec<JournalOp> = inserts
+            .into_iter()
+            .map(|(s, p, o)| JournalOp::Insert(s, p, o))
+            .chain(removes.into_iter().map(|(s, p, o)| JournalOp::Remove(s, p, o)))
+            .collect();
+        self.lsm.write_batch(&self.model, &ops)?;
+        let before = std::mem::replace(&mut self.pinned, self.lsm.snapshot());
+        let held = before.model(&self.model)?;
+        let dict = self.pinned.dict();
 
-    /// The frozen snapshot of the current mutation epoch, built on first
-    /// use and cached until the next mutation. Amortized O(1) per query:
-    /// per-model frozen caches make refreezing cheap, and the dictionary
-    /// allocation is shared across epochs that interned no new term.
-    fn snapshot_store(&self) -> &Arc<FrozenStore> {
-        self.frozen_store.get_or_init(|| {
-            Arc::new(match &self.prev_snapshot {
-                Some(prev) => self.store.freeze_with(prev),
-                None => self.store.freeze(),
+        let id = |t: &Term| dict.lookup(t).expect("write_batch interned it");
+        let mut gained: Vec<Triple> = ops
+            .into_iter()
+            .take(inserted)
+            .map(|op| match op {
+                JournalOp::Insert(s, p, o) | JournalOp::Remove(s, p, o) => {
+                    Triple::new(id(&s), id(&p), id(&o))
+                }
             })
-        })
+            .collect();
+        if let Some(source) = source {
+            self.sources.record_additive(source, gained.iter().copied());
+        }
+        gained.retain(|&t| !held.contains(t));
+        gained.sort_unstable();
+        gained.dedup();
+
+        match &mut self.materialization {
+            Some(m) if !removed => {
+                m.extend(self.pinned.model(&self.model)?, &self.rulebase, dict, &gained)
+            }
+            index => *index = None,
+        }
+        Ok(gained.len())
     }
 
-    /// Invalidates the cached snapshot after a mutation; the retired
-    /// generation seeds the next freeze (dictionary reuse + generation
-    /// numbering). Queries already holding a [`QueryContext`] keep reading
-    /// the generation they pinned.
-    fn invalidate_snapshots(&mut self) {
-        if let Some(prev) = self.frozen_store.take() {
-            self.prev_snapshot = Some(prev);
-        }
+    /// Ends a bulk delivery: seals the memtable and folds every run into
+    /// the solid base, so queries scan the same solid columns they would
+    /// after a from-scratch load. Best effort, like the engine's own
+    /// seals: the delivery is already journaled and visible, so a failed
+    /// fold is retried by the next one, never reported as a failed write.
+    fn fold(&mut self) {
+        let _ = self.lsm.seal_now().and_then(|_| self.lsm.compact_once());
+        self.pinned = self.lsm.snapshot();
     }
 
     /// A [`QueryContext`] pinning the current snapshot generation with an
     /// unlimited budget. The context (and any clone) keeps reading that
     /// generation even while later ingests mutate the warehouse.
     pub fn context(&self) -> QueryContext {
-        QueryContext::new(Arc::clone(self.snapshot_store())).with_parallelism(self.parallelism)
+        QueryContext::new(Arc::clone(&self.pinned)).with_parallelism(self.parallelism)
     }
 
     /// Sets the worker-thread policy used by every subsequent query
@@ -348,9 +381,9 @@ impl MetadataWarehouse {
         &self.model
     }
 
-    /// Read access to the underlying store (models + dictionary).
-    pub fn store(&self) -> &Store {
-        &self.store
+    /// Read access to the pinned snapshot (models + dictionary).
+    pub fn store(&self) -> &FrozenStore {
+        &self.pinned
     }
 
     /// The synonym table (mutable, to load site-specific vocabularies).
@@ -365,94 +398,119 @@ impl MetadataWarehouse {
 
     /// Ingests extracts through the staging/bulk-load pipeline (additive:
     /// triples accumulate per source — use [`Self::resync`] for replacing
-    /// deliveries). Any existing semantic index is invalidated (new facts
-    /// may entail new triples).
+    /// deliveries). Each extract is one journaled batch; an existing
+    /// semantic index is extended with what the extracts added. If an
+    /// extract fails to load, the ones before it stay loaded and the error
+    /// is returned.
     pub fn ingest(&mut self, extracts: Vec<Extract>) -> Result<IngestReport, MdwError> {
-        // Keep the (source, triples) pairs for provenance tracking.
-        #[allow(clippy::type_complexity)]
-        let copies: Vec<(String, Vec<(Term, Term, Term)>)> = extracts
-            .iter()
-            .map(|e| (e.source.clone(), e.triples.clone()))
-            .collect();
-        let report = ingest(&mut self.store, &self.model, extracts)?;
-        for (source, triples) in &copies {
-            let encoded = triples.iter().filter_map(|(s, p, o)| {
-                Some(Triple::new(
-                    self.store.encode(s)?,
-                    self.store.encode(p)?,
-                    self.store.encode(o)?,
-                ))
-            });
-            self.sources.record_additive(source, encoded);
-        }
-        self.journal_batch(self.loaded_triples_as_ops(&copies)?)?;
-        self.materialization = None;
-        self.invalidate_snapshots();
-        Ok(report)
+        let mut report = IngestReport {
+            extracts: Vec::with_capacity(extracts.len()),
+            staged: 0,
+            load: LoadReport::default(),
+            stage_time: Duration::ZERO,
+            load_time: Duration::ZERO,
+        };
+        let loaded = extracts.into_iter().try_for_each(|extract| {
+            report.extracts.push((extract.source.clone(), extract.triples.len()));
+            report.staged += extract.triples.len();
+            let started = Instant::now();
+            let (load, staging) = self.load_extract(&extract.source, extract.triples)?;
+            report.stage_time += staging;
+            report.load_time += started.elapsed().saturating_sub(staging);
+            report.load.loaded += load.loaded;
+            report.load.duplicates += load.duplicates;
+            report.load.rejections.extend(load.rejections);
+            Ok(())
+        });
+        self.fold();
+        loaded.map(|()| report)
     }
 
-    /// Journal ops for the extract triples that actually reside in the
-    /// model after a load (validation rejects never reach the journal).
-    #[allow(clippy::type_complexity)]
-    fn loaded_triples_as_ops(
-        &self,
-        copies: &[(String, Vec<(Term, Term, Term)>)],
-    ) -> Result<Vec<JournalOp>, MdwError> {
-        if self.durability.is_none() {
-            return Ok(Vec::new());
-        }
-        let graph = self.store.model(&self.model)?;
-        let mut ops = Vec::new();
-        for (_, triples) in copies {
-            for (s, p, o) in triples {
-                let ids = (self.store.encode(s), self.store.encode(p), self.store.encode(o));
-                if let (Some(si), Some(pi), Some(oi)) = ids {
-                    if graph.contains(Triple::new(si, pi, oi)) {
-                        ops.push(JournalOp::Insert(s.clone(), p.clone(), o.clone()));
-                    }
-                }
-            }
-        }
-        Ok(ops)
+    /// Figure 4 for one extract: stage, validate, and load what is
+    /// well-formed through the write door as one batch. `loaded` and
+    /// `duplicates` are counted against the model as it stood before the
+    /// batch. Also returns the time spent staging and validating.
+    fn load_extract(
+        &mut self,
+        source: &str,
+        triples: Vec<(Term, Term, Term)>,
+    ) -> Result<(LoadReport, Duration), MdwError> {
+        let started = Instant::now();
+        let mut staging = StagingArea::new();
+        staging.stage_batch(source, triples);
+        let (valid, rejections) = staging.take_validated()?;
+        let staging = started.elapsed();
+        let delivered = valid.len();
+        let loaded = self.write(Some(source), valid, Vec::new())?;
+        Ok((LoadReport { loaded, duplicates: delivered - loaded, rejections }, staging))
     }
 
     /// Fault-tolerant variant of [`Self::ingest`]: each extract is staged
-    /// and loaded independently, transient failures are retried under
-    /// `policy` (backoff slept on `clock`), and extracts that cannot load
-    /// are quarantined instead of failing the whole release. Provenance is
-    /// recorded — and the journal written — only for extracts that loaded.
+    /// and loaded independently, transient failures — the journal's
+    /// included — are retried under `policy` (backoff slept on `clock`),
+    /// and extracts that cannot load are quarantined instead of failing the
+    /// whole release. Permanent errors quarantine the extract immediately,
+    /// as does an extract whose every triple fails validation (a
+    /// systematically broken export — retrying cannot help). Provenance is
+    /// recorded only for extracts that loaded.
+    ///
+    /// Failpoints consulted per attempt: `ingest::extract::<source>` first,
+    /// then the generic `ingest::extract`, plus whatever the staging and
+    /// persistence layers have armed.
     pub fn ingest_resilient(
         &mut self,
         extracts: Vec<Extract>,
         policy: &RetryPolicy,
         clock: &dyn Clock,
     ) -> Result<ResilientIngestReport, MdwError> {
-        #[allow(clippy::type_complexity)]
-        let copies: Vec<(String, Vec<(Term, Term, Term)>)> = extracts
-            .iter()
-            .map(|e| (e.source.clone(), e.triples.clone()))
-            .collect();
-        let report = ingest_resilient(&mut self.store, &self.model, extracts, policy, clock)?;
-        #[allow(clippy::type_complexity)]
-        let loaded: Vec<(String, Vec<(Term, Term, Term)>)> = copies
-            .into_iter()
-            .zip(&report.outcomes)
-            .filter(|(_, outcome)| outcome.status.is_loaded())
-            .map(|(copy, _)| copy)
-            .collect();
-        for (source, triples) in &loaded {
-            let encoded = triples.iter().filter_map(|(s, p, o)| {
-                Some(Triple::new(
-                    self.store.encode(s)?,
-                    self.store.encode(p)?,
-                    self.store.encode(o)?,
-                ))
+        let mut report = ResilientIngestReport::default();
+        for extract in extracts {
+            let Extract { source, triples } = extract;
+            let count = triples.len();
+            let specific = format!("ingest::extract::{source}");
+            let attempt = run_with_retry(policy, clock, |_| {
+                failpoint::check(&specific)?;
+                failpoint::check("ingest::extract")?;
+                Ok(self.load_extract(&source, triples.clone())?.0)
             });
-            self.sources.record_additive(source, encoded);
+            let outcome = match attempt {
+                Ok(retried) => {
+                    let load = retried.value;
+                    let fully_rejected = count > 0 && load.rejections.len() == count;
+                    let status = if fully_rejected {
+                        ExtractStatus::Quarantined {
+                            reason: format!(
+                                "validation rejected all {count} triples (first: {})",
+                                load.rejections[0].reason
+                            ),
+                            attempts: retried.attempts,
+                        }
+                    } else if retried.attempts > 1 {
+                        ExtractStatus::RetriedThenLoaded { attempts: retried.attempts }
+                    } else {
+                        ExtractStatus::Loaded
+                    };
+                    ExtractOutcome {
+                        source,
+                        triples: count,
+                        status,
+                        loaded: load.loaded,
+                        duplicates: load.duplicates,
+                        rejected: if fully_rejected { 0 } else { load.rejections.len() },
+                    }
+                }
+                Err((error, attempts)) => ExtractOutcome {
+                    source,
+                    triples: count,
+                    status: ExtractStatus::Quarantined { reason: error.to_string(), attempts },
+                    loaded: 0,
+                    duplicates: 0,
+                    rejected: 0,
+                },
+            };
+            report.outcomes.push(outcome);
         }
-        self.journal_batch(self.loaded_triples_as_ops(&loaded)?)?;
-        self.materialization = None;
-        self.invalidate_snapshots();
+        self.fold();
         Ok(report)
     }
 
@@ -464,48 +522,31 @@ impl MetadataWarehouse {
     /// Removals invalidate the semantic index (no truth maintenance for
     /// retracted facts); pure additions extend it incrementally.
     pub fn resync(&mut self, extract: Extract) -> Result<SyncReport, MdwError> {
-        use std::collections::BTreeSet;
-        let mut new_set: BTreeSet<Triple> = BTreeSet::new();
         for (s, p, o) in &extract.triples {
-            if !s.is_subject_capable() || !p.is_iri() {
-                return Err(MdwError::InvalidRequest(format!(
-                    "invalid triple in resync extract: {s} {p} {o}"
-                )));
-            }
-            new_set.insert(Triple::new(
-                self.store.dict_mut().intern(s),
-                self.store.dict_mut().intern(p),
-                self.store.dict_mut().intern(o),
-            ));
+            check_well_formed(s, p, o).map_err(|reason| {
+                MdwError::InvalidRequest(format!("invalid triple in resync extract: {reason}"))
+            })?;
         }
-        let (added, removed, report) = self.sources.replace(&extract.source, new_set);
-        let graph = self.store.model_mut(&self.model)?;
-        for &t in &added {
-            graph.insert(t);
-        }
-        for &t in &removed {
-            graph.remove(t);
-        }
-        if self.durability.is_some() {
-            let mut ops = Vec::with_capacity(added.len() + removed.len());
-            for &t in &added {
-                let (s, p, o) = self.store.decode(t)?;
-                ops.push(JournalOp::Insert(s.clone(), p.clone(), o.clone()));
-            }
-            for &t in &removed {
-                let (s, p, o) = self.store.decode(t)?;
-                ops.push(JournalOp::Remove(s.clone(), p.clone(), o.clone()));
-            }
-            self.journal_batch(ops)?;
-        }
-        if removed.is_empty() {
-            if let Some(m) = self.materialization.as_mut() {
-                m.extend(self.store.model(&self.model)?, &self.rulebase, self.store.dict(), &added);
-            }
-        } else {
-            self.materialization = None;
-        }
-        self.invalidate_snapshots();
+        // Provenance is kept in id space, so the delivery gets its ids
+        // first; the diff then names what to insert and what to remove.
+        let (delivered, inserts, removes, report) = self.lsm.with_dict(|dict| {
+            let delivered: BTreeSet<Triple> = extract
+                .triples
+                .iter()
+                .map(|(s, p, o)| Triple::new(dict.intern(s), dict.intern(p), dict.intern(o)))
+                .collect();
+            let (added, removed, report) = self.sources.diff(&extract.source, &delivered);
+            let terms = |t: &Triple| {
+                let term = |id| dict.term_unchecked(id).clone();
+                (term(t.s), term(t.p), term(t.o))
+            };
+            let inserts = added.iter().map(terms).collect();
+            let removes = removed.iter().map(terms).collect();
+            (delivered, inserts, removes, report)
+        });
+        self.write(None, inserts, removes)?;
+        self.sources.replace(&extract.source, delivered);
+        self.fold();
         Ok(report)
     }
 
@@ -514,66 +555,41 @@ impl MetadataWarehouse {
         self.sources.sources()
     }
 
-    /// Inserts one fact. If the semantic index is built, it is extended
-    /// incrementally (the delta-maintenance path); otherwise the fact just
-    /// lands in the base model.
+    /// Inserts one fact; `true` if the model did not hold it yet. If the
+    /// semantic index is built, it is extended incrementally (the
+    /// delta-maintenance path). Not a bulk delivery: the fact sits in the
+    /// memtable, stacked on the solid base, until the next fold.
     pub fn insert_fact(&mut self, s: &Term, p: &Term, o: &Term) -> Result<bool, MdwError> {
-        let fresh = self.store.insert(&self.model, s, p, o)?;
-        if fresh {
-            self.journal_batch(vec![JournalOp::Insert(s.clone(), p.clone(), o.clone())])?;
-        }
-        if fresh {
-            if let Some(m) = self.materialization.as_mut() {
-                let t = Triple::new(
-                    self.store.encode(s).expect("just inserted"),
-                    self.store.encode(p).expect("just inserted"),
-                    self.store.encode(o).expect("just inserted"),
-                );
-                m.extend(
-                    self.store.model(&self.model)?,
-                    &self.rulebase,
-                    self.store.dict(),
-                    &[t],
-                );
-            }
-        }
-        if fresh {
-            self.invalidate_snapshots();
-        }
-        Ok(fresh)
+        let fact = (s.clone(), p.clone(), o.clone());
+        Ok(self.write(None, vec![fact], Vec::new())? == 1)
     }
 
     /// Loads the synonym table's value-to-value edges into the graph —
-    /// the DBpedia-import step of Section III.B.
+    /// the DBpedia-import step of Section III.B. Returns how many were new.
     pub fn load_synonym_edges(&mut self) -> Result<usize, MdwError> {
-        let triples = self.synonyms.to_triples();
-        let mut n = 0;
-        let mut ops = Vec::new();
-        for (s, p, o) in triples {
-            // Synonym edges connect literals; RDF forbids literal subjects,
-            // so values are wrapped as value nodes in the dwh namespace.
-            let s = Term::iri(mdw_rdf::vocab::cs::dwh(&format!("term/{}", s.label())));
-            let o = Term::iri(mdw_rdf::vocab::cs::dwh(&format!("term/{}", o.label())));
-            if self.store.insert(&self.model, &s, &p, &o)? {
-                n += 1;
-                if self.durability.is_some() {
-                    ops.push(JournalOp::Insert(s, p, o));
-                }
-            }
-        }
-        self.journal_batch(ops)?;
-        self.materialization = None;
-        self.invalidate_snapshots();
-        Ok(n)
+        // Synonym edges connect literals; RDF forbids literal subjects,
+        // so values are wrapped as value nodes in the dwh namespace.
+        let node = |value: &Term| {
+            Term::iri(mdw_rdf::vocab::cs::dwh(&format!("term/{}", value.label())))
+        };
+        let edges = self
+            .synonyms
+            .to_triples()
+            .into_iter()
+            .map(|(s, p, o)| (node(&s), p, node(&o)))
+            .collect();
+        let loaded = self.write(None, edges, Vec::new());
+        self.fold();
+        loaded
     }
 
     /// Builds (or rebuilds) the semantic index — the paper's OWL index
     /// build. Returns the materialization statistics.
     pub fn build_semantic_index(&mut self) -> Result<MaterializeStats, MdwError> {
         let m = Materialization::materialize(
-            self.store.model(&self.model)?,
+            self.pinned.model(&self.model)?,
             &self.rulebase,
-            self.store.dict(),
+            self.pinned.dict(),
         );
         let stats = m.stats().clone();
         self.materialization = Some(m);
@@ -585,12 +601,12 @@ impl MetadataWarehouse {
         self.materialization.is_some()
     }
 
-    /// The entailed view (base ∪ semantic index) over the current frozen
+    /// The entailed view (base ∪ semantic index) over the pinned
     /// snapshot. Errors if the index is not built — derived triples "only
     /// exist through the indexes".
     pub fn entailed(&self) -> Result<EntailedGraph<'_>, MdwError> {
         let m = self.materialization.as_ref().ok_or(MdwError::IndexNotBuilt)?;
-        Ok(EntailedGraph::new(self.snapshot_store().model(&self.model)?, m.frozen()))
+        Ok(EntailedGraph::new(self.pinned.model(&self.model)?, m.frozen()))
     }
 
     /// Freezes this warehouse into a shared service handle. The warehouse
@@ -646,8 +662,7 @@ impl MetadataWarehouse {
     /// 1. an admission permit for `class` (shed requests surface as
     ///    [`MdwError::Overloaded`]), held until the request returns;
     /// 2. one breaker decision for the whole request;
-    /// 3. the view of `model` in the pinned [`Self::snapshot_store`]
-    ///    generation — entailed (base ∪ semantic index) when `rulebase` is
+    /// 3. the view of `model` in the pinned snapshot generation — entailed (base ∪ semantic index) when `rulebase` is
     ///    set and the breaker allows it, otherwise the base facts alone
     ///    behind an empty overlay — so a request never observes a
     ///    half-applied mutation;
@@ -669,7 +684,7 @@ impl MetadataWarehouse {
         let _permit = self.admission.as_ref().map(|gate| gate.admit(class)).transpose()?;
         let degraded = self.breaker.as_ref().is_some_and(|b| !b.allow());
         let entailed = rulebase && !degraded;
-        let base = self.snapshot_store().model(model)?;
+        let base = self.pinned.model(model)?;
         let derived = match &self.materialization {
             _ if !entailed => Self::empty_index(),
             // The semantic index is built over the current model only.
@@ -756,20 +771,20 @@ impl MetadataWarehouse {
     /// users have access to an information item.
     pub fn who_can_access(&self, item: &Term) -> Result<AccessReport, MdwError> {
         let view = self.entailed()?;
-        Ok(governance::who_can_access(&view, self.store.dict(), item))
+        Ok(governance::who_can_access(&view, self.pinned.dict(), item))
     }
 
     /// Data-governance gap analysis: data-mart items without an owner.
     pub fn governance_gaps(&self) -> Result<GovernanceGaps, MdwError> {
         let view = self.entailed()?;
-        Ok(governance::ownerless_items(&view, self.store.dict()))
+        Ok(governance::ownerless_items(&view, self.pinned.dict()))
     }
 
     /// The report-developer assistant (the paper's "under development" use
     /// case): ranked data sources for a business concept.
     pub fn find_sources(&self, concept: &Term) -> Result<SourceCandidates, MdwError> {
         let view = self.entailed()?;
-        Ok(assist::find_sources(&view, self.store.dict(), concept))
+        Ok(assist::find_sources(&view, self.pinned.dict(), concept))
     }
 
     /// Executes a `SEM_MATCH`-style query against this warehouse with an
@@ -940,12 +955,12 @@ impl MetadataWarehouse {
 
     /// The Table I census of the current model.
     pub fn census(&self) -> Result<Census, MdwError> {
-        Ok(census(self.store.model(&self.model)?, self.store.dict()))
+        Ok(census(self.pinned.model(&self.model)?, self.pinned.dict()))
     }
 
     /// Statistics of the current model (the paper's node/edge scale).
     pub fn stats(&self) -> Result<GraphStats, MdwError> {
-        Ok(self.store.model(&self.model)?.stats())
+        Ok(self.pinned.model(&self.model)?.stats())
     }
 
     /// Number of derived triples in the semantic index (0 if not built).
@@ -953,16 +968,14 @@ impl MetadataWarehouse {
         self.materialization.as_ref().map_or(0, |m| m.derived().len())
     }
 
-    /// Takes a full historization snapshot of the current model.
+    /// Takes a full historization snapshot of the current model: folds it
+    /// solid, registers its base under `HIST_<tag>` in O(1), and — when
+    /// durable — checkpoints, which is what persists the new model (a
+    /// whole version is too big for the journal).
     pub fn snapshot(&mut self, tag: &str) -> Result<VersionRecord, MdwError> {
-        let model = self.model.clone();
-        let record = self
-            .history
-            .snapshot(&mut self.store, &model, tag)
-            .cloned()?;
-        self.invalidate_snapshots();
-        // Historization registers a new HIST model — too big for the
-        // journal; fold everything into a fresh disk snapshot instead.
+        self.fold();
+        let record = self.history.snapshot(&self.lsm, &self.model, tag).cloned()?;
+        self.pinned = self.lsm.snapshot();
         self.checkpoint()?;
         Ok(record)
     }
@@ -974,7 +987,7 @@ impl MetadataWarehouse {
 
     /// Diffs two historized versions.
     pub fn diff(&self, from: &str, to: &str) -> Result<VersionDiff, MdwError> {
-        self.history.diff(&self.store, from, to)
+        self.history.diff(&self.pinned, from, to)
     }
 }
 
@@ -982,8 +995,9 @@ impl MetadataWarehouse {
 mod tests {
     use super::*;
     use mdw_rdf::budget::ManualTime;
+    use mdw_rdf::failpoint::FailSpec;
     use mdw_rdf::vocab;
-    use std::time::Duration;
+    use std::path::PathBuf;
 
     fn dm(l: &str) -> Term {
         Term::iri(vocab::cs::dm(l))
@@ -1051,11 +1065,45 @@ mod tests {
     }
 
     #[test]
-    fn ingest_invalidates_index() {
+    fn ingest_extends_index_incrementally() {
         let mut w = loaded_warehouse();
+        // One policy for every delivery through the write door: additions
+        // extend the index, so the new column inherits Attribute at once…
+        w.ingest(vec![Extract::new(
+            "more",
+            vec![
+                (dwh("partner_id"), Term::iri(vocab::rdf::TYPE), dm("Application1_View_Column")),
+                (dwh("partner_id"), Term::iri(vocab::cs::HAS_NAME), Term::plain("partner_id")),
+            ],
+        )])
+        .unwrap();
         assert!(w.has_semantic_index());
-        w.ingest(vec![Extract::new("more", vec![])]).unwrap();
-        assert!(!w.has_semantic_index());
+        let results = w.search(&SearchRequest::new("partner")).unwrap();
+        assert!(results.group("Attribute").is_some());
+        // …and the extended index is the one a rebuild would produce.
+        let extended = w.derived_count();
+        w.build_semantic_index().unwrap();
+        assert_eq!(w.derived_count(), extended);
+    }
+
+    #[test]
+    fn bulk_deliveries_leave_the_current_model_solid() {
+        let mut w = loaded_warehouse();
+        let solid = |w: &MetadataWarehouse| !w.store().model(DEFAULT_MODEL).unwrap().is_stacked();
+        assert!(solid(&w));
+        w.insert_fact(&dwh("x"), &Term::iri(vocab::cs::HAS_NAME), &Term::plain("x")).unwrap();
+        assert!(!solid(&w), "a single fact waits in the memtable");
+        w.load_synonym_edges().unwrap();
+        assert!(solid(&w));
+        w.insert_fact(&dwh("y"), &Term::iri(vocab::cs::HAS_NAME), &Term::plain("y")).unwrap();
+        w.snapshot("v1").unwrap();
+        assert!(solid(&w));
+        // The version shares the folded base instead of copying it.
+        let store = w.store();
+        assert!(Arc::ptr_eq(
+            store.model(DEFAULT_MODEL).unwrap().base_arc(),
+            store.model("HIST_v1").unwrap().base_arc()
+        ));
     }
 
     #[test]
@@ -1288,6 +1336,7 @@ mod tests {
         {
             let (mut w, rec) = MetadataWarehouse::open(&dir).unwrap();
             assert!(w.is_durable());
+            assert_eq!(w.store_dir(), Some(dir.as_path()));
             assert_eq!(rec.replayed_batches, 0);
             w.ingest(vec![Extract::new(
                 "scanner",
@@ -1296,10 +1345,11 @@ mod tests {
             .unwrap();
             w.insert_fact(&dwh("a"), &Term::iri(vocab::cs::HAS_NAME), &Term::plain("a"))
                 .unwrap();
-            // No checkpoint: the state lives only in the journal.
+            // No checkpoint: the ingest was folded into a run and the base
+            // snapshot, the single fact lives only in the journal.
         }
         let (w, rec) = MetadataWarehouse::open(&dir).unwrap();
-        assert_eq!(rec.replayed_batches, 2);
+        assert_eq!(rec.replayed_batches, 1);
         assert_eq!(w.stats().unwrap().edges, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1369,20 +1419,45 @@ mod tests {
         assert_eq!(rec.replayed_batches, 0);
         // Both the current model and the historized copy came back.
         assert_eq!(w.stats().unwrap().edges, 1);
-        assert_eq!(w.store().model_names().len(), 2);
+        assert_eq!(w.store().model_names(), vec![DEFAULT_MODEL, "HIST_2009.1"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The parent applied a delivery to the live store first and journaled
+    /// it second: a failed append left the triples in memory — invisible
+    /// until the next successful mutation published them, gone on reopen.
     #[test]
-    fn attach_durability_snapshots_existing_state() {
-        let dir = temp_dir("attach");
-        let mut w = loaded_warehouse();
-        assert!(!w.is_durable());
-        let report = w.attach_durability(&dir).unwrap();
-        assert_eq!(report.total(), w.stats().unwrap().edges);
-        assert!(w.store_dir().is_some());
-        let (reopened, _) = MetadataWarehouse::open(&dir).unwrap();
-        assert_eq!(reopened.stats().unwrap().edges, w.stats().unwrap().edges);
+    fn failed_journal_append_applies_nothing() {
+        let dir = temp_dir("journal-first");
+        let fact = |w: &MetadataWarehouse, s: &str| {
+            let store = w.store();
+            store
+                .pattern(Some(&dwh(s)), None, None)
+                .is_some_and(|p| store.model(DEFAULT_MODEL).unwrap().scan(p).next().is_some())
+        };
+        {
+            let (mut w, _) = MetadataWarehouse::open(&dir).unwrap();
+            failpoint::arm("journal::append", FailSpec::Once);
+            let failed = w.ingest(vec![Extract::new(
+                "scanner",
+                vec![(dwh("lost"), Term::iri(vocab::rdf::TYPE), dm("Thing"))],
+            )]);
+            assert!(matches!(failed, Err(MdwError::Rdf(ref e)) if e.is_transient()), "{failed:?}");
+            assert!(w.sources().is_empty(), "no provenance for an unjournaled delivery");
+            // An unrelated mutation succeeds — and must not drag the failed
+            // extract's triples into view.
+            assert!(w
+                .insert_fact(&dwh("kept"), &Term::iri(vocab::rdf::TYPE), &dm("Thing"))
+                .unwrap());
+            assert!(fact(&w, "kept"));
+            assert!(!fact(&w, "lost"));
+            assert_eq!(w.stats().unwrap().edges, 1);
+        }
+        // Drop + open yields exactly the live state.
+        let (w, _) = MetadataWarehouse::open(&dir).unwrap();
+        assert!(fact(&w, "kept"));
+        assert!(!fact(&w, "lost"));
+        assert_eq!(w.stats().unwrap().edges, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,0 +1,298 @@
+//! Model-based differential test for the warehouse's write door.
+//!
+//! A proptest drives random interleavings of `ingest` / `resync` /
+//! `insert_fact` / `snapshot(tag)` / `checkpoint` / drop-and-`open` (plus
+//! `build_semantic_index`) against a deliberately naive oracle: one
+//! `BTreeSet` of term triples per model and one per source, no ids, no
+//! runs, no journal. After every step
+//!
+//! * the pinned snapshot holds exactly the oracle's models with exactly the
+//!   oracle's triples — so a `HIST_*` model never changes once taken;
+//! * the numbers each operation reports (loaded / duplicates / rejected,
+//!   added / removed, fresh) are the oracle's;
+//! * the current model is solid (`!is_stacked()`) after every bulk step;
+//! * a built semantic index — extended incrementally by every delivery
+//!   since — holds exactly the triples the reasoner derives from scratch
+//!   over a `Store`-built `Graph` of the oracle's current model.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use mdw_core::ingest::Extract;
+use mdw_core::warehouse::{MetadataWarehouse, DEFAULT_MODEL};
+use mdw_core::MdwError;
+use mdw_rdf::frozen::FrozenStore;
+use mdw_rdf::store::Store;
+use mdw_rdf::term::Term;
+use mdw_rdf::triple::Triple;
+use mdw_rdf::vocab;
+use mdw_reason::{Materialization, Rulebase};
+
+use proptest::prelude::*;
+
+type Fact = (Term, Term, Term);
+
+static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
+
+fn temp_dir() -> PathBuf {
+    let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("mdw-write-door-{}-{n}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Nodes 0..5 are instances, 5..8 classes; subject 8 is a literal (not
+/// well-formed), objects 8 and 9 are literals (fine).
+fn node(i: u64) -> Term {
+    if i < 5 {
+        Term::iri(format!("http://ex.org/n{i}"))
+    } else {
+        Term::iri(format!("http://ex.org/C{i}"))
+    }
+}
+
+fn fact((s, p, o): (u64, u64, u64)) -> Fact {
+    let subject = if s < 8 { node(s) } else { Term::plain("a literal subject") };
+    let predicate = match p {
+        0 => Term::iri(vocab::rdf::TYPE),
+        1 => Term::iri(vocab::rdfs::SUB_CLASS_OF),
+        _ => Term::iri("http://ex.org/p"),
+    };
+    let object = if o < 8 { node(o) } else { Term::plain(format!("value {o}")) };
+    (subject, predicate, object)
+}
+
+fn well_formed(f: &Fact) -> bool {
+    !f.0.is_literal()
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Ingest(Vec<(u8, Vec<Fact>)>),
+    Resync(u8, Vec<Fact>),
+    InsertFact(Fact),
+    Snapshot(u8),
+    Checkpoint,
+    Reopen,
+    BuildIndex,
+}
+
+fn facts(max: usize, subjects: u64) -> impl Strategy<Value = Vec<Fact>> {
+    proptest::collection::vec((0..subjects, 0u64..3, 0u64..10).prop_map(fact), 0..max)
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => proptest::collection::vec((0u8..3, facts(8, 9)), 1..3).prop_map(Op::Ingest),
+        3 => (0u8..3, facts(8, 8)).prop_map(|(source, f)| Op::Resync(source, f)),
+        // An occasional ill-formed delivery: the resync must refuse it whole.
+        1 => (0u8..3, facts(4, 9)).prop_map(|(source, f)| Op::Resync(source, f)),
+        3 => (0u64..9, 0u64..3, 0u64..10).prop_map(|t| Op::InsertFact(fact(t))),
+        2 => (0u8..3).prop_map(Op::Snapshot),
+        1 => Just(Op::Checkpoint),
+        2 => Just(Op::Reopen),
+        2 => Just(Op::BuildIndex),
+    ]
+}
+
+/// The reference: what the warehouse must hold, in the plainest terms.
+#[derive(Debug, Default)]
+struct Oracle {
+    models: BTreeMap<String, BTreeSet<Fact>>,
+    by_source: BTreeMap<String, BTreeSet<Fact>>,
+}
+
+impl Oracle {
+    fn current(&mut self) -> &mut BTreeSet<Fact> {
+        self.models.entry(DEFAULT_MODEL.to_string()).or_default()
+    }
+}
+
+fn source_name(i: u8) -> String {
+    format!("source-{i}")
+}
+
+/// The reasoner's answer over a `Store`-built `Graph` of `facts`.
+fn reference_derived(facts: &BTreeSet<Fact>) -> BTreeSet<Fact> {
+    let mut store = Store::new();
+    store.create_model("m").unwrap();
+    let rulebase = Rulebase::owlprime(store.dict_mut());
+    for (s, p, o) in facts {
+        store.insert("m", s, p, o).unwrap();
+    }
+    let m = Materialization::materialize(store.model("m").unwrap(), &rulebase, store.dict());
+    decoded(&store.freeze(), m.derived().iter())
+}
+
+fn decoded(store: &FrozenStore, triples: impl Iterator<Item = Triple>) -> BTreeSet<Fact> {
+    triples
+        .map(|t| {
+            let (s, p, o) = store.decode(t).unwrap();
+            (s.clone(), p.clone(), o.clone())
+        })
+        .collect()
+}
+
+fn check(w: &MetadataWarehouse, oracle: &Oracle, after_bulk: bool, step: &str) {
+    let store = w.store();
+    let want_names: Vec<&str> = oracle.models.keys().map(String::as_str).collect();
+    assert_eq!(store.model_names(), want_names, "models after {step}");
+    for (name, want) in &oracle.models {
+        let graph = store.model(name).unwrap();
+        assert_eq!(&decoded(store, graph.iter()), want, "model {name} after {step}");
+        assert_eq!(graph.len(), want.len(), "model {name} length after {step}");
+    }
+    let current = store.model(DEFAULT_MODEL).unwrap();
+    if after_bulk {
+        assert!(!current.is_stacked(), "current model stacked after bulk step {step}");
+    }
+    if w.has_semantic_index() {
+        let got = decoded(store, w.entailed().unwrap().derived().iter());
+        let want = reference_derived(&oracle.models[DEFAULT_MODEL]);
+        assert_eq!(got, want, "semantic index after {step}");
+    }
+}
+
+fn run(ops: Vec<Op>) {
+    let dir = temp_dir();
+    let (mut w, _) = MetadataWarehouse::open(&dir).unwrap();
+    let mut oracle = Oracle::default();
+    oracle.current();
+    check(&w, &oracle, false, "open");
+
+    for (i, op) in ops.into_iter().enumerate() {
+        let step = format!("step {i}: {op:?}");
+        let mut bulk = true;
+        match op {
+            Op::Ingest(extracts) => {
+                let mut want = (0, 0, 0);
+                for (source, delivered) in &extracts {
+                    for f in delivered {
+                        if !well_formed(f) {
+                            want.2 += 1;
+                        } else if oracle.current().insert(f.clone()) {
+                            want.0 += 1;
+                        } else {
+                            want.1 += 1;
+                        }
+                    }
+                    let valid = delivered.iter().filter(|f| well_formed(f)).cloned();
+                    // Nothing to write is a no-op, provenance included.
+                    if valid.clone().next().is_some() {
+                        oracle.by_source.entry(source_name(*source)).or_default().extend(valid);
+                    }
+                }
+                let report = w
+                    .ingest(
+                        extracts
+                            .into_iter()
+                            .map(|(source, delivered)| Extract::new(source_name(source), delivered))
+                            .collect(),
+                    )
+                    .unwrap();
+                let got =
+                    (report.load.loaded, report.load.duplicates, report.load.rejections.len());
+                assert_eq!(got, want, "load report of {step}");
+            }
+            Op::Resync(source, delivered) => {
+                let source = source_name(source);
+                let result = w.resync(Extract::new(source.clone(), delivered.clone()));
+                if delivered.iter().all(well_formed) {
+                    let new: BTreeSet<Fact> = delivered.into_iter().collect();
+                    let old = oracle.by_source.remove(&source).unwrap_or_default();
+                    let mut removed = 0;
+                    for f in old.difference(&new) {
+                        if !oracle.by_source.values().any(|set| set.contains(f)) {
+                            oracle.current().remove(f);
+                            removed += 1;
+                        }
+                    }
+                    let added = new.difference(&old).count();
+                    oracle.current().extend(new.difference(&old).cloned());
+                    oracle.by_source.insert(source, new);
+                    let report = result.unwrap();
+                    assert_eq!((report.added, report.removed), (added, removed), "{step}");
+                } else {
+                    assert!(matches!(result, Err(MdwError::InvalidRequest(_))), "{step}");
+                    bulk = false;
+                }
+            }
+            Op::InsertFact(f) => {
+                bulk = false;
+                let result = w.insert_fact(&f.0, &f.1, &f.2);
+                if well_formed(&f) {
+                    assert_eq!(result.unwrap(), oracle.current().insert(f), "{step}");
+                } else {
+                    assert!(result.is_err(), "{step}");
+                }
+            }
+            Op::Snapshot(tag) => {
+                let tag = format!("v{tag}");
+                let model = format!("HIST_{tag}");
+                let result = w.snapshot(&tag);
+                if oracle.models.contains_key(&model) {
+                    assert!(result.is_err(), "{step}: a version is taken once");
+                } else {
+                    let record = result.unwrap();
+                    let version = oracle.current().clone();
+                    assert_eq!(record.stats.edges, version.len(), "{step}");
+                    oracle.models.insert(model, version);
+                }
+            }
+            Op::Checkpoint => {
+                w.checkpoint().unwrap().expect("an opened warehouse is durable");
+            }
+            Op::Reopen => {
+                // A crash, as far as the warehouse can tell: no shutdown
+                // step runs. Provenance and the history registry live in
+                // memory only; the models are what must come back.
+                bulk = false;
+                drop(w);
+                w = MetadataWarehouse::open(&dir).unwrap().0;
+                oracle.by_source.clear();
+            }
+            Op::BuildIndex => {
+                bulk = false;
+                w.build_semantic_index().unwrap();
+            }
+        }
+        check(&w, &oracle, bulk, &step);
+    }
+    drop(w);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn warehouse_equals_the_naive_model_after_every_step(
+        ops in proptest::collection::vec(op(), 1..14),
+    ) {
+        run(ops);
+    }
+}
+
+/// The interleaving the proptest is least likely to hit by chance, pinned:
+/// a fact inserted outside any source, asserted by two sources, dropped by
+/// one then the other, across a reopen that forgets provenance.
+#[test]
+fn shared_assertions_across_a_reopen() {
+    let t = |s, p, o| fact((s, p, o));
+    run(vec![
+        Op::InsertFact(t(0, 0, 5)),
+        Op::Ingest(vec![(0, vec![t(0, 0, 5), t(5, 1, 6)]), (1, vec![t(0, 0, 5)])]),
+        Op::BuildIndex,
+        Op::Resync(0, vec![t(5, 1, 6)]),
+        Op::Snapshot(0),
+        Op::Resync(1, vec![]),
+        Op::InsertFact(t(1, 0, 5)),
+        Op::Reopen,
+        Op::Resync(0, vec![]),
+        Op::Snapshot(0),
+        Op::Checkpoint,
+        Op::Reopen,
+    ]);
+}

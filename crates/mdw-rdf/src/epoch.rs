@@ -2,14 +2,14 @@
 //!
 //! [`ArcCell`] holds an `Arc<T>` that writers replace atomically and readers
 //! load without taking any lock — the primitive behind
-//! [`SharedStore`](crate::store::SharedStore)'s publish protocol. It is a
+//! [`LsmStore`](crate::lsm::LsmStore)'s snapshot publish. It is a
 //! small hand-rolled equivalent of the `arc-swap` crate (which is not
 //! vendored here), specialised to the store's access pattern:
 //!
 //! * **readers** are wait-free in practice: load the current slot index,
 //!   announce themselves on that slot's reader count, re-check the index
 //!   (retrying on the rare publish race), clone the `Arc`, and leave;
-//! * **writers** are serialized externally (the store's writer mutex) and
+//! * **writers** are serialized externally (the engine's state mutex) and
 //!   ping-pong between two slots: wait for stragglers on the *non-current*
 //!   slot to drain, overwrite it — dropping the generation from two
 //!   publishes ago — then flip the current index.

@@ -5,8 +5,8 @@
 //! `Vec<(u64, u64, u64)>` columns instead of `BTreeSet`s. That buys:
 //!
 //! * **binary-search range scans**: every bound-prefix pattern maps to a
-//!   contiguous slice of exactly one column, found with two
-//!   `partition_point` searches;
+//!   contiguous slice of exactly one column — the start found with a
+//!   `partition_point` search, the end by galloping from it;
 //! * **exact O(log n) cardinalities**: the match count for a pattern is the
 //!   subtraction of those two search results — no iteration at all, which is
 //!   what the SPARQL join planner uses for selectivity ordering;
@@ -111,8 +111,18 @@ impl FrozenIndex {
             }
         };
         let lo = column.partition_point(|&k| k < lo_key);
-        let hi = column.partition_point(|&k| k <= hi_key);
-        (column, lo, hi.max(lo), perm)
+        // The end is found by galloping from `lo`: most probes of a join
+        // or a rule body match no row or a handful, and those end on the
+        // cache line the first search just touched instead of paying a
+        // second search over the whole column.
+        let rest = &column[lo..];
+        let mut bound = 1;
+        while bound < rest.len() && rest[bound - 1] <= hi_key {
+            bound *= 2;
+        }
+        let window = &rest[bound / 2..bound.min(rest.len())];
+        let hi = lo + bound / 2 + window.partition_point(|&k| k <= hi_key);
+        (column, lo, hi, perm)
     }
 
     /// Pattern scan: a zero-allocation iterator over one contiguous slice of
@@ -628,8 +638,7 @@ impl FrozenGraph {
 
     /// The planner's statistics snapshot of this graph, computed on first
     /// request and cached for the graph's lifetime (the graph is
-    /// immutable). Because the no-op publish path reuses model Arcs, an
-    /// unchanged model keeps its histograms across publishes.
+    /// immutable).
     ///
     /// `type_id` is the dictionary's id for `rdf:type` and keys the class
     /// histogram; the first caller's value wins. Every caller resolves it

@@ -3,9 +3,10 @@
 //! The paper's warehouse sits in Oracle and inherits its redo log; the
 //! pure-Rust store needs its own. The journal records committed
 //! insert/remove batches between snapshots so that
-//! [`crate::persist::recover`] can rebuild exactly the acknowledged state
-//! after a crash: latest snapshot + replay of every committed journal
-//! record with a sequence number past the snapshot.
+//! [`LsmStore::open`](crate::lsm::LsmStore::open) can rebuild exactly the
+//! acknowledged state after a crash: latest snapshot, sealed runs, then a
+//! replay of every committed journal record with a sequence number past
+//! both.
 //!
 //! ## On-disk format (line-oriented, self-describing)
 //!
@@ -157,7 +158,7 @@ pub struct Journal {
     next_seq: u64,
     /// Set when a failed append may have left the file in an uncertain
     /// state (torn record, or written-but-unsynced record). Cleared by a
-    /// successful [`heal`](Self::heal) or [`reset`](Self::reset).
+    /// successful [`heal`](Self::heal) or [`rotate`](Self::rotate).
     poisoned: bool,
 }
 
@@ -235,58 +236,10 @@ impl Journal {
         self.next_seq
     }
 
-    /// Appends one batch and fsyncs; returns its sequence number. On error
-    /// nothing is considered committed: the handle is poisoned and the
-    /// next append heals the file (truncating any partial record) before
-    /// writing anything new.
+    /// Appends one batch and fsyncs; returns its sequence number — a group
+    /// of one through [`append_batches`](Self::append_batches).
     pub fn append(&mut self, model: &str, ops: &[JournalOp]) -> Result<u64, RdfError> {
-        if self.poisoned {
-            self.heal()?;
-        }
-        failpoint::check("journal::append")?;
-        let seq = self.next_seq;
-        let mut body = format!("B {seq} {} {model}\n", ops.len());
-        for op in ops {
-            body.push_str(&render_term_line(op));
-        }
-        let commit = format!("C {seq} {:08x}\n", crc32(body.as_bytes()));
-
-        if failpoint::check("journal::append::partial").is_err() {
-            // Simulate a crash mid-record: half the body reaches the disk.
-            let half = &body.as_bytes()[..body.len() / 2];
-            let _ = self.file.write_all(half);
-            let _ = self.file.sync_data();
-            self.poisoned = true;
-            return Err(RdfError::Injected { failpoint: "journal::append::partial".into() });
-        }
-        if failpoint::check("journal::append::uncommitted").is_err() {
-            // Simulate a crash after the ops but before the commit marker.
-            let _ = self.file.write_all(body.as_bytes());
-            let _ = self.file.sync_data();
-            self.poisoned = true;
-            return Err(RdfError::Injected {
-                failpoint: "journal::append::uncommitted".into(),
-            });
-        }
-
-        if let Err(e) = self
-            .file
-            .write_all(body.as_bytes())
-            .and_then(|()| self.file.write_all(commit.as_bytes()))
-        {
-            self.poisoned = true;
-            return Err(RdfError::io("append journal record", e));
-        }
-        if let Err(e) = failpoint::check("journal::sync") {
-            self.poisoned = true;
-            return Err(e);
-        }
-        if let Err(e) = self.file.sync_data() {
-            self.poisoned = true;
-            return Err(RdfError::io("sync journal", e));
-        }
-        self.next_seq = seq + 1;
-        Ok(seq)
+        Ok(self.append_batches(&[(model, ops)])?[0])
     }
 
     /// Appends a whole group of batches with **one** fsync — the group
@@ -312,6 +265,7 @@ impl Journal {
         let mut buf = String::new();
         let mut seqs = Vec::with_capacity(batches.len());
         let mut seq = self.next_seq;
+        let mut last_marker_at = 0;
         for (model, ops) in batches {
             let start = buf.len();
             buf.push_str(&format!("B {seq} {} {model}\n", ops.len()));
@@ -319,6 +273,7 @@ impl Journal {
                 buf.push_str(&render_term_line(op));
             }
             let crc = crc32(&buf.as_bytes()[start..]);
+            last_marker_at = buf.len();
             buf.push_str(&format!("C {seq} {crc:08x}\n"));
             seqs.push(seq);
             seq += 1;
@@ -331,6 +286,16 @@ impl Journal {
             let _ = self.file.sync_data();
             self.poisoned = true;
             return Err(RdfError::Injected { failpoint: "journal::append::partial".into() });
+        }
+        if failpoint::check("journal::append::uncommitted").is_err() {
+            // Simulate a crash after the last batch's ops but before its
+            // commit marker.
+            let _ = self.file.write_all(&buf.as_bytes()[..last_marker_at]);
+            let _ = self.file.sync_data();
+            self.poisoned = true;
+            return Err(RdfError::Injected {
+                failpoint: "journal::append::uncommitted".into(),
+            });
         }
 
         if let Err(e) = self.file.write_all(buf.as_bytes()) {
@@ -350,23 +315,19 @@ impl Journal {
     }
 
     /// Rotates the journal after its batches were made durable elsewhere
-    /// (sealed into a run file or folded into a snapshot): same effect as
-    /// [`reset`](Self::reset) behind its own failpoint, so the
+    /// (sealed into a run file or folded into a snapshot): the file is
+    /// rewritten to hold only a header with `base` — all batches ≤ `base`
+    /// live in a run or the snapshot now. Failpoints `journal::rotate` and
+    /// `journal::reset` fire before anything is touched, so the
     /// kill-anywhere drill can crash between "run durable" and "journal
     /// trimmed" and prove recovery tolerates the overlap (replaying a
-    /// batch already inside a run is idempotent).
+    /// batch already inside a run is idempotent). A success also clears
+    /// any poisoning — the rewrite replaces whatever uncertain state a
+    /// failed append left behind. A failure mid-rewrite poisons the handle
+    /// instead (the file may be truncated or headerless), so the next
+    /// append heals it first.
     pub fn rotate(&mut self, base: u64) -> Result<(), RdfError> {
         failpoint::check("journal::rotate")?;
-        self.reset(base)
-    }
-
-    /// Resets the journal after a snapshot: the file is rewritten to hold
-    /// only a header with `base` (all batches ≤ `base` live in the
-    /// snapshot now). A success also clears any poisoning — the rewrite
-    /// replaces whatever uncertain state a failed append left behind. A
-    /// failure mid-rewrite poisons the handle instead (the file may be
-    /// truncated or headerless), so the next append heals it first.
-    pub fn reset(&mut self, base: u64) -> Result<(), RdfError> {
         failpoint::check("journal::reset")?;
         let header = format!("{MAGIC} base={base}\n");
         if let Err(e) = self
@@ -377,7 +338,7 @@ impl Journal {
             .and_then(|()| self.file.sync_data())
         {
             self.poisoned = true;
-            return Err(RdfError::io("reset journal", e));
+            return Err(RdfError::io("rotate journal", e));
         }
         self.next_seq = base + 1;
         self.poisoned = false;
@@ -688,12 +649,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_rebases_sequence() {
+    fn rotate_rebases_sequence() {
         let dir = temp_dir("reset");
         let mut j = Journal::open(&dir).unwrap();
         j.append("m", &sample_ops()).unwrap();
         j.append("m", &sample_ops()).unwrap();
-        j.reset(2).unwrap();
+        j.rotate(2).unwrap();
         assert_eq!(j.next_seq(), 3);
         let scan = scan_file(&Journal::path_in(&dir)).unwrap();
         assert_eq!(scan.base_seq, 2);
@@ -757,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn rotate_is_reset_behind_a_failpoint() {
+    fn failed_rotate_leaves_the_journal_intact() {
         let dir = temp_dir("rotate");
         let mut j = Journal::open(&dir).unwrap();
         j.append("m", &sample_ops()).unwrap();

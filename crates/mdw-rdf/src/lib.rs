@@ -14,25 +14,28 @@
 //! * [`frozen::FrozenIndex`]/[`frozen::FrozenStore`] — the same permutations
 //!   frozen into immutable sorted columns: binary-search range scans, exact
 //!   O(log n) cardinalities, and `Arc`-shared snapshots,
-//! * [`epoch::ArcCell`] + [`store::SharedStore`] — the lock-free epoch
-//!   publisher: writers build the next generation off to the side and
-//!   atomically publish; readers never take a lock,
+//! * [`lsm::LsmStore`] — the storage engine: journaled group commit into a
+//!   memtable, sealed CRC'd delta runs, compaction into the solid base,
+//!   recovery, and a lock-free [`epoch::ArcCell`] publish of every new
+//!   [`frozen::FrozenStore`] generation — readers never take a lock,
 //! * [`context::QueryContext`] — a snapshot-pinned, budget-carrying read
 //!   handle threaded through search, lineage, and SPARQL,
 //! * [`par`] — a hand-rolled scoped worker pool ([`par::map_chunks`]) and
 //!   the [`par::ParallelPolicy`] that lets queries split frozen-column
 //!   scans across threads with deterministic chunk-order merges,
-//! * [`store::Store`] — named RDF models (the paper queries
-//!   `SEM_MODELS('DWH_CURR')`) over a shared dictionary,
+//! * [`store::Store`] — the mutable builder for tests and benches: named
+//!   RDF models (the paper queries `SEM_MODELS('DWH_CURR')`) over a shared
+//!   dictionary, frozen on demand,
 //! * [`staging::StagingArea`] — the staging-table + validating bulk-load
 //!   pipeline of the paper's Figure 4,
 //! * [`turtle`] — a Turtle/N-Triples subset parser and serializer used as the
 //!   ontology and fact exchange format (the Protégé-export substitute),
 //! * [`vocab`] — the RDF/RDFS/OWL/XSD vocabulary plus the Credit Suisse
 //!   namespaces (`dm:`, `dt:`) that appear in the paper's SPARQL listings,
-//! * [`persist`] + [`journal`] — crash-safe durability: atomic
-//!   generation-switching snapshots, a checksummed redo journal, and
-//!   [`persist::recover`]/[`persist::fsck`] over both,
+//! * [`persist`] + [`journal`] — the engine's on-disk formats: atomic
+//!   generation-switching base snapshots, run files, a checksummed redo
+//!   journal, and [`persist::fsck`] over all of them (recovery itself is
+//!   [`lsm::LsmStore::open`]),
 //! * [`failpoint`] — a deterministic fault-injection registry used by the
 //!   crash-recovery drills and the CLI's `--inject` flag.
 //!
@@ -74,12 +77,12 @@ pub use journal::{Journal, JournalBatch, JournalOp};
 pub use lsm::{LsmConfig, LsmMetrics, LsmOpenReport, LsmStore};
 pub use par::ParallelPolicy;
 pub use persist::{
-    fsck, load_store, quarantine_orphan_runs, read_run_file, read_runs_manifest, recover,
-    save_frozen_snapshot, save_snapshot, save_store, write_run_file, write_runs_manifest,
-    FsckReport, RecoveryReport, RunData, RunEntry, RunsManifest, SaveReport, SnapshotInfo,
+    fsck, load_store, quarantine_orphan_runs, read_run_file, read_runs_manifest,
+    save_frozen_snapshot, write_run_file, write_runs_manifest, FsckReport, RunData, RunEntry,
+    RunsManifest, SaveReport, SnapshotInfo,
 };
 pub use staging::{LoadReport, StagingArea};
 pub use stats::{FrozenStats, PredicateStats};
-pub use store::{Graph, GraphStats, Scan, SharedStore, Store, TripleSource};
+pub use store::{Graph, GraphStats, Scan, Store, TripleSource};
 pub use term::{Literal, LiteralKind, Term};
 pub use triple::{Triple, TriplePattern};

@@ -1,5 +1,6 @@
-//! Store persistence: crash-safe snapshots of a whole [`Store`] plus
-//! journal-based recovery.
+//! Store persistence: the on-disk formats of the storage engine —
+//! crash-safe base snapshots, sealed run files and their manifest — and the
+//! read-only integrity check over all of them.
 //!
 //! The paper's warehouse lives in Oracle tables and inherits Oracle's
 //! durability; the pure-Rust equivalent is a directory layout written with
@@ -21,10 +22,10 @@
 //! the old snapshot or the new one — never a mixture. Files from older
 //! generations are deleted only after the manifest commit.
 //!
-//! [`recover`] rebuilds the last acknowledged state: load the snapshot,
-//! replay every committed journal batch past the snapshot's
-//! `journal_seq`, and truncate a torn journal tail. [`fsck`] performs the
-//! same checks read-only and reports what it finds.
+//! Recovery is [`LsmStore::open`](crate::lsm::LsmStore::open): load the
+//! snapshot, then the CRC-verified sealed runs, then replay every committed
+//! journal batch past both, truncating a torn journal tail. [`fsck`]
+//! performs the same checks read-only and reports what it finds.
 //!
 //! Legacy v1 manifests (no header, `stem \t name` lines, un-checksummed
 //! `model_<i>.nt` files) are still loadable.
@@ -40,10 +41,10 @@ use std::collections::BTreeMap;
 use crate::dict::Dictionary;
 use crate::error::RdfError;
 use crate::failpoint;
-use crate::frozen::{FrozenGraph, FrozenIndex};
+use crate::frozen::{FrozenGraph, FrozenIndex, FrozenStore};
 use crate::journal::{self, Journal, JournalOp};
-use crate::store::{Graph, Store};
-use crate::triple::Triple;
+use crate::term::Term;
+use crate::triple::check_well_formed;
 use crate::turtle;
 
 /// File name of the snapshot manifest inside a store directory.
@@ -201,46 +202,17 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// Saves every model of the store into `dir` (created if missing),
-/// recording `journal_seq` as the last journal sequence the snapshot
-/// contains. The write is atomic: a crash leaves the previous snapshot
-/// intact. Failpoints: `snapshot::model`, `snapshot::manifest`.
-pub fn save_snapshot(
-    store: &Store,
-    dir: &Path,
-    journal_seq: u64,
-) -> Result<SaveReport, RdfError> {
-    let models: Vec<(&str, &Graph)> = store
-        .model_names()
-        .into_iter()
-        .map(|name| Ok((name, store.model(name)?)))
-        .collect::<Result<_, RdfError>>()?;
-    save_snapshot_parts(dir, journal_seq, store.dict(), &models)
-}
-
-/// Saves an already-frozen model set — the compaction path, which holds
-/// `Arc<FrozenGraph>`s rather than a mutable [`Store`]. Same atomicity and
-/// failpoints as [`save_snapshot`]. Each graph is serialized through its
-/// *merged* view, so stacked delta runs are folded into the files written.
+/// Saves a frozen model set into `dir` (created if missing), recording
+/// `journal_seq` as the last journal sequence the snapshot contains. Each
+/// graph is serialized through its *merged* view, so stacked delta runs
+/// are folded into the files written. The write is atomic: a crash leaves
+/// the previous snapshot intact. Failpoints: `snapshot::model`,
+/// `snapshot::manifest`.
 pub fn save_frozen_snapshot(
     dict: &Dictionary,
-    models: &BTreeMap<String, Arc<FrozenGraph>>,
+    graphs: &BTreeMap<String, Arc<FrozenGraph>>,
     dir: &Path,
     journal_seq: u64,
-) -> Result<SaveReport, RdfError> {
-    let graphs: Vec<(String, Graph)> = models
-        .iter()
-        .map(|(name, g)| (name.clone(), Graph::from_frozen(Arc::clone(g))))
-        .collect();
-    let refs: Vec<(&str, &Graph)> = graphs.iter().map(|(n, g)| (n.as_str(), g)).collect();
-    save_snapshot_parts(dir, journal_seq, dict, &refs)
-}
-
-fn save_snapshot_parts(
-    dir: &Path,
-    journal_seq: u64,
-    dict: &Dictionary,
-    graphs: &[(&str, &Graph)],
 ) -> Result<SaveReport, RdfError> {
     fs::create_dir_all(dir).map_err(|e| RdfError::io("create store dir", e))?;
     let generation = match snapshot_info(dir) {
@@ -264,19 +236,13 @@ fn save_snapshot_parts(
             journal::crc32(text.as_bytes()),
         ));
         live.insert(format!("{stem}.nt"));
-        models.push((name.to_string(), graph.len()));
+        models.push((name.clone(), graph.len()));
     }
     failpoint::check("snapshot::manifest")?;
     write_atomic(&dir.join(MANIFEST_FILE), manifest.as_bytes(), "manifest")?;
     sync_dir(dir);
     remove_stale_model_files(dir, &live);
     Ok(SaveReport { models, generation, journal_seq })
-}
-
-/// Saves every model of the store into `dir` (created if missing).
-/// Equivalent to [`save_snapshot`] with no journal attached.
-pub fn save_store(store: &Store, dir: &Path) -> Result<SaveReport, RdfError> {
-    save_snapshot(store, dir, 0)
 }
 
 fn next_free_generation(dir: &Path) -> u64 {
@@ -311,11 +277,13 @@ fn remove_stale_model_files(dir: &Path, live: &BTreeSet<String>) {
     }
 }
 
-fn load_model_file(
+/// Reads one model file and proves it whole: the bytes match the manifest's
+/// CRC, they parse, the triple count is the manifest's, and every triple is
+/// well-formed. The one decoder behind both loading and [`fsck`].
+fn read_model_file(
     dir: &Path,
     entry: &ManifestEntry,
-    store: &mut Store,
-) -> Result<(), RdfError> {
+) -> Result<Vec<(Term, Term, Term)>, RdfError> {
     let file = format!("{}.nt", entry.stem);
     let text = fs::read_to_string(dir.join(&file))
         .map_err(|e| RdfError::io(format!("read model file {file}"), e))?;
@@ -328,145 +296,60 @@ fn load_model_file(
             ));
         }
     }
-    let doc = turtle::parse(&text)?;
-    if let Some(expected) = entry.count {
-        if doc.triples.len() != expected {
-            return Err(RdfError::corrupt(
-                &file,
-                format!("triple count mismatch: manifest {expected}, file {}", doc.triples.len()),
-            ));
-        }
+    let triples = turtle::parse(&text)?.triples;
+    if let Some(expected) = entry.count.filter(|&n| n != triples.len()) {
+        return Err(RdfError::corrupt(
+            &file,
+            format!("triple count mismatch: manifest {expected}, file {}", triples.len()),
+        ));
     }
-    // Intern into the shared dictionary, then build the frozen columns
-    // directly — a loaded snapshot starts life immutable and lock-free
-    // readable, without ever paying for the mutable B-trees.
-    let mut rows: Vec<(u64, u64, u64)> = Vec::with_capacity(doc.triples.len());
-    for (s, p, o) in doc.triples {
-        if !s.is_subject_capable() {
-            return Err(RdfError::InvalidTriple { reason: format!("literal subject: {s}") });
-        }
-        if !p.is_iri() {
-            return Err(RdfError::InvalidTriple { reason: format!("non-IRI predicate: {p}") });
-        }
-        let dict = store.dict_mut();
-        let s = dict.intern_owned(s).raw();
-        let p = dict.intern_owned(p).raw();
-        let o = dict.intern_owned(o).raw();
-        rows.push((s, p, o));
+    for (s, p, o) in &triples {
+        check_well_formed(s, p, o).map_err(|reason| RdfError::InvalidTriple { reason })?;
     }
-    let frozen = Arc::new(FrozenGraph::new(FrozenIndex::from_spo_rows(rows)));
-    store.insert_frozen_model(&entry.name, frozen)?;
-    Ok(())
+    Ok(triples)
 }
 
-/// Loads the snapshot previously written by [`save_store`] /
-/// [`save_snapshot`] — without journal replay. Checksums are verified
+/// Loads one model file into frozen columns, interning its terms into
+/// `dict` — a loaded snapshot starts life immutable, without ever paying
+/// for the mutable B-trees.
+fn load_model_file(
+    dir: &Path,
+    entry: &ManifestEntry,
+    dict: &mut Dictionary,
+) -> Result<FrozenIndex, RdfError> {
+    let rows = read_model_file(dir, entry)?
+        .into_iter()
+        .map(|(s, p, o)| {
+            let mut id = |t| dict.intern_owned(t).raw();
+            (id(s), id(p), id(o))
+        })
+        .collect();
+    Ok(FrozenIndex::from_spo_rows(rows))
+}
+
+/// Loads the snapshot written by [`save_frozen_snapshot`] — the solid base
+/// alone, without runs or journal replay (that is
+/// [`LsmStore::open`](crate::lsm::LsmStore::open)). Checksums are verified
 /// for v2 snapshots; a mismatch is [`RdfError::Corrupt`].
-pub fn load_store(dir: &Path) -> Result<Store, RdfError> {
+pub fn load_store(dir: &Path) -> Result<FrozenStore, RdfError> {
     load_snapshot(dir).map(|(store, _)| store)
 }
 
 /// Loads the snapshot and returns its header alongside the store.
-pub fn load_snapshot(dir: &Path) -> Result<(Store, SnapshotInfo), RdfError> {
+pub fn load_snapshot(dir: &Path) -> Result<(FrozenStore, SnapshotInfo), RdfError> {
     let manifest = fs::read_to_string(dir.join(MANIFEST_FILE))
         .map_err(|e| RdfError::io("read manifest", e))?;
     let (info, entries) = parse_manifest(&manifest)?;
-    let mut store = Store::new();
+    let mut dict = Dictionary::new();
+    let mut models = BTreeMap::new();
     for entry in &entries {
-        load_model_file(dir, entry, &mut store)?;
-    }
-    Ok((store, info))
-}
-
-/// What [`recover`] did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Generation of the snapshot that was loaded (`None` if the
-    /// directory held no snapshot yet).
-    pub snapshot_generation: Option<u64>,
-    /// Journal sequence the snapshot already contained.
-    pub snapshot_seq: u64,
-    /// Committed journal batches replayed over the snapshot.
-    pub replayed_batches: usize,
-    /// Individual insert/remove operations replayed.
-    pub replayed_ops: usize,
-    /// Bytes of torn journal tail that were truncated.
-    pub truncated_bytes: u64,
-    /// Highest journal sequence now reflected in the store.
-    pub last_seq: u64,
-}
-
-fn apply_batch(store: &mut Store, batch: &journal::JournalBatch) -> Result<usize, RdfError> {
-    let mut applied = 0;
-    for op in &batch.ops {
-        match op {
-            JournalOp::Insert(s, p, o) => {
-                if !store.has_model(&batch.model) {
-                    store.create_model(&batch.model)?;
-                }
-                if store.insert(&batch.model, s, p, o)? {
-                    applied += 1;
-                }
-            }
-            JournalOp::Remove(s, p, o) => {
-                // A term missing from the dictionary means the triple is
-                // already absent — removal is idempotent.
-                let ids = (store.encode(s), store.encode(p), store.encode(o));
-                if let (Some(s), Some(p), Some(o)) = ids {
-                    if store.has_model(&batch.model)
-                        && store.model_mut(&batch.model)?.remove(Triple::new(s, p, o))
-                    {
-                        applied += 1;
-                    }
-                }
-            }
+        if models.contains_key(&entry.name) {
+            return Err(RdfError::ModelExists(entry.name.clone()));
         }
+        let index = load_model_file(dir, entry, &mut dict)?;
+        models.insert(entry.name.clone(), Arc::new(FrozenGraph::new(index)));
     }
-    Ok(applied)
-}
-
-/// Rebuilds the last committed state from `dir`: loads the newest
-/// snapshot, replays every committed journal batch past it, and truncates
-/// a torn journal tail. A directory with neither snapshot nor journal
-/// yields an empty store (the fresh-start case). Corruption *within* the
-/// committed region — a bad snapshot checksum, a damaged mid-journal
-/// record — is an error, not silently dropped data.
-pub fn recover(dir: &Path) -> Result<(Store, RecoveryReport), RdfError> {
-    let mut report = RecoveryReport::default();
-    let mut store = if dir.join(MANIFEST_FILE).exists() {
-        let (store, info) = load_snapshot(dir)?;
-        report.snapshot_generation = Some(info.generation);
-        report.snapshot_seq = info.journal_seq;
-        store
-    } else {
-        Store::new()
-    };
-    report.last_seq = report.snapshot_seq;
-
-    let journal_path = Journal::path_in(dir);
-    if journal_path.exists() {
-        let scan = journal::scan_file(&journal_path)?;
-        for batch in &scan.batches {
-            if batch.seq <= report.snapshot_seq {
-                continue; // already folded into the snapshot
-            }
-            report.replayed_ops += apply_batch(&mut store, batch)?;
-            report.replayed_batches += 1;
-            report.last_seq = batch.seq;
-        }
-        if scan.torn_bytes > 0 {
-            let keep = scan.file_bytes - scan.torn_bytes;
-            let file = fs::OpenOptions::new()
-                .write(true)
-                .open(&journal_path)
-                .map_err(|e| RdfError::io("open journal for truncation", e))?;
-            file.set_len(keep)
-                .map_err(|e| RdfError::io("truncate torn journal tail", e))?;
-            file.sync_data().map_err(|e| RdfError::io("sync journal", e))?;
-            report.truncated_bytes = scan.torn_bytes;
-        }
-    }
-    Ok((store, report))
+    Ok((FrozenStore::new(info.generation, Arc::new(dict), models), info))
 }
 
 // ---------------------------------------------------------------------------
@@ -822,43 +705,11 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, RdfError> {
 }
 
 fn fsck_model(dir: &Path, entry: &ManifestEntry) -> FsckModel {
-    let file = format!("{}.nt", entry.stem);
-    let mut model = FsckModel {
-        name: entry.name.clone(),
-        file: file.clone(),
-        triples: None,
-        problem: None,
+    let (triples, problem) = match read_model_file(dir, entry) {
+        Ok(triples) => (Some(triples.len()), None),
+        Err(e) => (None, Some(e.to_string())),
     };
-    let text = match fs::read_to_string(dir.join(&file)) {
-        Ok(t) => t,
-        Err(e) => {
-            model.problem = Some(format!("unreadable: {e}"));
-            return model;
-        }
-    };
-    if let Some(expected) = entry.crc {
-        let actual = journal::crc32(text.as_bytes());
-        if actual != expected {
-            model.problem =
-                Some(format!("checksum mismatch: manifest {expected:08x}, file {actual:08x}"));
-            return model;
-        }
-    }
-    match turtle::parse(&text) {
-        Ok(doc) => {
-            model.triples = Some(doc.triples.len());
-            if let Some(expected) = entry.count {
-                if doc.triples.len() != expected {
-                    model.problem = Some(format!(
-                        "triple count mismatch: manifest {expected}, file {}",
-                        doc.triples.len()
-                    ));
-                }
-            }
-        }
-        Err(e) => model.problem = Some(format!("unparsable: {e}")),
-    }
-    model
+    FsckModel { name: entry.name.clone(), file: format!("{}.nt", entry.stem), triples, problem }
 }
 
 /// Lists the model file paths the current manifest references (used by
@@ -874,6 +725,7 @@ pub fn model_files(dir: &Path) -> Result<Vec<PathBuf>, RdfError> {
 mod tests {
     use super::*;
     use crate::failpoint::FailSpec;
+    use crate::store::Store;
     use crate::term::Term;
     use crate::vocab;
 
@@ -916,7 +768,12 @@ mod tests {
         store
     }
 
-    fn model_lines(store: &Store, name: &str) -> Vec<String> {
+    /// Snapshots a builder store the way the engine does: frozen models.
+    fn save(store: &Store, dir: &Path, journal_seq: u64) -> Result<SaveReport, RdfError> {
+        save_frozen_snapshot(store.dict(), store.freeze().models(), dir, journal_seq)
+    }
+
+    fn model_lines(store: &FrozenStore, name: &str) -> Vec<String> {
         let g = store.model(name).unwrap();
         let mut lines: Vec<String> = g
             .iter()
@@ -933,11 +790,12 @@ mod tests {
     fn save_load_round_trip() {
         let dir = temp_dir("roundtrip");
         let store = sample_store();
-        let report = save_store(&store, &dir).unwrap();
+        let report = save(&store, &dir, 0).unwrap();
         assert_eq!(report.total(), 3);
         assert_eq!(report.models.len(), 2);
 
         let loaded = load_store(&dir).unwrap();
+        let store = store.freeze();
         assert_eq!(loaded.model_names(), store.model_names());
         for name in store.model_names() {
             assert_eq!(model_lines(&store, name), model_lines(&loaded, name), "model {name}");
@@ -949,14 +807,14 @@ mod tests {
     fn save_overwrites_previous() {
         let dir = temp_dir("overwrite");
         let store = sample_store();
-        save_store(&store, &dir).unwrap();
+        save(&store, &dir, 0).unwrap();
         // Save a smaller store into the same directory.
         let mut small = Store::new();
         small.create_model("only").unwrap();
         small
             .insert("only", &Term::iri("a"), &Term::iri("p"), &Term::iri("b"))
             .unwrap();
-        save_store(&small, &dir).unwrap();
+        save(&small, &dir, 0).unwrap();
         let loaded = load_store(&dir).unwrap();
         assert_eq!(loaded.model_names(), vec!["only"]);
         fs::remove_dir_all(&dir).unwrap();
@@ -982,7 +840,7 @@ mod tests {
     fn empty_store_round_trips() {
         let dir = temp_dir("empty");
         let store = Store::new();
-        save_store(&store, &dir).unwrap();
+        save(&store, &dir, 0).unwrap();
         let loaded = load_store(&dir).unwrap();
         assert!(loaded.model_names().is_empty());
         fs::remove_dir_all(&dir).unwrap();
@@ -992,8 +850,8 @@ mod tests {
     fn generations_advance_and_old_files_are_reaped() {
         let dir = temp_dir("gens");
         let store = sample_store();
-        let r1 = save_store(&store, &dir).unwrap();
-        let r2 = save_store(&store, &dir).unwrap();
+        let r1 = save(&store, &dir, 0).unwrap();
+        let r2 = save(&store, &dir, 0).unwrap();
         assert!(r2.generation > r1.generation);
         let names: Vec<String> = fs::read_dir(&dir)
             .unwrap()
@@ -1032,7 +890,7 @@ mod tests {
     fn checksum_mismatch_is_corrupt() {
         let dir = temp_dir("crc");
         let store = sample_store();
-        save_store(&store, &dir).unwrap();
+        save(&store, &dir, 0).unwrap();
         let files = model_files(&dir).unwrap();
         // Damage one byte of the first model file.
         let mut bytes = fs::read(&files[0]).unwrap();
@@ -1051,7 +909,7 @@ mod tests {
     fn crash_during_snapshot_preserves_previous_state() {
         let dir = temp_dir("crash-snap");
         let store = sample_store();
-        save_store(&store, &dir).unwrap();
+        save(&store, &dir, 0).unwrap();
         let mut bigger = sample_store();
         bigger
             .insert(
@@ -1064,67 +922,22 @@ mod tests {
 
         for fp in ["snapshot::model", "snapshot::manifest"] {
             failpoint::arm(fp, FailSpec::Once);
-            let err = save_snapshot(&bigger, &dir, 7).unwrap_err();
+            let err = save(&bigger, &dir, 7).unwrap_err();
             assert!(matches!(err, RdfError::Injected { .. }), "{fp}");
             // The old snapshot is untouched and fully loadable.
             let loaded = load_store(&dir).unwrap();
-            assert_eq!(model_lines(&loaded, "DWH_CURR"), model_lines(&store, "DWH_CURR"));
+            assert_eq!(
+                model_lines(&loaded, "DWH_CURR"),
+                model_lines(&store.freeze(), "DWH_CURR")
+            );
         }
         // And the next save succeeds and commits the new state.
-        save_snapshot(&bigger, &dir, 7).unwrap();
+        save(&bigger, &dir, 7).unwrap();
         let loaded = load_store(&dir).unwrap();
-        assert_eq!(model_lines(&loaded, "DWH_CURR"), model_lines(&bigger, "DWH_CURR"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recover_replays_journal_past_snapshot() {
-        let dir = temp_dir("recover");
-        let store = sample_store();
-        // Snapshot at journal seq 0, then journal two batches.
-        save_snapshot(&store, &dir, 0).unwrap();
-        let mut j = Journal::open(&dir).unwrap();
-        let s = Term::iri("http://ex.org/j1");
-        let p = Term::iri("http://ex.org/p");
-        j.append(
-            "DWH_CURR",
-            &[JournalOp::Insert(s.clone(), p.clone(), Term::integer(1))],
-        )
-        .unwrap();
-        j.append(
-            "DWH_CURR",
-            &[
-                JournalOp::Remove(s.clone(), p.clone(), Term::integer(1)),
-                JournalOp::Insert(s.clone(), p.clone(), Term::integer(2)),
-            ],
-        )
-        .unwrap();
-        drop(j);
-
-        let (recovered, report) = recover(&dir).unwrap();
-        assert_eq!(report.snapshot_seq, 0);
-        assert_eq!(report.replayed_batches, 2);
-        assert_eq!(report.last_seq, 2);
-        let lines = model_lines(&recovered, "DWH_CURR");
-        assert!(lines.iter().any(|l| l.contains("/j1") && l.contains("\"2\"")), "{lines:?}");
-        assert!(!lines.iter().any(|l| l.contains("\"1\"")), "{lines:?}");
-
-        // A later snapshot folds the journal in; replay then skips it.
-        save_snapshot(&recovered, &dir, report.last_seq).unwrap();
-        let (again, report2) = recover(&dir).unwrap();
-        assert_eq!(report2.replayed_batches, 0);
-        assert_eq!(model_lines(&again, "DWH_CURR"), lines);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recover_fresh_directory_is_empty() {
-        let dir = temp_dir("fresh");
-        fs::create_dir_all(&dir).unwrap();
-        let (store, report) = recover(&dir).unwrap();
-        assert!(store.model_names().is_empty());
-        assert_eq!(report.snapshot_generation, None);
-        assert_eq!(report.last_seq, 0);
+        assert_eq!(
+            model_lines(&loaded, "DWH_CURR"),
+            model_lines(&bigger.freeze(), "DWH_CURR")
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1258,43 +1071,6 @@ mod tests {
         let lines = model_lines(&loaded, "M");
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("/c"), "{lines:?}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recover_truncates_torn_tail() {
-        let dir = temp_dir("torntail");
-        let store = sample_store();
-        save_snapshot(&store, &dir, 0).unwrap();
-        let mut j = Journal::open(&dir).unwrap();
-        j.append(
-            "DWH_CURR",
-            &[JournalOp::Insert(
-                Term::iri("http://ex.org/x"),
-                Term::iri("http://ex.org/p"),
-                Term::iri("http://ex.org/y"),
-            )],
-        )
-        .unwrap();
-        drop(j);
-        // Append half a record by hand.
-        let path = Journal::path_in(&dir);
-        let mut bytes = fs::read(&path).unwrap();
-        let clean_len = bytes.len() as u64;
-        bytes.extend_from_slice(b"B 2 1 DWH_CURR\n+ <http://ex");
-        fs::write(&path, &bytes).unwrap();
-
-        let report = fsck(&dir).unwrap();
-        assert!(report.torn_bytes > 0);
-        let (recovered, rec) = recover(&dir).unwrap();
-        assert_eq!(rec.replayed_batches, 1);
-        assert!(rec.truncated_bytes > 0);
-        assert_eq!(fs::metadata(&path).unwrap().len(), clean_len);
-        assert!(model_lines(&recovered, "DWH_CURR")
-            .iter()
-            .any(|l| l.contains("/x")));
-        // After truncation the directory is clean.
-        assert!(fsck(&dir).unwrap().clean());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

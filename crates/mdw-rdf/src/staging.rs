@@ -7,14 +7,16 @@
 //! staging tables — the meta-data schema is the glue between the two.
 //!
 //! [`StagingArea`] is that staging table: an unvalidated accumulation buffer
-//! tagged with the source each triple came from. [`StagingArea::bulk_load`]
-//! validates each staged triple (RDF well-formedness) and inserts the valid
-//! ones into a target model, producing a [`LoadReport`] of what was loaded
-//! and what was rejected and why.
+//! tagged with the source each triple came from.
+//! [`StagingArea::take_validated`] checks each staged triple (RDF
+//! well-formedness) and hands the valid ones to the loader — the warehouse's
+//! write door, or [`StagingArea::bulk_load`] for a plain [`Store`] — with a
+//! [`Rejection`] for every triple that failed and why.
 
 use crate::error::RdfError;
 use crate::store::Store;
 use crate::term::Term;
+use crate::triple::check_well_formed;
 
 /// A staged triple together with its provenance tag (which export produced
 /// it — e.g. `"app-extract"` or `"protege-ontology"`).
@@ -110,56 +112,40 @@ impl StagingArea {
         &self.staged
     }
 
-    /// Validates a staged triple against the RDF well-formedness rules the
-    /// loader enforces.
-    fn validate(t: &StagedTriple) -> Result<(), String> {
-        if !t.s.is_subject_capable() {
-            return Err(format!("literal subject: {}", t.s));
-        }
-        if !t.p.is_iri() {
-            return Err(format!("non-IRI predicate: {}", t.p));
-        }
-        if let Some(iri) = t.s.as_iri() {
-            if iri.is_empty() {
-                return Err("empty subject IRI".to_string());
+    /// Drains the staging area through validation
+    /// ([`check_well_formed`]): the well-formed triples come back in staging
+    /// order, ready to load; the others as [`Rejection`]s. Fails *before*
+    /// draining when a fault drill has armed the `staging::bulk_load`
+    /// failpoint, so a retry sees the same batch.
+    #[allow(clippy::type_complexity)]
+    pub fn take_validated(
+        &mut self,
+    ) -> Result<(Vec<(Term, Term, Term)>, Vec<Rejection>), RdfError> {
+        crate::failpoint::check("staging::bulk_load")?;
+        let mut valid = Vec::with_capacity(self.staged.len());
+        let mut rejections = Vec::new();
+        for staged in std::mem::take(&mut self.staged) {
+            match check_well_formed(&staged.s, &staged.p, &staged.o) {
+                Ok(()) => valid.push((staged.s, staged.p, staged.o)),
+                Err(reason) => rejections.push(Rejection { triple: staged, reason }),
             }
         }
-        if let Some(iri) = t.p.as_iri() {
-            if iri.is_empty() {
-                return Err("empty predicate IRI".to_string());
-            }
-        }
-        if let Some(iri) = t.o.as_iri() {
-            if iri.is_empty() {
-                return Err("empty object IRI".to_string());
-            }
-        }
-        Ok(())
+        Ok((valid, rejections))
     }
 
     /// Bulk-loads all staged triples into `model` of `store`, draining the
     /// staging area. Valid triples are interned and inserted; invalid ones
-    /// are collected in the report. The model must exist.
+    /// are collected in the report. The model must exist (checked before
+    /// anything is drained).
     pub fn bulk_load(&mut self, store: &mut Store, model: &str) -> Result<LoadReport, RdfError> {
-        // Fail before draining if the model is missing, or if a fault drill
-        // has armed the bulk-load failpoint (staged triples stay staged, so
-        // a retry sees the same batch).
-        crate::failpoint::check("staging::bulk_load")?;
         store.model(model)?;
-        let mut report = LoadReport::default();
-        for staged in self.staged.drain(..) {
-            match Self::validate(&staged) {
-                Ok(()) => {
-                    let fresh = store
-                        .insert(model, &staged.s, &staged.p, &staged.o)
-                        .expect("validated triple must insert");
-                    if fresh {
-                        report.loaded += 1;
-                    } else {
-                        report.duplicates += 1;
-                    }
-                }
-                Err(reason) => report.rejections.push(Rejection { triple: staged, reason }),
+        let (valid, rejections) = self.take_validated()?;
+        let mut report = LoadReport { rejections, ..LoadReport::default() };
+        for (s, p, o) in &valid {
+            if store.insert(model, s, p, o)? {
+                report.loaded += 1;
+            } else {
+                report.duplicates += 1;
             }
         }
         Ok(report)

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::error::RdfError;
-use crate::store::Graph;
+use crate::frozen::FrozenGraph;
 use crate::dict::Dictionary;
 use crate::term::{Literal, LiteralKind, Term};
 use crate::vocab;
@@ -467,8 +467,8 @@ pub fn to_ntriples(triples: &[(Term, Term, Term)]) -> String {
     out
 }
 
-/// Serializes a graph from a store as N-Triples.
-pub fn graph_to_ntriples(graph: &Graph, dict: &Dictionary) -> String {
+/// Serializes a graph (its merged view, when stacked) as N-Triples.
+pub fn graph_to_ntriples(graph: &FrozenGraph, dict: &Dictionary) -> String {
     let mut triples = Vec::with_capacity(graph.len());
     for t in graph.iter() {
         let s = dict.term_unchecked(t.s).clone();

@@ -7,7 +7,7 @@
 //! exactly the same triples in exactly the same order (both route to the
 //! same permutation, and every routed pattern is a pure prefix of it), and
 //! the O(log n) exact count agrees with actually iterating. Snapshots taken
-//! before a write — whether a direct `freeze()` or a `SharedStore` publish —
+//! before a write — whether a direct `freeze()` or an `LsmStore` publish —
 //! must keep reading the old state forever.
 
 use proptest::prelude::*;
@@ -15,7 +15,9 @@ use proptest::prelude::*;
 use mdw_rdf::dict::TermId;
 use mdw_rdf::frozen::FrozenIndex;
 use mdw_rdf::index::TripleIndex;
-use mdw_rdf::store::{SharedStore, Store};
+use mdw_rdf::journal::JournalOp;
+use mdw_rdf::lsm::{LsmConfig, LsmStore};
+use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
 
@@ -123,42 +125,47 @@ proptest! {
         prop_assert_eq!(refrozen_rows, now);
     }
 
-    /// The publish path: a reader holding `SharedStore::snapshot()` across
-    /// any number of concurrent-generation publishes keeps reading its own
-    /// generation, and each publish bumps the generation counter by one.
+    /// The publish path: a reader holding `LsmStore::snapshot()` across
+    /// any number of later-generation publishes keeps reading its own
+    /// generation, and each committed batch bumps the generation counter
+    /// by one.
     #[test]
-    fn shared_store_snapshot_survives_publishes(
+    fn engine_snapshot_survives_publishes(
         batches in proptest::collection::vec(
             proptest::collection::vec(small_triple(), 1..10), 1..6),
     ) {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        for i in 0..12u64 {
-            store.dict_mut().intern(&Term::iri(format!("http://ex.org/t{i}")));
-        }
-        let shared = SharedStore::new(store);
+        let term = |id: TermId| Term::iri(format!("http://ex.org/t{}", id.0));
+        let engine = LsmStore::in_memory(LsmConfig { auto_compact: false, ..LsmConfig::default() });
+        engine.write_batch("m", &[]).unwrap();
 
-        let pinned = shared.snapshot();
+        let pinned = engine.snapshot();
         let pinned_gen = pinned.generation();
         prop_assert!(pinned.model("m").unwrap().is_empty());
 
         let mut expected = std::collections::BTreeSet::new();
         for batch in &batches {
-            shared.write(|store| {
-                for &t in batch {
-                    store.model_mut("m").unwrap().insert(t);
-                }
-            });
-            expected.extend(batch.iter().copied());
+            let ops: Vec<JournalOp> = batch
+                .iter()
+                .map(|t| JournalOp::Insert(term(t.s), term(t.p), term(t.o)))
+                .collect();
+            engine.write_batch("m", &ops).unwrap();
+            expected.extend(batch.iter().map(|t| (term(t.s), term(t.p), term(t.o))));
             // Every publish: pinned snapshot unchanged, current one exact.
             prop_assert!(pinned.model("m").unwrap().is_empty());
-            let current = shared.snapshot();
-            let rows: Vec<Triple> = current.model("m").unwrap().iter().collect();
-            let want: Vec<Triple> = expected.iter().copied().collect();
-            prop_assert_eq!(rows, want);
+            let current = engine.snapshot();
+            let rows: std::collections::BTreeSet<(Term, Term, Term)> = current
+                .model("m")
+                .unwrap()
+                .iter()
+                .map(|t| {
+                    let (s, p, o) = current.decode(t).unwrap();
+                    (s.clone(), p.clone(), o.clone())
+                })
+                .collect();
+            prop_assert_eq!(&rows, &expected);
         }
         prop_assert_eq!(
-            shared.snapshot().generation(),
+            engine.snapshot().generation(),
             pinned_gen + batches.len() as u64
         );
         prop_assert_eq!(pinned.generation(), pinned_gen);

@@ -1,14 +1,16 @@
 //! Torture tests for the durability layer: truncate on-disk artifacts at
-//! every byte boundary and assert that recovery returns exactly the last
-//! committed state — never silently wrong data.
+//! every byte boundary and assert that recovery ([`LsmStore::open`])
+//! returns exactly the last committed state — never silently wrong data.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use mdw_rdf::frozen::FrozenStore;
 use mdw_rdf::journal::{self, Journal, JournalOp};
-use mdw_rdf::persist;
+use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
+use mdw_rdf::persist::{self, SaveReport};
 use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::Triple;
@@ -32,8 +34,25 @@ fn iri(ns: &str, n: u64) -> Term {
     Term::iri(format!("http://ex.org/{ns}/{n}"))
 }
 
+/// Snapshots a builder store the way a checkpoint does.
+fn save(store: &Store, dir: &std::path::Path, journal_seq: u64) -> SaveReport {
+    persist::save_frozen_snapshot(store.dict(), store.freeze().models(), dir, journal_seq)
+        .unwrap()
+}
+
+/// Recovery: the one engine's open. Returns the recovered state and what
+/// the open did; the store (and its journal handle) is dropped again.
+fn recover(dir: &std::path::Path) -> Result<(BTreeSet<String>, LsmOpenReport), RdfError> {
+    let (store, report) = open(dir)?;
+    Ok((state_lines(&store.snapshot()), report))
+}
+
+fn open(dir: &std::path::Path) -> Result<(LsmStore, LsmOpenReport), RdfError> {
+    LsmStore::open(dir, LsmConfig { auto_compact: false, ..LsmConfig::default() })
+}
+
 /// All triples of all models, rendered for comparison.
-fn state_lines(store: &Store) -> BTreeSet<String> {
+fn state_lines(store: &FrozenStore) -> BTreeSet<String> {
     let mut lines = BTreeSet::new();
     for name in store.model_names() {
         let graph = store.model(name).unwrap();
@@ -92,7 +111,7 @@ fn base_store() -> Store {
 fn journal_truncated_at_every_byte_recovers_committed_prefix() {
     let dir = temp_dir("journal-cut");
     let store = base_store();
-    persist::save_snapshot(&store, &dir, 0).unwrap();
+    save(&store, &dir, 0);
 
     // Three batches; remember the file length after each commit.
     let batches: Vec<Vec<JournalOp>> = vec![
@@ -124,18 +143,17 @@ fn journal_truncated_at_every_byte_recovers_committed_prefix() {
             for ops in &batches[..k] {
                 apply_ops(&mut s, "DWH_CURR", ops);
             }
-            state_lines(&s)
+            state_lines(&s.freeze())
         })
         .collect();
 
     for cut in commit_offsets[0]..=full.len() {
         fs::write(&journal_path, &full[..cut]).unwrap();
         let committed = commit_offsets.iter().filter(|&&off| off <= cut).count() - 1;
-        let (recovered, report) = persist::recover(&dir)
-            .unwrap_or_else(|e| panic!("cut at {cut}: recover failed: {e}"));
+        let (recovered, report) =
+            recover(&dir).unwrap_or_else(|e| panic!("cut at {cut}: recover failed: {e}"));
         assert_eq!(
-            state_lines(&recovered),
-            expected[committed],
+            recovered, expected[committed],
             "cut at byte {cut}: wrong state for {committed} committed batches"
         );
         assert_eq!(report.replayed_batches, committed, "cut at byte {cut}");
@@ -156,16 +174,17 @@ fn journal_truncated_at_every_byte_recovers_committed_prefix() {
 fn model_file_truncation_is_always_detected() {
     let dir = temp_dir("nt-cut");
     let store = base_store();
-    persist::save_snapshot(&store, &dir, 0).unwrap();
+    save(&store, &dir, 0);
     for path in persist::model_files(&dir).unwrap() {
         let full = fs::read(&path).unwrap();
         for cut in 0..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
-            let err = persist::load_store(&dir).unwrap_err();
-            assert!(
-                matches!(err, RdfError::Corrupt { .. } | RdfError::Parse { .. }),
-                "cut at {cut}: unexpected error kind {err}"
-            );
+            for err in [persist::load_store(&dir).unwrap_err(), recover(&dir).unwrap_err()] {
+                assert!(
+                    matches!(err, RdfError::Corrupt { .. } | RdfError::Parse { .. }),
+                    "cut at {cut}: unexpected error kind {err}"
+                );
+            }
             let report = persist::fsck(&dir).unwrap();
             assert!(!report.clean(), "cut at {cut}: fsck missed the damage");
         }
@@ -182,7 +201,7 @@ fn model_file_truncation_is_always_detected() {
 fn partial_next_generation_files_do_not_affect_committed_state() {
     let dir = temp_dir("partial-gen");
     let store = base_store();
-    let report = persist::save_snapshot(&store, &dir, 0).unwrap();
+    let report = save(&store, &dir, 0);
     let committed = state_lines(&persist::load_store(&dir).unwrap());
 
     // Fake the debris of a crashed snapshot: a next-generation model file
@@ -200,7 +219,7 @@ fn partial_next_generation_files_do_not_affect_committed_state() {
         assert_eq!(state_lines(&loaded), committed, "cut at {cut}");
     }
     // The next successful save reaps the debris.
-    let r2 = persist::save_snapshot(&store, &dir, 0).unwrap();
+    let r2 = save(&store, &dir, 0);
     assert!(r2.generation > report.generation);
     assert!(!debris_manifest.exists());
     fs::remove_dir_all(&dir).unwrap();
@@ -230,7 +249,7 @@ proptest! {
     ) {
         let dir = temp_dir("prop-replay");
         let mut live = base_store();
-        persist::save_snapshot(&live, &dir, 0).unwrap();
+        save(&live, &dir, 0);
         {
             let mut j = Journal::open(&dir).unwrap();
             for ops in &batches {
@@ -238,13 +257,14 @@ proptest! {
                 j.append("DWH_CURR", ops).unwrap();
             }
         }
-        let (recovered, report) = persist::recover(&dir).unwrap();
-        prop_assert_eq!(state_lines(&recovered), state_lines(&live));
+        let live = state_lines(&live.freeze());
+        let (recovered, report) = recover(&dir).unwrap();
+        prop_assert_eq!(&recovered, &live);
         prop_assert_eq!(report.replayed_batches, batches.len());
         // Checkpoint and recover again: still identical, nothing replayed.
-        persist::save_snapshot(&live, &dir, report.last_seq).unwrap();
-        let (again, report2) = persist::recover(&dir).unwrap();
-        prop_assert_eq!(state_lines(&again), state_lines(&live));
+        open(&dir).unwrap().0.checkpoint().unwrap();
+        let (again, report2) = recover(&dir).unwrap();
+        prop_assert_eq!(&again, &live);
         prop_assert_eq!(report2.replayed_batches, 0);
         fs::remove_dir_all(&dir).unwrap();
     }

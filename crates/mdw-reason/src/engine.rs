@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::frozen::FrozenIndex;
 use mdw_rdf::index::TripleIndex;
-use mdw_rdf::store::Graph;
+use mdw_rdf::store::TripleSource;
 use mdw_rdf::triple::{Triple, TriplePattern};
 
 use crate::rule::{Rule, RuleAtom, RuleTerm};
@@ -41,10 +41,15 @@ pub struct Materialization {
 }
 
 impl Materialization {
-    /// Runs the rulebase over the base graph to fixpoint.
-    pub fn materialize(base: &Graph, rulebase: &Rulebase, dict: &Dictionary) -> Self {
+    /// Runs the rulebase over the base graph to fixpoint. The warehouse
+    /// passes the pinned frozen model; any [`TripleSource`] will do.
+    pub fn materialize<B: TripleSource + ?Sized>(
+        base: &B,
+        rulebase: &Rulebase,
+        dict: &Dictionary,
+    ) -> Self {
         let mut m = Materialization::default();
-        let delta: Vec<Triple> = base.iter().collect();
+        let delta: Vec<Triple> = base.scan_pattern(TriplePattern::any()).collect();
         m.run(base, rulebase, dict, delta);
         m
     }
@@ -52,9 +57,9 @@ impl Materialization {
     /// Incrementally extends an existing materialization after `new_facts`
     /// have been inserted into `base`. Only consequences of the new facts
     /// (transitively) are computed.
-    pub fn extend(
+    pub fn extend<B: TripleSource + ?Sized>(
         &mut self,
-        base: &Graph,
+        base: &B,
         rulebase: &Rulebase,
         dict: &Dictionary,
         new_facts: &[Triple],
@@ -78,12 +83,6 @@ impl Materialization {
     /// The frozen (columnar) form of the entailment index, built once per
     /// extension and cached. This is what query snapshots scan.
     pub fn frozen(&self) -> &FrozenIndex {
-        self.frozen_arc()
-    }
-
-    /// The shared handle of the frozen entailment index, for owning
-    /// snapshots handed to worker threads.
-    pub fn frozen_arc(&self) -> &Arc<FrozenIndex> {
         self.frozen
             .get_or_init(|| Arc::new(FrozenIndex::from_index(&self.derived)))
     }
@@ -93,7 +92,13 @@ impl Materialization {
         &self.stats
     }
 
-    fn run(&mut self, base: &Graph, rulebase: &Rulebase, dict: &Dictionary, mut delta: Vec<Triple>) {
+    fn run<B: TripleSource + ?Sized>(
+        &mut self,
+        base: &B,
+        rulebase: &Rulebase,
+        dict: &Dictionary,
+        mut delta: Vec<Triple>,
+    ) {
         if rulebase.is_empty() {
             return;
         }
@@ -111,9 +116,9 @@ impl Materialization {
     }
 
     /// Evaluates one rule with body atom `delta_pos` restricted to the delta.
-    fn eval_rule(
+    fn eval_rule<B: TripleSource + ?Sized>(
         &mut self,
-        base: &Graph,
+        base: &B,
         dict: &Dictionary,
         rule: &Rule,
         delta_pos: usize,
@@ -141,9 +146,9 @@ impl Materialization {
     /// Joins remaining body atoms depth-first; on a full match, emits the
     /// head triple if it is well-formed and new.
     #[allow(clippy::too_many_arguments)]
-    fn join_rest(
+    fn join_rest<B: TripleSource + ?Sized>(
         &mut self,
-        base: &Graph,
+        base: &B,
         dict: &Dictionary,
         rule: &Rule,
         rest: &[RuleAtom],
@@ -163,7 +168,7 @@ impl Materialization {
         };
         // Scan base and derived; they are disjoint by construction.
         let matches: Vec<Triple> = base
-            .scan(pattern)
+            .scan_pattern(pattern)
             .chain(self.derived.scan(pattern))
             .collect();
         for t in matches {
@@ -175,9 +180,9 @@ impl Materialization {
         }
     }
 
-    fn emit_head(
+    fn emit_head<B: TripleSource + ?Sized>(
         &mut self,
-        base: &Graph,
+        base: &B,
         dict: &Dictionary,
         rule: &Rule,
         bindings: &[Option<TermId>],
@@ -201,7 +206,7 @@ impl Materialization {
             _ => return,
         }
         let t = Triple::new(s, p, o);
-        if base.contains(t) || self.derived.contains(t) {
+        if base.contains_triple(t) || self.derived.contains(t) {
             return;
         }
         self.derived.insert(t);

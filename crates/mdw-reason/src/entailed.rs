@@ -9,8 +9,6 @@
 //! contiguous slice runs chained at scan time, with no locking, boxing, or
 //! allocation.
 
-use std::sync::Arc;
-
 use mdw_rdf::frozen::{FrozenGraph, FrozenIndex};
 use mdw_rdf::store::{Scan, TripleSource};
 use mdw_rdf::triple::{Triple, TriplePattern};
@@ -82,40 +80,6 @@ impl TripleSource for EntailedGraph<'_> {
 
     fn len_triples(&self) -> usize {
         self.len()
-    }
-}
-
-/// An owning, `Send + Sync` version of the entailed view: one frozen base
-/// snapshot plus one frozen entailment index, both shared by `Arc`.
-///
-/// Worker threads (concurrent SPARQL scans, the `mdwh drill overload`
-/// readers) each clone one of these for a few refcount bumps and evaluate
-/// against it with zero contention.
-#[derive(Debug, Clone)]
-pub struct EntailedSnapshot {
-    base: Arc<FrozenGraph>,
-    derived: Arc<FrozenIndex>,
-}
-
-impl EntailedSnapshot {
-    /// Bundles a base snapshot with its entailment index.
-    pub fn new(base: Arc<FrozenGraph>, derived: Arc<FrozenIndex>) -> Self {
-        EntailedSnapshot { base, derived }
-    }
-
-    /// The borrowed view for query evaluation.
-    pub fn view(&self) -> EntailedGraph<'_> {
-        EntailedGraph::new(&self.base, &self.derived)
-    }
-
-    /// The asserted-facts snapshot.
-    pub fn base(&self) -> &Arc<FrozenGraph> {
-        &self.base
-    }
-
-    /// The derived index.
-    pub fn derived(&self) -> &Arc<FrozenIndex> {
-        &self.derived
     }
 }
 
@@ -193,21 +157,5 @@ mod tests {
         let view = EntailedGraph::new(&g, m.frozen());
         assert_eq!(view.estimate(TriplePattern::any(), 1), 1);
         assert_eq!(view.estimate(TriplePattern::any(), 1000), view.len());
-    }
-
-    #[test]
-    fn snapshot_view_is_send_and_owning() {
-        let (store, m) = setup();
-        let snap = EntailedSnapshot::new(
-            store.model("m").unwrap().freeze(),
-            std::sync::Arc::clone(m.frozen_arc()),
-        );
-        fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        assert_send_sync(&snap);
-        let from_thread = std::thread::scope(|s| {
-            let snap = snap.clone();
-            s.spawn(move || snap.view().len()).join().unwrap()
-        });
-        assert_eq!(from_thread, snap.view().len());
     }
 }

@@ -29,6 +29,6 @@ pub mod rule;
 pub mod rulebase;
 
 pub use engine::{Materialization, MaterializeStats};
-pub use entailed::{EntailedGraph, EntailedSnapshot};
+pub use entailed::EntailedGraph;
 pub use rule::{Rule, RuleAtom, RuleTerm};
 pub use rulebase::Rulebase;

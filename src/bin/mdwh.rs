@@ -30,12 +30,12 @@ use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::model::Area;
 use metadata_warehouse::core::report;
 use metadata_warehouse::core::search::SearchRequest;
-use metadata_warehouse::core::warehouse::MetadataWarehouse;
+use metadata_warehouse::core::warehouse::{MetadataWarehouse, DEFAULT_MODEL};
 use metadata_warehouse::corpus::{generate, CorpusConfig, Scale};
 use metadata_warehouse::rdf::failpoint;
-use metadata_warehouse::rdf::journal::{Journal, JournalOp};
+use metadata_warehouse::rdf::journal::JournalOp;
 use metadata_warehouse::rdf::lsm::{LsmConfig, LsmStore};
-use metadata_warehouse::rdf::persist::{self, load_store, save_store};
+use metadata_warehouse::rdf::persist;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::{FailSpec, RdfError, Term};
 use metadata_warehouse::serve::{client, epoll, serve, signal, ServerConfig};
@@ -80,7 +80,7 @@ const USAGE: &str = "usage:
                   [--no-admission] [--expect-shed] [--rss-ceiling-kb N]
   mdwh drill crash [--writers N] [--readers N] [--batches N] [--batch-size N]
                    [--failpoint NAME] [--memtable N] [--stall-runs N]
-                   [--stall-deadline-ms MS]
+                   [--stall-deadline-ms MS] [--store DIR]
 
 Serving: `mdwh serve` answers GET /search?q=, /lineage?item=, /sparql?query=
 as streamed ndjson over HTTP/1.1 keep-alive; X-Deadline-Ms / X-Max-Rows /
@@ -223,6 +223,7 @@ fn cmd_fsck(args: &Args) -> Result<(), String> {
         "journal:  {} committed batch(es), {} torn byte(s)",
         report.committed_batches, report.torn_bytes
     );
+    println!("runs:     {} live run(s)", report.run_entries);
     if report.clean() {
         println!("clean");
         Ok(())
@@ -234,25 +235,36 @@ fn cmd_fsck(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_recover(args: &Args) -> Result<(), String> {
+/// The directory `--store` names; it must already exist (`open` would
+/// otherwise create an empty store at a mistyped path).
+fn store_dir(args: &Args) -> Result<PathBuf, String> {
     let dir = PathBuf::from(args.option("store").ok_or("missing --store DIR")?);
-    let (store, report) = persist::recover(&dir).map_err(|e| e.to_string())?;
+    if dir.is_dir() {
+        Ok(dir)
+    } else {
+        Err(format!("no store directory at {}", dir.display()))
+    }
+}
+
+fn cmd_recover(args: &Args) -> Result<(), String> {
+    let dir = store_dir(args)?;
+    // Recovery is the engine's open; the checkpoint makes the repair
+    // durable: one solid snapshot, no runs, a journal rebased past it.
+    let config = LsmConfig { auto_compact: false, ..LsmConfig::default() };
+    let (store, report) = LsmStore::open(&dir, config).map_err(|e| e.to_string())?;
     let gen = report
         .snapshot_generation
         .map_or_else(|| "none".to_string(), |g| g.to_string());
     println!(
-        "recovered: snapshot gen {} (seq {}), replayed {} batch(es) / {} op(s), truncated {} torn byte(s)",
-        gen,
-        report.snapshot_seq,
+        "recovered: snapshot gen {gen}, {} run(s) loaded ({} already folded), replayed {} \
+         batch(es) up to seq {}, quarantined {} orphan run file(s)",
+        report.runs_loaded,
+        report.runs_already_folded,
         report.replayed_batches,
-        report.replayed_ops,
-        report.truncated_bytes,
+        report.last_seq,
+        report.quarantined.len(),
     );
-    // Make the repair durable: fold the replayed state into a fresh
-    // snapshot and rebase the journal.
-    let save = persist::save_snapshot(&store, &dir, report.last_seq).map_err(|e| e.to_string())?;
-    let mut journal = Journal::open(&dir).map_err(|e| e.to_string())?;
-    journal.reset(report.last_seq).map_err(|e| e.to_string())?;
+    let save = store.checkpoint().map_err(|e| e.to_string())?;
     println!(
         "checkpointed {} triples across {} model(s) as generation {}",
         save.total(),
@@ -277,9 +289,17 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     if args.flag("extended") {
         config.extended_scope = true;
     }
+    let (mut warehouse, _) = MetadataWarehouse::open(&out).map_err(|e| e.to_string())?;
+    let held = warehouse.stats().map_err(|e| e.to_string())?.edges;
+    if held > 0 {
+        return Err(format!(
+            "{} already holds a store ({held} triples in {DEFAULT_MODEL}); \
+             generate needs a fresh directory",
+            out.display()
+        ));
+    }
     eprintln!("generating {scale:?} corpus (seed {}) …", config.seed);
     let corpus = generate(&config);
-    let mut warehouse = MetadataWarehouse::new();
     let report = warehouse
         .ingest(corpus.into_extracts())
         .map_err(|e| e.to_string())?;
@@ -289,7 +309,10 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         report.load.duplicates,
         report.load.rejections.len()
     );
-    let save = save_store(warehouse.store(), &out).map_err(|e| e.to_string())?;
+    let save = warehouse
+        .checkpoint()
+        .map_err(|e| e.to_string())?
+        .expect("an opened warehouse is durable");
     println!(
         "wrote {} triples across {} model(s) to {}",
         save.total(),
@@ -299,21 +322,27 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads a persisted store and builds the semantic index.
+/// Opens a persisted store — snapshot, runs and journal, i.e. everything
+/// that was acknowledged, checkpointed or not — and builds the semantic
+/// index.
 fn open_warehouse(args: &Args) -> Result<MetadataWarehouse, String> {
-    let dir = PathBuf::from(args.option("store").ok_or("missing --store DIR")?);
-    let store = load_store(&dir).map_err(|e| e.to_string())?;
-    let model = if store.has_model("DWH_CURR") {
-        "DWH_CURR".to_string()
-    } else {
-        store
+    let dir = store_dir(args)?;
+    let (mut warehouse, _) = MetadataWarehouse::open(&dir).map_err(|e| e.to_string())?;
+    // A store written without DWH_CURR (another current-model name, a
+    // `drill crash` directory) serves its first model instead.
+    if warehouse.stats().map_err(|e| e.to_string())?.edges == 0 {
+        let other = warehouse
+            .store()
             .model_names()
-            .first()
-            .map(|s| s.to_string())
-            .ok_or("store holds no models")?
-    };
-    let mut warehouse =
-        MetadataWarehouse::from_store(store, &model).map_err(|e| e.to_string())?;
+            .into_iter()
+            .find(|name| *name != DEFAULT_MODEL)
+            .map(str::to_string);
+        if let Some(model) = other {
+            drop(warehouse);
+            (warehouse, _) =
+                MetadataWarehouse::open_with_model(&dir, &model).map_err(|e| e.to_string())?;
+        }
+    }
     warehouse.build_semantic_index().map_err(|e| e.to_string())?;
     warehouse.set_parallelism(parallelism_from_args(args)?);
     Ok(warehouse)
@@ -788,16 +817,17 @@ fn drill_overload(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The writer-race drill: reader threads spin on [`SharedStore::snapshot`]
-/// (a lock-free load) while one writer loop publishes generations, each a
-/// whole batch of triples. Every observed snapshot must be internally whole:
-/// the fsck-style content checksum is stable, the triple count is a multiple
+/// The writer-race drill: reader threads spin on [`LsmStore::snapshot`]
+/// (a lock-free load) while one writer loop commits batches to a volatile
+/// engine — the one the warehouse writes through — each publishing a
+/// generation that holds a whole batch of triples more. Every observed
+/// snapshot must be internally whole: the fsck-style content checksum is
+/// stable, the triple count is a multiple
 /// of the batch size (a torn publish would expose a partial batch), a full
 /// scan agrees with the O(log n) exact count, and generations never go
 /// backwards. A snapshot pinned before the first write must still verify
 /// unchanged at the end. Any violation exits non-zero.
 fn drill_writer_race(args: &Args) -> Result<(), String> {
-    use metadata_warehouse::rdf::store::{SharedStore, Store};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     let readers: usize = parse_or(args, "threads", 8)?;
@@ -805,9 +835,14 @@ fn drill_writer_race(args: &Args) -> Result<(), String> {
     const BATCH: usize = 16;
     const MODEL: &str = "DRILL_RACE";
 
-    let mut store = Store::new();
-    store.create_model(MODEL).map_err(|e| e.to_string())?;
-    let shared = SharedStore::new(store);
+    // A small memtable, so the race also crosses seals; the empty batch
+    // creates the model.
+    let shared = LsmStore::in_memory(LsmConfig {
+        memtable_limit: 4 * BATCH,
+        auto_compact: false,
+        ..LsmConfig::default()
+    });
+    shared.write_batch(MODEL, &[]).map_err(|e| e.to_string())?;
 
     eprintln!(
         "writer-race drill: {readers} reader(s) racing 1 writer × {writes} \
@@ -815,7 +850,7 @@ fn drill_writer_race(args: &Args) -> Result<(), String> {
     );
 
     // Pinned before the writer starts: whatever gets published, this handle
-    // must keep reading generation 0 exactly as it was.
+    // must keep reading its generation exactly as it was.
     let pinned = shared.snapshot();
     let pinned_checksum = pinned.model(MODEL).map_err(|e| e.to_string())?.checksum();
 
@@ -831,18 +866,20 @@ fn drill_writer_race(args: &Args) -> Result<(), String> {
 
         scope.spawn(move || {
             for round in 0..writes {
-                shared.write(|store| {
-                    for i in 0..BATCH {
-                        store
-                            .insert(
-                                MODEL,
-                                &Term::iri(format!("http://ex.org/race/s{round}_{i}")),
-                                &Term::iri("http://ex.org/race/p"),
-                                &Term::iri(format!("http://ex.org/race/o{round}_{i}")),
-                            )
-                            .expect("race insert");
-                    }
-                });
+                let batch: Vec<JournalOp> = (0..BATCH)
+                    .map(|i| {
+                        JournalOp::Insert(
+                            Term::iri(format!("http://ex.org/race/s{round}_{i}")),
+                            Term::iri("http://ex.org/race/p"),
+                            Term::iri(format!("http://ex.org/race/o{round}_{i}")),
+                        )
+                    })
+                    .collect();
+                shared.write_batch(MODEL, &batch).expect("race write");
+                // Fold now and then: compaction publishes too.
+                if round % 16 == 15 {
+                    shared.compact_once().expect("race compaction");
+                }
             }
             done.store(true, Ordering::Release);
         });
@@ -1280,7 +1317,9 @@ const CRASH_FAILPOINTS: &[&str] = &[
 /// recovered, and the recovered triple count is an exact multiple of the
 /// batch size (an atomic-batch check — a torn run or half-replayed batch
 /// would break it). Backpressure sheds are retried a few times, then
-/// counted as typed sheds — never as losses.
+/// counted as typed sheds — never as losses. With `--store DIR` each
+/// round's recovered directory is kept as `DIR/<failpoint>` (for `fsck`,
+/// `info` and the other `--store` commands) instead of a removed temp dir.
 fn drill_crash(args: &Args) -> Result<(), String> {
     let writers: usize = parse_or(args, "writers", 4)?;
     let writers = writers.max(1);
@@ -1291,6 +1330,7 @@ fn drill_crash(args: &Args) -> Result<(), String> {
     let memtable: usize = parse_or(args, "memtable", 64)?;
     let stall_runs: usize = parse_or(args, "stall-runs", 8)?;
     let stall_deadline_ms: u64 = parse_or(args, "stall-deadline-ms", 2000)?;
+    let keep = args.option("store").map(PathBuf::from);
 
     let points: Vec<&'static str> = match args.option("failpoint") {
         Some(name) => match CRASH_FAILPOINTS.iter().find(|p| **p == name) {
@@ -1322,6 +1362,7 @@ fn drill_crash(args: &Args) -> Result<(), String> {
             memtable,
             stall_runs,
             stall_deadline_ms,
+            keep.as_deref(),
         )?;
         if let Some(problem) = verdict {
             failures.push(format!("{point}: {problem}"));
@@ -1356,15 +1397,16 @@ fn drill_crash_round(
     memtable: usize,
     stall_runs: usize,
     stall_deadline_ms: u64,
+    keep: Option<&std::path::Path>,
 ) -> Result<Option<String>, String> {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     const MODEL: &str = "DRILL_CRASH";
-    let dir = std::env::temp_dir().join(format!(
-        "mdwh-crash-{}-{}",
-        point.replace("::", "-"),
-        std::process::id()
-    ));
+    let slug = point.replace("::", "-");
+    let dir = match keep {
+        Some(root) => root.join(&slug),
+        None => std::env::temp_dir().join(format!("mdwh-crash-{slug}-{}", std::process::id())),
+    };
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
 
@@ -1560,7 +1602,9 @@ fn drill_crash_round(
         }
     );
     drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
+    if keep.is_none() {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     Ok(problem)
 }
 

@@ -5,6 +5,10 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
 
+use metadata_warehouse::core::ingest::Extract;
+use metadata_warehouse::core::warehouse::MetadataWarehouse;
+use metadata_warehouse::rdf::{vocab, Term};
+
 fn mdwh() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mdwh"))
 }
@@ -128,6 +132,49 @@ fn sparql_pattern_and_full_query() {
     assert!(pattern > 0);
     assert_eq!(rows(&["sparql", "@STORE", select]), pattern);
     assert!(rows(&["sparql", "@STORE", select, "--no-rulebase"]) < pattern);
+}
+
+/// `--store` commands open the store the way the warehouse does — snapshot,
+/// runs and journal — so they see every acknowledged write, checkpointed
+/// or not. (Reading the snapshot alone, the parent answered from stale
+/// state here, or refused a directory that had never been checkpointed.)
+#[test]
+fn store_commands_see_writes_that_were_never_checkpointed() {
+    let dir = std::env::temp_dir().join(format!("mdwh-cli-unfolded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = |name: &str| {
+        (
+            Term::iri(vocab::cs::dwh(name)),
+            Term::iri(vocab::rdf::TYPE),
+            Term::iri(vocab::cs::dm("Application")),
+        )
+    };
+    {
+        let (mut w, _) = MetadataWarehouse::open(&dir).unwrap();
+        // A bulk delivery is folded into the base snapshot…
+        w.ingest(vec![Extract::new("scanner", vec![app("early_app")])]).unwrap();
+        // …a single fact lives in the journal alone. No checkpoint.
+        let (s, p, o) = app("late_app");
+        assert!(w.insert_fact(&s, &p, &o).unwrap());
+    }
+    let run = |args: &[&str]| {
+        let output = mdwh().args(args).arg("--store").arg(&dir).output().expect("run mdwh");
+        assert!(
+            output.status.success(),
+            "mdwh {args:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        String::from_utf8_lossy(&output.stdout).to_string()
+    };
+    let out = run(&["sparql", "SELECT ?x WHERE { ?x a dm:Application }"]);
+    assert!(out.contains("early_app") && out.contains("late_app"), "{out}");
+    assert!(out.contains("(2 rows)"), "{out}");
+    assert!(run(&["info"]).contains("edges:   2"));
+    // fsck agrees the directory is sound, and recover folds it for good.
+    assert!(run(&["fsck"]).contains("clean"));
+    assert!(run(&["recover"]).contains("checkpointed 2 triples"));
+    assert!(run(&["sparql", "ASK { dwh:late_app a dm:Application }"]).contains("true"));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,58 +1,55 @@
-//! Persistence round trip across the whole stack: corpus → warehouse →
-//! save → load → same answers.
+//! Persistence round trip across the whole stack: corpus → durable
+//! warehouse → drop → open → same answers.
 
 use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::search::SearchRequest;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::corpus::{generate, CorpusConfig};
-use metadata_warehouse::rdf::persist::{load_store, save_store};
+use metadata_warehouse::rdf::persist::load_store;
+use metadata_warehouse::rdf::Term;
+
+/// Everything the comparison looks at: statistics, the search answer group
+/// for group, and the lineage answer endpoint for endpoint.
+#[allow(clippy::type_complexity)]
+fn answers(
+    w: &MetadataWarehouse,
+    chain_start: &Term,
+) -> (usize, usize, usize, Vec<(String, usize)>, Vec<(Term, usize)>) {
+    let search = w.search(&SearchRequest::new("customer")).unwrap();
+    let lineage = w.lineage(&LineageRequest::downstream(chain_start.clone())).unwrap();
+    (
+        w.stats().unwrap().edges,
+        w.derived_count(),
+        search.instance_count(),
+        search.groups.iter().map(|g| (g.label.clone(), g.count())).collect(),
+        lineage.endpoints.iter().map(|e| (e.node.clone(), e.distance)).collect(),
+    )
+}
 
 #[test]
 fn saved_warehouse_answers_identically_after_reload() {
     let corpus = generate(&CorpusConfig::small());
     let chain_start = corpus.chain_start.clone();
-    let mut original = MetadataWarehouse::new();
-    original.ingest(corpus.into_extracts()).unwrap();
-    original.build_semantic_index().unwrap();
-    original.snapshot("2009.1").unwrap();
-
     let dir = std::env::temp_dir().join(format!("mdw-e2e-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let report = save_store(original.store(), &dir).unwrap();
-    // The historization model is persisted alongside the current one.
-    assert_eq!(report.models.len(), 2);
 
-    let store = load_store(&dir).unwrap();
-    let mut reloaded = MetadataWarehouse::from_store(store, "DWH_CURR").unwrap();
+    let before = {
+        let (mut original, _) = MetadataWarehouse::open(&dir).unwrap();
+        original.ingest(corpus.into_extracts()).unwrap();
+        original.build_semantic_index().unwrap();
+        // Historization checkpoints: the version is persisted alongside
+        // the current model, as one plain solid snapshot.
+        original.snapshot("2009.1").unwrap();
+        answers(&original, &chain_start)
+    };
+    assert!(before.2 > 0 && !before.4.is_empty(), "the comparison must compare something");
+    assert_eq!(load_store(&dir).unwrap().model_names(), vec!["DWH_CURR", "HIST_2009.1"]);
+
+    let (mut reloaded, recovery) = MetadataWarehouse::open(&dir).unwrap();
+    assert_eq!(recovery.replayed_batches, 0, "the checkpoint folded the journal in");
     reloaded.build_semantic_index().unwrap();
+    assert_eq!(answers(&reloaded, &chain_start), before);
 
-    // Same statistics.
-    assert_eq!(
-        original.stats().unwrap().edges,
-        reloaded.stats().unwrap().edges
-    );
-    assert_eq!(original.derived_count(), reloaded.derived_count());
-
-    // Same search answer, group for group.
-    let a = original.search(&SearchRequest::new("customer")).unwrap();
-    let b = reloaded.search(&SearchRequest::new("customer")).unwrap();
-    assert_eq!(a.instance_count(), b.instance_count());
-    let labels = |r: &metadata_warehouse::core::search::SearchResults| {
-        r.groups.iter().map(|g| (g.label.clone(), g.count())).collect::<Vec<_>>()
-    };
-    assert_eq!(labels(&a), labels(&b));
-
-    // Same lineage answer.
-    let la = original
-        .lineage(&LineageRequest::downstream(chain_start.clone()))
-        .unwrap();
-    let lb = reloaded
-        .lineage(&LineageRequest::downstream(chain_start))
-        .unwrap();
-    let eps = |l: &metadata_warehouse::core::lineage::LineageResult| {
-        l.endpoints.iter().map(|e| (e.node.clone(), e.distance)).collect::<Vec<_>>()
-    };
-    assert_eq!(eps(&la), eps(&lb));
-
+    drop(reloaded);
     std::fs::remove_dir_all(&dir).unwrap();
 }

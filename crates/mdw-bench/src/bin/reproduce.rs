@@ -8,12 +8,12 @@
 //! (id, scale, report text, wall-clock) is appended to FILE — the archival
 //! format EXPERIMENTS.md is regenerated from.
 //!
-//! Experiments: table1, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8,
-//! fig9, listing1, listing2, scale, lesson_paths, flexibility, all
-//! (default: all at medium scale; paper scale reproduces the published
-//! 130 k-node / 1.2 M-edge size and takes a few minutes end to end).
+//! Experiments: the ids of `experiments::EXPERIMENTS` (`--help` lists
+//! them), or `all` (default: all at medium scale; paper scale reproduces
+//! the published 130 k-node / 1.2 M-edge size and takes a few minutes end
+//! to end).
 
-use mdw_bench::experiments;
+use mdw_bench::experiments::EXPERIMENTS;
 use mdw_bench::setup::parse_scale;
 use mdw_corpus::Scale;
 
@@ -43,10 +43,11 @@ fn main() {
                 }
             }
             "--help" | "-h" => {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
                 println!(
-                    "usage: reproduce [EXPERIMENT] [--scale small|medium|paper]\n\
-                     experiments: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9\n\
-                     \x20            listing1 listing2 scale lesson_paths flexibility all"
+                    "usage: reproduce [EXPERIMENT] [--scale small|medium|paper] [--json FILE]\n\
+                     experiments: {} all",
+                    ids.join(" ")
                 );
                 return;
             }
@@ -54,57 +55,29 @@ fn main() {
         }
     }
 
-    let run = |name: &str| -> Option<String> {
-        Some(match name {
-            "table1" => experiments::table1(scale),
-            "fig1" => experiments::fig1(scale),
-            "fig2" => experiments::fig2_flow(),
-            "fig3" => experiments::fig3_snippet(),
-            "fig4" => experiments::fig4_pipeline(scale),
-            "fig5" => experiments::fig5_search_steps(),
-            "fig6" => experiments::fig6_search(scale),
-            "fig7" => experiments::fig7_provenance(scale),
-            "fig8" => experiments::fig8_lineage(scale),
-            "fig9" => experiments::fig9_extended(scale),
-            "listing1" => experiments::listing1(scale),
-            "listing2" => experiments::listing2(),
-            "scale" => experiments::scale_history(scale),
-            "lesson_paths" => experiments::lesson_paths(),
-            "flexibility" => experiments::flexibility(scale),
-            _ => return None,
-        })
-    };
-
-    let mut records: Vec<serde_json::Value> = Vec::new();
-    let mut run_one = |name: &str| -> bool {
-        let started = std::time::Instant::now();
-        match run(name) {
-            Some(report) => {
-                let elapsed = started.elapsed();
-                println!("{report}");
-                records.push(serde_json::json!({
-                    "experiment": name,
-                    "scale": format!("{scale:?}"),
-                    "wall_clock_ms": elapsed.as_millis() as u64,
-                    "report": report,
-                }));
-                true
-            }
-            None => false,
-        }
-    };
-
-    if experiment == "all" {
-        for name in [
-            "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-            "listing1", "listing2", "scale", "lesson_paths", "flexibility",
-        ] {
-            assert!(run_one(name), "known experiment");
-            println!();
-        }
-    } else if !run_one(&experiment) {
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| experiment == "all" || experiment == *id)
+        .collect();
+    if selected.is_empty() {
         eprintln!("unknown experiment: {experiment} (try --help)");
         std::process::exit(2);
+    }
+    let mut records: Vec<serde_json::Value> = Vec::new();
+    for (id, run) in selected {
+        let started = std::time::Instant::now();
+        let report = run(scale);
+        let elapsed = started.elapsed();
+        println!("{report}");
+        if experiment == "all" {
+            println!();
+        }
+        records.push(serde_json::json!({
+            "experiment": id,
+            "scale": format!("{scale:?}"),
+            "wall_clock_ms": elapsed.as_millis() as u64,
+            "report": report,
+        }));
     }
 
     if let Some(path) = json_path {

@@ -20,6 +20,30 @@ use mdw_sparql::SemMatch;
 
 use crate::setup::{load_config, load_scale};
 
+/// An experiment runner: the corpus scale in, the printable report out.
+pub type Runner = fn(Scale) -> String;
+
+/// Every experiment `reproduce` runs, in the order `all` prints them: the
+/// id (the harness argument and the back-ticked id of its EXPERIMENTS.md
+/// heading) and its runner. Fixture-only experiments ignore the scale.
+pub const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("table1", table1),
+    ("fig1", fig1),
+    ("fig2", |_| fig2_flow()),
+    ("fig3", |_| fig3_snippet()),
+    ("fig4", fig4_pipeline),
+    ("fig5", |_| fig5_search_steps()),
+    ("fig6", fig6_search),
+    ("fig7", fig7_provenance),
+    ("fig8", fig8_lineage),
+    ("fig9", fig9_extended),
+    ("listing1", listing1),
+    ("listing2", |_| listing2()),
+    ("scale", scale_history),
+    ("lesson_paths", |_| lesson_paths()),
+    ("flexibility", flexibility),
+];
+
 fn dm(l: &str) -> Term {
     Term::iri(vocab::cs::dm(l))
 }
@@ -761,6 +785,30 @@ pub fn flexibility(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The record and the harness cannot drift: the artifact sections of
+    /// EXPERIMENTS.md (everything above "Additional ablations") carry their
+    /// harness id back-ticked in the heading, and those ids are exactly the
+    /// registry's, in order.
+    #[test]
+    fn experiments_md_headings_are_the_registry() {
+        let record = include_str!("../../../EXPERIMENTS.md");
+        let (artifacts, _) = record
+            .split_once("## Additional ablations and extensions")
+            .expect("EXPERIMENTS.md has its ablations section");
+        let documented: Vec<&str> = artifacts
+            .lines()
+            .filter(|line| line.starts_with("## "))
+            .map(|line| {
+                line.strip_suffix("`)")
+                    .and_then(|l| l.rsplit_once("(`"))
+                    .unwrap_or_else(|| panic!("heading without a harness id: {line}"))
+                    .1
+            })
+            .collect();
+        let registered: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        assert_eq!(documented, registered);
+    }
 
     #[test]
     fn fixture_experiments_render() {

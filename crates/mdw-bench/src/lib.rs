@@ -5,8 +5,9 @@
 //! path explosion, flexibility). See `DESIGN.md` §4 for the experiment
 //! index and `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
 //!
-//! The `reproduce` binary prints these reports;
-//! the Criterion benches in `benches/` time the hot paths.
+//! The `reproduce` binary prints these reports; `planner_ablation` is the
+//! planner-on / planner-off CI gate. Timings under load are not taken here:
+//! the standing benchmark (`bench/`, `BENCHMARK.json`) is the one ruler.
 
 pub mod experiments;
 pub mod setup;

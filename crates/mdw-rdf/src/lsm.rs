@@ -177,8 +177,7 @@ struct Counters {
     checkpoint_trim_failures: AtomicU64,
 }
 
-/// Locks ignoring poisoning (a panicked writer must not wedge the store;
-/// same policy as the vendored parking_lot shim).
+/// Locks ignoring poisoning (a panicked writer must not wedge the store).
 fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -13,8 +13,10 @@
 //! <dir>/journal.log        write-ahead journal (see [`crate::journal`])
 //! ```
 //!
-//! A v2 manifest starts with `#mdw-snapshot v2 gen=<G> journal_seq=<S>`
-//! and lists `stem \t triples \t crc32 \t model-name` per model. Model
+//! The manifest starts with `#mdw-snapshot v2 gen=<G> journal_seq=<S>`
+//! and lists `stem \t triples \t crc32 \t model-name` per model; a manifest
+//! without that header is refused as corrupt, never read as a format that
+//! carries no checksums. Model
 //! files carry the generation in their name, so a new snapshot never
 //! overwrites the files the current manifest points at: every model file
 //! is written to a temp name, fsynced, renamed, and only then is the new
@@ -26,9 +28,6 @@
 //! snapshot, then the CRC-verified sealed runs, then replay every committed
 //! journal batch past both, truncating a torn journal tail. [`fsck`]
 //! performs the same checks read-only and reports what it finds.
-//!
-//! Legacy v1 manifests (no header, `stem \t name` lines, un-checksummed
-//! `model_<i>.nt` files) are still loadable.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -81,11 +80,9 @@ impl SaveReport {
 /// Header data of an on-disk snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// Manifest format version (1 or 2).
-    pub version: u8,
-    /// Snapshot generation (0 for v1).
+    /// Snapshot generation.
     pub generation: u64,
-    /// Last journal sequence folded into the snapshot (0 for v1).
+    /// Last journal sequence folded into the snapshot.
     pub journal_seq: u64,
 }
 
@@ -93,78 +90,56 @@ pub struct SnapshotInfo {
 struct ManifestEntry {
     stem: String,
     name: String,
-    /// v2 only: expected triple count.
-    count: Option<usize>,
-    /// v2 only: expected CRC-32 of the file bytes.
-    crc: Option<u32>,
+    /// Expected triple count.
+    count: usize,
+    /// Expected CRC-32 of the file bytes.
+    crc: u32,
 }
 
 fn parse_manifest(text: &str) -> Result<(SnapshotInfo, Vec<ManifestEntry>), RdfError> {
-    let mut lines = text.lines().enumerate().peekable();
-    let info = match lines.peek() {
-        Some((_, first)) if first.starts_with("#mdw-snapshot") => {
-            let first = lines.next().expect("peeked").1;
-            let parsed = (|| {
-                let rest = first.strip_prefix(MANIFEST_MAGIC)?;
-                let mut generation = None;
-                let mut journal_seq = None;
-                for field in rest.split_whitespace() {
-                    if let Some(g) = field.strip_prefix("gen=") {
-                        generation = g.parse::<u64>().ok();
-                    } else if let Some(s) = field.strip_prefix("journal_seq=") {
-                        journal_seq = s.parse::<u64>().ok();
-                    }
-                }
-                Some(SnapshotInfo {
-                    version: 2,
-                    generation: generation?,
-                    journal_seq: journal_seq?,
-                })
-            })();
-            parsed.ok_or_else(|| {
-                RdfError::corrupt(MANIFEST_FILE, format!("bad snapshot header: {first:?}"))
-            })?
+    let mut lines = text.lines().enumerate();
+    let first = lines.next().map_or("", |(_, line)| line);
+    let info = (|| {
+        let rest = first.strip_prefix(MANIFEST_MAGIC)?;
+        let mut generation = None;
+        let mut journal_seq = None;
+        for field in rest.split_whitespace() {
+            if let Some(g) = field.strip_prefix("gen=") {
+                generation = g.parse::<u64>().ok();
+            } else if let Some(s) = field.strip_prefix("journal_seq=") {
+                journal_seq = s.parse::<u64>().ok();
+            }
         }
-        _ => SnapshotInfo { version: 1, generation: 0, journal_seq: 0 },
-    };
+        Some(SnapshotInfo { generation: generation?, journal_seq: journal_seq? })
+    })()
+    .ok_or_else(|| {
+        RdfError::corrupt(MANIFEST_FILE, format!("missing or bad snapshot header: {first:?}"))
+    })?;
 
     let mut entries = Vec::new();
     for (lineno, line) in lines {
         if line.trim().is_empty() {
             continue;
         }
-        if info.version == 1 {
-            let (stem, name) = line.split_once('\t').ok_or_else(|| RdfError::Parse {
-                line: lineno + 1,
-                message: format!("malformed manifest line: {line:?}"),
-            })?;
-            entries.push(ManifestEntry {
-                stem: stem.to_string(),
-                name: name.to_string(),
-                count: None,
-                crc: None,
-            });
-        } else {
-            let parts: Vec<&str> = line.splitn(4, '\t').collect();
-            let entry = match parts.as_slice() {
-                [stem, count, crc, name] => {
-                    match (count.parse::<usize>(), u32::from_str_radix(crc, 16)) {
-                        (Ok(c), Ok(x)) => Some(ManifestEntry {
-                            stem: stem.to_string(),
-                            name: name.to_string(),
-                            count: Some(c),
-                            crc: Some(x),
-                        }),
-                        _ => None,
-                    }
+        let parts: Vec<&str> = line.splitn(4, '\t').collect();
+        let entry = match parts.as_slice() {
+            [stem, count, crc, name] => {
+                match (count.parse::<usize>(), u32::from_str_radix(crc, 16)) {
+                    (Ok(count), Ok(crc)) => Some(ManifestEntry {
+                        stem: stem.to_string(),
+                        name: name.to_string(),
+                        count,
+                        crc,
+                    }),
+                    _ => None,
                 }
-                _ => None,
-            };
-            entries.push(entry.ok_or_else(|| RdfError::Parse {
-                line: lineno + 1,
-                message: format!("malformed manifest line: {line:?}"),
-            })?);
-        }
+            }
+            _ => None,
+        };
+        entries.push(entry.ok_or_else(|| RdfError::Parse {
+            line: lineno + 1,
+            message: format!("malformed manifest line: {line:?}"),
+        })?);
     }
     Ok((info, entries))
 }
@@ -287,20 +262,18 @@ fn read_model_file(
     let file = format!("{}.nt", entry.stem);
     let text = fs::read_to_string(dir.join(&file))
         .map_err(|e| RdfError::io(format!("read model file {file}"), e))?;
-    if let Some(expected) = entry.crc {
-        let actual = journal::crc32(text.as_bytes());
-        if actual != expected {
-            return Err(RdfError::corrupt(
-                &file,
-                format!("checksum mismatch: manifest {expected:08x}, file {actual:08x}"),
-            ));
-        }
-    }
-    let triples = turtle::parse(&text)?.triples;
-    if let Some(expected) = entry.count.filter(|&n| n != triples.len()) {
+    let actual = journal::crc32(text.as_bytes());
+    if actual != entry.crc {
         return Err(RdfError::corrupt(
             &file,
-            format!("triple count mismatch: manifest {expected}, file {}", triples.len()),
+            format!("checksum mismatch: manifest {:08x}, file {actual:08x}", entry.crc),
+        ));
+    }
+    let triples = turtle::parse(&text)?.triples;
+    if entry.count != triples.len() {
+        return Err(RdfError::corrupt(
+            &file,
+            format!("triple count mismatch: manifest {}, file {}", entry.count, triples.len()),
         ));
     }
     for (s, p, o) in &triples {
@@ -329,8 +302,8 @@ fn load_model_file(
 
 /// Loads the snapshot written by [`save_frozen_snapshot`] — the solid base
 /// alone, without runs or journal replay (that is
-/// [`LsmStore::open`](crate::lsm::LsmStore::open)). Checksums are verified
-/// for v2 snapshots; a mismatch is [`RdfError::Corrupt`].
+/// [`LsmStore::open`](crate::lsm::LsmStore::open)). Every model file's
+/// checksum is verified; a mismatch is [`RdfError::Corrupt`].
 pub fn load_store(dir: &Path) -> Result<FrozenStore, RdfError> {
     load_snapshot(dir).map(|(store, _)| store)
 }
@@ -830,7 +803,8 @@ mod tests {
     fn load_rejects_malformed_manifest() {
         let dir = temp_dir("badmanifest");
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("manifest.tsv"), "no-tab-here\n").unwrap();
+        let manifest = format!("{MANIFEST_MAGIC} gen=1 journal_seq=0\nno-tab-here\n");
+        fs::write(dir.join("manifest.tsv"), manifest).unwrap();
         let err = load_store(&dir).unwrap_err();
         assert!(matches!(err, RdfError::Parse { .. }));
         fs::remove_dir_all(&dir).unwrap();
@@ -870,19 +844,23 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A manifest that lost its first line must not be taken for a format
+    /// without checksums: load, open and fsck all refuse it.
     #[test]
-    fn v1_manifest_still_loads() {
-        let dir = temp_dir("v1compat");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("model_0.nt"),
-            "<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .\n",
-        )
-        .unwrap();
-        fs::write(dir.join("manifest.tsv"), "model_0\tLEGACY\n").unwrap();
-        let loaded = load_store(&dir).unwrap();
-        assert_eq!(loaded.model_names(), vec!["LEGACY"]);
-        assert_eq!(loaded.model("LEGACY").unwrap().len(), 1);
+    fn headerless_manifest_is_refused() {
+        let dir = temp_dir("headerless");
+        save(&sample_store(), &dir, 0).unwrap();
+        let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let (header, entries) = manifest.split_once('\n').unwrap();
+        assert!(header.starts_with(MANIFEST_MAGIC));
+        fs::write(dir.join(MANIFEST_FILE), entries).unwrap();
+
+        assert!(matches!(load_store(&dir), Err(RdfError::Corrupt { .. })));
+        let opened = crate::lsm::LsmStore::open(&dir, crate::lsm::LsmConfig::default());
+        assert!(matches!(opened, Err(RdfError::Corrupt { .. })));
+        let report = fsck(&dir).unwrap();
+        assert!(!report.clean());
+        assert!(report.issues[0].contains("snapshot header"), "{:?}", report.issues);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -52,36 +52,90 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:
-  mdwh generate --scale small|medium|paper --out DIR [--seed N] [--extended]
-  mdwh info     --store DIR
-  mdwh census   --store DIR
-  mdwh search   --store DIR TERM [--synonyms] [--area NAME] [--class LOCAL]
-                [--threads N]
-  mdwh answer   --store DIR \"KEYWORDS\" [--top-k N] [--explain]
-                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]
-  mdwh lineage  --store DIR ITEM [--upstream] [--depth N] [--rule-filter STR]
-                [--threads N]
-  mdwh audit    --store DIR ITEM
-  mdwh gaps     --store DIR
-  mdwh sources  --store DIR CONCEPT
-  mdwh sparql   --store DIR QUERY [--no-rulebase] [--threads N]
-                [--explain] [--no-planner]
-  mdwh fsck     --store DIR
-  mdwh recover  --store DIR
-  mdwh serve    [--store DIR] [--addr HOST:PORT] [--quota N] [--max-conns N]
+/// One row per command: the one table that the usage text, the dispatch
+/// and the flag parser all read.
+struct Command {
+    /// One or two words: `search`, `drill wire`.
+    name: &'static str,
+    /// The rest of the command's usage line — and its grammar: `--key
+    /// VALUE` declares a value flag, `[--key]` a boolean one, any other
+    /// word a positional; what the synopsis does not spell is refused.
+    synopsis: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        synopsis: "[--scale small|medium|paper] --out DIR [--seed N] [--extended]",
+        run: cmd_generate,
+    },
+    Command { name: "info", synopsis: "--store DIR", run: cmd_info },
+    Command { name: "census", synopsis: "--store DIR", run: cmd_census },
+    Command {
+        name: "search",
+        synopsis: "--store DIR TERM [--synonyms] [--area NAME] [--class LOCAL]
+                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+        run: cmd_search,
+    },
+    Command {
+        name: "answer",
+        synopsis: "--store DIR \"KEYWORDS\" [--top-k N] [--explain]
+                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+        run: cmd_answer,
+    },
+    Command {
+        name: "lineage",
+        synopsis: "--store DIR ITEM [--upstream] [--depth N] [--rule-filter STR]
+                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+        run: cmd_lineage,
+    },
+    Command { name: "audit", synopsis: "--store DIR ITEM", run: cmd_audit },
+    Command { name: "gaps", synopsis: "--store DIR", run: cmd_gaps },
+    Command { name: "sources", synopsis: "--store DIR CONCEPT", run: cmd_sources },
+    Command {
+        name: "sparql",
+        synopsis: "--store DIR QUERY [--no-rulebase] [--explain] [--no-planner]
+                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+        run: cmd_sparql,
+    },
+    Command { name: "fsck", synopsis: "--store DIR", run: cmd_fsck },
+    Command { name: "recover", synopsis: "--store DIR", run: cmd_recover },
+    Command {
+        name: "serve",
+        synopsis: "[--store DIR] [--addr HOST:PORT] [--quota N] [--max-conns N]
                 [--workers N] [--deadline-ms MS] [--drain-grace-ms MS]
-                [--no-admission]
-  mdwh drill overload [--store DIR] [--threads N] [--requests N] [--quota N]
-                      [--expect-shed]
-  mdwh drill overload --writer-race [--threads N] [--writes N]
-  mdwh drill wire [--addr HOST:PORT] [--connections N] [--requests N]
+                [--no-admission] [--threads N] [--seed N]",
+        run: cmd_serve,
+    },
+    Command {
+        name: "drill overload",
+        synopsis: "[--store DIR] [--threads N] [--requests N] [--quota N]
+                      [--deadline-ms MS] [--seed N] [--expect-shed]
+                      [--writer-race [--writes N]]",
+        run: drill_overload,
+    },
+    Command {
+        name: "drill wire",
+        synopsis: "[--addr HOST:PORT] [--connections N] [--requests N]
                   [--quota N] [--tenants N] [--max-conns N] [--deadline-ms MS]
                   [--no-admission] [--expect-shed] [--rss-ceiling-kb N]
-  mdwh drill crash [--writers N] [--readers N] [--batches N] [--batch-size N]
+                  [--store DIR] [--threads N] [--seed N]",
+        run: drill_wire,
+    },
+    Command {
+        name: "drill crash",
+        synopsis: "[--writers N] [--readers N] [--batches N] [--batch-size N]
                    [--failpoint NAME] [--memtable N] [--stall-runs N]
-                   [--stall-deadline-ms MS] [--store DIR]
+                   [--stall-deadline-ms MS] [--store DIR]",
+        run: drill_crash,
+    },
+];
 
+/// Accepted by every command.
+const GLOBAL_FLAGS: &str = "[--inject LIST]";
+
+const USAGE_NOTES: &str = "
 Serving: `mdwh serve` answers GET /search?q=, /lineage?item=, /sparql?query=
 as streamed ndjson over HTTP/1.1 keep-alive; X-Deadline-Ms / X-Max-Rows /
 X-Tenant headers map to a query budget and a per-tenant admission gate, and
@@ -90,9 +144,8 @@ state, keep-alive reuses, accept backoffs). SIGTERM drains gracefully:
 in-flight responses finish (or return truthful truncated prefixes), then
 the process exits.
 
-Query budgets: search, lineage, and sparql accept --deadline-ms MS,
---max-rows N, and --max-steps N; a blown budget returns the partial
-answer tagged `truncated` instead of an error.
+Query budgets: a blown --deadline-ms, --max-rows or --max-steps budget
+returns the partial answer tagged `truncated` instead of an error.
 
 Parallelism: query commands accept --threads N (default: the
 MDW_PAR_THREADS env var, else 1) to split frozen-snapshot scans across
@@ -103,42 +156,75 @@ prints the chosen plan (estimated vs observed rows per pattern, pushed
 filters); --no-planner runs patterns in written order instead.
 
 Fault drills: --inject 'name=spec,…' (or MDWH_FAILPOINTS env) arms
-failpoints; spec is once | times:N | always | pct:P[:SEED].";
+failpoints on any command; spec is once | times:N | always | pct:P[:SEED].";
 
-/// Minimal flag parser: collects `--key value` pairs, `--flag` booleans,
-/// and bare positionals.
+fn usage() -> String {
+    let mut text = "usage:\n".to_string();
+    for command in COMMANDS {
+        text.push_str(&format!("  mdwh {:<8} {}\n", command.name, command.synopsis));
+    }
+    text + USAGE_NOTES
+}
+
+/// Reads a synopsis (plus [`GLOBAL_FLAGS`]) as a grammar: the flags it
+/// declares, each with whether it takes a value, and its positionals.
+fn grammar(synopsis: &'static str) -> (Vec<(&'static str, bool)>, Vec<&'static str>) {
+    let (mut flags, mut positionals) = (Vec::new(), Vec::new());
+    let mut tokens = synopsis.split_whitespace().chain(GLOBAL_FLAGS.split_whitespace()).peekable();
+    while let Some(token) = tokens.next() {
+        let Some(flag) = token.trim_start_matches('[').strip_prefix("--") else {
+            positionals.push(token);
+            continue;
+        };
+        let takes_value =
+            !flag.ends_with(']') && tokens.peek().is_some_and(|next| !next.starts_with(['[', '-']));
+        if takes_value {
+            tokens.next();
+        }
+        flags.push((flag.trim_end_matches(']'), takes_value));
+    }
+    (flags, positionals)
+}
+
+/// The parsed command line: `--key value` pairs, `--flag` booleans, and
+/// bare positionals.
 struct Args {
     positional: Vec<String>,
     options: Vec<(String, String)>,
     flags: Vec<String>,
 }
 
-const VALUE_FLAGS: &[&str] = &[
-    "--scale", "--out", "--seed", "--store", "--area", "--class", "--depth", "--rule-filter",
-    "--inject", "--deadline-ms", "--max-rows", "--max-steps", "--threads", "--requests",
-    "--quota", "--writes", "--addr", "--connections", "--max-conns", "--drain-grace-ms",
-    "--tenants", "--writers", "--readers", "--batches", "--batch-size", "--failpoint",
-    "--memtable", "--stall-runs", "--stall-deadline-ms", "--workers", "--rss-ceiling-kb",
-    "--top-k",
-];
-
-fn parse_args(args: &[String]) -> Args {
+/// Parses `args` against what `command` declares: an undeclared flag, a
+/// value flag that ends the line, or a missing or surplus positional is an
+/// error, not a guess.
+fn parse_args(command: &Command, args: &[String]) -> Result<Args, String> {
+    let (declared, positionals) = grammar(command.synopsis);
     let mut parsed = Args { positional: Vec::new(), options: Vec::new(), flags: Vec::new() };
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if let Some(stripped) = arg.strip_prefix("--") {
-            if VALUE_FLAGS.contains(&arg.as_str()) {
-                if let Some(value) = iter.next() {
-                    parsed.options.push((stripped.to_string(), value.clone()));
-                }
-            } else {
-                parsed.flags.push(stripped.to_string());
-            }
-        } else {
+        let Some(key) = arg.strip_prefix("--") else {
             parsed.positional.push(arg.clone());
+            continue;
+        };
+        match declared.iter().find(|(flag, _)| *flag == key) {
+            Some((_, true)) => {
+                let value = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                parsed.options.push((key.to_string(), value.clone()));
+            }
+            Some((_, false)) => parsed.flags.push(key.to_string()),
+            None => return Err(format!("{} has no flag {arg}", command.name)),
         }
     }
-    parsed
+    if parsed.positional.len() != positionals.len() {
+        return Err(format!(
+            "{} takes {} argument(s) {}, got {}",
+            command.name,
+            positionals.len(),
+            positionals.join(" "),
+            parsed.positional.len()
+        ));
+    }
+    Ok(parsed)
 }
 
 impl Args {
@@ -155,48 +241,35 @@ impl Args {
 }
 
 fn run(args: Vec<String>) -> Result<(), String> {
-    let Some((command, rest)) = args.split_first() else {
-        return Err(USAGE.to_string());
-    };
-    let parsed = parse_args(rest);
-    arm_failpoints(&parsed)?;
-    match command.as_str() {
-        "generate" => cmd_generate(&parsed),
-        "fsck" => cmd_fsck(&parsed),
-        "recover" => cmd_recover(&parsed),
-        "info" => cmd_info(&parsed),
-        "census" => cmd_census(&parsed),
-        "search" => cmd_search(&parsed),
-        "answer" => cmd_answer(&parsed),
-        "lineage" => cmd_lineage(&parsed),
-        "audit" => cmd_audit(&parsed),
-        "gaps" => cmd_gaps(&parsed),
-        "sources" => cmd_sources(&parsed),
-        "sparql" => cmd_sparql(&parsed),
-        "serve" => cmd_serve(&parsed),
-        "drill" => cmd_drill(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command: {other}\n{USAGE}")),
+    if matches!(args.first().map(String::as_str), Some("help" | "--help" | "-h")) {
+        println!("{}", usage());
+        return Ok(());
     }
+    // A command's name is its first word, or its first two (`drill wire`).
+    let found = COMMANDS.iter().find_map(|command| {
+        let words = command.name.split(' ').count();
+        (args.len() >= words && args[..words].join(" ") == command.name)
+            .then(|| (command, &args[words..]))
+    });
+    let Some((command, rest)) = found else {
+        let named = args.join(" ");
+        let unknown = if named.is_empty() { named } else { format!("unknown command: {named}\n") };
+        return Err(unknown + &usage());
+    };
+    let parsed = parse_args(command, rest).map_err(|e| format!("{e}\n{}", usage()))?;
+    arm_failpoints(&parsed)?;
+    (command.run)(&parsed)
 }
 
 /// Arms fault-injection failpoints from `--inject` and the
 /// `MDWH_FAILPOINTS` environment variable (fault drills: run a real
 /// command while the persistence layer misbehaves on purpose).
 fn arm_failpoints(args: &Args) -> Result<(), String> {
-    if let Ok(list) = std::env::var("MDWH_FAILPOINTS") {
-        let names = failpoint::arm_from_list(&list)?;
+    let env = std::env::var("MDWH_FAILPOINTS").ok();
+    for (source, list) in [(" from env", env.as_deref()), ("", args.option("inject"))] {
+        let names = failpoint::arm_from_list(list.unwrap_or(""))?;
         if !names.is_empty() {
-            eprintln!("mdwh: armed failpoints from env: {}", names.join(", "));
-        }
-    }
-    if let Some(list) = args.option("inject") {
-        let names = failpoint::arm_from_list(list)?;
-        if !names.is_empty() {
-            eprintln!("mdwh: armed failpoints: {}", names.join(", "));
+            eprintln!("mdwh: armed failpoints{source}: {}", names.join(", "));
         }
     }
     Ok(())
@@ -207,8 +280,8 @@ fn cmd_fsck(args: &Args) -> Result<(), String> {
     let report = persist::fsck(&dir).map_err(|e| e.to_string())?;
     match &report.snapshot {
         Some(info) => println!(
-            "snapshot: v{} generation {} (journal seq {})",
-            info.version, info.generation, info.journal_seq
+            "snapshot: generation {} (journal seq {})",
+            info.generation, info.journal_seq
         ),
         None => println!("snapshot: none"),
     }
@@ -283,9 +356,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     };
     let out = PathBuf::from(args.option("out").ok_or("generate needs --out DIR")?);
     let mut config = CorpusConfig::preset(scale);
-    if let Some(seed) = args.option("seed") {
-        config.seed = seed.parse().map_err(|_| format!("bad seed: {seed}"))?;
-    }
+    config.seed = parse_or(args, "seed", config.seed)?;
     if args.flag("extended") {
         config.extended_scope = true;
     }
@@ -344,36 +415,25 @@ fn open_warehouse(args: &Args) -> Result<MetadataWarehouse, String> {
         }
     }
     warehouse.build_semantic_index().map_err(|e| e.to_string())?;
-    warehouse.set_parallelism(parallelism_from_args(args)?);
+    // Worker threads from `--threads N`, else the `MDW_PAR_THREADS`
+    // environment variable, else sequential; results are bit-identical.
+    let threads = parse_opt(args, "threads")?;
+    warehouse.set_parallelism(threads.map_or_else(ParallelPolicy::from_env, ParallelPolicy::new));
     Ok(warehouse)
-}
-
-/// Worker-thread policy from `--threads N`; defaults to the
-/// `MDW_PAR_THREADS` environment variable, else sequential. Parallelism
-/// only changes wall-clock time — query results are bit-identical.
-fn parallelism_from_args(args: &Args) -> Result<ParallelPolicy, String> {
-    match args.option("threads") {
-        Some(n) => {
-            let n: usize = n.parse().map_err(|_| format!("bad --threads: {n}"))?;
-            Ok(ParallelPolicy::new(n))
-        }
-        None => Ok(ParallelPolicy::from_env()),
-    }
 }
 
 /// Builds a query budget from `--deadline-ms`, `--max-rows`, and
 /// `--max-steps` (unlimited when none are given).
 fn budget_from_args(args: &Args) -> Result<QueryBudget, String> {
     let mut budget = QueryBudget::unlimited();
-    if let Some(ms) = args.option("deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --deadline-ms: {ms}"))?;
+    if let Some(ms) = parse_opt(args, "deadline-ms")? {
         budget = budget.with_deadline(Duration::from_millis(ms), Arc::new(MonotonicTime::new()));
     }
-    if let Some(n) = args.option("max-rows") {
-        budget = budget.with_max_rows(n.parse().map_err(|_| format!("bad --max-rows: {n}"))?);
+    if let Some(n) = parse_opt(args, "max-rows")? {
+        budget = budget.with_max_rows(n);
     }
-    if let Some(n) = args.option("max-steps") {
-        budget = budget.with_max_steps(n.parse().map_err(|_| format!("bad --max-steps: {n}"))?);
+    if let Some(n) = parse_opt(args, "max-steps")? {
+        budget = budget.with_max_steps(n);
     }
     Ok(budget)
 }
@@ -388,14 +448,19 @@ fn note_verdicts(completeness: &Completeness, degraded: bool) {
     }
 }
 
-/// Resolves a user-supplied item name: a full IRI, or a local name in the
-/// `dwh` instance namespace.
-fn resolve_item(name: &str) -> Term {
+/// Resolves a user-supplied name: a full IRI, or a local name in
+/// `namespace`.
+fn resolve(name: &str, namespace: fn(&str) -> String) -> Term {
     if name.starts_with("http://") || name.starts_with("https://") {
         Term::iri(name)
     } else {
-        Term::iri(vocab::cs::dwh(name))
+        Term::iri(namespace(name))
     }
+}
+
+/// An item name: a full IRI, or local to the `dwh` instance namespace.
+fn resolve_item(name: &str) -> Term {
+    resolve(name, vocab::cs::dwh)
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
@@ -420,10 +485,7 @@ fn cmd_census(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_search(args: &Args) -> Result<(), String> {
-    let term = args
-        .positional
-        .first()
-        .ok_or("search needs a TERM argument")?;
+    let term = &args.positional[0];
     let warehouse = open_warehouse(args)?;
     let mut request = SearchRequest::new(term.clone());
     if args.flag("synonyms") {
@@ -448,14 +510,11 @@ fn cmd_search(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_answer(args: &Args) -> Result<(), String> {
-    let keywords = args
-        .positional
-        .first()
-        .ok_or("answer needs a KEYWORDS argument, e.g. mdwh answer \"risk exposure trader\"")?;
+    let keywords = &args.positional[0];
     let warehouse = open_warehouse(args)?;
     let mut request = AnswerRequest::new(keywords.clone()).with_budget(budget_from_args(args)?);
-    if let Some(k) = args.option("top-k") {
-        request = request.with_top_k(k.parse().map_err(|_| format!("bad --top-k: {k}"))?);
+    if let Some(k) = parse_opt(args, "top-k")? {
+        request = request.with_top_k(k);
     }
     let result = warehouse.answer(&request).map_err(|e| e.to_string())?;
 
@@ -527,10 +586,7 @@ fn compact_sparql(sparql: &str) -> String {
 }
 
 fn cmd_lineage(args: &Args) -> Result<(), String> {
-    let item = args
-        .positional
-        .first()
-        .ok_or("lineage needs an ITEM argument")?;
+    let item = &args.positional[0];
     let warehouse = open_warehouse(args)?;
     let start = resolve_item(item);
     let mut request = if args.flag("upstream") {
@@ -538,8 +594,8 @@ fn cmd_lineage(args: &Args) -> Result<(), String> {
     } else {
         LineageRequest::downstream(start)
     };
-    if let Some(depth) = args.option("depth") {
-        request = request.max_depth(depth.parse().map_err(|_| format!("bad depth: {depth}"))?);
+    if let Some(depth) = parse_opt(args, "depth")? {
+        request = request.max_depth(depth);
     }
     if let Some(filter) = args.option("rule-filter") {
         request = request.with_rule_filter(filter);
@@ -552,10 +608,7 @@ fn cmd_lineage(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_audit(args: &Args) -> Result<(), String> {
-    let item = args
-        .positional
-        .first()
-        .ok_or("audit needs an ITEM argument")?;
+    let item = &args.positional[0];
     let warehouse = open_warehouse(args)?;
     let report = warehouse
         .who_can_access(&resolve_item(item))
@@ -583,18 +636,10 @@ fn cmd_gaps(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sources(args: &Args) -> Result<(), String> {
-    let concept = args
-        .positional
-        .first()
-        .ok_or("sources needs a CONCEPT argument (e.g. Party or Customer)")?;
+    let concept = &args.positional[0];
     let warehouse = open_warehouse(args)?;
-    let concept_term = if concept.starts_with("http://") || concept.starts_with("https://") {
-        Term::iri(concept.clone())
-    } else {
-        Term::iri(vocab::cs::dm(concept))
-    };
     let result = warehouse
-        .find_sources(&concept_term)
+        .find_sources(&resolve(concept, vocab::cs::dm))
         .map_err(|e| e.to_string())?;
     print!(
         "{}",
@@ -604,10 +649,7 @@ fn cmd_sources(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_sparql(args: &Args) -> Result<(), String> {
-    let pattern_or_query = args
-        .positional
-        .first()
-        .ok_or("sparql needs a QUERY argument")?;
+    let pattern_or_query = &args.positional[0];
     let warehouse = open_warehouse(args)?;
     // A bare `{ … }` pattern or a full SELECT/ASK text: either way one
     // SEM_MATCH with the standard aliases, through the warehouse.
@@ -630,18 +672,6 @@ fn cmd_sparql(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_drill(args: &Args) -> Result<(), String> {
-    match args.positional.first().map(String::as_str) {
-        Some("overload") => drill_overload(args),
-        Some("wire") => drill_wire(args),
-        Some("crash") => drill_crash(args),
-        Some(other) => Err(format!(
-            "unknown drill: {other} (available: overload, wire, crash)"
-        )),
-        None => Err("drill needs a drill name: overload, wire, or crash".to_string()),
-    }
-}
-
 /// The warehouse a drill runs against: the persisted store when `--store`
 /// is given, otherwise a freshly generated small synthetic corpus.
 fn drill_warehouse(args: &Args) -> Result<MetadataWarehouse, String> {
@@ -649,9 +679,7 @@ fn drill_warehouse(args: &Args) -> Result<MetadataWarehouse, String> {
         return open_warehouse(args);
     }
     let mut config = CorpusConfig::preset(Scale::Small);
-    if let Some(seed) = args.option("seed") {
-        config.seed = seed.parse().map_err(|_| format!("bad seed: {seed}"))?;
-    }
+    config.seed = parse_or(args, "seed", config.seed)?;
     eprintln!("mdwh: no --store given, generating a small synthetic corpus");
     let corpus = generate(&config);
     let mut warehouse = MetadataWarehouse::new();
@@ -663,11 +691,15 @@ fn drill_warehouse(args: &Args) -> Result<MetadataWarehouse, String> {
     Ok(warehouse)
 }
 
+/// The value of `--key`, parsed; `None` when the flag was not given.
+fn parse_opt<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<T>, String> {
+    args.option(key)
+        .map(|v| v.parse().map_err(|_| format!("bad --{key}: {v}")))
+        .transpose()
+}
+
 fn parse_or<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> Result<T, String> {
-    match args.option(key) {
-        Some(v) => v.parse().map_err(|_| format!("bad --{key}: {v}")),
-        None => Ok(default),
-    }
+    Ok(parse_opt(args, key)?.unwrap_or(default))
 }
 
 /// The overload drill: hammer one warehouse from many threads with a mixed
@@ -777,22 +809,16 @@ fn drill_overload(args: &Args) -> Result<(), String> {
         percentile_us(&latencies_us, 50.0) as f64 / 1000.0,
         percentile_us(&latencies_us, 99.0) as f64 / 1000.0,
     );
-    println!(
-        "admitted:  {} (search {}, lineage {}, sparql {}, answer {})",
-        stats.total_admitted(),
-        stats.admitted[0],
-        stats.admitted[1],
-        stats.admitted[2],
-        stats.admitted[3],
-    );
-    println!(
-        "shed:      {} (search {}, lineage {}, sparql {}, answer {})",
-        stats.total_shed(),
-        stats.shed[0],
-        stats.shed[1],
-        stats.shed[2],
-        stats.shed[3],
-    );
+    for (what, total, by_class) in [
+        ("admitted:", stats.total_admitted(), stats.admitted),
+        ("shed:", stats.total_shed(), stats.shed),
+    ] {
+        let [search, lineage, sparql, answer] = by_class;
+        println!(
+            "{what:<10} {total} (search {search}, lineage {lineage}, sparql {sparql}, \
+             answer {answer})"
+        );
+    }
     if !retry_after_ms.is_empty() {
         retry_after_ms.sort_unstable();
         println!(
@@ -976,18 +1002,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     config.max_connections = parse_or(args, "max-conns", config.max_connections)?;
     config.workers = parse_or(args, "workers", config.workers)?.max(1);
-    if let Some(ms) = args.option("deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --deadline-ms: {ms}"))?;
+    if let Some(ms) = parse_opt(args, "deadline-ms")? {
         config.default_deadline = Duration::from_millis(ms);
     }
-    if let Some(ms) = args.option("drain-grace-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad --drain-grace-ms: {ms}"))?;
+    if let Some(ms) = parse_opt(args, "drain-grace-ms")? {
         config.drain_grace = Duration::from_millis(ms);
     }
     if args.flag("no-admission") {
         config.admission = None;
-    } else if let Some(quota) = args.option("quota") {
-        let quota: usize = quota.parse().map_err(|_| format!("bad --quota: {quota}"))?;
+    } else if let Some(quota) = parse_opt(args, "quota")? {
         config.admission = Some(AdmissionConfig::with_quotas(quota, quota));
     }
     let grace = config.drain_grace;
@@ -1328,8 +1351,14 @@ fn drill_crash(args: &Args) -> Result<(), String> {
     let batch_size: usize = parse_or(args, "batch-size", 8)?;
     let batch_size = batch_size.max(1);
     let memtable: usize = parse_or(args, "memtable", 64)?;
-    let stall_runs: usize = parse_or(args, "stall-runs", 8)?;
-    let stall_deadline_ms: u64 = parse_or(args, "stall-deadline-ms", 2000)?;
+    let cfg = LsmConfig {
+        memtable_limit: memtable,
+        max_runs: 2,
+        stall_runs: parse_or(args, "stall-runs", 8)?,
+        stall_mem_ops: 4 * memtable,
+        stall_deadline: Duration::from_millis(parse_or(args, "stall-deadline-ms", 2000)?),
+        auto_compact: true,
+    };
     let keep = args.option("store").map(PathBuf::from);
 
     let points: Vec<&'static str> = match args.option("failpoint") {
@@ -1359,9 +1388,7 @@ fn drill_crash(args: &Args) -> Result<(), String> {
             readers,
             batches,
             batch_size,
-            memtable,
-            stall_runs,
-            stall_deadline_ms,
+            &cfg,
             keep.as_deref(),
         )?;
         if let Some(problem) = verdict {
@@ -1387,16 +1414,13 @@ fn drill_crash(args: &Args) -> Result<(), String> {
 
 /// One crash-drill round: returns `Ok(None)` when the invariants held,
 /// `Ok(Some(problem))` when recovery lost or tore data.
-#[allow(clippy::too_many_arguments)]
 fn drill_crash_round(
     point: &str,
     writers: usize,
     readers: usize,
     batches: usize,
     batch_size: usize,
-    memtable: usize,
-    stall_runs: usize,
-    stall_deadline_ms: u64,
+    cfg: &LsmConfig,
     keep: Option<&std::path::Path>,
 ) -> Result<Option<String>, String> {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1410,14 +1434,6 @@ fn drill_crash_round(
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
 
-    let cfg = LsmConfig {
-        memtable_limit: memtable,
-        max_runs: 2,
-        stall_runs,
-        stall_mem_ops: 4 * memtable,
-        stall_deadline: Duration::from_millis(stall_deadline_ms),
-        auto_compact: true,
-    };
     // Global scope: the fault must be visible to whichever writer thread
     // wins the commit-window leadership and to the background compactor,
     // not just to the arming thread.
@@ -1534,7 +1550,7 @@ fn drill_crash_round(
     drop(store);
     failpoint::reset_global();
 
-    let (recovered, report) = LsmStore::open(&dir, LsmConfig { auto_compact: false, ..cfg })
+    let (recovered, report) = LsmStore::open(&dir, LsmConfig { auto_compact: false, ..cfg.clone() })
         .map_err(|e| format!("reopen after {point}: {e}"))?;
     let snap = recovered.snapshot();
     let max_acked_seq = acked.iter().map(|(_, _, s)| *s).max().unwrap_or(0);

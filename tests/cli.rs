@@ -247,3 +247,38 @@ fn unknown_command_fails_with_usage() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("usage:"));
 }
+
+/// `mdwh <command> --store DIR <rest…>` exits 2 with the usage text, and
+/// nothing was run.
+fn assert_usage_error(args: &[&str]) {
+    let (command, rest) = args.split_first().unwrap();
+    let output = mdwh()
+        .arg(command)
+        .arg("--store")
+        .arg(store_dir())
+        .args(rest)
+        .output()
+        .expect("run mdwh");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "mdwh {args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "mdwh {args:?}: {stderr}");
+    assert!(output.stdout.is_empty(), "mdwh {args:?} still ran");
+}
+
+/// A flag the command does not declare is refused — not taken for a
+/// boolean, which made `--thread 4 customer` a search for the term `4`.
+#[test]
+fn unknown_flag_fails_with_usage() {
+    assert_usage_error(&["search", "--thread", "4", "customer"]);
+    assert_usage_error(&["search", "client", "--synonym"]);
+    assert_usage_error(&["info", "--bogus"]);
+    // Declared, but by another command.
+    assert_usage_error(&["census", "--depth", "2"]);
+}
+
+/// A value flag that ends the line is refused, not dropped.
+#[test]
+fn missing_flag_value_fails_with_usage() {
+    assert_usage_error(&["lineage", "dwh_stage0_item0", "--depth"]);
+    assert_usage_error(&["search", "client", "--max-rows"]);
+}

@@ -9,24 +9,17 @@
 //!   SPARQL), so one chatty client class cannot starve the others,
 //! * keeps a **bounded** wait queue — a full queue sheds the request with a
 //!   typed [`Overloaded`] rejection carrying a `retry_after` hint, never an
-//!   unbounded hang,
-//! * wraps the entailment path in a [`CircuitBreaker`]: when the reasoner
-//!   repeatedly blows its budget the breaker opens and queries fall back to
-//!   base-graph (non-inferred) answers, flagged degraded, until a cool-down
-//!   probe succeeds again.
+//!   unbounded hang.
 //!
-//! Everything is deterministic under test: the breaker takes a
-//! [`TimeSource`], waiting uses a condvar with a bounded timeout, and the
-//! non-blocking [`AdmissionController::try_admit`] path needs no threads at
-//! all.
+//! Everything is deterministic under test: waiting uses a condvar with a
+//! bounded timeout, and the non-blocking [`AdmissionController::try_admit`]
+//! path needs no threads at all.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-use mdw_rdf::budget::TimeSource;
 
 /// The workload classes the gate distinguishes, mirroring the paper's two
 /// production services plus the raw SPARQL endpoint.
@@ -394,146 +387,9 @@ impl Drop for Permit {
     }
 }
 
-/// Circuit-breaker states, the classic three.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: requests flow, failures are counted.
-    Closed,
-    /// Tripped: requests are refused (callers degrade) until the cool-down
-    /// elapses.
-    Open,
-    /// Probing: a limited number of requests pass; success closes the
-    /// breaker, failure re-opens it.
-    HalfOpen,
-}
-
-/// Breaker tuning.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that open the breaker.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open before probing.
-    pub cooldown: Duration,
-    /// Consecutive half-open successes that close it again.
-    pub success_threshold: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_secs(5),
-            success_threshold: 2,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct BreakerInner {
-    state: BreakerState,
-    consecutive_failures: u32,
-    half_open_successes: u32,
-    opened_at: Duration,
-}
-
-/// A circuit breaker over a fallible dependency — here, the entailment
-/// path: when budget-blown reasoner queries pile up, the warehouse stops
-/// consulting the inference index and serves base-graph answers (flagged
-/// degraded) until the breaker half-opens and a probe succeeds.
-///
-/// Time is injected ([`TimeSource`]), so state-transition tests advance a
-/// manual clock instead of sleeping.
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    time: Arc<dyn TimeSource>,
-    inner: Mutex<BreakerInner>,
-}
-
-impl fmt::Debug for CircuitBreaker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CircuitBreaker")
-            .field("config", &self.config)
-            .field("state", &self.state())
-            .finish()
-    }
-}
-
-impl CircuitBreaker {
-    /// A closed breaker measuring cool-downs on `time`.
-    pub fn new(config: BreakerConfig, time: Arc<dyn TimeSource>) -> Self {
-        CircuitBreaker {
-            config,
-            time,
-            inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                half_open_successes: 0,
-                opened_at: Duration::ZERO,
-            }),
-        }
-    }
-
-    /// The current state; an open breaker whose cool-down has elapsed
-    /// reports (and becomes) `HalfOpen`.
-    pub fn state(&self) -> BreakerState {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.state == BreakerState::Open
-            && self.time.now() >= inner.opened_at + self.config.cooldown
-        {
-            inner.state = BreakerState::HalfOpen;
-            inner.half_open_successes = 0;
-        }
-        inner.state
-    }
-
-    /// Whether a request may use the protected path right now.
-    pub fn allow(&self) -> bool {
-        self.state() != BreakerState::Open
-    }
-
-    /// Records a healthy response from the protected path.
-    pub fn record_success(&self) {
-        let _ = self.state(); // resolve a due Open→HalfOpen transition
-        let mut inner = self.inner.lock().unwrap();
-        match inner.state {
-            BreakerState::Closed => inner.consecutive_failures = 0,
-            BreakerState::HalfOpen => {
-                inner.half_open_successes += 1;
-                if inner.half_open_successes >= self.config.success_threshold {
-                    inner.state = BreakerState::Closed;
-                    inner.consecutive_failures = 0;
-                }
-            }
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Records a failure (e.g. a reasoner query that blew its budget).
-    pub fn record_failure(&self) {
-        let _ = self.state();
-        let mut inner = self.inner.lock().unwrap();
-        match inner.state {
-            BreakerState::Closed => {
-                inner.consecutive_failures += 1;
-                if inner.consecutive_failures >= self.config.failure_threshold {
-                    inner.state = BreakerState::Open;
-                    inner.opened_at = self.time.now();
-                }
-            }
-            BreakerState::HalfOpen => {
-                inner.state = BreakerState::Open;
-                inner.opened_at = self.time.now();
-            }
-            BreakerState::Open => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::budget::ManualTime;
-    use crate::resilience::TestClock;
 
     fn gate(total: usize, per_class: usize, queued: usize) -> AdmissionController {
         AdmissionController::new(AdmissionConfig {
@@ -751,91 +607,6 @@ mod tests {
         }
         assert_eq!(gate.waiting(), 0);
         assert_eq!(gate.active(), 0);
-    }
-
-    fn breaker(time: Arc<dyn TimeSource>) -> CircuitBreaker {
-        CircuitBreaker::new(
-            BreakerConfig {
-                failure_threshold: 3,
-                cooldown: Duration::from_secs(5),
-                success_threshold: 2,
-            },
-            time,
-        )
-    }
-
-    #[test]
-    fn breaker_opens_after_consecutive_failures() {
-        let time = Arc::new(ManualTime::new());
-        let b = breaker(time.clone());
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record_failure();
-        b.record_failure();
-        assert!(b.allow()); // two failures: still closed
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow());
-    }
-
-    #[test]
-    fn success_resets_the_failure_streak() {
-        let time = Arc::new(ManualTime::new());
-        let b = breaker(time.clone());
-        b.record_failure();
-        b.record_failure();
-        b.record_success();
-        b.record_failure();
-        b.record_failure();
-        // Never three in a row.
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn breaker_half_opens_after_cooldown_and_closes_on_probes() {
-        let time = Arc::new(ManualTime::new());
-        let b = breaker(time.clone());
-        for _ in 0..3 {
-            b.record_failure();
-        }
-        assert_eq!(b.state(), BreakerState::Open);
-        time.advance(Duration::from_secs(5));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.allow());
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::HalfOpen); // one probe is not enough
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn half_open_failure_reopens_and_restarts_cooldown() {
-        let time = Arc::new(ManualTime::new());
-        let b = breaker(time.clone());
-        for _ in 0..3 {
-            b.record_failure();
-        }
-        time.advance(Duration::from_secs(5));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        // The cool-down restarted: 4 more seconds is not enough…
-        time.advance(Duration::from_secs(4));
-        assert_eq!(b.state(), BreakerState::Open);
-        // …but one more is.
-        time.advance(Duration::from_secs(1));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn breaker_runs_on_test_clock_too() {
-        let clock = Arc::new(TestClock::new());
-        let b = CircuitBreaker::new(BreakerConfig::default(), clock.clone());
-        for _ in 0..3 {
-            b.record_failure();
-        }
-        assert!(!b.allow());
-        clock.advance(BreakerConfig::default().cooldown);
-        assert!(b.allow());
     }
 
     #[test]

@@ -137,8 +137,8 @@ pub struct KeywordMatch {
 pub struct RankedCandidate {
     /// The rendered SPARQL text (dedup key and final ordering tiebreak).
     pub sparql: String,
-    /// The executable query (model and degraded-mode rulebase handling are
-    /// applied by the warehouse at execution time).
+    /// The executable query (the warehouse supplies the model view at
+    /// execution time).
     pub query: SemMatch,
     /// `match_score × 10000 / ((1 + hops) × bitlen(1 + estimate))`.
     pub rank: u64,
@@ -214,8 +214,6 @@ pub struct AnswerResult {
     pub answers: Vec<AnswerRow>,
     /// Complete, or the reason the shared budget stopped the pipeline.
     pub completeness: Completeness,
-    /// True when executed without the inference index (breaker open).
-    pub degraded: bool,
 }
 
 /// Pools executed candidates' rows, in execution (= rank) order, into
@@ -1199,7 +1197,6 @@ mod tests {
                 vec![Some(Term::iri("i:2")), Some(Term::plain("two"))],
             ],
             completeness: Completeness::Complete,
-            degraded: false,
         };
         let out2 = QueryOutput {
             columns: vec!["?a".into(), "?name".into()],
@@ -1208,7 +1205,6 @@ mod tests {
                 vec![Some(Term::iri("i:3")), Some(Term::plain("three"))],
             ],
             completeness: Completeness::Complete,
-            degraded: false,
         };
         let mk = |sparql: &str, output: QueryOutput| ExecutedCandidate {
             sparql: sparql.into(),

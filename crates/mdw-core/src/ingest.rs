@@ -16,17 +16,14 @@
 //! counts and timings — the trace the Figure 4 reproduction prints.
 //! [`ingest_resilient`](crate::warehouse::MetadataWarehouse::ingest_resilient)
 //! does the same per extract under a retry policy and reports each
-//! extract's fate; [`ingest_stream`] drives a bare [`LsmStore`] from many
-//! threads.
+//! extract's fate. Both write through the warehouse's write door; nothing
+//! here touches the storage engine directly.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mdw_rdf::journal::JournalOp;
-use mdw_rdf::lsm::LsmStore;
 use mdw_rdf::staging::LoadReport;
 use mdw_rdf::term::Term;
 use mdw_rdf::turtle;
-use mdw_rdf::RdfError;
 
 use crate::error::MdwError;
 
@@ -159,130 +156,6 @@ impl ResilientIngestReport {
     }
 }
 
-/// How one extract fared on the streaming (LSM) write path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamStatus {
-    /// The extract was group-committed as one atomic batch; readers that
-    /// observe a snapshot watermark ≥ `seq` see all of its triples.
-    Committed {
-        /// The journal sequence number of the committed batch.
-        seq: u64,
-    },
-    /// The writer stalled at the backpressure gate past its deadline and
-    /// the batch was shed (typed, retryable once compaction drains).
-    Shed {
-        /// Compaction debt (stacked runs) at shed time.
-        debt: usize,
-        /// How long the writer stalled before shedding, in milliseconds.
-        waited_ms: u64,
-    },
-    /// The batch failed validation before touching the journal (e.g. a
-    /// literal subject) — permanent for this extract, nothing was written.
-    Rejected {
-        /// Why validation refused the batch.
-        reason: String,
-    },
-}
-
-/// Per-extract outcome of a streaming ingest.
-#[derive(Debug, Clone)]
-pub struct StreamOutcome {
-    /// Which system produced the extract.
-    pub source: String,
-    /// Triples the extract carried.
-    pub triples: usize,
-    /// What happened to it.
-    pub status: StreamStatus,
-}
-
-/// The trace of one streaming ingest run.
-#[derive(Debug, Clone, Default)]
-pub struct StreamIngestReport {
-    /// One outcome per extract, in delivery order.
-    pub outcomes: Vec<StreamOutcome>,
-    /// Highest journal sequence acknowledged by this run (0 if none).
-    pub last_seq: u64,
-    /// Wall-clock time spent in `write_batch` calls.
-    pub write_time: Duration,
-}
-
-impl StreamIngestReport {
-    /// Extracts that were durably group-committed.
-    pub fn committed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, StreamStatus::Committed { .. }))
-            .count()
-    }
-
-    /// Extracts shed by backpressure (retryable).
-    pub fn shed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, StreamStatus::Shed { .. }))
-            .count()
-    }
-
-    /// Triples durably committed across all extracts.
-    pub fn committed_triples(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o.status, StreamStatus::Committed { .. }))
-            .map(|o| o.triples)
-            .sum()
-    }
-
-    /// True if every extract committed.
-    pub fn is_clean(&self) -> bool {
-        self.outcomes
-            .iter()
-            .all(|o| matches!(o.status, StreamStatus::Committed { .. }))
-    }
-}
-
-/// Streams extracts into `model` of an [`LsmStore`]: each extract becomes
-/// one atomic journal batch, and concurrent callers of this function share
-/// fsyncs through the store's group-commit window (the streaming analogue
-/// of the Figure 4 bulk load — sources deliver continuously instead of in
-/// one release drop).
-///
-/// Unlike the warehouse's bulk ingest, the store is shared (`&LsmStore`),
-/// so many threads can stream at once; the LSM write path orders and batches them.
-/// Backpressure sheds ([`RdfError::Backpressure`]) and validation
-/// rejections are per-extract outcomes, not errors — only environmental
-/// failures (I/O, injected faults, corruption) abort the run.
-pub fn ingest_stream(
-    store: &LsmStore,
-    model: &str,
-    extracts: Vec<Extract>,
-) -> Result<StreamIngestReport, MdwError> {
-    let mut report = StreamIngestReport::default();
-    let start = Instant::now();
-    for extract in extracts {
-        let source = extract.source;
-        let triples = extract.triples.len();
-        let ops: Vec<JournalOp> = extract
-            .triples
-            .into_iter()
-            .map(|(s, p, o)| JournalOp::Insert(s, p, o))
-            .collect();
-        let status = match store.write_batch(model, &ops) {
-            Ok(seq) => {
-                report.last_seq = report.last_seq.max(seq);
-                StreamStatus::Committed { seq }
-            }
-            Err(RdfError::Backpressure { debt, waited_ms }) => {
-                StreamStatus::Shed { debt, waited_ms }
-            }
-            Err(RdfError::InvalidTriple { reason }) => StreamStatus::Rejected { reason },
-            Err(e) => return Err(e.into()),
-        };
-        report.outcomes.push(StreamOutcome { source, triples, status });
-    }
-    report.write_time = start.elapsed();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,109 +234,6 @@ mod tests {
         let again = w.ingest(vec![Extract::new("other", vec![ok])]).unwrap();
         assert_eq!((again.load.loaded, again.load.duplicates), (0, 1));
         assert_eq!(w.stats().unwrap().edges, 1);
-    }
-
-    mod stream {
-        use super::*;
-        use mdw_rdf::lsm::LsmConfig;
-
-        fn cfg() -> LsmConfig {
-            LsmConfig { auto_compact: false, ..LsmConfig::default() }
-        }
-
-        #[test]
-        fn extracts_group_commit_and_become_visible() {
-            let store = LsmStore::in_memory(cfg());
-            let extracts = vec![
-                Extract::new(
-                    "scanner",
-                    vec![(
-                        Term::iri("http://ex.org/t1"),
-                        Term::iri(vocab::rdf::TYPE),
-                        Term::iri("http://ex.org/Table"),
-                    )],
-                ),
-                Extract::new(
-                    "protege",
-                    vec![(
-                        Term::iri("http://ex.org/Table"),
-                        Term::iri(vocab::rdfs::SUB_CLASS_OF),
-                        Term::iri("http://ex.org/Item"),
-                    )],
-                ),
-            ];
-            let report = ingest_stream(&store, "DWH_CURR", extracts).unwrap();
-            assert!(report.is_clean());
-            assert_eq!(report.committed(), 2);
-            assert_eq!(report.committed_triples(), 2);
-            assert_eq!(report.last_seq, 2);
-            let snap = store.snapshot();
-            assert_eq!(snap.model("DWH_CURR").unwrap().len(), 2);
-            assert!(snap.watermark() >= report.last_seq);
-        }
-
-        #[test]
-        fn invalid_extract_is_rejected_without_aborting_the_run() {
-            let store = LsmStore::in_memory(cfg());
-            let bad = Extract::new(
-                "broken-export",
-                vec![(Term::plain("lit"), Term::iri("p"), Term::iri("o"))],
-            );
-            let good = Extract::new(
-                "healthy",
-                vec![(
-                    Term::iri("http://ex.org/t"),
-                    Term::iri(vocab::rdf::TYPE),
-                    Term::iri("http://ex.org/Table"),
-                )],
-            );
-            let report = ingest_stream(&store, "m", vec![bad, good]).unwrap();
-            assert!(!report.is_clean());
-            assert!(matches!(
-                report.outcomes[0].status,
-                StreamStatus::Rejected { .. }
-            ));
-            assert!(matches!(
-                report.outcomes[1].status,
-                StreamStatus::Committed { seq: 1 }
-            ));
-            assert_eq!(store.snapshot().model("m").unwrap().len(), 1);
-        }
-
-        #[test]
-        fn backpressure_surfaces_as_typed_shed_outcome() {
-            let store = LsmStore::in_memory(LsmConfig {
-                memtable_limit: 1,
-                max_runs: 1,
-                stall_runs: 1,
-                stall_deadline: Duration::from_millis(20),
-                auto_compact: false,
-                ..LsmConfig::default()
-            });
-            let mk = |n: usize| {
-                Extract::new(
-                    format!("src-{n}"),
-                    vec![(
-                        Term::iri(format!("http://ex.org/t{n}")),
-                        Term::iri(vocab::rdf::TYPE),
-                        Term::iri("http://ex.org/Table"),
-                    )],
-                )
-            };
-            // First extract fills the memtable and seals a run (debt 1 ≥
-            // stall_runs with no compactor) — the second must shed.
-            let report = ingest_stream(&store, "m", vec![mk(1), mk(2)]).unwrap();
-            assert!(matches!(
-                report.outcomes[0].status,
-                StreamStatus::Committed { .. }
-            ));
-            assert!(matches!(report.outcomes[1].status, StreamStatus::Shed { debt: 1, .. }));
-            assert_eq!(report.shed(), 1);
-            // Draining debt lets a retry of the shed extract commit.
-            assert!(store.compact_once().unwrap());
-            let retry = ingest_stream(&store, "m", vec![mk(2)]).unwrap();
-            assert!(retry.is_clean());
-        }
     }
 
     mod resilient {

@@ -50,8 +50,8 @@ pub mod synonyms;
 pub mod warehouse;
 
 pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionStats, BreakerConfig, BreakerState,
-    CircuitBreaker, Overloaded, Permit, QueryClass, ShedReason,
+    AdmissionConfig, AdmissionController, AdmissionStats, Overloaded, Permit, QueryClass,
+    ShedReason,
 };
 pub use answer::{
     AnswerRequest, AnswerResult, AnswerRow, CandidatePlan, ExecutedCandidate, KeywordMatch,
@@ -61,10 +61,7 @@ pub use assist::{find_sources, SourceCandidates};
 pub use error::MdwError;
 pub use governance::{who_can_access, AccessReport};
 pub use history::{History, VersionDiff, VersionRecord};
-pub use ingest::{
-    Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport,
-    StreamIngestReport, StreamOutcome, StreamStatus,
-};
+pub use ingest::{Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport};
 pub use lineage::{Direction, ImpactSummary, LineageRequest, LineageResult};
 pub use model::{Census, EdgeCategory, NodeKind};
 pub use ontology::OntologyBuilder;

@@ -184,15 +184,9 @@ pub struct LineageResult {
     /// Total paths enumerated before endpoint filtering — the Section V
     /// explosion metric.
     pub paths_explored: usize,
-    /// True if enumeration was cut short — [`LineageRequest::max_paths`] or
-    /// the budget. Kept in sync with [`LineageResult::completeness`].
-    pub truncated: bool,
-    /// Whether the traversal covered everything or stopped early (and why).
+    /// Whether the traversal covered everything or stopped early — the
+    /// budget, or [`LineageRequest::max_paths`] — and why.
     pub completeness: Completeness,
-    /// True when the answer was computed without the inference index (the
-    /// entailment circuit breaker was open) and may miss inherited target
-    /// classes.
-    pub degraded: bool,
 }
 
 impl LineageResult {
@@ -219,9 +213,7 @@ pub fn trace(
         endpoints: Vec::new(),
         paths: Vec::new(),
         paths_explored: 0,
-        truncated: false,
         completeness: Completeness::Complete,
-        degraded: false,
     };
     let (Some(mapped), Some(start)) = (lookup(vocab::cs::IS_MAPPED_TO), dict.lookup(&request.start))
     else {
@@ -417,12 +409,10 @@ pub fn trace(
         endpoints,
         paths,
         paths_explored,
-        truncated: reason.is_some(),
         completeness: match reason {
             Some(reason) => Completeness::Truncated { reason },
             None => Completeness::Complete,
         },
-        degraded: false,
     }
 }
 
@@ -842,7 +832,6 @@ mod tests {
         let req = LineageRequest::downstream(dwh("client_information_id"))
             .with_budget(QueryBudget::unlimited().with_max_steps(1));
         let result = run(&store, &m, req);
-        assert!(result.truncated);
         assert_eq!(result.completeness.reason(), Some(TruncationReason::StepLimit));
         // Whatever was found is still a valid partial: at most the first hop.
         assert!(result.paths_explored <= 1);
@@ -854,7 +843,6 @@ mod tests {
         let mut req = LineageRequest::downstream(dwh("client_information_id"));
         req.max_paths = 1;
         let result = run(&store, &m, req);
-        assert!(result.truncated);
         assert_eq!(result.completeness.reason(), Some(TruncationReason::PathLimit));
     }
 
@@ -871,12 +859,10 @@ mod tests {
     }
 
     #[test]
-    fn unbudgeted_walk_is_complete_and_flags_agree() {
+    fn unbudgeted_walk_is_complete() {
         let (store, m) = setup();
         let result = run(&store, &m, LineageRequest::downstream(dwh("client_information_id")));
-        assert!(!result.truncated);
         assert!(result.completeness.is_complete());
-        assert!(!result.degraded);
     }
 
     #[test]

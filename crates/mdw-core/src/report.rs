@@ -80,7 +80,7 @@ pub fn render_lineage(result: &LineageResult) -> String {
         "  paths ({} kept, {} explored{}):",
         result.paths.len(),
         result.paths_explored,
-        if result.truncated { ", TRUNCATED" } else { "" }
+        if !result.completeness.is_complete() { ", TRUNCATED" } else { "" }
     );
     for path in &result.paths {
         let mut line = String::new();

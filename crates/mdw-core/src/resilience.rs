@@ -31,8 +31,8 @@ pub use mdw_rdf::failpoint::FailSpec;
 /// clocks share one notion of "now".
 pub use mdw_rdf::budget::TimeSource;
 
-/// A source of delay and time, so retry backoff, deadlines, and circuit
-/// breakers are injectable: production uses [`SystemClock`], tests use
+/// A source of delay and time, so retry backoff and deadlines are
+/// injectable: production uses [`SystemClock`], tests use
 /// [`TestClock`] and assert on the recorded delays (or advance time by
 /// hand) instead of actually waiting.
 pub trait Clock: TimeSource {
@@ -91,7 +91,7 @@ impl TestClock {
     }
 
     /// Moves virtual time forward without a sleep (e.g. to expire a
-    /// deadline or a circuit breaker's cool-down).
+    /// deadline).
     pub fn advance(&self, d: Duration) {
         self.inner.lock().unwrap().advanced += d;
     }

@@ -174,10 +174,6 @@ pub struct SearchResults {
     /// Whether every qualifying instance is present or the result-cap /
     /// budget stopped the scan early.
     pub completeness: Completeness,
-    /// True when the answer was computed without the inference index (the
-    /// entailment circuit breaker was open) and may miss inherited class
-    /// memberships.
-    pub degraded: bool,
 }
 
 impl SearchResults {
@@ -403,7 +399,6 @@ pub fn search(
             Some(reason) => Completeness::Truncated { reason },
             None => Completeness::Complete,
         },
-        degraded: false,
     }
 }
 
@@ -418,7 +413,6 @@ fn empty_results(request: &SearchRequest, synonyms: &SynonymTable) -> SearchResu
         expanded_terms,
         trace: SearchTrace::default(),
         completeness: Completeness::Complete,
-        degraded: false,
     }
 }
 
@@ -811,11 +805,10 @@ mod tests {
     }
 
     #[test]
-    fn unconstrained_search_is_complete_and_not_degraded() {
+    fn unconstrained_search_is_complete() {
         let (store, m) = setup();
         let results = run(&store, &m, SearchRequest::new("customer"));
         assert!(results.completeness.is_complete());
-        assert!(!results.degraded);
     }
 
     #[test]

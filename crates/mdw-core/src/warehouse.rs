@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use mdw_rdf::budget::{Completeness, QueryBudget, TimeSource, TruncationReason};
+use mdw_rdf::budget::{Completeness, QueryBudget};
 use mdw_rdf::failpoint;
 use mdw_rdf::frozen::{FrozenIndex, FrozenStore};
 use mdw_rdf::journal::JournalOp;
@@ -37,10 +37,7 @@ use mdw_rdf::QueryContext;
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
 
-use crate::admission::{
-    AdmissionConfig, AdmissionController, AdmissionStats, BreakerConfig, BreakerState,
-    CircuitBreaker, QueryClass,
-};
+use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, QueryClass};
 use crate::answer::{self, AnswerRequest, AnswerResult, ExecutedCandidate};
 use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
@@ -190,7 +187,6 @@ pub struct MetadataWarehouse {
     history: History,
     sources: SourceRegistry,
     admission: Option<AdmissionController>,
-    breaker: Option<CircuitBreaker>,
     /// Worker-thread policy attached to every [`QueryContext`] this
     /// warehouse hands out; sequential unless configured.
     parallelism: ParallelPolicy,
@@ -253,7 +249,6 @@ impl MetadataWarehouse {
             history: History::new(),
             sources: SourceRegistry::new(),
             admission: None,
-            breaker: None,
             parallelism: ParallelPolicy::sequential(),
             planner: PlannerCounters::default(),
             answer_counters: AnswerCounters::default(),
@@ -637,19 +632,6 @@ impl MetadataWarehouse {
         self.admission.as_ref().map(|a| a.stats())
     }
 
-    /// Puts a circuit breaker over the entailment path: when reasoner-backed
-    /// queries repeatedly blow their budgets the breaker opens and queries
-    /// are served from the base graph alone — flagged degraded — until a
-    /// half-open probe succeeds.
-    pub fn enable_breaker(&mut self, config: BreakerConfig, time: Arc<dyn TimeSource>) {
-        self.breaker = Some(CircuitBreaker::new(config, time));
-    }
-
-    /// The breaker's current state, when one is installed.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(|b| b.state())
-    }
-
     fn empty_index() -> &'static FrozenIndex {
         static EMPTY: OnceLock<FrozenIndex> = OnceLock::new();
         EMPTY.get_or_init(|| FrozenIndex::from_spo_rows(Vec::new()))
@@ -661,17 +643,13 @@ impl MetadataWarehouse {
     ///
     /// 1. an admission permit for `class` (shed requests surface as
     ///    [`MdwError::Overloaded`]), held until the request returns;
-    /// 2. one breaker decision for the whole request;
-    /// 3. the view of `model` in the pinned snapshot generation — entailed (base ∪ semantic index) when `rulebase` is
-    ///    set and the breaker allows it, otherwise the base facts alone
-    ///    behind an empty overlay — so a request never observes a
-    ///    half-applied mutation;
-    /// 4. a [`QueryContext`] on that same generation carrying `budget` and
+    /// 2. the view of `model` in the pinned snapshot generation — entailed
+    ///    (base ∪ semantic index) iff the query named a `rulebase`,
+    ///    otherwise the base facts alone behind an empty overlay — so a
+    ///    request never observes a half-applied mutation;
+    /// 3. a [`QueryContext`] on that same generation carrying `budget` and
     ///    the worker-thread policy;
-    /// 5. `run`, the workload itself;
-    /// 6. `verdict`, which stamps the breaker decision onto the result's
-    ///    `degraded` flag(s) and yields the request's final completeness;
-    /// 7. one recorded breaker outcome, if the entailed path was used.
+    /// 4. `run`, the workload itself.
     fn run_query<T>(
         &self,
         class: QueryClass,
@@ -679,73 +657,34 @@ impl MetadataWarehouse {
         model: &str,
         rulebase: bool,
         run: impl FnOnce(&EntailedGraph<'_>, &QueryContext) -> Result<T, MdwError>,
-        verdict: fn(&mut T, bool) -> &Completeness,
     ) -> Result<T, MdwError> {
         let _permit = self.admission.as_ref().map(|gate| gate.admit(class)).transpose()?;
-        let degraded = self.breaker.as_ref().is_some_and(|b| !b.allow());
-        let entailed = rulebase && !degraded;
         let base = self.pinned.model(model)?;
         let derived = match &self.materialization {
-            _ if !entailed => Self::empty_index(),
+            _ if !rulebase => Self::empty_index(),
             // The semantic index is built over the current model only.
             Some(m) if model == self.model => m.frozen(),
             _ => return Err(MdwError::IndexNotBuilt),
         };
         let view = EntailedGraph::new(base, derived);
         let ctx = self.context().with_budget(budget.clone());
-        let mut result = run(&view, &ctx)?;
-        let completeness = verdict(&mut result, degraded);
-        if entailed {
-            self.record_entailment_outcome(completeness);
-        }
-        Ok(result)
+        run(&view, &ctx)
     }
 
-    /// Feeds a request's final verdict to the breaker: a budget blow-up on
-    /// the entailed path (deadline or step cap) counts as a failure,
-    /// anything else as a success. Base-only answers (degraded, or no
-    /// rulebase named) never probe the entailed path, so [`Self::run_query`]
-    /// does not record them.
-    fn record_entailment_outcome(&self, completeness: &Completeness) {
-        let Some(breaker) = &self.breaker else { return };
-        match completeness.reason() {
-            Some(TruncationReason::DeadlineExceeded | TruncationReason::StepLimit) => {
-                breaker.record_failure()
-            }
-            _ => breaker.record_success(),
-        }
-    }
-
-    /// Runs the Section IV.A search. Honors the request's [`QueryBudget`],
-    /// the admission gate, and the entailment breaker.
+    /// Runs the Section IV.A search. Honors the request's [`QueryBudget`]
+    /// and the admission gate.
     pub fn search(&self, request: &SearchRequest) -> Result<SearchResults, MdwError> {
-        self.run_query(
-            QueryClass::Search,
-            &request.budget,
-            &self.model,
-            true,
-            |view, ctx| Ok(search::search(view, ctx, &self.synonyms, request)),
-            |results, degraded| {
-                results.degraded = degraded;
-                &results.completeness
-            },
-        )
+        self.run_query(QueryClass::Search, &request.budget, &self.model, true, |view, ctx| {
+            Ok(search::search(view, ctx, &self.synonyms, request))
+        })
     }
 
     /// Runs the Section IV.B lineage traversal. Honors the request's
-    /// [`QueryBudget`], the admission gate, and the entailment breaker.
+    /// [`QueryBudget`] and the admission gate.
     pub fn lineage(&self, request: &LineageRequest) -> Result<LineageResult, MdwError> {
-        self.run_query(
-            QueryClass::Lineage,
-            &request.budget,
-            &self.model,
-            true,
-            |view, ctx| Ok(lineage::trace(view, ctx, request)),
-            |result, degraded| {
-                result.degraded = degraded;
-                &result.completeness
-            },
-        )
+        self.run_query(QueryClass::Lineage, &request.budget, &self.model, true, |view, ctx| {
+            Ok(lineage::trace(view, ctx, request))
+        })
     }
 
     /// Schema-level flow aggregation (Figure 7, coarse granularity).
@@ -800,14 +739,12 @@ impl MetadataWarehouse {
     /// join order, estimated against observed cardinalities, and pushed
     /// filter conjuncts. The query reads the model it names (the current
     /// one by default) and, when it names a rulebase, the built semantic
-    /// index is supplied automatically — while the breaker is open it runs
-    /// on base facts alone and the output is flagged degraded. The executor
-    /// checks the budget at bounded intervals and returns a partial result
-    /// tagged `Truncated` instead of running away. With `use_planner`
-    /// false the query runs in written pattern order — the baseline an
-    /// ablation compares against. Either way the outcome feeds the
-    /// warehouse's cumulative [`planner_stats`](Self::planner_stats)
-    /// counters.
+    /// index is supplied automatically. The executor checks the budget at
+    /// bounded intervals and returns a partial result tagged `Truncated`
+    /// instead of running away. With `use_planner` false the query runs in
+    /// written pattern order — the baseline an ablation compares against.
+    /// Either way the outcome feeds the warehouse's cumulative
+    /// [`planner_stats`](Self::planner_stats) counters.
     pub fn sem_match_explained(
         &self,
         query: &SemMatch,
@@ -820,10 +757,6 @@ impl MetadataWarehouse {
             query.model_name().unwrap_or(&self.model),
             query.rulebase_name().is_some(),
             |view, ctx| self.execute_sparql(view, ctx, query, use_planner),
-            |(out, _), degraded| {
-                out.degraded = degraded;
-                &out.completeness
-            },
         )
     }
 
@@ -865,10 +798,9 @@ impl MetadataWarehouse {
     /// cardinality estimate, and executes the top-k through the regular
     /// planner/budget stack. The whole request — planning and every
     /// candidate execution — is one pass through the query choke point:
-    /// one `Answer` admission permit, one breaker decision, one pinned
-    /// view, one recorded outcome. All phases charge the request's single
-    /// [`QueryBudget`], so truncation verdicts are truthful prefixes of the
-    /// unbudgeted run.
+    /// one `Answer` admission permit, one pinned view. All phases charge
+    /// the request's single [`QueryBudget`], so truncation verdicts are
+    /// truthful prefixes of the unbudgeted run.
     pub fn answer(&self, request: &AnswerRequest) -> Result<AnswerResult, MdwError> {
         let result = self.run_query(
             QueryClass::Answer,
@@ -876,13 +808,6 @@ impl MetadataWarehouse {
             &self.model,
             true,
             |view, ctx| self.answer_on(view, ctx, request),
-            |result, degraded| {
-                result.degraded = degraded;
-                for executed in &mut result.executed {
-                    executed.output.degraded = degraded;
-                }
-                &result.completeness
-            },
         )?;
         self.answer_counters.record(&result);
         Ok(result)
@@ -943,7 +868,6 @@ impl MetadataWarehouse {
                 Some(reason) => Completeness::Truncated { reason },
                 None => Completeness::Complete,
             },
-            degraded: false,
         })
     }
 
@@ -994,7 +918,7 @@ impl MetadataWarehouse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::budget::ManualTime;
+    use mdw_rdf::budget::TruncationReason;
     use mdw_rdf::failpoint::FailSpec;
     use mdw_rdf::vocab;
     use std::path::PathBuf;
@@ -1470,26 +1394,22 @@ mod tests {
         assert_eq!(w.load_synonym_edges().unwrap(), 0);
     }
 
-    /// One request per workload through the facade, reduced to the two
-    /// verdicts the query choke point owns.
-    type Probe = fn(&MetadataWarehouse) -> Result<(bool, Completeness), MdwError>;
+    /// One request per workload through the facade, reduced to its verdict.
+    type Probe = fn(&MetadataWarehouse) -> Result<Completeness, MdwError>;
 
     const WORKLOADS: [(QueryClass, Probe); 4] = [
         (QueryClass::Search, |w| {
-            let r = w.search(&SearchRequest::new("customer"))?;
-            Ok((r.degraded, r.completeness))
+            Ok(w.search(&SearchRequest::new("customer"))?.completeness)
         }),
         (QueryClass::Lineage, |w| {
-            let r = w.lineage(&LineageRequest::downstream(dwh("client_information_id")))?;
-            Ok((r.degraded, r.completeness))
+            Ok(w.lineage(&LineageRequest::downstream(dwh("client_information_id")))?.completeness)
         }),
         (QueryClass::Sparql, |w| {
-            let r = w.sem_match(&SemMatch::new("{ ?x rdf:type ?c }").rulebase("OWLPRIME"))?;
-            Ok((r.degraded, r.completeness))
+            let q = SemMatch::new("{ ?x rdf:type ?c }").rulebase("OWLPRIME");
+            Ok(w.sem_match(&q)?.completeness)
         }),
         (QueryClass::Answer, |w| {
-            let r = w.answer(&AnswerRequest::new("column"))?;
-            Ok((r.degraded, r.completeness))
+            Ok(w.answer(&AnswerRequest::new("column"))?.completeness)
         }),
     ];
 
@@ -1524,7 +1444,6 @@ mod tests {
         // TypeOf candidate runs and returns the class's only named instance.
         let result = w.answer(&AnswerRequest::new("column")).unwrap();
         assert!(result.completeness.is_complete());
-        assert!(!result.degraded);
         assert!(!result.executed.is_empty());
         assert_eq!(result.candidates[0].covered_tokens, 1);
         assert!(
@@ -1572,86 +1491,33 @@ mod tests {
         assert_eq!(w.admission().unwrap().active(), 0);
     }
 
-    /// A warehouse whose breaker a single starved search has just opened
-    /// (`failure_threshold` 1, 60 s cool-down).
-    fn tripped_warehouse(success_threshold: u32) -> (MetadataWarehouse, Arc<ManualTime>) {
-        let mut w = loaded_warehouse();
-        let time = Arc::new(ManualTime::new());
-        w.enable_breaker(
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(60),
-                success_threshold,
-            },
-            time.clone(),
-        );
-        assert_eq!(w.breaker_state(), Some(BreakerState::Closed));
-        // A query that blows its step budget counts as an entailment failure.
+    /// The caller alone picks the view: a request that names a rulebase
+    /// reads base ∪ semantic index — also right after an entailed request
+    /// blew its budget — and one that names none never sees an inferred
+    /// fact.
+    #[test]
+    fn rulebase_requests_read_the_entailed_view_and_base_requests_never_do() {
+        let w = loaded_warehouse();
+        let attributes = SemMatch::new("{ ?x rdf:type dm:Attribute }")
+            .alias("dm", vocab::cs::DM)
+            .select(&["?x"]);
+        let entailed = attributes.clone().rulebase("OWLPRIME");
         let starved = SearchRequest::new("customer")
             .with_budget(QueryBudget::unlimited().with_max_steps(0));
         let r = w.search(&starved).unwrap();
         assert_eq!(r.completeness.reason(), Some(TruncationReason::StepLimit));
-        assert_eq!(w.breaker_state(), Some(BreakerState::Open));
-        (w, time)
-    }
-
-    #[test]
-    fn open_breaker_degrades_every_workload_to_base_graph_answers() {
-        let (w, time) = tripped_warehouse(1);
-        for (class, probe) in WORKLOADS {
-            let (degraded, completeness) = probe(&w).unwrap();
-            assert!(degraded, "{class:?}");
-            assert!(completeness.is_complete(), "{class:?}");
-            // Degraded answers never probe the entailed path: no outcome.
-            assert_eq!(w.breaker_state(), Some(BreakerState::Open), "{class:?}");
-        }
-
-        // The answers come from the base graph: the asserted class is still
-        // found, the inferred superclass is not.
+        // customer_id is an Attribute only through rdfs:subClassOf.
+        let inferred = w.sem_match(&entailed).unwrap();
+        assert!(inferred.completeness.is_complete());
+        assert_eq!(inferred.rows.len(), 1);
+        let asserted = w.sem_match(&attributes).unwrap();
+        assert!(asserted.completeness.is_complete());
+        assert!(asserted.rows.is_empty());
+        // The services always name the rulebase: search groups by the
+        // inherited class too.
         let r = w.search(&SearchRequest::new("customer")).unwrap();
         assert!(r.group("Column").is_some());
-        assert!(r.group("Attribute").is_none());
-        let lin = w
-            .lineage(&LineageRequest::downstream(dwh("client_information_id")))
-            .unwrap();
-        assert!(lin.endpoint(&dwh("customer_id")).is_some());
-        let out = w
-            .sem_match(
-                &SemMatch::new("{ ?x rdf:type dm:Attribute }")
-                    .rulebase("OWLPRIME")
-                    .alias("dm", vocab::cs::DM)
-                    .select(&["?x"]),
-            )
-            .unwrap();
-        assert!(out.rows.is_empty());
-
-        // Cool-down elapses → half-open probe succeeds → healthy again.
-        time.advance(Duration::from_secs(61));
-        let r = w.search(&SearchRequest::new("customer")).unwrap();
-        assert!(!r.degraded);
         assert!(r.group("Attribute").is_some());
-        assert_eq!(w.breaker_state(), Some(BreakerState::Closed));
-    }
-
-    #[test]
-    fn every_admitted_request_records_exactly_one_breaker_outcome() {
-        // Half-open, two successes needed to close: one keyword request
-        // that executes two clean candidates is still a single success.
-        let (w, time) = tripped_warehouse(2);
-        time.advance(Duration::from_secs(61));
-        assert_eq!(w.breaker_state(), Some(BreakerState::HalfOpen));
-        let result = w.answer(&AnswerRequest::new("column attribute")).unwrap();
-        assert!(result.executed.len() >= 2, "executed: {:?}", result.executed.len());
-        assert!(!result.degraded);
-        assert!(result.executed.iter().all(|e| !e.output.degraded));
-        assert_eq!(w.breaker_state(), Some(BreakerState::HalfOpen));
-        // A base-only query (no rulebase named) is no evidence either way…
-        w.sem_match(&SemMatch::new("{ ?x rdf:type ?c }")).unwrap();
-        assert_eq!(w.breaker_state(), Some(BreakerState::HalfOpen));
-        // …and the second entailed request closes the breaker.
-        w.lineage(&LineageRequest::downstream(dwh("client_information_id")))
-            .unwrap();
-        assert_eq!(w.breaker_state(), Some(BreakerState::Closed));
     }
 
     #[test]

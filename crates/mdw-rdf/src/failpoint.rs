@@ -12,12 +12,13 @@
 //! other and a test's arsenal is dropped when the test ends (or via
 //! [`reset`]).
 //!
-//! A second, **process-global** scope exists for the serving layer
-//! ([`arm_global`]): a server's connection handlers run on pool threads the
-//! arming thread never sees, so wire-level chaos (injected partial writes,
-//! resets, accept errors) must cross threads. Global armings are consulted
-//! only when a thread-local arming for the same name does not exist, and an
-//! atomic count keeps the unarmed fast path a single relaxed load.
+//! A second, **process-global** scope exists for everything that runs on
+//! threads the arming thread never sees ([`arm_global`]; the `mdwh` CLI
+//! arms here): a server's event loop and workers, a drill's writers — so
+//! wire-level chaos (injected partial writes, resets, accept errors) and
+//! write-path faults cross threads. Global armings are consulted only when
+//! a thread-local arming for the same name does not exist, and an atomic
+//! count keeps the unarmed fast path a single relaxed load.
 //!
 //! Naming convention: `layer::operation[::detail]`, e.g.
 //! `journal::append`, `snapshot::manifest`, `ingest::extract::app1`.
@@ -116,14 +117,6 @@ pub fn arm_global(name: &str, spec: FailSpec) {
     GLOBAL_ARMED.store(map.len(), Ordering::SeqCst);
 }
 
-/// Disarms one global failpoint; `true` if it was armed.
-pub fn disarm_global(name: &str) -> bool {
-    let mut map = GLOBAL_REGISTRY.lock().unwrap();
-    let removed = map.remove(name).is_some();
-    GLOBAL_ARMED.store(map.len(), Ordering::SeqCst);
-    removed
-}
-
 /// Disarms every global failpoint.
 pub fn reset_global() {
     let mut map = GLOBAL_REGISTRY.lock().unwrap();
@@ -131,14 +124,10 @@ pub fn reset_global() {
     GLOBAL_ARMED.store(0, Ordering::SeqCst);
 }
 
-/// Names of currently armed global failpoints.
-pub fn armed_global() -> Vec<String> {
-    GLOBAL_REGISTRY.lock().unwrap().keys().cloned().collect()
-}
-
-/// Arms global failpoints from the same `name=spec,…` list format as
-/// [`arm_from_list`] (used by `mdwh serve --inject`, whose handler threads
-/// are not the arming thread).
+/// Arms global failpoints from a comma-separated list of `name=spec` pairs
+/// (the `mdwh --inject` / `MDWH_FAILPOINTS` format). Global, because the
+/// threads a command starts — a server's event loop and workers, a drill's
+/// writers — are not the arming thread.
 pub fn arm_from_list_global(list: &str) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
     for entry in list.split(',').filter(|e| !e.trim().is_empty()) {
@@ -177,13 +166,6 @@ pub fn armed() -> Vec<String> {
 /// 0 if not armed.
 pub fn hit_count(name: &str) -> u64 {
     REGISTRY.with(|r| r.borrow().get(name).map_or(0, |a| a.hits))
-}
-
-/// [`hit_count`] for the process-global scope: how often a globally armed
-/// failpoint has been checked (from any thread); 0 if not armed (including
-/// once an exhausted `Once`/`Times` arming is removed).
-pub fn hit_count_global(name: &str) -> u64 {
-    GLOBAL_REGISTRY.lock().unwrap().get(name).map_or(0, |a| a.hits)
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -246,20 +228,6 @@ fn parse_pct(p: &str) -> Result<u8, String> {
         return Err(format!("percentage out of range: {pct}"));
     }
     Ok(pct)
-}
-
-/// Arms failpoints from a comma-separated list of `name=spec` pairs (the
-/// `mdwh --inject` / `MDWH_FAILPOINTS` format).
-pub fn arm_from_list(list: &str) -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
-    for entry in list.split(',').filter(|e| !e.trim().is_empty()) {
-        let (name, spec_text) = entry
-            .split_once('=')
-            .ok_or_else(|| format!("bad failpoint entry {entry:?} (want name=spec)"))?;
-        arm(name.trim(), parse_spec(spec_text.trim())?);
-        names.push(name.trim().to_string());
-    }
-    Ok(names)
 }
 
 #[cfg(test)]
@@ -331,15 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn arm_from_list_arms_each() {
-        reset();
-        let names = arm_from_list("a::b=once, c::d=times:2").unwrap();
-        assert_eq!(names, vec!["a::b", "c::d"]);
-        assert_eq!(armed().len(), 2);
-        reset();
-    }
-
-    #[test]
     fn global_arming_fires_on_other_threads() {
         arm_global("t::global::xthread", FailSpec::Times(2));
         // A thread that never armed anything still sees the global arming.
@@ -350,27 +309,29 @@ mod tests {
         assert!(check("t::global::xthread").is_err());
         // Times(2) exhausted — the entry is gone everywhere.
         assert!(check("t::global::xthread").is_ok());
-        assert!(!armed_global().contains(&"t::global::xthread".to_string()));
     }
 
     #[test]
     fn thread_local_arming_shadows_global() {
-        arm_global("t::global::shadow", FailSpec::Always);
+        arm_global("t::global::shadow", FailSpec::Once);
         arm("t::global::shadow", FailSpec::Once);
         // Local Once wins, fires, disarms…
         assert!(check("t::global::shadow").is_err());
-        // …then the global Always shows through again.
+        // …then the global Once shows through, fires, and is gone too.
         assert!(check("t::global::shadow").is_err());
-        assert!(disarm_global("t::global::shadow"));
         assert!(check("t::global::shadow").is_ok());
     }
 
     #[test]
     fn arm_from_list_global_arms_each() {
-        let names = arm_from_list_global("t::g::a=once,t::g::b=times:2").unwrap();
+        let names = arm_from_list_global("t::g::a=once, t::g::b=times:2").unwrap();
         assert_eq!(names, vec!["t::g::a", "t::g::b"]);
-        assert!(disarm_global("t::g::a"));
-        assert!(disarm_global("t::g::b"));
+        assert!(arm_from_list_global("t::g::c").is_err());
+        assert!(check("t::g::a").is_err());
+        assert!(check("t::g::a").is_ok());
+        assert!(check("t::g::b").is_err());
+        assert!(check("t::g::b").is_err());
+        assert!(check("t::g::b").is_ok());
     }
 
     #[test]

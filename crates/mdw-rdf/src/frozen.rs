@@ -214,7 +214,7 @@ pub struct FrozenRun<'a> {
 }
 
 impl FrozenRun<'_> {
-    /// An empty run (used for degraded views with no entailments).
+    /// An empty run (the deletions of a merge scan's base layer).
     pub fn empty() -> FrozenRun<'static> {
         FrozenRun { rows: [].iter(), perm: Permutation::Spo }
     }

@@ -636,6 +636,27 @@ mod tests {
     }
 
     #[test]
+    fn declared_bodies_are_drained_and_eof_mid_head_is_a_400() {
+        let s = test_state();
+        let t0 = Instant::now();
+        let mut conn = Conn::new(timeouts(), false, t0);
+        // The five body bytes are drained, not parsed as the next head…
+        conn.feed(&s, b"POST /healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nhel", t0);
+        assert_eq!(conn.wants(), Wants::Read, "the body is still short");
+        conn.feed(&s, b"loGET /healthz HT", t0);
+        let first = parse_response(&drain_writes(&mut conn, &s)).unwrap();
+        assert!(first.complete_frame);
+        assert_eq!(conn.requests_served(), 1);
+        // …and the peer hanging up mid-head is a broken request, answered.
+        assert_eq!(conn.wants(), Wants::Read, "the second head is incomplete");
+        conn.on_read_eof(&s, t0);
+        let second = parse_response(&drain_writes(&mut conn, &s)).unwrap();
+        assert_eq!(second.status, 400);
+        assert!(second.complete_frame);
+        assert_eq!(conn.wants(), Wants::Close);
+    }
+
+    #[test]
     fn oversized_heads_get_431_and_bounded_buffers() {
         let s = test_state();
         let t0 = Instant::now();

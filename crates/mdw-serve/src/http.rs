@@ -16,7 +16,7 @@
 //! discipline.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Longest accepted request line (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -103,12 +103,6 @@ impl std::fmt::Display for ParseError {
             ParseError::TooLarge(what) => write!(f, "request too large: {what}"),
             ParseError::HeadTooLarge(what) => write!(f, "request head too large: {what}"),
         }
-    }
-}
-
-impl From<io::Error> for ParseError {
-    fn from(e: io::Error) -> Self {
-        ParseError::Io(e)
     }
 }
 
@@ -271,38 +265,6 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<(Request, usize)>, ParseError> {
     )))
 }
 
-/// Blocking convenience over [`parse_head`]: reads from `stream` until one
-/// full head arrives and drains the declared body (so the connection is
-/// clean for the response even on POSTs). Used by unit tests and simple
-/// callers; the server itself feeds [`parse_head`] from its event loop.
-pub fn parse_request<S: Read>(mut stream: S) -> Result<Request, ParseError> {
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 4096];
-    let (request, consumed) = loop {
-        match parse_head(&buf)? {
-            Some(done) => break done,
-            None => {
-                let got = stream.read(&mut scratch)?;
-                if got == 0 {
-                    return Err(ParseError::UnexpectedEof);
-                }
-                buf.extend_from_slice(&scratch[..got]);
-            }
-        }
-    };
-    // Drain the body: bytes already buffered count toward it.
-    let mut remaining = request.content_length.saturating_sub(buf.len() - consumed);
-    while remaining > 0 {
-        let want = remaining.min(scratch.len());
-        let got = stream.read(&mut scratch[..want])?;
-        if got == 0 {
-            return Err(ParseError::UnexpectedEof);
-        }
-        remaining -= got;
-    }
-    Ok(request)
-}
-
 /// The human phrase for the status codes the server emits.
 pub fn status_phrase(status: u16) -> &'static str {
     match status {
@@ -360,7 +322,9 @@ pub fn write_response<W: Write>(
 }
 
 /// Starts a chunked response: status + headers, no body yet. Rows follow
-/// via [`write_chunk`]; the frame is complete only after [`finish_chunks`].
+/// via [`push_chunk`]; the frame is complete only after the terminal
+/// `0\r\n\r\n` chunk — until that lands on the wire the client-side parser
+/// must treat the response as a broken transfer.
 pub fn start_chunked<W: Write>(
     w: &mut W,
     status: u16,
@@ -385,28 +349,11 @@ pub fn start_chunked<W: Write>(
     w.write_all(head.as_bytes())
 }
 
-/// Writes one chunk. Empty payloads are skipped (an empty chunk would read
-/// as the terminator).
-pub fn write_chunk<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.is_empty() {
-        return Ok(());
-    }
-    write!(w, "{:x}\r\n", payload.len())?;
-    w.write_all(payload)?;
-    w.write_all(b"\r\n")
-}
-
-/// Terminates a chunked body. Until this lands on the wire the response is
-/// *not* complete — the client-side parser must treat a missing terminator
-/// as a broken transfer.
-pub fn finish_chunks<W: Write>(w: &mut W) -> io::Result<()> {
-    w.write_all(b"0\r\n\r\n")?;
-    w.flush()
-}
-
 /// Appends one chunk frame (`size\r\npayload\r\n`) to a buffer — the
 /// event-driven streamer's building block: frames are staged in the
 /// connection's bounded write buffer and leave via the readiness loop.
+/// Empty payloads are skipped (an empty chunk would read as the
+/// terminator).
 pub fn push_chunk(out: &mut Vec<u8>, payload: &[u8]) {
     if payload.is_empty() {
         return;
@@ -420,13 +367,18 @@ pub fn push_chunk(out: &mut Vec<u8>, payload: &[u8]) {
 mod tests {
     use super::*;
 
+    /// The request of a complete head.
+    fn head(raw: &[u8]) -> Request {
+        parse_head(raw).unwrap().expect("a complete head").0
+    }
+
     #[test]
     fn parses_request_line_query_and_headers() {
         let raw = b"GET /search?q=client%20data&max=3&flag HTTP/1.1\r\n\
                     Host: localhost\r\n\
                     X-Tenant: risk\r\n\
                     \r\n";
-        let req = parse_request(&raw[..]).unwrap();
+        let req = head(raw);
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/search");
         assert_eq!(req.query_param("q"), Some("client data"));
@@ -440,11 +392,11 @@ mod tests {
     #[test]
     fn connection_header_overrides_the_version_default() {
         let close = b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
-        assert!(!parse_request(&close[..]).unwrap().keep_alive);
+        assert!(!head(close).keep_alive);
         let ten = b"GET / HTTP/1.0\r\n\r\n";
-        assert!(!parse_request(&ten[..]).unwrap().keep_alive);
+        assert!(!head(ten).keep_alive);
         let ten_ka = b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
-        assert!(parse_request(&ten_ka[..]).unwrap().keep_alive);
+        assert!(head(ten_ka).keep_alive);
     }
 
     #[test]
@@ -463,22 +415,27 @@ mod tests {
     }
 
     #[test]
-    fn drains_declared_bodies() {
+    fn declared_bodies_are_reported_not_consumed() {
         let raw = b"POST /admin/drain HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let req = parse_request(&raw[..]).unwrap();
+        let (req, consumed) = parse_head(raw).unwrap().unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/admin/drain");
+        // The connection drains this many bytes before the next head.
         assert_eq!(req.content_length, 5);
+        assert_eq!(consumed, raw.len() - 5);
     }
 
     #[test]
     fn rejects_oversized_request_lines_with_431() {
         let mut raw = b"GET /".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(MAX_REQUEST_LINE + 10));
+        raw.extend(std::iter::repeat_n(b'a', MAX_REQUEST_LINE + 10));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-        let err = parse_request(&raw[..]).unwrap_err();
-        assert!(matches!(err, ParseError::HeadTooLarge(_)), "{err}");
-        assert_eq!(err.status(), 431);
+        // Rejected whole, and already while the line is still arriving.
+        for arrived in [&raw[..], &raw[..MAX_REQUEST_LINE + 1]] {
+            let err = parse_head(arrived).unwrap_err();
+            assert!(matches!(err, ParseError::HeadTooLarge(_)), "{err}");
+            assert_eq!(err.status(), 431);
+        }
     }
 
     #[test]
@@ -515,10 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncated_heads() {
+    fn truncated_heads_are_never_a_request() {
         let raw = b"GET /search HTTP/1.1\r\nHost: x";
-        // EOF mid-header: never a valid request.
-        assert!(parse_request(&raw[..]).is_err());
+        // Cut off mid-header: incomplete, whatever follows — the connection
+        // answers an EOF here with `400` (`conn.rs` tests that half).
+        assert!(parse_head(raw).unwrap().is_none());
     }
 
     #[test]
@@ -533,27 +491,15 @@ mod tests {
     fn chunked_frames_are_well_formed() {
         let mut out = Vec::new();
         start_chunked(&mut out, 200, false, &[], "application/x-ndjson").unwrap();
-        write_chunk(&mut out, b"{\"a\":1}\n").unwrap();
-        write_chunk(&mut out, b"").unwrap(); // skipped, not a terminator
-        write_chunk(&mut out, b"{\"b\":2}\n").unwrap();
-        finish_chunks(&mut out).unwrap();
+        let head_len = out.len();
+        push_chunk(&mut out, b"{\"a\":1}\n");
+        push_chunk(&mut out, b""); // skipped, not a terminator
+        push_chunk(&mut out, b"{\"b\":2}\n");
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Connection: close"));
         assert!(text.contains("Transfer-Encoding: chunked"));
-        assert!(text.contains("8\r\n{\"a\":1}\n\r\n"));
-        assert!(text.ends_with("0\r\n\r\n"));
-    }
-
-    #[test]
-    fn push_chunk_matches_write_chunk() {
-        let mut pushed = Vec::new();
-        push_chunk(&mut pushed, b"{\"a\":1}\n");
-        push_chunk(&mut pushed, b"");
-        let mut written = Vec::new();
-        write_chunk(&mut written, b"{\"a\":1}\n").unwrap();
-        write_chunk(&mut written, b"").unwrap();
-        assert_eq!(pushed, written);
+        assert_eq!(&text[head_len..], "8\r\n{\"a\":1}\n\r\n8\r\n{\"b\":2}\n\r\n");
     }
 
     #[test]

@@ -360,7 +360,6 @@ impl QueryJob {
 struct Answer {
     rows: Vec<String>,
     completeness: Completeness,
-    degraded: bool,
     plan: Option<String>,
     candidates: Option<Value>,
 }
@@ -392,7 +391,6 @@ pub struct RowStreamer {
     rows: Vec<String>,
     next: usize,
     base_reason: Option<TruncationReason>,
-    degraded: bool,
     plan: Option<String>,
     candidates: Option<Value>,
     budget: QueryBudget,
@@ -418,7 +416,6 @@ impl RowStreamer {
             rows: answer.rows,
             next: 0,
             base_reason,
-            degraded: answer.degraded,
             plan: answer.plan,
             candidates: answer.candidates,
             budget,
@@ -456,7 +453,6 @@ impl RowStreamer {
                     "rows": self.sent,
                     "complete": reason.is_none(),
                     "truncated": reason.map(|r| r.to_string()),
-                    "degraded": self.degraded,
                     "bytes": self.budget.bytes_charged(),
                 }) else {
                     unreachable!("summary literal is an object");
@@ -528,7 +524,6 @@ fn run_search(
     Ok(Answer {
         rows,
         completeness: results.completeness,
-        degraded: results.degraded,
         plan: None,
         candidates: None,
     })
@@ -576,7 +571,6 @@ fn run_lineage(
     Ok(Answer {
         rows,
         completeness: result.completeness,
-        degraded: result.degraded,
         plan: None,
         candidates: None,
     })
@@ -622,7 +616,6 @@ fn run_sparql(
     Ok(Answer {
         rows,
         completeness: output.completeness,
-        degraded: output.degraded,
         plan: Some(report.summary()),
         candidates: None,
     })
@@ -667,7 +660,6 @@ fn run_answer(
     Ok(Answer {
         rows,
         completeness: result.completeness,
-        degraded: result.degraded,
         plan: None,
         candidates: Some(Value::Array(candidates)),
     })

@@ -56,10 +56,6 @@ pub struct QueryOutput {
     /// Whether the rows cover the full answer set or a budget cut the
     /// evaluation short (the rows are then a valid partial answer).
     pub completeness: Completeness,
-    /// True when the answer was computed without the semantic index (the
-    /// warehouse's degraded fallback while the entailment breaker is open):
-    /// inferred triples are absent.
-    pub degraded: bool,
 }
 
 impl QueryOutput {
@@ -339,7 +335,6 @@ impl<'a> Executor<'a> {
                     mdw_rdf::vocab::xsd::BOOLEAN,
                 ))]],
                 completeness: self.completeness(),
-                degraded: false,
             });
         }
         let mut rows: Vec<ResultRow> = if query.is_aggregate() {
@@ -420,7 +415,7 @@ impl<'a> Executor<'a> {
             let _ = self.budget.charge_row();
         }
 
-        Ok(QueryOutput { columns, rows, completeness: self.completeness(), degraded: false })
+        Ok(QueryOutput { columns, rows, completeness: self.completeness() })
     }
 
     fn completeness(&self) -> Completeness {
@@ -573,10 +568,16 @@ impl<'a> Executor<'a> {
                     }
                     let sub_cap = cap.map(|c| c - out.len());
                     let extended = self.eval_pattern(b, vars, vec![binding.clone()], sub_cap)?;
-                    if extended.is_empty() {
-                        out.push(binding);
-                    } else {
+                    if !extended.is_empty() {
                         out.extend(extended);
+                    } else if self.is_tripped() {
+                        // The budget tripped inside the right arm, so "no
+                        // extension" is unknown, not established: emitting
+                        // the bare left row could contradict the complete
+                        // answer. Withhold it — the output stays a prefix.
+                        break;
+                    } else {
+                        out.push(binding);
                     }
                 }
                 Ok(out)
@@ -1630,6 +1631,31 @@ mod tests {
             let out = run_budgeted(&store, q, &budget);
             assert_eq!(out.rows, full.rows[..cap as usize].to_vec());
         }
+    }
+
+    /// A step budget that trips inside an OPTIONAL right arm must not emit
+    /// the left row unextended when the complete answer extends it: at
+    /// every step cap the rows are a byte-equal prefix of the full answer.
+    #[test]
+    fn budget_trip_inside_optional_arm_withholds_the_unextended_row() {
+        let store = sample_store();
+        let q = "SELECT ?x ?age WHERE { ?x <hasName> ?n OPTIONAL { ?x <hasAge> ?age } }";
+        let full = run(&store, q);
+        assert_eq!(full.rows.iter().filter(|r| r[1].is_some()).count(), 2);
+        let mut truncated = 0;
+        for steps in 0..16 {
+            let budget = QueryBudget::unlimited().with_max_steps(steps);
+            let out = run_budgeted(&store, q, &budget);
+            assert_eq!(out.rows, full.rows[..out.rows.len()].to_vec(), "at {steps} steps");
+            match out.completeness.reason() {
+                None => assert_eq!(out.rows.len(), full.rows.len(), "at {steps} steps"),
+                Some(reason) => {
+                    assert_eq!(reason, TruncationReason::StepLimit);
+                    truncated += 1;
+                }
+            }
+        }
+        assert!(truncated >= 3, "the sweep must cross the right arm of each left row");
     }
 
     #[test]

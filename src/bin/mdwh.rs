@@ -156,7 +156,8 @@ prints the chosen plan (estimated vs observed rows per pattern, pushed
 filters); --no-planner runs patterns in written order instead.
 
 Fault drills: --inject 'name=spec,…' (or MDWH_FAILPOINTS env) arms
-failpoints on any command; spec is once | times:N | always | pct:P[:SEED].";
+failpoints process-wide on any command (server and drill threads see
+them); spec is once | times:N | always | pct:P[:SEED].";
 
 fn usage() -> String {
     let mut text = "usage:\n".to_string();
@@ -263,11 +264,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
 
 /// Arms fault-injection failpoints from `--inject` and the
 /// `MDWH_FAILPOINTS` environment variable (fault drills: run a real
-/// command while the persistence layer misbehaves on purpose).
+/// command while the persistence layer or the wire misbehaves on purpose).
+/// Process-global, so the threads a command starts — the server's event
+/// loop and workers — see them too.
 fn arm_failpoints(args: &Args) -> Result<(), String> {
     let env = std::env::var("MDWH_FAILPOINTS").ok();
     for (source, list) in [(" from env", env.as_deref()), ("", args.option("inject"))] {
-        let names = failpoint::arm_from_list(list.unwrap_or(""))?;
+        let names = failpoint::arm_from_list_global(list.unwrap_or(""))?;
         if !names.is_empty() {
             eprintln!("mdwh: armed failpoints{source}: {}", names.join(", "));
         }
@@ -439,12 +442,9 @@ fn budget_from_args(args: &Args) -> Result<QueryBudget, String> {
 }
 
 /// Prints the overload-protection verdicts after a query's regular output.
-fn note_verdicts(completeness: &Completeness, degraded: bool) {
+fn note_verdicts(completeness: &Completeness) {
     if let Some(reason) = completeness.reason() {
         println!("note: result truncated ({reason}) — a valid partial answer");
-    }
-    if degraded {
-        println!("note: degraded answer (semantic index bypassed; no inferred facts)");
     }
 }
 
@@ -505,7 +505,7 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     request = request.with_budget(budget_from_args(args)?);
     let results = warehouse.search(&request).map_err(|e| e.to_string())?;
     print!("{}", report::render_search(term, &results));
-    note_verdicts(&results.completeness, results.degraded);
+    note_verdicts(&results.completeness);
     Ok(())
 }
 
@@ -556,7 +556,7 @@ fn cmd_answer(args: &Args) -> Result<(), String> {
             print!("{}", ex.report.to_text());
         }
     }
-    note_verdicts(&result.completeness, result.degraded);
+    note_verdicts(&result.completeness);
     Ok(())
 }
 
@@ -603,7 +603,7 @@ fn cmd_lineage(args: &Args) -> Result<(), String> {
     request = request.with_budget(budget_from_args(args)?);
     let result = warehouse.lineage(&request).map_err(|e| e.to_string())?;
     print!("{}", report::render_lineage(&result));
-    note_verdicts(&result.completeness, result.degraded);
+    note_verdicts(&result.completeness);
     Ok(())
 }
 
@@ -668,7 +668,7 @@ fn cmd_sparql(args: &Args) -> Result<(), String> {
     if args.flag("explain") {
         print!("{}", report.to_text());
     }
-    note_verdicts(&output.completeness, output.degraded);
+    note_verdicts(&output.completeness);
     Ok(())
 }
 

@@ -15,19 +15,18 @@
 //! * **Typed sheds** — with a zero Answer quota, `answer` returns
 //!   `MdwError::Overloaded` carrying the class and a retry-after hint.
 
-use std::sync::Arc;
+mod common;
+
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use common::{assert_truthful_prefix, make_budget, policy, tripped_reason, BUDGET_VARIANTS};
 use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass, CLASS_COUNT};
 use metadata_warehouse::core::answer::AnswerRequest;
 use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
-use metadata_warehouse::rdf::budget::{
-    CancellationToken, MonotonicTime, QueryBudget, TruncationReason,
-};
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::ParallelPolicy;
@@ -102,38 +101,6 @@ fn keywords() -> impl Strategy<Value = String> {
     (0usize..KEYWORDS.len()).prop_map(|i| KEYWORDS[i].to_string())
 }
 
-/// Deterministic budget variants (wall-clock deadlines are exercised
-/// separately with a zero deadline, which trips reproducibly).
-fn make_budget(variant: u8, limit: u64) -> QueryBudget {
-    match variant % 5 {
-        0 => QueryBudget::unlimited(),
-        1 => QueryBudget::unlimited().with_max_steps(limit),
-        2 => QueryBudget::unlimited().with_max_rows(limit % 8),
-        3 => QueryBudget::unlimited().with_deadline(Duration::ZERO, Arc::new(MonotonicTime::new())),
-        _ => {
-            let token = CancellationToken::new();
-            token.cancel();
-            QueryBudget::unlimited().with_cancellation(&token)
-        }
-    }
-}
-
-/// The truncation reasons each budget variant may legitimately produce.
-fn allowed_reasons(variant: u8) -> &'static [TruncationReason] {
-    match variant % 5 {
-        0 => &[],
-        1 => &[TruncationReason::StepLimit],
-        2 => &[TruncationReason::RowLimit],
-        3 => &[TruncationReason::DeadlineExceeded],
-        _ => &[TruncationReason::Cancelled],
-    }
-}
-
-/// A policy that really partitions even small scans.
-fn policy(threads: usize) -> ParallelPolicy {
-    ParallelPolicy::new(threads).with_min_partition_rows(1)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -144,7 +111,7 @@ proptest! {
     #[test]
     fn answer_is_bit_identical_across_thread_counts(
         kw in keywords(),
-        variant in 0u8..5,
+        variant in 0u8..BUDGET_VARIANTS,
         limit in 0u64..60,
         top_k in 1usize..5,
     ) {
@@ -170,7 +137,7 @@ proptest! {
     #[test]
     fn budget_trips_are_truthful_prefixes(
         kw in keywords(),
-        variant in 1u8..5,
+        variant in 1u8..BUDGET_VARIANTS,
         limit in 0u64..60,
         thread_pick in 0usize..3,
     ) {
@@ -184,32 +151,16 @@ proptest! {
         let limited = w
             .answer(&AnswerRequest::new(kw.clone()).with_budget(make_budget(variant, limit)))
             .unwrap();
+        assert_truthful_prefix(
+            (&limited.answers, limited.completeness),
+            (&unlimited.answers, unlimited.completeness),
+        );
         match limited.completeness.reason() {
-            None => {
-                // Claimed complete: must be indistinguishable from the
-                // unlimited run.
-                prop_assert_eq!(
-                    format!("{:?}", &limited),
-                    format!("{:?}", &unlimited),
-                    "a 'complete' limited answer differed from the unlimited answer"
-                );
-            }
+            // Claimed complete: indistinguishable from the unlimited run
+            // in every field, not only the pooled answers.
+            None => prop_assert_eq!(format!("{:?}", &limited), format!("{:?}", &unlimited)),
             Some(reason) => {
-                prop_assert!(
-                    allowed_reasons(variant).contains(&reason),
-                    "variant {} produced unexpected reason {:?}",
-                    variant,
-                    reason
-                );
-                prop_assert!(
-                    limited.answers.len() <= unlimited.answers.len(),
-                    "truncated run returned more answers than the unlimited run"
-                );
-                prop_assert_eq!(
-                    limited.answers.as_slice(),
-                    &unlimited.answers[..limited.answers.len()],
-                    "truncated answers are not a prefix of the unlimited answers"
-                );
+                prop_assert_eq!(Some(reason), tripped_reason(variant));
                 prop_assert!(
                     limited.executed.len() <= unlimited.executed.len(),
                     "truncated run executed more candidates than the unlimited run"

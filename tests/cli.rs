@@ -241,6 +241,25 @@ fn drill_overload_sheds_without_panicking() {
     assert!(shed > 0, "forced-low quotas must shed: {stdout}");
 }
 
+/// `--inject` arms process-wide: a wire fault named on the command line
+/// fires on the in-process server's event-loop thread, which the arming
+/// (main) thread never is, and the server's own counters show it.
+#[test]
+fn injected_wire_fault_reaches_the_in_process_server() {
+    let out = run_ok(&[
+        "drill",
+        "wire",
+        "@STORE",
+        "--connections",
+        "6",
+        "--inject",
+        "wire::accept=times:2",
+    ]);
+    let stats = out.lines().find(|l| l.starts_with("stats:")).expect("stats line");
+    assert!(stats.contains("\"accept_errors\":2"), "fault never fired: {stats}");
+    assert!(out.contains("io errors: 2"), "dropped connections not seen: {out}");
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let output = mdwh().arg("frobnicate").output().expect("run mdwh");

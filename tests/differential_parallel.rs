@@ -7,94 +7,33 @@
 //! decision (budget charging, dedup, caps, ranking) happens in a
 //! deterministic in-order merge. These tests enforce that contract by
 //! construction: random graphs, random search/lineage/SPARQL requests, and
-//! budget variants (unlimited, step-capped, row-capped, pre-cancelled) are
-//! run at thread counts {1, 2, 3, 8} with the chunk-size floor forced to 1
-//! (so tiny inputs really do split), and the full `Debug` rendering of each
-//! result — including the `Completeness` verdict — must match the
-//! sequential run exactly.
+//! budget variants (unlimited, step-capped, row-capped, expired deadline,
+//! pre-cancelled) are run at thread counts {1, 2, 3, 8} with the chunk-size
+//! floor forced to 1 (so tiny inputs really do split), and the full `Debug`
+//! rendering of each result — including the `Completeness` verdict — must
+//! match the sequential run exactly.
+
+mod common;
 
 use proptest::prelude::*;
 
-use metadata_warehouse::rdf::budget::{
-    CancellationToken, QueryBudget, TruncationReason, CHECK_INTERVAL,
+use common::{
+    assert_truthful_prefix, build, item, landscape, make_budget, policy, BUDGET_VARIANTS,
 };
 use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::search::SearchRequest;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
-use metadata_warehouse::rdf::ParallelPolicy;
+use metadata_warehouse::rdf::budget::{
+    CancellationToken, QueryBudget, TruncationReason, CHECK_INTERVAL,
+};
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
+use metadata_warehouse::rdf::ParallelPolicy;
 use metadata_warehouse::sparql::SemMatch;
 
 /// Thread counts compared against the sequential baseline.
 const THREADS: [usize; 3] = [2, 3, 8];
-
-fn item(i: u8) -> Term {
-    Term::iri(format!("http://ex.org/item{i}"))
-}
-
-/// A random mapping landscape: items with names, random classes, and
-/// random `isMappedTo` edges (cycles, diamonds, and fan-in allowed).
-#[derive(Debug, Clone)]
-struct RandomLandscape {
-    names: Vec<String>,
-    classes: Vec<u8>,
-    mappings: Vec<(u8, u8)>,
-}
-
-fn landscape() -> impl Strategy<Value = RandomLandscape> {
-    let n = 10usize;
-    (
-        proptest::collection::vec("[a-z]{2,8}", n..=n),
-        proptest::collection::vec(0u8..4, n..=n),
-        proptest::collection::vec((0u8..10, 0u8..10), 0..28),
-    )
-        .prop_map(|(names, classes, mappings)| RandomLandscape { names, classes, mappings })
-}
-
-fn build(l: &RandomLandscape) -> MetadataWarehouse {
-    let mut triples = Vec::new();
-    let ty = Term::iri(vocab::rdf::TYPE);
-    let has_name = Term::iri(vocab::cs::HAS_NAME);
-    let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
-    for (i, name) in l.names.iter().enumerate() {
-        let it = item(i as u8);
-        triples.push((
-            it.clone(),
-            ty.clone(),
-            Term::iri(format!("http://ex.org/Class{}", l.classes[i])),
-        ));
-        triples.push((it.clone(), has_name.clone(), Term::plain(name.clone())));
-    }
-    for &(a, b) in &l.mappings {
-        triples.push((item(a), mapped.clone(), item(b)));
-    }
-    let mut w = MetadataWarehouse::new();
-    w.ingest(vec![Extract::new("diff", triples)]).unwrap();
-    w.build_semantic_index().unwrap();
-    w
-}
-
-/// Budget variants exercised differentially. Budgets carry shared atomic
-/// counters, so each run gets a freshly built budget.
-fn make_budget(variant: u8, limit: u64) -> QueryBudget {
-    match variant % 4 {
-        0 => QueryBudget::unlimited(),
-        1 => QueryBudget::unlimited().with_max_steps(limit),
-        2 => QueryBudget::unlimited().with_max_rows(limit % 8),
-        _ => {
-            let token = CancellationToken::new();
-            token.cancel();
-            QueryBudget::unlimited().with_cancellation(&token)
-        }
-    }
-}
-
-/// A policy that really partitions even the tiny proptest graphs.
-fn policy(threads: usize) -> ParallelPolicy {
-    ParallelPolicy::new(threads).with_min_partition_rows(1)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -106,7 +45,7 @@ proptest! {
     fn parallel_search_is_bit_identical(
         l in landscape(),
         needle in "[a-z]{1,2}",
-        variant in 0u8..4,
+        variant in 0u8..BUDGET_VARIANTS,
         limit in 0u64..40,
         cap in 1usize..12,
     ) {
@@ -132,7 +71,7 @@ proptest! {
         l in landscape(),
         start in 0u8..10,
         upstream in any::<bool>(),
-        variant in 0u8..4,
+        variant in 0u8..BUDGET_VARIANTS,
         limit in 0u64..60,
     ) {
         let mut w = build(&l);
@@ -157,7 +96,7 @@ proptest! {
     #[test]
     fn parallel_sparql_is_bit_identical(
         l in landscape(),
-        variant in 0u8..4,
+        variant in 0u8..BUDGET_VARIANTS,
         limit in 0u64..40,
     ) {
         let mut w = build(&l);
@@ -343,10 +282,9 @@ fn cancelled_parallel_rows_are_a_prefix_of_the_sequential_answer() {
         "the cancelled run must actually have been cut short"
     );
     assert_eq!(partial.columns, full.columns);
-    assert_eq!(
-        partial.rows.as_slice(),
-        &full.rows[..partial.rows.len()],
-        "cancelled rows diverged from the sequential prefix"
+    assert_truthful_prefix(
+        (&partial.rows, partial.completeness),
+        (&full.rows, full.completeness),
     );
 }
 

@@ -7,7 +7,7 @@
 //! positional: the same multiset of rows as written-order execution.
 //! These tests enforce that contract by construction over random mapping
 //! landscapes, adversarial pattern orderings, and every budget shape
-//! (unlimited, step-capped, row-capped, expired deadline):
+//! (unlimited, step-capped, row-capped, expired deadline, pre-cancelled):
 //!
 //! 1. **Complete ≡ complete** — planner-on and planner-off runs that both
 //!    finish return identical sorted row multisets,
@@ -24,67 +24,17 @@
 //! OWLPRIME run on the entailed view (no snapshot statistics — the planner
 //! falls back to capped probe scans).
 
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
 use proptest::prelude::*;
 
-use metadata_warehouse::rdf::budget::{
-    Completeness, ManualTime, QueryBudget, TimeSource, TruncationReason,
+use common::{
+    assert_truthful_prefix, build, landscape, make_budget, policy, tripped_reason,
+    RandomLandscape, BUDGET_VARIANTS,
 };
-use metadata_warehouse::core::ingest::Extract;
-use metadata_warehouse::core::warehouse::MetadataWarehouse;
-use metadata_warehouse::rdf::term::Term;
+use metadata_warehouse::rdf::budget::QueryBudget;
 use metadata_warehouse::rdf::vocab;
-use metadata_warehouse::rdf::ParallelPolicy;
 use metadata_warehouse::sparql::SemMatch;
-
-fn item(i: u8) -> Term {
-    Term::iri(format!("http://ex.org/item{i}"))
-}
-
-/// A random mapping landscape: items with names, random classes, and
-/// random `isMappedTo` edges (cycles, diamonds, and fan-in allowed) —
-/// skewed enough that written order and cost order genuinely differ.
-#[derive(Debug, Clone)]
-struct RandomLandscape {
-    names: Vec<String>,
-    classes: Vec<u8>,
-    mappings: Vec<(u8, u8)>,
-}
-
-fn landscape() -> impl Strategy<Value = RandomLandscape> {
-    let n = 10usize;
-    (
-        proptest::collection::vec("[a-z]{2,8}", n..=n),
-        proptest::collection::vec(0u8..4, n..=n),
-        proptest::collection::vec((0u8..10, 0u8..10), 0..28),
-    )
-        .prop_map(|(names, classes, mappings)| RandomLandscape { names, classes, mappings })
-}
-
-fn build(l: &RandomLandscape) -> MetadataWarehouse {
-    let mut triples = Vec::new();
-    let ty = Term::iri(vocab::rdf::TYPE);
-    let has_name = Term::iri(vocab::cs::HAS_NAME);
-    let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
-    for (i, name) in l.names.iter().enumerate() {
-        let it = item(i as u8);
-        triples.push((
-            it.clone(),
-            ty.clone(),
-            Term::iri(format!("http://ex.org/Class{}", l.classes[i])),
-        ));
-        triples.push((it.clone(), has_name.clone(), Term::plain(name.clone())));
-    }
-    for &(a, b) in &l.mappings {
-        triples.push((item(a), mapped.clone(), item(b)));
-    }
-    let mut w = MetadataWarehouse::new();
-    w.ingest(vec![Extract::new("diff", triples)]).unwrap();
-    w.build_semantic_index().unwrap();
-    w
-}
 
 /// The query shapes the planner rewrites, written adversarially: the
 /// broadest pattern first, joins before their binding scans, filters at
@@ -119,55 +69,12 @@ fn queries(rulebased: bool) -> Vec<SemMatch> {
     qs
 }
 
-/// Budget variants exercised differentially. Budgets carry shared atomic
-/// counters, so each run gets a freshly built budget. Variant 3 is an
-/// already-expired manual-clock deadline: the first interval check trips
-/// it deterministically.
-fn make_budget(variant: u8, limit: u64) -> QueryBudget {
-    match variant % 4 {
-        0 => QueryBudget::unlimited(),
-        1 => QueryBudget::unlimited().with_max_steps(limit),
-        2 => QueryBudget::unlimited().with_max_rows(limit % 8),
-        _ => {
-            let time = Arc::new(ManualTime::new());
-            let budget = QueryBudget::unlimited()
-                .with_deadline(Duration::from_millis(1), Arc::clone(&time) as Arc<dyn TimeSource>);
-            time.advance(Duration::from_millis(5));
-            budget
-        }
-    }
-}
-
-/// A policy that really partitions even the tiny proptest graphs.
-fn policy(threads: usize) -> ParallelPolicy {
-    ParallelPolicy::new(threads).with_min_partition_rows(1)
-}
-
 /// Rows rendered for multiset comparison (canonical sort erases the
 /// plan-dependent generation order).
 fn sorted_rows(out: &metadata_warehouse::sparql::QueryOutput) -> Vec<String> {
     let mut rows: Vec<String> = out.rows.iter().map(|r| format!("{r:?}")).collect();
     rows.sort();
     rows
-}
-
-fn rendered_rows(out: &metadata_warehouse::sparql::QueryOutput) -> Vec<String> {
-    out.rows.iter().map(|r| format!("{r:?}")).collect()
-}
-
-/// `got` carries no binding that `reference` lacks: equal in every column
-/// where `got` is bound. A budget trip inside an OPTIONAL right arm emits
-/// the left solution unextended, so the *final* truncated row may be the
-/// subsumed variant of the reference row rather than byte-equal to it.
-fn row_subsumed(
-    got: &[Option<metadata_warehouse::rdf::term::Term>],
-    reference: &[Option<metadata_warehouse::rdf::term::Term>],
-) -> bool {
-    got.len() == reference.len()
-        && got
-            .iter()
-            .zip(reference)
-            .all(|(g, r)| g.is_none() || g.as_ref() == r.as_ref())
 }
 
 proptest! {
@@ -214,7 +121,7 @@ proptest! {
     fn budgeted_runs_are_truthful_prefixes_in_both_modes(
         l in landscape(),
         rulebased in any::<bool>(),
-        variant in 0u8..4,
+        variant in 0u8..BUDGET_VARIANTS,
         limit in 0u64..40,
     ) {
         let mut w = build(&l);
@@ -229,48 +136,17 @@ proptest! {
                 let (budgeted, _) = w
                     .sem_match_explained(query, &make_budget(variant, limit), use_planner)
                     .unwrap();
-                match budgeted.completeness {
-                    Completeness::Complete => {
-                        prop_assert_eq!(rendered_rows(&budgeted), rendered_rows(&full));
-                    }
-                    Completeness::Truncated { reason } => {
-                        let expected = match variant % 4 {
-                            1 => TruncationReason::StepLimit,
-                            2 => TruncationReason::RowLimit,
-                            3 => TruncationReason::DeadlineExceeded,
-                            _ => unreachable!("unlimited budgets never truncate"),
-                        };
-                        prop_assert_eq!(reason, expected);
-                        // Truthful prefix: every truncated row sits at its
-                        // position in the complete answer. The final row may
-                        // be the *subsumed* variant of its reference row —
-                        // a trip inside an OPTIONAL right arm falls back to
-                        // the unextended left solution — but it never
-                        // invents a binding the complete answer lacks.
-                        prop_assert!(
-                            budgeted.rows.len() <= full.rows.len(),
-                            "truncated run returned more rows than the complete answer"
-                        );
-                        for (i, row) in budgeted.rows.iter().enumerate() {
-                            let reference = &full.rows[i];
-                            let last = i + 1 == budgeted.rows.len();
-                            let ok = if last {
-                                row_subsumed(row, reference)
-                            } else {
-                                row == reference
-                            };
-                            prop_assert!(
-                                ok,
-                                "truncated row {} diverged from the complete answer \
-                                 (planner={}): {:?} vs {:?}",
-                                i,
-                                use_planner,
-                                row,
-                                reference
-                            );
-                        }
-                    }
+                // Truthful prefix: every row of a truncated run sits,
+                // byte-equal, at its position in the complete answer — the
+                // last one included — and the verdict names the tripped
+                // budget dimension.
+                if let Some(reason) = budgeted.completeness.reason() {
+                    prop_assert_eq!(Some(reason), tripped_reason(variant));
                 }
+                assert_truthful_prefix(
+                    (&budgeted.rows, budgeted.completeness),
+                    (&full.rows, full.completeness),
+                );
 
                 // Same mode, same budget shape, more threads: bit-identical.
                 let baseline = format!(

@@ -7,13 +7,16 @@
 //! the schema, and emit ranked executable queries. This module is that
 //! pipeline over the warehouse's RDF metadata graph:
 //!
+//! 0. **Index** — `SchemaIndex::build` computes, once per pinned
+//!    generation, the schema summary graph (classes as nodes, asserted
+//!    predicates between their instances as edges) and the normalized
+//!    `rdfs:label` of every class and property. Requests only look it up.
 //! 1. **Match** — tokenize the keyword set and score each token against
-//!    class/property `rdfs:label`s, expanded through the synonym table
-//!    (exact match 100, substring 60, synonym hits scaled by 0.7).
-//! 2. **Path search** — build a schema summary graph (classes as nodes,
-//!    asserted predicates between their instances as edges) and find
-//!    bounded-length shortest join paths between matched schema nodes with
-//!    the same level-synchronous BFS discipline the lineage traversal uses.
+//!    the indexed labels, expanded through the synonym table (exact match
+//!    100, substring 60, synonym hits scaled by 0.7).
+//! 2. **Path search** — find bounded-length shortest join paths between
+//!    matched schema nodes over the indexed summary graph with the same
+//!    level-synchronous BFS discipline the lineage traversal uses.
 //! 3. **Rank** — each candidate query gets
 //!    `rank = match_score × 10000 / ((1 + hops) × bitlen(1 + estimate))`
 //!    where `estimate` is the [`FrozenStats`] cardinality bound, and
@@ -26,22 +29,21 @@
 //!    and pools their rows, in rank order, into deduplicated answers tagged
 //!    with the generating query and its `ExplainReport`.
 //!
-//! Everything charges one shared [`QueryBudget`]: planning scans charge
-//! steps (bulk-reserved in the parallel label-matching phase, exactly like
-//! [`crate::search`]), execution charges steps and rows, and a tripped
-//! budget truncates the remaining pipeline immediately — answers are always
-//! a truthful prefix of the unbudgeted run.
+//! Everything after the index charges one shared [`QueryBudget`]: one step
+//! per label entry consulted, one per BFS/DFS edge of the path search,
+//! steps and rows for execution; a tripped budget truncates the remaining
+//! pipeline immediately — answers are always a truthful prefix of the
+//! unbudgeted run. The index build itself is neither charged nor bounded.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::stats::FrozenStats;
 use mdw_rdf::term::Term;
-use mdw_rdf::triple::{Triple, TriplePattern};
+use mdw_rdf::triple::TriplePattern;
 use mdw_rdf::vocab;
-use mdw_rdf::QueryContext;
-use mdw_reason::EntailedGraph;
+use mdw_rdf::FrozenGraph;
 use mdw_sparql::{ExplainReport, QueryOutput, SemMatch};
 
 use crate::synonyms::{normalize, SynonymTable};
@@ -95,18 +97,6 @@ impl AnswerRequest {
     /// Overrides how many candidates execute.
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.top_k = k;
-        self
-    }
-
-    /// Overrides the join-path hop bound.
-    pub fn with_max_hops(mut self, hops: usize) -> Self {
-        self.max_hops = hops;
-        self
-    }
-
-    /// Overrides the ranked-candidate cap.
-    pub fn with_max_candidates(mut self, n: usize) -> Self {
-        self.max_candidates = n;
         self
     }
 
@@ -282,8 +272,23 @@ struct SchemaEdge {
     dst: TermId,
 }
 
-/// The schema summary graph plus the supporting node sets.
-struct SchemaGraph {
+/// One labelled class or property.
+#[derive(Debug)]
+struct LabelEntry {
+    node: TermId,
+    /// The `rdfs:label` as written (reported in [`KeywordMatch::label`]).
+    label: String,
+    /// The label under [`normalize`], computed once.
+    normalized: String,
+}
+
+/// The schema half of the warehouse's per-generation meta-level index: the
+/// schema summary graph and every labelled schema node, computed once from
+/// the *base* (asserted) graph so plans are identical whether or not the
+/// entailment index is built; entailment applies at execution time through
+/// the rulebase.
+#[derive(Debug)]
+pub(crate) struct SchemaIndex {
     /// Class node → sorted outgoing (mirrored, so effectively undirected)
     /// edges. `BTreeSet` gives dedup and the deterministic expansion order
     /// the BFS relies on.
@@ -295,51 +300,27 @@ struct SchemaGraph {
     classes: BTreeSet<TermId>,
     /// All property nodes (`rdfs:domain` subjects).
     properties: BTreeSet<TermId>,
+    /// In label-scan order, which keeps the first-seen tiebreak between
+    /// equally scored labels of one node.
+    labels: Vec<LabelEntry>,
 }
 
-/// Builds [`CandidatePlan`] for a request: match, path search, rank. Pure
-/// planning — nothing executes. All scans run over the *base* (asserted)
-/// graph so the plan is identical whether or not the entailment index is
-/// available; entailment applies at execution time through the rulebase.
-pub fn plan_candidates(
-    view: &EntailedGraph<'_>,
-    ctx: &QueryContext,
-    synonyms: &SynonymTable,
-    stats: &FrozenStats,
-    request: &AnswerRequest,
-) -> CandidatePlan {
-    let dict = ctx.dict();
-    let budget = &request.budget;
-    let tokens = tokenize(&request.keywords);
-    let mut plan = CandidatePlan { tokens: tokens.clone(), ..CandidatePlan::default() };
-    if tokens.is_empty() {
-        return plan;
-    }
-    plan.truncated = budget.check().err();
+impl SchemaIndex {
+    /// Discovers the schema nodes of `base` — asserted classes (`rdf:type`
+    /// objects, `rdfs:subClassOf` endpoints, `owl:Class` subjects) and
+    /// properties (`rdfs:domain` subjects) — their labels, and the summary
+    /// graph of [`SchemaEdge`]s. Unbudgeted: built once per generation,
+    /// never per request.
+    pub(crate) fn build(base: &FrozenGraph, dict: &Dictionary) -> SchemaIndex {
+        let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
+        let (ty, label_prop) = (lookup(vocab::rdf::TYPE), lookup(vocab::rdfs::LABEL));
+        let (sub_class, has_name) = (lookup(vocab::rdfs::SUB_CLASS_OF), lookup(vocab::cs::HAS_NAME));
+        let owl_class = lookup(vocab::owl::CLASS);
+        let scan = |p: Option<TermId>| p.into_iter().flat_map(|p| base.scan(TriplePattern::with_p(p)));
 
-    let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
-    let Some(ty) = lookup(vocab::rdf::TYPE) else {
-        return plan;
-    };
-    let label_prop = lookup(vocab::rdfs::LABEL);
-    let sub_class = lookup(vocab::rdfs::SUB_CLASS_OF);
-    let has_name = lookup(vocab::cs::HAS_NAME);
-    let domain = lookup(vocab::rdfs::DOMAIN);
-    let owl_class = lookup(vocab::owl::CLASS);
-    let base = view.base();
-
-    // ---- Schema node discovery ------------------------------------------
-    // Asserted classes (rdf:type objects, subClassOf endpoints, owl:Class
-    // subjects) and the asserted types of every instance.
-    let mut classes: BTreeSet<TermId> = BTreeSet::new();
-    let mut properties: BTreeSet<TermId> = BTreeSet::new();
-    let mut type_map: BTreeMap<TermId, Vec<TermId>> = BTreeMap::new();
-    if plan.truncated.is_none() {
-        'discover: for t in base.scan(TriplePattern::with_p(ty)) {
-            if let Err(reason) = budget.charge_step() {
-                plan.truncated = Some(reason);
-                break 'discover;
-            }
+        let mut classes: BTreeSet<TermId> = BTreeSet::new();
+        let mut type_map: BTreeMap<TermId, Vec<TermId>> = BTreeMap::new();
+        for t in scan(ty) {
             if Some(t.o) == owl_class {
                 classes.insert(t.s);
             } else {
@@ -347,36 +328,89 @@ pub fn plan_candidates(
                 type_map.entry(t.s).or_default().push(t.o);
             }
         }
-    }
-    if plan.truncated.is_none() {
-        if let Some(sc) = sub_class {
-            'subclass: for t in base.scan(TriplePattern::with_p(sc)) {
-                if let Err(reason) = budget.charge_step() {
-                    plan.truncated = Some(reason);
-                    break 'subclass;
+        for t in scan(sub_class) {
+            classes.insert(t.s);
+            classes.insert(t.o);
+        }
+        let properties: BTreeSet<TermId> = scan(lookup(vocab::rdfs::DOMAIN)).map(|t| t.s).collect();
+        let labels = scan(label_prop)
+            .filter(|t| classes.contains(&t.s) || properties.contains(&t.s))
+            .filter_map(|t| match dict.term(t.o) {
+                Some(Term::Literal(lit)) => Some(LabelEntry {
+                    node: t.s,
+                    label: lit.lexical.to_string(),
+                    normalized: normalize(&lit.lexical),
+                }),
+                _ => None,
+            })
+            .collect();
+
+        // Each endpoint read through its asserted classes (`via_type`) and,
+        // when it is a class node, as itself.
+        let ends = |node: TermId| {
+            let types = type_map.get(&node).map_or(&[][..], Vec::as_slice);
+            let itself = classes.contains(&node).then_some((node, false));
+            types.iter().map(|&c| (c, true)).chain(itself)
+        };
+        // `(src, src_via_type, pred, dst, dst_via_type)`: most triples repeat
+        // an edge already seen, so a hash set takes the duplicates and the
+        // sorted adjacency is built from the distinct edges only.
+        let mut edges: HashSet<(TermId, bool, TermId, TermId, bool)> = HashSet::new();
+        let mut incoming: BTreeMap<TermId, BTreeSet<TermId>> = BTreeMap::new();
+        for t in base.iter() {
+            // Meta predicates carry naming/typing, not joinable structure.
+            if [ty, label_prop, has_name].contains(&Some(t.p))
+                || matches!(dict.term(t.o), Some(Term::Literal(_)))
+            {
+                continue;
+            }
+            if classes.contains(&t.o) && Some(t.p) != sub_class {
+                incoming.entry(t.o).or_default().insert(t.p);
+            }
+            for (src, sv) in ends(t.s) {
+                for (dst, dv) in ends(t.o).filter(|&(dst, _)| dst != src) {
+                    edges.insert((src, sv, t.p, dst, dv));
                 }
-                classes.insert(t.s);
-                classes.insert(t.o);
             }
         }
-    }
-    if plan.truncated.is_none() {
-        if let Some(dom) = domain {
-            'props: for t in base.scan(TriplePattern::with_p(dom)) {
-                if let Err(reason) = budget.charge_step() {
-                    plan.truncated = Some(reason);
-                    break 'props;
-                }
-                properties.insert(t.s);
-            }
+        let mut adj: BTreeMap<TermId, BTreeSet<SchemaEdge>> = BTreeMap::new();
+        for (src, sv, pred, dst, dv) in edges {
+            let edge = |forward, src_via_type, dst_via_type, dst| SchemaEdge {
+                pred,
+                forward,
+                src_via_type,
+                dst_via_type,
+                dst,
+            };
+            adj.entry(src).or_default().insert(edge(true, sv, dv, dst));
+            adj.entry(dst).or_default().insert(edge(false, dv, sv, src));
         }
+        SchemaIndex { adj, incoming, classes, properties, labels }
     }
+}
+
+/// Builds [`CandidatePlan`] for a request: match, path search, rank, all
+/// over `schema` — pure planning, nothing executes and nothing scans the
+/// corpus.
+pub(crate) fn plan_candidates(
+    schema: &SchemaIndex,
+    dict: &Dictionary,
+    synonyms: &SynonymTable,
+    stats: &FrozenStats,
+    request: &AnswerRequest,
+) -> CandidatePlan {
+    let budget = &request.budget;
+    let tokens = tokenize(&request.keywords);
+    let mut plan = CandidatePlan { tokens: tokens.clone(), ..CandidatePlan::default() };
+    if tokens.is_empty() {
+        return plan;
+    }
+    plan.truncated = budget.check().err();
+    let has_name = dict.lookup(&Term::iri(vocab::cs::HAS_NAME));
 
     // ---- Step 1: label matching -----------------------------------------
     // Token expansions: the token itself at full strength, its synonyms
-    // discounted. Matching runs two-phase under a parallel policy exactly
-    // like search: collect label triples, bulk-reserve budget steps, score
-    // admitted chunks with pure workers, merge in chunk order.
+    // discounted. One budget step per label entry consulted.
     let expansions: Vec<Vec<(String, bool)>> = tokens
         .iter()
         .map(|tok| {
@@ -386,22 +420,20 @@ pub fn plan_candidates(
         })
         .collect();
 
-    // (token index, node) → strongest match.
+    // (token index, node) → strongest match; the first-seen wins ties.
     let mut best: BTreeMap<(usize, TermId), KeywordMatch> = BTreeMap::new();
-    let score_label = |t: Triple, out: &mut Vec<((usize, TermId), KeywordMatch)>| {
-        if !classes.contains(&t.s) && !properties.contains(&t.s) {
-            return;
+    let consulted = if plan.truncated.is_none() { schema.labels.as_slice() } else { &[] };
+    for entry in consulted {
+        if let Err(reason) = budget.charge_step() {
+            plan.truncated = Some(reason);
+            break;
         }
-        let Some(Term::Literal(lit)) = dict.term(t.o) else {
-            return;
-        };
-        let norm_label = normalize(&lit.lexical);
         for (ti, exp) in expansions.iter().enumerate() {
             let mut strongest: Option<(u64, &str)> = None;
             for (term, is_syn) in exp {
-                let raw = if norm_label == *term {
+                let raw = if entry.normalized == *term {
                     EXACT_SCORE
-                } else if norm_label.contains(term.as_str()) {
+                } else if entry.normalized.contains(term.as_str()) {
                     PARTIAL_SCORE
                 } else {
                     continue;
@@ -411,76 +443,20 @@ pub fn plan_candidates(
                     strongest = Some((score, term.as_str()));
                 }
             }
-            if let Some((score, term)) = strongest {
-                out.push((
-                    (ti, t.s),
-                    KeywordMatch {
-                        token: tokens[ti].clone(),
-                        matched_term: term.to_string(),
-                        label: lit.lexical.to_string(),
-                        node: dict.term_unchecked(t.s).clone(),
-                        score,
-                    },
-                ));
+            let Some((score, term)) = strongest else { continue };
+            if best.get(&(ti, entry.node)).is_some_and(|prev| prev.score >= score) {
+                continue;
             }
-        }
-    };
-    let policy = ctx.parallelism();
-    if plan.truncated.is_none() {
-        if let Some(label_prop) = label_prop {
-            if policy.is_parallel() {
-                let candidates: Vec<Triple> =
-                    base.scan(TriplePattern::with_p(label_prop)).collect();
-                let granted = budget.reserve_steps(candidates.len() as u64) as usize;
-                let admitted = &candidates[..granted.min(candidates.len())];
-                let scored = mdw_rdf::par::map_chunks(&policy, admitted, |chunk| {
-                    let mut meter = budget.meter();
-                    let mut out: Vec<((usize, TermId), KeywordMatch)> = Vec::new();
-                    let mut trip: Option<TruncationReason> = None;
-                    for t in chunk {
-                        if let Err(reason) = meter.tick() {
-                            trip = Some(reason);
-                            break;
-                        }
-                        score_label(*t, &mut out);
-                    }
-                    (out, trip)
-                });
-                'merge: for (chunk, worker_trip) in scored {
-                    for (key, m) in chunk {
-                        match best.get(&key) {
-                            Some(prev) if prev.score >= m.score => {}
-                            _ => {
-                                best.insert(key, m);
-                            }
-                        }
-                    }
-                    if let Some(reason) = worker_trip {
-                        plan.truncated = Some(reason);
-                        break 'merge;
-                    }
-                }
-                if plan.truncated.is_none() && granted < candidates.len() {
-                    plan.truncated = Some(TruncationReason::StepLimit);
-                }
-            } else {
-                'labels: for t in base.scan(TriplePattern::with_p(label_prop)) {
-                    if let Err(reason) = budget.charge_step() {
-                        plan.truncated = Some(reason);
-                        break 'labels;
-                    }
-                    let mut out = Vec::new();
-                    score_label(t, &mut out);
-                    for (key, m) in out {
-                        match best.get(&key) {
-                            Some(prev) if prev.score >= m.score => {}
-                            _ => {
-                                best.insert(key, m);
-                            }
-                        }
-                    }
-                }
-            }
+            best.insert(
+                (ti, entry.node),
+                KeywordMatch {
+                    token: tokens[ti].clone(),
+                    matched_term: term.to_string(),
+                    label: entry.label.clone(),
+                    node: dict.term_unchecked(entry.node).clone(),
+                    score,
+                },
+            );
         }
     }
 
@@ -499,31 +475,7 @@ pub fn plan_candidates(
     plan.unmatched_tokens =
         tokens.iter().enumerate().filter(|(i, _)| !covered.contains(i)).map(|(_, t)| t.clone()).collect();
 
-    // ---- Step 2: schema summary graph -----------------------------------
-    let graph = if plan.truncated.is_none() {
-        build_schema_graph(
-            base,
-            dict,
-            budget,
-            &mut plan.truncated,
-            &type_map,
-            classes,
-            properties,
-            ty,
-            label_prop,
-            sub_class,
-            has_name,
-        )
-    } else {
-        SchemaGraph {
-            adj: BTreeMap::new(),
-            incoming: BTreeMap::new(),
-            classes: BTreeSet::new(),
-            properties: BTreeSet::new(),
-        }
-    };
-
-    // ---- Step 3: candidate generation ------------------------------------
+    // ---- Step 2: candidate generation ------------------------------------
     // Matched nodes, strongest aggregate score first (node id breaks ties).
     let mut node_rank: Vec<(TermId, u64)> = token_cover
         .keys()
@@ -568,7 +520,7 @@ pub fn plan_candidates(
         for &node in node_rank.iter().map(|(n, _)| n) {
             let Some(node_iri) = dict.term_unchecked(node).as_iri() else { continue };
             let (cov, score) = coverage_of(&[node]);
-            if graph.classes.contains(&node) {
+            if schema.classes.contains(&node) {
                 // TypeOf: every (entailed) instance of the class.
                 let pattern =
                     format!("{{ ?a rdf:type <{node_iri}> . ?a <{name_iri}> ?name }}");
@@ -576,7 +528,7 @@ pub fn plan_candidates(
                 raw.push(make_candidate(pattern, &filters, cov, score, 0, est));
                 // PointsTo: instances whose edge targets the class node
                 // itself (concept annotations).
-                if let Some(preds) = graph.incoming.get(&node) {
+                if let Some(preds) = schema.incoming.get(&node) {
                     for &p in preds {
                         let Some(p_iri) = dict.term_unchecked(p).as_iri() else { continue };
                         let pattern = format!(
@@ -587,7 +539,7 @@ pub fn plan_candidates(
                     }
                 }
             }
-            if graph.properties.contains(&node) {
+            if schema.properties.contains(&node) {
                 // PropertyOf: everything carrying the matched property.
                 let pattern =
                     format!("{{ ?a <{node_iri}> ?v . ?a <{name_iri}> ?name }}");
@@ -611,7 +563,7 @@ pub fn plan_candidates(
                         break;
                     }
                     let paths = shortest_paths(
-                        &graph.adj,
+                        &schema.adj,
                         anchor,
                         terminal,
                         request.max_hops,
@@ -643,13 +595,13 @@ pub fn plan_candidates(
                 tokens.iter().filter_map(|t| filter_regex(t)).collect();
             if !all_filters.is_empty() {
                 let pattern = format!("{{ ?a <{name_iri}> ?name }}");
-                let est = stats.predicate_count_by_iri(dict, name_iri);
+                let est = has_name.and_then(|p| stats.predicate(p)).map_or(0, |s| s.count);
                 raw.push(make_candidate(pattern, &all_filters, 0, 0, 0, est));
             }
         }
     }
 
-    // ---- Step 4: dedup + rank -------------------------------------------
+    // ---- Step 3: dedup + rank -------------------------------------------
     let mut by_text: BTreeMap<String, RankedCandidate> = BTreeMap::new();
     for c in raw {
         match by_text.get(&c.sparql) {
@@ -741,84 +693,6 @@ fn filter_regex(token: &str) -> Option<String> {
     } else {
         Some(format!("regex(?name, \"{safe}\", \"i\")"))
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_schema_graph(
-    base: &mdw_rdf::FrozenGraph,
-    dict: &Dictionary,
-    budget: &QueryBudget,
-    truncated: &mut Option<TruncationReason>,
-    type_map: &BTreeMap<TermId, Vec<TermId>>,
-    classes: BTreeSet<TermId>,
-    properties: BTreeSet<TermId>,
-    ty: TermId,
-    label_prop: Option<TermId>,
-    sub_class: Option<TermId>,
-    has_name: Option<TermId>,
-) -> SchemaGraph {
-    let mut adj: BTreeMap<TermId, BTreeSet<SchemaEdge>> = BTreeMap::new();
-    let mut incoming: BTreeMap<TermId, BTreeSet<TermId>> = BTreeMap::new();
-    let mut insert = |src: TermId, sv: bool, pred: TermId, dst: TermId, dv: bool| {
-        if src == dst {
-            return;
-        }
-        adj.entry(src).or_default().insert(SchemaEdge {
-            pred,
-            forward: true,
-            src_via_type: sv,
-            dst_via_type: dv,
-            dst,
-        });
-        adj.entry(dst).or_default().insert(SchemaEdge {
-            pred,
-            forward: false,
-            src_via_type: dv,
-            dst_via_type: sv,
-            dst: src,
-        });
-    };
-    'edges: for t in base.iter() {
-        if let Err(reason) = budget.charge_step() {
-            *truncated = Some(reason);
-            break 'edges;
-        }
-        // Meta predicates carry naming/typing, not joinable structure.
-        if t.p == ty || Some(t.p) == label_prop || Some(t.p) == has_name {
-            continue;
-        }
-        if matches!(dict.term(t.o), Some(Term::Literal(_))) {
-            continue;
-        }
-        let empty: Vec<TermId> = Vec::new();
-        let mut srcs: Vec<(TermId, bool)> = type_map
-            .get(&t.s)
-            .unwrap_or(&empty)
-            .iter()
-            .map(|&c| (c, true))
-            .collect();
-        if classes.contains(&t.s) {
-            srcs.push((t.s, false));
-        }
-        let mut dsts: Vec<(TermId, bool)> = type_map
-            .get(&t.o)
-            .unwrap_or(&empty)
-            .iter()
-            .map(|&c| (c, true))
-            .collect();
-        if classes.contains(&t.o) {
-            dsts.push((t.o, false));
-            if Some(t.p) != sub_class {
-                incoming.entry(t.o).or_default().insert(t.p);
-            }
-        }
-        for &(src, sv) in &srcs {
-            for &(dst, dv) in &dsts {
-                insert(src, sv, t.p, dst, dv);
-            }
-        }
-    }
-    SchemaGraph { adj, incoming, classes, properties }
 }
 
 /// Up to `cap` distinct shortest join paths from `src` to `dst`, each at
@@ -966,26 +840,10 @@ fn render_path(
     Some((format!("{{ {} }}", parts.join(" . ")), est))
 }
 
-/// A tiny extension hook so the fallback candidate can estimate the
-/// `dm:hasName` predicate without a `TermId` in hand.
-trait StatsByIri {
-    fn predicate_count_by_iri(&self, dict: &Dictionary, iri: &str) -> usize;
-}
-
-impl StatsByIri for FrozenStats {
-    fn predicate_count_by_iri(&self, dict: &Dictionary, iri: &str) -> usize {
-        dict.lookup(&Term::iri(iri))
-            .and_then(|id| self.predicate(id).map(|s| s.count))
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdw_rdf::store::Store;
-    use mdw_reason::{Materialization, Rulebase};
-    use std::sync::Arc;
 
     #[test]
     fn empty_estimate_ranks_below_any_populated_candidate() {
@@ -1000,10 +858,9 @@ mod tests {
 
     /// A miniature Figure-3-style warehouse: concepts, columns annotated
     /// with `representsConcept`, reports using items.
-    fn setup() -> (Store, Materialization) {
+    fn setup() -> Store {
         let mut store = Store::new();
         store.create_model("m").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
         let dm = |l: &str| Term::iri(vocab::cs::dm(l));
         let dwh = |l: &str| Term::iri(vocab::cs::dwh(l));
         let iri = |s: &str| Term::iri(s);
@@ -1044,15 +901,15 @@ mod tests {
         for (s, p, o) in triples {
             store.insert("m", &s, &p, &o).unwrap();
         }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        (store, m)
+        store
     }
 
-    fn plan(store: &Store, m: &Materialization, req: AnswerRequest) -> CandidatePlan {
-        let ctx = QueryContext::new(Arc::new(store.freeze())).with_budget(req.budget.clone());
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
-        let stats = ctx.planner_stats("m").unwrap();
-        plan_candidates(&view, &ctx, &SynonymTable::banking(), &stats, &req)
+    fn plan(store: &Store, req: AnswerRequest) -> CandidatePlan {
+        let frozen = store.freeze();
+        let (base, dict) = (frozen.model("m").unwrap(), frozen.dict());
+        let stats = base.planner_stats(dict.lookup(&Term::iri(vocab::rdf::TYPE)));
+        let schema = SchemaIndex::build(base, dict);
+        plan_candidates(&schema, dict, &SynonymTable::banking(), &stats, &req)
     }
 
     #[test]
@@ -1063,8 +920,8 @@ mod tests {
 
     #[test]
     fn exact_label_match_outranks_substring() {
-        let (store, m) = setup();
-        let p = plan(&store, &m, AnswerRequest::new("customer"));
+        let store = setup();
+        let p = plan(&store, AnswerRequest::new("customer"));
         assert!(!p.matches.is_empty());
         let best = &p.matches[0];
         assert_eq!(best.label, "Customer");
@@ -1074,10 +931,10 @@ mod tests {
 
     #[test]
     fn synonym_match_is_discounted() {
-        let (store, m) = setup();
+        let store = setup();
         // "client" only reaches the Customer class through the synonym
         // table, at 70% strength.
-        let p = plan(&store, &m, AnswerRequest::new("client"));
+        let p = plan(&store, AnswerRequest::new("client"));
         let hit = p
             .matches
             .iter()
@@ -1089,8 +946,8 @@ mod tests {
 
     #[test]
     fn concept_class_generates_points_to_candidate() {
-        let (store, m) = setup();
-        let p = plan(&store, &m, AnswerRequest::new("customer"));
+        let store = setup();
+        let p = plan(&store, AnswerRequest::new("customer"));
         // The representsConcept annotation makes `?a <representsConcept>
         // <Customer>` a candidate.
         assert!(
@@ -1102,8 +959,8 @@ mod tests {
 
     #[test]
     fn two_keywords_produce_join_path_candidate() {
-        let (store, m) = setup();
-        let p = plan(&store, &m, AnswerRequest::new("report customer"));
+        let store = setup();
+        let p = plan(&store, AnswerRequest::new("report customer"));
         // Report --usesItem--> Column --representsConcept--> Customer.
         let joined = p
             .candidates
@@ -1119,16 +976,16 @@ mod tests {
 
     #[test]
     fn unmatched_tokens_become_name_filters() {
-        let (store, m) = setup();
-        let p = plan(&store, &m, AnswerRequest::new("customer blotter"));
+        let store = setup();
+        let p = plan(&store, AnswerRequest::new("customer blotter"));
         assert_eq!(p.unmatched_tokens, vec!["blotter".to_string()]);
         assert!(p.candidates.iter().all(|c| c.sparql.contains("regex(?name, \"blotter\"")));
     }
 
     #[test]
     fn no_schema_match_falls_back_to_name_search() {
-        let (store, m) = setup();
-        let p = plan(&store, &m, AnswerRequest::new("blotter"));
+        let store = setup();
+        let p = plan(&store, AnswerRequest::new("blotter"));
         assert_eq!(p.candidates.len(), 1);
         let c = &p.candidates[0];
         assert!(c.sparql.contains("regex(?name, \"blotter\""));
@@ -1137,8 +994,8 @@ mod tests {
 
     #[test]
     fn empty_keywords_plan_nothing() {
-        let (store, m) = setup();
-        let p = plan(&store, &m, AnswerRequest::new("   "));
+        let store = setup();
+        let p = plan(&store, AnswerRequest::new("   "));
         assert!(p.tokens.is_empty());
         assert!(p.candidates.is_empty());
         assert!(p.truncated.is_none());
@@ -1146,25 +1003,25 @@ mod tests {
 
     #[test]
     fn planning_is_deterministic() {
-        let (store, m) = setup();
-        let a = plan(&store, &m, AnswerRequest::new("report customer"));
-        let b = plan(&store, &m, AnswerRequest::new("report customer"));
+        let store = setup();
+        let a = plan(&store, AnswerRequest::new("report customer"));
+        let b = plan(&store, AnswerRequest::new("report customer"));
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
     fn step_budget_truncates_planning() {
-        let (store, m) = setup();
+        let store = setup();
         let req = AnswerRequest::new("customer")
             .with_budget(QueryBudget::unlimited().with_max_steps(3));
-        let p = plan(&store, &m, req);
+        let p = plan(&store, req);
         assert_eq!(p.truncated, Some(TruncationReason::StepLimit));
     }
 
     #[test]
     fn candidate_order_is_total_and_ranked() {
-        let (store, m) = setup();
-        let p = plan(&store, &m, AnswerRequest::new("report customer"));
+        let store = setup();
+        let p = plan(&store, AnswerRequest::new("report customer"));
         for w in p.candidates.windows(2) {
             let (x, y) = (&w[0], &w[1]);
             assert!(

@@ -12,7 +12,8 @@
 //! That is, for the provenance tool `isMappedTo` is the path that drives the
 //! search." The path expression is `(isMappedTo)* rdf:type` (Figure 8).
 //!
-//! [`trace`] enumerates all simple `isMappedTo` paths from a start item —
+//! `trace` (served as `MetadataWarehouse::lineage`) enumerates all simple
+//! `isMappedTo` paths from a start item —
 //! forward along the data flow ([`Direction::Downstream`], impact analysis:
 //! "which other applications and interfaces are affected by this change")
 //! or backward ([`Direction::Upstream`], provenance: "the actual source of
@@ -34,8 +35,10 @@
 //! for every thread count.
 //!
 //! [`schema_flow`] aggregates attribute-level mappings to schema-level flows
-//! and [`drill_down`] expands one schema pair back to attribute granularity —
-//! the two navigation directions of the Figure 7 provenance frontend.
+//! and `drill_down` expands one schema pair back to attribute granularity —
+//! the two navigation directions of the Figure 7 provenance frontend. Both
+//! `trace` and `drill_down` read the rule conditions of reified mappings
+//! from the warehouse's per-generation index rather than scanning for them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -200,10 +203,12 @@ impl LineageResult {
 ///
 /// The [`QueryContext`] pins the snapshot generation the walk evaluates
 /// against, supplies its id-space dictionary, and carries the budget that
-/// every traversed hop charges.
-pub fn trace(
+/// every traversed hop charges; `conditions` is that generation's
+/// [`mapping_conditions`], which the warehouse builds once.
+pub(crate) fn trace(
     graph: &EntailedGraph<'_>,
     ctx: &QueryContext,
+    conditions: &MappingConditions,
     request: &LineageRequest,
 ) -> LineageResult {
     let dict = ctx.dict();
@@ -244,9 +249,6 @@ pub fn trace(
         let first = iter.next().unwrap_or_default();
         Some(iter.fold(first, |acc, s| acc.intersection(&s).copied().collect()))
     };
-
-    // Rule conditions of reified mappings: (from, to) → condition.
-    let conditions = mapping_conditions(graph, dict);
 
     // Step 3 + Figure 8, stage 1: level-synchronous BFS discovery.
     //
@@ -491,13 +493,14 @@ impl PathWalker<'_> {
     }
 }
 
+/// Rule conditions of reified mappings, `(from, to) → condition`.
+pub(crate) type MappingConditions = HashMap<(TermId, TermId), String>;
+
 /// Collects rule conditions from reified mapping nodes:
 /// `m dt:mapsFrom a . m dt:mapsTo b . m dt:ruleCondition "…"` →
-/// `(a, b) → "…"`.
-fn mapping_conditions(
-    graph: &EntailedGraph<'_>,
-    dict: &Dictionary,
-) -> HashMap<(TermId, TermId), String> {
+/// `(a, b) → "…"`. A scan of every mapping, so the warehouse runs it once
+/// per generation, not per walk.
+pub(crate) fn mapping_conditions(graph: &EntailedGraph<'_>, dict: &Dictionary) -> MappingConditions {
     let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
     let mut out = HashMap::new();
     let (Some(maps_from), Some(maps_to)) = (lookup(vocab::cs::MAPS_FROM), lookup(vocab::cs::MAPS_TO))
@@ -609,9 +612,10 @@ pub fn schema_flow(graph: &EntailedGraph<'_>, ctx: &QueryContext) -> Vec<FlowRow
 
 /// Expands one schema-level flow back to attribute granularity — the
 /// drill-down of the Figure 7 frontend.
-pub fn drill_down(
+pub(crate) fn drill_down(
     graph: &EntailedGraph<'_>,
     ctx: &QueryContext,
+    conditions: &MappingConditions,
     source_schema: &Term,
     target_schema: &Term,
 ) -> Vec<Hop> {
@@ -625,7 +629,6 @@ pub fn drill_down(
     else {
         return Vec::new();
     };
-    let conditions = mapping_conditions(graph, dict);
     let in_schema_check = |item: TermId, schema: TermId| -> bool {
         graph.contains(mdw_rdf::triple::Triple::new(item, in_schema, schema))
     };
@@ -701,7 +704,7 @@ mod tests {
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
             .with_budget(req.budget.clone());
         let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
-        trace(&view, &ctx, &req)
+        trace(&view, &ctx, &mapping_conditions(&view, ctx.dict()), &req)
     }
 
     fn dwh(l: &str) -> Term {
@@ -890,11 +893,7 @@ mod tests {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
         let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
-        let result = trace(
-            &view,
-            &ctx,
-            &LineageRequest::downstream(dwh("client_information_id")),
-        );
+        let result = run(&store, &m, LineageRequest::downstream(dwh("client_information_id")));
         let summary = impact_summary(&view, &ctx, &result);
         assert_eq!(summary.total, 2);
         assert_eq!(summary.unassigned, 0);
@@ -908,9 +907,11 @@ mod tests {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
         let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let conditions = mapping_conditions(&view, ctx.dict());
         let hops = drill_down(
             &view,
             &ctx,
+            &conditions,
             &dwh("schema_integration"),
             &dwh("schema_app1"),
         );
@@ -919,7 +920,7 @@ mod tests {
         assert_eq!(hops[0].to, dwh("customer_id"));
         assert!(hops[0].condition.as_deref().unwrap().contains("active"));
         // Unknown pair → empty.
-        assert!(drill_down(&view, &ctx, &dwh("schema_app1"), &dwh("schema_inbound"))
-            .is_empty());
+        let unknown = (dwh("schema_app1"), dwh("schema_inbound"));
+        assert!(drill_down(&view, &ctx, &conditions, &unknown.0, &unknown.1).is_empty());
     }
 }

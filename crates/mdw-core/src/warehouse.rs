@@ -38,7 +38,7 @@ use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, QueryClass};
-use crate::answer::{self, AnswerRequest, AnswerResult, ExecutedCandidate};
+use crate::answer::{self, AnswerRequest, AnswerResult, ExecutedCandidate, SchemaIndex};
 use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
 use crate::governance::{self, AccessReport, GovernanceGaps};
@@ -46,7 +46,9 @@ use crate::history::{History, VersionDiff, VersionRecord};
 use crate::ingest::{
     Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport,
 };
-use crate::lineage::{self, FlowRow, Hop, ImpactSummary, LineageRequest, LineageResult};
+use crate::lineage::{
+    self, FlowRow, Hop, ImpactSummary, LineageRequest, LineageResult, MappingConditions,
+};
 use crate::model::{census, Census};
 use crate::search::{self, SearchRequest, SearchResults};
 use crate::resilience::{run_with_retry, Clock, RetryPolicy};
@@ -131,9 +133,16 @@ struct AnswerCounters {
     candidates_planned: AtomicU64,
     candidates_executed: AtomicU64,
     truncated: AtomicU64,
+    index_builds: AtomicU64,
+    last_index_build_us: AtomicU64,
 }
 
 impl AnswerCounters {
+    fn record_index_build(&self, took: Duration) {
+        self.index_builds.fetch_add(1, Ordering::Relaxed);
+        self.last_index_build_us.store(took.as_micros() as u64, Ordering::Relaxed);
+    }
+
     fn record(&self, result: &AnswerResult) {
         self.answered.fetch_add(1, Ordering::Relaxed);
         self.candidates_planned
@@ -151,6 +160,8 @@ impl AnswerCounters {
             candidates_planned: self.candidates_planned.load(Ordering::Relaxed),
             candidates_executed: self.candidates_executed.load(Ordering::Relaxed),
             truncated: self.truncated.load(Ordering::Relaxed),
+            index_builds: self.index_builds.load(Ordering::Relaxed),
+            last_index_build: Duration::from_micros(self.last_index_build_us.load(Ordering::Relaxed)),
         }
     }
 }
@@ -168,6 +179,43 @@ pub struct AnswerStats {
     pub candidates_executed: u64,
     /// Requests whose shared budget tripped before completion.
     pub truncated: u64,
+    /// Meta-level index builds: one per pinned generation that a keyword
+    /// answer, lineage walk or drill-down consulted.
+    pub index_builds: u64,
+    /// Wall time of the most recent index build.
+    pub last_index_build: Duration,
+}
+
+/// The meta-level index of one pinned generation: the small schema-level
+/// structures keyword answering and lineage consult instead of rescanning
+/// the corpus per request. Pure functions of the generation, so it is built
+/// on first use — uncharged and unbounded by that request's budget — and
+/// dropped with the generation.
+#[derive(Debug)]
+struct GenerationIndex {
+    /// Schema summary graph and labelled schema nodes, from the base graph.
+    schema: SchemaIndex,
+    /// `(from, to) → rule condition`, from the entailed view `trace` reads.
+    conditions: MappingConditions,
+}
+
+/// One pinned generation: the snapshot the engine last published, the
+/// semantic index built against it, and the meta-level index both
+/// determine. The value is replaced whole — never patched — wherever the
+/// write door re-pins or the semantic index is built, extended or dropped,
+/// so the meta-level index needs no invalidation.
+#[derive(Debug)]
+struct Generation {
+    store: Arc<FrozenStore>,
+    materialization: Option<Materialization>,
+    /// Built by [`MetadataWarehouse::index`]; concurrent first users meet here.
+    index: OnceLock<GenerationIndex>,
+}
+
+impl Generation {
+    fn new(store: Arc<FrozenStore>, materialization: Option<Materialization>) -> Self {
+        Generation { store, materialization, index: OnceLock::new() }
+    }
 }
 
 /// The meta-data warehouse.
@@ -176,13 +224,13 @@ pub struct MetadataWarehouse {
     /// The one storage engine: every write is journaled, published and —
     /// after a crash — recovered here.
     lsm: LsmStore,
-    /// The generation `lsm` last published, re-pinned after every write.
-    /// Every query reads it through its [`QueryContext`]; contexts handed
-    /// out earlier keep the generation they pinned.
-    pinned: Arc<FrozenStore>,
+    /// The generation `lsm` last published, re-pinned after every write,
+    /// with its semantic and meta-level indexes. Every query reads it
+    /// through its [`QueryContext`]; contexts handed out earlier keep the
+    /// snapshot they pinned.
+    pinned: Generation,
     model: String,
     rulebase: Rulebase,
-    materialization: Option<Materialization>,
     synonyms: SynonymTable,
     history: History,
     sources: SourceRegistry,
@@ -240,11 +288,10 @@ impl MetadataWarehouse {
                 .expect("the snapshot just showed the name free");
         }
         MetadataWarehouse {
-            pinned: lsm.snapshot(),
+            pinned: Generation::new(lsm.snapshot(), None),
             lsm,
             model: model.to_string(),
             rulebase,
-            materialization: None,
             synonyms: SynonymTable::banking(),
             history: History::new(),
             sources: SourceRegistry::new(),
@@ -276,8 +323,15 @@ impl MetadataWarehouse {
             return Ok(None);
         }
         let report = self.lsm.checkpoint()?;
-        self.pinned = self.lsm.snapshot();
+        self.repin();
         Ok(Some(report))
+    }
+
+    /// Pins the generation the engine last published, carrying the
+    /// semantic index over; the meta-level index goes with the old value.
+    fn repin(&mut self) {
+        let materialization = self.pinned.materialization.take();
+        self.pinned = Generation::new(self.lsm.snapshot(), materialization);
     }
 
     /// The single write door: every mutation of the current model —
@@ -289,14 +343,15 @@ impl MetadataWarehouse {
     ///    then applies it to the memtable ([`LsmStore::write_batch`]): when
     ///    the journal append fails nothing was applied, nothing below runs,
     ///    and the caller gets the error;
-    /// 2. the generation the engine published is re-pinned, so the next
-    ///    query sees the delivery whole;
-    /// 3. provenance: the inserted triples are attributed to `source`
+    /// 2. provenance: the inserted triples are attributed to `source`
     ///    (additive deliveries; a replacing delivery records its own set
     ///    once this returns);
-    /// 4. the semantic index is extended with the triples the model gained
+    /// 3. the semantic index is extended with the triples the model gained
     ///    when the delivery only added, and dropped when it removed (no
-    ///    truth maintenance for retracted facts).
+    ///    truth maintenance for retracted facts);
+    /// 4. the generation the engine published is pinned with that semantic
+    ///    index as one new [`Generation`], so the next query sees the
+    ///    delivery whole and the old meta-level index is gone.
     ///
     /// Returns how many triples the model gained. A delivery with nothing
     /// to write is a no-op. Bulk deliveries end with [`Self::fold`].
@@ -316,9 +371,9 @@ impl MetadataWarehouse {
             .chain(removes.into_iter().map(|(s, p, o)| JournalOp::Remove(s, p, o)))
             .collect();
         self.lsm.write_batch(&self.model, &ops)?;
-        let before = std::mem::replace(&mut self.pinned, self.lsm.snapshot());
-        let held = before.model(&self.model)?;
-        let dict = self.pinned.dict();
+        let store = self.lsm.snapshot();
+        let (held, now) = (self.pinned.store.model(&self.model)?, store.model(&self.model)?);
+        let dict = store.dict();
 
         let id = |t: &Term| dict.lookup(t).expect("write_batch interned it");
         let mut gained: Vec<Triple> = ops
@@ -337,12 +392,14 @@ impl MetadataWarehouse {
         gained.sort_unstable();
         gained.dedup();
 
-        match &mut self.materialization {
-            Some(m) if !removed => {
-                m.extend(self.pinned.model(&self.model)?, &self.rulebase, dict, &gained)
+        let materialization = match self.pinned.materialization.take() {
+            Some(mut m) if !removed => {
+                m.extend(now, &self.rulebase, dict, &gained);
+                Some(m)
             }
-            index => *index = None,
-        }
+            _ => None,
+        };
+        self.pinned = Generation::new(store, materialization);
         Ok(gained.len())
     }
 
@@ -353,14 +410,14 @@ impl MetadataWarehouse {
     /// fold is retried by the next one, never reported as a failed write.
     fn fold(&mut self) {
         let _ = self.lsm.seal_now().and_then(|_| self.lsm.compact_once());
-        self.pinned = self.lsm.snapshot();
+        self.repin();
     }
 
     /// A [`QueryContext`] pinning the current snapshot generation with an
     /// unlimited budget. The context (and any clone) keeps reading that
     /// generation even while later ingests mutate the warehouse.
     pub fn context(&self) -> QueryContext {
-        QueryContext::new(Arc::clone(&self.pinned)).with_parallelism(self.parallelism)
+        QueryContext::new(Arc::clone(&self.pinned.store)).with_parallelism(self.parallelism)
     }
 
     /// Sets the worker-thread policy used by every subsequent query
@@ -378,7 +435,7 @@ impl MetadataWarehouse {
 
     /// Read access to the pinned snapshot (models + dictionary).
     pub fn store(&self) -> &FrozenStore {
-        &self.pinned
+        &self.pinned.store
     }
 
     /// The synonym table (mutable, to load site-specific vocabularies).
@@ -581,27 +638,41 @@ impl MetadataWarehouse {
     /// Builds (or rebuilds) the semantic index — the paper's OWL index
     /// build. Returns the materialization statistics.
     pub fn build_semantic_index(&mut self) -> Result<MaterializeStats, MdwError> {
-        let m = Materialization::materialize(
-            self.pinned.model(&self.model)?,
-            &self.rulebase,
-            self.pinned.dict(),
-        );
+        let store = Arc::clone(&self.pinned.store);
+        let m = Materialization::materialize(store.model(&self.model)?, &self.rulebase, store.dict());
         let stats = m.stats().clone();
-        self.materialization = Some(m);
+        self.pinned = Generation::new(store, Some(m));
         Ok(stats)
     }
 
     /// Whether the semantic index is currently built.
     pub fn has_semantic_index(&self) -> bool {
-        self.materialization.is_some()
+        self.pinned.materialization.is_some()
     }
 
     /// The entailed view (base ∪ semantic index) over the pinned
     /// snapshot. Errors if the index is not built — derived triples "only
     /// exist through the indexes".
     pub fn entailed(&self) -> Result<EntailedGraph<'_>, MdwError> {
-        let m = self.materialization.as_ref().ok_or(MdwError::IndexNotBuilt)?;
-        Ok(EntailedGraph::new(self.pinned.model(&self.model)?, m.frozen()))
+        let m = self.pinned.materialization.as_ref().ok_or(MdwError::IndexNotBuilt)?;
+        Ok(EntailedGraph::new(self.pinned.store.model(&self.model)?, m.frozen()))
+    }
+
+    /// The meta-level index of the pinned generation, built on first use
+    /// from the entailed view (so it errors exactly when that does). The
+    /// build is charged to no request and counted in [`Self::answer_stats`].
+    fn index(&self) -> Result<&GenerationIndex, MdwError> {
+        let view = self.entailed()?;
+        Ok(self.pinned.index.get_or_init(|| {
+            let started = Instant::now();
+            let dict = self.pinned.store.dict();
+            let index = GenerationIndex {
+                schema: SchemaIndex::build(view.base(), dict),
+                conditions: lineage::mapping_conditions(&view, dict),
+            };
+            self.answer_counters.record_index_build(started.elapsed());
+            index
+        }))
     }
 
     /// Freezes this warehouse into a shared service handle. The warehouse
@@ -659,8 +730,8 @@ impl MetadataWarehouse {
         run: impl FnOnce(&EntailedGraph<'_>, &QueryContext) -> Result<T, MdwError>,
     ) -> Result<T, MdwError> {
         let _permit = self.admission.as_ref().map(|gate| gate.admit(class)).transpose()?;
-        let base = self.pinned.model(model)?;
-        let derived = match &self.materialization {
+        let base = self.pinned.store.model(model)?;
+        let derived = match &self.pinned.materialization {
             _ if !rulebase => Self::empty_index(),
             // The semantic index is built over the current model only.
             Some(m) if model == self.model => m.frozen(),
@@ -683,7 +754,7 @@ impl MetadataWarehouse {
     /// [`QueryBudget`] and the admission gate.
     pub fn lineage(&self, request: &LineageRequest) -> Result<LineageResult, MdwError> {
         self.run_query(QueryClass::Lineage, &request.budget, &self.model, true, |view, ctx| {
-            Ok(lineage::trace(view, ctx, request))
+            Ok(lineage::trace(view, ctx, &self.index()?.conditions, request))
         })
     }
 
@@ -695,8 +766,8 @@ impl MetadataWarehouse {
 
     /// Attribute-level drill-down of one schema pair (Figure 7).
     pub fn drill_down(&self, source: &Term, target: &Term) -> Result<Vec<Hop>, MdwError> {
-        let view = self.entailed()?;
-        Ok(lineage::drill_down(&view, &self.context(), source, target))
+        let (view, conditions) = (self.entailed()?, &self.index()?.conditions);
+        Ok(lineage::drill_down(&view, &self.context(), conditions, source, target))
     }
 
     /// Aggregates a lineage result by schema — the impact summary of
@@ -710,20 +781,20 @@ impl MetadataWarehouse {
     /// users have access to an information item.
     pub fn who_can_access(&self, item: &Term) -> Result<AccessReport, MdwError> {
         let view = self.entailed()?;
-        Ok(governance::who_can_access(&view, self.pinned.dict(), item))
+        Ok(governance::who_can_access(&view, self.pinned.store.dict(), item))
     }
 
     /// Data-governance gap analysis: data-mart items without an owner.
     pub fn governance_gaps(&self) -> Result<GovernanceGaps, MdwError> {
         let view = self.entailed()?;
-        Ok(governance::ownerless_items(&view, self.pinned.dict()))
+        Ok(governance::ownerless_items(&view, self.pinned.store.dict()))
     }
 
     /// The report-developer assistant (the paper's "under development" use
     /// case): ranked data sources for a business concept.
     pub fn find_sources(&self, concept: &Term) -> Result<SourceCandidates, MdwError> {
         let view = self.entailed()?;
-        Ok(assist::find_sources(&view, self.pinned.dict(), concept))
+        Ok(assist::find_sources(&view, self.pinned.store.dict(), concept))
     }
 
     /// Executes a `SEM_MATCH`-style query against this warehouse with an
@@ -822,7 +893,8 @@ impl MetadataWarehouse {
         request: &AnswerRequest,
     ) -> Result<AnswerResult, MdwError> {
         let stats = ctx.planner_stats(&self.model)?;
-        let plan = answer::plan_candidates(view, ctx, &self.synonyms, &stats, request);
+        let schema = &self.index()?.schema;
+        let plan = answer::plan_candidates(schema, ctx.dict(), &self.synonyms, &stats, request);
         let mut truncated = plan.truncated;
         let mut executed = Vec::new();
         let mut answered_coverage: Option<usize> = None;
@@ -879,17 +951,17 @@ impl MetadataWarehouse {
 
     /// The Table I census of the current model.
     pub fn census(&self) -> Result<Census, MdwError> {
-        Ok(census(self.pinned.model(&self.model)?, self.pinned.dict()))
+        Ok(census(self.store().model(&self.model)?, self.store().dict()))
     }
 
     /// Statistics of the current model (the paper's node/edge scale).
     pub fn stats(&self) -> Result<GraphStats, MdwError> {
-        Ok(self.pinned.model(&self.model)?.stats())
+        Ok(self.store().model(&self.model)?.stats())
     }
 
     /// Number of derived triples in the semantic index (0 if not built).
     pub fn derived_count(&self) -> usize {
-        self.materialization.as_ref().map_or(0, |m| m.derived().len())
+        self.pinned.materialization.as_ref().map_or(0, |m| m.derived().len())
     }
 
     /// Takes a full historization snapshot of the current model: folds it
@@ -899,7 +971,7 @@ impl MetadataWarehouse {
     pub fn snapshot(&mut self, tag: &str) -> Result<VersionRecord, MdwError> {
         self.fold();
         let record = self.history.snapshot(&self.lsm, &self.model, tag).cloned()?;
-        self.pinned = self.lsm.snapshot();
+        self.repin();
         self.checkpoint()?;
         Ok(record)
     }
@@ -911,7 +983,7 @@ impl MetadataWarehouse {
 
     /// Diffs two historized versions.
     pub fn diff(&self, from: &str, to: &str) -> Result<VersionDiff, MdwError> {
-        self.history.diff(&self.pinned, from, to)
+        self.history.diff(self.store(), from, to)
     }
 }
 
@@ -1476,6 +1548,118 @@ mod tests {
         let result = w.answer(&req).unwrap();
         assert!(!result.completeness.is_complete());
         assert_eq!(w.answer_stats().truncated, 1);
+    }
+
+    fn reified_mapping(id: &str, from: &str, to: &str, condition: &str) -> Vec<(Term, Term, Term)> {
+        vec![
+            (dwh(id), Term::iri(vocab::cs::MAPS_FROM), dwh(from)),
+            (dwh(id), Term::iri(vocab::cs::MAPS_TO), dwh(to)),
+            (dwh(id), Term::iri(vocab::cs::RULE_CONDITION), Term::plain(condition)),
+        ]
+    }
+
+    fn walk(w: &MetadataWarehouse, rule: &str) -> Result<Vec<Term>, MdwError> {
+        let request = LineageRequest::downstream(dwh("client_information_id")).with_rule_filter(rule);
+        Ok(w.lineage(&request)?.endpoints.into_iter().map(|e| e.node).collect())
+    }
+
+    #[test]
+    fn answer_sees_a_class_ingested_after_the_index_was_built() {
+        let mut w = loaded_warehouse();
+        assert!(w.answer(&AnswerRequest::new("ledger")).unwrap().answers.is_empty());
+        w.ingest(vec![Extract::new(
+            "protege",
+            vec![
+                (dm("Ledger"), Term::iri(vocab::rdf::TYPE), Term::iri(vocab::owl::CLASS)),
+                (dm("Ledger"), Term::iri(vocab::rdfs::LABEL), Term::plain("Ledger")),
+                (dwh("gl"), Term::iri(vocab::rdf::TYPE), dm("Ledger")),
+                // A name the fallback name filter would not find.
+                (dwh("gl"), Term::iri(vocab::cs::HAS_NAME), Term::plain("gl_book")),
+            ],
+        )])
+        .unwrap();
+        let result = w.answer(&AnswerRequest::new("ledger")).unwrap();
+        assert_eq!(result.matches[0].label, "Ledger");
+        assert_eq!(result.answers.iter().map(|a| &a.instance).collect::<Vec<_>>(), [&dwh("gl")]);
+    }
+
+    #[test]
+    fn lineage_sees_a_mapping_ingested_after_the_index_was_built() {
+        let mut w = loaded_warehouse();
+        assert!(walk(&w, "PB").unwrap().is_empty());
+        let mapping = reified_mapping("map1", "client_information_id", "partner_id", "segment = 'PB'");
+        w.ingest(vec![Extract::new("mappings", mapping)]).unwrap();
+        assert_eq!(walk(&w, "PB").unwrap(), [dwh("partner_id")]);
+    }
+
+    #[test]
+    fn lineage_sees_a_rebuilt_semantic_index() {
+        let mut w = loaded_warehouse();
+        let mapping = |condition| reified_mapping("map1", "client_information_id", "partner_id", condition);
+        w.ingest(vec![Extract::new("mappings", mapping("segment = 'PB'"))]).unwrap();
+        assert_eq!(walk(&w, "PB").unwrap(), [dwh("partner_id")]);
+        // The re-delivery retracts the PB condition, which drops the
+        // semantic index; the rebuild is what the next walk must read.
+        w.resync(Extract::new("mappings", mapping("segment = 'IB'"))).unwrap();
+        assert!(matches!(walk(&w, "IB"), Err(MdwError::IndexNotBuilt)));
+        w.build_semantic_index().unwrap();
+        assert!(walk(&w, "PB").unwrap().is_empty());
+        assert_eq!(walk(&w, "IB").unwrap(), [dwh("partner_id")]);
+    }
+
+    /// The build is charged to no request: a step-budgeted request that
+    /// triggers it reads exactly like one that finds it built.
+    #[test]
+    fn budgeted_requests_read_the_same_whether_or_not_they_build_the_index() {
+        let probes: [fn(&MetadataWarehouse, &QueryBudget) -> String; 2] = [
+            |w, budget| {
+                let request = AnswerRequest::new("column").with_budget(budget.clone());
+                format!("{:?}", w.answer(&request).unwrap())
+            },
+            |w, budget| {
+                let start = dwh("client_information_id");
+                let request = LineageRequest::downstream(start).with_budget(budget.clone());
+                format!("{:?}", w.lineage(&request).unwrap())
+            },
+        ];
+        for probe in probes {
+            for steps in [0, 1, 2, 3, 5, 8, 64] {
+                let w = loaded_warehouse();
+                let run = || {
+                    let budget = QueryBudget::unlimited().with_max_steps(steps);
+                    (probe(&w, &budget), budget.steps_charged())
+                };
+                let building = run();
+                assert_eq!(w.answer_stats().index_builds, 1);
+                assert_eq!(run(), building, "{steps} steps");
+                assert_eq!(w.answer_stats().index_builds, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn one_index_build_per_generation() {
+        let mut w = loaded_warehouse();
+        let lineage = LineageRequest::downstream(dwh("client_information_id"));
+        assert_eq!(w.answer_stats().index_builds, 0);
+        // Concurrent first users included.
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..5 {
+                        w.answer(&AnswerRequest::new("column")).unwrap();
+                        w.lineage(&lineage).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = w.answer_stats();
+        assert_eq!((stats.answered, stats.index_builds), (20, 1));
+        let fact = (dwh("x"), Term::iri(vocab::cs::HAS_NAME), Term::plain("x"));
+        w.ingest(vec![Extract::new("more", vec![fact])]).unwrap();
+        assert_eq!(w.answer_stats().index_builds, 1, "a write builds nothing");
+        w.lineage(&lineage).unwrap();
+        assert_eq!(w.answer_stats().index_builds, 2);
     }
 
     #[test]

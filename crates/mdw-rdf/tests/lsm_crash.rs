@@ -15,7 +15,8 @@
 //!    never resurrects more batches than were attempted, and a run file
 //!    that fails its CRC is refused — never half-loaded.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mdw_rdf::failpoint::{self, FailSpec};
 use mdw_rdf::journal::JournalOp;
@@ -41,11 +42,15 @@ const WRITE_PATH_FAILPOINTS: &[&str] = &[
     "compact::manifest",
 ];
 
+/// A fresh directory per call: the two sweeps below visit the same
+/// failpoints in parallel test threads, and must not share a store.
 fn temp_dir(tag: &str) -> PathBuf {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "mdw-lsm-crash-{}-{}",
+        "mdw-lsm-crash-{}-{}-{}",
         tag.replace("::", "-"),
-        std::process::id()
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -80,7 +85,7 @@ fn drill_cfg() -> LsmConfig {
 }
 
 /// Reopens `dir` and checks both recovery invariants.
-fn verify_recovery(dir: &PathBuf, acked: &[(usize, u64)], attempted: usize, point: &str) {
+fn verify_recovery(dir: &Path, acked: &[(usize, u64)], attempted: usize, point: &str) {
     let (store, report) = LsmStore::open(dir, drill_cfg())
         .unwrap_or_else(|e| panic!("{point}: reopen after kill failed: {e}"));
     let snap = store.snapshot();
@@ -228,8 +233,7 @@ fn torn_listed_run_is_refused_not_half_loaded() {
     // Tear the newest sealed run file behind the manifest's back.
     let run_file = (1..=metrics.sealed_runs)
         .map(|i| dir.join(format!("run_{i}.ops")))
-        .filter(|p| p.exists())
-        .next_back()
+        .rfind(|p| p.exists())
         .expect("a sealed run file on disk");
     let bytes = std::fs::read(&run_file).unwrap();
     std::fs::write(&run_file, &bytes[..bytes.len() / 2]).unwrap();

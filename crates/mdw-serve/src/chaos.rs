@@ -61,27 +61,29 @@ pub fn pause(name: &str, cancel: &CancellationToken) {
 mod tests {
     use super::*;
 
+    // The registry is process-global and tests run in parallel: each test
+    // owns its delay name and disarms only that, never `reset_delays`.
+
     #[test]
     fn unarmed_pause_is_instant() {
-        reset_delays();
         let t = std::time::Instant::now();
-        pause("serve::nowhere", &CancellationToken::new());
+        pause("serve::test_never_armed", &CancellationToken::new());
         assert!(t.elapsed() < Duration::from_millis(50));
     }
 
     #[test]
     fn armed_pause_sleeps_and_cancellation_cuts_it_short() {
-        reset_delays();
-        arm_delay("serve::test_point", Duration::from_millis(40));
+        let name = "serve::test_armed_pause";
+        arm_delay(name, Duration::from_millis(40));
         let t = std::time::Instant::now();
-        pause("serve::test_point", &CancellationToken::new());
+        pause(name, &CancellationToken::new());
         assert!(t.elapsed() >= Duration::from_millis(35));
 
         let token = CancellationToken::new();
         token.cancel();
         let t = std::time::Instant::now();
-        pause("serve::test_point", &token);
+        pause(name, &token);
         assert!(t.elapsed() < Duration::from_millis(20));
-        reset_delays();
+        assert!(disarm_delay(name));
     }
 }

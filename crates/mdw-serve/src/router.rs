@@ -727,6 +727,8 @@ pub fn admin_stats_json(state: &ServeState) -> String {
             "candidates_planned": answer.candidates_planned,
             "candidates_executed": answer.candidates_executed,
             "truncated": answer.truncated,
+            "index_builds": answer.index_builds,
+            "index_build_ms": answer.last_index_build.as_micros() as f64 / 1e3,
         },
         "accepted": counters.accepted.load(Ordering::Relaxed),
         "served": counters.served.load(Ordering::Relaxed),

@@ -3,7 +3,7 @@
 //! a thin dispatcher over these.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mdw_core::lineage::LineageRequest;
 use mdw_core::model::{census, EdgeCategory};
@@ -377,7 +377,9 @@ pub fn fig8_lineage(scale: Scale) -> String {
     let t = Instant::now();
     let result = loaded.warehouse.lineage(&request).expect("lineage");
     let elapsed = t.elapsed();
-    let build = loaded.warehouse.answer_stats().last_index_build;
+    let counters = loaded.warehouse.counters();
+    let (_, answer) = counters.iter().find(|(group, _)| *group == "answer").expect("answer group");
+    let build = Duration::from_micros(answer.total("index_build_us"));
     let _ = writeln!(
         out,
         "\n-- on the {scale:?} corpus: {} endpoints, {} paths explored in {elapsed:?} \

@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use mdw_rdf::metrics::CounterSet;
+
 /// The workload classes the gate distinguishes, mirroring the paper's two
 /// production services plus the raw SPARQL endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,26 +151,14 @@ impl AdmissionConfig {
     }
 }
 
-/// A point-in-time view of the gate's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests admitted, per class.
-    pub admitted: [u64; CLASS_COUNT],
-    /// Requests shed, per class.
-    pub shed: [u64; CLASS_COUNT],
-}
-
-impl AdmissionStats {
-    /// Total admitted across classes.
-    pub fn total_admitted(&self) -> u64 {
-        self.admitted.iter().sum()
-    }
-
-    /// Total shed across classes.
-    pub fn total_shed(&self) -> u64 {
-        self.shed.iter().sum()
-    }
-}
+/// The gate's counter names, `(admitted, shed)` per class in
+/// [`QueryClass::ALL`] order.
+const COUNTER_NAMES: [(&str, &str); CLASS_COUNT] = [
+    ("search_admitted", "search_shed"),
+    ("lineage_admitted", "lineage_shed"),
+    ("sparql_admitted", "sparql_shed"),
+    ("answer_admitted", "answer_shed"),
+];
 
 #[derive(Debug, Default)]
 struct GateState {
@@ -333,16 +323,6 @@ impl AdmissionController {
         Overloaded { class, reason, retry_after: self.gate.config.retry_after * scale }
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> AdmissionStats {
-        let mut stats = AdmissionStats::default();
-        for i in 0..CLASS_COUNT {
-            stats.admitted[i] = self.gate.admitted[i].load(Ordering::Relaxed);
-            stats.shed[i] = self.gate.shed[i].load(Ordering::Relaxed);
-        }
-        stats
-    }
-
     /// Queries currently holding a slot.
     pub fn active(&self) -> usize {
         self.gate.state.lock().unwrap().active_total
@@ -354,6 +334,20 @@ impl AdmissionController {
     /// invariant the serving layer's chaos suite asserts).
     pub fn waiting(&self) -> usize {
         self.gate.state.lock().unwrap().queue.len()
+    }
+}
+
+/// Requests admitted and shed, per class: `search_admitted`, `search_shed`,
+/// `lineage_admitted`, … (totals: `total("_admitted")`, `total("_shed")`).
+impl CounterSet for AdmissionController {
+    fn read(&self) -> Vec<(&'static str, u64)> {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        (0..CLASS_COUNT)
+            .flat_map(|i| {
+                let (admitted, shed) = COUNTER_NAMES[i];
+                [(admitted, load(&self.gate.admitted[i])), (shed, load(&self.gate.shed[i]))]
+            })
+            .collect()
     }
 }
 
@@ -462,11 +456,16 @@ mod tests {
         let _p = gate.try_admit(QueryClass::Search).unwrap();
         let _ = gate.try_admit(QueryClass::Search);
         let _ = gate.try_admit(QueryClass::Lineage);
-        let stats = gate.stats();
-        assert_eq!(stats.admitted[QueryClass::Search.index()], 1);
-        assert_eq!(stats.shed[QueryClass::Search.index()], 1);
-        assert_eq!(stats.total_admitted(), 1);
-        assert_eq!(stats.total_shed(), 2);
+        let counters = gate.read();
+        assert_eq!(&counters[..4], [
+            ("search_admitted", 1),
+            ("search_shed", 1),
+            ("lineage_admitted", 0),
+            ("lineage_shed", 1),
+        ]);
+        assert_eq!(counters.len(), 2 * CLASS_COUNT);
+        assert_eq!(gate.total("_admitted"), 1);
+        assert_eq!(gate.total("_shed"), 2);
     }
 
     #[test]

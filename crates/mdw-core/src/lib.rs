@@ -50,8 +50,7 @@ pub mod synonyms;
 pub mod warehouse;
 
 pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionStats, Overloaded, Permit, QueryClass,
-    ShedReason,
+    AdmissionConfig, AdmissionController, Overloaded, Permit, QueryClass, ShedReason,
 };
 pub use answer::{
     AnswerRequest, AnswerResult, AnswerRow, CandidatePlan, ExecutedCandidate, KeywordMatch,
@@ -70,4 +69,4 @@ pub use resilience::{Clock, RetryPolicy, SystemClock, TestClock};
 pub use search::{SearchRequest, SearchResults};
 pub use sync::{SourceRegistry, SyncReport};
 pub use synonyms::SynonymTable;
-pub use warehouse::{AnswerStats, MetadataWarehouse, PlannerStats};
+pub use warehouse::MetadataWarehouse;

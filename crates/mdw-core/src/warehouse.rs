@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -27,6 +27,7 @@ use mdw_rdf::failpoint;
 use mdw_rdf::frozen::{FrozenIndex, FrozenStore};
 use mdw_rdf::journal::JournalOp;
 use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
+use mdw_rdf::metrics::CounterSet;
 use mdw_rdf::par::ParallelPolicy;
 use mdw_rdf::persist::SaveReport;
 use mdw_rdf::staging::{LoadReport, StagingArea};
@@ -37,7 +38,7 @@ use mdw_rdf::QueryContext;
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, QueryClass};
+use crate::admission::{AdmissionConfig, AdmissionController, QueryClass};
 use crate::answer::{self, AnswerRequest, AnswerResult, ExecutedCandidate, SchemaIndex};
 use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
@@ -74,15 +75,21 @@ fn engine_config() -> LsmConfig {
     }
 }
 
-/// Cumulative query-planner activity across every `SEM_MATCH` query this
-/// warehouse has served. Interior-mutable (queries take `&self`), relaxed
-/// ordering — these are monitoring counters, not synchronization.
-#[derive(Debug, Default)]
-struct PlannerCounters {
-    planned: AtomicU64,
-    unplanned: AtomicU64,
-    reordered: AtomicU64,
-    filters_pushed: AtomicU64,
+mdw_rdf::counter_set! {
+    /// Cumulative query-planner activity across every `SEM_MATCH` query this
+    /// warehouse has served — the `planner` group of
+    /// [`MetadataWarehouse::counters`].
+    struct PlannerCounters {
+        /// Queries executed through the cost-based planner.
+        planned,
+        /// Queries executed in written pattern order (planner disabled).
+        unplanned,
+        /// Planned queries whose chosen join order differed from the
+        /// written order.
+        reordered,
+        /// Filter conjuncts pushed into basic-graph-pattern scans.
+        filters_pushed,
+    }
 }
 
 impl PlannerCounters {
@@ -98,49 +105,32 @@ impl PlannerCounters {
             self.unplanned.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
 
-    fn snapshot(&self) -> PlannerStats {
-        PlannerStats {
-            planned: self.planned.load(Ordering::Relaxed),
-            unplanned: self.unplanned.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            filters_pushed: self.filters_pushed.load(Ordering::Relaxed),
-        }
+mdw_rdf::counter_set! {
+    /// Cumulative keyword-answering activity ([`MetadataWarehouse::answer`])
+    /// — the `answer` group of [`MetadataWarehouse::counters`].
+    struct AnswerCounters {
+        /// Keyword-answering requests served.
+        answered,
+        /// SPARQL candidates planned across all requests.
+        candidates_planned,
+        /// Candidates actually executed (top-k, budget permitting).
+        candidates_executed,
+        /// Requests whose shared budget tripped before completion.
+        truncated,
+        /// Meta-level index builds: one per pinned generation that a keyword
+        /// answer, lineage walk or drill-down consulted.
+        index_builds,
+        /// Wall time of the most recent index build, in µs (a gauge).
+        index_build_us,
     }
-}
-
-/// Point-in-time snapshot of the warehouse's planner counters
-/// ([`MetadataWarehouse::planner_stats`]) — surfaced operationally by
-/// `mdw-serve`'s `/admin/stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlannerStats {
-    /// Queries executed through the cost-based planner.
-    pub planned: u64,
-    /// Queries executed in written pattern order (planner disabled).
-    pub unplanned: u64,
-    /// Planned queries whose chosen join order differed from the written
-    /// order.
-    pub reordered: u64,
-    /// Total filter conjuncts pushed into basic-graph-pattern scans.
-    pub filters_pushed: u64,
-}
-
-/// Cumulative keyword-answering activity ([`MetadataWarehouse::answer`]).
-/// Interior-mutable for the same reason as [`PlannerCounters`].
-#[derive(Debug, Default)]
-struct AnswerCounters {
-    answered: AtomicU64,
-    candidates_planned: AtomicU64,
-    candidates_executed: AtomicU64,
-    truncated: AtomicU64,
-    index_builds: AtomicU64,
-    last_index_build_us: AtomicU64,
 }
 
 impl AnswerCounters {
     fn record_index_build(&self, took: Duration) {
         self.index_builds.fetch_add(1, Ordering::Relaxed);
-        self.last_index_build_us.store(took.as_micros() as u64, Ordering::Relaxed);
+        self.index_build_us.store(took.as_micros() as u64, Ordering::Relaxed);
     }
 
     fn record(&self, result: &AnswerResult) {
@@ -153,37 +143,6 @@ impl AnswerCounters {
             self.truncated.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    fn snapshot(&self) -> AnswerStats {
-        AnswerStats {
-            answered: self.answered.load(Ordering::Relaxed),
-            candidates_planned: self.candidates_planned.load(Ordering::Relaxed),
-            candidates_executed: self.candidates_executed.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            index_builds: self.index_builds.load(Ordering::Relaxed),
-            last_index_build: Duration::from_micros(self.last_index_build_us.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Point-in-time snapshot of the warehouse's keyword-answering counters
-/// ([`MetadataWarehouse::answer_stats`]) — surfaced operationally by
-/// `mdw-serve`'s `/admin/stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AnswerStats {
-    /// Keyword-answering requests served.
-    pub answered: u64,
-    /// SPARQL candidates planned across all requests.
-    pub candidates_planned: u64,
-    /// Candidates actually executed (top-k, budget permitting).
-    pub candidates_executed: u64,
-    /// Requests whose shared budget tripped before completion.
-    pub truncated: u64,
-    /// Meta-level index builds: one per pinned generation that a keyword
-    /// answer, lineage walk or drill-down consulted.
-    pub index_builds: u64,
-    /// Wall time of the most recent index build.
-    pub last_index_build: Duration,
 }
 
 /// The meta-level index of one pinned generation: the small schema-level
@@ -660,7 +619,8 @@ impl MetadataWarehouse {
 
     /// The meta-level index of the pinned generation, built on first use
     /// from the entailed view (so it errors exactly when that does). The
-    /// build is charged to no request and counted in [`Self::answer_stats`].
+    /// build is charged to no request and counted in the `answer` group of
+    /// [`Self::counters`].
     fn index(&self) -> Result<&GenerationIndex, MdwError> {
         let view = self.entailed()?;
         Ok(self.pinned.index.get_or_init(|| {
@@ -698,9 +658,17 @@ impl MetadataWarehouse {
         self.admission.as_ref()
     }
 
-    /// Admission counters (admitted/shed per class), when the gate is on.
-    pub fn admission_stats(&self) -> Option<AdmissionStats> {
-        self.admission.as_ref().map(|a| a.stats())
+    /// Every counter this warehouse keeps, as named groups in a fixed
+    /// order: `planner` (`SEM_MATCH` planning), `answer` (keyword
+    /// answering), and `admission` (admitted / shed per class) when the gate
+    /// is on. The serving layer renders these; nothing copies them.
+    pub fn counters(&self) -> Vec<(&'static str, &dyn CounterSet)> {
+        let mut groups: Vec<(&'static str, &dyn CounterSet)> =
+            vec![("planner", &self.planner), ("answer", &self.answer_counters)];
+        if let Some(gate) = &self.admission {
+            groups.push(("admission", gate));
+        }
+        groups
     }
 
     fn empty_index() -> &'static FrozenIndex {
@@ -814,8 +782,8 @@ impl MetadataWarehouse {
     /// bounded intervals and returns a partial result tagged `Truncated`
     /// instead of running away. With `use_planner` false the query runs in
     /// written pattern order — the baseline an ablation compares against.
-    /// Either way the outcome feeds the warehouse's cumulative
-    /// [`planner_stats`](Self::planner_stats) counters.
+    /// Either way the outcome feeds the `planner` group of
+    /// [`Self::counters`].
     pub fn sem_match_explained(
         &self,
         query: &SemMatch,
@@ -854,12 +822,6 @@ impl MetadataWarehouse {
         let (out, report) = mdw_sparql::execute(&parsed, source, ctx.dict(), &options)?;
         self.planner.record(&report);
         Ok((out, report))
-    }
-
-    /// Cumulative planner counters over every `SEM_MATCH` query served so
-    /// far (planned vs unplanned executions, reorderings, pushed filters).
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.planner.snapshot()
     }
 
     /// SODA-style keyword answering (see [`crate::answer`]): tokenizes the
@@ -941,12 +903,6 @@ impl MetadataWarehouse {
                 None => Completeness::Complete,
             },
         })
-    }
-
-    /// Cumulative keyword-answering counters over every [`Self::answer`]
-    /// request served so far.
-    pub fn answer_stats(&self) -> AnswerStats {
-        self.answer_counters.snapshot()
     }
 
     /// The Table I census of the current model.
@@ -1197,12 +1153,17 @@ mod tests {
         assert_eq!(off.rows.len(), 1);
         assert!(!naive.planner_used);
 
-        let stats = w.planner_stats();
-        assert_eq!(stats.planned, 1);
-        assert_eq!(stats.unplanned, 1);
+        assert_eq!(counter(&w, "planner", "planned"), 1);
+        assert_eq!(counter(&w, "planner", "unplanned"), 1);
         // The default path counts as a planned query too.
         w.sem_match(&q).unwrap();
-        assert_eq!(w.planner_stats().planned, 2);
+        assert_eq!(counter(&w, "planner", "planned"), 2);
+    }
+
+    /// One counter of [`MetadataWarehouse::counters`], by group and name.
+    fn counter(w: &MetadataWarehouse, group: &str, name: &str) -> u64 {
+        let (_, set) = w.counters().into_iter().find(|(g, _)| *g == group).expect("group");
+        set.read().into_iter().find(|(n, _)| *n == name).expect("counter").1
     }
 
     #[test]
@@ -1504,9 +1465,9 @@ mod tests {
                 other => panic!("{class:?}: expected Overloaded, got {other:?}"),
             }
         }
-        let stats = w.admission_stats().unwrap();
-        assert_eq!(stats.total_shed(), WORKLOADS.len() as u64);
-        assert_eq!(stats.total_admitted(), 0);
+        let gate = w.admission().unwrap();
+        assert_eq!(gate.total("_shed"), WORKLOADS.len() as u64);
+        assert_eq!(gate.total("_admitted"), 0);
     }
 
     #[test]
@@ -1523,10 +1484,9 @@ mod tests {
             "answers: {:?}",
             result.answers
         );
-        let stats = w.answer_stats();
-        assert_eq!(stats.answered, 1);
-        assert!(stats.candidates_executed >= 1);
-        assert_eq!(stats.truncated, 0);
+        assert_eq!(counter(&w, "answer", "answered"), 1);
+        assert!(counter(&w, "answer", "candidates_executed") >= 1);
+        assert_eq!(counter(&w, "answer", "truncated"), 0);
     }
 
     #[test]
@@ -1547,7 +1507,7 @@ mod tests {
             .with_budget(QueryBudget::unlimited().with_max_steps(2));
         let result = w.answer(&req).unwrap();
         assert!(!result.completeness.is_complete());
-        assert_eq!(w.answer_stats().truncated, 1);
+        assert_eq!(counter(&w, "answer", "truncated"), 1);
     }
 
     fn reified_mapping(id: &str, from: &str, to: &str, condition: &str) -> Vec<(Term, Term, Term)> {
@@ -1630,9 +1590,9 @@ mod tests {
                     (probe(&w, &budget), budget.steps_charged())
                 };
                 let building = run();
-                assert_eq!(w.answer_stats().index_builds, 1);
+                assert_eq!(counter(&w, "answer", "index_builds"), 1);
                 assert_eq!(run(), building, "{steps} steps");
-                assert_eq!(w.answer_stats().index_builds, 1);
+                assert_eq!(counter(&w, "answer", "index_builds"), 1);
             }
         }
     }
@@ -1641,7 +1601,7 @@ mod tests {
     fn one_index_build_per_generation() {
         let mut w = loaded_warehouse();
         let lineage = LineageRequest::downstream(dwh("client_information_id"));
-        assert_eq!(w.answer_stats().index_builds, 0);
+        assert_eq!(counter(&w, "answer", "index_builds"), 0);
         // Concurrent first users included.
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1653,13 +1613,13 @@ mod tests {
                 });
             }
         });
-        let stats = w.answer_stats();
-        assert_eq!((stats.answered, stats.index_builds), (20, 1));
+        assert_eq!(counter(&w, "answer", "answered"), 20);
+        assert_eq!(counter(&w, "answer", "index_builds"), 1);
         let fact = (dwh("x"), Term::iri(vocab::cs::HAS_NAME), Term::plain("x"));
         w.ingest(vec![Extract::new("more", vec![fact])]).unwrap();
-        assert_eq!(w.answer_stats().index_builds, 1, "a write builds nothing");
+        assert_eq!(counter(&w, "answer", "index_builds"), 1, "a write builds nothing");
         w.lineage(&lineage).unwrap();
-        assert_eq!(w.answer_stats().index_builds, 2);
+        assert_eq!(counter(&w, "answer", "index_builds"), 2);
     }
 
     #[test]
@@ -1669,10 +1629,10 @@ mod tests {
         for _ in 0..3 {
             w.search(&SearchRequest::new("customer")).unwrap();
         }
-        let stats = w.admission_stats().unwrap();
-        assert_eq!(stats.total_admitted(), 3);
-        assert_eq!(stats.total_shed(), 0);
-        assert_eq!(w.admission().unwrap().active(), 0);
+        let gate = w.admission().unwrap();
+        assert_eq!(gate.total("_admitted"), 3);
+        assert_eq!(gate.total("_shed"), 0);
+        assert_eq!(gate.active(), 0);
     }
 
     /// The caller alone picks the view: a request that names a rulebase

@@ -37,7 +37,9 @@
 //!   journal, and [`persist::fsck`] over all of them (recovery itself is
 //!   [`lsm::LsmStore::open`]),
 //! * [`failpoint`] — a deterministic fault-injection registry used by the
-//!   crash-recovery drills and the CLI's `--inject` flag.
+//!   crash-recovery drills and the CLI's `--inject` flag,
+//! * [`metrics`] — named monitoring counters, declared once with
+//!   [`counter_set!`] and read by every report through one method.
 //!
 //! Everything above the substrate (inference, SPARQL, the warehouse services)
 //! lives in the sibling crates `mdw-reason`, `mdw-sparql`, and `mdw-core`.
@@ -52,6 +54,7 @@ pub mod frozen;
 pub mod index;
 pub mod journal;
 pub mod lsm;
+pub mod metrics;
 pub mod par;
 pub mod persist;
 pub mod staging;

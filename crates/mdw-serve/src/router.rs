@@ -37,6 +37,7 @@ use mdw_core::search::SearchRequest;
 use mdw_rdf::budget::{
     CancellationToken, Completeness, MonotonicTime, QueryBudget, TruncationReason,
 };
+use mdw_rdf::metrics::CounterSet;
 use mdw_rdf::vocab;
 use mdw_rdf::Term;
 use mdw_sparql::SemMatch;
@@ -165,11 +166,7 @@ pub fn prepare(state: &Arc<ServeState>, request: &Request) -> Prepared {
         ("GET", "/healthz") => {
             Prepared::Fixed(StagedResponse::routed(200, "text/plain", b"ok\n".to_vec()))
         }
-        ("GET", "/stats") => {
-            let body = format!("{}\n", stats_json(state)).into_bytes();
-            Prepared::Fixed(StagedResponse::routed(200, "application/json", body))
-        }
-        ("GET", "/admin/stats") => {
+        ("GET", "/admin/stats" | "/stats") => {
             let body = format!("{}\n", admin_stats_json(state)).into_bytes();
             Prepared::Fixed(StagedResponse::routed(200, "application/json", body))
         }
@@ -673,80 +670,45 @@ fn json_string(text: &str) -> String {
     serde_json::to_string(&Value::String(text.to_string())).expect("string serializes")
 }
 
-/// The `/stats` document: service-level counters plus per-tenant admission.
-pub fn stats_json(state: &ServeState) -> String {
+/// The one stats document, served at `GET /admin/stats` and `GET /stats`
+/// (the wire drill's `stats:` line prints it): the warehouse's counter
+/// groups as nested objects (`planner`, `answer`, and `admission` when the
+/// warehouse gates itself), the transport's [`Counters`](crate::Counters)
+/// at top level, the live gauges, and per-tenant admission. Every counter
+/// is rendered from its set's [`CounterSet::read`], in declaration order.
+pub fn admin_stats_json(state: &ServeState) -> String {
+    let render = |set: &dyn CounterSet| -> Vec<(String, Value)> {
+        set.read().into_iter().map(|(name, value)| (name.to_string(), json!(value))).collect()
+    };
+    let mut doc: Vec<(String, Value)> = state
+        .warehouse
+        .counters()
+        .into_iter()
+        .map(|(group, set)| (group.to_string(), Value::Object(render(set))))
+        .collect();
+    doc.extend(render(&state.counters));
     let tenants: Vec<Value> = state
         .tenants
-        .as_ref()
-        .map(|gates| {
-            gates
-                .stats()
-                .into_iter()
-                .map(|(tenant, stats, active, waiting)| {
-                    json!({
-                        "tenant": tenant,
-                        "admitted": stats.total_admitted(),
-                        "shed": stats.total_shed(),
-                        "active": active,
-                        "waiting": waiting,
-                    })
-                })
-                .collect()
+        .iter()
+        .flat_map(|gates| gates.stats())
+        .map(|(tenant, gate)| {
+            json!({
+                "tenant": tenant,
+                "admitted": gate.total("_admitted"),
+                "shed": gate.total("_shed"),
+                "active": gate.active(),
+                "waiting": gate.waiting(),
+            })
         })
-        .unwrap_or_default();
-    let doc = json!({
-        "served": state.counters.served.load(Ordering::Relaxed),
-        "sheds": state.counters.sheds.load(Ordering::Relaxed),
-        "panics": state.counters.panics.load(Ordering::Relaxed),
-        "wire_errors": state.counters.wire_errors.load(Ordering::Relaxed),
-        "accept_errors": state.counters.accept_errors.load(Ordering::Relaxed),
-        "capacity_rejects": state.counters.capacity_rejects.load(Ordering::Relaxed),
-        "inflight": state.drain.inflight(),
-        "draining": state.drain.is_draining(),
-        "tenants": tenants,
-    });
-    serde_json::to_string(&doc).expect("stats serialize")
-}
-
-/// The `GET /admin/stats` document: the transport's own counters — what the
-/// event loop accepted, timed out (by state), shed, backed off, and reused.
-/// The wire drill's exit report reads this.
-pub fn admin_stats_json(state: &ServeState) -> String {
-    let counters = &state.counters;
-    let planner = state.warehouse.planner_stats();
-    let answer = state.warehouse.answer_stats();
-    let doc = json!({
-        "planner": {
-            "planned": planner.planned,
-            "unplanned": planner.unplanned,
-            "reordered": planner.reordered,
-            "filters_pushed": planner.filters_pushed,
-        },
-        "answer": {
-            "answered": answer.answered,
-            "candidates_planned": answer.candidates_planned,
-            "candidates_executed": answer.candidates_executed,
-            "truncated": answer.truncated,
-            "index_builds": answer.index_builds,
-            "index_build_ms": answer.last_index_build.as_micros() as f64 / 1e3,
-        },
-        "accepted": counters.accepted.load(Ordering::Relaxed),
-        "served": counters.served.load(Ordering::Relaxed),
-        "sheds": counters.sheds.load(Ordering::Relaxed),
-        "panics": counters.panics.load(Ordering::Relaxed),
-        "wire_errors": counters.wire_errors.load(Ordering::Relaxed),
-        "accept_errors": counters.accept_errors.load(Ordering::Relaxed),
-        "accept_backoffs": counters.accept_backoffs.load(Ordering::Relaxed),
-        "capacity_rejects": counters.capacity_rejects.load(Ordering::Relaxed),
-        "sockopt_errors": counters.sockopt_errors.load(Ordering::Relaxed),
-        "head_timeouts": counters.head_timeouts.load(Ordering::Relaxed),
-        "write_stall_timeouts": counters.write_stall_timeouts.load(Ordering::Relaxed),
-        "idle_reaped": counters.idle_reaped.load(Ordering::Relaxed),
-        "keepalive_reuses": counters.keepalive_reuses.load(Ordering::Relaxed),
-        "queue_sheds": counters.queue_sheds.load(Ordering::Relaxed),
-        "active_connections": state.active_connections(),
-        "inflight": state.drain.inflight(),
-        "draining": state.drain.is_draining(),
-    });
-    serde_json::to_string(&doc).expect("admin stats serialize")
+        .collect();
+    doc.extend(
+        [
+            ("active_connections", json!(state.active_connections())),
+            ("inflight", json!(state.drain.inflight())),
+            ("draining", json!(state.drain.is_draining())),
+            ("tenants", Value::Array(tenants)),
+        ]
+        .map(|(key, value)| (key.to_string(), value)),
+    );
+    serde_json::to_string(&Value::Object(doc)).expect("stats serialize")
 }

@@ -43,7 +43,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -136,41 +136,45 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters the event loop, workers, and connection machines
-/// bump; surfaced by `/stats` and `/admin/stats`, asserted by the chaos
-/// suite.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Sockets accepted into service (served + shed connections).
-    pub accepted: AtomicU64,
-    /// Responses whose frames completed (including error responses).
-    pub served: AtomicU64,
-    /// Requests shed with `503` (admission, drain).
-    pub sheds: AtomicU64,
-    /// Query panics turned into `500`s.
-    pub panics: AtomicU64,
-    /// Connections whose wire died mid-request or mid-response.
-    pub wire_errors: AtomicU64,
-    /// Accept calls that failed (and were survived).
-    pub accept_errors: AtomicU64,
-    /// Times the accept loop turned the listener off and backed off.
-    pub accept_backoffs: AtomicU64,
-    /// Connections turned away at the concurrency bound.
-    pub capacity_rejects: AtomicU64,
-    /// Sockets closed because a socket option could not be applied —
-    /// better than serving a connection without its protections.
-    pub sockopt_errors: AtomicU64,
-    /// Request heads that timed out (slowloris defense fired; `408`).
-    pub head_timeouts: AtomicU64,
-    /// Connections hard-closed because the peer stopped reading.
-    pub write_stall_timeouts: AtomicU64,
-    /// Idle keep-alive connections reaped.
-    pub idle_reaped: AtomicU64,
-    /// Requests served on a reused (keep-alive) connection.
-    pub keepalive_reuses: AtomicU64,
-    /// Requests shed at dispatch because the worker queue was full
-    /// (also counted in `sheds`).
-    pub queue_sheds: AtomicU64,
+mdw_rdf::counter_set! {
+    /// Monotonic counters the event loop, workers, and connection machines
+    /// bump; rendered into `/admin/stats` and `/stats`, printed by `mdwh
+    /// serve` and `mdwh drill wire`, asserted by the chaos suite.
+    pub struct Counters {
+        /// Sockets accepted into service (served + shed connections).
+        pub accepted,
+        /// Responses whose frames completed: streamed answers and routed
+        /// responses, routed `4xx` errors included. A `503` is counted in
+        /// `sheds` or `capacity_rejects` and a `500` in `panics`; answers
+        /// to requests that never parsed are not counted here.
+        pub served,
+        /// Requests shed with `503` (admission, drain, full worker queue).
+        pub sheds,
+        /// Query panics turned into `500`s.
+        pub panics,
+        /// Connections whose wire died mid-request or mid-response.
+        pub wire_errors,
+        /// Accept calls that failed (and were survived).
+        pub accept_errors,
+        /// Times the accept loop turned the listener off and backed off.
+        pub accept_backoffs,
+        /// Connections turned away at the concurrency bound.
+        pub capacity_rejects,
+        /// Sockets closed because a socket option could not be applied —
+        /// better than serving a connection without its protections.
+        pub sockopt_errors,
+        /// Request heads that timed out (slowloris defense fired; `408`).
+        pub head_timeouts,
+        /// Connections hard-closed because the peer stopped reading.
+        pub write_stall_timeouts,
+        /// Idle keep-alive connections reaped.
+        pub idle_reaped,
+        /// Requests served on a reused (keep-alive) connection.
+        pub keepalive_reuses,
+        /// Requests shed at dispatch because the worker queue was full
+        /// (also counted in `sheds`).
+        pub queue_sheds,
+    }
 }
 
 /// Everything a connection needs, shared across the loop and the workers.

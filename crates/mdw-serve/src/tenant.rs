@@ -8,16 +8,23 @@
 //! against its own quota while the others keep flowing. Tenants inherit a
 //! single configured quota shape; unknown tenants are lazily admitted with
 //! the same shape rather than rejected — metadata consumers come and go.
+//!
+//! The header is untrusted, so the map is bounded: it holds at most 1 024
+//! gates, [`DEFAULT_TENANT`]'s among them from the start. A request naming
+//! a new tenant once the map is full is admitted against
+//! [`DEFAULT_TENANT`]'s gate — a client rotating names gains no fresh quota
+//! and grows neither server memory nor the stats document.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use mdw_core::admission::{
-    AdmissionConfig, AdmissionController, AdmissionStats, Overloaded, Permit, QueryClass,
-};
+use mdw_core::admission::{AdmissionConfig, AdmissionController, Overloaded, Permit, QueryClass};
 
 /// The tenant used when a request carries no `X-Tenant` header.
 pub const DEFAULT_TENANT: &str = "public";
+
+/// Most tenant gates held at once, [`DEFAULT_TENANT`]'s included.
+const MAX_TENANTS: usize = 1024;
 
 /// Lazily-populated map of tenant name → admission gate.
 pub struct TenantGates {
@@ -28,15 +35,21 @@ pub struct TenantGates {
 impl TenantGates {
     /// Gates that hand every tenant a clone of `config`.
     pub fn new(config: AdmissionConfig) -> Self {
-        TenantGates { config, gates: Mutex::new(BTreeMap::new()) }
+        let public = (DEFAULT_TENANT.to_string(), AdmissionController::new(config.clone()));
+        TenantGates { config, gates: Mutex::new(BTreeMap::from([public])) }
     }
 
     fn gate(&self, tenant: &str) -> AdmissionController {
         let mut gates = self.gates.lock().unwrap();
-        gates
-            .entry(tenant.to_string())
-            .or_insert_with(|| AdmissionController::new(self.config.clone()))
-            .clone()
+        if let Some(gate) = gates.get(tenant) {
+            return gate.clone();
+        }
+        if gates.len() >= MAX_TENANTS {
+            return gates[DEFAULT_TENANT].clone();
+        }
+        let gate = AdmissionController::new(self.config.clone());
+        gates.insert(tenant.to_string(), gate.clone());
+        gate
     }
 
     /// Admits a request for `tenant`, waiting (bounded) in the tenant's
@@ -46,14 +59,11 @@ impl TenantGates {
         self.gate(tenant).admit(class)
     }
 
-    /// Snapshot of `(tenant, stats, active, waiting)` for every tenant seen
-    /// so far, sorted by name.
-    pub fn stats(&self) -> Vec<(String, AdmissionStats, usize, usize)> {
+    /// Every tenant's gate, sorted by name; each one is a
+    /// [`CounterSet`](mdw_rdf::metrics::CounterSet).
+    pub fn stats(&self) -> Vec<(String, AdmissionController)> {
         let gates = self.gates.lock().unwrap();
-        gates
-            .iter()
-            .map(|(name, gate)| (name.clone(), gate.stats(), gate.active(), gate.waiting()))
-            .collect()
+        gates.iter().map(|(name, gate)| (name.clone(), gate.clone())).collect()
     }
 
     /// Total permits currently held across all tenants. The chaos suite
@@ -67,6 +77,7 @@ impl TenantGates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdw_rdf::metrics::CounterSet;
     use std::time::Duration;
 
     fn gates(quota: usize) -> TenantGates {
@@ -98,11 +109,27 @@ mod tests {
         let _ = gates.admit("a", QueryClass::Lineage);
         let _ = gates.admit("b", QueryClass::Sparql).unwrap();
         let stats = gates.stats();
-        let names: Vec<_> = stats.iter().map(|(n, ..)| n.as_str()).collect();
-        assert_eq!(names, ["a", "b"]);
-        let (_, a_stats, a_active, _) = &stats[0];
-        assert_eq!(a_stats.total_admitted(), 1);
-        assert_eq!(a_stats.total_shed(), 1);
-        assert_eq!(*a_active, 1);
+        let names: Vec<_> = stats.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b", DEFAULT_TENANT]);
+        let (_, a) = &stats[0];
+        assert_eq!(a.total("_admitted"), 1);
+        assert_eq!(a.total("_shed"), 1);
+        assert_eq!(a.active(), 1);
+    }
+
+    #[test]
+    fn rotating_tenant_names_cannot_grow_the_map() {
+        let gates = TenantGates::new(AdmissionConfig::default());
+        for i in 0..2_000 {
+            let permit = gates.admit(&format!("rotating{i}"), QueryClass::Search);
+            assert!(permit.is_ok(), "request {i} was shed");
+        }
+        let stats = gates.stats();
+        assert!(stats.len() <= MAX_TENANTS, "{} tenant gates", stats.len());
+        let admitted: u64 = stats.iter().map(|(_, gate)| gate.total("_admitted")).sum();
+        assert_eq!(admitted, 2_000);
+        // The names past the cap all met the default tenant's gate.
+        let public = &stats.iter().find(|(name, _)| name == DEFAULT_TENANT).unwrap().1;
+        assert_eq!(public.total("_admitted"), 2_000 - (MAX_TENANTS as u64 - 1));
     }
 }

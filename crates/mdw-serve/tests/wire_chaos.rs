@@ -21,12 +21,14 @@ use mdw_core::admission::AdmissionConfig;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::{generate, CorpusConfig, Scale};
 use mdw_rdf::failpoint::{self, FailSpec};
+use mdw_rdf::metrics::CounterSet;
 use mdw_serve::client::{frame_length, parse_response, WireResponse};
 use mdw_serve::conn::{Conn, ConnTimeouts, Wants};
 use mdw_serve::http;
 use mdw_serve::router::{execute_job, handle_connection};
 use mdw_serve::server::{ServeState, ServerConfig};
 use mdw_serve::{fault, ConnOutcome};
+use serde_json::Value;
 
 /// One shared warehouse for the whole suite (building it is the slow part;
 /// it is immutable behind the service handle, so sharing is safe).
@@ -211,6 +213,71 @@ fn sparql_summary_carries_plan_and_admin_stats_count_planner() {
     assert_eq!(resp.status, 200);
     assert!(resp.body.contains("\"planner\""), "admin stats: {}", resp.body);
     assert!(resp.body.contains("\"planned\":"), "admin stats: {}", resp.body);
+    assert_nothing_leaked(&state);
+}
+
+fn object(value: &Value) -> &[(String, Value)] {
+    match value {
+        Value::Object(entries) => entries,
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+fn field<'a>(entries: &'a [(String, Value)], key: &str) -> &'a Value {
+    &entries.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("{key} missing")).1
+}
+
+fn keys(entries: &[(String, Value)]) -> Vec<&str> {
+    entries.iter().map(|(key, _)| key.as_str()).collect()
+}
+
+/// The stats document's contract: `/admin/stats` and `/stats` serve one
+/// document whose keys are exactly the counter sets' names — each once,
+/// under its group — and whose `planner` / `answer` blocks keep their
+/// established key order.
+#[test]
+fn both_stats_routes_render_every_counter_once() {
+    failpoint::reset();
+    let state = state_with(test_config());
+    drive(&state, &get_request("/search?q=client", &[("X-Tenant", "risk")]));
+    let fetch = |target: &str| {
+        let (_, raw) = drive(&state, &get_request(target, &[]));
+        let resp = parse_response(&raw).unwrap();
+        assert_eq!(resp.status, 200, "{target}");
+        serde_json::from_str(&resp.body).expect("stats parse")
+    };
+    // Counter values move between two requests; the document's keys do not.
+    let shape = |doc: &Value| -> Vec<(String, Vec<String>)> {
+        let nested = |v: &Value| match v {
+            Value::Object(inner) => keys(inner).into_iter().map(String::from).collect(),
+            _ => Vec::new(),
+        };
+        object(doc).iter().map(|(key, v)| (key.clone(), nested(v))).collect()
+    };
+    let admin = fetch("/admin/stats");
+    assert_eq!(shape(&fetch("/stats")), shape(&admin));
+
+    let doc = object(&admin);
+    let mut expected = Vec::new();
+    for (group, set) in state.warehouse.counters() {
+        let names: Vec<&str> = set.read().iter().map(|(name, _)| *name).collect();
+        assert_eq!(keys(object(field(doc, group))), names, "group {group}");
+        expected.push(group);
+    }
+    expected.extend(state.counters.read().iter().map(|(name, _)| *name));
+    expected.extend(["active_connections", "inflight", "draining", "tenants"]);
+    assert_eq!(keys(doc), expected);
+
+    assert_eq!(keys(object(field(doc, "planner"))), ["planned", "unplanned", "reordered", "filters_pushed"]);
+    assert_eq!(
+        keys(object(field(doc, "answer"))),
+        ["answered", "candidates_planned", "candidates_executed", "truncated", "index_builds", "index_build_us"]
+    );
+    let Value::Array(tenants) = field(doc, "tenants") else { panic!("tenants is not an array") };
+    assert_eq!(tenants.len(), 2, "public + risk: {tenants:?}");
+    for tenant in tenants {
+        assert_eq!(keys(object(tenant)), ["tenant", "admitted", "shed", "active", "waiting"]);
+    }
     assert_nothing_leaked(&state);
 }
 

@@ -35,6 +35,7 @@ use metadata_warehouse::corpus::{generate, CorpusConfig, Scale};
 use metadata_warehouse::rdf::failpoint;
 use metadata_warehouse::rdf::journal::JournalOp;
 use metadata_warehouse::rdf::lsm::{LsmConfig, LsmStore};
+use metadata_warehouse::rdf::metrics::{self, CounterSet};
 use metadata_warehouse::rdf::persist;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::{FailSpec, RdfError, Term};
@@ -801,7 +802,7 @@ fn drill_overload(args: &Args) -> Result<(), String> {
         }
     });
 
-    let stats = warehouse.admission_stats().expect("admission enabled");
+    let gate = warehouse.admission().expect("admission enabled");
     latencies_us.sort_unstable();
     println!("completed: {} request(s)", latencies_us.len());
     println!(
@@ -809,16 +810,9 @@ fn drill_overload(args: &Args) -> Result<(), String> {
         percentile_us(&latencies_us, 50.0) as f64 / 1000.0,
         percentile_us(&latencies_us, 99.0) as f64 / 1000.0,
     );
-    for (what, total, by_class) in [
-        ("admitted:", stats.total_admitted(), stats.admitted),
-        ("shed:", stats.total_shed(), stats.shed),
-    ] {
-        let [search, lineage, sparql, answer] = by_class;
-        println!(
-            "{what:<10} {total} (search {search}, lineage {lineage}, sparql {sparql}, \
-             answer {answer})"
-        );
-    }
+    println!("admitted:  {}", gate.total("_admitted"));
+    println!("shed:      {}", gate.total("_shed"));
+    println!("gate:      {}", metrics::to_line(gate));
     if !retry_after_ms.is_empty() {
         retry_after_ms.sort_unstable();
         println!(
@@ -837,7 +831,7 @@ fn drill_overload(args: &Args) -> Result<(), String> {
             errors[0]
         ));
     }
-    if args.flag("expect-shed") && stats.total_shed() == 0 {
+    if args.flag("expect-shed") && gate.total("_shed") == 0 {
         return Err("expected the gate to shed under forced-low quotas, but shed = 0".to_string());
     }
     Ok(())
@@ -1018,29 +1012,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     signal::install_termination_handler();
     let mut handle = serve(warehouse, config).map_err(|e| format!("bind failed: {e}"))?;
     println!("mdw-serve listening on {}", handle.addr());
-    eprintln!("mdwh: GET /search?q= /lineage?item= /sparql?query= /stats /healthz; SIGTERM drains");
+    eprintln!("mdwh: GET /search?q= /lineage?item= /sparql?query= /admin/stats /healthz; SIGTERM drains");
 
     while !signal::termination_requested() && !handle.state().drain.is_draining() {
         std::thread::sleep(Duration::from_millis(25));
     }
     eprintln!("mdwh: draining (grace {} ms) …", grace.as_millis());
     let cancelled = handle.drain(grace);
-    let counters = &handle.state().counters;
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
     println!(
-        "drained: served {}, shed {}, wire errors {}, panics {}, cancelled in-flight {}",
-        load(&counters.served),
-        load(&counters.sheds),
-        load(&counters.wire_errors),
-        load(&counters.panics),
-        cancelled,
-    );
-    println!(
-        "timeouts: head {}, write-stall {}, idle reaped {}; keep-alive reuses {}",
-        load(&counters.head_timeouts),
-        load(&counters.write_stall_timeouts),
-        load(&counters.idle_reaped),
-        load(&counters.keepalive_reuses),
+        "drained: cancelled in-flight {cancelled}; {}",
+        metrics::to_line(&handle.state().counters)
     );
     Ok(())
 }
@@ -1282,12 +1263,9 @@ fn drill_wire(args: &Args) -> Result<(), String> {
     }
     if let Some(handle) = handle.as_mut() {
         let cancelled = handle.drain(Duration::from_secs(5));
-        let state = handle.state();
-        let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
         println!(
-            "server:    served {}, keep-alive reuses {}, cancelled at drain {cancelled}",
-            load(&state.counters.served),
-            load(&state.counters.keepalive_reuses),
+            "server:    cancelled at drain {cancelled}; {}",
+            metrics::to_line(&handle.state().counters)
         );
     }
     if !bad_frames.is_empty() {

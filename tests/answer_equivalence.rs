@@ -27,6 +27,7 @@ use metadata_warehouse::core::answer::AnswerRequest;
 use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
+use metadata_warehouse::rdf::metrics::CounterSet;
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::ParallelPolicy;
@@ -192,9 +193,9 @@ fn overloaded_answer_sheds_with_retry_after() {
             other => panic!("{kw}: expected Overloaded, got {other:?}"),
         }
     }
-    let stats = w.admission_stats().unwrap();
-    assert_eq!(stats.shed[QueryClass::Answer as usize], 3);
-    assert_eq!(stats.total_admitted(), 0);
+    let gate = w.admission().unwrap();
+    assert_eq!(gate.total("answer_shed"), 3);
+    assert_eq!(gate.total("_admitted"), 0);
 }
 
 /// The CI matrix entry point: with `MDW_PAR_THREADS` set, the env-derived

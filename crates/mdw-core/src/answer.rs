@@ -1,4 +1,4 @@
-//! SODA-style keyword-to-query answering (ROADMAP open item 2).
+//! SODA-style keyword-to-query answering (DESIGN.md §13).
 //!
 //! The paper's users did not want to "find nodes" — they wanted answers to
 //! business questions. The author group's follow-up, *SODA: Generating SQL

@@ -10,8 +10,11 @@
 //! 3. Find all instances of those classes (Step 2) as indicated by
 //!    `rdf:type` that contain the search term."
 //!
-//! The function [`search`] implements exactly that, over the entailed view
-//! (the paper's OWL index): subclass closure comes from the semantic index,
+//! `search` implements exactly that, over the entailed view (the paper's
+//! OWL index) and the generation's search table — the name rows of that
+//! view with their case-folded names and entailed classes, computed once
+//! per generation, so a request reads a table instead of rescanning the
+//! corpus. Subclass closure comes from the semantic index,
 //! and "since there is an instance of Application1_View_Column that matches
 //! the search term … the customer_id node has inherited its membership in
 //! all parent classes … and is therefore also part of the group of results
@@ -23,7 +26,7 @@
 //! expansion from the DBpedia-substitute table (the Section V "search has to
 //! become semantic" lesson).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
@@ -137,8 +140,9 @@ pub struct SearchGroup {
     pub class: Term,
     /// Its display label (`rdfs:label`, falling back to the local name).
     pub label: String,
-    /// The matching instances.
-    pub hits: Vec<SearchHit>,
+    /// The matching instances, as indices into [`SearchResults::hits`] in
+    /// ascending order; [`SearchResults::group_hits`] resolves them.
+    pub hits: Vec<u32>,
 }
 
 impl SearchGroup {
@@ -165,6 +169,9 @@ pub struct SearchTrace {
 /// algorithm trace.
 #[derive(Debug, Clone)]
 pub struct SearchResults {
+    /// Every matching name, once, sorted by instance; an instance with two
+    /// matching names has two hits.
+    pub hits: Vec<SearchHit>,
     /// Result groups, one per class with at least one hit, sorted by label.
     pub groups: Vec<SearchGroup>,
     /// The terms actually matched against (request term + synonyms).
@@ -186,29 +193,162 @@ impl SearchResults {
     pub fn group(&self, label: &str) -> Option<&SearchGroup> {
         self.groups.iter().find(|g| g.label == label)
     }
+
+    /// The hits of one of this result's groups, in group order.
+    pub fn group_hits<'a>(&'a self, group: &'a SearchGroup) -> impl Iterator<Item = &'a SearchHit> {
+        group.hits.iter().map(|&i| &self.hits[i as usize])
+    }
 }
 
-/// Runs the Section IV.A search algorithm over the entailed view.
+/// The search table of one pinned generation: what step 3 reads instead of
+/// the corpus. Every `dm:hasName` row of the entailed view in scan order,
+/// with its object's `str::to_lowercase` form in one arena and its
+/// subject's entailed `rdf:type` classes in one flat array (row `i` owns
+/// `[at[i], at[i + 1])` of each), plus the distinct `rdf:type` objects —
+/// step 1 when no filter narrows it, and every class a group can have —
+/// with their display labels. A row whose object is not a literal stays in
+/// the table — the scan charges a step for it — with no name and no
+/// classes, so it never matches. Built once per generation by the
+/// warehouse's meta-level index; uncharged.
+#[derive(Debug, Default)]
+pub(crate) struct SearchTable {
+    rows: Vec<NameRow>,
+    folded: String,
+    folded_at: Vec<usize>,
+    /// Indices into `types`.
+    row_types: Vec<u32>,
+    row_types_at: Vec<usize>,
+    /// Sorted by id.
+    types: Vec<(TermId, String)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct NameRow {
+    subject: TermId,
+    object: TermId,
+    /// The subject's place in `Term` order among the table's subjects, so
+    /// hits sort by instance without comparing terms.
+    rank: u32,
+    literal: bool,
+}
+
+impl SearchTable {
+    pub(crate) fn build(graph: &EntailedGraph<'_>, dict: &Dictionary) -> Self {
+        let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
+        let mut table = SearchTable { folded_at: vec![0], row_types_at: vec![0], ..Self::default() };
+        let Some(ty) = lookup(vocab::rdf::TYPE) else {
+            return table;
+        };
+        // One pass over the typing triples, sorted by subject, serves every
+        // name row's classes by binary search.
+        let mut typed: Vec<(TermId, TermId)> =
+            graph.scan(TriplePattern::with_p(ty)).map(|t| (t.s, t.o)).collect();
+        typed.sort_unstable();
+        typed.dedup();
+        let mut types: Vec<TermId> = typed.iter().map(|&(_, class)| class).collect();
+        types.sort_unstable();
+        types.dedup();
+        let type_index = |class: TermId| {
+            u32::try_from(types.binary_search(&class).expect("typed objects are types"))
+                .expect("fewer than 2^32 classes")
+        };
+        let names: Vec<Triple> = lookup(vocab::cs::HAS_NAME)
+            .into_iter()
+            .flat_map(|p| graph.scan(TriplePattern::with_p(p)))
+            .collect();
+        let mut subjects: Vec<TermId> = names.iter().map(|t| t.s).collect();
+        subjects.sort_unstable();
+        subjects.dedup();
+        subjects.sort_by(|&a, &b| dict.term_unchecked(a).cmp(dict.term_unchecked(b)));
+        let rank: HashMap<TermId, u32> = (0..).zip(subjects).map(|(place, s)| (s, place)).collect();
+        for t in names {
+            let literal = match dict.term(t.o) {
+                Some(Term::Literal(lit)) => {
+                    table.folded.push_str(&lit.lexical.to_lowercase());
+                    let first = typed.partition_point(|&(s, _)| s < t.s);
+                    let classes = typed[first..].iter().take_while(|&&(s, _)| s == t.s);
+                    table.row_types.extend(classes.map(|&(_, class)| type_index(class)));
+                    true
+                }
+                _ => false,
+            };
+            table.rows.push(NameRow { subject: t.s, object: t.o, rank: rank[&t.s], literal });
+            table.folded_at.push(table.folded.len());
+            table.row_types_at.push(table.row_types.len());
+        }
+        // A class's display label: its first `rdfs:label` when that is a
+        // literal, else its local name.
+        let label_prop = lookup(vocab::rdfs::LABEL);
+        let label = |class: TermId| {
+            label_prop
+                .and_then(|p| graph.scan(TriplePattern::with_sp(class, p)).next())
+                .and_then(|t| dict.term(t.o)?.as_literal().map(|lit| lit.lexical.to_string()))
+                .unwrap_or_else(|| dict.term_unchecked(class).label().to_string())
+        };
+        table.types = types.into_iter().map(|class| (class, label(class))).collect();
+        table
+    }
+
+    /// The index of the first needle that literal row `row`'s folded name
+    /// contains. Rows must be asked about in ascending order, sharing
+    /// `next`: per needle, the leftmost occurrence in the arena at or after
+    /// the start of the last row asked about, so the arena is searched once
+    /// per occurrence rather than once per row. An occurrence that runs
+    /// past the row's end matches no row — any later one starting in the
+    /// row runs past it too.
+    fn first_match(&self, row: usize, needles: &[String], next: &mut [Option<usize>]) -> Option<usize> {
+        let (start, end) = (self.folded_at[row], self.folded_at[row + 1]);
+        needles.iter().zip(next).position(|(needle, next)| {
+            let at = match *next {
+                Some(at) if at >= start => at,
+                _ => self.folded[start..].find(needle.as_str()).map_or(usize::MAX, |at| start + at),
+            };
+            *next = Some(at);
+            at.checked_add(needle.len()).is_some_and(|stop| stop <= end)
+        })
+    }
+
+    /// Row `row`'s classes, as indices into `types`.
+    fn row_types(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row_types[self.row_types_at[row]..self.row_types_at[row + 1]]
+            .iter()
+            .map(|&t| t as usize)
+    }
+}
+
+/// Runs the Section IV.A search algorithm over the entailed view, reading
+/// step 3 from the generation's [`SearchTable`].
 ///
 /// The [`QueryContext`] supplies the id-space dictionary of the pinned
 /// snapshot and the resource budget the scan charges; the whole search
 /// evaluates against that one generation.
-pub fn search(
+pub(crate) fn search(
     graph: &EntailedGraph<'_>,
     ctx: &QueryContext,
+    table: &SearchTable,
     synonyms: &SynonymTable,
     request: &SearchRequest,
 ) -> SearchResults {
     let dict = ctx.dict();
     let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
-    let Some(ty) = lookup(vocab::rdf::TYPE) else {
-        return empty_results(request, synonyms);
+    let expanded_terms: Vec<String> = if request.expand_synonyms {
+        synonyms.expand(&request.term)
+    } else {
+        vec![request.term.clone()]
     };
+    // Nothing is typed in a dictionary without `rdf:type`: no step runs.
+    if lookup(vocab::rdf::TYPE).is_none() {
+        return SearchResults {
+            hits: Vec::new(),
+            groups: Vec::new(),
+            expanded_terms,
+            trace: SearchTrace::default(),
+            completeness: Completeness::Complete,
+        };
+    }
     let sub_class = lookup(vocab::rdfs::SUB_CLASS_OF);
-    let has_name = lookup(vocab::cs::HAS_NAME);
     let in_area = lookup(vocab::cs::IN_AREA);
     let at_level = lookup(vocab::cs::AT_LEVEL);
-    let label_prop = lookup(vocab::rdfs::LABEL);
 
     // ---- Step 1: relevant hierarchy classes -----------------------------
     // For each filter class, collect it plus all (entailed-transitive)
@@ -227,9 +367,8 @@ pub fn search(
         }
         per_filter_sets.push(set);
     }
-    let policy = ctx.parallelism();
     let step1: BTreeSet<TermId> = if per_filter_sets.is_empty() {
-        distinct_type_objects(graph, ty, &policy)
+        table.types.iter().map(|&(class, _)| class).collect()
     } else {
         per_filter_sets.iter().flatten().copied().collect()
     };
@@ -243,152 +382,115 @@ pub fn search(
         iter.fold(first, |acc, set| acc.intersection(set).copied().collect())
     };
 
-    // ---- Term expansion --------------------------------------------------
-    let expanded_terms: Vec<String> = if request.expand_synonyms {
-        synonyms.expand(&request.term)
-    } else {
-        vec![request.term.clone()]
-    };
+    // ---- Step 3: matching instances of the valid classes ----------------
+    // One pass over the table in scan order: every name row charges a step,
+    // and a tripped budget or a full result cap stops the pass with
+    // whatever matched so far — tagged truncated.
     let needles: Vec<String> = if request.case_sensitive {
         expanded_terms.clone()
     } else {
         expanded_terms.iter().map(|t| t.to_lowercase()).collect()
     };
-
-    // ---- Step 3: matching instances of the valid classes ----------------
-    // Sequentially the scan streams (no up-front materialization): every
-    // name triple charges the budget, and a tripped budget or a full result
-    // cap stops the loop with whatever matched so far — tagged truncated.
-    // Under a parallel policy the same scan runs two-phase: candidates are
-    // collected, budget steps for them are reserved in bulk (the granted
-    // count is exactly the prefix incremental charging would have
-    // admitted), contiguous chunks are scored in parallel by pure
-    // read-only workers, and a sequential chunk-order merge applies dedup,
-    // row caps, and grouping — so ranking is bit-identical to sequential.
+    // The area and level filters: edges a matching instance must carry.
+    let required: Vec<(Option<TermId>, Term)> = [
+        (in_area, request.area.as_ref().map(Area::term)),
+        (at_level, request.level.map(AbstractionLevel::term)),
+    ]
+    .into_iter()
+    .filter_map(|(property, value)| Some((property, value?)))
+    .collect();
+    // Step 2 over the table's types, the only classes a hit can group under.
+    let valid: Vec<bool> = table.types.iter().map(|(class, _)| step2.contains(class)).collect();
     let budget = ctx.budget();
     let mut truncated: Option<TruncationReason> = budget.check().err();
     let mut matched_instances: BTreeSet<TermId> = BTreeSet::new();
-    let mut groups: BTreeMap<TermId, Vec<SearchHit>> = BTreeMap::new();
-    let scorer = Scorer {
-        graph,
-        dict,
-        request,
-        needles: &needles,
-        expanded_terms: &expanded_terms,
-        step2: &step2,
-        ty,
-        in_area,
-        at_level,
-    };
-
-    if policy.is_parallel() && truncated.is_none() {
-        let candidates: Vec<Triple> = has_name
-            .into_iter()
-            .flat_map(|p| graph.scan(TriplePattern::with_p(p)))
-            .collect();
-        let granted = budget.reserve_steps(candidates.len() as u64) as usize;
-        let admitted = &candidates[..granted.min(candidates.len())];
-        let scorer = &scorer;
-        let scans = mdw_rdf::par::map_chunks(&policy, admitted, |chunk| {
-            // Workers are pure: score candidates against the frozen
-            // snapshot, ticking the shared budget's deadline/cancellation
-            // through a per-worker meter.
-            let mut meter = budget.meter();
-            let mut scored: Vec<Scored> = Vec::new();
-            let mut trip: Option<TruncationReason> = None;
-            for t in chunk {
-                if let Err(reason) = meter.tick() {
-                    trip = Some(reason);
-                    break;
-                }
-                scored.extend(scorer.score(*t));
-            }
-            (scored, trip)
-        });
-        'merge: for (scored, worker_trip) in scans {
-            for s in scored {
-                if let Err(reason) = admit_hit(
-                    request.max_results,
-                    budget,
-                    &mut matched_instances,
-                    &mut groups,
-                    s,
-                ) {
-                    truncated = Some(reason);
-                    break 'merge;
-                }
-            }
-            // A worker stopped scoring early (deadline or cancellation):
-            // everything merged so far is a truthful prefix; later chunks
-            // are discarded.
-            if let Some(reason) = worker_trip {
-                truncated = Some(reason);
-                break 'merge;
-            }
+    // (table row, index of the first expanded term it contains)
+    let mut matched_rows: Vec<(usize, usize)> = Vec::new();
+    let mut next_occurrence = vec![None; needles.len()];
+    for (i, row) in table.rows.iter().enumerate() {
+        if truncated.is_some() {
+            break;
         }
-        if truncated.is_none() && granted < candidates.len() {
-            truncated = Some(TruncationReason::StepLimit);
+        if let Err(reason) = budget.charge_step() {
+            truncated = Some(reason);
+            break;
         }
-    } else {
-        let name_triples = has_name
-            .into_iter()
-            .flat_map(|p| graph.scan(TriplePattern::with_p(p)));
-        for t in name_triples {
-            if truncated.is_some() {
+        let needle = if request.case_sensitive {
+            match dict.term(row.object) {
+                Some(Term::Literal(lit)) => needles.iter().position(|n| lit.lexical.contains(n.as_str())),
+                _ => None,
+            }
+        } else if row.literal {
+            table.first_match(i, &needles, &mut next_occurrence)
+        } else {
+            None
+        };
+        let Some(needle) = needle else {
+            continue;
+        };
+        if !required.iter().all(|(p, value)| has_value_edge(graph, dict, row.subject, *p, value)) {
+            continue;
+        }
+        if !table.row_types(i).any(|t| valid[t]) {
+            continue;
+        }
+        if !matched_instances.contains(&row.subject) {
+            // A *new* instance that would exceed the cap proves more results
+            // existed, so the RowLimit verdict is never a false positive; an
+            // exact fit stays Complete.
+            if matched_instances.len() >= request.max_results || budget.charge_row().is_err() {
+                truncated = Some(TruncationReason::RowLimit);
                 break;
             }
-            if let Err(reason) = budget.charge_step() {
-                truncated = Some(reason);
-                break;
-            }
-            let Some(s) = scorer.score(t) else {
-                continue;
-            };
-            if let Err(reason) = admit_hit(
-                request.max_results,
-                budget,
-                &mut matched_instances,
-                &mut groups,
-                s,
-            ) {
-                truncated = Some(reason);
-                break;
-            }
+            matched_instances.insert(row.subject);
         }
+        matched_rows.push((i, needle));
     }
 
     // ---- Assemble output --------------------------------------------------
-    let class_label = |id: TermId| -> String {
-        if let Some(label_prop) = label_prop {
-            if let Some(t) = graph.scan(TriplePattern::with_sp(id, label_prop)).next() {
-                if let Some(Term::Literal(lit)) = dict.term(t.o) {
-                    return lit.lexical.to_string();
-                }
-            }
+    // One hit per matching row, in instance order (stable, so one
+    // instance's names keep scan order); equal hits — two literals with one
+    // lexical form — collapse. A group lists the hits whose instance has
+    // its class, so its hits keep the same order.
+    matched_rows.sort_by_key(|&(i, _)| table.rows[i].rank);
+    let mut hits: Vec<SearchHit> = Vec::with_capacity(matched_rows.len());
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); table.types.len()];
+    for (i, needle) in matched_rows {
+        let row = table.rows[i];
+        let hit = SearchHit {
+            instance: dict.term_unchecked(row.subject).clone(),
+            // A literal's label is its lexical form.
+            name: dict.term_unchecked(row.object).label().to_string(),
+            matched_term: expanded_terms[needle].clone(),
+        };
+        if hits.last() == Some(&hit) {
+            continue;
         }
-        dict.term_unchecked(id).label().to_string()
-    };
-
-    let mut out_groups: Vec<SearchGroup> = groups
+        let at = u32::try_from(hits.len()).expect("fewer hits than table rows");
+        for t in table.row_types(i).filter(|&t| valid[t]) {
+            members[t].push(at);
+        }
+        hits.push(hit);
+    }
+    let mut groups: Vec<SearchGroup> = members
         .into_iter()
-        .map(|(class, mut hits)| {
-            hits.sort_by(|a, b| a.instance.cmp(&b.instance));
-            hits.dedup();
-            SearchGroup {
-                label: class_label(class),
-                class: dict.term_unchecked(class).clone(),
-                hits,
-            }
+        .zip(&table.types)
+        .filter(|(hits, _)| !hits.is_empty())
+        .map(|(hits, (class, label))| SearchGroup {
+            class: dict.term_unchecked(*class).clone(),
+            label: label.clone(),
+            hits,
         })
         .collect();
-    out_groups.sort_by(|a, b| a.label.cmp(&b.label).then_with(|| a.class.cmp(&b.class)));
+    groups.sort_by(|a, b| a.label.cmp(&b.label).then_with(|| a.class.cmp(&b.class)));
 
     let decode_set = |set: &BTreeSet<TermId>| -> Vec<Term> {
         set.iter().map(|&id| dict.term_unchecked(id).clone()).collect()
     };
 
     SearchResults {
-        groups: out_groups,
+        hits,
+        groups,
         expanded_terms,
         trace: SearchTrace {
             step1_hierarchy_classes: decode_set(&step1),
@@ -400,160 +502,6 @@ pub fn search(
             None => Completeness::Complete,
         },
     }
-}
-
-fn empty_results(request: &SearchRequest, synonyms: &SynonymTable) -> SearchResults {
-    let expanded_terms = if request.expand_synonyms {
-        synonyms.expand(&request.term)
-    } else {
-        vec![request.term.clone()]
-    };
-    SearchResults {
-        groups: Vec::new(),
-        expanded_terms,
-        trace: SearchTrace::default(),
-        completeness: Completeness::Complete,
-    }
-}
-
-/// A name triple that survived scoring: the matched instance plus its
-/// fully built hit, one copy per valid (step-2) class. Hit construction
-/// (term decode, string clones) is pure, so it runs inside the scoring
-/// workers; the sequential merge only dedups, charges, and pushes.
-struct Scored {
-    instance: TermId,
-    entries: Vec<(TermId, SearchHit)>,
-}
-
-/// The pure, read-only per-candidate scoring shared by the sequential scan
-/// and the parallel workers: needle matching, area/level filters, and the
-/// entailed-class intersection with step 2. No shared state is touched, so
-/// any number of workers can score disjoint chunks concurrently.
-struct Scorer<'a, 'g> {
-    graph: &'a EntailedGraph<'g>,
-    dict: &'a Dictionary,
-    request: &'a SearchRequest,
-    needles: &'a [String],
-    expanded_terms: &'a [String],
-    step2: &'a BTreeSet<TermId>,
-    ty: TermId,
-    in_area: Option<TermId>,
-    at_level: Option<TermId>,
-}
-
-impl Scorer<'_, '_> {
-    fn score(&self, t: Triple) -> Option<Scored> {
-        let Some(Term::Literal(lit)) = self.dict.term(t.o) else {
-            return None;
-        };
-        let haystack = if self.request.case_sensitive {
-            lit.lexical.to_string()
-        } else {
-            lit.lexical.to_lowercase()
-        };
-        let matched_idx = self.needles.iter().position(|n| haystack.contains(n.as_str()))?;
-
-        // Area / level filters.
-        if let Some(area) = &self.request.area {
-            if !has_value_edge(self.graph, self.dict, t.s, self.in_area, &area.term()) {
-                return None;
-            }
-        }
-        if let Some(level) = &self.request.level {
-            if !has_value_edge(self.graph, self.dict, t.s, self.at_level, &level.term()) {
-                return None;
-            }
-        }
-
-        // The instance's (entailed) classes, intersected with step 2.
-        let classes: Vec<TermId> = self
-            .graph
-            .scan(TriplePattern::with_sp(t.s, self.ty))
-            .map(|t| t.o)
-            .filter(|c| self.step2.contains(c))
-            .collect();
-        if classes.is_empty() {
-            return None;
-        }
-        let hit = SearchHit {
-            instance: self.dict.term_unchecked(t.s).clone(),
-            name: lit.lexical.to_string(),
-            matched_term: self.expanded_terms[matched_idx].clone(),
-        };
-        Some(Scored {
-            instance: t.s,
-            entries: classes.into_iter().map(|c| (c, hit.clone())).collect(),
-        })
-    }
-}
-
-/// The distinct `rdf:type` objects — the step-1 class set when no filter
-/// narrows it. Under a parallel policy the base and derived type runs are
-/// partitioned across workers collecting per-chunk sets; set union is
-/// order-independent, so the result is identical to the sequential scan.
-fn distinct_type_objects(
-    graph: &EntailedGraph<'_>,
-    ty: TermId,
-    policy: &mdw_rdf::par::ParallelPolicy,
-) -> BTreeSet<TermId> {
-    let pattern = TriplePattern::with_p(ty);
-    if !policy.is_parallel() {
-        return graph.scan(pattern).map(|t| t.o).collect();
-    }
-    let chunks = policy.threads.max(1);
-    // A stacked base degrades to one merged partition (see
-    // `FrozenGraph::scan_partitions`); solid bases split as before.
-    let mut runs = graph.base().scan_partitions(pattern, chunks);
-    runs.extend(
-        graph
-            .derived()
-            .run_partitions(pattern, chunks)
-            .into_iter()
-            .map(mdw_rdf::GraphScan::Run),
-    );
-    // The items here are whole runs, so chunk by run count, not row count.
-    let per_run =
-        mdw_rdf::par::ParallelPolicy::new(policy.threads).with_min_partition_rows(1);
-    mdw_rdf::par::map_chunks(&per_run, &runs, |chunk| {
-        chunk
-            .iter()
-            .flat_map(|run| run.clone().map(|t| t.o))
-            .collect::<BTreeSet<TermId>>()
-    })
-    .into_iter()
-    .fold(BTreeSet::new(), |mut acc, mut set| {
-        acc.append(&mut set);
-        acc
-    })
-}
-
-/// The stateful admission step both scan paths run sequentially, in scan
-/// order: dedup by instance, enforce the result cap and row budget, and
-/// group the hit under each valid class. `Err` carries the truncation
-/// verdict that stops the scan.
-fn admit_hit(
-    max_results: usize,
-    budget: &QueryBudget,
-    matched_instances: &mut BTreeSet<TermId>,
-    groups: &mut BTreeMap<TermId, Vec<SearchHit>>,
-    scored: Scored,
-) -> Result<(), TruncationReason> {
-    if !matched_instances.contains(&scored.instance) {
-        // A *new* instance that would exceed the cap proves more results
-        // existed, so the RowLimit verdict is never a false positive; an
-        // exact fit stays Complete.
-        if matched_instances.len() >= max_results {
-            return Err(TruncationReason::RowLimit);
-        }
-        if budget.charge_row().is_err() {
-            return Err(TruncationReason::RowLimit);
-        }
-        matched_instances.insert(scored.instance);
-    }
-    for (class, hit) in scored.entries {
-        groups.entry(class).or_default().push(hit);
-    }
-    Ok(())
 }
 
 /// True if the instance has `property` pointing at `value` (direct or
@@ -568,7 +516,7 @@ fn has_value_edge(
     let (Some(p), Some(v)) = (property, dict.lookup(value)) else {
         return false;
     };
-    graph.contains(mdw_rdf::triple::Triple::new(instance, p, v))
+    graph.contains(Triple::new(instance, p, v))
 }
 
 #[cfg(test)]
@@ -620,10 +568,20 @@ mod tests {
     }
 
     fn run(store: &Store, m: &Materialization, req: SearchRequest) -> SearchResults {
+        run_with(store, m, &SynonymTable::banking(), req)
+    }
+
+    fn run_with(
+        store: &Store,
+        m: &Materialization,
+        synonyms: &SynonymTable,
+        req: SearchRequest,
+    ) -> SearchResults {
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
             .with_budget(req.budget.clone());
         let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
-        search(&view, &ctx, &SynonymTable::banking(), &req)
+        let table = SearchTable::build(&view, ctx.dict());
+        search(&view, &ctx, &table, synonyms, &req)
     }
 
     #[test]
@@ -704,7 +662,7 @@ mod tests {
         assert!(expanded.expanded_terms.contains(&"customer".to_string()));
         // Hits record which expanded term matched.
         let col = expanded.group("Column").unwrap();
-        assert_eq!(col.hits[0].matched_term, "customer");
+        assert_eq!(expanded.group_hits(col).next().unwrap().matched_term, "customer");
     }
 
     #[test]
@@ -753,13 +711,11 @@ mod tests {
             store.insert("m", &s, &p, &o).unwrap();
         }
         let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
-        let results = search(
-            &view,
-            &ctx,
+        let results = run_with(
+            &store,
+            &m,
             &SynonymTable::new(),
-            &SearchRequest::new("customer").filter_class(dm("L0")),
+            SearchRequest::new("customer").filter_class(dm("L0")),
         );
         assert_eq!(results.instance_count(), 1);
         // The instance groups under every level of the chain.
@@ -837,14 +793,7 @@ mod tests {
         store.create_model("m").unwrap();
         let rb = Rulebase::owlprime(store.dict_mut());
         let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
-        let results = search(
-            &view,
-            &ctx,
-            &SynonymTable::new(),
-            &SearchRequest::new("anything"),
-        );
+        let results = run_with(&store, &m, &SynonymTable::new(), SearchRequest::new("anything"));
         assert!(results.groups.is_empty());
     }
 }

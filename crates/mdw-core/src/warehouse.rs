@@ -51,7 +51,7 @@ use crate::lineage::{
     self, FlowRow, Hop, ImpactSummary, LineageRequest, LineageResult, MappingConditions,
 };
 use crate::model::{census, Census};
-use crate::search::{self, SearchRequest, SearchResults};
+use crate::search::{self, SearchRequest, SearchResults, SearchTable};
 use crate::resilience::{run_with_retry, Clock, RetryPolicy};
 use crate::sync::{SourceRegistry, SyncReport};
 use crate::synonyms::SynonymTable;
@@ -117,10 +117,12 @@ mdw_rdf::counter_set! {
         candidates_planned,
         /// Candidates actually executed (top-k, budget permitting).
         candidates_executed,
+        /// Executed candidates that returned no rows.
+        candidates_empty,
         /// Requests whose shared budget tripped before completion.
         truncated,
-        /// Meta-level index builds: one per pinned generation that a keyword
-        /// answer, lineage walk or drill-down consulted.
+        /// Meta-level index builds: one per pinned generation that a search,
+        /// keyword answer, lineage walk or drill-down consulted.
         index_builds,
         /// Wall time of the most recent index build, in µs (a gauge).
         index_build_us,
@@ -139,23 +141,28 @@ impl AnswerCounters {
             .fetch_add(result.candidates.len() as u64, Ordering::Relaxed);
         self.candidates_executed
             .fetch_add(result.executed.len() as u64, Ordering::Relaxed);
+        let empty = result.executed.iter().filter(|c| c.rows == 0).count();
+        self.candidates_empty.fetch_add(empty as u64, Ordering::Relaxed);
         if !result.completeness.is_complete() {
             self.truncated.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// The meta-level index of one pinned generation: the small schema-level
-/// structures keyword answering and lineage consult instead of rescanning
-/// the corpus per request. Pure functions of the generation, so it is built
-/// on first use — uncharged and unbounded by that request's budget — and
-/// dropped with the generation.
+/// The meta-level index of one pinned generation: the structures search,
+/// keyword answering and lineage consult instead of rescanning the corpus
+/// per request. Pure functions of the generation, so it is built on first
+/// use — uncharged and unbounded by that request's budget — and dropped
+/// with the generation.
 #[derive(Debug)]
 struct GenerationIndex {
     /// Schema summary graph and labelled schema nodes, from the base graph.
     schema: SchemaIndex,
     /// `(from, to) → rule condition`, from the entailed view `trace` reads.
     conditions: MappingConditions,
+    /// Name rows, folded names and entailed classes, from the entailed view
+    /// `search` reads.
+    search: SearchTable,
 }
 
 /// One pinned generation: the snapshot the engine last published, the
@@ -380,9 +387,9 @@ impl MetadataWarehouse {
     }
 
     /// Sets the worker-thread policy used by every subsequent query
-    /// (search scoring, lineage frontier expansion, SPARQL leaf scans).
-    /// Parallel execution only changes wall-clock time — results are
-    /// bit-identical to sequential execution for every policy.
+    /// (lineage frontier expansion, SPARQL leaf scans). Parallel execution
+    /// only changes wall-clock time — results are bit-identical to
+    /// sequential execution for every policy.
     pub fn set_parallelism(&mut self, policy: ParallelPolicy) {
         self.parallelism = policy;
     }
@@ -629,6 +636,7 @@ impl MetadataWarehouse {
             let index = GenerationIndex {
                 schema: SchemaIndex::build(view.base(), dict),
                 conditions: lineage::mapping_conditions(&view, dict),
+                search: SearchTable::build(&view, dict),
             };
             self.answer_counters.record_index_build(started.elapsed());
             index
@@ -714,7 +722,7 @@ impl MetadataWarehouse {
     /// and the admission gate.
     pub fn search(&self, request: &SearchRequest) -> Result<SearchResults, MdwError> {
         self.run_query(QueryClass::Search, &request.budget, &self.model, true, |view, ctx| {
-            Ok(search::search(view, ctx, &self.synonyms, request))
+            Ok(search::search(view, ctx, &self.index()?.search, &self.synonyms, request))
         })
     }
 
@@ -1571,10 +1579,14 @@ mod tests {
     /// triggers it reads exactly like one that finds it built.
     #[test]
     fn budgeted_requests_read_the_same_whether_or_not_they_build_the_index() {
-        let probes: [fn(&MetadataWarehouse, &QueryBudget) -> String; 2] = [
+        let probes: [fn(&MetadataWarehouse, &QueryBudget) -> String; 3] = [
             |w, budget| {
                 let request = AnswerRequest::new("column").with_budget(budget.clone());
                 format!("{:?}", w.answer(&request).unwrap())
+            },
+            |w, budget| {
+                let request = SearchRequest::new("id").with_budget(budget.clone());
+                format!("{:?}", w.search(&request).unwrap())
             },
             |w, budget| {
                 let start = dwh("client_information_id");
@@ -1602,22 +1614,35 @@ mod tests {
         let mut w = loaded_warehouse();
         let lineage = LineageRequest::downstream(dwh("client_information_id"));
         assert_eq!(counter(&w, "answer", "index_builds"), 0);
-        // Concurrent first users included.
+        let search = SearchRequest::new("customer");
+        // Concurrent first users included, whichever service comes first.
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..5 {
+            for first in 0..4 {
+                let (w, lineage, search) = (&w, &lineage, &search);
+                scope.spawn(move || {
+                    for round in 0..5 {
+                        if (first + round) % 2 == 0 {
+                            w.search(search).unwrap();
+                        }
                         w.answer(&AnswerRequest::new("column")).unwrap();
-                        w.lineage(&lineage).unwrap();
+                        w.lineage(lineage).unwrap();
+                        w.search(search).unwrap();
                     }
                 });
             }
         });
         assert_eq!(counter(&w, "answer", "answered"), 20);
         assert_eq!(counter(&w, "answer", "index_builds"), 1);
-        let fact = (dwh("x"), Term::iri(vocab::cs::HAS_NAME), Term::plain("x"));
-        w.ingest(vec![Extract::new("more", vec![fact])]).unwrap();
+        let facts = vec![
+            (dwh("x"), Term::iri(vocab::rdf::TYPE), dm("Application1_View_Column")),
+            (dwh("x"), Term::iri(vocab::cs::HAS_NAME), Term::plain("customer x")),
+        ];
+        w.ingest(vec![Extract::new("more", facts)]).unwrap();
         assert_eq!(counter(&w, "answer", "index_builds"), 1, "a write builds nothing");
+        // The new generation's first search builds its index and reads the
+        // new name; lineage then finds it built.
+        assert_eq!(w.search(&search).unwrap().instance_count(), 2);
+        assert_eq!(counter(&w, "answer", "index_builds"), 2);
         w.lineage(&lineage).unwrap();
         assert_eq!(counter(&w, "answer", "index_builds"), 2);
     }

@@ -171,15 +171,9 @@ proptest! {
         prop_assert!(capped.instance_count() <= full.instance_count());
         prop_assert!(capped.instance_count() <= cap);
         // Subset: every capped hit appears in the full result.
-        for group in &capped.groups {
-            for hit in &group.hits {
-                let found = full
-                    .groups
-                    .iter()
-                    .flat_map(|g| &g.hits)
-                    .any(|h| h.instance == hit.instance);
-                prop_assert!(found, "capped hit {:?} missing from full result", hit.name);
-            }
+        for hit in &capped.hits {
+            let found = full.hits.iter().any(|h| h.instance == hit.instance);
+            prop_assert!(found, "capped hit {:?} missing from full result", hit.name);
         }
 
         match capped.completeness {

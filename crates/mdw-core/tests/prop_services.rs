@@ -89,13 +89,11 @@ proptest! {
         let w = build(&l);
         let results = w.search(&SearchRequest::new(needle.clone())).unwrap();
         // Soundness: every hit's name contains the needle.
-        for group in &results.groups {
-            for hit in &group.hits {
-                prop_assert!(
-                    hit.name.to_lowercase().contains(&needle),
-                    "hit {:?} does not contain {:?}", hit.name, needle
-                );
-            }
+        for hit in &results.hits {
+            prop_assert!(
+                hit.name.to_lowercase().contains(&needle),
+                "hit {:?} does not contain {:?}", hit.name, needle
+            );
         }
         // Completeness: every item whose name contains the needle is found.
         let expected = l

@@ -367,23 +367,6 @@ impl QueryBudget {
         prev.saturating_add(n)
     }
 
-    /// Charges up to `n` steps in one atomic bulk reservation and returns
-    /// how many fit under the step cap.
-    ///
-    /// Parallel scans whose per-item cost is exactly one step use this to
-    /// make step-limit truncation deterministic: the sequential semantics
-    /// "process items left to right, stop when the cap trips" becomes
-    /// "process exactly the first `granted` items", which is the same
-    /// prefix regardless of how many workers then score the items.
-    pub fn reserve_steps(&self, n: u64) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        let taken = self.bump_steps(n);
-        let prev = taken.saturating_sub(n);
-        self.inner.max_steps.saturating_sub(prev).min(n)
-    }
-
     /// A per-worker charging handle: shares this budget's atomic counters
     /// but counts its *own* charges to decide when to consult the clock
     /// and the cancellation flag, bounding deadline overshoot to one
@@ -400,12 +383,6 @@ impl QueryBudget {
             return Err(TruncationReason::RowLimit);
         }
         Ok(())
-    }
-
-    /// Bytes charged so far (what the serving layer has pushed toward the
-    /// socket for this request).
-    pub fn bytes_charged(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
     }
 
     /// Charges `n` encoded response bytes against the byte cap. The counter
@@ -489,9 +466,9 @@ impl StepMeter<'_> {
     }
 
     /// Advances the local interval without charging a step — for workers
-    /// whose steps were bulk-reserved up front
-    /// ([`QueryBudget::reserve_steps`]) but which must still notice an
-    /// expired deadline or a cancellation within one interval of work.
+    /// whose steps the caller's in-order merge charges afterwards (lineage
+    /// frontier expansion, SPARQL leaf scans) but which must still notice
+    /// an expired deadline or a cancellation within one interval of work.
     pub fn tick(&mut self) -> Result<(), TruncationReason> {
         self.local += 1;
         if self.local % CHECK_INTERVAL == 1 {
@@ -530,12 +507,12 @@ mod tests {
     fn byte_limit_trips_before_the_payload_leaves() {
         let b = QueryBudget::unlimited().with_max_bytes(100);
         b.charge_bytes(60).unwrap();
-        assert_eq!(b.bytes_charged(), 60);
+        assert_eq!(b.inner.bytes.load(Ordering::Relaxed), 60);
         b.charge_bytes(40).unwrap(); // exactly at the cap is fine
         assert_eq!(b.charge_bytes(1), Err(TruncationReason::ByteLimit));
         // Tripped stays tripped: the counter saturates, never wraps.
         assert_eq!(b.charge_bytes(u64::MAX), Err(TruncationReason::ByteLimit));
-        assert_eq!(b.bytes_charged(), u64::MAX);
+        assert_eq!(b.inner.bytes.load(Ordering::Relaxed), u64::MAX);
         assert_eq!(b.charge_bytes(0), Err(TruncationReason::ByteLimit));
     }
 
@@ -694,7 +671,7 @@ mod tests {
         ];
         for schedule in schedules {
             let b = QueryBudget::unlimited().with_max_steps(u64::MAX - 1);
-            assert_eq!(b.reserve_steps(u64::MAX - 2), u64::MAX - 2);
+            b.bump_steps(u64::MAX - 2);
             let mut meters = [b.meter(), b.meter()];
             let mut oks = 0;
             let mut step_limits = 0;
@@ -718,7 +695,7 @@ mod tests {
     #[test]
     fn step_counter_saturates_under_contention() {
         let b = QueryBudget::unlimited().with_max_steps(u64::MAX - 1);
-        b.reserve_steps(u64::MAX - 100);
+        b.bump_steps(u64::MAX - 100);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let b = &b;
@@ -732,17 +709,6 @@ mod tests {
         });
         assert_eq!(b.steps_charged(), u64::MAX);
         assert_eq!(b.check(), Err(TruncationReason::StepLimit));
-    }
-
-    #[test]
-    fn reserve_steps_grants_a_deterministic_prefix() {
-        let b = QueryBudget::unlimited().with_max_steps(10);
-        assert_eq!(b.reserve_steps(4), 4); // 4 of 10 used
-        assert_eq!(b.reserve_steps(10), 6); // only 6 left under the cap
-        assert_eq!(b.steps_charged(), 14); // over-reservation is recorded…
-        assert_eq!(b.check(), Err(TruncationReason::StepLimit)); // …and trips
-        assert_eq!(b.reserve_steps(5), 0);
-        assert_eq!(b.reserve_steps(0), 0);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl QueryContext {
         self.snapshot.model(model)
     }
 
-    /// The shared handle of a model (O(1) to keep beyond this context).
-    pub fn graph_arc(&self, model: &str) -> Result<&Arc<FrozenGraph>, RdfError> {
-        self.snapshot.model_arc(model)
-    }
-
     /// The resource budget charged by traversals and scans.
     pub fn budget(&self) -> &QueryBudget {
         &self.budget

@@ -133,21 +133,6 @@ impl FrozenIndex {
         FrozenRun { rows: column[lo..hi].iter(), perm }
     }
 
-    /// Splits the binary-search prefix run serving `pattern` into at most
-    /// `chunks` contiguous, balanced sub-runs — the partition unit of
-    /// parallel scans. Concatenating the sub-runs in order yields exactly
-    /// the rows of [`FrozenIndex::run`], so a chunk-order merge of
-    /// per-chunk work reproduces the sequential scan bit for bit.
-    pub fn run_partitions(&self, pattern: TriplePattern, chunks: usize) -> Vec<FrozenRun<'_>> {
-        let (column, lo, hi, perm) = self.bounds(pattern);
-        let rows = &column[lo..hi];
-        let bounds = crate::par::chunk_bounds(rows.len(), chunks.max(1));
-        bounds
-            .windows(2)
-            .map(|w| FrozenRun { rows: rows[w[0]..w[1]].iter(), perm })
-            .collect()
-    }
-
     /// Exact match count for a pattern: the subtraction of two binary
     /// searches, O(log n) and never iterates rows.
     pub fn count_exact(&self, pattern: TriplePattern) -> usize {
@@ -527,18 +512,6 @@ impl FrozenGraph {
         self.scan(TriplePattern::any())
     }
 
-    /// Partitions a pattern scan into at most `chunks` disjoint scans for
-    /// parallel workers. A stacked graph cannot cheaply split a merged
-    /// stream, so it degrades honestly to a single merged partition —
-    /// parallelism falls back to 1 rather than risking order divergence.
-    pub fn scan_partitions(&self, pattern: TriplePattern, chunks: usize) -> Vec<GraphScan<'_>> {
-        if self.deltas.is_empty() {
-            self.base.run_partitions(pattern, chunks).into_iter().map(GraphScan::Run).collect()
-        } else {
-            vec![self.scan(pattern)]
-        }
-    }
-
     /// Whether the triple is present in the merged view: the newest delta
     /// touching it decides (tombstone → absent, add → present), falling
     /// through to the base.
@@ -733,13 +706,6 @@ impl FrozenStore {
         self.models
             .get(name)
             .map(|g| g.as_ref())
-            .ok_or_else(|| RdfError::UnknownModel(name.to_string()))
-    }
-
-    /// The shared handle of a model (an O(1) "copy" of the whole graph).
-    pub fn model_arc(&self, name: &str) -> Result<&Arc<FrozenGraph>, RdfError> {
-        self.models
-            .get(name)
             .ok_or_else(|| RdfError::UnknownModel(name.to_string()))
     }
 

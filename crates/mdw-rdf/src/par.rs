@@ -27,9 +27,9 @@
 /// How a query may use worker threads.
 ///
 /// Threaded through [`QueryContext`](crate::context::QueryContext) so every
-/// layer (search scoring, lineage frontier expansion, SPARQL scans) sees one
-/// consistent setting. `threads == 1` (the default) means strictly
-/// sequential execution on the calling thread.
+/// layer (lineage frontier expansion, SPARQL scans) sees one consistent
+/// setting. `threads == 1` (the default) means strictly sequential
+/// execution on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
     /// Maximum worker threads per parallel section (including the calling

@@ -149,21 +149,6 @@ pub fn rdfs_sub_class_of() -> Term {
     Term::iri(rdfs::SUB_CLASS_OF)
 }
 
-/// `rdfs:subPropertyOf` as a [`Term`].
-pub fn rdfs_sub_property_of() -> Term {
-    Term::iri(rdfs::SUB_PROPERTY_OF)
-}
-
-/// `rdfs:domain` as a [`Term`].
-pub fn rdfs_domain() -> Term {
-    Term::iri(rdfs::DOMAIN)
-}
-
-/// `rdfs:label` as a [`Term`].
-pub fn rdfs_label() -> Term {
-    Term::iri(rdfs::LABEL)
-}
-
 /// `owl:Class` as a [`Term`].
 pub fn owl_class() -> Term {
     Term::iri(owl::CLASS)

@@ -358,7 +358,7 @@ pub fn push_chunk(out: &mut Vec<u8>, payload: &[u8]) {
     if payload.is_empty() {
         return;
     }
-    out.extend_from_slice(format!("{:x}\r\n", payload.len()).as_bytes());
+    let _ = write!(out, "{:x}\r\n", payload.len());
     out.extend_from_slice(payload);
     out.extend_from_slice(b"\r\n");
 }

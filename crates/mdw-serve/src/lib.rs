@@ -46,6 +46,7 @@ pub mod epoll;
 pub mod fault;
 pub mod http;
 pub mod router;
+mod rows;
 pub mod server;
 pub mod signal;
 pub mod tenant;

@@ -9,11 +9,12 @@
 //!   response (errors, sheds) or a [`RowStreamer`].
 //! * [`RowStreamer`] runs **back on the event loop**, interleaved with
 //!   socket readiness: each step charges the budget (deadline, byte cap,
-//!   drain cancellation) *before* appending one row's chunk frame to the
-//!   connection's bounded write buffer, then a truthful summary and the
-//!   chunk terminator. It holds the request's admission permit and
-//!   in-flight registration until the frame is complete, so drain and the
-//!   permit audit see streaming requests as live.
+//!   drain cancellation) *before* framing one row — a slice of the answer's
+//!   row buffer, encoded on the worker — into the connection's bounded
+//!   write buffer, then a truthful summary and the chunk terminator. It
+//!   holds the request's admission permit and in-flight registration until
+//!   the frame is complete, so drain and the permit audit see streaming
+//!   requests as live.
 //!
 //! Responses stream as chunked `application/x-ndjson`: one JSON object per
 //! row, then exactly one `{"summary": …}` line, then the chunk terminator.
@@ -46,6 +47,7 @@ use serde_json::{json, Value};
 use crate::chaos;
 use crate::drain::InFlightGuard;
 use crate::http::{self, Request};
+use crate::rows::{self, Rows};
 use crate::server::ServeState;
 use crate::tenant::DEFAULT_TENANT;
 
@@ -111,7 +113,9 @@ impl StagedResponse {
     }
 
     fn error_json(status: u16, message: &str) -> Self {
-        let body = format!("{{\"error\":{}}}\n", json_string(message)).into_bytes();
+        let mut body = b"{\"error\":".to_vec();
+        rows::write_str(&mut body, message);
+        body.extend_from_slice(b"}\n");
         StagedResponse::routed(status, "application/json", body)
     }
 
@@ -243,15 +247,13 @@ fn overloaded(state: &ServeState, retry_after: Duration, detail: &str) -> Staged
     state.counters.sheds.fetch_add(1, Ordering::Relaxed);
     // Retry-After is whole seconds; round up so the hint never understates.
     let secs = retry_after.as_secs() + u64::from(retry_after.subsec_nanos() > 0);
-    let body = format!(
-        "{{\"error\":\"overloaded\",\"detail\":{},\"retry_after_ms\":{}}}\n",
-        json_string(detail),
-        retry_after.as_millis()
-    );
+    let mut body = b"{\"error\":\"overloaded\",\"detail\":".to_vec();
+    rows::write_str(&mut body, detail);
+    body.extend_from_slice(format!(",\"retry_after_ms\":{}}}\n", retry_after.as_millis()).as_bytes());
     StagedResponse {
         status: 503,
         content_type: "application/json",
-        body: body.into_bytes(),
+        body,
         extra_headers: vec![("Retry-After", secs.max(1).to_string())],
         count_served: false,
         count_wire_error: true,
@@ -350,12 +352,13 @@ impl QueryJob {
     }
 }
 
-/// A fully-computed answer, ready to stream: pre-encoded ndjson rows plus
-/// the query-side completeness verdict. SPARQL answers also carry the
-/// one-line query-plan summary for the trailer frame; keyword answers carry
-/// the executed-candidate metadata instead.
+/// A fully-computed answer, ready to stream: its ndjson rows, encoded on
+/// the worker into one buffer, plus the query-side completeness verdict.
+/// SPARQL answers also carry the one-line query-plan summary for the
+/// trailer frame; keyword answers carry the executed-candidate metadata
+/// instead.
 struct Answer {
-    rows: Vec<String>,
+    rows: Rows,
     completeness: Completeness,
     plan: Option<String>,
     candidates: Option<Value>,
@@ -385,13 +388,13 @@ enum StreamStage {
 /// and in-flight registration for the request's whole wire lifetime; both
 /// release when the streamer drops (completion, wire death, or teardown).
 pub struct RowStreamer {
-    rows: Vec<String>,
-    next: usize,
+    rows: Rows,
+    /// Rows framed so far.
+    sent: usize,
     base_reason: Option<TruncationReason>,
     plan: Option<String>,
     candidates: Option<Value>,
     budget: QueryBudget,
-    sent: usize,
     trip: Option<TruncationReason>,
     stage: StreamStage,
     _permit: Option<Permit>,
@@ -411,12 +414,11 @@ impl RowStreamer {
         };
         RowStreamer {
             rows: answer.rows,
-            next: 0,
+            sent: 0,
             base_reason,
             plan: answer.plan,
             candidates: answer.candidates,
             budget,
-            sent: 0,
             trip: None,
             stage: StreamStage::Rows,
             _permit: permit,
@@ -430,27 +432,27 @@ impl RowStreamer {
     pub fn step(&mut self, out: &mut Vec<u8>) -> bool {
         match self.stage {
             StreamStage::Rows => {
-                if self.trip.is_none() && self.next < self.rows.len() {
-                    let row = &self.rows[self.next];
+                if self.trip.is_none() && self.sent < self.rows.len() {
+                    let row = self.rows.row(self.sent);
                     // Deadline or drain cancellation lands between rows, and
                     // the byte cap is charged before the row is framed.
                     match self.budget.check_time().and_then(|()| self.budget.charge_bytes(row.len() as u64)) {
                         Err(reason) => self.trip = Some(reason),
                         Ok(()) => {
-                            http::push_chunk(out, row.as_bytes());
-                            self.next += 1;
+                            http::push_chunk(out, row);
                             self.sent += 1;
                             return true;
                         }
                     }
                 }
-                // Rows exhausted or budget tripped: the summary frame.
+                // Rows exhausted or budget tripped: the summary frame. Its
+                // `bytes` counts the rows framed, not a row the cap refused.
                 let reason = self.trip.or(self.base_reason);
                 let Value::Object(mut fields) = json!({
                     "rows": self.sent,
                     "complete": reason.is_none(),
                     "truncated": reason.map(|r| r.to_string()),
-                    "bytes": self.budget.bytes_charged(),
+                    "bytes": self.rows.bytes_before(self.sent),
                 }) else {
                     unreachable!("summary literal is an object");
                 };
@@ -507,15 +509,10 @@ fn run_search(
         search.max_results = max;
     }
     let results = state.warehouse.search(&search)?;
-    let mut rows = Vec::new();
+    let mut rows = Rows::default();
     for group in &results.groups {
-        for hit in &group.hits {
-            rows.push(ndjson_line(json!({
-                "class": group.label.clone(),
-                "instance": hit.instance.to_string(),
-                "name": hit.name.clone(),
-                "matched": hit.matched_term.clone(),
-            })));
+        for hit in results.group_hits(group) {
+            rows.search(&group.label, &hit.instance, &hit.name, &hit.matched_term);
         }
     }
     Ok(Answer {
@@ -549,22 +546,10 @@ fn run_lineage(
         lineage.max_depth = depth;
     }
     let result = state.warehouse.lineage(&lineage)?;
-    let rows = result
-        .endpoints
-        .iter()
-        .map(|endpoint| {
-            ndjson_line(json!({
-                "node": endpoint.node.to_string(),
-                "name": endpoint.name.clone(),
-                "distance": endpoint.distance,
-                "classes": endpoint
-                    .classes
-                    .iter()
-                    .map(|c| Value::String(c.to_string()))
-                    .collect::<Vec<_>>(),
-            }))
-        })
-        .collect();
+    let mut rows = Rows::default();
+    for e in &result.endpoints {
+        rows.lineage(&e.node, e.name.as_deref(), e.distance, &e.classes);
+    }
     Ok(Answer {
         rows,
         completeness: result.completeness,
@@ -591,25 +576,10 @@ fn run_sparql(
     }
     let use_planner = request.query_param("no-planner").is_none();
     let (output, report) = state.warehouse.sem_match_explained(&sem, &budget, use_planner)?;
-    let rows = output
-        .rows
-        .iter()
-        .map(|row| {
-            let entries: Vec<(String, Value)> = output
-                .columns
-                .iter()
-                .zip(row.iter())
-                .map(|(col, term)| {
-                    let value = match term {
-                        Some(t) => Value::String(t.to_string()),
-                        None => Value::Null,
-                    };
-                    (col.clone(), value)
-                })
-                .collect();
-            ndjson_line(Value::Object(entries))
-        })
-        .collect();
+    let mut rows = Rows::default();
+    for row in &output.rows {
+        rows.sparql(&output.columns, row);
+    }
     Ok(Answer {
         rows,
         completeness: output.completeness,
@@ -632,17 +602,10 @@ fn run_answer(
         answer = answer.with_top_k(top_k);
     }
     let result = state.warehouse.answer(&answer)?;
-    let rows = result
-        .answers
-        .iter()
-        .map(|row| {
-            ndjson_line(json!({
-                "name": row.name.clone(),
-                "instance": row.instance.to_string(),
-                "candidate": row.candidate,
-            }))
-        })
-        .collect();
+    let mut rows = Rows::default();
+    for row in &result.answers {
+        rows.answer(&row.name, &row.instance, row.candidate);
+    }
     let candidates: Vec<Value> = result
         .executed
         .iter()
@@ -660,14 +623,6 @@ fn run_answer(
         plan: None,
         candidates: Some(Value::Array(candidates)),
     })
-}
-
-fn ndjson_line(value: Value) -> String {
-    format!("{}\n", serde_json::to_string(&value).expect("row serializes"))
-}
-
-fn json_string(text: &str) -> String {
-    serde_json::to_string(&Value::String(text.to_string())).expect("string serializes")
 }
 
 /// The one stats document, served at `GET /admin/stats` and `GET /stats`

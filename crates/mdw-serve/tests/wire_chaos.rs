@@ -18,10 +18,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mdw_core::admission::AdmissionConfig;
+use mdw_core::ingest::Extract;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::{generate, CorpusConfig, Scale};
 use mdw_rdf::failpoint::{self, FailSpec};
 use mdw_rdf::metrics::CounterSet;
+use mdw_rdf::{vocab, Term};
 use mdw_serve::client::{frame_length, parse_response, WireResponse};
 use mdw_serve::conn::{Conn, ConnTimeouts, Wants};
 use mdw_serve::http;
@@ -271,7 +273,15 @@ fn both_stats_routes_render_every_counter_once() {
     assert_eq!(keys(object(field(doc, "planner"))), ["planned", "unplanned", "reordered", "filters_pushed"]);
     assert_eq!(
         keys(object(field(doc, "answer"))),
-        ["answered", "candidates_planned", "candidates_executed", "truncated", "index_builds", "index_build_us"]
+        [
+            "answered",
+            "candidates_planned",
+            "candidates_executed",
+            "candidates_empty",
+            "truncated",
+            "index_builds",
+            "index_build_us",
+        ]
     );
     let Value::Array(tenants) = field(doc, "tenants") else { panic!("tenants is not an array") };
     assert_eq!(tenants.len(), 2, "public + risk: {tenants:?}");
@@ -344,6 +354,44 @@ fn byte_cap_truncates_truthfully() {
     assert!(summary.contains("byte limit"), "summary: {summary}");
     // Body stayed within cap + summary line.
     assert!(resp.body.len() < 1024, "body ran away: {} bytes", resp.body.len());
+    // The summary counts the bytes of the rows it framed — not the row the
+    // cap refused.
+    let lines = resp.lines();
+    let framed: usize = lines[..lines.len() - 1].iter().map(|row| row.len() + 1).sum();
+    let doc = serde_json::from_str(summary).expect("summary parses");
+    assert_eq!(field(object(field(object(&doc), "summary")), "bytes"), &serde_json::json!(framed));
+    assert_nothing_leaked(&state);
+}
+
+/// Names are data: a quote and a line break in a `dm:hasName` value reach
+/// the client escaped, and the row reads back as the name that was loaded.
+#[test]
+fn search_rows_carry_quotes_and_newlines_intact() {
+    failpoint::reset();
+    let name = "say \"hi\"\nthen \\ leave";
+    let item = Term::iri(vocab::cs::dwh("quoted_item"));
+    let mut warehouse = MetadataWarehouse::new();
+    warehouse
+        .ingest(vec![Extract::new(
+            "scanner",
+            vec![
+                (item.clone(), Term::iri(vocab::rdf::TYPE), Term::iri(vocab::cs::dm("Column"))),
+                (item.clone(), Term::iri(vocab::cs::HAS_NAME), Term::plain(name)),
+            ],
+        )])
+        .expect("ingest");
+    warehouse.build_semantic_index().expect("index");
+    let state = ServeState::new(warehouse.into_shared(), test_config());
+    let (_, raw) = drive(&state, &get_request("/search?q=SAY", &[]));
+    let resp = parse_response(&raw).unwrap();
+    assert!(resp.answer_complete(), "body: {}", resp.body);
+    let lines = resp.lines();
+    assert_eq!(lines.len(), 2, "one row and the summary: {}", resp.body);
+    let row = serde_json::from_str(lines[0]).expect("row parses");
+    let row = object(&row);
+    assert_eq!(field(row, "name"), &Value::String(name.to_string()));
+    assert_eq!(field(row, "instance"), &Value::String(item.to_string()));
+    assert_eq!(field(row, "matched"), &Value::String("SAY".to_string()));
     assert_nothing_leaked(&state);
 }
 

@@ -1,8 +1,9 @@
 //! What the differential suites share: the random mapping landscape, the
-//! budget shapes, the worker policy, and the answer contract itself.
-//! Each test binary uses a subset.
+//! budget shapes, the worker policy, the answer contract itself, and the
+//! reference search. Each test binary uses a subset.
 #![allow(dead_code)]
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,13 +11,14 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use metadata_warehouse::core::ingest::Extract;
+use metadata_warehouse::core::search::{SearchHit, SearchRequest, SearchResults};
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::rdf::budget::{
     CancellationToken, Completeness, ManualTime, QueryBudget, TimeSource, TruncationReason,
 };
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
-use metadata_warehouse::rdf::ParallelPolicy;
+use metadata_warehouse::rdf::{ParallelPolicy, TermId, Triple, TriplePattern};
 
 pub fn item(i: u8) -> Term {
     Term::iri(format!("http://ex.org/item{i}"))
@@ -134,5 +136,202 @@ pub fn assert_truthful_prefix<T: PartialEq + Debug>(
                 "truncated ({reason}) rows are not a prefix of the full answer"
             );
         }
+    }
+}
+
+/// A search answer flattened to what a client can observe: groups with
+/// their hits in order, the expanded terms, the three step traces, and the
+/// verdict.
+#[derive(Debug, PartialEq)]
+pub struct SearchAnswer {
+    pub groups: Vec<(String, Term, Vec<SearchHit>)>,
+    pub expanded_terms: Vec<String>,
+    pub step1: Vec<Term>,
+    pub step2: Vec<Term>,
+    pub instances: usize,
+    pub completeness: Completeness,
+}
+
+impl SearchAnswer {
+    pub fn of(results: &SearchResults) -> Self {
+        SearchAnswer {
+            groups: results
+                .groups
+                .iter()
+                .map(|g| {
+                    (
+                        g.label.clone(),
+                        g.class.clone(),
+                        results.group_hits(g).cloned().collect(),
+                    )
+                })
+                .collect(),
+            expanded_terms: results.expanded_terms.clone(),
+            step1: results.trace.step1_hierarchy_classes.clone(),
+            step2: results.trace.step2_valid_classes.clone(),
+            instances: results.trace.step3_instances,
+            completeness: results.completeness,
+        }
+    }
+}
+
+/// The reference search: Section IV.A's three steps the plain way, with
+/// no table and no index. Every name triple of the entailed view is
+/// scanned in order, its literal decoded, `to_lowercase`d and
+/// `contains`-matched against the needles, and the instance's entailed
+/// classes are scanned per hit; every hit is cloned into each of its
+/// groups, which are then sorted and deduplicated. It charges
+/// `request.budget` as the service promises to: one step per name triple
+/// visited, one row per new instance.
+pub fn reference_search(w: &MetadataWarehouse, request: &SearchRequest) -> SearchAnswer {
+    let graph = w.entailed().expect("semantic index is built");
+    let dict = w.store().dict();
+    let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
+    let expanded_terms = if request.expand_synonyms {
+        w.synonyms().expand(&request.term)
+    } else {
+        vec![request.term.clone()]
+    };
+    let Some(ty) = lookup(vocab::rdf::TYPE) else {
+        return SearchAnswer {
+            groups: Vec::new(),
+            expanded_terms,
+            step1: Vec::new(),
+            step2: Vec::new(),
+            instances: 0,
+            completeness: Completeness::Complete,
+        };
+    };
+
+    let per_filter: Vec<BTreeSet<TermId>> = request
+        .class_filters
+        .iter()
+        .map(|filter| {
+            let mut set = BTreeSet::new();
+            if let Some(class) = dict.lookup(filter) {
+                set.insert(class);
+                if let Some(sub) = lookup(vocab::rdfs::SUB_CLASS_OF) {
+                    set.extend(graph.scan(TriplePattern::with_po(sub, class)).map(|t| t.s));
+                }
+            }
+            set
+        })
+        .collect();
+    let step1: BTreeSet<TermId> = if per_filter.is_empty() {
+        graph.scan(TriplePattern::with_p(ty)).map(|t| t.o).collect()
+    } else {
+        per_filter.iter().flatten().copied().collect()
+    };
+    let step2: BTreeSet<TermId> = match per_filter.split_first() {
+        None => step1.clone(),
+        Some((first, rest)) => rest.iter().fold(first.clone(), |acc, set| {
+            acc.intersection(set).copied().collect()
+        }),
+    };
+
+    let needles: Vec<String> = if request.case_sensitive {
+        expanded_terms.clone()
+    } else {
+        expanded_terms.iter().map(|t| t.to_lowercase()).collect()
+    };
+    let budget = &request.budget;
+    let mut truncated = budget.check().err();
+    let mut instances: BTreeSet<TermId> = BTreeSet::new();
+    let mut groups: BTreeMap<TermId, Vec<SearchHit>> = BTreeMap::new();
+    let names = lookup(vocab::cs::HAS_NAME)
+        .into_iter()
+        .flat_map(|p| graph.scan(TriplePattern::with_p(p)));
+    for t in names {
+        if truncated.is_some() {
+            break;
+        }
+        if let Err(reason) = budget.charge_step() {
+            truncated = Some(reason);
+            break;
+        }
+        let Some(Term::Literal(lit)) = dict.term(t.o) else {
+            continue;
+        };
+        let haystack = if request.case_sensitive {
+            lit.lexical.to_string()
+        } else {
+            lit.lexical.to_lowercase()
+        };
+        let Some(matched) = needles.iter().position(|n| haystack.contains(n.as_str())) else {
+            continue;
+        };
+        let has = |property: &str, value: Term| {
+            lookup(property)
+                .zip(dict.lookup(&value))
+                .is_some_and(|(p, v)| graph.contains(Triple::new(t.s, p, v)))
+        };
+        if request
+            .area
+            .as_ref()
+            .is_some_and(|a| !has(vocab::cs::IN_AREA, a.term()))
+            || request
+                .level
+                .is_some_and(|l| !has(vocab::cs::AT_LEVEL, l.term()))
+        {
+            continue;
+        }
+        let classes: Vec<TermId> = graph
+            .scan(TriplePattern::with_sp(t.s, ty))
+            .map(|t| t.o)
+            .filter(|c| step2.contains(c))
+            .collect();
+        if classes.is_empty() {
+            continue;
+        }
+        if !instances.contains(&t.s) {
+            if instances.len() >= request.max_results || budget.charge_row().is_err() {
+                truncated = Some(TruncationReason::RowLimit);
+                break;
+            }
+            instances.insert(t.s);
+        }
+        let hit = SearchHit {
+            instance: dict.term_unchecked(t.s).clone(),
+            name: lit.lexical.to_string(),
+            matched_term: expanded_terms[matched].clone(),
+        };
+        for class in classes {
+            groups.entry(class).or_default().push(hit.clone());
+        }
+    }
+
+    let label = |class: TermId| {
+        lookup(vocab::rdfs::LABEL)
+            .and_then(|p| graph.scan(TriplePattern::with_sp(class, p)).next())
+            .and_then(|t| {
+                dict.term(t.o)?
+                    .as_literal()
+                    .map(|lit| lit.lexical.to_string())
+            })
+            .unwrap_or_else(|| dict.term_unchecked(class).label().to_string())
+    };
+    let mut groups: Vec<(String, Term, Vec<SearchHit>)> = groups
+        .into_iter()
+        .map(|(class, mut hits)| {
+            hits.sort_by(|a, b| a.instance.cmp(&b.instance));
+            hits.dedup();
+            (label(class), dict.term_unchecked(class).clone(), hits)
+        })
+        .collect();
+    groups.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    let decode = |set: &BTreeSet<TermId>| {
+        set.iter()
+            .map(|&id| dict.term_unchecked(id).clone())
+            .collect()
+    };
+    SearchAnswer {
+        groups,
+        expanded_terms,
+        step1: decode(&step1),
+        step2: decode(&step2),
+        instances: instances.len(),
+        completeness: truncated.map_or(Completeness::Complete, |reason| Completeness::Truncated {
+            reason,
+        }),
     }
 }

@@ -53,8 +53,8 @@ fn listing1_sem_match_equals_search_service() {
         .groups
         .iter()
         .flat_map(|g| {
-            g.hits
-                .iter()
+            service
+                .group_hits(g)
                 .map(move |h| (g.label.clone(), h.instance.label().to_string()))
         })
         .collect();
@@ -152,7 +152,7 @@ fn area_filters_match_figure2_stages() {
             .search(&SearchRequest::new("id").in_area(area.clone()))
             .unwrap();
         assert_eq!(results.instance_count(), 1, "area {}", area.as_str());
-        let hit = &results.groups[0].hits[0];
+        let hit = results.group_hits(&results.groups[0]).next().unwrap();
         assert_eq!(hit.name, expected, "area {}", area.as_str());
     }
 }

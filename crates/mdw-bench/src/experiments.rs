@@ -5,12 +5,13 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use mdw_core::answer::AnswerRequest;
 use mdw_core::lineage::LineageRequest;
 use mdw_core::model::{census, EdgeCategory};
 use mdw_core::report;
 use mdw_core::search::SearchRequest;
 use mdw_core::warehouse::MetadataWarehouse;
-use mdw_corpus::{fig2, generate, CorpusConfig, Scale};
+use mdw_corpus::{eval_cases, eval_config, fig2, generate, CorpusConfig, Grade, Scale};
 use mdw_rdf::term::Term;
 use mdw_rdf::vocab;
 use mdw_relational::search::RelSearchRequest;
@@ -42,6 +43,7 @@ pub const EXPERIMENTS: &[(&str, Runner)] = &[
     ("scale", scale_history),
     ("lesson_paths", |_| lesson_paths()),
     ("flexibility", flexibility),
+    ("k1", k1_keyword_answering),
 ];
 
 fn dm(l: &str) -> Term {
@@ -795,6 +797,114 @@ pub fn flexibility(scale: Scale) -> String {
     out
 }
 
+// ---------------------------------------------------------------------------
+// K1 — keyword answering: precision, and planning vs execution
+// ---------------------------------------------------------------------------
+
+/// Grades the keyword evaluation corpus at top-k 3, then answers every case
+/// derived from the corpus at `scale` on a built index and splits each
+/// answer's time and budget steps between planning and the candidate
+/// executions. Planning time is the same request at top-k 0, which
+/// executes nothing; planning steps are what the `plan_steps` counter
+/// recorded for the full request.
+pub fn k1_keyword_answering(scale: Scale) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "== K1 — keyword answering: precision@3, planning vs execution ==\n");
+
+    let eval = load_config(&eval_config());
+    let graded: Vec<(&'static str, f64)> = eval_cases(&eval.corpus)
+        .iter()
+        .map(|case| {
+            let result = eval.warehouse.answer(&AnswerRequest::new(case.keywords.clone())).expect("answer");
+            (case.kind.tag(), Grade::of(case, result.answers.iter().map(|a| &a.instance)).precision())
+        })
+        .collect();
+    let _ = writeln!(out, "-- precision@3 on the graded evaluation corpus --");
+    let _ = writeln!(out, "{:<15}| cases | mean precision@3", "case kind");
+    let _ = writeln!(out, "{}+-------+-----------------", "-".repeat(15));
+    for (kind, rows) in per_kind(&graded) {
+        let mean = rows.iter().sum::<f64>() / rows.len() as f64;
+        let _ = writeln!(out, "{kind:<15}| {:<5} | {mean:.3}", rows.len());
+    }
+
+    let loaded = load_scale(scale);
+    let w = &loaded.warehouse;
+    let plan_steps = || {
+        let counters = w.counters();
+        counters.iter().find(|(group, _)| *group == "answer").expect("answer group").1.total("plan_steps")
+    };
+    // The generation's first answer builds the meta-level index.
+    w.answer(&AnswerRequest::new("customer")).expect("answer");
+    let cases = eval_cases(&loaded.corpus);
+    let mut split: Vec<(&'static str, [f64; 4])> = Vec::new();
+    for case in &cases {
+        let plan_only = AnswerRequest::new(case.keywords.clone()).with_top_k(0);
+        let t = Instant::now();
+        w.answer(&plan_only).expect("answer");
+        let plan_time = t.elapsed();
+        let full = AnswerRequest::new(case.keywords.clone());
+        let before = plan_steps();
+        let t = Instant::now();
+        w.answer(&full).expect("answer");
+        let total_time = t.elapsed();
+        let planned = plan_steps() - before;
+        assert_eq!(planned, plan_only.budget.steps_charged(), "{}: planning is deterministic", case.name);
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        split.push((
+            case.kind.tag(),
+            [
+                ms(plan_time),
+                planned as f64,
+                ms(total_time.saturating_sub(plan_time)),
+                (full.budget.steps_charged() - planned) as f64,
+            ],
+        ));
+    }
+    let _ = writeln!(
+        out,
+        "\n-- planning vs execution on the {scale:?} corpus ({} cases, one run each) --",
+        cases.len()
+    );
+    let _ = writeln!(
+        out,
+        "{:<15}| cases | plan ms p50 / max | plan steps p50 / max | exec ms p50 / max | exec steps p50",
+        "case kind"
+    );
+    let _ = writeln!(out, "{}+-------+-------------------+----------------------+-------------------+---------------", "-".repeat(15));
+    for (kind, rows) in per_kind(&split) {
+        let col = |i: usize| -> (f64, f64) {
+            let mut v: Vec<f64> = rows.iter().map(|r| r[i]).collect();
+            v.sort_by(f64::total_cmp);
+            (v[v.len() / 2], v[v.len() - 1])
+        };
+        let ((pm, pmax), (ps, psmax), (em, emax), (es, _)) = (col(0), col(1), col(2), col(3));
+        let _ = writeln!(
+            out,
+            "{kind:<15}| {:<5} | {pm:>7.2} / {pmax:>7.2} | {ps:>8.0} / {psmax:>9.0} | {em:>7.2} / {emax:>7.2} | {es:>14.0}",
+            rows.len()
+        );
+    }
+    let plan_sum: f64 = split.iter().map(|(_, r)| r[0]).sum();
+    let exec_sum: f64 = split.iter().map(|(_, r)| r[2]).sum();
+    let _ = writeln!(
+        out,
+        "\nplanning {plan_sum:.1} ms, candidate executions {exec_sum:.1} ms over all cases ({:.0} % planning)",
+        100.0 * plan_sum / (plan_sum + exec_sum).max(f64::MIN_POSITIVE)
+    );
+    out
+}
+
+/// Groups per-case rows by case-kind tag, in tag order, then every row as
+/// `all` (when there is any).
+fn per_kind<T: Copy>(rows: &[(&'static str, T)]) -> Vec<(&'static str, Vec<T>)> {
+    let mut groups: std::collections::BTreeMap<&'static str, Vec<T>> = Default::default();
+    for (kind, row) in rows {
+        groups.entry(kind).or_default().push(*row);
+    }
+    let all = rows.iter().map(|(_, row)| *row).collect();
+    groups.into_iter().chain((!rows.is_empty()).then_some(("all", all))).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,5 +977,14 @@ mod tests {
         let paths = lesson_paths();
         assert!(paths.contains("reduction"));
         assert!(flexibility(Scale::Small).contains("DROPPED"));
+    }
+
+    #[test]
+    fn k1_grades_and_splits_every_case_kind() {
+        let r = k1_keyword_answering(Scale::Small);
+        for kind in ["concept", "multi-hop-join", "synonym-only", "type-listing", "all"] {
+            assert_eq!(r.matches(&format!("\n{kind:<15}|")).count(), 2, "{kind} in both tables:\n{r}");
+        }
+        assert!(r.contains("% planning"), "{r}");
     }
 }

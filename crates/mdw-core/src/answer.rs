@@ -15,8 +15,10 @@
 //!    the indexed labels, expanded through the synonym table (exact match
 //!    100, substring 60, synonym hits scaled by 0.7).
 //! 2. **Path search** — find bounded-length shortest join paths between
-//!    matched schema nodes over the indexed summary graph with the same
-//!    level-synchronous BFS discipline the lineage traversal uses.
+//!    matched schema nodes over the indexed summary graph (a CSR over dense
+//!    node indices): a level-synchronous BFS from the terminal that stops
+//!    the moment it labels the anchor, then a DFS back along decreasing
+//!    distances.
 //! 3. **Rank** — each candidate query gets
 //!    `rank = match_score × 10000 / ((1 + hops) × bitlen(1 + estimate))`
 //!    where `estimate` is the [`FrozenStats`] cardinality bound, and
@@ -35,7 +37,7 @@
 //! pipeline immediately — answers are always a truthful prefix of the
 //! unbudgeted run. The index build itself is neither charged nor bounded.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
@@ -272,6 +274,177 @@ struct SchemaEdge {
     dst: TermId,
 }
 
+/// One distinct schema edge as the index build discovers it:
+/// `(src, src_via_type, pred, dst, dst_via_type)`.
+type DistinctEdge = (TermId, bool, TermId, TermId, bool);
+
+/// A [`SchemaEdge`] in the CSR, with its far end's dense index.
+#[derive(Debug, Clone, Copy)]
+struct CsrEdge {
+    edge: SchemaEdge,
+    to: usize,
+}
+
+/// The schema summary graph as a CSR over dense node indices. Node `i` is
+/// `nodes[i]` (sorted by id, so an id is found by binary search) and its
+/// edges are `edges[offsets[i]..offsets[i + 1]]`, in [`SchemaEdge`] order:
+/// the deterministic expansion order path search relies on. Every edge is
+/// stored from both ends, so the graph is effectively undirected and every
+/// far end is itself a node.
+#[derive(Debug)]
+struct SummaryGraph {
+    nodes: Vec<TermId>,
+    offsets: Vec<usize>,
+    edges: Vec<CsrEdge>,
+}
+
+impl SummaryGraph {
+    /// Mirrors every distinct edge, then sorts and dedups the `(src, edge)`
+    /// pairs once; the sorted pairs are the CSR.
+    fn from_edges(distinct: impl IntoIterator<Item = DistinctEdge>) -> SummaryGraph {
+        let mut pairs: Vec<(TermId, SchemaEdge)> = Vec::new();
+        for (src, sv, pred, dst, dv) in distinct {
+            let edge = |forward, src_via_type, dst_via_type, dst| SchemaEdge {
+                pred,
+                forward,
+                src_via_type,
+                dst_via_type,
+                dst,
+            };
+            pairs.push((src, edge(true, sv, dv, dst)));
+            pairs.push((dst, edge(false, dv, sv, src)));
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let (mut nodes, mut offsets) = (Vec::new(), Vec::new());
+        for (i, (src, _)) in pairs.iter().enumerate() {
+            if nodes.last() != Some(src) {
+                nodes.push(*src);
+                offsets.push(i);
+            }
+        }
+        offsets.push(pairs.len());
+        let edges = pairs
+            .iter()
+            .map(|&(_, edge)| {
+                let to = nodes.binary_search(&edge.dst).expect("mirrored: every far end is a node");
+                CsrEdge { edge, to }
+            })
+            .collect();
+        SummaryGraph { nodes, offsets, edges }
+    }
+
+    fn index_of(&self, node: TermId) -> Option<usize> {
+        self.nodes.binary_search(&node).ok()
+    }
+
+    fn edges_of(&self, n: usize) -> &[CsrEdge] {
+        &self.edges[self.offsets[n]..self.offsets[n + 1]]
+    }
+
+    /// Up to `cap` distinct shortest join paths from `src` to `dst`, each
+    /// at most `max_hops` edges. A level-synchronous BFS from `dst` labels
+    /// nodes with their distance (the lineage-traversal discipline) and
+    /// stops the moment it labels `src`, at distance `d0`: levels finish in
+    /// order, so every node nearer than `d0` is labelled by then. A DFS
+    /// from `src` then only follows edges that decrease the distance by
+    /// one, asking for distances `d0 - 1 … 0` only, which enumerates
+    /// exactly the shortest paths — in edge order, so the result is
+    /// deterministic. Only paths whose first edge leaves `src` through its
+    /// *instances* qualify (the anchor variable must be instance-valued).
+    /// One budget step per edge examined, in the BFS and the DFS.
+    fn shortest_paths(
+        &self,
+        src: TermId,
+        dst: TermId,
+        max_hops: usize,
+        cap: usize,
+        budget: &QueryBudget,
+        truncated: &mut Option<TruncationReason>,
+    ) -> Vec<Vec<SchemaEdge>> {
+        if src == dst || max_hops == 0 {
+            return Vec::new();
+        }
+        let (Some(s), Some(t)) = (self.index_of(src), self.index_of(dst)) else {
+            return Vec::new();
+        };
+        let mut dist = vec![UNSEEN; self.nodes.len()];
+        dist[t] = 0;
+        let mut queue = vec![t];
+        let mut head = 0;
+        'bfs: while head < queue.len() {
+            let n = queue[head];
+            head += 1;
+            let d = dist[n];
+            if d >= max_hops {
+                break;
+            }
+            for e in self.edges_of(n) {
+                if let Err(reason) = budget.charge_step() {
+                    *truncated = Some(reason);
+                    return Vec::new();
+                }
+                if dist[e.to] == UNSEEN {
+                    dist[e.to] = d + 1;
+                    if e.to == s {
+                        break 'bfs;
+                    }
+                    queue.push(e.to);
+                }
+            }
+        }
+        if dist[s] == UNSEEN {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        self.dfs_shortest(&dist, s, dist[s], cap, &mut Vec::new(), &mut out, budget, truncated);
+        out
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn dfs_shortest(
+        &self,
+        dist: &[usize],
+        node: usize,
+        d: usize,
+        cap: usize,
+        path: &mut Vec<SchemaEdge>,
+        out: &mut Vec<Vec<SchemaEdge>>,
+        budget: &QueryBudget,
+        truncated: &mut Option<TruncationReason>,
+    ) {
+        if out.len() >= cap || truncated.is_some() {
+            return;
+        }
+        if d == 0 {
+            // Reached dst; the anchor's first edge must be instance-valued.
+            if path.first().map(|e| e.src_via_type).unwrap_or(false) {
+                out.push(path.clone());
+            }
+            return;
+        }
+        for e in self.edges_of(node) {
+            if let Err(reason) = budget.charge_step() {
+                *truncated = Some(reason);
+                return;
+            }
+            if dist[e.to] != d - 1 {
+                continue;
+            }
+            path.push(e.edge);
+            self.dfs_shortest(dist, e.to, d - 1, cap, path, out, budget, truncated);
+            path.pop();
+            if out.len() >= cap || truncated.is_some() {
+                return;
+            }
+        }
+    }
+}
+
+/// The BFS distance of a node it has not labelled. Distances never exceed
+/// the node count, so no `max_hops` can reach it.
+const UNSEEN: usize = usize::MAX;
+
 /// One labelled class or property.
 #[derive(Debug)]
 struct LabelEntry {
@@ -289,10 +462,8 @@ struct LabelEntry {
 /// the rulebase.
 #[derive(Debug)]
 pub(crate) struct SchemaIndex {
-    /// Class node → sorted outgoing (mirrored, so effectively undirected)
-    /// edges. `BTreeSet` gives dedup and the deterministic expansion order
-    /// the BFS relies on.
-    adj: BTreeMap<TermId, BTreeSet<SchemaEdge>>,
+    /// The schema summary graph path search walks.
+    graph: SummaryGraph,
     /// Class node → predicates of triples whose *object is the class node
     /// itself* (`?a dm:representsConcept <C>`-shaped candidates).
     incoming: BTreeMap<TermId, BTreeSet<TermId>>,
@@ -354,8 +525,8 @@ impl SchemaIndex {
         };
         // `(src, src_via_type, pred, dst, dst_via_type)`: most triples repeat
         // an edge already seen, so a hash set takes the duplicates and the
-        // sorted adjacency is built from the distinct edges only.
-        let mut edges: HashSet<(TermId, bool, TermId, TermId, bool)> = HashSet::new();
+        // summary graph is built from the distinct edges only.
+        let mut edges: HashSet<DistinctEdge> = HashSet::new();
         let mut incoming: BTreeMap<TermId, BTreeSet<TermId>> = BTreeMap::new();
         for t in base.iter() {
             // Meta predicates carry naming/typing, not joinable structure.
@@ -373,19 +544,8 @@ impl SchemaIndex {
                 }
             }
         }
-        let mut adj: BTreeMap<TermId, BTreeSet<SchemaEdge>> = BTreeMap::new();
-        for (src, sv, pred, dst, dv) in edges {
-            let edge = |forward, src_via_type, dst_via_type, dst| SchemaEdge {
-                pred,
-                forward,
-                src_via_type,
-                dst_via_type,
-                dst,
-            };
-            adj.entry(src).or_default().insert(edge(true, sv, dv, dst));
-            adj.entry(dst).or_default().insert(edge(false, dv, sv, src));
-        }
-        SchemaIndex { adj, incoming, classes, properties, labels }
+        let graph = SummaryGraph::from_edges(edges);
+        SchemaIndex { graph, incoming, classes, properties, labels }
     }
 }
 
@@ -562,8 +722,7 @@ pub(crate) fn plan_candidates(
                     if plan.truncated.is_some() {
                         break;
                     }
-                    let paths = shortest_paths(
-                        &schema.adj,
+                    let paths = schema.graph.shortest_paths(
                         anchor,
                         terminal,
                         request.max_hops,
@@ -692,101 +851,6 @@ fn filter_regex(token: &str) -> Option<String> {
         None
     } else {
         Some(format!("regex(?name, \"{safe}\", \"i\")"))
-    }
-}
-
-/// Up to `cap` distinct shortest join paths from `src` to `dst`, each at
-/// most `max_hops` edges. A level-synchronous BFS from `dst` labels every
-/// node with its distance (the lineage-traversal discipline); a DFS from
-/// `src` then only follows edges that strictly decrease the distance, which
-/// enumerates exactly the shortest paths — in sorted-edge order, so the
-/// result is deterministic. Only paths whose first edge leaves `src`
-/// through its *instances* qualify (the anchor variable must be
-/// instance-valued).
-fn shortest_paths(
-    adj: &BTreeMap<TermId, BTreeSet<SchemaEdge>>,
-    src: TermId,
-    dst: TermId,
-    max_hops: usize,
-    cap: usize,
-    budget: &QueryBudget,
-    truncated: &mut Option<TruncationReason>,
-) -> Vec<Vec<SchemaEdge>> {
-    if src == dst || max_hops == 0 {
-        return Vec::new();
-    }
-    // BFS from dst over the mirrored adjacency (undirected distances).
-    let mut dist: BTreeMap<TermId, usize> = BTreeMap::new();
-    dist.insert(dst, 0);
-    let mut queue: VecDeque<TermId> = VecDeque::new();
-    queue.push_back(dst);
-    while let Some(n) = queue.pop_front() {
-        let d = dist[&n];
-        if d >= max_hops {
-            continue;
-        }
-        let Some(edges) = adj.get(&n) else { continue };
-        for e in edges {
-            if let Err(reason) = budget.charge_step() {
-                *truncated = Some(reason);
-                return Vec::new();
-            }
-            if let std::collections::btree_map::Entry::Vacant(slot) = dist.entry(e.dst) {
-                slot.insert(d + 1);
-                queue.push_back(e.dst);
-            }
-        }
-    }
-    let Some(&d0) = dist.get(&src) else {
-        return Vec::new();
-    };
-    if d0 > max_hops {
-        return Vec::new();
-    }
-    // DFS along strictly-decreasing distances.
-    let mut out: Vec<Vec<SchemaEdge>> = Vec::new();
-    let mut path: Vec<SchemaEdge> = Vec::new();
-    dfs_shortest(adj, &dist, src, d0, cap, &mut path, &mut out, budget, truncated);
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_shortest(
-    adj: &BTreeMap<TermId, BTreeSet<SchemaEdge>>,
-    dist: &BTreeMap<TermId, usize>,
-    node: TermId,
-    d: usize,
-    cap: usize,
-    path: &mut Vec<SchemaEdge>,
-    out: &mut Vec<Vec<SchemaEdge>>,
-    budget: &QueryBudget,
-    truncated: &mut Option<TruncationReason>,
-) {
-    if out.len() >= cap || truncated.is_some() {
-        return;
-    }
-    if d == 0 {
-        // Reached dst; the anchor's first edge must be instance-valued.
-        if path.first().map(|e| e.src_via_type).unwrap_or(false) {
-            out.push(path.clone());
-        }
-        return;
-    }
-    let Some(edges) = adj.get(&node) else { return };
-    for e in edges {
-        if let Err(reason) = budget.charge_step() {
-            *truncated = Some(reason);
-            return;
-        }
-        if dist.get(&e.dst).copied() != Some(d - 1) {
-            continue;
-        }
-        path.push(*e);
-        dfs_shortest(adj, dist, e.dst, d - 1, cap, path, out, budget, truncated);
-        path.pop();
-        if out.len() >= cap || truncated.is_some() {
-            return;
-        }
     }
 }
 
@@ -1075,5 +1139,182 @@ mod tests {
         assert_eq!(answers[0].candidate, 0);
         assert_eq!(answers[2].candidate, 1);
         assert_eq!(answers[2].name, "three");
+    }
+
+    /// The reference path search [`SummaryGraph::shortest_paths`] must
+    /// match: a `BTreeMap` adjacency of `BTreeSet`s, a BFS that labels every
+    /// node within `max_hops`, then the same DFS.
+    mod reference {
+        use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+        use super::super::{DistinctEdge, SchemaEdge};
+        use mdw_rdf::budget::{QueryBudget, TruncationReason};
+        use mdw_rdf::dict::TermId;
+
+        pub(super) type Adjacency = BTreeMap<TermId, BTreeSet<SchemaEdge>>;
+
+        pub(super) fn adjacency(distinct: impl IntoIterator<Item = DistinctEdge>) -> Adjacency {
+            let mut adj = Adjacency::new();
+            for (src, sv, pred, dst, dv) in distinct {
+                let edge = |forward, src_via_type, dst_via_type, dst| SchemaEdge {
+                    pred,
+                    forward,
+                    src_via_type,
+                    dst_via_type,
+                    dst,
+                };
+                adj.entry(src).or_default().insert(edge(true, sv, dv, dst));
+                adj.entry(dst).or_default().insert(edge(false, dv, sv, src));
+            }
+            adj
+        }
+
+        pub(super) fn shortest_paths(
+            adj: &Adjacency,
+            src: TermId,
+            dst: TermId,
+            max_hops: usize,
+            cap: usize,
+            budget: &QueryBudget,
+            truncated: &mut Option<TruncationReason>,
+        ) -> Vec<Vec<SchemaEdge>> {
+            if src == dst || max_hops == 0 {
+                return Vec::new();
+            }
+            let mut dist: BTreeMap<TermId, usize> = BTreeMap::new();
+            dist.insert(dst, 0);
+            let mut queue: VecDeque<TermId> = VecDeque::from([dst]);
+            while let Some(n) = queue.pop_front() {
+                let d = dist[&n];
+                if d >= max_hops {
+                    continue;
+                }
+                let Some(edges) = adj.get(&n) else { continue };
+                for e in edges {
+                    if let Err(reason) = budget.charge_step() {
+                        *truncated = Some(reason);
+                        return Vec::new();
+                    }
+                    if let std::collections::btree_map::Entry::Vacant(slot) = dist.entry(e.dst) {
+                        slot.insert(d + 1);
+                        queue.push_back(e.dst);
+                    }
+                }
+            }
+            let Some(&d0) = dist.get(&src) else { return Vec::new() };
+            let mut out = Vec::new();
+            dfs(adj, &dist, src, d0, cap, &mut Vec::new(), &mut out, budget, truncated);
+            out
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn dfs(
+            adj: &Adjacency,
+            dist: &BTreeMap<TermId, usize>,
+            node: TermId,
+            d: usize,
+            cap: usize,
+            path: &mut Vec<SchemaEdge>,
+            out: &mut Vec<Vec<SchemaEdge>>,
+            budget: &QueryBudget,
+            truncated: &mut Option<TruncationReason>,
+        ) {
+            if out.len() >= cap || truncated.is_some() {
+                return;
+            }
+            if d == 0 {
+                if path.first().map(|e| e.src_via_type).unwrap_or(false) {
+                    out.push(path.clone());
+                }
+                return;
+            }
+            let Some(edges) = adj.get(&node) else { return };
+            for e in edges {
+                if let Err(reason) = budget.charge_step() {
+                    *truncated = Some(reason);
+                    return;
+                }
+                if dist.get(&e.dst).copied() != Some(d - 1) {
+                    continue;
+                }
+                path.push(*e);
+                dfs(adj, dist, e.dst, d - 1, cap, path, out, budget, truncated);
+                path.pop();
+                if out.len() >= cap || truncated.is_some() {
+                    return;
+                }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Random schema graphs over sparse node ids: `(src, src_via_type,
+    /// pred, dst, dst_via_type)` edges between `n` nodes, plus a fan-out
+    /// from node 0 to every node, like the corpus's concept hubs.
+    fn schema_graphs() -> impl Strategy<Value = Vec<DistinctEdge>> {
+        let edge = |n: u64| (0..n, any::<bool>(), 0u64..3, 0..n, any::<bool>());
+        (2u64..10)
+            .prop_flat_map(move |n| {
+                (Just(n), proptest::collection::vec(edge(n), 0..24), 0usize..3)
+            })
+            .prop_map(|(n, random, hubs)| {
+                let id = |k: u64| TermId(100 + 7 * k);
+                let fan_out = (1..n).flat_map(|k| (0..hubs as u64).map(move |p| (0, true, p, k, k % 2 == 0)));
+                random
+                    .into_iter()
+                    .chain(fan_out)
+                    .filter(|&(s, _, _, d, _)| s != d)
+                    .map(|(s, sv, p, d, dv)| (id(s), sv, TermId(p), id(d), dv))
+                    .collect::<HashSet<_>>()
+                    .into_iter()
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn path_search_matches_the_full_bfs_reference(edges in schema_graphs()) {
+            let graph = SummaryGraph::from_edges(edges.iter().copied());
+            let adj = reference::adjacency(edges.iter().copied());
+            // Every node, plus an id the graph does not hold.
+            let ids: Vec<TermId> = adj.keys().copied().chain([TermId(1)]).collect();
+            for &src in &ids {
+                for &dst in &ids {
+                    for max_hops in [0, 1, 2, 3, 4, 1_000] {
+                        for cap in 1..=4 {
+                            let run = |budget: &QueryBudget, reference: bool| {
+                                let mut truncated = None;
+                                let paths = if reference {
+                                    reference::shortest_paths(&adj, src, dst, max_hops, cap, budget, &mut truncated)
+                                } else {
+                                    graph.shortest_paths(src, dst, max_hops, cap, budget, &mut truncated)
+                                };
+                                (paths, truncated, budget.steps_charged())
+                            };
+                            let (want, _, reference_steps) = run(&QueryBudget::unlimited(), true);
+                            let (got, truncated, steps) = run(&QueryBudget::unlimited(), false);
+                            prop_assert_eq!(&got, &want, "{src:?} → {dst:?}, max_hops {max_hops}, cap {cap}");
+                            prop_assert!(truncated.is_none());
+                            prop_assert!(steps <= reference_steps, "{steps} > {reference_steps} steps");
+                            for n in [0, steps / 3, steps / 2, steps.saturating_sub(1), steps] {
+                                let budget = QueryBudget::unlimited().with_max_steps(n);
+                                let (part, truncated, _) = run(&budget, false);
+                                match truncated {
+                                    None => prop_assert_eq!(&part, &want, "{n} steps"),
+                                    Some(reason) => {
+                                        prop_assert_eq!(reason, TruncationReason::StepLimit);
+                                        prop_assert!(n < steps, "tripped at {n} of {steps} steps");
+                                        prop_assert_eq!(&part[..], &want[..part.len()], "{n} steps");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -113,6 +113,9 @@ mdw_rdf::counter_set! {
     struct AnswerCounters {
         /// Keyword-answering requests served.
         answered,
+        /// Budget steps charged by planning (label matching and join-path
+        /// search) across all requests; execution charges the rest.
+        plan_steps,
         /// SPARQL candidates planned across all requests.
         candidates_planned,
         /// Candidates actually executed (top-k, budget permitting).
@@ -864,7 +867,10 @@ impl MetadataWarehouse {
     ) -> Result<AnswerResult, MdwError> {
         let stats = ctx.planner_stats(&self.model)?;
         let schema = &self.index()?.schema;
+        let charged = request.budget.steps_charged();
         let plan = answer::plan_candidates(schema, ctx.dict(), &self.synonyms, &stats, request);
+        let plan_steps = request.budget.steps_charged().saturating_sub(charged);
+        self.answer_counters.plan_steps.fetch_add(plan_steps, Ordering::Relaxed);
         let mut truncated = plan.truncated;
         let mut executed = Vec::new();
         let mut answered_coverage: Option<usize> = None;
@@ -1495,6 +1501,21 @@ mod tests {
         assert_eq!(counter(&w, "answer", "answered"), 1);
         assert!(counter(&w, "answer", "candidates_executed") >= 1);
         assert_eq!(counter(&w, "answer", "truncated"), 0);
+    }
+
+    #[test]
+    fn plan_steps_counts_planning_and_not_execution() {
+        let w = loaded_warehouse();
+        // At top-k 0 nothing executes, so every step charged is planning.
+        let plan_only = AnswerRequest::new("column").with_top_k(0);
+        w.answer(&plan_only).unwrap();
+        let planning = plan_only.budget.steps_charged();
+        assert!(planning > 0);
+        assert_eq!(counter(&w, "answer", "plan_steps"), planning);
+        let full = AnswerRequest::new("column");
+        w.answer(&full).unwrap();
+        assert_eq!(counter(&w, "answer", "plan_steps"), 2 * planning);
+        assert!(full.budget.steps_charged() > planning, "execution charges steps too");
     }
 
     #[test]

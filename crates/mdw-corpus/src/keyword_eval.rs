@@ -22,7 +22,8 @@
 //! [`CaseKind::TypeListing`] (schema-class instance listing under subclass
 //! inheritance), and [`CaseKind::MultiHop`] (the join path). The harness in
 //! `tests/keyword_eval.rs` feeds each case to `MetadataWarehouse::answer`
-//! and gates mean precision@3 at ≥ 0.8.
+//! and gates mean precision@3 ([`Grade`]) at ≥ 0.8; `reproduce k1` prints
+//! the per-kind table.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,6 +73,36 @@ pub struct EvalCase {
     pub kind: CaseKind,
     /// The denotation: every instance an answer may correctly return.
     pub expected: BTreeSet<Term>,
+}
+
+/// How one answer list grades against its case. Precision@3 is `hits /
+/// answered` over the top three answers, and 0 when an answerable case got
+/// none: wrong instances in the top three, or silence, cost score;
+/// incomplete recall beyond three does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grade {
+    /// Answers among the top three.
+    pub answered: usize,
+    /// Of those, the ones the case expects.
+    pub hits: usize,
+}
+
+impl Grade {
+    /// Grades `answers`, best first, against `case`.
+    pub fn of<'a>(case: &EvalCase, answers: impl IntoIterator<Item = &'a Term>) -> Grade {
+        let top: Vec<&Term> = answers.into_iter().take(3).collect();
+        let hits = top.iter().filter(|t| case.expected.contains(t)).count();
+        Grade { answered: top.len(), hits }
+    }
+
+    /// Precision@3.
+    pub fn precision(&self) -> f64 {
+        if self.answered == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.answered as f64
+        }
+    }
 }
 
 /// The corpus preset the keyword evaluation runs against: Small-sized build

@@ -35,4 +35,4 @@ pub mod names;
 
 pub use config::{CorpusConfig, Scale};
 pub use generator::{generate, Corpus, SubjectAreaCount};
-pub use keyword_eval::{eval_cases, eval_config, CaseKind, EvalCase};
+pub use keyword_eval::{eval_cases, eval_config, CaseKind, EvalCase, Grade};

@@ -2,27 +2,20 @@
 //! [`mdw_corpus::eval_cases`] is fed to `MetadataWarehouse::answer`, and
 //! mean precision@3 is gated at ≥ 0.8 — the acceptance bar CI enforces.
 //!
-//! Precision@3 for one case = |top-3 answers ∩ ground truth| / |top-3
-//! answers| (and 0 when the engine returns nothing for an answerable
-//! case). It grades what the engine *asserts*: wrong instances in the top
-//! three, or silence, cost score; incomplete recall beyond three does not.
-//!
-//! Set `MDW_WRITE_EXPERIMENTS=1` to rewrite the `## K1` section of
-//! `EXPERIMENTS.md` with the measured per-kind table (the committed table
-//! was produced this way).
+//! Precision@3 for one case is [`Grade::precision`]: it grades what the
+//! engine *asserts*. `reproduce k1` prints the per-kind table EXPERIMENTS.md
+//! records.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use mdw_core::answer::AnswerRequest;
 use mdw_core::warehouse::MetadataWarehouse;
-use mdw_corpus::{eval_cases, eval_config, generate, EvalCase};
+use mdw_corpus::{eval_cases, eval_config, generate, EvalCase, Grade};
 
 struct Graded {
     case: EvalCase,
-    answered: usize,
-    hits: usize,
-    precision: f64,
+    grade: Grade,
 }
 
 fn grade_all() -> &'static Vec<Graded> {
@@ -42,10 +35,8 @@ fn grade_all() -> &'static Vec<Graded> {
                 let result = warehouse
                     .answer(&AnswerRequest::new(case.keywords.clone()))
                     .unwrap_or_else(|e| panic!("{}: answer failed: {e}", case.name));
-                let top: Vec<_> = result.answers.iter().take(3).collect();
-                let hits = top.iter().filter(|a| case.expected.contains(&a.instance)).count();
-                let precision = if top.is_empty() { 0.0 } else { hits as f64 / top.len() as f64 };
-                Graded { case, answered: top.len(), hits, precision }
+                let grade = Grade::of(&case, result.answers.iter().map(|a| &a.instance));
+                Graded { case, grade }
             })
             .collect()
     })
@@ -55,7 +46,7 @@ fn mean(graded: &[&Graded]) -> f64 {
     if graded.is_empty() {
         return 0.0;
     }
-    graded.iter().map(|g| g.precision).sum::<f64>() / graded.len() as f64
+    graded.iter().map(|g| g.grade.precision()).sum::<f64>() / graded.len() as f64
 }
 
 #[test]
@@ -73,19 +64,17 @@ fn precision_at_3_is_at_least_0_8() {
         println!("  {kind}: {} case(s), precision@3 {:.3}", group.len(), mean(group));
     }
     for g in graded {
-        if g.precision < 1.0 {
+        if g.grade.precision() < 1.0 {
             println!(
                 "  [{}] {} -> {}/{} (expected {} instance(s))",
                 g.case.kind.tag(),
                 g.case.keywords,
-                g.hits,
-                g.answered,
+                g.grade.hits,
+                g.grade.answered,
                 g.case.expected.len()
             );
         }
     }
-
-    maybe_write_experiments(graded, overall, &by_kind);
 
     assert!(
         overall >= 0.8,
@@ -101,7 +90,7 @@ fn every_kind_answers_a_majority_of_its_cases() {
     for g in graded {
         let entry = by_kind.entry(g.case.kind.tag()).or_default();
         entry.1 += 1;
-        if g.answered > 0 && g.hits > 0 {
+        if g.grade.hits > 0 {
             entry.0 += 1;
         }
     }
@@ -111,52 +100,4 @@ fn every_kind_answers_a_majority_of_its_cases() {
             "{kind}: only {answered}/{total} cases produced a correct answer"
         );
     }
-}
-
-/// Rewrites the `## K1` section of EXPERIMENTS.md when asked to. Guarded
-/// behind an env var so CI test runs never dirty the work tree.
-fn maybe_write_experiments(
-    graded: &[Graded],
-    overall: f64,
-    by_kind: &BTreeMap<&'static str, Vec<&Graded>>,
-) {
-    if std::env::var("MDW_WRITE_EXPERIMENTS").map(|v| v == "1") != Ok(true) {
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
-    let text = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
-
-    let mut section = String::new();
-    section.push_str("## K1 — keyword answering precision (`keyword_eval`)\n\n");
-    section.push_str(
-        "**Paper:** Section IV describes business users finding meta-data by\n\
-         keyword, with synonym expansion standing in for shared vocabulary\n\
-         (the SODA line of work renders keywords as ranked SPARQL). No\n\
-         quantitative figures are published.\n\n\
-         **Measured:** `cargo test -p mdw-corpus --test keyword_eval` grades\n\
-         the graded corpus (ground truth derived from the corpus triples;\n\
-         see `mdw_corpus::keyword_eval`) against `MetadataWarehouse::answer`\n\
-         at top-k = 3. CI gates mean precision@3 at **≥ 0.8**.\n\n",
-    );
-    section.push_str("| case kind | cases | mean precision@3 |\n|---|---|---|\n");
-    for (kind, group) in by_kind {
-        section.push_str(&format!("| {kind} | {} | {:.3} |\n", group.len(), mean(group)));
-    }
-    section.push_str(&format!("| **all** | **{}** | **{overall:.3}** |\n", graded.len()));
-    section.push('\n');
-
-    let marker = "## K1 ";
-    let updated = match text.find(marker) {
-        Some(start) => {
-            // Replace up to the next section heading (or EOF).
-            let rest = &text[start..];
-            let end = rest[marker.len()..]
-                .find("\n## ")
-                .map(|off| start + marker.len() + off + 1)
-                .unwrap_or(text.len());
-            format!("{}{}{}", &text[..start], section, &text[end..])
-        }
-        None => format!("{}\n---\n\n{}", text.trim_end(), section),
-    };
-    std::fs::write(path, updated).expect("write EXPERIMENTS.md");
 }

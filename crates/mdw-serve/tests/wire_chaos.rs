@@ -275,6 +275,7 @@ fn both_stats_routes_render_every_counter_once() {
         keys(object(field(doc, "answer"))),
         [
             "answered",
+            "plan_steps",
             "candidates_planned",
             "candidates_executed",
             "candidates_empty",

@@ -13,7 +13,9 @@ use mdw_core::search::SearchRequest;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::{eval_cases, eval_config, fig2, generate, CorpusConfig, Grade, Scale};
 use mdw_rdf::term::Term;
+use mdw_rdf::triple::Triple;
 use mdw_rdf::vocab;
+use mdw_reason::{Materialization, Rulebase};
 use mdw_relational::search::RelSearchRequest;
 use mdw_relational::lineage::RelLineageRequest;
 use mdw_relational::{load_extracts, rel_lineage, rel_search, Migration, RelationalStore};
@@ -217,7 +219,7 @@ fn edge_category_of(
 
 /// Traces the Figure 4 pipeline stage by stage with counts and timings.
 pub fn fig4_pipeline(scale: Scale) -> String {
-    let loaded = load_scale(scale);
+    let mut loaded = load_scale(scale);
     let mut out = String::new();
     let _ = writeln!(out, "== F4 / Figure 4 — pipeline trace at {scale:?} scale ==\n");
     let _ = writeln!(out, "source extracts → RDF triples:");
@@ -250,6 +252,48 @@ pub fn fig4_pipeline(scale: Scale) -> String {
     for (rule, n) in rules {
         let _ = writeln!(out, "    {rule:<32} {n}");
     }
+
+    // Beside the build: the RDFS core alone against the OWLPRIME subset on
+    // the same model, then one fact arriving on the built index.
+    let model = loaded.warehouse.model_name().to_string();
+    let mut dict = loaded.warehouse.store().dict().clone();
+    let (rdfs, owlprime) = (Rulebase::rdfs(&mut dict), Rulebase::owlprime(&mut dict));
+    let base = loaded.warehouse.store().model(&model).expect("model");
+    let t = Instant::now();
+    let rdfs_only = Materialization::materialize(base, &rdfs, &dict);
+    let rdfs_time = t.elapsed();
+    let t = Instant::now();
+    let mut index = Materialization::materialize(base, &owlprime, &dict);
+    let owlprime_time = t.elapsed();
+    let _ = writeln!(
+        out,
+        "rulebase ablation:        RDFS {} derived in {rdfs_time:?}, OWLPRIME {} in {owlprime_time:?}",
+        rdfs_only.derived().len(),
+        index.derived().len()
+    );
+
+    let (s, p, o) = (
+        Term::iri(vocab::cs::dwh("fig4/new_col")),
+        Term::iri(vocab::rdf::TYPE),
+        dm("Column"),
+    );
+    loaded.warehouse.insert_fact(&s, &p, &o).expect("insert");
+    let store = loaded.warehouse.store();
+    let id = |term: &Term| store.encode(term).expect("interned by the insert");
+    let before = index.derived().len();
+    let t = Instant::now();
+    index.extend(
+        store.model(&model).expect("model"),
+        &owlprime,
+        store.dict(),
+        &[Triple::new(id(&s), id(&p), id(&o))],
+    );
+    let extend_time = t.elapsed();
+    let _ = writeln!(
+        out,
+        "one-fact extend:          +{} derived in {extend_time:?}",
+        index.derived().len() - before
+    );
     out
 }
 

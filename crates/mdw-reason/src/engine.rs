@@ -1,11 +1,29 @@
-//! Semi-naive forward chaining: materializes derived triples into a
+//! Forward chaining to fixpoint: materializes derived triples into a
 //! separate index (the paper's "semantic index").
 //!
 //! The derived index never contains asserted triples, so unioning base and
-//! derived is duplicate-free by construction. The engine is *semi-naive*: in
-//! every round, each rule is evaluated once per body-atom position, with that
-//! atom restricted to the previous round's delta — so work is proportional to
-//! new facts, not to the whole graph, after the first round.
+//! derived is duplicate-free by construction. Evaluation is ordered so that
+//! a rule costs what the schema lets it match, not the size of the graph:
+//!
+//! * **Naive first round.** [`Materialization::materialize`] evaluates every
+//!   rule once with each body atom over base ∪ derived — no copy of the base
+//!   as a delta. Every derivation from base facts alone is found here.
+//! * **Frozen deltas.** Each later round is semi-naive: every rule once per
+//!   body position, that atom restricted to the triples the previous round
+//!   derived, held as a [`FrozenIndex`] so a delta atom with bound positions
+//!   is a range scan. [`Materialization::extend`] starts semi-naive, with
+//!   the new facts as the first delta.
+//! * **Schema-first joins.** Before a (rule, delta position) pair runs, each
+//!   body atom's constant-only pattern is counted — on the delta for the
+//!   delta atom, on base plus derived (capped) for the others. A zero count
+//!   is exact and skips the pair: a rule whose schema atom (`subPropertyOf`,
+//!   `inverseOf`, `sameAs`, …) matches nothing costs a few probes. Otherwise
+//!   the atoms join smallest first, ties in body order.
+//! * **Buffered heads.** Bindings live in one array that is restored on
+//!   backtrack; a pair's heads go into one reused buffer and are checked
+//!   (well-formed, not asserted, new) after its search, in key order. A pair
+//!   so never sees its own heads; they reach the next round's delta instead,
+//!   which can add a round but not change the fixpoint.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -19,10 +37,14 @@ use mdw_rdf::triple::{Triple, TriplePattern};
 use crate::rule::{Rule, RuleAtom, RuleTerm};
 use crate::rulebase::Rulebase;
 
+/// Cap on the per-atom match counts that order a join. Counts above it
+/// tie; only zero — which is exact — decides whether a pair runs.
+const ESTIMATE_CAP: usize = 4096;
+
 /// Statistics from a materialization run.
 #[derive(Debug, Clone, Default)]
 pub struct MaterializeStats {
-    /// Number of semi-naive rounds until fixpoint.
+    /// Number of evaluation rounds until fixpoint.
     pub rounds: usize,
     /// Total derived triples.
     pub derived: usize,
@@ -49,8 +71,7 @@ impl Materialization {
         dict: &Dictionary,
     ) -> Self {
         let mut m = Materialization::default();
-        let delta: Vec<Triple> = base.scan_pattern(TriplePattern::any()).collect();
-        m.run(base, rulebase, dict, delta);
+        m.run(base, rulebase, dict, None);
         m
     }
 
@@ -71,7 +92,7 @@ impl Materialization {
         for &t in new_facts {
             self.derived.remove(t);
         }
-        self.run(base, rulebase, dict, new_facts.to_vec());
+        self.run(base, rulebase, dict, Some(frozen_delta(new_facts.to_vec())));
         self.stats.derived = self.derived.len();
     }
 
@@ -92,149 +113,215 @@ impl Materialization {
         &self.stats
     }
 
+    /// Evaluates rounds until one derives nothing. `delta` is the first
+    /// round's delta; `None` makes that round naive over base ∪ derived.
     fn run<B: TripleSource + ?Sized>(
         &mut self,
         base: &B,
         rulebase: &Rulebase,
         dict: &Dictionary,
-        mut delta: Vec<Triple>,
+        mut delta: Option<FrozenIndex>,
     ) {
-        if rulebase.is_empty() {
+        if rulebase.is_empty() || delta.as_ref().is_some_and(FrozenIndex::is_empty) {
             return;
         }
-        while !delta.is_empty() {
+        let mut heads = Vec::new();
+        loop {
             self.stats.rounds += 1;
-            let mut new_delta: Vec<Triple> = Vec::new();
+            let mut fresh = Vec::new();
             for rule in &rulebase.rules {
-                for delta_pos in 0..rule.body.len() {
-                    self.eval_rule(base, dict, rule, delta_pos, &delta, &mut new_delta);
+                match &delta {
+                    None => self.eval(base, dict, rule, None, &mut heads, &mut fresh),
+                    Some(d) => {
+                        for pos in 0..rule.body.len() {
+                            self.eval(base, dict, rule, Some((d, pos)), &mut heads, &mut fresh);
+                        }
+                    }
                 }
             }
-            delta = new_delta;
+            if fresh.is_empty() {
+                break;
+            }
+            delta = Some(frozen_delta(fresh));
         }
         self.stats.derived = self.derived.len();
     }
 
-    /// Evaluates one rule with body atom `delta_pos` restricted to the delta.
-    fn eval_rule<B: TripleSource + ?Sized>(
+    /// Evaluates one rule — with body atom `pos` restricted to `delta` when
+    /// one is given — then files its new heads into the index and `fresh`.
+    fn eval<B: TripleSource + ?Sized>(
         &mut self,
         base: &B,
         dict: &Dictionary,
         rule: &Rule,
-        delta_pos: usize,
-        delta: &[Triple],
-        new_delta: &mut Vec<Triple>,
+        delta: Option<(&FrozenIndex, usize)>,
+        heads: &mut Vec<Triple>,
+        fresh: &mut Vec<Triple>,
     ) {
-        let mut bindings = vec![None; rule.var_count()];
-        let delta_atom = rule.body[delta_pos];
-        for &t in delta {
-            bindings.iter_mut().for_each(|b| *b = None);
-            if !unify(delta_atom, t, &mut bindings) {
-                continue;
+        let Some(steps) = self.join_order(base, rule, delta) else {
+            return;
+        };
+        let pass = Pass {
+            base,
+            derived: &self.derived,
+            delta: delta.map(|(d, _)| d),
+            steps: &steps,
+            head: rule.head,
+        };
+        pass.search(0, &mut vec![None; rule.var_count()], heads);
+
+        // In key order the checks below walk base and derived with warm
+        // caches, and a head found twice is checked once.
+        heads.sort_unstable();
+        heads.dedup();
+        let before = fresh.len();
+        for t in heads.drain(..) {
+            if well_formed(dict, t) && !base.contains_triple(t) && self.derived.insert(t) {
+                fresh.push(t);
             }
-            let rest: Vec<RuleAtom> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != delta_pos)
-                .map(|(_, a)| *a)
-                .collect();
-            self.join_rest(base, dict, rule, &rest, 0, &mut bindings, new_delta);
+        }
+        if fresh.len() > before {
+            *self.stats.per_rule.entry(rule.name).or_insert(0) += fresh.len() - before;
         }
     }
 
-    /// Joins remaining body atoms depth-first; on a full match, emits the
-    /// head triple if it is well-formed and new.
-    #[allow(clippy::too_many_arguments)]
-    fn join_rest<B: TripleSource + ?Sized>(
-        &mut self,
+    /// The body atoms in join order, each flagged `true` if it reads the
+    /// delta — or `None` when some atom's constant-only pattern matches
+    /// nothing, so the pair cannot fire. Delta counts are exact O(log n)
+    /// probes and come first; the base estimate and the capped derived
+    /// count are paid only once every delta atom has a match.
+    fn join_order<B: TripleSource + ?Sized>(
+        &self,
         base: &B,
-        dict: &Dictionary,
         rule: &Rule,
-        rest: &[RuleAtom],
-        pos: usize,
-        bindings: &mut Vec<Option<TermId>>,
-        new_delta: &mut Vec<Triple>,
-    ) {
-        if pos == rest.len() {
-            self.emit_head(base, dict, rule, bindings, new_delta);
-            return;
-        }
-        let atom = rest[pos];
-        let pattern = TriplePattern {
-            s: atom.s.resolve(bindings),
-            p: atom.p.resolve(bindings),
-            o: atom.o.resolve(bindings),
-        };
-        // Scan base and derived; they are disjoint by construction.
-        let matches: Vec<Triple> = base
-            .scan_pattern(pattern)
-            .chain(self.derived.scan(pattern))
-            .collect();
-        for t in matches {
-            let saved = bindings.clone();
-            if unify(atom, t, bindings) {
-                self.join_rest(base, dict, rule, rest, pos + 1, bindings, new_delta);
+        delta: Option<(&FrozenIndex, usize)>,
+    ) -> Option<Vec<(RuleAtom, bool)>> {
+        let delta_pos = delta.map(|(_, pos)| pos);
+        let others = (0..rule.body.len()).filter(|&i| Some(i) != delta_pos);
+        let mut sized = Vec::with_capacity(rule.body.len());
+        for i in delta_pos.into_iter().chain(others) {
+            let pattern = instantiate(rule.body[i], &[]);
+            let n = match delta {
+                Some((d, pos)) if pos == i => d.count_exact(pattern),
+                _ => {
+                    base.estimate(pattern, ESTIMATE_CAP)
+                        + self.derived.count(pattern, Some(ESTIMATE_CAP))
+                }
+            };
+            if n == 0 {
+                return None;
             }
-            *bindings = saved;
+            sized.push((n.min(ESTIMATE_CAP), i));
         }
-    }
-
-    fn emit_head<B: TripleSource + ?Sized>(
-        &mut self,
-        base: &B,
-        dict: &Dictionary,
-        rule: &Rule,
-        bindings: &[Option<TermId>],
-        new_delta: &mut Vec<Triple>,
-    ) {
-        let (Some(s), Some(p), Some(o)) = (
-            rule.head.s.resolve(bindings),
-            rule.head.p.resolve(bindings),
-            rule.head.o.resolve(bindings),
-        ) else {
-            return; // range restriction makes this unreachable, but be safe
-        };
-        // RDF well-formedness of derived triples: no literal subjects, no
-        // non-IRI predicates (can arise from rdfs3-range on literal objects).
-        match dict.term(s) {
-            Some(term) if term.is_subject_capable() => {}
-            _ => return,
-        }
-        match dict.term(p) {
-            Some(term) if term.is_iri() => {}
-            _ => return,
-        }
-        let t = Triple::new(s, p, o);
-        if base.contains_triple(t) || self.derived.contains(t) {
-            return;
-        }
-        self.derived.insert(t);
-        *self.stats.per_rule.entry(rule.name).or_insert(0) += 1;
-        new_delta.push(t);
+        // Smallest first; equal estimates keep body order.
+        sized.sort_unstable();
+        Some(
+            sized
+                .into_iter()
+                .map(|(_, i)| (rule.body[i], Some(i) == delta_pos))
+                .collect(),
+        )
     }
 }
 
-/// Unifies an atom against a concrete triple, extending `bindings`.
-/// Returns `false` (leaving bindings partially updated — callers save and
-/// restore) when a constant or an already-bound variable disagrees.
-fn unify(atom: RuleAtom, t: Triple, bindings: &mut [Option<TermId>]) -> bool {
-    unify_pos(atom.s, t.s, bindings)
-        && unify_pos(atom.p, t.p, bindings)
-        && unify_pos(atom.o, t.o, bindings)
+/// One (rule, delta position) search: the sources each step reads and the
+/// head it instantiates. Borrows the derived index, which no one changes
+/// until the search is over.
+struct Pass<'a, B: ?Sized> {
+    base: &'a B,
+    derived: &'a TripleIndex,
+    delta: Option<&'a FrozenIndex>,
+    steps: &'a [(RuleAtom, bool)],
+    head: RuleAtom,
 }
 
-fn unify_pos(rt: RuleTerm, id: TermId, bindings: &mut [Option<TermId>]) -> bool {
-    match rt {
+impl<B: TripleSource + ?Sized> Pass<'_, B> {
+    /// Matches steps `step..` depth-first under `bindings`, pushing one
+    /// head per complete match.
+    fn search(&self, step: usize, bindings: &mut [Option<TermId>], heads: &mut Vec<Triple>) {
+        let Some(&(atom, in_delta)) = self.steps.get(step) else {
+            // Range restriction binds every head variable by now.
+            let head = instantiate(self.head, bindings);
+            if let (Some(s), Some(p), Some(o)) = (head.s, head.p, head.o) {
+                heads.push(Triple::new(s, p, o));
+            }
+            return;
+        };
+        let pattern = instantiate(atom, bindings);
+        if in_delta {
+            let delta = self.delta.expect("a delta step implies a delta");
+            for t in delta.run(pattern) {
+                self.descend(step, atom, t, bindings, heads);
+            }
+        } else {
+            // Base and derived are disjoint by construction.
+            for t in self
+                .base
+                .scan_pattern(pattern)
+                .chain(self.derived.scan(pattern))
+            {
+                self.descend(step, atom, t, bindings, heads);
+            }
+        }
+    }
+
+    /// Binds `atom`'s free variables to `t`, searches the next step, and
+    /// unbinds them again.
+    fn descend(
+        &self,
+        step: usize,
+        atom: RuleAtom,
+        t: Triple,
+        bindings: &mut [Option<TermId>],
+        heads: &mut Vec<Triple>,
+    ) {
+        let terms = [(atom.s, t.s), (atom.p, t.p), (atom.o, t.o)];
+        let free = terms.map(|(term, _)| match term {
+            RuleTerm::Var(v) if bindings[v as usize].is_none() => Some(v as usize),
+            _ => None,
+        });
+        if terms
+            .into_iter()
+            .all(|(term, id)| unify(term, id, bindings))
+        {
+            self.search(step + 1, bindings, heads);
+        }
+        for v in free.into_iter().flatten() {
+            bindings[v] = None;
+        }
+    }
+}
+
+/// Binds a free variable to `id`; a constant or a bound variable must
+/// equal it.
+fn unify(term: RuleTerm, id: TermId, bindings: &mut [Option<TermId>]) -> bool {
+    match term {
         RuleTerm::Const(c) => c == id,
-        RuleTerm::Var(v) => match bindings[v as usize] {
-            Some(bound) => bound == id,
-            None => {
-                bindings[v as usize] = Some(id);
-                true
-            }
-        },
+        RuleTerm::Var(v) => *bindings[v as usize].get_or_insert(id) == id,
     }
+}
+
+/// `atom` as a pattern under `bindings`: constants and bound variables set.
+fn instantiate(atom: RuleAtom, bindings: &[Option<TermId>]) -> TriplePattern {
+    TriplePattern {
+        s: atom.s.resolve(bindings),
+        p: atom.p.resolve(bindings),
+        o: atom.o.resolve(bindings),
+    }
+}
+
+/// RDF well-formedness of a derived triple: no literal subject (it can
+/// arise from `rdfs3-range` or an inverse over a literal object) and an
+/// IRI predicate.
+fn well_formed(dict: &Dictionary, t: Triple) -> bool {
+    dict.term(t.s).is_some_and(|term| term.is_subject_capable())
+        && dict.term(t.p).is_some_and(|term| term.is_iri())
+}
+
+/// A round's delta as a frozen index, so a delta atom with bound positions
+/// is a range scan.
+fn frozen_delta(triples: Vec<Triple>) -> FrozenIndex {
+    FrozenIndex::from_spo_rows(triples.into_iter().map(Triple::as_tuple).collect())
 }
 
 #[cfg(test)]

@@ -16,9 +16,13 @@
 //!   paper relies on (subclass/subproperty transitivity and inheritance,
 //!   domain/range, symmetric/transitive/inverse properties, equivalence,
 //!   `owl:sameAs`),
-//! * [`engine`] — semi-naive forward chaining that materializes derived
-//!   triples into a separate [`TripleIndex`](mdw_rdf::TripleIndex) (the
-//!   "semantic index"), with incremental extension when new facts arrive,
+//! * [`engine`] — forward chaining that materializes derived triples into a
+//!   separate [`TripleIndex`](mdw_rdf::TripleIndex) (the "semantic index"),
+//!   with incremental extension when new facts arrive. A build is one naive
+//!   round over the base, then semi-naive rounds over frozen deltas; each
+//!   (rule, delta position) pair first counts its atoms' constant-only
+//!   patterns, skips when one matches nothing, and otherwise joins smallest
+//!   first, buffering its heads until the search is over,
 //! * [`entailed::EntailedGraph`] — a [`TripleSource`](mdw_rdf::TripleSource)
 //!   view unioning a base graph with its entailment index, which is what a
 //!   query gets when it opts into `SEM_RULEBASES('OWLPRIME')`.

@@ -45,6 +45,31 @@ fn medium_corpus_full_stack() {
 }
 
 #[test]
+fn medium_semantic_index_is_pinned() {
+    // The exact derived set of the medium corpus: any change to rule
+    // evaluation must reproduce it triple for triple, and credit each
+    // triple to the same rule.
+    let mut w = MetadataWarehouse::new();
+    w.ingest(generate(&CorpusConfig::medium()).into_extracts())
+        .unwrap();
+    let stats = w.build_semantic_index().unwrap();
+    assert_eq!(stats.derived, 7_349);
+    assert_eq!(
+        w.entailed().unwrap().derived().checksum(),
+        0x5376_9ad9_cfe9_728d
+    );
+    let per_rule: Vec<_> = stats.per_rule.into_iter().collect();
+    assert_eq!(
+        per_rule,
+        [
+            ("owl-symmetric", 2_369),
+            ("rdfs11-subclass-transitivity", 157),
+            ("rdfs9-type-inheritance", 4_823),
+        ]
+    );
+}
+
+#[test]
 fn census_matches_paper_structure() {
     let (w, _) = loaded(&CorpusConfig::medium());
     let census = w.census().unwrap();

@@ -24,7 +24,7 @@ use mdw_corpus::{generate, CorpusConfig, Scale};
 use mdw_rdf::failpoint::{self, FailSpec};
 use mdw_rdf::metrics::CounterSet;
 use mdw_rdf::{vocab, Term};
-use mdw_serve::client::{frame_length, parse_response, WireResponse};
+use mdw_serve::client::{parse_response, FrameDecoder, WireResponse};
 use mdw_serve::conn::{Conn, ConnTimeouts, Wants};
 use mdw_serve::http;
 use mdw_serve::router::{execute_job, handle_connection};
@@ -618,8 +618,10 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     let (outcome, raw) = drive(&state, &request);
     assert_eq!(outcome, ConnOutcome::Served);
     // Two complete frames back-to-back on the one connection.
-    let first_len = frame_length(&raw).expect("first frame closed");
-    let first = parse_response(&raw[..first_len]).unwrap();
+    let mut decoder = FrameDecoder::default();
+    let first_len = decoder.decode(&raw).unwrap();
+    assert!(decoder.is_complete(), "first frame closed");
+    let first = decoder.finish().unwrap();
     assert_eq!(first.status, 200);
     assert!(first.complete_frame);
     assert_eq!(first.body, "ok\n");

@@ -239,6 +239,7 @@ pub fn fig4_pipeline(scale: Scale) -> String {
         loaded.ingest.load.rejections.len(),
         loaded.ingest.load_time
     );
+    let _ = writeln!(out, "fold → solid base:        {:?}", loaded.ingest.fold_time);
     let stats = loaded.warehouse.stats().expect("stats");
     let _ = writeln!(out, "model:                    {} nodes, {} edges", stats.nodes, stats.edges);
     let _ = writeln!(

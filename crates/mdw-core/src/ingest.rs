@@ -73,6 +73,9 @@ pub struct IngestReport {
     pub stage_time: Duration,
     /// Time spent bulk-loading.
     pub load_time: Duration,
+    /// Time spent folding the run stack into the solid base once every
+    /// extract has loaded.
+    pub fold_time: Duration,
 }
 
 impl IngestReport {

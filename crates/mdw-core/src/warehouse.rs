@@ -16,7 +16,6 @@
 //! 5. [`MetadataWarehouse::snapshot`] historizes the current graph at each
 //!    release.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -314,7 +313,11 @@ impl MetadataWarehouse {
     ///    and the caller gets the error;
     /// 2. provenance: the inserted triples are attributed to `source`
     ///    (additive deliveries; a replacing delivery records its own set
-    ///    once this returns);
+    ///    once this returns). The ids are the engine's own — it hands each
+    ///    batch back sorted by triple
+    ///    ([`Committed`](mdw_rdf::lsm::Committed)) — so provenance and the
+    ///    "gained" count below read one sorted list and no term is looked
+    ///    up again;
     /// 3. the semantic index is extended with the triples the model gained
     ///    when the delivery only added, and dropped when it removed (no
     ///    truth maintenance for retracted facts);
@@ -333,43 +336,40 @@ impl MetadataWarehouse {
         if inserts.is_empty() && removes.is_empty() {
             return Ok(0);
         }
-        let (inserted, removed) = (inserts.len(), !removes.is_empty());
+        let removed = !removes.is_empty();
         let ops: Vec<JournalOp> = inserts
             .into_iter()
             .map(|(s, p, o)| JournalOp::Insert(s, p, o))
             .chain(removes.into_iter().map(|(s, p, o)| JournalOp::Remove(s, p, o)))
             .collect();
-        self.lsm.write_batch(&self.model, &ops)?;
+        let committed = self.lsm.write_batch(&self.model, &ops)?;
+        // Only ids from here on: the delivery's terms go before the id
+        // lists are built, not after.
+        drop(ops);
         let store = self.lsm.snapshot();
         let (held, now) = (self.pinned.store.model(&self.model)?, store.model(&self.model)?);
         let dict = store.dict();
 
-        let id = |t: &Term| dict.lookup(t).expect("write_batch interned it");
-        let mut gained: Vec<Triple> = ops
-            .into_iter()
-            .take(inserted)
-            .map(|op| match op {
-                JournalOp::Insert(s, p, o) | JournalOp::Remove(s, p, o) => {
-                    Triple::new(id(&s), id(&p), id(&o))
-                }
-            })
-            .collect();
-        if let Some(source) = source {
-            self.sources.record_additive(source, gained.iter().copied());
-        }
-        gained.retain(|&t| !held.contains(t));
-        gained.sort_unstable();
-        gained.dedup();
-
-        let materialization = match self.pinned.materialization.take() {
+        // A fresh list, not the engine's reused in place: it can settle in
+        // the memory the terms just freed, and the engine's wider
+        // `(bool, Triple)` list is released whole.
+        let mut inserted: Vec<Triple> = Vec::with_capacity(committed.ops.len());
+        inserted.extend(committed.ops.iter().filter_map(|&(insert, t)| insert.then_some(t)));
+        drop(committed);
+        let fresh = |t: &&Triple| !held.contains(**t);
+        let (gained, materialization) = match self.pinned.materialization.take() {
             Some(mut m) if !removed => {
+                let gained: Vec<Triple> = inserted.iter().filter(fresh).copied().collect();
                 m.extend(now, &self.rulebase, dict, &gained);
-                Some(m)
+                (gained.len(), Some(m))
             }
-            _ => None,
+            _ => (inserted.iter().filter(fresh).count(), None),
         };
+        if let Some(source) = source {
+            self.sources.record_additive(source, inserted);
+        }
         self.pinned = Generation::new(store, materialization);
-        Ok(gained.len())
+        Ok(gained)
     }
 
     /// Ends a bulk delivery: seals the memtable and folds every run into
@@ -430,6 +430,7 @@ impl MetadataWarehouse {
             load: LoadReport::default(),
             stage_time: Duration::ZERO,
             load_time: Duration::ZERO,
+            fold_time: Duration::ZERO,
         };
         let loaded = extracts.into_iter().try_for_each(|extract| {
             report.extracts.push((extract.source.clone(), extract.triples.len()));
@@ -443,7 +444,9 @@ impl MetadataWarehouse {
             report.load.rejections.extend(load.rejections);
             Ok(())
         });
+        let started = Instant::now();
         self.fold();
+        report.fold_time = started.elapsed();
         loaded.map(|()| report)
     }
 
@@ -551,11 +554,13 @@ impl MetadataWarehouse {
         // Provenance is kept in id space, so the delivery gets its ids
         // first; the diff then names what to insert and what to remove.
         let (delivered, inserts, removes, report) = self.lsm.with_dict(|dict| {
-            let delivered: BTreeSet<Triple> = extract
+            let mut delivered: Vec<Triple> = extract
                 .triples
                 .iter()
                 .map(|(s, p, o)| Triple::new(dict.intern(s), dict.intern(p), dict.intern(o)))
                 .collect();
+            delivered.sort_unstable();
+            delivered.dedup();
             let (added, removed, report) = self.sources.diff(&extract.source, &delivered);
             let terms = |t: &Triple| {
                 let term = |id| dict.term_unchecked(id).clone();

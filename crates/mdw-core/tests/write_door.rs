@@ -8,8 +8,10 @@
 //!
 //! * the pinned snapshot holds exactly the oracle's models with exactly the
 //!   oracle's triples — so a `HIST_*` model never changes once taken;
+//! * the registered sources are the oracle's;
 //! * the numbers each operation reports (loaded / duplicates / rejected,
-//!   added / removed, fresh) are the oracle's;
+//!   added / removed / retained by others / unchanged, fresh) are the
+//!   oracle's;
 //! * the current model is solid (`!is_stacked()`) after every bulk step;
 //! * a built semantic index — extended incrementally by every delivery
 //!   since — holds exactly the triples the reasoner derives from scratch
@@ -144,6 +146,8 @@ fn check(w: &MetadataWarehouse, oracle: &Oracle, after_bulk: bool, step: &str) {
         assert_eq!(&decoded(store, graph.iter()), want, "model {name} after {step}");
         assert_eq!(graph.len(), want.len(), "model {name} length after {step}");
     }
+    let sources: Vec<&str> = oracle.by_source.keys().map(String::as_str).collect();
+    assert_eq!(w.sources(), sources, "sources after {step}");
     let current = store.model(DEFAULT_MODEL).unwrap();
     if after_bulk {
         assert!(!current.is_stacked(), "current model stacked after bulk step {step}");
@@ -202,18 +206,23 @@ fn run(ops: Vec<Op>) {
                 if delivered.iter().all(well_formed) {
                     let new: BTreeSet<Fact> = delivered.into_iter().collect();
                     let old = oracle.by_source.remove(&source).unwrap_or_default();
-                    let mut removed = 0;
+                    let (mut removed, mut retained) = (0, 0);
                     for f in old.difference(&new) {
-                        if !oracle.by_source.values().any(|set| set.contains(f)) {
+                        if oracle.by_source.values().any(|set| set.contains(f)) {
+                            retained += 1;
+                        } else {
                             oracle.current().remove(f);
                             removed += 1;
                         }
                     }
                     let added = new.difference(&old).count();
+                    let unchanged = new.intersection(&old).count();
                     oracle.current().extend(new.difference(&old).cloned());
                     oracle.by_source.insert(source, new);
                     let report = result.unwrap();
-                    assert_eq!((report.added, report.removed), (added, removed), "{step}");
+                    let got =
+                        (report.added, report.removed, report.retained_by_others, report.unchanged);
+                    assert_eq!(got, (added, removed, retained, unchanged), "{step}");
                 } else {
                     assert!(matches!(result, Err(MdwError::InvalidRequest(_))), "{step}");
                     bulk = false;
@@ -293,6 +302,54 @@ fn shared_assertions_across_a_reopen() {
         Op::Resync(0, vec![]),
         Op::Snapshot(0),
         Op::Checkpoint,
+        Op::Reopen,
+    ]);
+}
+
+/// Deliveries larger than the engine's memtable (32 768 ops) are sealed as
+/// runs of their own instead of entering it; the proptest's never are.
+/// Two sources deliver such extracts sharing a subset, then one resyncs
+/// with a delivery that drops part of the shared subset (retained by the
+/// other source) and part of its own facts (removed) and brings new ones —
+/// itself a bulk batch of inserts and tombstones.
+#[test]
+fn bulk_deliveries_and_a_bulk_resync() {
+    const SHARED: usize = 6_000;
+    const OWN: usize = 30_000;
+    let bulk_fact = |tag: &str, i: usize| -> Fact {
+        let subject = Term::iri(format!("http://ex.org/{tag}/{i}"));
+        if i.is_multiple_of(4) {
+            (subject, Term::iri(vocab::rdf::TYPE), node(5 + (i % 3) as u64))
+        } else {
+            (subject, Term::iri("http://ex.org/p"), Term::plain(format!("value {}", i % 89)))
+        }
+    };
+    let own = |tag: &'static str| (0..OWN).map(move |i| bulk_fact(tag, i));
+    let shared: Vec<Fact> = [fact((5, 1, 6)), fact((6, 1, 7))]
+        .into_iter()
+        .chain((0..SHARED).map(|i| bulk_fact("shared", i)))
+        .collect();
+    let first: Vec<Fact> = shared.iter().cloned().chain(own("a")).collect();
+    // The second extract also repeats some of its own facts and carries
+    // one ill-formed row.
+    let second: Vec<Fact> = shared
+        .iter()
+        .cloned()
+        .chain(own("b"))
+        .chain(own("b").take(500))
+        .chain([(Term::plain("a literal subject"), Term::iri("http://ex.org/p"), node(0))])
+        .collect();
+    let resynced: Vec<Fact> = shared[SHARED / 2..]
+        .iter()
+        .cloned()
+        .chain(own("a").skip(OWN / 3))
+        .chain(own("c"))
+        .collect();
+    run(vec![
+        Op::BuildIndex,
+        Op::Ingest(vec![(0, first), (1, second)]),
+        Op::Snapshot(0),
+        Op::Resync(0, resynced),
         Op::Reopen,
     ]);
 }

@@ -60,8 +60,8 @@ impl FrozenIndex {
     }
 
     /// Builds a frozen index from SPO rows that are already sorted and
-    /// duplicate-free — the compaction path produces exactly that (a k-way
-    /// merge emits SPO order), so the primary column's re-sort is skipped.
+    /// duplicate-free — a memtable's sets and a bulk batch's net ops are
+    /// exactly that — so only POS and OSP are sorted.
     pub fn from_sorted_spo_rows(spo: Vec<Key>) -> Self {
         debug_assert!(spo.windows(2).all(|w| w[0] < w[1]), "rows must be sorted and deduped");
         let mut pos: Vec<Key> = spo.iter().map(|&(s, p, o)| (p, o, s)).collect();
@@ -123,6 +123,16 @@ impl FrozenIndex {
         let window = &rest[bound / 2..bound.min(rest.len())];
         let hi = lo + bound / 2 + window.partition_point(|&k| k <= hi_key);
         (column, lo, hi, perm)
+    }
+
+    /// The whole column of one permutation, as a scan.
+    fn column(&self, perm: Permutation) -> FrozenRun<'_> {
+        let rows = match perm {
+            Permutation::Spo => &self.spo,
+            Permutation::Pos => &self.pos,
+            Permutation::Osp => &self.osp,
+        };
+        FrozenRun { rows: rows.iter(), perm }
     }
 
     /// Pattern scan: a zero-allocation iterator over one contiguous slice of
@@ -204,21 +214,23 @@ impl FrozenRun<'_> {
         FrozenRun { rows: [].iter(), perm: Permutation::Spo }
     }
 
-    fn remap(&self, k: Key) -> Triple {
-        let (s, p, o) = match self.perm {
-            Permutation::Spo => k,
-            Permutation::Pos => (k.2, k.0, k.1),
-            Permutation::Osp => (k.1, k.2, k.0),
-        };
-        Triple::from_tuple((s, p, o))
-    }
+}
+
+/// A row of `perm`'s column as the triple it stores.
+fn remap(perm: Permutation, k: Key) -> Triple {
+    let (s, p, o) = match perm {
+        Permutation::Spo => k,
+        Permutation::Pos => (k.2, k.0, k.1),
+        Permutation::Osp => (k.1, k.2, k.0),
+    };
+    Triple::from_tuple((s, p, o))
 }
 
 impl Iterator for FrozenRun<'_> {
     type Item = Triple;
 
     fn next(&mut self) -> Option<Triple> {
-        self.rows.next().map(|&k| self.remap(k))
+        self.rows.next().map(|&k| remap(self.perm, k))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -230,7 +242,7 @@ impl ExactSizeIterator for FrozenRun<'_> {}
 
 impl DoubleEndedIterator for FrozenRun<'_> {
     fn next_back(&mut self) -> Option<Triple> {
-        self.rows.next_back().map(|&k| self.remap(k))
+        self.rows.next_back().map(|&k| remap(self.perm, k))
     }
 }
 
@@ -281,31 +293,21 @@ impl DeltaRun {
     }
 }
 
-/// The permuted comparison key of a triple — the order rows of that
-/// permutation's column sort in.
-fn perm_key(perm: Permutation, t: Triple) -> Key {
-    let (s, p, o) = t.as_tuple();
-    match perm {
-        Permutation::Spo => (s, p, o),
-        Permutation::Pos => (p, o, s),
-        Permutation::Osp => (o, s, p),
-    }
-}
-
 /// One layer of a k-way merge: the adds and tombstones of a single run,
-/// both already routed to the scan's permutation, with one-triple lookahead.
+/// both slices of the scan's permutation column — so rows compare as
+/// stored, with no remapping — with one-row lookahead.
 #[derive(Debug, Clone)]
 struct LayerCursor<'a> {
-    adds: FrozenRun<'a>,
-    dels: FrozenRun<'a>,
-    next_add: Option<Triple>,
-    next_del: Option<Triple>,
+    adds: std::slice::Iter<'a, Key>,
+    dels: std::slice::Iter<'a, Key>,
+    next_add: Option<Key>,
+    next_del: Option<Key>,
 }
 
 impl<'a> LayerCursor<'a> {
-    fn new(mut adds: FrozenRun<'a>, mut dels: FrozenRun<'a>) -> Self {
-        let next_add = adds.next();
-        let next_del = dels.next();
+    fn new(adds: FrozenRun<'a>, dels: FrozenRun<'a>) -> Self {
+        let (mut adds, mut dels) = (adds.rows, dels.rows);
+        let (next_add, next_del) = (adds.next().copied(), dels.next().copied());
         LayerCursor { adds, dels, next_add, next_del }
     }
 }
@@ -334,26 +336,32 @@ pub struct MergeScan<'a> {
 
 impl<'a> MergeScan<'a> {
     fn new(base: &'a FrozenIndex, deltas: &'a [Arc<DeltaRun>], pattern: TriplePattern) -> Self {
-        let perm = TripleIndex::route(&pattern);
-        let mut layers = Vec::with_capacity(deltas.len() + 1);
-        layers.push(LayerCursor::new(base.run(pattern), FrozenRun::empty()));
-        for delta in deltas {
-            layers.push(LayerCursor::new(delta.adds.run(pattern), delta.dels.run(pattern)));
-        }
+        Self::over(TripleIndex::route(&pattern), base, deltas, |index| index.run(pattern))
+    }
+
+    /// Merges the slice `rows` picks from every layer's adds and
+    /// tombstones. Layers with nothing in range are left out: they could
+    /// neither emit nor suppress a row.
+    fn over(
+        perm: Permutation,
+        base: &'a FrozenIndex,
+        deltas: &'a [Arc<DeltaRun>],
+        rows: impl Fn(&'a FrozenIndex) -> FrozenRun<'a>,
+    ) -> Self {
+        let layers = std::iter::once(LayerCursor::new(rows(base), FrozenRun::empty()))
+            .chain(deltas.iter().map(|d| LayerCursor::new(rows(&d.adds), rows(&d.dels))))
+            .filter(|c| c.next_add.is_some() || c.next_del.is_some())
+            .collect();
         MergeScan { layers, perm }
     }
-}
 
-impl Iterator for MergeScan<'_> {
-    type Item = Triple;
-
-    fn next(&mut self) -> Option<Triple> {
+    /// The next merged row, as stored in the scan's permutation column.
+    fn next_key(&mut self) -> Option<Key> {
         loop {
-            // The minimum permuted key over every layer's lookahead.
+            // The minimum row over every layer's lookahead.
             let mut min: Option<Key> = None;
             for c in &self.layers {
-                for t in [c.next_add, c.next_del].into_iter().flatten() {
-                    let k = perm_key(self.perm, t);
+                for k in [c.next_add, c.next_del].into_iter().flatten() {
                     if min.is_none_or(|m| k < m) {
                         min = Some(k);
                     }
@@ -362,26 +370,30 @@ impl Iterator for MergeScan<'_> {
             let k = min?;
             // Oldest→newest: the last layer touching `k` decides; every
             // layer holding it advances past it.
-            let mut verdict: Option<(bool, Triple)> = None;
+            let mut emit = false;
             for c in &mut self.layers {
-                if let Some(t) = c.next_add {
-                    if perm_key(self.perm, t) == k {
-                        verdict = Some((true, t));
-                        c.next_add = c.adds.next();
-                    }
+                if c.next_add == Some(k) {
+                    emit = true;
+                    c.next_add = c.adds.next().copied();
                 }
-                if let Some(t) = c.next_del {
-                    if perm_key(self.perm, t) == k {
-                        verdict = Some((false, t));
-                        c.next_del = c.dels.next();
-                    }
+                if c.next_del == Some(k) {
+                    emit = false;
+                    c.next_del = c.dels.next().copied();
                 }
             }
-            if let Some((true, t)) = verdict {
-                return Some(t);
+            if emit {
+                return Some(k);
             }
             // Tombstone won: the key is suppressed, keep scanning.
         }
+    }
+}
+
+impl Iterator for MergeScan<'_> {
+    type Item = Triple;
+
+    fn next(&mut self) -> Option<Triple> {
+        self.next_key().map(|k| remap(self.perm, k))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -570,14 +582,29 @@ impl FrozenGraph {
     }
 
     /// Folds the base and every stacked delta into a single solid index —
-    /// the compaction step. The merged scan already emits strict SPO
-    /// order, so the primary column needs no re-sort.
+    /// the compaction step. Every layer's three columns are already
+    /// sorted, so each output column is a [`MergeScan`] over the inputs'
+    /// columns of the same permutation — newest layer wins, tombstones
+    /// suppress — and nothing is re-sorted.
     pub fn compact(&self) -> FrozenIndex {
         if self.deltas.is_empty() {
             return (*self.base).clone();
         }
-        let rows: Vec<Key> = self.iter().map(|t| t.as_tuple()).collect();
-        FrozenIndex::from_sorted_spo_rows(rows)
+        let merged = |perm| -> Vec<Key> {
+            let mut scan =
+                MergeScan::over(perm, &self.base, &self.deltas, |index| index.column(perm));
+            // Sized for every add; tombstones and overlap can only leave
+            // rows out, and the shrink hands that slack back.
+            let mut rows = Vec::with_capacity(scan.size_hint().1.unwrap_or(0));
+            rows.extend(std::iter::from_fn(|| scan.next_key()));
+            rows.shrink_to_fit();
+            rows
+        };
+        FrozenIndex {
+            spo: merged(Permutation::Spo),
+            pos: merged(Permutation::Pos),
+            osp: merged(Permutation::Osp),
+        }
     }
 
     /// Graph statistics over the merged view, computed once and cached

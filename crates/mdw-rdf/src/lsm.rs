@@ -9,7 +9,8 @@
 //!
 //! ```text
 //! memtable         small live add/tombstone sets, re-frozen per publish
-//! sealed runs      N immutable DeltaRuns (run_<id>.ops on disk)
+//! sealed runs      N immutable DeltaRuns (run_<id>.ops on disk): sealed
+//!                  memtables and bulk batches, in commit order
 //! solid base       one FrozenIndex per model (model_<G>_<i>.nt snapshot)
 //! ```
 //!
@@ -17,6 +18,19 @@
 //! [`FrozenGraph`]s merge all three layers at scan time — same order,
 //! dedup, and tombstone semantics as a single solid run (proven by the
 //! differential suite in `tests/lsm_merge.rs`).
+//!
+//! ## One pass per layer
+//!
+//! A batch is interned once: [`LsmStore::write_batch`] encodes it, sorts
+//! it by triple keeping the newest op per triple, and hands those ids back
+//! ([`Committed`]) so the caller never looks a term up again. A batch of
+//! at least `memtable_limit` ops never enters the memtable: it is already
+//! sorted, so it freezes straight into a run of its own, sealed by the
+//! same routine as a memtable (after sealing whatever the memtable holds,
+//! so run order stays commit order). Compaction
+//! ([`FrozenGraph::compact`]) merges the layers' sorted columns instead of
+//! re-sorting them, so a run folded onto an empty base costs one linear
+//! pass per column.
 //!
 //! ## Group commit
 //!
@@ -162,6 +176,18 @@ pub struct LsmMetrics {
     pub last_seq: u64,
 }
 
+/// An acknowledged batch: its journal sequence and what the engine
+/// applied — the batch's ops in id space, sorted by triple, with only the
+/// newest op per triple kept (applying them in any order leaves the same
+/// model as applying the batch as written).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Committed {
+    /// The batch's journal sequence.
+    pub seq: u64,
+    /// `(is_insert, triple)`, strictly ascending by triple.
+    pub ops: Vec<(bool, Triple)>,
+}
+
 #[derive(Debug, Default)]
 struct Counters {
     commit_windows: AtomicU64,
@@ -211,16 +237,17 @@ impl MemDelta {
         self.adds.len() + self.dels.len()
     }
 
-    fn insert(&mut self, t: Triple) {
+    /// Applies one op: an insert clears a pending tombstone, a remove
+    /// clears a pending add, so the two sides stay disjoint.
+    fn apply(&mut self, (insert, t): (bool, Triple)) {
         let k = t.as_tuple();
-        self.dels.remove(&k);
-        self.adds.insert(k);
-    }
-
-    fn remove(&mut self, t: Triple) {
-        let k = t.as_tuple();
-        self.adds.remove(&k);
-        self.dels.insert(k);
+        if insert {
+            self.dels.remove(&k);
+            self.adds.insert(k);
+        } else {
+            self.adds.remove(&k);
+            self.dels.insert(k);
+        }
     }
 
     fn freeze(&self) -> DeltaRun {
@@ -249,9 +276,12 @@ struct SealedRun {
 #[derive(Debug)]
 struct Pending {
     model: String,
+    /// The batch's net ops in id space ([`net_ops`]).
     encoded: Vec<(bool, Triple)>,
+    /// Ops as written, for the `committed_ops` counter.
+    written: usize,
     raw: Vec<JournalOp>,
-    slot: Arc<Mutex<Option<Result<u64, RdfError>>>>,
+    slot: Arc<Mutex<Option<Result<Committed, RdfError>>>>,
 }
 
 #[derive(Debug)]
@@ -524,13 +554,15 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Group-commits one batch of ops against `model` and returns its
-    /// journal sequence once durable. Blocks for at most one commit window
-    /// (plus any backpressure stall); concurrent callers are batched
-    /// behind a single fsync. The model is created if absent. Sheds with
-    /// [`RdfError::Backpressure`] when compaction debt exceeds the stall
-    /// threshold past the deadline.
-    pub fn write_batch(&self, model: &str, ops: &[JournalOp]) -> Result<u64, RdfError> {
+    /// Group-commits one batch of ops against `model` and, once durable,
+    /// returns its journal sequence and the ids its ops were applied as
+    /// ([`Committed`]). Blocks for at most one commit window (plus any
+    /// backpressure stall); concurrent callers are batched behind a single
+    /// fsync. A batch touching at least `memtable_limit` distinct triples
+    /// becomes a sealed run of its own instead of entering the memtable.
+    /// The model is created if absent. Sheds with [`RdfError::Backpressure`] when compaction debt
+    /// exceeds the stall threshold past the deadline.
+    pub fn write_batch(&self, model: &str, ops: &[JournalOp]) -> Result<Committed, RdfError> {
         self.inner.write_batch(model, ops)
     }
 
@@ -556,7 +588,7 @@ impl LsmStore {
             st = pwait(&inner.commit_cv, st);
         }
         st.committing = true;
-        let (mut st, sealed) = inner.seal_locked(st);
+        let (mut st, sealed) = inner.seal_locked(st, None);
         if sealed.is_ok() {
             inner.publish_locked(&mut st);
         }
@@ -715,7 +747,7 @@ impl Drop for LsmStore {
 }
 
 impl Inner {
-    fn write_batch(&self, model: &str, ops: &[JournalOp]) -> Result<u64, RdfError> {
+    fn write_batch(&self, model: &str, ops: &[JournalOp]) -> Result<Committed, RdfError> {
         let mut st = plock(&self.state);
 
         // Backpressure gate: stall with a deadline, then shed typed.
@@ -748,16 +780,11 @@ impl Inner {
         // mutable id space). Invalid batches never reach the journal.
         let mut encoded = Vec::with_capacity(ops.len());
         for op in ops {
-            let (insert, s, p, o) = match op {
-                JournalOp::Insert(s, p, o) => (true, s, p, o),
-                JournalOp::Remove(s, p, o) => (false, s, p, o),
-            };
-            if insert {
+            if let JournalOp::Insert(s, p, o) = op {
                 check_well_formed(s, p, o)
                     .map_err(|reason| RdfError::InvalidTriple { reason })?;
             }
-            let t = Triple::new(st.dict.intern(s), st.dict.intern(p), st.dict.intern(o));
-            encoded.push((insert, t));
+            encoded.push(encode(&mut st.dict, op));
         }
 
         let slot = Arc::new(Mutex::new(None));
@@ -767,7 +794,8 @@ impl Inner {
         let raw = if self.dir.is_some() { ops.to_vec() } else { Vec::new() };
         st.pending.push_back(Pending {
             model: model.to_string(),
-            encoded,
+            encoded: net_ops(encoded),
+            written: ops.len(),
             raw,
             slot: Arc::clone(&slot),
         });
@@ -792,8 +820,9 @@ impl Inner {
     }
 
     /// The leader's commit window: journal the whole pending queue with
-    /// one fsync, apply to the memtable, maybe seal, publish, and fill
-    /// every follower's slot. Runs with `committing == true`, so the
+    /// one fsync, apply each batch to the memtable or seal it as a run of
+    /// its own, maybe seal the memtable, publish, and fill every
+    /// follower's slot. Runs with `committing == true`, so the
     /// queue and memtable are the leader's alone even where the lock is
     /// dropped for I/O.
     fn commit_window<'a>(
@@ -836,52 +865,73 @@ impl Inner {
                 }
             }
             Ok(seqs) => {
-                let mut ops_committed = 0u64;
-                for (p, &seq) in group.iter().zip(&seqs) {
-                    let delta = st.mem.entry(p.model.clone()).or_default();
-                    let before = delta.ops();
-                    for &(insert, t) in &p.encoded {
-                        if insert {
-                            delta.insert(t);
-                        } else {
-                            delta.remove(t);
+                let (batches, mut ops_committed) = (group.len() as u64, 0u64);
+                let mut acks = Vec::with_capacity(group.len());
+                // A failed seal below is a retry, not a loss: the batches
+                // are durable in the journal either way, and a batch whose
+                // run did not seal joins the memtable instead.
+                for (p, seq) in group.into_iter().zip(seqs) {
+                    let mut sealed = false;
+                    if p.encoded.len() >= self.cfg.memtable_limit {
+                        // A bulk batch never enters the memtable: it is
+                        // sorted already, so it freezes straight into a
+                        // run — stacked on whatever the memtable held, so
+                        // run order stays commit order.
+                        let mut outcome = Ok(());
+                        if st.mem_ops > 0 {
+                            (st, outcome) = self.seal_locked(st, None);
+                        }
+                        if outcome.is_ok() {
+                            st.last_seq = seq;
+                            let run = (p.model.clone(), delta_run(&p.encoded));
+                            (st, outcome) = self.seal_locked(st, Some(run));
+                            sealed = outcome.is_ok();
                         }
                     }
-                    let after = st.mem.get(&p.model).map_or(0, MemDelta::ops);
-                    st.mem_ops = st.mem_ops + after - before;
-                    ops_committed += p.encoded.len() as u64;
+                    if !sealed {
+                        let state = &mut *st;
+                        let delta = state.mem.entry(p.model).or_default();
+                        let before = delta.ops();
+                        for &op in &p.encoded {
+                            delta.apply(op);
+                        }
+                        state.mem_ops = state.mem_ops + delta.ops() - before;
+                    }
                     st.last_seq = seq;
+                    ops_committed += p.written as u64;
+                    acks.push((p.slot, Committed { seq, ops: p.encoded }));
                 }
                 if st.mem_ops >= self.cfg.memtable_limit {
-                    // A failed seal is a retry, not a loss: the batches
-                    // are durable in the journal either way.
                     let outcome;
-                    (st, outcome) = self.seal_locked(st);
+                    (st, outcome) = self.seal_locked(st, None);
                     let _ = outcome;
                 }
                 self.publish_locked(&mut st);
-                for (p, seq) in group.iter().zip(seqs) {
-                    *plock(&p.slot) = Some(Ok(seq));
+                for (slot, committed) in acks {
+                    *plock(&slot) = Some(Ok(committed));
                 }
                 self.counters.commit_windows.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .committed_batches
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
+                self.counters.committed_batches.fetch_add(batches, Ordering::Relaxed);
                 self.counters.committed_ops.fetch_add(ops_committed, Ordering::Relaxed);
             }
         }
         st
     }
 
-    /// Seals the memtable into an immutable run: write `run_<id>.ops`,
-    /// swap `runs.tsv`, rotate the journal, clear the memtable. Each step
-    /// has a failpoint; a kill at any of them loses nothing (see module
-    /// docs). Requires `committing == true` (leader or `seal_now`).
+    /// Seals one immutable run covering the journal up to `st.last_seq`:
+    /// the memtable (`bulk == None`), or one bulk batch that never entered
+    /// it.
+    /// Writes `run_<id>.ops`, swaps `runs.tsv`, pushes the run onto the
+    /// stack (clearing the memtable when it was the source), then rotates
+    /// the journal if the run covers everything the journal holds. Each
+    /// step has a failpoint; a kill at any of them loses nothing (see
+    /// module docs). Requires `committing == true` (leader or `seal_now`).
     fn seal_locked<'a>(
         &'a self,
         mut st: MutexGuard<'a, WriterState>,
+        bulk: Option<(String, DeltaRun)>,
     ) -> (MutexGuard<'a, WriterState>, Result<(), RdfError>) {
-        if st.mem_ops == 0 {
+        if bulk.is_none() && st.mem_ops == 0 {
             return (st, Ok(()));
         }
         let stem = format!("run_{}", st.next_run_id);
@@ -891,7 +941,19 @@ impl Inner {
             // Render while locked (the dictionary must not move under us),
             // write the run file unlocked (writers may keep enqueuing),
             // swap the manifest locked (serialized against compaction).
-            let data = render_run(&st.dict, &st.mem, last_seq);
+            let models = match &bulk {
+                Some((model, run)) => {
+                    let (adds, dels) = (run.adds().spo_rows(), run.dels().spo_rows());
+                    vec![(model.clone(), render_ops(&st.dict, adds, dels))]
+                }
+                None => st
+                    .mem
+                    .iter()
+                    .filter(|(_, d)| !d.is_empty())
+                    .map(|(m, d)| (m.clone(), render_ops(&st.dict, &d.adds, &d.dels)))
+                    .collect(),
+            };
+            let data = RunData { last_seq, models };
             let ops = data.ops();
             drop(st);
             let written = write_run_file(&dir, &stem, &data);
@@ -915,30 +977,37 @@ impl Inner {
             None
         };
 
-        // The run is live (or the store is volatile): move the memtable
-        // down a layer. From here on even a failed rotate loses nothing —
-        // replaying journal batches a run already holds is idempotent.
-        let deltas: BTreeMap<String, Arc<DeltaRun>> = st
-            .mem
-            .iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(m, d)| (m.clone(), Arc::new(d.freeze())))
-            .collect();
+        // The run is live (or the store is volatile): from here on even a
+        // failed rotate loses nothing — replaying journal batches a run
+        // already holds is idempotent. The memtable is frozen only now,
+        // once its rendering is gone, and moves down a layer. Models must
+        // survive an empty memtable: pin their base entries.
+        let (deltas, models): (BTreeMap<String, Arc<DeltaRun>>, Vec<String>) = match bulk {
+            Some((model, run)) => (BTreeMap::from([(model.clone(), Arc::new(run))]), vec![model]),
+            None => {
+                let deltas = st
+                    .mem
+                    .iter()
+                    .filter(|(_, d)| !d.is_empty())
+                    .map(|(m, d)| (m.clone(), Arc::new(d.freeze())))
+                    .collect();
+                st.mem_ops = 0;
+                (deltas, std::mem::take(&mut st.mem).into_keys().collect())
+            }
+        };
+        for model in models {
+            st.base.entry(model).or_insert_with(|| Arc::new(FrozenIndex::default()));
+        }
         st.sealed.push(SealedRun { stem, last_seq, deltas });
         if let Some(entry) = entry {
             st.runs.entries.push(entry);
         }
-        // Models must survive an empty memtable: pin their base entries.
-        let models: Vec<String> = st.mem.keys().cloned().collect();
-        for model in models {
-            st.base.entry(model).or_insert_with(|| Arc::new(FrozenIndex::default()));
-        }
-        st.mem.clear();
-        st.mem_ops = 0;
         st.next_run_id += 1;
         self.counters.sealed_runs.fetch_add(1, Ordering::Relaxed);
 
-        if st.journal.is_some() {
+        // A journal holding batches past the run (later batches of the same
+        // commit window) keeps everything; the next seal trims.
+        if st.journal.as_ref().is_some_and(|j| j.next_seq() == last_seq + 1) {
             let mut j = st.journal.take().expect("checked");
             drop(st);
             let rotated = j.rotate(last_seq);
@@ -1120,37 +1189,69 @@ impl Inner {
     }
 }
 
-/// Renders the memtable as a run-file payload (terms decoded through the
-/// dictionary, adds before tombstones per model).
-fn render_run(dict: &Dictionary, mem: &BTreeMap<String, MemDelta>, last_seq: u64) -> RunData {
+/// Renders one model's delta as run-file ops: terms decoded through the
+/// dictionary, adds before tombstones, each side in SPO order.
+fn render_ops<'a>(
+    dict: &Dictionary,
+    adds: impl IntoIterator<Item = &'a (u64, u64, u64)>,
+    dels: impl IntoIterator<Item = &'a (u64, u64, u64)>,
+) -> Vec<JournalOp> {
     let term = |id: u64| dict.term_unchecked(crate::dict::TermId(id)).clone();
-    let mut models = Vec::new();
-    for (name, delta) in mem {
-        if delta.is_empty() {
-            continue;
-        }
-        let mut ops = Vec::with_capacity(delta.ops());
-        for &(s, p, o) in &delta.adds {
-            ops.push(JournalOp::Insert(term(s), term(p), term(o)));
-        }
-        for &(s, p, o) in &delta.dels {
-            ops.push(JournalOp::Remove(term(s), term(p), term(o)));
-        }
-        models.push((name.clone(), ops));
+    let adds = adds.into_iter().map(|&(s, p, o)| JournalOp::Insert(term(s), term(p), term(o)));
+    let dels = dels.into_iter().map(|&(s, p, o)| JournalOp::Remove(term(s), term(p), term(o)));
+    adds.chain(dels).collect()
+}
+
+/// Encodes one op into id space, interning its terms.
+fn encode(dict: &mut Dictionary, op: &JournalOp) -> (bool, Triple) {
+    let (insert, s, p, o) = match op {
+        JournalOp::Insert(s, p, o) => (true, s, p, o),
+        JournalOp::Remove(s, p, o) => (false, s, p, o),
+    };
+    (insert, Triple::new(dict.intern(s), dict.intern(p), dict.intern(o)))
+}
+
+/// A batch's net effect: its encoded ops sorted by triple, keeping only
+/// the newest op per triple — what applying the batch in order leaves.
+fn net_ops(mut ops: Vec<(bool, Triple)>) -> Vec<(bool, Triple)> {
+    if ops.iter().all(|&(insert, _)| insert) {
+        // Equal triples are equal ops: there is no order among them to keep.
+        ops.sort_unstable_by_key(|&(_, t)| t);
+    } else {
+        ops.sort_by_key(|&(_, t)| t);
     }
-    RunData { last_seq, models }
+    ops.dedup_by(|newer, kept| {
+        let same = newer.1 == kept.1;
+        if same {
+            *kept = *newer;
+        }
+        same
+    });
+    ops
+}
+
+/// Freezes net ops ([`net_ops`]: sorted, one per triple) into a run's adds
+/// and tombstones without re-sorting the primary column.
+fn delta_run(ops: &[(bool, Triple)]) -> DeltaRun {
+    let side = |want: bool| {
+        FrozenIndex::from_sorted_spo_rows(
+            ops.iter().filter(|&&(insert, _)| insert == want).map(|&(_, t)| t.as_tuple()).collect(),
+        )
+    };
+    DeltaRun::new(side(true), side(false))
 }
 
 /// Rebuilds a sealed run from its file payload, interning into `dict`.
 fn load_sealed_run(dict: &mut Dictionary, stem: &str, data: &RunData) -> SealedRun {
-    let mut deltas = BTreeMap::new();
-    for (model, ops) in &data.models {
-        let mut delta = MemDelta::default();
-        apply_ops_to_delta(dict, &mut delta, ops);
-        if !delta.is_empty() {
-            deltas.insert(model.clone(), Arc::new(delta.freeze()));
-        }
-    }
+    let deltas = data
+        .models
+        .iter()
+        .map(|(model, ops)| {
+            let encoded = ops.iter().map(|op| encode(dict, op)).collect();
+            (model.clone(), Arc::new(delta_run(&net_ops(encoded))))
+        })
+        .filter(|(_, delta)| !delta.is_empty())
+        .collect();
     SealedRun { stem: stem.to_string(), last_seq: data.last_seq, deltas }
 }
 
@@ -1161,21 +1262,8 @@ fn apply_ops_to_mem(
     ops: &[JournalOp],
 ) {
     let delta = mem.entry(model.to_string()).or_default();
-    apply_ops_to_delta(dict, delta, ops);
-}
-
-fn apply_ops_to_delta(dict: &mut Dictionary, delta: &mut MemDelta, ops: &[JournalOp]) {
     for op in ops {
-        match op {
-            JournalOp::Insert(s, p, o) => {
-                let t = Triple::new(dict.intern(s), dict.intern(p), dict.intern(o));
-                delta.insert(t);
-            }
-            JournalOp::Remove(s, p, o) => {
-                let t = Triple::new(dict.intern(s), dict.intern(p), dict.intern(o));
-                delta.remove(t);
-            }
-        }
+        delta.apply(encode(dict, op));
     }
 }
 
@@ -1209,7 +1297,7 @@ mod tests {
     #[test]
     fn in_memory_write_read_roundtrip() {
         let store = LsmStore::in_memory(test_cfg());
-        let seq = store.write_batch("m", &[ins("a", "b"), ins("a", "c")]).unwrap();
+        let seq = store.write_batch("m", &[ins("a", "b"), ins("a", "c")]).unwrap().seq;
         assert_eq!(seq, 1, "sequences are per batch, not per op");
         assert_eq!(model_len(&store, "m"), 2);
         store.write_batch("m", &[del("a", "b")]).unwrap();
@@ -1284,6 +1372,37 @@ mod tests {
         assert_eq!(model_len(&store, "m"), 1);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bulk_batch_seals_its_own_run_on_top_of_the_memtable() {
+        let store = LsmStore::in_memory(LsmConfig { memtable_limit: 4, ..test_cfg() });
+        store.write_batch("m", &[ins("x", "y"), ins("a", "b")]).unwrap();
+        // A bulk batch that tombstones a memtable row, repeats a triple and
+        // re-adds what it removed: the newest op per triple wins.
+        let bulk = [
+            del("x", "y"),
+            ins("c", "d"),
+            del("c", "d"),
+            ins("e", "f"),
+            ins("e", "f"),
+            ins("c", "d"),
+            ins("g", "h"),
+        ];
+        let committed = store.write_batch("m", &bulk).unwrap();
+        let inserted: Vec<bool> = committed.ops.iter().map(|&(insert, _)| insert).collect();
+        assert_eq!(inserted.len(), 4, "one net op per triple");
+        assert!(committed.ops.windows(2).all(|w| w[0].1 < w[1].1), "sorted by triple");
+        assert_eq!(inserted.iter().filter(|&&i| !i).count(), 1);
+        let m = store.metrics();
+        assert_eq!((m.sealed_runs, m.memtable_ops), (2, 0), "memtable run, then the bulk run");
+        assert_eq!(store.compaction_debt(), 2);
+        // The bulk run sits above the memtable's: its tombstone wins.
+        assert!(objects_of(&store, "x").is_empty());
+        assert_eq!(model_len(&store, "m"), 4);
+        store.compact_once().unwrap();
+        assert!(objects_of(&store, "x").is_empty());
+        assert_eq!(model_len(&store, "m"), 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! staging tables — the meta-data schema is the glue between the two.
 //!
 //! [`StagingArea`] is that staging table: an unvalidated accumulation buffer
-//! tagged with the source each triple came from.
+//! of deliveries, each tagged once with the source it came from.
 //! [`StagingArea::take_validated`] checks each staged triple (RDF
 //! well-formedness) and hands the valid ones to the loader — the warehouse's
 //! write door, or [`StagingArea::bulk_load`] for a plain [`Store`] — with a
@@ -19,7 +19,8 @@ use crate::term::Term;
 use crate::triple::check_well_formed;
 
 /// A staged triple together with its provenance tag (which export produced
-/// it — e.g. `"app-extract"` or `"protege-ontology"`).
+/// it — e.g. `"app-extract"` or `"protege-ontology"`): what a [`Rejection`]
+/// names. Accepted rows are never tagged one by one; their delivery is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagedTriple {
     /// Subject term.
@@ -64,10 +65,14 @@ impl LoadReport {
     }
 }
 
-/// The staging buffer of the Figure 4 pipeline.
+/// One staged `(s, p, o)` row.
+type Row = (Term, Term, Term);
+
+/// The staging buffer of the Figure 4 pipeline: one entry per delivery,
+/// each tagged once with the source that produced it.
 #[derive(Debug, Default, Clone)]
 pub struct StagingArea {
-    staged: Vec<StagedTriple>,
+    deliveries: Vec<(String, Vec<Row>)>,
 }
 
 impl StagingArea {
@@ -78,56 +83,55 @@ impl StagingArea {
 
     /// Stages one triple from a named source export.
     pub fn stage(&mut self, source: &str, s: Term, p: Term, o: Term) {
-        self.staged.push(StagedTriple {
-            s,
-            p,
-            o,
-            source: source.to_string(),
-        });
+        match self.deliveries.last_mut() {
+            Some((last, triples)) if last == source => triples.push((s, p, o)),
+            _ => self.deliveries.push((source.to_string(), vec![(s, p, o)])),
+        }
     }
 
-    /// Stages a batch of `(s, p, o)` triples from one source.
-    pub fn stage_batch(
-        &mut self,
-        source: &str,
-        triples: impl IntoIterator<Item = (Term, Term, Term)>,
-    ) {
-        for (s, p, o) in triples {
-            self.stage(source, s, p, o);
-        }
+    /// Stages a batch of `(s, p, o)` triples from one source, as is.
+    pub fn stage_batch(&mut self, source: &str, triples: Vec<Row>) {
+        self.deliveries.push((source.to_string(), triples));
     }
 
     /// Number of staged triples.
     pub fn len(&self) -> usize {
-        self.staged.len()
+        self.deliveries.iter().map(|(_, triples)| triples.len()).sum()
     }
 
     /// True if nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-
-    /// The staged triples (inspection / tests).
-    pub fn staged(&self) -> &[StagedTriple] {
-        &self.staged
+        self.len() == 0
     }
 
     /// Drains the staging area through validation
     /// ([`check_well_formed`]): the well-formed triples come back in staging
-    /// order, ready to load; the others as [`Rejection`]s. Fails *before*
-    /// draining when a fault drill has armed the `staging::bulk_load`
-    /// failpoint, so a retry sees the same batch.
-    #[allow(clippy::type_complexity)]
-    pub fn take_validated(
-        &mut self,
-    ) -> Result<(Vec<(Term, Term, Term)>, Vec<Rejection>), RdfError> {
+    /// order, ready to load; the others as [`Rejection`]s. A delivery with
+    /// nothing to reject is handed back as staged, without a copy. Fails
+    /// *before* draining when a fault drill has armed the
+    /// `staging::bulk_load` failpoint, so a retry sees the same batch.
+    pub fn take_validated(&mut self) -> Result<(Vec<Row>, Vec<Rejection>), RdfError> {
         crate::failpoint::check("staging::bulk_load")?;
-        let mut valid = Vec::with_capacity(self.staged.len());
+        let mut valid = Vec::new();
         let mut rejections = Vec::new();
-        for staged in std::mem::take(&mut self.staged) {
-            match check_well_formed(&staged.s, &staged.p, &staged.o) {
-                Ok(()) => valid.push((staged.s, staged.p, staged.o)),
-                Err(reason) => rejections.push(Rejection { triple: staged, reason }),
+        for (source, mut triples) in std::mem::take(&mut self.deliveries) {
+            let first_bad =
+                triples.iter().position(|(s, p, o)| check_well_formed(s, p, o).is_err());
+            if let Some(first_bad) = first_bad {
+                for (s, p, o) in triples.split_off(first_bad) {
+                    match check_well_formed(&s, &p, &o) {
+                        Ok(()) => triples.push((s, p, o)),
+                        Err(reason) => rejections.push(Rejection {
+                            triple: StagedTriple { s, p, o, source: source.clone() },
+                            reason,
+                        }),
+                    }
+                }
+            }
+            if valid.is_empty() {
+                valid = triples;
+            } else {
+                valid.append(&mut triples);
             }
         }
         Ok((valid, rejections))
@@ -228,14 +232,29 @@ mod tests {
     #[test]
     fn stage_batch() {
         let mut staging = StagingArea::new();
-        staging.stage_batch(
-            "ontology",
-            vec![
-                (iri("A"), vocab::rdfs_sub_class_of(), iri("B")),
-                (iri("B"), vocab::rdfs_sub_class_of(), iri("C")),
-            ],
-        );
+        let batch = vec![
+            (iri("A"), vocab::rdfs_sub_class_of(), iri("B")),
+            (iri("B"), vocab::rdfs_sub_class_of(), iri("C")),
+        ];
+        staging.stage_batch("ontology", batch.clone());
         assert_eq!(staging.len(), 2);
-        assert_eq!(staging.staged()[0].source, "ontology");
+        let (valid, rejections) = staging.take_validated().unwrap();
+        assert_eq!(valid, batch);
+        assert!(rejections.is_empty());
+        assert!(staging.is_empty());
+    }
+
+    #[test]
+    fn rejections_carry_their_delivery_source_in_staging_order() {
+        let mut staging = StagingArea::new();
+        let delivery = vec![(iri("x"), iri("p"), iri("y")), (Term::plain("l"), iri("p"), iri("y"))];
+        staging.stage_batch("a", delivery);
+        staging.stage("b", iri(""), iri("p"), iri("y"));
+        staging.stage("b", iri("z"), iri("p"), iri("y"));
+        let (valid, rejections) = staging.take_validated().unwrap();
+        assert_eq!(valid, vec![(iri("x"), iri("p"), iri("y")), (iri("z"), iri("p"), iri("y"))]);
+        let sources: Vec<&str> = rejections.iter().map(|r| r.triple.source.as_str()).collect();
+        assert_eq!(sources, ["a", "b"]);
+        assert_eq!(rejections[0].triple.s, Term::plain("l"));
     }
 }

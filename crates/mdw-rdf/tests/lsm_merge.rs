@@ -215,3 +215,85 @@ proptest! {
         prop_assert_eq!(compacted.model("m").unwrap().checksum(), reference_graph.checksum());
     }
 }
+
+/// A base of up to 24 triples (empty a quarter of the time) and up to 6
+/// delta runs of up to 16 ops each, over the same tiny domain: runs often
+/// re-add what a run below tombstoned, and tombstone what nothing below
+/// ever held.
+/// One SPO row of a base.
+type Row = (u64, u64, u64);
+
+fn base_and_runs() -> impl Strategy<Value = (Vec<Row>, Vec<Vec<Op>>)> {
+    let triple = (0u64..10, 0u64..5, 0u64..10);
+    let base = prop_oneof![
+        1 => Just(Vec::new()),
+        3 => proptest::collection::vec(triple, 0..24),
+    ];
+    (base, proptest::collection::vec(proptest::collection::vec(op(), 0..16), 0..=6))
+}
+
+fn stack(base: Vec<Row>, runs: &[Vec<Op>]) -> FrozenGraph {
+    let deltas = runs
+        .iter()
+        .map(|run| {
+            let mut delta = Delta::default();
+            for &op in run {
+                delta.apply(op);
+            }
+            Arc::new(delta.freeze())
+        })
+        .collect();
+    FrozenGraph::stacked(Arc::new(FrozenIndex::from_spo_rows(base)), deltas)
+}
+
+/// `compact()` merges every layer's sorted columns instead of re-sorting
+/// the merged rows; each of its columns must still be exactly the one a
+/// from-scratch freeze of the merged SPO scan builds, and those rows must
+/// be the ops applied one by one to a plain set.
+fn assert_compact_equals_fresh_freeze(base: Vec<Row>, runs: &[Vec<Op>]) {
+    let mut flat: BTreeSet<Row> = base.iter().copied().collect();
+    for &op in runs.iter().flatten() {
+        apply_flat(&mut flat, op);
+    }
+    let stacked = stack(base, runs);
+    let folded = stacked.compact();
+    let fresh = FrozenIndex::from_spo_rows(stacked.iter().map(|t| t.as_tuple()).collect());
+    assert_eq!(folded.spo_rows(), fresh.spo_rows(), "SPO column");
+    assert_eq!(folded.pos_rows(), fresh.pos_rows(), "POS column");
+    assert_eq!(folded.osp_rows(), fresh.osp_rows(), "OSP column");
+    assert!(folded.spo_rows().iter().eq(flat.iter()), "merged rows differ from the flat set");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn compact_merges_columns_into_a_fresh_freeze(case in base_and_runs()) {
+        let (base, runs) = case;
+        assert_compact_equals_fresh_freeze(base, &runs);
+    }
+}
+
+/// The three shapes the generator above hits only by chance, pinned.
+#[test]
+fn compact_pinned_cases() {
+    let check = assert_compact_equals_fresh_freeze;
+    // Runs folded onto an empty base, overlapping each other.
+    check(
+        Vec::new(),
+        &[
+            vec![Op::Insert(1, 0, 2), Op::Insert(3, 1, 0)],
+            vec![Op::Insert(1, 0, 2), Op::Insert(0, 4, 9)],
+        ],
+    );
+    // A run re-adds one of the triples a tombstone-only run below removed.
+    check(
+        vec![(1, 0, 2), (2, 0, 1)],
+        &[vec![Op::Remove(1, 0, 2), Op::Remove(2, 0, 1)], vec![Op::Insert(1, 0, 2)]],
+    );
+    // A run tombstones triples nothing below it ever held.
+    check(
+        vec![(1, 0, 2)],
+        &[vec![Op::Remove(7, 3, 7), Op::Insert(4, 4, 4)], vec![Op::Remove(9, 0, 0)]],
+    );
+}

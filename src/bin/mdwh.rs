@@ -1444,8 +1444,8 @@ fn drill_crash_round(
                         let mut stalls = 0;
                         loop {
                             match store.write_batch(MODEL, &ops) {
-                                Ok(seq) => {
-                                    acked.push((w, b, seq));
+                                Ok(committed) => {
+                                    acked.push((w, b, committed.seq));
                                     break;
                                 }
                                 Err(RdfError::Backpressure { .. }) if stalls < 5 => {

@@ -12,8 +12,8 @@
 //! 2. `listing1_adversarial` — the paper's Listing 1 search shape with
 //!    its patterns written in the worst order (instance scan first, the
 //!    selective `subClassOf` anchor last), over the synthetic corpus with
-//!    the OWLPRIME entailment view (no frozen statistics there — the
-//!    planner orders by capped probe scans).
+//!    the OWLPRIME entailment view (the planner orders by the view's
+//!    summed base + derived statistics).
 //! 3. `listing2_adversarial` — Listing 2's two-hop lineage join written
 //!    mapping-first.
 //!
@@ -189,7 +189,7 @@ fn main() {
     }
 
     // 2–3. Listing shapes over the corpus warehouse (entailed view: the
-    // planner runs on capped probe scans, no frozen histograms). These are
+    // planner runs on its summed base + derived statistics). These are
     // informational — equivalence is still enforced.
     let loaded = load_scale(scale);
     let listing1 = SemMatch::new(

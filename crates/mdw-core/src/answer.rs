@@ -25,7 +25,10 @@
 //!    candidates are ordered by *(covered tokens desc, rank desc, SPARQL
 //!    text asc)* — a candidate that explains more of the question always
 //!    beats a cheaper partial one, and the final text tiebreak makes the
-//!    order total and deterministic.
+//!    order total and deterministic. The bound comes from the *asserted*
+//!    model's statistics on purpose, although execution plans from the
+//!    entailed view's: ranking on them would move candidate order and
+//!    precision@3, which the planner's statistics must not.
 //! 4. **Execute** — [`crate::warehouse::MetadataWarehouse::answer`] runs the
 //!    top-k candidates through the existing planner/budget/admission stack
 //!    and pools their rows, in rank order, into deduplicated answers tagged

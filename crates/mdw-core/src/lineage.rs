@@ -700,10 +700,15 @@ mod tests {
         (store, m)
     }
 
+    fn view<'a>(ctx: &'a QueryContext, m: &'a Materialization) -> EntailedGraph<'a> {
+        let base = ctx.graph("m").unwrap();
+        EntailedGraph::new(base, m.frozen(), std::sync::Arc::new(m.entailed_stats(base, None)))
+    }
+
     fn run(store: &Store, m: &Materialization, req: LineageRequest) -> LineageResult {
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
             .with_budget(req.budget.clone());
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = view(&ctx, m);
         trace(&view, &ctx, &mapping_conditions(&view, ctx.dict()), &req)
     }
 
@@ -880,7 +885,7 @@ mod tests {
     fn schema_flow_aggregates() {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = view(&ctx, &m);
         let flows = schema_flow(&view, &ctx);
         assert_eq!(flows.len(), 2);
         assert!(flows.iter().any(|f| f.source_schema == dwh("schema_inbound")
@@ -892,7 +897,7 @@ mod tests {
     fn impact_summary_groups_by_schema() {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = view(&ctx, &m);
         let result = run(&store, &m, LineageRequest::downstream(dwh("client_information_id")));
         let summary = impact_summary(&view, &ctx, &result);
         assert_eq!(summary.total, 2);
@@ -906,7 +911,7 @@ mod tests {
     fn drill_down_expands_one_pair() {
         let (store, m) = setup();
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let view = view(&ctx, &m);
         let conditions = mapping_conditions(&view, ctx.dict());
         let hops = drill_down(
             &view,

@@ -579,7 +579,9 @@ mod tests {
     ) -> SearchResults {
         let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
             .with_budget(req.budget.clone());
-        let view = EntailedGraph::new(ctx.graph("m").unwrap(), m.frozen());
+        let base = ctx.graph("m").unwrap();
+        let stats = std::sync::Arc::new(m.entailed_stats(base, None));
+        let view = EntailedGraph::new(base, m.frozen(), stats);
         let table = SearchTable::build(&view, ctx.dict());
         search(&view, &ctx, &table, synonyms, &req)
     }

@@ -30,10 +30,11 @@ use mdw_rdf::metrics::CounterSet;
 use mdw_rdf::par::ParallelPolicy;
 use mdw_rdf::persist::SaveReport;
 use mdw_rdf::staging::{LoadReport, StagingArea};
+use mdw_rdf::stats::FrozenStats;
 use mdw_rdf::store::{GraphStats, TripleSource};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{check_well_formed, Triple};
-use mdw_rdf::QueryContext;
+use mdw_rdf::{vocab, QueryContext};
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
 
@@ -168,21 +169,29 @@ struct GenerationIndex {
 }
 
 /// One pinned generation: the snapshot the engine last published, the
-/// semantic index built against it, and the meta-level index both
-/// determine. The value is replaced whole — never patched — wherever the
-/// write door re-pins or the semantic index is built, extended or dropped,
-/// so the meta-level index needs no invalidation.
+/// semantic index built against it, and the meta-level index and planner
+/// statistics both determine. The value is replaced whole — never patched
+/// — wherever the write door re-pins or the semantic index is built,
+/// extended or dropped, so neither derived structure needs invalidation.
 #[derive(Debug)]
 struct Generation {
     store: Arc<FrozenStore>,
     materialization: Option<Materialization>,
     /// Built by [`MetadataWarehouse::index`]; concurrent first users meet here.
     index: OnceLock<GenerationIndex>,
+    /// Planner statistics of the entailed view, summed by
+    /// [`MetadataWarehouse::entailed`] on first use.
+    entailed_stats: OnceLock<Arc<FrozenStats>>,
 }
 
 impl Generation {
     fn new(store: Arc<FrozenStore>, materialization: Option<Materialization>) -> Self {
-        Generation { store, materialization, index: OnceLock::new() }
+        Generation {
+            store,
+            materialization,
+            index: OnceLock::new(),
+            entailed_stats: OnceLock::new(),
+        }
     }
 }
 
@@ -625,11 +634,17 @@ impl MetadataWarehouse {
     }
 
     /// The entailed view (base ∪ semantic index) over the pinned
-    /// snapshot. Errors if the index is not built — derived triples "only
-    /// exist through the indexes".
+    /// snapshot, with the generation's planner statistics — the view every
+    /// rulebase query runs on. Errors if the index is not built — derived
+    /// triples "only exist through the indexes".
     pub fn entailed(&self) -> Result<EntailedGraph<'_>, MdwError> {
         let m = self.pinned.materialization.as_ref().ok_or(MdwError::IndexNotBuilt)?;
-        Ok(EntailedGraph::new(self.pinned.store.model(&self.model)?, m.frozen()))
+        let base = self.pinned.store.model(&self.model)?;
+        let stats = self.pinned.entailed_stats.get_or_init(|| {
+            let type_id = self.pinned.store.dict().lookup(&vocab::rdf_type());
+            Arc::new(m.entailed_stats(base, type_id))
+        });
+        Ok(EntailedGraph::new(base, m.frozen(), Arc::clone(stats)))
     }
 
     /// The meta-level index of the pinned generation, built on first use
@@ -699,9 +714,10 @@ impl MetadataWarehouse {
     /// 1. an admission permit for `class` (shed requests surface as
     ///    [`MdwError::Overloaded`]), held until the request returns;
     /// 2. the view of `model` in the pinned snapshot generation — entailed
-    ///    (base ∪ semantic index) iff the query named a `rulebase`,
-    ///    otherwise the base facts alone behind an empty overlay — so a
-    ///    request never observes a half-applied mutation;
+    ///    (base ∪ semantic index, [`Self::entailed`]) iff the query named a
+    ///    `rulebase`, otherwise the base facts alone behind an empty overlay
+    ///    and with the base's statistics — so a request never observes a
+    ///    half-applied mutation;
     /// 3. a [`QueryContext`] on that same generation carrying `budget` and
     ///    the worker-thread policy;
     /// 4. `run`, the workload itself.
@@ -715,13 +731,15 @@ impl MetadataWarehouse {
     ) -> Result<T, MdwError> {
         let _permit = self.admission.as_ref().map(|gate| gate.admit(class)).transpose()?;
         let base = self.pinned.store.model(model)?;
-        let derived = match &self.pinned.materialization {
-            _ if !rulebase => Self::empty_index(),
+        let view = match &self.pinned.materialization {
+            _ if !rulebase => {
+                let type_id = self.pinned.store.dict().lookup(&vocab::rdf_type());
+                EntailedGraph::new(base, Self::empty_index(), base.planner_stats(type_id))
+            }
             // The semantic index is built over the current model only.
-            Some(m) if model == self.model => m.frozen(),
+            Some(_) if model == self.model => self.entailed()?,
             _ => return Err(MdwError::IndexNotBuilt),
         };
-        let view = EntailedGraph::new(base, derived);
         let ctx = self.context().with_budget(budget.clone());
         run(&view, &ctx)
     }
@@ -826,8 +844,8 @@ impl MetadataWarehouse {
         use_planner: bool,
     ) -> Result<(QueryOutput, ExplainReport), MdwError> {
         let parsed = parser::parse(&query.to_sparql())?;
-        // An empty overlay adds nothing: scan the base alone, which also
-        // hands the planner the snapshot's statistics.
+        // An empty overlay adds nothing: scan the base alone, one run per
+        // pattern instead of a chain. Its statistics are the view's.
         let source: &dyn TripleSource =
             if view.derived().is_empty() { view.base() } else { view };
         let options = ExecOptions {
@@ -1713,6 +1731,65 @@ mod tests {
         let r = w.search(&SearchRequest::new("customer")).unwrap();
         assert!(r.group("Column").is_some());
         assert!(r.group("Attribute").is_some());
+    }
+
+    /// A rulebase query plans from the entailed view's statistics: a class
+    /// whose instances are all derived is estimated at their number (the
+    /// base's histogram says 0, a capped probe would tie it at 64 with the
+    /// larger class) and runs before the asserted class written first. The
+    /// served path and [`MetadataWarehouse::entailed`] share one summary
+    /// per generation, and a write pins a new one.
+    #[test]
+    fn rulebase_queries_plan_from_the_entailed_statistics() {
+        let ty = Term::iri(vocab::rdf::TYPE);
+        let mut triples = vec![(dm("Sub"), Term::iri(vocab::rdfs::SUB_CLASS_OF), dm("Super"))];
+        for i in 0..200 {
+            triples.push((dwh(&format!("x{i}")), ty.clone(), dm("Fat")));
+            if i < 100 {
+                triples.push((dwh(&format!("x{i}")), ty.clone(), dm("Sub")));
+            }
+        }
+        let mut w = MetadataWarehouse::new();
+        w.ingest(vec![Extract::new("src", triples)]).unwrap();
+        w.build_semantic_index().unwrap();
+        let type_id = w.store().dict().lookup(&ty);
+        let sup = w.store().encode(&dm("Super")).unwrap();
+        let base = w.store().model(&w.model).unwrap();
+        assert_eq!(base.planner_stats(type_id).class_count(sup), Some(0));
+
+        let q = SemMatch::new("{ ?x rdf:type dm:Fat . ?x rdf:type dm:Super }")
+            .rulebase("OWLPRIME")
+            .alias("dm", vocab::cs::DM)
+            .select(&["?x"]);
+        let plan_of = |w: &MetadataWarehouse| {
+            let (out, report) =
+                w.sem_match_explained(&q, &QueryBudget::unlimited(), true).unwrap();
+            let first = &report.bgps[0].entries[0];
+            (out.rows.len(), first.written_index, first.estimated_rows)
+        };
+        assert_eq!(plan_of(&w), (100, 1, 100));
+
+        let served = |w: &MetadataWarehouse| {
+            let budget = QueryBudget::unlimited();
+            w.run_query(QueryClass::Sparql, &budget, &w.model, true, |view, _| {
+                Ok(view.planner_stats(type_id).unwrap())
+            })
+            .unwrap()
+        };
+        let stats = w.entailed().unwrap().planner_stats(type_id).unwrap();
+        assert!(Arc::ptr_eq(&stats, &served(&w)));
+        assert_eq!(stats.class_count(sup), Some(100));
+        assert_eq!(stats.total_triples(), w.entailed().unwrap().len());
+
+        w.insert_fact(&dwh("x0"), &ty, &dm("Extra")).unwrap();
+        w.insert_fact(&dwh("x200"), &ty, &dm("Sub")).unwrap();
+        let after = served(&w);
+        assert!(!Arc::ptr_eq(&stats, &after));
+        assert!(Arc::ptr_eq(&after, &w.entailed().unwrap().planner_stats(type_id).unwrap()));
+        assert_eq!(after.class_count(sup), Some(101));
+        assert_eq!(after.class_count(w.store().encode(&dm("Extra")).unwrap()), Some(1));
+        assert_eq!(after.total_triples(), w.entailed().unwrap().len());
+        assert_eq!(plan_of(&w), (100, 1, 101));
     }
 
     #[test]

@@ -5,22 +5,34 @@
 //! Precision@3 for one case is [`Grade::precision`]: it grades what the
 //! engine *asserts*. `reproduce k1` prints the per-kind table EXPERIMENTS.md
 //! records.
+//!
+//! The same answers are checked against written-order execution: the
+//! planner may reorder a candidate's joins (which changes DISTINCT
+//! first-seen order), never its rows or the pooled answer set.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
-use mdw_core::answer::AnswerRequest;
+use mdw_core::answer::{pool_answers, AnswerRequest, AnswerResult, AnswerRow, ExecutedCandidate};
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::{eval_cases, eval_config, generate, EvalCase, Grade};
+use mdw_rdf::budget::QueryBudget;
+use mdw_rdf::term::Term;
 
 struct Graded {
     case: EvalCase,
     grade: Grade,
+    result: AnswerResult,
 }
 
-fn grade_all() -> &'static Vec<Graded> {
-    static GRADED: OnceLock<Vec<Graded>> = OnceLock::new();
-    GRADED.get_or_init(|| {
+struct Eval {
+    warehouse: MetadataWarehouse,
+    graded: Vec<Graded>,
+}
+
+fn eval() -> &'static Eval {
+    static EVAL: OnceLock<Eval> = OnceLock::new();
+    EVAL.get_or_init(|| {
         let corpus = generate(&eval_config());
         let cases = eval_cases(&corpus);
         assert!(cases.len() >= 50, "eval corpus shrank: {} cases", cases.len());
@@ -29,16 +41,17 @@ fn grade_all() -> &'static Vec<Graded> {
         warehouse.ingest(corpus.into_extracts()).expect("ingest");
         warehouse.build_semantic_index().expect("semantic index");
 
-        cases
+        let graded = cases
             .into_iter()
             .map(|case| {
                 let result = warehouse
                     .answer(&AnswerRequest::new(case.keywords.clone()))
                     .unwrap_or_else(|e| panic!("{}: answer failed: {e}", case.name));
                 let grade = Grade::of(&case, result.answers.iter().map(|a| &a.instance));
-                Graded { case, grade }
+                Graded { case, grade, result }
             })
-            .collect()
+            .collect();
+        Eval { warehouse, graded }
     })
 }
 
@@ -51,7 +64,7 @@ fn mean(graded: &[&Graded]) -> f64 {
 
 #[test]
 fn precision_at_3_is_at_least_0_8() {
-    let graded = grade_all();
+    let graded = &eval().graded;
     let all: Vec<&Graded> = graded.iter().collect();
     let overall = mean(&all);
 
@@ -85,7 +98,7 @@ fn precision_at_3_is_at_least_0_8() {
 
 #[test]
 fn every_kind_answers_a_majority_of_its_cases() {
-    let graded = grade_all();
+    let graded = &eval().graded;
     let mut by_kind: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
     for g in graded {
         let entry = by_kind.entry(g.case.kind.tag()).or_default();
@@ -99,5 +112,51 @@ fn every_kind_answers_a_majority_of_its_cases() {
             answered * 2 > total,
             "{kind}: only {answered}/{total} cases produced a correct answer"
         );
+    }
+}
+
+/// Rows rendered for multiset comparison.
+fn sorted_rows(rows: &[impl std::fmt::Debug]) -> Vec<String> {
+    let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// Pooled answers as a set of (instance, owning candidate).
+fn owned(answers: &[AnswerRow]) -> BTreeSet<(&Term, usize)> {
+    answers.iter().map(|a| (&a.instance, a.candidate)).collect()
+}
+
+/// Every executed candidate returns, as a multiset, the rows written-order
+/// execution returns, and pooling the written-order outputs yields the same
+/// answers owned by the same candidates.
+#[test]
+fn planned_candidates_answer_what_written_order_answers() {
+    let Eval { warehouse, graded } = eval();
+    for g in graded {
+        let mut written = Vec::new();
+        for (executed, candidate) in g.result.executed.iter().zip(&g.result.candidates) {
+            assert_eq!(executed.sparql, candidate.sparql);
+            let (output, report) = warehouse
+                .sem_match_explained(&candidate.query, &QueryBudget::unlimited(), false)
+                .unwrap_or_else(|e| panic!("{}: written order failed: {e}", g.case.name));
+            assert!(output.completeness.is_complete());
+            assert_eq!(
+                sorted_rows(&executed.output.rows),
+                sorted_rows(&output.rows),
+                "{}: {}",
+                g.case.name,
+                candidate.sparql
+            );
+            written.push(ExecutedCandidate {
+                sparql: candidate.sparql.clone(),
+                rank: candidate.rank,
+                rows: output.rows.len(),
+                output,
+                report,
+            });
+        }
+        let pooled = pool_answers(&written);
+        assert_eq!(owned(&g.result.answers), owned(&pooled), "{}", g.case.name);
     }
 }

@@ -18,6 +18,11 @@
 //! per-delta add-side histograms are summed and tombstones are ignored.
 //! Tombstones only shrink true counts, so the bound never under-estimates —
 //! which is the right direction for relative selectivity ranking.
+//!
+//! The entailed view (base ∪ semantic index, in `mdw-reason`) is summed the
+//! same way, by [`FrozenStats::disjoint_union`]. Its two sides never share
+//! a triple, so its counts are exact; the warehouse computes the sum once
+//! per pinned generation.
 
 use crate::dict::TermId;
 use crate::frozen::{FrozenGraph, FrozenIndex};
@@ -119,6 +124,16 @@ impl FrozenStats {
         for delta in graph.deltas() {
             stats.absorb(&Self::from_index(delta.adds(), type_id));
         }
+        stats
+    }
+
+    /// The summary of the union of two disjoint models — the entailed
+    /// view's base and derived sides, which never share a triple. Triple,
+    /// per-predicate and per-class counts add exactly; distincts sum, an
+    /// upper bound on the union's.
+    pub fn disjoint_union(a: &FrozenStats, b: &FrozenStats) -> Self {
+        let mut stats = a.clone();
+        stats.absorb(b);
         stats
     }
 

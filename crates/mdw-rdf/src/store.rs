@@ -50,12 +50,13 @@ pub trait TripleSource {
     /// Total triple count.
     fn len_triples(&self) -> usize;
 
-    /// The planner's statistics snapshot for this source, if it has one
-    /// (frozen sources cache a [`FrozenStats`] per snapshot). `type_id` is
-    /// the dictionary's id for `rdf:type`, keying the class histogram.
-    /// Sources without a snapshot (e.g. entailed views) return `None` and
-    /// the planner falls back to capped [`estimate`](Self::estimate)
-    /// probes.
+    /// The planner's statistics snapshot for this source, if it has one.
+    /// Frozen sources cache a [`FrozenStats`] per snapshot; the entailed
+    /// view in `mdw-reason` carries the sum of its base's and its semantic
+    /// index's, computed once per warehouse generation. `type_id` is the
+    /// dictionary's id for `rdf:type`, keying the class histogram. A
+    /// source that returns `None` is planned from capped
+    /// [`estimate`](Self::estimate) probes; no product source does.
     fn planner_stats(&self, type_id: Option<TermId>) -> Option<Arc<FrozenStats>> {
         let _ = type_id;
         None

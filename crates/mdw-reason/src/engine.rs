@@ -29,8 +29,9 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::frozen::FrozenIndex;
+use mdw_rdf::frozen::{FrozenGraph, FrozenIndex};
 use mdw_rdf::index::TripleIndex;
+use mdw_rdf::stats::FrozenStats;
 use mdw_rdf::store::TripleSource;
 use mdw_rdf::triple::{Triple, TriplePattern};
 
@@ -60,6 +61,8 @@ pub struct Materialization {
     stats: MaterializeStats,
     /// Cached frozen form of `derived`, rebuilt lazily after each extension.
     frozen: OnceLock<Arc<FrozenIndex>>,
+    /// Cached planner statistics of `frozen`, reset with it.
+    frozen_stats: OnceLock<FrozenStats>,
 }
 
 impl Materialization {
@@ -89,6 +92,7 @@ impl Materialization {
         // from the index to the base, preserving the invariant that the two
         // are disjoint (the entailed view's union scans rely on it).
         self.frozen.take();
+        self.frozen_stats.take();
         for &t in new_facts {
             self.derived.remove(t);
         }
@@ -106,6 +110,20 @@ impl Materialization {
     pub fn frozen(&self) -> &FrozenIndex {
         self.frozen
             .get_or_init(|| Arc::new(FrozenIndex::from_index(&self.derived)))
+    }
+
+    /// Planner statistics of the entailed view over `base`: the base's
+    /// cached summary plus this index's, which is cached until the next
+    /// [`extend`](Self::extend). The index never holds an asserted triple,
+    /// so triple, predicate and class counts are exact; distincts are
+    /// upper bounds. The sum itself is not cached: the warehouse keeps one
+    /// per pinned generation. `type_id` keys the class histogram; as for
+    /// [`FrozenGraph::planner_stats`], the first caller's value wins.
+    pub fn entailed_stats(&self, base: &FrozenGraph, type_id: Option<TermId>) -> FrozenStats {
+        let derived = self
+            .frozen_stats
+            .get_or_init(|| FrozenStats::from_index(self.frozen(), type_id));
+        FrozenStats::disjoint_union(&base.planner_stats(type_id), derived)
     }
 
     /// Run statistics.

@@ -7,9 +7,16 @@
 //! references the OWL index" means in the paper: same query shape, denser
 //! graph. Both sides are immutable sorted columns, so a pattern scan is two
 //! contiguous slice runs chained at scan time, with no locking, boxing, or
-//! allocation.
+//! allocation. The view carries the planner statistics of the union
+//! ([`Materialization::entailed_stats`](crate::engine::Materialization::entailed_stats)),
+//! so a query that opts into the index is planned from cardinalities just
+//! like one over the base graph.
 
+use std::sync::Arc;
+
+use mdw_rdf::dict::TermId;
 use mdw_rdf::frozen::{FrozenGraph, FrozenIndex};
+use mdw_rdf::stats::FrozenStats;
 use mdw_rdf::store::{Scan, TripleSource};
 use mdw_rdf::triple::{Triple, TriplePattern};
 
@@ -17,16 +24,18 @@ use mdw_rdf::triple::{Triple, TriplePattern};
 ///
 /// The two are disjoint by construction (the engine never stores an asserted
 /// triple in the derived index), so chained scans yield no duplicates.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct EntailedGraph<'a> {
     base: &'a FrozenGraph,
     derived: &'a FrozenIndex,
+    stats: Arc<FrozenStats>,
 }
 
 impl<'a> EntailedGraph<'a> {
-    /// Creates the view.
-    pub fn new(base: &'a FrozenGraph, derived: &'a FrozenIndex) -> Self {
-        EntailedGraph { base, derived }
+    /// Creates the view. `stats` summarises base ∪ derived; the caller
+    /// computes it once per pair and shares it across views.
+    pub fn new(base: &'a FrozenGraph, derived: &'a FrozenIndex, stats: Arc<FrozenStats>) -> Self {
+        EntailedGraph { base, derived, stats }
     }
 
     /// The asserted-facts part.
@@ -81,6 +90,10 @@ impl TripleSource for EntailedGraph<'_> {
     fn len_triples(&self) -> usize {
         self.len()
     }
+
+    fn planner_stats(&self, _type_id: Option<TermId>) -> Option<Arc<FrozenStats>> {
+        Some(Arc::clone(&self.stats))
+    }
 }
 
 #[cfg(test)]
@@ -108,11 +121,16 @@ mod tests {
         (store, m)
     }
 
+    fn view<'a>(store: &Store, g: &'a FrozenGraph, m: &'a Materialization) -> EntailedGraph<'a> {
+        let type_id = store.dict().lookup(&vocab::rdf_type());
+        EntailedGraph::new(g, m.frozen(), Arc::new(m.entailed_stats(g, type_id)))
+    }
+
     #[test]
     fn view_sees_base_and_derived() {
         let (store, m) = setup();
         let g = store.model("m").unwrap().freeze();
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = view(&store, &g, &m);
 
         let john = store.encode(&Term::iri("john")).unwrap();
         let ty = store.encode(&Term::iri(vocab::rdf::TYPE)).unwrap();
@@ -134,7 +152,7 @@ mod tests {
         let party = store.encode(&Term::iri("Party")).unwrap();
         let derived_triple = mdw_rdf::triple::Triple::new(john, ty, party);
         assert!(!g.contains(derived_triple));
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = view(&store, &g, &m);
         assert!(view.contains(derived_triple));
     }
 
@@ -142,7 +160,7 @@ mod tests {
     fn no_duplicates_in_union_scan() {
         let (store, m) = setup();
         let g = store.model("m").unwrap().freeze();
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = view(&store, &g, &m);
         let mut all: Vec<_> = view.scan(TriplePattern::any()).collect();
         let before = all.len();
         all.sort();
@@ -154,7 +172,7 @@ mod tests {
     fn estimate_caps() {
         let (store, m) = setup();
         let g = store.model("m").unwrap().freeze();
-        let view = EntailedGraph::new(&g, m.frozen());
+        let view = view(&store, &g, &m);
         assert_eq!(view.estimate(TriplePattern::any(), 1), 1);
         assert_eq!(view.estimate(TriplePattern::any(), 1000), view.len());
     }

@@ -24,8 +24,9 @@
 //!   patterns, skips when one matches nothing, and otherwise joins smallest
 //!   first, buffering its heads until the search is over,
 //! * [`entailed::EntailedGraph`] — a [`TripleSource`](mdw_rdf::TripleSource)
-//!   view unioning a base graph with its entailment index, which is what a
-//!   query gets when it opts into `SEM_RULEBASES('OWLPRIME')`.
+//!   view unioning a base graph with its entailment index, and carrying the
+//!   planner statistics of the union, which is what a query gets when it
+//!   opts into `SEM_RULEBASES('OWLPRIME')`.
 
 pub mod engine;
 pub mod entailed;

@@ -3,12 +3,14 @@
 //! pass adds nothing — no indexes, no delta, no join order. `materialize`,
 //! and `extend` after a random split of the facts, must equal it exactly on
 //! random graphs: half over the full OWLPRIME vocabulary, half dense class
-//! hierarchies with deep and cyclic subclass chains. A last test bounds
-//! what `extend` reads: the consequences of its new facts, not the whole
-//! graph.
+//! hierarchies with deep and cyclic subclass chains. The entailed view's
+//! planner statistics must match a scan of the view, before and after an
+//! `extend`. A last test bounds what `extend` reads: the consequences of
+//! its new facts, not the whole graph.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -17,7 +19,7 @@ use mdw_rdf::store::{Graph, Scan, Store, TripleSource};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::vocab::{owl, rdf, rdfs};
-use mdw_reason::{Materialization, RuleAtom, RuleTerm, Rulebase};
+use mdw_reason::{EntailedGraph, Materialization, RuleAtom, RuleTerm, Rulebase};
 
 /// One random edge: a kind and three pool indexes (see [`triple`]).
 type Edge = (u8, u8, u8, u8);
@@ -162,21 +164,64 @@ fn well_formed(dict: &Dictionary, t: Triple) -> bool {
     !dict.term(t.s).unwrap().is_literal() && dict.term(t.p).unwrap().is_iri()
 }
 
-/// Materializes `edges[..split]`, extends with the rest, and checks the
-/// result against the oracle over all of `edges`.
-fn check_extend(edges: &[Edge], split: usize, rdfs_only: bool) {
-    let (mut store, rb) = build(&edges[..split], rdfs_only);
-    let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+/// Inserts `edges` into model `"m"` and extends `m` with the new ones.
+fn insert_and_extend(store: &mut Store, m: &mut Materialization, rb: &Rulebase, edges: &[Edge]) {
     let mut new_facts = Vec::new();
-    for &edge in &edges[split..] {
+    for &edge in edges {
         let (s, p, o) = triple(edge);
         if store.insert("m", &s, &p, &o).unwrap() {
             let id = |t: &Term| store.encode(t).unwrap();
             new_facts.push(Triple::new(id(&s), id(&p), id(&o)));
         }
     }
-    m.extend(store.model("m").unwrap(), &rb, store.dict(), &new_facts);
+    m.extend(store.model("m").unwrap(), rb, store.dict(), &new_facts);
+}
+
+/// Materializes `edges[..split]`, extends with the rest, and checks the
+/// result against the oracle over all of `edges`.
+fn check_extend(edges: &[Edge], split: usize, rdfs_only: bool) {
+    let (mut store, rb) = build(&edges[..split], rdfs_only);
+    let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+    insert_and_extend(&mut store, &mut m, &rb, &edges[split..]);
     assert_eq!(derived(&m), oracle(&base(&store), &rb, store.dict()));
+}
+
+/// The entailed view's planner statistics against a scan of the view: the
+/// total, every predicate's count and every class's instance count exact,
+/// and every predicate's distincts at least the union's.
+fn check_view_stats(store: &Store, m: &Materialization) {
+    let base = store.model("m").unwrap().freeze();
+    let type_id = store.dict().lookup(&Term::iri(rdf::TYPE));
+    let view = EntailedGraph::new(&base, m.frozen(), Arc::new(m.entailed_stats(&base, type_id)));
+    let stats = view.planner_stats(type_id).expect("the entailed view has statistics");
+
+    let mut predicates: BTreeMap<TermId, (usize, BTreeSet<TermId>, BTreeSet<TermId>)> =
+        BTreeMap::new();
+    let mut classes: BTreeMap<TermId, usize> = BTreeMap::new();
+    let mut rows = 0;
+    for t in view.scan(TriplePattern::any()) {
+        rows += 1;
+        let (count, subjects, objects) = predicates.entry(t.p).or_default();
+        *count += 1;
+        subjects.insert(t.s);
+        objects.insert(t.o);
+        if Some(t.p) == type_id {
+            *classes.entry(t.o).or_default() += 1;
+        }
+    }
+    assert_eq!(stats.total_triples(), view.len());
+    assert_eq!(stats.total_triples(), rows);
+    assert_eq!(stats.predicates().len(), predicates.len());
+    for (&p, (count, subjects, objects)) in &predicates {
+        let ps = stats.predicate(p).expect("every scanned predicate is summarised");
+        assert_eq!(ps.count, *count);
+        assert!(ps.distinct_subjects >= subjects.len());
+        assert!(ps.distinct_objects >= objects.len());
+    }
+    assert_eq!(stats.classes().len(), classes.len());
+    for (&class, &count) in &classes {
+        assert_eq!(stats.class_count(class), Some(count));
+    }
 }
 
 proptest! {
@@ -200,6 +245,21 @@ proptest! {
     ) {
         // The edges are drawn independently, so a prefix is a random subset.
         check_extend(&edges, split.min(edges.len()), rdfs_only);
+    }
+
+    #[test]
+    fn entailed_stats_are_the_exact_sum_and_follow_extend(
+        edges in random_graph(),
+        split in 0..=MAX_EDGES,
+    ) {
+        let split = split.min(edges.len());
+        let (mut store, rb) = build(&edges[..split], false);
+        let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        // The first check caches the derived side's statistics; `extend`
+        // must drop them.
+        check_view_stats(&store, &m);
+        insert_and_extend(&mut store, &mut m, &rb, &edges[split..]);
+        check_view_stats(&store, &m);
     }
 }
 

@@ -6,11 +6,12 @@
 //! a greedy bound-variable-aware ordering: repeatedly pick the remaining
 //! pattern with the fewest unbound positions, breaking ties by estimated
 //! cardinality, then add its variables to the bound set so later picks
-//! see them as bound. Estimates come from the frozen snapshot's
-//! [`FrozenStats`] — per-predicate counts, per-subject/object fan-out
-//! averages, and the exact `rdf:type` class histogram; sources without a
-//! stats snapshot (entailed views) fall back to capped
-//! [`TripleSource::estimate`] probes over the constant positions.
+//! see them as bound. Estimates come from the source's [`FrozenStats`] —
+//! per-predicate counts, per-subject/object fan-out averages, and the
+//! exact `rdf:type` class histogram. A frozen graph has its own; the
+//! entailed view carries the sum of its base's and its semantic index's.
+//! The capped [`TripleSource::estimate`] probe fallback serves only
+//! sources without statistics, and no product source lacks them.
 //!
 //! Filter conjuncts are pushed down on the same walk: a `FILTER`'s
 //! `&&`-conjuncts travel into the subtree and attach to the earliest BGP
@@ -34,8 +35,10 @@ use mdw_rdf::triple::TriplePattern;
 use crate::ast::{self, Expr, GraphPattern, NodeRef, PatternTriple, Verb};
 use crate::plan::{untrack, BgpPlan, PlanNode, PlannedUnit, QueryPlan};
 
-/// Row cap for fallback cardinality probes against sources without a
-/// frozen statistics snapshot.
+/// Row cap for fallback cardinality probes against sources without
+/// statistics. No product source lacks them; the fallback stays while
+/// [`PlannerInput::stats`] is an `Option` that external callers (the
+/// benchmark's traced replay) still build.
 const PROBE_CAP: usize = 64;
 
 /// Placeholder id for a position bound by a variable whose value is
@@ -275,8 +278,8 @@ impl Planner<'_, '_> {
         o_id: Option<TermId>,
     ) -> usize {
         let Some(stats) = self.input.stats else {
-            // No snapshot statistics (entailed views): probe the source
-            // over the constant positions, capped.
+            // No statistics: probe the source over the constant
+            // positions, capped.
             let probe = TriplePattern { s: s_id, p: p_id, o: o_id };
             return self.input.source.estimate(probe, PROBE_CAP);
         };

@@ -20,9 +20,9 @@
 //!    including verdicts.
 //!
 //! Both statistics regimes are covered: queries without a rulebase run on
-//! the frozen base graph (real `FrozenStats` histograms), queries naming
-//! OWLPRIME run on the entailed view (no snapshot statistics — the planner
-//! falls back to capped probe scans).
+//! the frozen base graph and plan from its `FrozenStats`; queries naming
+//! OWLPRIME run on the entailed view and plan from the sum of the base's
+//! and the semantic index's `FrozenStats`, computed once per generation.
 
 mod common;
 
@@ -38,8 +38,8 @@ use metadata_warehouse::sparql::SemMatch;
 
 /// The query shapes the planner rewrites, written adversarially: the
 /// broadest pattern first, joins before their binding scans, filters at
-/// the end. `rulebased` switches between the frozen base graph (snapshot
-/// statistics) and the entailed view (probe fallback).
+/// the end. `rulebased` switches between the frozen base graph (its own
+/// statistics) and the entailed view (the summed base + derived statistics).
 fn queries(rulebased: bool) -> Vec<SemMatch> {
     let mapped = vocab::cs::IS_MAPPED_TO;
     let has_name = vocab::cs::HAS_NAME;

@@ -53,7 +53,7 @@ fn measure_direct(store: &Store, query_text: &str, use_planner: bool, iters: usi
     for _ in 0..iters {
         let budget = QueryBudget::unlimited();
         let t = Instant::now();
-        let options = ExecOptions { budget: budget.clone(), use_planner, ..ExecOptions::default() };
+        let options = ExecOptions { budget: budget.clone(), use_planner };
         let (out, report) =
             execute(&query, graph, store.dict(), &options).expect("ablation query executes");
         let elapsed = t.elapsed();

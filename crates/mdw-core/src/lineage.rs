@@ -27,12 +27,9 @@
 //! small." A [`LineageRequest::rule_condition_filter`] restricts traversal
 //! to mapping edges whose reified rule condition matches.
 //!
-//! Traversal runs in two stages: a level-synchronous BFS discovers the
-//! reachable mapping subgraph — each frontier level expanded in parallel
-//! under the context's [`mdw_rdf::par::ParallelPolicy`], merged in
-//! deterministic frontier order — and a sequential DFS then enumerates
-//! simple paths over the discovered adjacency. Results are bit-identical
-//! for every thread count.
+//! Traversal runs in two stages on the calling thread: a level-synchronous
+//! BFS discovers the reachable mapping subgraph, and a DFS then enumerates
+//! simple paths over the discovered adjacency.
 //!
 //! [`schema_flow`] aggregates attribute-level mappings to schema-level flows
 //! and `drill_down` expands one schema pair back to attribute granularity —
@@ -250,53 +247,38 @@ pub(crate) fn trace(
         Some(iter.fold(first, |acc, s| acc.intersection(&s).copied().collect()))
     };
 
-    // Step 3 + Figure 8, stage 1: level-synchronous BFS discovery.
-    //
-    // Each frontier level is expanded in (optionally parallel) contiguous
-    // chunks: workers only scan the outgoing `isMappedTo` edges of their
-    // frontier nodes — read-only work, ticking the shared budget's
-    // deadline/cancellation through a per-worker meter — while the
-    // sequential in-order merge does everything stateful: it charges one
-    // budget step per scanned edge, applies the rule-condition filter,
-    // records discovered edges in the adjacency map, and assigns exact
-    // shortest-hop distances. Because charging and discovery order live in
-    // the merge, the result is bit-identical for every thread count.
+    // Step 3 + Figure 8, stage 1: level-synchronous BFS discovery. Each
+    // level scans the outgoing `isMappedTo` edges of its frontier in
+    // order, charging one budget step per scanned edge, applying the
+    // rule-condition filter and recording passing edges. The clock and the
+    // cancellation flag are checked when the walk starts and again at the
+    // start of every later level, besides the interval checks of
+    // `charge_step`.
     let budget = ctx.budget();
-    let policy = ctx.parallelism();
     let mut tripped: Option<TruncationReason> = budget.check().err();
     let mut adj: HashMap<TermId, Vec<Edge>> = HashMap::new();
     let mut reached: BTreeMap<TermId, usize> = BTreeMap::new();
     let mut frontier: Vec<TermId> = vec![start];
     let mut depth = 0usize;
     while tripped.is_none() && !frontier.is_empty() && depth < request.max_depth {
-        let scans = mdw_rdf::par::map_chunks(&policy, &frontier, |nodes| {
-            let mut meter = budget.meter();
-            let mut edges: Vec<(TermId, TermId)> = Vec::new();
-            let mut trip: Option<TruncationReason> = None;
-            'chunk: for &node in nodes {
-                let pattern = match request.direction {
-                    Direction::Downstream => TriplePattern::with_sp(node, mapped),
-                    Direction::Upstream => TriplePattern::with_po(mapped, node),
-                };
-                for t in graph.scan(pattern) {
-                    if let Err(reason) = meter.tick() {
-                        trip = Some(reason);
-                        break 'chunk;
-                    }
-                    edges.push((t.s, t.o));
-                }
+        if depth > 0 {
+            if let Err(reason) = budget.check() {
+                tripped = Some(reason);
+                break;
             }
-            (edges, trip)
-        });
+        }
         let mut next: Vec<TermId> = Vec::new();
-        'merge: for (edges, worker_trip) in scans {
-            for (from, to) in edges {
-                // One scanned edge = one budget step, charged in
-                // deterministic frontier order.
+        'level: for &node in &frontier {
+            let pattern = match request.direction {
+                Direction::Downstream => TriplePattern::with_sp(node, mapped),
+                Direction::Upstream => TriplePattern::with_po(mapped, node),
+            };
+            for t in graph.scan(pattern) {
                 if let Err(reason) = budget.charge_step() {
                     tripped = Some(reason);
-                    break 'merge;
+                    break 'level;
                 }
+                let (from, to) = (t.s, t.o);
                 let (source, step_to) = match request.direction {
                     Direction::Downstream => (from, to),
                     Direction::Upstream => (to, from),
@@ -311,21 +293,11 @@ pub(crate) fn trace(
                 // Every passing edge joins the adjacency (stage 2 needs the
                 // edges into already-reached nodes for diamond fan-in and
                 // cycle paths), but only newly-reached nodes join the next
-                // frontier — which is what keeps distances exact
-                // shortest-hop counts independent of worker scheduling.
+                // frontier, which keeps distances exact shortest-hop counts.
                 adj.entry(source).or_default().push(Edge { from, to, condition });
                 if step_to != start && !reached.contains_key(&step_to) {
                     reached.insert(step_to, depth + 1);
                     next.push(step_to);
-                }
-            }
-            // A worker stopped scanning early (deadline or cancellation):
-            // everything merged so far is a truthful prefix; later chunks
-            // are discarded.
-            if tripped.is_none() {
-                if let Some(reason) = worker_trip {
-                    tripped = Some(reason);
-                    break 'merge;
                 }
             }
         }
@@ -333,10 +305,10 @@ pub(crate) fn trace(
         depth += 1;
     }
 
-    // Stage 2: sequential simple-path enumeration over the discovered
-    // adjacency. A stage-1 trip skips enumeration entirely: the budget is
-    // spent, and paths over a partially discovered graph would not be a
-    // prefix of the sequential enumeration.
+    // Stage 2: simple-path enumeration over the discovered adjacency. A
+    // stage-1 trip skips enumeration entirely: the budget is spent, and
+    // paths over a partially discovered graph would not be a prefix of the
+    // complete enumeration.
     let mut walker = PathWalker {
         adj: &adj,
         dict,
@@ -426,7 +398,7 @@ struct Edge {
     condition: Option<String>,
 }
 
-/// Stage 2: the sequential simple-path enumerator over the adjacency that
+/// Stage 2: the simple-path enumerator over the adjacency that
 /// stage-1 BFS discovered. Edge order inside each adjacency list is the
 /// graph scan order, so (for a complete discovery) the enumeration visits
 /// paths in exactly the order the historical direct-scan DFS did.

@@ -27,7 +27,6 @@ use mdw_rdf::frozen::{FrozenIndex, FrozenStore};
 use mdw_rdf::journal::JournalOp;
 use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
 use mdw_rdf::metrics::CounterSet;
-use mdw_rdf::par::ParallelPolicy;
 use mdw_rdf::persist::SaveReport;
 use mdw_rdf::staging::{LoadReport, StagingArea};
 use mdw_rdf::stats::FrozenStats;
@@ -212,9 +211,6 @@ pub struct MetadataWarehouse {
     history: History,
     sources: SourceRegistry,
     admission: Option<AdmissionController>,
-    /// Worker-thread policy attached to every [`QueryContext`] this
-    /// warehouse hands out; sequential unless configured.
-    parallelism: ParallelPolicy,
     /// Cumulative planner activity over served `SEM_MATCH` queries.
     planner: PlannerCounters,
     /// Cumulative keyword-answering activity.
@@ -273,7 +269,6 @@ impl MetadataWarehouse {
             history: History::new(),
             sources: SourceRegistry::new(),
             admission: None,
-            parallelism: ParallelPolicy::sequential(),
             planner: PlannerCounters::default(),
             answer_counters: AnswerCounters::default(),
         }
@@ -395,15 +390,7 @@ impl MetadataWarehouse {
     /// unlimited budget. The context (and any clone) keeps reading that
     /// generation even while later ingests mutate the warehouse.
     pub fn context(&self) -> QueryContext {
-        QueryContext::new(Arc::clone(&self.pinned.store)).with_parallelism(self.parallelism)
-    }
-
-    /// Sets the worker-thread policy used by every subsequent query
-    /// (lineage frontier expansion, SPARQL leaf scans). Parallel execution
-    /// only changes wall-clock time — results are bit-identical to
-    /// sequential execution for every policy.
-    pub fn set_parallelism(&mut self, policy: ParallelPolicy) {
-        self.parallelism = policy;
+        QueryContext::new(Arc::clone(&self.pinned.store))
     }
 
     /// The current-model name.
@@ -848,11 +835,7 @@ impl MetadataWarehouse {
         // pattern instead of a chain. Its statistics are the view's.
         let source: &dyn TripleSource =
             if view.derived().is_empty() { view.base() } else { view };
-        let options = ExecOptions {
-            budget: ctx.budget().clone(),
-            par: ctx.parallelism(),
-            use_planner,
-        };
+        let options = ExecOptions { budget: ctx.budget().clone(), use_planner };
         let (out, report) = mdw_sparql::execute(&parsed, source, ctx.dict(), &options)?;
         self.planner.record(&report);
         Ok((out, report))

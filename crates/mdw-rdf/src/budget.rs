@@ -335,12 +335,10 @@ impl QueryBudget {
     /// [`CHECK_INTERVAL`] steps (and on the first). The counter saturates
     /// at `u64::MAX` instead of wrapping, so a tripped budget stays tripped.
     ///
-    /// The clock-check interval here is measured on the *shared* counter,
-    /// which is only a per-worker bound when one iterator charges the
-    /// budget. A loop that shares the budget with other worker threads must
-    /// charge through its own [`StepMeter`] (see [`QueryBudget::meter`]),
-    /// otherwise a worker can run arbitrarily long without ever landing on
-    /// a shared interval boundary and overshoot the deadline unboundedly.
+    /// A query runs on one thread, so the interval is measured on the
+    /// shared counter: however the request's traversals (clones of one
+    /// budget) take turns charging it, every [`CHECK_INTERVAL`]th step
+    /// consults the clock.
     pub fn charge_step(&self) -> Result<(), TruncationReason> {
         let taken = self.bump_steps(1);
         if taken > self.inner.max_steps {
@@ -353,9 +351,10 @@ impl QueryBudget {
     }
 
     /// Saturating `fetch_add` on the step counter; returns the new value.
-    /// A single atomic read-modify-write, so concurrent charges from any
-    /// number of workers serialize without ever wrapping past `u64::MAX`
-    /// (the saturation edge is exercised by an interleaving test below).
+    /// A single atomic read-modify-write, so concurrent charges through
+    /// clones on other threads serialize without ever wrapping past
+    /// `u64::MAX` (the saturation edge is exercised by an interleaving test
+    /// below).
     fn bump_steps(&self, n: u64) -> u64 {
         let prev = self
             .inner
@@ -365,15 +364,6 @@ impl QueryBudget {
             })
             .expect("fetch_update closure never returns None");
         prev.saturating_add(n)
-    }
-
-    /// A per-worker charging handle: shares this budget's atomic counters
-    /// but counts its *own* charges to decide when to consult the clock
-    /// and the cancellation flag, bounding deadline overshoot to one
-    /// [`CHECK_INTERVAL`] of work per worker no matter how many workers
-    /// share the budget.
-    pub fn meter(&self) -> StepMeter<'_> {
-        StepMeter { budget: self, local: 0 }
     }
 
     /// Charges one emitted row against the row cap.
@@ -429,50 +419,6 @@ impl QueryBudget {
             if time.now() >= deadline {
                 return Err(TruncationReason::DeadlineExceeded);
             }
-        }
-        Ok(())
-    }
-}
-
-/// A per-worker view of a shared [`QueryBudget`].
-///
-/// Step and row *caps* are enforced on the shared atomic counters exactly
-/// as before — the pool is one pool. What is per-worker is the bookkeeping
-/// for the expensive checks: the wall clock and the cancellation flag are
-/// consulted every [`CHECK_INTERVAL`] of *this worker's* charges (and on
-/// its first), so each worker notices an expired deadline after at most
-/// one interval of its own work. The shared-counter interval used by
-/// [`QueryBudget::charge_step`] cannot give that bound: with N workers the
-/// boundary values `taken % CHECK_INTERVAL == 1` land on whichever worker
-/// happens to draw them, and an unlucky worker may never check at all —
-/// an 8-thread query could overshoot its deadline by 8× the interval or
-/// worse.
-#[derive(Debug)]
-pub struct StepMeter<'a> {
-    budget: &'a QueryBudget,
-    /// Charges made through this meter (drives the local check interval).
-    local: u64,
-}
-
-impl StepMeter<'_> {
-    /// Charges one traversal step against the shared pool, consulting the
-    /// clock and the cancellation flag at bounded per-worker intervals.
-    pub fn charge_step(&mut self) -> Result<(), TruncationReason> {
-        let taken = self.budget.bump_steps(1);
-        if taken > self.budget.inner.max_steps {
-            return Err(TruncationReason::StepLimit);
-        }
-        self.tick()
-    }
-
-    /// Advances the local interval without charging a step — for workers
-    /// whose steps the caller's in-order merge charges afterwards (lineage
-    /// frontier expansion, SPARQL leaf scans) but which must still notice
-    /// an expired deadline or a cancellation within one interval of work.
-    pub fn tick(&mut self) -> Result<(), TruncationReason> {
-        self.local += 1;
-        if self.local % CHECK_INTERVAL == 1 {
-            self.budget.check_clock_and_cancel()?;
         }
         Ok(())
     }
@@ -613,40 +559,34 @@ mod tests {
         assert_send_sync::<CancellationToken>();
     }
 
-    /// The per-worker bound the meter exists for: no matter how the shared
-    /// counter's interval boundaries are distributed across workers, every
-    /// worker notices an expired deadline within CHECK_INTERVAL of its own
-    /// charges. Eight meters charge round-robin (so shared boundaries land
-    /// on arbitrary workers), the clock expires, and each worker's
-    /// overshoot is measured individually.
+    /// Clones share one check interval: eight clones charge round-robin,
+    /// the clock expires, and whichever clone charges next, the budget
+    /// trips within CHECK_INTERVAL charges in total.
     #[test]
-    fn meter_bounds_deadline_overshoot_per_worker() {
+    fn clones_share_one_check_interval() {
         let time = Arc::new(ManualTime::new());
         let b = QueryBudget::unlimited()
             .with_deadline(Duration::from_millis(10), Arc::clone(&time) as Arc<dyn TimeSource>);
-        let mut meters: Vec<StepMeter<'_>> = (0..8).map(|_| b.meter()).collect();
-        // Warm up: 37 rounds of round-robin charging (a prime offset so
-        // worker-local counts sit mid-interval when the deadline passes).
+        let clones: Vec<QueryBudget> = (0..8).map(|_| b.clone()).collect();
+        // Warm up: 37 rounds of round-robin charging (a prime offset so the
+        // shared count sits mid-interval when the deadline passes).
         for _ in 0..37 {
-            for m in meters.iter_mut() {
-                m.charge_step().unwrap();
+            for c in &clones {
+                c.charge_step().unwrap();
             }
         }
         time.advance(Duration::from_millis(11));
-        for (w, m) in meters.iter_mut().enumerate() {
-            let mut overshoot = 0u64;
-            let tripped = loop {
-                match m.charge_step() {
+        let mut overshoot = 0u64;
+        let tripped = 'charge: loop {
+            for c in &clones {
+                match c.charge_step() {
                     Ok(()) => overshoot += 1,
-                    Err(r) => break r,
+                    Err(r) => break 'charge r,
                 }
-                assert!(
-                    overshoot <= CHECK_INTERVAL,
-                    "worker {w} overshot the deadline by more than one interval"
-                );
-            };
-            assert_eq!(tripped, TruncationReason::DeadlineExceeded);
-        }
+                assert!(overshoot <= CHECK_INTERVAL, "overshot the deadline by more than one interval");
+            }
+        };
+        assert_eq!(tripped, TruncationReason::DeadlineExceeded);
     }
 
     /// Loom-style interleaving check for the step counter's saturation
@@ -654,7 +594,7 @@ mod tests {
     /// concurrent schedule of K charges is observationally equivalent to
     /// one of the K! sequential orders of those RMWs — enumerating the
     /// orders covers the full interleaving space at that granularity.
-    /// Two workers issue two charges each with the shared counter two
+    /// Two clones issue two charges each with the shared counter two
     /// below `u64::MAX`: in every schedule the counter must saturate at
     /// `u64::MAX` (never wrap to a small value that would un-trip the
     /// budget) and exactly one charge may succeed.
@@ -672,11 +612,11 @@ mod tests {
         for schedule in schedules {
             let b = QueryBudget::unlimited().with_max_steps(u64::MAX - 1);
             b.bump_steps(u64::MAX - 2);
-            let mut meters = [b.meter(), b.meter()];
+            let clones = [b.clone(), b.clone()];
             let mut oks = 0;
             let mut step_limits = 0;
             for &w in &schedule {
-                match meters[w].charge_step() {
+                match clones[w].charge_step() {
                     Ok(()) => oks += 1,
                     Err(TruncationReason::StepLimit) => step_limits += 1,
                     Err(other) => panic!("unexpected trip {other:?}"),
@@ -691,18 +631,17 @@ mod tests {
     }
 
     /// The same edge under real threads: hammering a nearly-saturated
-    /// counter from 8 threads leaves it exactly at `u64::MAX`.
+    /// counter through clones on 8 threads leaves it exactly at `u64::MAX`.
     #[test]
     fn step_counter_saturates_under_contention() {
         let b = QueryBudget::unlimited().with_max_steps(u64::MAX - 1);
         b.bump_steps(u64::MAX - 100);
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let b = &b;
+                let b = b.clone();
                 scope.spawn(move || {
-                    let mut meter = b.meter();
                     for _ in 0..1000 {
-                        let _ = meter.charge_step();
+                        let _ = b.charge_step();
                     }
                 });
             }
@@ -712,22 +651,19 @@ mod tests {
     }
 
     #[test]
-    fn meter_tick_checks_cancellation_at_interval() {
+    fn cancellation_checked_at_interval() {
         let token = CancellationToken::new();
         let b = QueryBudget::unlimited().with_cancellation(&token);
-        let mut m = b.meter();
-        m.tick().unwrap(); // local 1: checked, ok
+        b.charge_step().unwrap(); // step 1: checked, ok
         token.cancel();
-        let mut ticks = 0u64;
+        let mut charged = 0u64;
         let tripped = loop {
-            match m.tick() {
-                Ok(()) => ticks += 1,
+            match b.charge_step() {
+                Ok(()) => charged += 1,
                 Err(r) => break r,
             }
-            assert!(ticks <= CHECK_INTERVAL, "tick must notice within one interval");
+            assert!(charged <= CHECK_INTERVAL, "a charge must notice within one interval");
         };
         assert_eq!(tripped, TruncationReason::Cancelled);
-        // Ticks never charge the shared pool.
-        assert_eq!(b.steps_charged(), 0);
     }
 }

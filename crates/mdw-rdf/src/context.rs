@@ -8,7 +8,7 @@
 //! [`QueryBudget`] that overload protection charges per unit of work.
 //!
 //! Contexts are cheap to clone (`Arc` bump + shared budget counters) and
-//! `Send + Sync`, so concurrent workers can scan one snapshot with zero
+//! `Send + Sync`, so concurrent requests can scan one snapshot with zero
 //! contention.
 
 use std::sync::Arc;
@@ -17,7 +17,6 @@ use crate::budget::QueryBudget;
 use crate::dict::Dictionary;
 use crate::error::RdfError;
 use crate::frozen::{FrozenGraph, FrozenStore};
-use crate::par::ParallelPolicy;
 use crate::stats::FrozenStats;
 use crate::vocab;
 
@@ -26,17 +25,12 @@ use crate::vocab;
 pub struct QueryContext {
     snapshot: Arc<FrozenStore>,
     budget: QueryBudget,
-    parallelism: ParallelPolicy,
 }
 
 impl QueryContext {
-    /// Pins a snapshot with an unlimited budget and sequential execution.
+    /// Pins a snapshot with an unlimited budget.
     pub fn new(snapshot: Arc<FrozenStore>) -> Self {
-        QueryContext {
-            snapshot,
-            budget: QueryBudget::unlimited(),
-            parallelism: ParallelPolicy::sequential(),
-        }
+        QueryContext { snapshot, budget: QueryBudget::unlimited() }
     }
 
     /// Replaces the budget (clones share counters with the original budget,
@@ -44,18 +38,6 @@ impl QueryContext {
     pub fn with_budget(mut self, budget: QueryBudget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// Sets the worker-thread policy query layers consult before
-    /// partitioning a scan (sequential unless a caller opts in).
-    pub fn with_parallelism(mut self, policy: ParallelPolicy) -> Self {
-        self.parallelism = policy;
-        self
-    }
-
-    /// The worker-thread policy for this query.
-    pub fn parallelism(&self) -> ParallelPolicy {
-        self.parallelism
     }
 
     /// The pinned snapshot.

@@ -20,9 +20,6 @@
 //!   [`frozen::FrozenStore`] generation — readers never take a lock,
 //! * [`context::QueryContext`] — a snapshot-pinned, budget-carrying read
 //!   handle threaded through search, lineage, and SPARQL,
-//! * [`par`] — a hand-rolled scoped worker pool ([`par::map_chunks`]) and
-//!   the [`par::ParallelPolicy`] that lets queries split frozen-column
-//!   scans across threads with deterministic chunk-order merges,
 //! * [`store::Store`] — the mutable builder for tests and benches: named
 //!   RDF models (the paper queries `SEM_MODELS('DWH_CURR')`) over a shared
 //!   dictionary, frozen on demand,
@@ -55,7 +52,6 @@ pub mod index;
 pub mod journal;
 pub mod lsm;
 pub mod metrics;
-pub mod par;
 pub mod persist;
 pub mod staging;
 pub mod stats;
@@ -78,7 +74,6 @@ pub use frozen::{DeltaRun, FrozenGraph, FrozenIndex, FrozenRun, FrozenStore, Gra
 pub use index::TripleIndex;
 pub use journal::{Journal, JournalBatch, JournalOp};
 pub use lsm::{LsmConfig, LsmMetrics, LsmOpenReport, LsmStore};
-pub use par::ParallelPolicy;
 pub use persist::{
     fsck, load_store, quarantine_orphan_runs, read_run_file, read_runs_manifest,
     save_frozen_snapshot, write_run_file, write_runs_manifest, FsckReport, RunData, RunEntry,

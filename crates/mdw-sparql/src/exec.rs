@@ -6,9 +6,8 @@
 //! graph pattern by frozen-index selectivity statistics and pushes filter
 //! conjuncts down to the unit that binds their variables; under
 //! `--no-planner` through [`QueryPlan::naive`], which keeps the written
-//! order. The executor here then evaluates the plan with budget-charged
-//! nested index-loop joins, optionally partitioning the leaf scan of a
-//! BGP across worker threads with a deterministic in-order merge.
+//! order. The executor here then evaluates the plan on the calling thread
+//! with budget-charged nested index-loop joins.
 //! [`execute`] returns the rows together with an [`ExplainReport`] pairing
 //! the plan's estimates with observed cardinalities.
 
@@ -20,7 +19,6 @@ use std::sync::Arc;
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::par::ParallelPolicy;
 use mdw_rdf::stats::FrozenStats;
 use mdw_rdf::store::TripleSource;
 use mdw_rdf::term::Term;
@@ -112,8 +110,8 @@ fn term_display(t: &Term) -> String {
     }
 }
 
-/// How [`execute`] runs a query. The default is an unlimited budget,
-/// sequential execution, and cost-based planning.
+/// How [`execute`] runs a query. The default is an unlimited budget and
+/// cost-based planning.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// The resource budget. When it trips (steps, rows, deadline,
@@ -121,11 +119,6 @@ pub struct ExecOptions {
     /// partial rows come back tagged [`Completeness::Truncated`] — never
     /// an error, never a panic.
     pub budget: QueryBudget,
-    /// Worker-thread policy. It only affects wall-clock time: the leaf
-    /// scan+filter stage of BGP evaluation partitions its prefix run across
-    /// scoped worker threads and merges in scan order, so rows, row order,
-    /// and truncation verdicts are bit-identical to sequential execution.
-    pub par: ParallelPolicy,
     /// Whether the cost-based planner orders the patterns. `false`
     /// evaluates them in written order with no filter pushdown (the
     /// `--no-planner` baseline): the same row set, but evaluation order —
@@ -137,7 +130,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             budget: QueryBudget::unlimited(),
-            par: ParallelPolicy::sequential(),
             use_planner: true,
         }
     }
@@ -152,7 +144,7 @@ pub fn execute(
     dict: &Dictionary,
     options: &ExecOptions,
 ) -> Result<(QueryOutput, ExplainReport), SparqlError> {
-    let &ExecOptions { ref budget, par, use_planner } = options;
+    let &ExecOptions { ref budget, use_planner } = options;
     let type_id = dict.lookup(&vocab::rdf_type());
     let stats = if use_planner { source.planner_stats(type_id) } else { None };
     let query_plan = if use_planner {
@@ -168,7 +160,6 @@ pub fn execute(
         source,
         dict,
         budget,
-        par,
         plan: query_plan,
         use_planner,
         stats,
@@ -191,7 +182,6 @@ struct Executor<'a> {
     source: &'a dyn TripleSource,
     dict: &'a Dictionary,
     budget: &'a QueryBudget,
-    par: ParallelPolicy,
     /// The logical plan execution follows.
     plan: QueryPlan,
     /// Whether EXISTS sub-patterns should also be cost-planned.
@@ -652,65 +642,15 @@ impl<'a> Executor<'a> {
         };
         match unit {
             ResolvedUnit::Triple(rt) => {
-                let pat = rt.to_pattern(&binding);
-                let matches: Vec<_> = self.source.scan_pattern(pat).collect();
-                if rest.is_empty() && cap.is_none() && self.par.is_parallel() && !self.is_tripped()
-                {
-                    // Leaf scan+filter: the last unit's matches only extend
-                    // the current binding, so workers can do that pure work
-                    // over contiguous partitions of the prefix run (ticking
-                    // the shared budget's deadline/cancellation through
-                    // per-worker meters) while the in-order merge charges
-                    // one step per match and evaluates pushed filters
-                    // (regex caches are not Sync) — rows, row order, and
-                    // verdicts bit-identical to the sequential loop.
-                    let budget = self.budget;
-                    let seed = &binding;
-                    let chunks = mdw_rdf::par::map_chunks(&self.par, &matches, |chunk| {
-                        let mut meter = budget.meter();
-                        let mut exts: Vec<Option<Binding>> = Vec::with_capacity(chunk.len());
-                        let mut trip: Option<TruncationReason> = None;
-                        for t in chunk {
-                            if let Err(reason) = meter.tick() {
-                                trip = Some(reason);
-                                break;
-                            }
-                            let mut next = seed.clone();
-                            exts.push(rt.extend(&mut next, *t).then_some(next));
-                        }
-                        (exts, trip)
-                    });
-                    'merge: for (exts, worker_trip) in chunks {
-                        for ext in exts {
-                            if !self.charge() {
-                                break 'merge;
-                            }
-                            if let Some(next) = ext {
-                                self.count_actual(planned.id);
-                                if self.pass_filters(&planned.filters, vars, &next)? {
-                                    out.push(next);
-                                }
-                            }
-                        }
-                        // A worker stopped early (deadline/cancellation):
-                        // the merged prefix is truthful, later chunks are
-                        // discarded.
-                        if let Some(reason) = worker_trip {
-                            self.trip(reason);
-                            break 'merge;
-                        }
+                for t in self.source.scan_pattern(rt.to_pattern(&binding)) {
+                    if !self.charge() || cap_reached(out.len(), cap) {
+                        break;
                     }
-                } else {
-                    for t in matches {
-                        if !self.charge() || cap_reached(out.len(), cap) {
-                            break;
-                        }
-                        let mut next = binding.clone();
-                        if rt.extend(&mut next, t) {
-                            self.count_actual(planned.id);
-                            if self.pass_filters(&planned.filters, vars, &next)? {
-                                self.bgp_step(rest, next, cap, vars, out)?;
-                            }
+                    let mut next = binding.clone();
+                    if rt.extend(&mut next, t) {
+                        self.count_actual(planned.id);
+                        if self.pass_filters(&planned.filters, vars, &next)? {
+                            self.bgp_step(rest, next, cap, vars, out)?;
                         }
                     }
                 }
@@ -1829,8 +1769,7 @@ mod tests {
         let planned = ExecOptions { budget: planned_budget.clone(), ..ExecOptions::default() };
         let (on, _) = try_run(&store, q, &planned).unwrap();
         let naive_budget = QueryBudget::unlimited();
-        let written =
-            ExecOptions { budget: naive_budget.clone(), use_planner: false, ..ExecOptions::default() };
+        let written = ExecOptions { budget: naive_budget.clone(), use_planner: false };
         let (off, _) = try_run(&store, q, &written).unwrap();
         assert_eq!(on.rows, off.rows);
         assert_eq!(on.rows.len(), 1);

@@ -29,9 +29,8 @@
 //!   [`execute`](exec::execute), running budget-charged nested index-loop
 //!   joins driven by the plan over any
 //!   [`TripleSource`](mdw_rdf::TripleSource) — a plain model or an
-//!   entailed view (rulebase opted in) — under
-//!   [`ExecOptions`](exec::ExecOptions) (budget, worker threads, planner
-//!   switch),
+//!   entailed view (rulebase opted in) — on the calling thread, under
+//!   [`ExecOptions`](exec::ExecOptions) (budget, planner switch),
 //! * [`sem_match`] — the Oracle-flavoured query *builder* used by the
 //!   reproduction of the paper's listings; the warehouse facade in
 //!   `mdw-core` is what runs it.

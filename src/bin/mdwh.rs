@@ -23,7 +23,6 @@ use std::time::Duration;
 use metadata_warehouse::core::admission::AdmissionConfig;
 use metadata_warehouse::core::answer::AnswerRequest;
 use metadata_warehouse::rdf::budget::{Completeness, MonotonicTime, QueryBudget};
-use metadata_warehouse::rdf::ParallelPolicy;
 use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::governance::render_access;
 use metadata_warehouse::core::lineage::LineageRequest;
@@ -76,19 +75,19 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "search",
         synopsis: "--store DIR TERM [--synonyms] [--area NAME] [--class LOCAL]
-                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+                [--deadline-ms MS] [--max-rows N] [--max-steps N]",
         run: cmd_search,
     },
     Command {
         name: "answer",
         synopsis: "--store DIR \"KEYWORDS\" [--top-k N] [--explain]
-                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+                [--deadline-ms MS] [--max-rows N] [--max-steps N]",
         run: cmd_answer,
     },
     Command {
         name: "lineage",
         synopsis: "--store DIR ITEM [--upstream] [--depth N] [--rule-filter STR]
-                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+                [--deadline-ms MS] [--max-rows N] [--max-steps N]",
         run: cmd_lineage,
     },
     Command { name: "audit", synopsis: "--store DIR ITEM", run: cmd_audit },
@@ -97,7 +96,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "sparql",
         synopsis: "--store DIR QUERY [--no-rulebase] [--explain] [--no-planner]
-                [--deadline-ms MS] [--max-rows N] [--max-steps N] [--threads N]",
+                [--deadline-ms MS] [--max-rows N] [--max-steps N]",
         run: cmd_sparql,
     },
     Command { name: "fsck", synopsis: "--store DIR", run: cmd_fsck },
@@ -106,7 +105,7 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         synopsis: "[--store DIR] [--addr HOST:PORT] [--quota N] [--max-conns N]
                 [--workers N] [--deadline-ms MS] [--drain-grace-ms MS]
-                [--no-admission] [--threads N] [--seed N]",
+                [--no-admission] [--seed N]",
         run: cmd_serve,
     },
     Command {
@@ -121,7 +120,7 @@ const COMMANDS: &[Command] = &[
         synopsis: "[--addr HOST:PORT] [--connections N] [--requests N]
                   [--quota N] [--tenants N] [--max-conns N] [--deadline-ms MS]
                   [--no-admission] [--expect-shed] [--rss-ceiling-kb N]
-                  [--store DIR] [--threads N] [--seed N]",
+                  [--store DIR] [--seed N]",
         run: drill_wire,
     },
     Command {
@@ -147,10 +146,6 @@ the process exits.
 
 Query budgets: a blown --deadline-ms, --max-rows or --max-steps budget
 returns the partial answer tagged `truncated` instead of an error.
-
-Parallelism: query commands accept --threads N (default: the
-MDW_PAR_THREADS env var, else 1) to split frozen-snapshot scans across
-worker threads; results are bit-identical to sequential execution.
 
 Planning: sparql orders joins by frozen-index statistics. --explain
 prints the chosen plan (estimated vs observed rows per pattern, pushed
@@ -419,10 +414,6 @@ fn open_warehouse(args: &Args) -> Result<MetadataWarehouse, String> {
         }
     }
     warehouse.build_semantic_index().map_err(|e| e.to_string())?;
-    // Worker threads from `--threads N`, else the `MDW_PAR_THREADS`
-    // environment variable, else sequential; results are bit-identical.
-    let threads = parse_opt(args, "threads")?;
-    warehouse.set_parallelism(threads.map_or_else(ParallelPolicy::from_env, ParallelPolicy::new));
     Ok(warehouse)
 }
 
@@ -688,7 +679,6 @@ fn drill_warehouse(args: &Args) -> Result<MetadataWarehouse, String> {
         .ingest(corpus.into_extracts())
         .map_err(|e| e.to_string())?;
     warehouse.build_semantic_index().map_err(|e| e.to_string())?;
-    warehouse.set_parallelism(ParallelPolicy::from_env());
     Ok(warehouse)
 }
 

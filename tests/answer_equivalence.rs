@@ -1,13 +1,8 @@
 //! Differential testing for keyword answering: `MetadataWarehouse::answer`
-//! must be deterministic across thread counts, truthful under every budget
-//! shape, and typed when shed.
+//! must be truthful under every budget shape and typed when shed.
 //!
-//! Three contracts, extended from `differential_parallel.rs` to the
-//! keyword pipeline:
+//! Two contracts:
 //!
-//! * **Thread invariance** — the full `Debug` rendering of an
-//!   [`AnswerResult`] (matches, candidate order, executed outputs, pooled
-//!   answers, verdict) is bit-identical at 1, 2, and 8 threads.
 //! * **Budget truthfulness** — a complete answer equals the unlimited
 //!   answer exactly; a truncated answer's pooled rows are a *prefix* of the
 //!   unlimited run's, the truncation reason matches the budget shape, and
@@ -21,7 +16,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use common::{assert_truthful_prefix, make_budget, policy, tripped_reason, BUDGET_VARIANTS};
+use common::{assert_truthful_prefix, make_budget, tripped_reason, BUDGET_VARIANTS};
 use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass, CLASS_COUNT};
 use metadata_warehouse::core::answer::AnswerRequest;
 use metadata_warehouse::core::error::MdwError;
@@ -30,15 +25,10 @@ use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::rdf::metrics::CounterSet;
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
-use metadata_warehouse::rdf::ParallelPolicy;
-
-/// Thread counts compared against the sequential baseline.
-const THREADS: [usize; 2] = [2, 8];
 
 /// A labeled mid-size warehouse the keyword pipeline can really answer
 /// over: three labeled classes, 40 columns (every other one carrying the
-/// Customer concept), and 10 reports using every third column — enough
-/// rows that an 8-way scan genuinely splits.
+/// Customer concept), and 10 reports using every third column.
 fn answering_warehouse() -> MetadataWarehouse {
     let dm = |l: &str| Term::iri(vocab::cs::dm(l));
     let dwh = |l: &str| Term::iri(vocab::cs::dwh(l));
@@ -105,33 +95,6 @@ fn keywords() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Answering at 2/8 threads is byte-identical to the sequential run —
-    /// token matches, candidate order, executed candidate outputs, pooled
-    /// answers, and the completeness verdict — under every deterministic
-    /// budget variant.
-    #[test]
-    fn answer_is_bit_identical_across_thread_counts(
-        kw in keywords(),
-        variant in 0u8..BUDGET_VARIANTS,
-        limit in 0u64..60,
-        top_k in 1usize..5,
-    ) {
-        let mut w = answering_warehouse();
-        w.set_parallelism(policy(1));
-        let request = AnswerRequest::new(kw.clone())
-            .with_top_k(top_k)
-            .with_budget(make_budget(variant, limit));
-        let baseline = format!("{:?}", w.answer(&request).unwrap());
-        for threads in THREADS {
-            w.set_parallelism(policy(threads));
-            let req = AnswerRequest::new(kw.clone())
-                .with_top_k(top_k)
-                .with_budget(make_budget(variant, limit));
-            let got = format!("{:?}", w.answer(&req).unwrap());
-            prop_assert_eq!(&got, &baseline, "answer diverged at {} threads", threads);
-        }
-    }
-
     /// Budget truthfulness: a complete limited answer equals the unlimited
     /// answer exactly; a truncated one reports a reason its budget shape
     /// can produce and pools a prefix of the unlimited answers.
@@ -140,10 +103,8 @@ proptest! {
         kw in keywords(),
         variant in 1u8..BUDGET_VARIANTS,
         limit in 0u64..60,
-        thread_pick in 0usize..3,
     ) {
-        let mut w = answering_warehouse();
-        w.set_parallelism(policy([1usize, 2, 8][thread_pick]));
+        let w = answering_warehouse();
         let unlimited = w
             .answer(&AnswerRequest::new(kw.clone()))
             .unwrap();
@@ -196,24 +157,4 @@ fn overloaded_answer_sheds_with_retry_after() {
     let gate = w.admission().unwrap();
     assert_eq!(gate.total("answer_shed"), 3);
     assert_eq!(gate.total("_admitted"), 0);
-}
-
-/// The CI matrix entry point: with `MDW_PAR_THREADS` set, the env-derived
-/// policy must agree with the sequential baseline on the pinned fixture.
-#[test]
-fn env_thread_count_matches_sequential_baseline() {
-    let mut w = answering_warehouse();
-
-    w.set_parallelism(ParallelPolicy::new(1));
-    let baseline: Vec<String> = ["customer", "client", "customer report", "column"]
-        .iter()
-        .map(|kw| format!("{:?}", w.answer(&AnswerRequest::new(*kw)).unwrap()))
-        .collect();
-
-    w.set_parallelism(ParallelPolicy::from_env().with_min_partition_rows(1));
-    let got: Vec<String> = ["customer", "client", "customer report", "column"]
-        .iter()
-        .map(|kw| format!("{:?}", w.answer(&AnswerRequest::new(*kw)).unwrap()))
-        .collect();
-    assert_eq!(got, baseline);
 }

@@ -301,3 +301,10 @@ fn missing_flag_value_fails_with_usage() {
     assert_usage_error(&["lineage", "dwh_stage0_item0", "--depth"]);
     assert_usage_error(&["search", "client", "--max-rows"]);
 }
+
+/// Queries run on one thread: `--threads` is a drill's client or reader
+/// count only, and a query command refuses it.
+#[test]
+fn query_commands_refuse_threads() {
+    assert_usage_error(&["lineage", "dwh_stage0_item0", "--threads", "2"]);
+}

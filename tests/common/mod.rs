@@ -1,6 +1,6 @@
 //! What the differential suites share: the random mapping landscape, the
-//! budget shapes, the worker policy, the answer contract itself, and the
-//! reference search. Each test binary uses a subset.
+//! budget shapes, the answer contract itself, and the reference search.
+//! Each test binary uses a subset.
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,7 +18,7 @@ use metadata_warehouse::rdf::budget::{
 };
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
-use metadata_warehouse::rdf::{ParallelPolicy, TermId, Triple, TriplePattern};
+use metadata_warehouse::rdf::{TermId, Triple, TriplePattern};
 
 pub fn item(i: u8) -> Term {
     Term::iri(format!("http://ex.org/item{i}"))
@@ -103,11 +103,6 @@ pub fn tripped_reason(variant: u8) -> Option<TruncationReason> {
         3 => Some(TruncationReason::DeadlineExceeded),
         _ => Some(TruncationReason::Cancelled),
     }
-}
-
-/// A policy that really partitions even the tiny proptest graphs.
-pub fn policy(threads: usize) -> ParallelPolicy {
-    ParallelPolicy::new(threads).with_min_partition_rows(1)
 }
 
 /// The answer contract, stated once: against the `full` (complete) answer

@@ -14,10 +14,7 @@
 //! 2. **Truncated is a truthful prefix** — a budget-tripped run's rows are
 //!    a prefix of *its own mode's* complete answer (plans differ, so each
 //!    mode is prefix-consistent with itself, not with the other), and the
-//!    verdict names the tripped budget dimension,
-//! 3. **Parallelism stays invisible** — within each planner mode, 2- and
-//!    8-thread execution is bit-identical to sequential execution,
-//!    including verdicts.
+//!    verdict names the tripped budget dimension.
 //!
 //! Both statistics regimes are covered: queries without a rulebase run on
 //! the frozen base graph and plan from its `FrozenStats`; queries naming
@@ -29,7 +26,7 @@ mod common;
 use proptest::prelude::*;
 
 use common::{
-    assert_truthful_prefix, build, landscape, make_budget, policy, tripped_reason,
+    assert_truthful_prefix, build, landscape, make_budget, tripped_reason,
     RandomLandscape, BUDGET_VARIANTS,
 };
 use metadata_warehouse::rdf::budget::QueryBudget;
@@ -81,42 +78,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Planner-on and planner-off agree on every complete answer, on both
-    /// statistics regimes, at 1, 2, and 8 threads.
+    /// statistics regimes.
     #[test]
     fn planned_and_naive_complete_answers_are_equal(
         l in landscape(),
         rulebased in any::<bool>(),
     ) {
-        let mut w = build(&l);
+        let w = build(&l);
         for query in &queries(rulebased) {
-            w.set_parallelism(policy(1));
             let (naive, naive_report) = w
                 .sem_match_explained(query, &QueryBudget::unlimited(), false)
                 .unwrap();
             prop_assert!(naive.completeness.is_complete());
             prop_assert!(!naive_report.planner_used);
-            for threads in [1usize, 2, 8] {
-                w.set_parallelism(policy(threads));
-                let (planned, report) = w
-                    .sem_match_explained(query, &QueryBudget::unlimited(), true)
-                    .unwrap();
-                prop_assert!(planned.completeness.is_complete());
-                prop_assert!(report.planner_used);
-                prop_assert_eq!(&planned.columns, &naive.columns);
-                prop_assert_eq!(
-                    sorted_rows(&planned),
-                    sorted_rows(&naive),
-                    "planned ≢ written order at {} threads (plan: {})",
-                    threads,
-                    report.summary()
-                );
-            }
+            let (planned, report) = w
+                .sem_match_explained(query, &QueryBudget::unlimited(), true)
+                .unwrap();
+            prop_assert!(planned.completeness.is_complete());
+            prop_assert!(report.planner_used);
+            prop_assert_eq!(&planned.columns, &naive.columns);
+            prop_assert_eq!(
+                sorted_rows(&planned),
+                sorted_rows(&naive),
+                "planned ≢ written order (plan: {})",
+                report.summary()
+            );
         }
     }
 
     /// Under every budget shape, a truncated answer is a truthful prefix
-    /// of the same planner mode's complete answer, and parallel execution
-    /// of the same mode stays bit-identical to sequential.
+    /// of the same planner mode's complete answer.
     #[test]
     fn budgeted_runs_are_truthful_prefixes_in_both_modes(
         l in landscape(),
@@ -124,11 +115,10 @@ proptest! {
         variant in 0u8..BUDGET_VARIANTS,
         limit in 0u64..40,
     ) {
-        let mut w = build(&l);
+        let w = build(&l);
         for query in &queries(rulebased) {
             for use_planner in [true, false] {
                 // The mode's own complete answer is the prefix reference.
-                w.set_parallelism(policy(1));
                 let (full, _) = w
                     .sem_match_explained(query, &QueryBudget::unlimited(), use_planner)
                     .unwrap();
@@ -147,30 +137,6 @@ proptest! {
                     (&budgeted.rows, budgeted.completeness),
                     (&full.rows, full.completeness),
                 );
-
-                // Same mode, same budget shape, more threads: bit-identical.
-                let baseline = format!(
-                    "{:?}",
-                    w.sem_match_explained(query, &make_budget(variant, limit), use_planner)
-                        .unwrap()
-                        .0
-                );
-                for threads in [2usize, 8] {
-                    w.set_parallelism(policy(threads));
-                    let got = format!(
-                        "{:?}",
-                        w.sem_match_explained(query, &make_budget(variant, limit), use_planner)
-                            .unwrap()
-                            .0
-                    );
-                    prop_assert_eq!(
-                        &got,
-                        &baseline,
-                        "planner={} diverged at {} threads",
-                        use_planner,
-                        threads
-                    );
-                }
             }
         }
     }

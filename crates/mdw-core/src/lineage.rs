@@ -674,7 +674,7 @@ mod tests {
 
     fn view<'a>(ctx: &'a QueryContext, m: &'a Materialization) -> EntailedGraph<'a> {
         let base = ctx.graph("m").unwrap();
-        EntailedGraph::new(base, m.frozen(), std::sync::Arc::new(m.entailed_stats(base, None)))
+        EntailedGraph::new(base, m.derived(), std::sync::Arc::new(m.entailed_stats(base, None)))
     }
 
     fn run(store: &Store, m: &Materialization, req: LineageRequest) -> LineageResult {

@@ -581,7 +581,7 @@ mod tests {
             .with_budget(req.budget.clone());
         let base = ctx.graph("m").unwrap();
         let stats = std::sync::Arc::new(m.entailed_stats(base, None));
-        let view = EntailedGraph::new(base, m.frozen(), stats);
+        let view = EntailedGraph::new(base, m.derived(), stats);
         let table = SearchTable::build(&view, ctx.dict());
         search(&view, &ctx, &table, synonyms, &req)
     }

@@ -631,7 +631,7 @@ impl MetadataWarehouse {
             let type_id = self.pinned.store.dict().lookup(&vocab::rdf_type());
             Arc::new(m.entailed_stats(base, type_id))
         });
-        Ok(EntailedGraph::new(base, m.frozen(), Arc::clone(stats)))
+        Ok(EntailedGraph::new(base, m.derived(), Arc::clone(stats)))
     }
 
     /// The meta-level index of the pinned generation, built on first use

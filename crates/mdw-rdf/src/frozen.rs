@@ -1,8 +1,22 @@
-//! Immutable, columnar triple indexes and snapshot stores.
+//! Immutable, columnar triple indexes and snapshot stores — the one
+//! physical triple layout of the crate.
 //!
-//! A [`FrozenIndex`] holds the same three covering permutations as
-//! [`TripleIndex`](crate::index::TripleIndex) — SPO, POS, OSP — but as sorted
-//! `Vec<(u64, u64, u64)>` columns instead of `BTreeSet`s. That buys:
+//! A [`FrozenIndex`] holds three covering permutations — SPO, POS, OSP — as
+//! sorted `Vec<(u64, u64, u64)>` columns. Every access pattern with a bound
+//! prefix maps onto a contiguous range of exactly one permutation:
+//!
+//! | bound      | permutation | range prefix |
+//! |------------|-------------|--------------|
+//! | —          | SPO         | full scan    |
+//! | S          | SPO         | (s, *, *)    |
+//! | S,P        | SPO         | (s, p, *)    |
+//! | S,P,O      | SPO         | point lookup |
+//! | P          | POS         | (p, *, *)    |
+//! | P,O        | POS         | (p, o, *)    |
+//! | O          | OSP         | (o, *, *)    |
+//! | S,O        | OSP         | (o, s, *)    |
+//!
+//! That buys:
 //!
 //! * **binary-search range scans**: every bound-prefix pattern maps to a
 //!   contiguous slice of exactly one column — the start found with a
@@ -11,25 +25,66 @@
 //!   subtraction of those two search results — no iteration at all, which is
 //!   what the SPARQL join planner uses for selectivity ordering;
 //! * **zero-allocation iteration**: a scan is a `slice::Iter`, not a boxed
-//!   B-tree cursor;
+//!   cursor;
 //! * **sharing**: the whole structure is immutable, so snapshots, history
-//!   versions, and concurrent readers share one allocation via `Arc`.
+//!   versions, and concurrent readers share one allocation via `Arc`;
+//! * **linear set algebra**: [`FrozenIndex::union`] and
+//!   [`FrozenIndex::difference`] merge two indexes column by column without
+//!   re-sorting — how the reasoner grows its semantic index round by round.
 //!
-//! This is the in-memory analogue of the immutable sorted index runs in
-//! RDF-3X/Hexastore-class stores that the paper's Oracle layout models.
+//! This is the in-memory analogue of the permuted index tables of Oracle's
+//! RDF models and of the immutable sorted index runs in RDF-3X/Hexastore-
+//! class stores.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::dict::{Dictionary, TermId};
 use crate::error::RdfError;
-use crate::index::{prefix_bounds, Permutation, TripleIndex};
 use crate::stats::FrozenStats;
 use crate::store::GraphStats;
 use crate::term::Term;
 use crate::triple::{Triple, TriplePattern};
 
 type Key = (u64, u64, u64);
+
+/// Which permutation a pattern is routed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Permutation {
+    /// Subject-predicate-object order.
+    Spo,
+    /// Predicate-object-subject order.
+    Pos,
+    /// Object-subject-predicate order.
+    Osp,
+}
+
+/// Which permutation serves this pattern as a pure prefix (the module
+/// table).
+pub fn route(pattern: &TriplePattern) -> Permutation {
+    match (pattern.s, pattern.p, pattern.o) {
+        // S-prefix patterns (and full scans) go to SPO.
+        (Some(_), _, None) | (None, None, None) | (Some(_), Some(_), Some(_)) => Permutation::Spo,
+        // P-prefix patterns go to POS.
+        (None, Some(_), _) => Permutation::Pos,
+        // O-prefix (and S+O) patterns go to OSP.
+        (_, None, Some(_)) => Permutation::Osp,
+    }
+}
+
+/// Inclusive range bounds for a lexicographic prefix of a permuted key.
+/// Only a *prefix* of bound positions narrows the range; [`route`]
+/// guarantees every pattern is a pure prefix of its permutation, so the
+/// bounds are exact.
+fn prefix_bounds(a: Option<u64>, b: Option<u64>, c: Option<u64>) -> (Key, Key) {
+    match (a, b, c) {
+        (Some(a), Some(b), Some(c)) => ((a, b, c), (a, b, c)),
+        (Some(a), Some(b), None) => ((a, b, u64::MIN), (a, b, u64::MAX)),
+        (Some(a), None, _) => ((a, u64::MIN, u64::MIN), (a, u64::MAX, u64::MAX)),
+        (None, _, _) => ((u64::MIN, u64::MIN, u64::MIN), (u64::MAX, u64::MAX, u64::MAX)),
+    }
+}
 
 /// An immutable columnar triple index: three sorted permutation columns.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -40,19 +95,9 @@ pub struct FrozenIndex {
 }
 
 impl FrozenIndex {
-    /// Freezes a mutable index. Each `BTreeSet` iterates in sorted order, so
-    /// this is a straight O(n) copy per column.
-    pub fn from_index(index: &TripleIndex) -> Self {
-        FrozenIndex {
-            spo: index.spo_keys().collect(),
-            pos: index.pos_keys().collect(),
-            osp: index.osp_keys().collect(),
-        }
-    }
-
     /// Builds a frozen index from raw SPO rows (the persistence layer loads
-    /// snapshot files directly into columns, bypassing the B-trees). Sorts
-    /// and dedups, so the input order does not matter.
+    /// snapshot files directly into columns). Sorts and dedups, so the
+    /// input order does not matter.
     pub fn from_spo_rows(mut spo: Vec<Key>) -> Self {
         spo.sort_unstable();
         spo.dedup();
@@ -60,8 +105,9 @@ impl FrozenIndex {
     }
 
     /// Builds a frozen index from SPO rows that are already sorted and
-    /// duplicate-free — a memtable's sets and a bulk batch's net ops are
-    /// exactly that — so only POS and OSP are sorted.
+    /// duplicate-free — a memtable's sets, a bulk batch's net ops and a
+    /// reasoner round's fresh heads are exactly that — so only POS and OSP
+    /// are sorted.
     pub fn from_sorted_spo_rows(spo: Vec<Key>) -> Self {
         debug_assert!(spo.windows(2).all(|w| w[0] < w[1]), "rows must be sorted and deduped");
         let mut pos: Vec<Key> = spo.iter().map(|&(s, p, o)| (p, o, s)).collect();
@@ -89,7 +135,7 @@ impl FrozenIndex {
     /// The contiguous half-open row range `[lo, hi)` serving a pattern, and
     /// the permutation it lives in.
     fn bounds(&self, pattern: TriplePattern) -> (&[Key], usize, usize, Permutation) {
-        let perm = TripleIndex::route(&pattern);
+        let perm = route(&pattern);
         let (column, lo_key, hi_key) = match perm {
             Permutation::Spo => {
                 let (lo, hi) = prefix_bounds(
@@ -155,7 +201,7 @@ impl FrozenIndex {
         FrozenRun { rows: self.spo.iter(), perm: Permutation::Spo }
     }
 
-    /// The raw SPO rows (sorted), e.g. for thawing or bulk export.
+    /// The raw SPO rows (sorted), e.g. for bulk export.
     pub fn spo_rows(&self) -> &[Key] {
         &self.spo
     }
@@ -173,9 +219,57 @@ impl FrozenIndex {
         &self.osp
     }
 
-    /// Thaws back into a mutable index.
-    pub fn thaw(&self) -> TripleIndex {
-        TripleIndex::from_spo_rows(self.spo.iter().copied())
+    /// Every triple of `self` or `other`: one linear merge per column.
+    pub fn union(&self, other: &FrozenIndex) -> FrozenIndex {
+        self.merge_columns(other, true)
+    }
+
+    /// The triples of `self` that `other` lacks: one linear merge per
+    /// column.
+    pub fn difference(&self, other: &FrozenIndex) -> FrozenIndex {
+        self.merge_columns(other, false)
+    }
+
+    /// Walks each column of `self` beside the same column of `other`:
+    /// rows of `self` alone are kept, shared rows once if `keep_other`, and
+    /// rows of `other` alone only if `keep_other`. Both inputs are sorted
+    /// and duplicate-free, so the outputs are too.
+    fn merge_columns(&self, other: &FrozenIndex, keep_other: bool) -> FrozenIndex {
+        let merge = |a: &[Key], b: &[Key]| {
+            let mut out = Vec::with_capacity(a.len() + if keep_other { b.len() } else { 0 });
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    Ordering::Less => {
+                        out.push(a[i]);
+                        i += 1;
+                    }
+                    Ordering::Greater => {
+                        if keep_other {
+                            out.push(b[j]);
+                        }
+                        j += 1;
+                    }
+                    Ordering::Equal => {
+                        if keep_other {
+                            out.push(a[i]);
+                        }
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            out.extend_from_slice(&a[i..]);
+            if keep_other {
+                out.extend_from_slice(&b[j..]);
+            }
+            out
+        };
+        FrozenIndex {
+            spo: merge(&self.spo, &other.spo),
+            pos: merge(&self.pos, &other.pos),
+            osp: merge(&self.osp, &other.osp),
+        }
     }
 
     /// Approximate heap bytes: three columns of 24-byte rows.
@@ -336,7 +430,7 @@ pub struct MergeScan<'a> {
 
 impl<'a> MergeScan<'a> {
     fn new(base: &'a FrozenIndex, deltas: &'a [Arc<DeltaRun>], pattern: TriplePattern) -> Self {
-        Self::over(TripleIndex::route(&pattern), base, deltas, |index| index.run(pattern))
+        Self::over(route(&pattern), base, deltas, |index| index.run(pattern))
     }
 
     /// Merges the slice `rows` picks from every layer's adds and
@@ -785,60 +879,80 @@ mod tests {
         Triple::from_tuple((s, p, o))
     }
 
-    fn sample() -> TripleIndex {
-        let mut idx = TripleIndex::new();
-        for (s, p, o) in [
-            (1, 10, 100),
-            (1, 10, 101),
-            (1, 11, 100),
-            (2, 10, 100),
-            (2, 11, 102),
-            (3, 12, 101),
-        ] {
-            idx.insert(t(s, p, o));
+    const ROWS: [Key; 6] = [
+        (1, 10, 100),
+        (1, 10, 101),
+        (1, 11, 100),
+        (2, 10, 100),
+        (2, 11, 102),
+        (3, 12, 101),
+    ];
+
+    fn sample() -> FrozenIndex {
+        FrozenIndex::from_spo_rows(ROWS.to_vec())
+    }
+
+    #[test]
+    fn graph_freeze_preserves_contents_and_order() {
+        let mut graph = crate::store::Graph::new();
+        for &k in ROWS.iter().rev() {
+            graph.insert(Triple::from_tuple(k));
         }
-        idx
+        let frozen = graph.freeze();
+        assert_eq!(frozen.len(), ROWS.len());
+        let rows: Vec<_> = frozen.iter().collect();
+        assert_eq!(rows, ROWS.map(Triple::from_tuple));
     }
 
     #[test]
-    fn freeze_preserves_contents_and_order() {
-        let idx = sample();
-        let frozen = FrozenIndex::from_index(&idx);
-        assert_eq!(frozen.len(), idx.len());
-        let a: Vec<_> = idx.iter().collect();
-        let b: Vec<_> = frozen.iter().collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn every_routing_shape_matches_mutable_scan() {
-        let idx = sample();
-        let frozen = FrozenIndex::from_index(&idx);
-        let pats = [
-            TriplePattern::any(),
-            TriplePattern::with_s(TermId(1)),
-            TriplePattern::with_sp(TermId(1), TermId(10)),
-            TriplePattern::exact(t(2, 11, 102)),
-            TriplePattern::with_p(TermId(10)),
-            TriplePattern::with_po(TermId(10), TermId(100)),
-            TriplePattern::with_o(TermId(100)),
-            TriplePattern { s: Some(TermId(1)), p: None, o: Some(TermId(100)) },
-            TriplePattern::exact(t(9, 9, 9)), // absent
+    fn every_routing_shape_scans_its_prefix() {
+        use Permutation::*;
+        let frozen = sample();
+        let so = TriplePattern { s: Some(TermId(1)), p: None, o: Some(TermId(100)) };
+        let cases: [(TriplePattern, Permutation, Vec<Triple>); 10] = [
+            (TriplePattern::any(), Spo, ROWS.map(Triple::from_tuple).to_vec()),
+            (TriplePattern::with_s(TermId(1)), Spo, vec![t(1, 10, 100), t(1, 10, 101), t(1, 11, 100)]),
+            (TriplePattern::with_sp(TermId(1), TermId(10)), Spo, vec![t(1, 10, 100), t(1, 10, 101)]),
+            (TriplePattern::exact(t(2, 11, 102)), Spo, vec![t(2, 11, 102)]),
+            (TriplePattern::exact(t(2, 11, 999)), Spo, vec![]),
+            // POS order: (p, o, s).
+            (TriplePattern::with_p(TermId(10)), Pos, vec![t(1, 10, 100), t(2, 10, 100), t(1, 10, 101)]),
+            (TriplePattern::with_po(TermId(10), TermId(100)), Pos, vec![t(1, 10, 100), t(2, 10, 100)]),
+            (TriplePattern::with_po(TermId(11), TermId(102)), Pos, vec![t(2, 11, 102)]),
+            // OSP order: (o, s, p).
+            (TriplePattern::with_o(TermId(101)), Osp, vec![t(1, 10, 101), t(3, 12, 101)]),
+            (so, Osp, vec![t(1, 10, 100), t(1, 11, 100)]),
         ];
-        for pat in pats {
-            let mutable: Vec<_> = idx.scan(pat).collect();
-            let cols: Vec<_> = frozen.run(pat).collect();
-            assert_eq!(mutable, cols, "pattern {pat:?}");
-            assert_eq!(frozen.count_exact(pat), mutable.len(), "pattern {pat:?}");
+        for (pat, perm, want) in cases {
+            assert_eq!(route(&pat), perm, "pattern {pat:?}");
+            let got: Vec<_> = frozen.run(pat).collect();
+            assert_eq!(got, want, "pattern {pat:?}");
+            assert_eq!(frozen.count_exact(pat), want.len(), "pattern {pat:?}");
         }
+    }
+
+    #[test]
+    fn permutations_agree_on_contents() {
+        use std::collections::BTreeSet;
+        let frozen = sample();
+        let via_spo: BTreeSet<_> = frozen.run(TriplePattern::any()).collect();
+        let via_pos: BTreeSet<_> =
+            (0u64..20).flat_map(|p| frozen.run(TriplePattern::with_p(TermId(p)))).collect();
+        let via_osp: BTreeSet<_> =
+            (0u64..200).flat_map(|o| frozen.run(TriplePattern::with_o(TermId(o)))).collect();
+        assert_eq!(via_spo, via_pos);
+        assert_eq!(via_spo, via_osp);
     }
 
     #[test]
     fn count_exact_is_uncapped_and_exact() {
-        let frozen = FrozenIndex::from_index(&sample());
+        let frozen = sample();
         assert_eq!(frozen.count_exact(TriplePattern::any()), 6);
         assert_eq!(frozen.count_exact(TriplePattern::with_s(TermId(1))), 3);
         assert_eq!(frozen.count_exact(TriplePattern::with_s(TermId(42))), 0);
+        let graph = FrozenGraph::new(frozen);
+        assert_eq!(graph.estimate_upto(TriplePattern::any(), 4), 4);
+        assert_eq!(graph.estimate_upto(TriplePattern::any(), 100), 6);
     }
 
     #[test]
@@ -852,44 +966,43 @@ mod tests {
     }
 
     #[test]
-    fn thaw_round_trips() {
-        let idx = sample();
-        let frozen = FrozenIndex::from_index(&idx);
-        let thawed = frozen.thaw();
-        assert_eq!(thawed.len(), idx.len());
-        let a: Vec<_> = idx.scan(TriplePattern::with_p(TermId(10))).collect();
-        let b: Vec<_> = thawed.scan(TriplePattern::with_p(TermId(10))).collect();
-        assert_eq!(a, b);
+    fn union_keeps_shared_rows_once_and_difference_drops_them() {
+        let other = FrozenIndex::from_spo_rows(vec![(1, 10, 100), (9, 9, 9)]);
+        let union = sample().union(&other);
+        assert_eq!(union.len(), 7);
+        assert!(union.contains(t(9, 9, 9)));
+        assert_eq!(union.count_exact(TriplePattern::with_o(TermId(100))), 3);
+        let difference = sample().difference(&other);
+        assert_eq!(difference.len(), 5);
+        assert!(!difference.contains(t(1, 10, 100)));
+        assert_eq!(difference.count_exact(TriplePattern::with_p(TermId(10))), 2);
+        assert_eq!(union.difference(&other), difference);
     }
 
     #[test]
     fn checksum_tracks_content() {
-        let a = FrozenIndex::from_index(&sample());
-        let b = FrozenIndex::from_index(&sample());
+        let a = sample();
+        let b = sample();
         assert_eq!(a.checksum(), b.checksum());
-        let mut idx = sample();
-        idx.insert(t(7, 7, 7));
-        let c = FrozenIndex::from_index(&idx);
+        let c = sample().union(&FrozenIndex::from_spo_rows(vec![(7, 7, 7)]));
         assert_ne!(a.checksum(), c.checksum());
     }
 
     #[test]
-    fn frozen_graph_stats_match_mutable() {
-        let idx = sample();
-        let graph = crate::store::Graph::from_index_for_tests(idx.clone());
-        let frozen = FrozenGraph::new(FrozenIndex::from_index(&idx));
-        let a = graph.stats();
-        let b = frozen.stats();
-        assert_eq!(a.edges, b.edges);
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.distinct_subjects, b.distinct_subjects);
-        assert_eq!(a.distinct_predicates, b.distinct_predicates);
-        assert_eq!(a.distinct_objects, b.distinct_objects);
+    fn frozen_graph_stats_count_nodes_and_edges() {
+        let stats = FrozenGraph::new(sample()).stats();
+        assert_eq!(stats.edges, 6);
+        // Subjects {1, 2, 3} ∪ objects {100, 101, 102}.
+        assert_eq!(stats.nodes, 6);
+        assert_eq!(stats.distinct_subjects, 3);
+        assert_eq!(stats.distinct_predicates, 3);
+        assert_eq!(stats.distinct_objects, 3);
+        assert_eq!(stats.approx_bytes, 3 * 6 * std::mem::size_of::<Key>());
     }
 
     #[test]
     fn frozen_run_is_exact_size() {
-        let frozen = FrozenIndex::from_index(&sample());
+        let frozen = sample();
         let run = frozen.run(TriplePattern::with_s(TermId(1)));
         assert_eq!(run.len(), 3);
     }

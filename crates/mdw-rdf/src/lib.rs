@@ -9,11 +9,11 @@
 //! * [`dict::Dictionary`] — a two-way interning dictionary mapping terms to
 //!   dense integer ids (dictionary encoding, as used by every serious triple
 //!   store),
-//! * [`index::TripleIndex`] — three covering index permutations (SPO, POS,
-//!   OSP) supporting range scans for every bound-prefix access pattern,
-//! * [`frozen::FrozenIndex`]/[`frozen::FrozenStore`] — the same permutations
-//!   frozen into immutable sorted columns: binary-search range scans, exact
-//!   O(log n) cardinalities, and `Arc`-shared snapshots,
+//! * [`frozen::FrozenIndex`]/[`frozen::FrozenStore`] — the one physical
+//!   triple layout: three covering permutations (SPO, POS, OSP) as
+//!   immutable sorted columns, with binary-search range scans for every
+//!   bound-prefix access pattern, exact O(log n) cardinalities, linear
+//!   union / difference, and `Arc`-shared snapshots,
 //! * [`lsm::LsmStore`] — the storage engine: journaled group commit into a
 //!   memtable, sealed CRC'd delta runs, compaction into the solid base,
 //!   recovery, and a lock-free [`epoch::ArcCell`] publish of every new
@@ -22,7 +22,7 @@
 //!   handle threaded through search, lineage, and SPARQL,
 //! * [`store::Store`] — the mutable builder for tests and benches: named
 //!   RDF models (the paper queries `SEM_MODELS('DWH_CURR')`) over a shared
-//!   dictionary, frozen on demand,
+//!   dictionary, each one triple set read through its cached freeze,
 //! * [`staging::StagingArea`] — the staging-table + validating bulk-load
 //!   pipeline of the paper's Figure 4,
 //! * [`turtle`] — a Turtle/N-Triples subset parser and serializer used as the
@@ -48,7 +48,6 @@ pub mod epoch;
 pub mod error;
 pub mod failpoint;
 pub mod frozen;
-pub mod index;
 pub mod journal;
 pub mod lsm;
 pub mod metrics;
@@ -71,7 +70,6 @@ pub use epoch::ArcCell;
 pub use error::RdfError;
 pub use failpoint::FailSpec;
 pub use frozen::{DeltaRun, FrozenGraph, FrozenIndex, FrozenRun, FrozenStore, GraphScan, MergeScan};
-pub use index::TripleIndex;
 pub use journal::{Journal, JournalBatch, JournalOp};
 pub use lsm::{LsmConfig, LsmMetrics, LsmOpenReport, LsmStore};
 pub use persist::{

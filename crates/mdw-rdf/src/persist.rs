@@ -283,8 +283,8 @@ fn read_model_file(
 }
 
 /// Loads one model file into frozen columns, interning its terms into
-/// `dict` — a loaded snapshot starts life immutable, without ever paying
-/// for the mutable B-trees.
+/// `dict` — a loaded snapshot starts life immutable, never built through a
+/// mutable `Graph`.
 fn load_model_file(
     dir: &Path,
     entry: &ManifestEntry,

@@ -74,7 +74,7 @@ impl FrozenStats {
     /// distinct objects and the class histogram), a per-predicate
     /// sort+dedup for distinct subjects, and run counts over the SPO/OSP
     /// first components for the global distincts.
-    pub fn from_index(index: &FrozenIndex, type_id: Option<TermId>) -> Self {
+    pub fn from_columns(index: &FrozenIndex, type_id: Option<TermId>) -> Self {
         let pos = index.pos_rows();
         let mut predicates = Vec::new();
         let mut classes = Vec::new();
@@ -120,9 +120,9 @@ impl FrozenStats {
     /// stacked graphs sum the base and every delta's add side (tombstones
     /// ignored), an upper bound that never under-estimates.
     pub fn from_graph(graph: &FrozenGraph, type_id: Option<TermId>) -> Self {
-        let mut stats = Self::from_index(graph.index(), type_id);
+        let mut stats = Self::from_columns(graph.index(), type_id);
         for delta in graph.deltas() {
-            stats.absorb(&Self::from_index(delta.adds(), type_id));
+            stats.absorb(&Self::from_columns(delta.adds(), type_id));
         }
         stats
     }
@@ -303,19 +303,12 @@ fn merge_classes(a: &[(TermId, usize)], b: &[(TermId, usize)]) -> Vec<(TermId, u
 mod tests {
     use super::*;
     use crate::frozen::DeltaRun;
-    use crate::index::TripleIndex;
-    use crate::triple::Triple;
     use std::sync::Arc;
-
-    fn t(s: u64, p: u64, o: u64) -> Triple {
-        Triple::from_tuple((s, p, o))
-    }
 
     /// 10 = rdf:type (2 classes: 100 with 2 instances, 101 with 1);
     /// 11 = a one-to-one property; 12 = a fan-out property.
     fn sample() -> FrozenIndex {
-        let mut idx = TripleIndex::new();
-        for (s, p, o) in [
+        FrozenIndex::from_spo_rows(vec![
             (1, 10, 100),
             (2, 10, 100),
             (3, 10, 101),
@@ -324,15 +317,12 @@ mod tests {
             (1, 12, 300),
             (1, 12, 301),
             (1, 12, 302),
-        ] {
-            idx.insert(t(s, p, o));
-        }
-        FrozenIndex::from_index(&idx)
+        ])
     }
 
     #[test]
     fn per_predicate_cardinalities_are_exact() {
-        let stats = FrozenStats::from_index(&sample(), Some(TermId(10)));
+        let stats = FrozenStats::from_columns(&sample(), Some(TermId(10)));
         assert_eq!(stats.total_triples(), 8);
         assert_eq!(stats.distinct_subjects(), 3);
         assert_eq!(stats.distinct_objects(), 7);
@@ -348,19 +338,19 @@ mod tests {
 
     #[test]
     fn class_histogram_counts_instances() {
-        let stats = FrozenStats::from_index(&sample(), Some(TermId(10)));
+        let stats = FrozenStats::from_columns(&sample(), Some(TermId(10)));
         assert_eq!(stats.class_count(TermId(100)), Some(2));
         assert_eq!(stats.class_count(TermId(101)), Some(1));
         assert_eq!(stats.class_count(TermId(999)), Some(0));
         // No rdf:type id → no histogram at all.
-        let blind = FrozenStats::from_index(&sample(), None);
+        let blind = FrozenStats::from_columns(&sample(), None);
         assert_eq!(blind.class_count(TermId(100)), None);
         assert!(blind.classes().is_empty());
     }
 
     #[test]
     fn estimate_pattern_shapes() {
-        let stats = FrozenStats::from_index(&sample(), Some(TermId(10)));
+        let stats = FrozenStats::from_columns(&sample(), Some(TermId(10)));
         // Predicate-only: exact count.
         assert_eq!(stats.estimate_pattern(TriplePattern::with_p(TermId(12))), 3);
         // Bound subject divides by distinct subjects of the predicate.
@@ -388,14 +378,9 @@ mod tests {
     #[test]
     fn stacked_graph_stats_never_under_estimate() {
         let base = sample();
-        let mut add_idx = TripleIndex::new();
-        add_idx.insert(t(4, 10, 100));
-        add_idx.insert(t(4, 11, 200));
-        let mut del_idx = TripleIndex::new();
-        del_idx.insert(t(3, 10, 101));
         let delta = DeltaRun::new(
-            FrozenIndex::from_index(&add_idx),
-            FrozenIndex::from_index(&del_idx),
+            FrozenIndex::from_spo_rows(vec![(4, 10, 100), (4, 11, 200)]),
+            FrozenIndex::from_spo_rows(vec![(3, 10, 101)]),
         );
         let graph = FrozenGraph::stacked(Arc::new(base), vec![Arc::new(delta)]);
         let stats = FrozenStats::from_graph(&graph, Some(TermId(10)));

@@ -7,21 +7,21 @@
 //! release version in the same store, which is exactly why the dictionary is
 //! shared and append-only.
 //!
-//! [`Store`] and [`Graph`] are the *mutable builder*: writes go to a B-tree
-//! [`TripleIndex`], and [`Graph::freeze`] produces (and caches) an immutable
-//! [`FrozenGraph`] whose sorted columns serve reads without locks or
-//! allocation. Tests, benches and the reasoner's unit tests build small
-//! graphs this way. The warehouse does not: it writes, publishes and
+//! [`Store`] and [`Graph`] are the *mutable builder*: writes go to one
+//! ordered set of triples, and every read goes through the immutable
+//! [`FrozenGraph`] that [`Graph::freeze`] produces from it and caches until
+//! the next write — so there is one physical triple layout, the sorted
+//! columns. Tests, benches and the reasoner's unit tests build small graphs
+//! this way. The warehouse does not: it writes, publishes and
 //! recovers through [`LsmStore`](crate::lsm::LsmStore), and what it serves
 //! is the [`FrozenStore`] snapshot that engine publishes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 use crate::dict::{Dictionary, TermId};
 use crate::error::RdfError;
 use crate::frozen::{FrozenGraph, FrozenIndex, FrozenRun, FrozenStore, GraphScan, MergeScan};
-use crate::index::{IndexScan, TripleIndex};
 use crate::stats::FrozenStats;
 use crate::term::Term;
 use crate::triple::{check_well_formed, Triple, TriplePattern};
@@ -65,13 +65,12 @@ pub trait TripleSource {
 
 /// A concrete pattern-scan iterator — no boxing on the hot path.
 ///
-/// Frozen sources yield slice runs ([`FrozenRun`]); the entailed view chains
-/// a base run with a derived run; live (mutable) graphs yield B-tree range
-/// scans ([`IndexScan`]).
+/// Solid frozen graphs yield slice runs ([`FrozenRun`]), stacked ones a
+/// merged scan, and the entailed view chains a base scan with a derived
+/// run. A mutable [`Graph`] reads through its cached freeze, so it yields
+/// the same.
 #[derive(Debug, Clone)]
 pub enum Scan<'a> {
-    /// A B-tree range scan over a live [`TripleIndex`].
-    Live(IndexScan<'a>),
     /// One contiguous frozen column slice.
     Run(FrozenRun<'a>),
     /// A k-way merged scan over a stacked frozen graph (LSM delta runs).
@@ -100,7 +99,6 @@ impl Iterator for Scan<'_> {
 
     fn next(&mut self) -> Option<Triple> {
         match self {
-            Scan::Live(it) => it.next(),
             Scan::Run(run) => run.next(),
             Scan::Merged(m) => m.next(),
             Scan::Chained { first, second } => first.next().or_else(|| second.next()),
@@ -109,7 +107,6 @@ impl Iterator for Scan<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            Scan::Live(_) => (0, None),
             Scan::Run(run) => run.size_hint(),
             Scan::Merged(m) => m.size_hint(),
             Scan::Chained { first, second } => {
@@ -123,25 +120,14 @@ impl Iterator for Scan<'_> {
     }
 }
 
-/// A single named RDF model (a graph of encoded triples): mutable B-tree
-/// permutations plus a cached frozen form. The cache is cleared on every
-/// mutation, so `freeze()` is amortized O(1) between writes.
-#[derive(Debug, Default)]
+/// A single named RDF model (a graph of encoded triples): the triple set
+/// plus its cached frozen form, which serves every read. The cache is
+/// cleared on every mutation, so `freeze()` is amortized O(1) between
+/// writes.
+#[derive(Debug, Default, Clone)]
 pub struct Graph {
-    index: TripleIndex,
+    triples: BTreeSet<Triple>,
     frozen: OnceLock<Arc<FrozenGraph>>,
-}
-
-impl Clone for Graph {
-    fn clone(&self) -> Self {
-        Graph {
-            index: self.index.clone(),
-            frozen: match self.frozen.get() {
-                Some(f) => OnceLock::from(Arc::clone(f)),
-                None => OnceLock::new(),
-            },
-        }
-    }
 }
 
 impl Graph {
@@ -153,41 +139,41 @@ impl Graph {
     /// Inserts an encoded triple; `true` if it was new. A duplicate insert
     /// is a no-op that leaves the cached frozen form intact.
     pub fn insert(&mut self, t: Triple) -> bool {
-        if self.contains(t) {
-            return false;
+        let fresh = self.triples.insert(t);
+        if fresh {
+            self.frozen.take();
         }
-        self.frozen.take();
-        self.index.insert(t)
+        fresh
     }
 
     /// Removes an encoded triple; `true` if it was present. Removing an
     /// absent triple is a no-op that does not invalidate the frozen cache.
     pub fn remove(&mut self, t: Triple) -> bool {
-        if !self.contains(t) {
-            return false;
+        let present = self.triples.remove(&t);
+        if present {
+            self.frozen.take();
         }
-        self.frozen.take();
-        self.index.remove(t)
+        present
     }
 
     /// Whether the triple is present.
     pub fn contains(&self, t: Triple) -> bool {
-        self.index.contains(t)
+        self.triples.contains(&t)
     }
 
     /// Number of triples (edges, in the paper's counting).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.triples.len()
     }
 
     /// True if the graph holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.triples.is_empty()
     }
 
-    /// Pattern scan over the graph.
+    /// Pattern scan over the graph's frozen columns.
     pub fn scan(&self, pattern: TriplePattern) -> Scan<'_> {
-        Scan::Live(self.index.scan(pattern))
+        self.frozen().scan(pattern).into()
     }
 
     /// All triples in SPO order.
@@ -195,45 +181,24 @@ impl Graph {
         self.scan(TriplePattern::any())
     }
 
-    /// Merge all triples of `other` into `self`; returns new-triple count.
-    pub fn merge(&mut self, other: &Graph) -> usize {
-        self.frozen.take();
-        self.index.merge(&other.index)
-    }
-
     /// The immutable snapshot of this graph, frozen once and cached until
     /// the next mutation.
     pub fn freeze(&self) -> Arc<FrozenGraph> {
-        Arc::clone(
-            self.frozen
-                .get_or_init(|| Arc::new(FrozenGraph::new(FrozenIndex::from_index(&self.index)))),
-        )
+        Arc::clone(self.frozen())
+    }
+
+    /// The cached frozen form. The set iterates in SPO order, so only the
+    /// POS and OSP columns are sorted.
+    fn frozen(&self) -> &Arc<FrozenGraph> {
+        self.frozen.get_or_init(|| {
+            let rows = self.triples.iter().map(|t| t.as_tuple()).collect();
+            Arc::new(FrozenGraph::new(FrozenIndex::from_sorted_spo_rows(rows)))
+        })
     }
 
     /// Graph statistics in the paper's node/edge vocabulary.
     pub fn stats(&self) -> GraphStats {
-        let mut subjects = HashSet::new();
-        let mut predicates = HashSet::new();
-        let mut objects = HashSet::new();
-        for t in self.index.iter() {
-            subjects.insert(t.s);
-            predicates.insert(t.p);
-            objects.insert(t.o);
-        }
-        let nodes = subjects.union(&objects).count();
-        GraphStats {
-            edges: self.index.len(),
-            nodes,
-            distinct_subjects: subjects.len(),
-            distinct_predicates: predicates.len(),
-            distinct_objects: objects.len(),
-            approx_bytes: self.index.approx_bytes(),
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn from_index_for_tests(index: TripleIndex) -> Self {
-        Graph { index, frozen: OnceLock::new() }
+        self.frozen().stats()
     }
 }
 
@@ -247,7 +212,7 @@ impl TripleSource for Graph {
     }
 
     fn estimate(&self, pattern: TriplePattern, cap: usize) -> usize {
-        self.index.count(pattern, Some(cap))
+        self.frozen().estimate_upto(pattern, cap)
     }
 
     fn len_triples(&self) -> usize {
@@ -257,7 +222,7 @@ impl TripleSource for Graph {
     fn planner_stats(&self, type_id: Option<TermId>) -> Option<Arc<FrozenStats>> {
         // Freezing is amortized O(1) between writes, so the stats ride the
         // cached snapshot.
-        Some(self.freeze().planner_stats(type_id))
+        Some(self.frozen().planner_stats(type_id))
     }
 }
 
@@ -544,21 +509,30 @@ mod tests {
     }
 
     #[test]
-    fn graph_merge() {
-        let mut s = Store::new();
-        s.create_model("v1").unwrap();
-        s.create_model("v2").unwrap();
-        let a = Term::iri("a");
-        let p = Term::iri("p");
-        let b = Term::iri("b");
-        let c = Term::iri("c");
-        s.insert("v1", &a, &p, &b).unwrap();
-        s.insert("v2", &a, &p, &b).unwrap();
-        s.insert("v2", &a, &p, &c).unwrap();
-        let v2 = s.model("v2").unwrap().clone();
-        let added = s.model_mut("v1").unwrap().merge(&v2);
-        assert_eq!(added, 1);
-        assert_eq!(s.model("v1").unwrap().len(), 2);
+    fn graph_insert_is_set_semantics() {
+        let mut g = Graph::new();
+        let t = Triple::new(TermId(1), TermId(2), TermId(3));
+        assert!(g.insert(t));
+        assert!(!g.insert(t));
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.iter().count(), 1);
+    }
+
+    #[test]
+    fn graph_remove_leaves_no_permutation_seeing_it() {
+        let mut g = Graph::new();
+        for (s, p, o) in [(1, 10, 100), (1, 10, 101), (1, 11, 100), (2, 10, 100)] {
+            g.insert(Triple::from_tuple((s, p, o)));
+        }
+        let gone = Triple::from_tuple((1, 10, 100));
+        assert!(g.remove(gone));
+        assert!(!g.remove(gone));
+        assert!(!g.contains(gone));
+        // No access path still sees it.
+        assert_eq!(g.scan(TriplePattern::with_s(TermId(1))).count(), 2);
+        assert_eq!(g.scan(TriplePattern::with_p(TermId(10))).count(), 2);
+        assert_eq!(g.scan(TriplePattern::with_o(TermId(100))).count(), 2);
+        assert_eq!(g.estimate(TriplePattern::exact(gone), 10), 0);
     }
 
     #[test]

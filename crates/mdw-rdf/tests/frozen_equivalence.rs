@@ -1,20 +1,22 @@
-//! Property-based equivalence between the mutable BTreeSet index and its
-//! frozen columnar form, plus snapshot isolation along the `Arc` publish
-//! path.
+//! Property-based checks of the frozen columnar index against an
+//! independent oracle — a plain `BTreeSet` of triples filtered by
+//! `TriplePattern::matches` — plus snapshot isolation along the `Arc`
+//! publish path.
 //!
-//! The frozen index must be a perfect drop-in for the mutable one on the
-//! read path: for *every* bound-prefix pattern shape, a frozen scan yields
-//! exactly the same triples in exactly the same order (both route to the
-//! same permutation, and every routed pattern is a pure prefix of it), and
-//! the O(log n) exact count agrees with actually iterating. Snapshots taken
-//! before a write — whether a direct `freeze()` or an `LsmStore` publish —
-//! must keep reading the old state forever.
+//! For *every* bound-prefix pattern shape, a frozen scan must yield exactly
+//! the oracle's triples, each once, sorted in the order of the permutation
+//! the pattern routes to (every routed pattern is a pure prefix of it), and
+//! the O(log n) exact count must agree. `union` and `difference` must be the
+//! set operations they are named after. Snapshots taken before a write —
+//! whether a direct `freeze()` or an `LsmStore` publish — must keep reading
+//! the old state forever.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use mdw_rdf::dict::TermId;
-use mdw_rdf::frozen::FrozenIndex;
-use mdw_rdf::index::TripleIndex;
+use mdw_rdf::frozen::{route, FrozenIndex, Permutation};
 use mdw_rdf::journal::JournalOp;
 use mdw_rdf::lsm::{LsmConfig, LsmStore};
 use mdw_rdf::store::Store;
@@ -40,21 +42,33 @@ fn all_shapes(s: u64, p: u64, o: u64) -> Vec<TriplePattern> {
     shapes
 }
 
+/// A triple's key in `perm`'s column order.
+fn permuted(perm: Permutation, t: Triple) -> (u64, u64, u64) {
+    let (s, p, o) = t.as_tuple();
+    match perm {
+        Permutation::Spo => (s, p, o),
+        Permutation::Pos => (p, o, s),
+        Permutation::Osp => (o, s, p),
+    }
+}
+
+fn rows(triples: &[Triple]) -> Vec<(u64, u64, u64)> {
+    triples.iter().map(|t| t.as_tuple()).collect()
+}
+
 proptest! {
-    /// Freezing changes the representation, never the answer: same triple
-    /// set, same order, for every pattern shape — including shapes whose
-    /// bound values do occur in the data and shapes whose values don't.
+    /// Every pattern shape scans exactly the oracle's matches, each once,
+    /// in its routed permutation's order — for probe values that occur in
+    /// the data and for values that don't.
     #[test]
-    fn frozen_scan_matches_mutable_for_every_shape(
+    fn frozen_scan_matches_a_filtered_set_for_every_shape(
         triples in proptest::collection::vec(small_triple(), 0..60),
         probe in (0u64..12, 0u64..6, 0u64..12),
     ) {
-        let mut index = TripleIndex::new();
-        for &t in &triples {
-            index.insert(t);
-        }
-        let frozen = FrozenIndex::from_index(&index);
-        prop_assert_eq!(frozen.len(), index.len());
+        let oracle: BTreeSet<Triple> = triples.iter().copied().collect();
+        let frozen = FrozenIndex::from_spo_rows(rows(&triples));
+        prop_assert_eq!(frozen.len(), oracle.len());
+        prop_assert!(frozen.iter().eq(oracle.iter().copied()));
 
         // Probe values from the strategy range (often present in the data)
         // and from a sampled triple (always present when data is non-empty).
@@ -64,31 +78,61 @@ proptest! {
         }
         for (s, p, o) in probes {
             for pattern in all_shapes(s, p, o) {
-                let mutable: Vec<Triple> = index.scan(pattern).collect();
-                let cold: Vec<Triple> = frozen.run(pattern).collect();
+                let want: BTreeSet<Triple> =
+                    oracle.iter().copied().filter(|t| pattern.matches(*t)).collect();
+                let got: Vec<Triple> = frozen.run(pattern).collect();
+                let perm = route(&pattern);
+                prop_assert!(
+                    got.windows(2).all(|w| permuted(perm, w[0]) < permuted(perm, w[1])),
+                    "run for {:?} is not strictly sorted in {:?} order", pattern, perm
+                );
                 prop_assert_eq!(
-                    &mutable, &cold,
+                    got.iter().copied().collect::<BTreeSet<_>>(), want,
                     "scan mismatch for pattern {:?}", pattern
                 );
                 prop_assert_eq!(
-                    frozen.count_exact(pattern), mutable.len(),
+                    frozen.count_exact(pattern), got.len(),
                     "count_exact mismatch for pattern {:?}", pattern
                 );
-                for t in &mutable {
-                    prop_assert!(frozen.contains(*t));
-                }
             }
         }
+        let absent_or_not = Triple::new(TermId(probe.0), TermId(probe.1), TermId(probe.2));
+        prop_assert_eq!(frozen.contains(absent_or_not), oracle.contains(&absent_or_not));
+        for t in &oracle {
+            prop_assert!(frozen.contains(*t));
+        }
+    }
 
-        // Round trip: thawing the frozen form reproduces the index.
-        let thawed: Vec<Triple> = frozen.thaw().iter().collect();
-        let original: Vec<Triple> = index.iter().collect();
-        prop_assert_eq!(thawed, original);
+    /// The union of two disjoint indexes is the index of their rows
+    /// together.
+    #[test]
+    fn union_of_disjoint_indexes_is_the_index_of_both_row_sets(
+        left in proptest::collection::vec(small_triple(), 0..40),
+        right in proptest::collection::vec(small_triple(), 0..40),
+    ) {
+        let right: Vec<Triple> = right.into_iter().filter(|t| !left.contains(t)).collect();
+        let a = FrozenIndex::from_spo_rows(rows(&left));
+        let b = FrozenIndex::from_spo_rows(rows(&right));
+        let both = FrozenIndex::from_spo_rows([rows(&left), rows(&right)].concat());
+        prop_assert_eq!(a.union(&b), both.clone());
+        prop_assert_eq!(b.union(&a), both);
+    }
+
+    /// `a.difference(b)` is the index of `a`'s rows that `b` lacks.
+    #[test]
+    fn difference_is_the_index_of_the_filtered_rows(
+        left in proptest::collection::vec(small_triple(), 0..40),
+        right in proptest::collection::vec(small_triple(), 0..40),
+    ) {
+        let a = FrozenIndex::from_spo_rows(rows(&left));
+        let b = FrozenIndex::from_spo_rows(rows(&right));
+        let kept: Vec<Triple> = left.iter().copied().filter(|t| !right.contains(t)).collect();
+        prop_assert_eq!(a.difference(&b), FrozenIndex::from_spo_rows(rows(&kept)));
     }
 
     /// A snapshot frozen before a batch of writes is bit-for-bit unaffected
     /// by them: the `Arc`d frozen form keeps answering from the old state
-    /// while the thawed graph moves on.
+    /// while the graph moves on.
     #[test]
     fn frozen_snapshot_isolated_from_later_writes(
         initial in proptest::collection::vec(small_triple(), 1..30),

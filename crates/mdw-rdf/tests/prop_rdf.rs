@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::index::TripleIndex;
+use mdw_rdf::store::{Graph, TripleSource};
 use mdw_rdf::term::{Literal, Term};
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::turtle;
@@ -95,7 +95,7 @@ proptest! {
         triples in proptest::collection::vec(small_triple(), 0..60),
         pattern in small_pattern(),
     ) {
-        let mut index = TripleIndex::new();
+        let mut index = Graph::new();
         for &t in &triples {
             index.insert(t);
         }
@@ -116,7 +116,7 @@ proptest! {
     fn insert_remove_maintains_set_semantics(
         ops in proptest::collection::vec((small_triple(), any::<bool>()), 0..80),
     ) {
-        let mut index = TripleIndex::new();
+        let mut index = Graph::new();
         let mut oracle = std::collections::BTreeSet::new();
         for (t, is_insert) in ops {
             if is_insert {
@@ -137,12 +137,12 @@ proptest! {
         pattern in small_pattern(),
         cap in 0usize..20,
     ) {
-        let mut index = TripleIndex::new();
+        let mut index = Graph::new();
         for &t in &triples {
             index.insert(t);
         }
-        let capped = index.count(pattern, Some(cap));
-        let full = index.count(pattern, None);
+        let capped = index.estimate(pattern, cap);
+        let full = index.scan(pattern).count();
         prop_assert!(capped <= cap.max(full));
         prop_assert!(capped <= full);
         if full <= cap {

@@ -1,5 +1,6 @@
 //! Forward chaining to fixpoint: materializes derived triples into a
-//! separate index (the paper's "semantic index").
+//! separate index (the paper's "semantic index"), held in the same sorted
+//! columns as the model it is derived from.
 //!
 //! The derived index never contains asserted triples, so unioning base and
 //! derived is duplicate-free by construction. Evaluation is ordered so that
@@ -11,29 +12,32 @@
 //! * **Frozen deltas.** Each later round is semi-naive: every rule once per
 //!   body position, that atom restricted to the triples the previous round
 //!   derived, held as a [`FrozenIndex`] so a delta atom with bound positions
-//!   is a range scan. [`Materialization::extend`] starts semi-naive, with
-//!   the new facts as the first delta.
+//!   is a range scan. The same delta is merged into the derived index —
+//!   one linear pass per column — so the index is never mutated in place
+//!   and never re-sorted. [`Materialization::extend`] starts semi-naive,
+//!   with the new facts as the first delta.
 //! * **Schema-first joins.** Before a (rule, delta position) pair runs, each
 //!   body atom's constant-only pattern is counted — on the delta for the
-//!   delta atom, on base plus derived (capped) for the others. A zero count
+//!   delta atom, on base (capped) plus derived for the others. A zero count
 //!   is exact and skips the pair: a rule whose schema atom (`subPropertyOf`,
 //!   `inverseOf`, `sameAs`, …) matches nothing costs a few probes. Otherwise
 //!   the atoms join smallest first, ties in body order.
 //! * **Buffered heads.** Bindings live in one array that is restored on
 //!   backtrack; a pair's heads go into one reused buffer and are checked
-//!   (well-formed, not asserted, new) after its search, in key order. A pair
-//!   so never sees its own heads; they reach the next round's delta instead,
-//!   which can add a round but not change the fixpoint.
+//!   (well-formed, not asserted, new) after its search, in key order. New
+//!   means neither in the derived index nor found earlier in the round.
+//!   No pair sees a head of its own round; those heads reach the next
+//!   round's delta instead, which can add a round but not change the
+//!   fixpoint.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::frozen::{FrozenGraph, FrozenIndex};
-use mdw_rdf::index::TripleIndex;
 use mdw_rdf::stats::FrozenStats;
 use mdw_rdf::store::TripleSource;
 use mdw_rdf::triple::{Triple, TriplePattern};
+use mdw_rdf::vocab;
 
 use crate::rule::{Rule, RuleAtom, RuleTerm};
 use crate::rulebase::Rulebase;
@@ -54,15 +58,14 @@ pub struct MaterializeStats {
 }
 
 /// The result of materializing a rulebase over a base graph: the entailment
-/// index plus run statistics.
+/// index, its planner statistics, and run statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Materialization {
-    derived: TripleIndex,
+    derived: FrozenIndex,
     stats: MaterializeStats,
-    /// Cached frozen form of `derived`, rebuilt lazily after each extension.
-    frozen: OnceLock<Arc<FrozenIndex>>,
-    /// Cached planner statistics of `frozen`, reset with it.
-    frozen_stats: OnceLock<FrozenStats>,
+    /// Planner statistics of `derived`, computed once per materialize /
+    /// extend.
+    derived_stats: FrozenStats,
 }
 
 impl Materialization {
@@ -91,39 +94,27 @@ impl Materialization {
         // A newly asserted fact may already have been *derived* — it moves
         // from the index to the base, preserving the invariant that the two
         // are disjoint (the entailed view's union scans rely on it).
-        self.frozen.take();
-        self.frozen_stats.take();
-        for &t in new_facts {
-            self.derived.remove(t);
-        }
-        self.run(base, rulebase, dict, Some(frozen_delta(new_facts.to_vec())));
-        self.stats.derived = self.derived.len();
+        let delta = frozen_delta(new_facts.to_vec());
+        self.derived = self.derived.difference(&delta);
+        self.run(base, rulebase, dict, Some(delta));
     }
 
-    /// The entailment index (derived triples only).
-    pub fn derived(&self) -> &TripleIndex {
+    /// The entailment index (derived triples only). This is what query
+    /// snapshots scan.
+    pub fn derived(&self) -> &FrozenIndex {
         &self.derived
     }
 
-    /// The frozen (columnar) form of the entailment index, built once per
-    /// extension and cached. This is what query snapshots scan.
-    pub fn frozen(&self) -> &FrozenIndex {
-        self.frozen
-            .get_or_init(|| Arc::new(FrozenIndex::from_index(&self.derived)))
-    }
-
     /// Planner statistics of the entailed view over `base`: the base's
-    /// cached summary plus this index's, which is cached until the next
-    /// [`extend`](Self::extend). The index never holds an asserted triple,
-    /// so triple, predicate and class counts are exact; distincts are
-    /// upper bounds. The sum itself is not cached: the warehouse keeps one
-    /// per pinned generation. `type_id` keys the class histogram; as for
-    /// [`FrozenGraph::planner_stats`], the first caller's value wins.
+    /// cached summary plus this index's, computed once per materialize /
+    /// extend with the dictionary's `rdf:type` id. The index never holds an
+    /// asserted triple, so triple, predicate and class counts are exact;
+    /// distincts are upper bounds. The sum itself is not cached: the
+    /// warehouse keeps one per pinned generation. `type_id` keys the base's
+    /// class histogram; as for [`FrozenGraph::planner_stats`], the first
+    /// caller's value wins.
     pub fn entailed_stats(&self, base: &FrozenGraph, type_id: Option<TermId>) -> FrozenStats {
-        let derived = self
-            .frozen_stats
-            .get_or_init(|| FrozenStats::from_index(self.frozen(), type_id));
-        FrozenStats::disjoint_union(&base.planner_stats(type_id), derived)
+        FrozenStats::disjoint_union(&base.planner_stats(type_id), &self.derived_stats)
     }
 
     /// Run statistics.
@@ -131,8 +122,10 @@ impl Materialization {
         &self.stats
     }
 
-    /// Evaluates rounds until one derives nothing. `delta` is the first
-    /// round's delta; `None` makes that round naive over base ∪ derived.
+    /// Evaluates rounds until one derives nothing, merging each round's
+    /// heads into the index, then computes the index's statistics. `delta`
+    /// is the first round's delta; `None` makes that round naive over
+    /// base ∪ derived.
     fn run<B: TripleSource + ?Sized>(
         &mut self,
         base: &B,
@@ -146,7 +139,7 @@ impl Materialization {
         let mut heads = Vec::new();
         loop {
             self.stats.rounds += 1;
-            let mut fresh = Vec::new();
+            let mut fresh = BTreeSet::new();
             for rule in &rulebase.rules {
                 match &delta {
                     None => self.eval(base, dict, rule, None, &mut heads, &mut fresh),
@@ -160,13 +153,20 @@ impl Materialization {
             if fresh.is_empty() {
                 break;
             }
-            delta = Some(frozen_delta(fresh));
+            let next = FrozenIndex::from_sorted_spo_rows(
+                fresh.into_iter().map(Triple::as_tuple).collect(),
+            );
+            self.derived = self.derived.union(&next);
+            delta = Some(next);
         }
         self.stats.derived = self.derived.len();
+        let type_id = dict.lookup(&vocab::rdf_type());
+        self.derived_stats = FrozenStats::from_columns(&self.derived, type_id);
     }
 
     /// Evaluates one rule — with body atom `pos` restricted to `delta` when
-    /// one is given — then files its new heads into the index and `fresh`.
+    /// one is given — then files its new heads into the round's `fresh`
+    /// set.
     fn eval<B: TripleSource + ?Sized>(
         &mut self,
         base: &B,
@@ -174,7 +174,7 @@ impl Materialization {
         rule: &Rule,
         delta: Option<(&FrozenIndex, usize)>,
         heads: &mut Vec<Triple>,
-        fresh: &mut Vec<Triple>,
+        fresh: &mut BTreeSet<Triple>,
     ) {
         let Some(steps) = self.join_order(base, rule, delta) else {
             return;
@@ -193,11 +193,9 @@ impl Materialization {
         heads.sort_unstable();
         heads.dedup();
         let before = fresh.len();
-        for t in heads.drain(..) {
-            if well_formed(dict, t) && !base.contains_triple(t) && self.derived.insert(t) {
-                fresh.push(t);
-            }
-        }
+        fresh.extend(heads.drain(..).filter(|&t| {
+            well_formed(dict, t) && !base.contains_triple(t) && !self.derived.contains(t)
+        }));
         if fresh.len() > before {
             *self.stats.per_rule.entry(rule.name).or_insert(0) += fresh.len() - before;
         }
@@ -206,8 +204,8 @@ impl Materialization {
     /// The body atoms in join order, each flagged `true` if it reads the
     /// delta — or `None` when some atom's constant-only pattern matches
     /// nothing, so the pair cannot fire. Delta counts are exact O(log n)
-    /// probes and come first; the base estimate and the capped derived
-    /// count are paid only once every delta atom has a match.
+    /// probes and come first; the capped base estimate and the exact
+    /// derived count are paid only once every delta atom has a match.
     fn join_order<B: TripleSource + ?Sized>(
         &self,
         base: &B,
@@ -221,10 +219,7 @@ impl Materialization {
             let pattern = instantiate(rule.body[i], &[]);
             let n = match delta {
                 Some((d, pos)) if pos == i => d.count_exact(pattern),
-                _ => {
-                    base.estimate(pattern, ESTIMATE_CAP)
-                        + self.derived.count(pattern, Some(ESTIMATE_CAP))
-                }
+                _ => base.estimate(pattern, ESTIMATE_CAP) + self.derived.count_exact(pattern),
             };
             if n == 0 {
                 return None;
@@ -244,10 +239,10 @@ impl Materialization {
 
 /// One (rule, delta position) search: the sources each step reads and the
 /// head it instantiates. Borrows the derived index, which no one changes
-/// until the search is over.
+/// until the round is over.
 struct Pass<'a, B: ?Sized> {
     base: &'a B,
-    derived: &'a TripleIndex,
+    derived: &'a FrozenIndex,
     delta: Option<&'a FrozenIndex>,
     steps: &'a [(RuleAtom, bool)],
     head: RuleAtom,
@@ -276,7 +271,7 @@ impl<B: TripleSource + ?Sized> Pass<'_, B> {
             for t in self
                 .base
                 .scan_pattern(pattern)
-                .chain(self.derived.scan(pattern))
+                .chain(self.derived.run(pattern))
             {
                 self.descend(step, atom, t, bindings, heads);
             }
@@ -465,7 +460,7 @@ mod tests {
         let lit = store.encode(&Term::plain("John")).unwrap();
         let ty = store.encode(&Term::iri(vocab::rdf::TYPE)).unwrap();
         assert_eq!(
-            m.derived().scan(TriplePattern::with_sp(lit, ty)).count(),
+            m.derived().run(TriplePattern::with_sp(lit, ty)).count(),
             0
         );
     }
@@ -515,7 +510,7 @@ mod tests {
         // "a label" isLabelOf x would have a literal subject — must be absent.
         let lit = store.encode(&Term::plain("a label")).unwrap();
         assert_eq!(
-            m.derived().scan(TriplePattern::with_s(lit)).count(),
+            m.derived().run(TriplePattern::with_s(lit)).count(),
             0,
             "derived a literal-subject triple"
         );
@@ -530,7 +525,7 @@ mod tests {
             .unwrap();
         let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
         let lit = store.encode(&Term::plain("nickname")).unwrap();
-        assert_eq!(m.derived().scan(TriplePattern::with_s(lit)).count(), 0);
+        assert_eq!(m.derived().run(TriplePattern::with_s(lit)).count(), 0);
     }
 
     #[test]
@@ -607,6 +602,38 @@ mod tests {
         let fl: Vec<_> = full.derived().iter().collect();
         assert_eq!(inc, fl);
         assert!(derived_contains(&store, &m, "x", vocab::rdf::TYPE, "C"));
+    }
+
+    #[test]
+    fn extend_moves_a_derived_fact_to_the_base_and_counts_it_once() {
+        let (mut store, rb) = setup();
+        insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
+        insert(&mut store, "x", vocab::rdf::TYPE, "A");
+        let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let ty = store.encode(&vocab::rdf_type()).unwrap();
+        let type_count = |m: &Materialization, store: &Store| {
+            let stats = m.entailed_stats(&store.model("m").unwrap().freeze(), Some(ty));
+            stats.predicate(ty).map(|p| p.count)
+        };
+        let before = type_count(&m, &store);
+        assert!(derived_contains(&store, &m, "x", vocab::rdf::TYPE, "B"));
+
+        // Assert what was derived: it leaves the index for the base.
+        insert(&mut store, "x", vocab::rdf::TYPE, "B");
+        let moved = Triple::new(
+            store.encode(&Term::iri("x")).unwrap(),
+            ty,
+            store.encode(&Term::iri("B")).unwrap(),
+        );
+        m.extend(store.model("m").unwrap(), &rb, store.dict(), &[moved]);
+        assert!(!m.derived().contains(moved));
+        assert_eq!(m.stats().derived, m.derived().len());
+
+        let base = store.model("m").unwrap().freeze();
+        let stats = m.entailed_stats(&base, Some(ty));
+        assert_eq!(stats.total_triples(), base.len() + m.derived().len());
+        assert_eq!(type_count(&m, &store), before);
+        assert_eq!(stats.class_count(store.encode(&Term::iri("B")).unwrap()), Some(1));
     }
 
     #[test]

@@ -123,7 +123,7 @@ mod tests {
 
     fn view<'a>(store: &Store, g: &'a FrozenGraph, m: &'a Materialization) -> EntailedGraph<'a> {
         let type_id = store.dict().lookup(&vocab::rdf_type());
-        EntailedGraph::new(g, m.frozen(), Arc::new(m.entailed_stats(g, type_id)))
+        EntailedGraph::new(g, m.derived(), Arc::new(m.entailed_stats(g, type_id)))
     }
 
     #[test]

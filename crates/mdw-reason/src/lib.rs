@@ -17,9 +17,11 @@
 //!   domain/range, symmetric/transitive/inverse properties, equivalence,
 //!   `owl:sameAs`),
 //! * [`engine`] — forward chaining that materializes derived triples into a
-//!   separate [`TripleIndex`](mdw_rdf::TripleIndex) (the "semantic index"),
-//!   with incremental extension when new facts arrive. A build is one naive
-//!   round over the base, then semi-naive rounds over frozen deltas; each
+//!   separate [`FrozenIndex`](mdw_rdf::FrozenIndex) (the "semantic index"),
+//!   the same sorted columns the models are held in, with incremental
+//!   extension when new facts arrive. A build is one naive round over the
+//!   base, then semi-naive rounds over frozen deltas, each merged into the
+//!   index by one linear pass per column; each
 //!   (rule, delta position) pair first counts its atoms' constant-only
 //!   patterns, skips when one matches nothing, and otherwise joins smallest
 //!   first, buffering its heads until the search is over,

@@ -192,7 +192,7 @@ fn check_extend(edges: &[Edge], split: usize, rdfs_only: bool) {
 fn check_view_stats(store: &Store, m: &Materialization) {
     let base = store.model("m").unwrap().freeze();
     let type_id = store.dict().lookup(&Term::iri(rdf::TYPE));
-    let view = EntailedGraph::new(&base, m.frozen(), Arc::new(m.entailed_stats(&base, type_id)));
+    let view = EntailedGraph::new(&base, m.derived(), Arc::new(m.entailed_stats(&base, type_id)));
     let stats = view.planner_stats(type_id).expect("the entailed view has statistics");
 
     let mut predicates: BTreeMap<TermId, (usize, BTreeSet<TermId>, BTreeSet<TermId>)> =

@@ -1135,7 +1135,12 @@ mod tests {
             rank: 1,
             rows: output.rows.len(),
             output,
-            report: ExplainReport { planner_used: false, filters_pushed: 0, bgps: Vec::new() },
+            report: ExplainReport {
+                planner_used: false,
+                filters_pushed: 0,
+                joins_swapped: 0,
+                bgps: Vec::new(),
+            },
         };
         let answers = pool_answers(&[mk("q1", out1), mk("q2", out2)]);
         assert_eq!(answers.len(), 3);

@@ -83,8 +83,8 @@ mdw_rdf::counter_set! {
         planned,
         /// Queries executed in written pattern order (planner disabled).
         unplanned,
-        /// Planned queries whose chosen join order differed from the
-        /// written order.
+        /// Planned queries whose chosen order differed from the written
+        /// order: a BGP's pattern order or a join's arm order.
         reordered,
         /// Filter conjuncts pushed into basic-graph-pattern scans.
         filters_pushed,
@@ -1178,6 +1178,30 @@ mod tests {
         // The default path counts as a planned query too.
         w.sem_match(&q).unwrap();
         assert_eq!(counter(&w, "planner", "planned"), 2);
+    }
+
+    #[test]
+    fn a_swapped_join_counts_as_reordered() {
+        let ty = Term::iri(vocab::rdf::TYPE);
+        let mut triples = Vec::new();
+        for i in 0..20 {
+            triples.push((dwh(&format!("x{i}")), ty.clone(), dm("Fat")));
+            if i < 2 {
+                triples.push((dwh(&format!("x{i}")), ty.clone(), dm("Thin")));
+            }
+        }
+        let mut w = MetadataWarehouse::new();
+        w.ingest(vec![Extract::new("src", triples)]).unwrap();
+        // Two one-pattern BGPs: only the join's arms can move.
+        let q = SemMatch::new("{ ?x rdf:type dm:Fat . { ?x rdf:type dm:Thin } }")
+            .alias("dm", vocab::cs::DM)
+            .select(&["?x"]);
+        let (out, report) = w
+            .sem_match_explained(&q, &QueryBudget::unlimited(), true)
+            .unwrap();
+        assert_eq!(out.rows.len(), 2);
+        assert_eq!(report.joins_swapped, 1);
+        assert_eq!(counter(&w, "planner", "reordered"), 1);
     }
 
     /// One counter of [`MetadataWarehouse::counters`], by group and name.

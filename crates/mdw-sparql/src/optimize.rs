@@ -13,6 +13,18 @@
 //! The capped [`TripleSource::estimate`] probe fallback serves only
 //! sources without statistics, and no product source lacks them.
 //!
+//! Above the BGPs, a group `Join` whose arms are both *inner* — built only
+//! from BGPs, `Union` and `Join`, with no property path — runs the arm
+//! with the smaller estimated output first (a BGP estimates the product of
+//! its units' estimates in greedy order, a `Union` the sum of its arms, a
+//! `Join` the product; on a tie the written order stays). The other arm
+//! plans with the first arm's variables bound. A class scan written before
+//! a selective UNION thus runs after it, as one probe per union row. The
+//! executor binds by substitution, so every other arm keeps its place:
+//! what an `OPTIONAL` or a subgroup `FILTER` answers, and the terms a
+//! nullable path with both ends free ranges over, depend on what is bound
+//! on entry.
+//!
 //! Filter conjuncts are pushed down on the same walk: a `FILTER`'s
 //! `&&`-conjuncts travel into the subtree and attach to the earliest BGP
 //! unit after which all their variables are bound. This preserves SPARQL
@@ -60,7 +72,8 @@ pub struct PlannerInput<'a> {
 
 /// Plans a query pattern with cost-based ordering and filter pushdown.
 pub fn plan(pattern: &GraphPattern, input: &PlannerInput<'_>) -> QueryPlan {
-    let mut planner = Planner { input, next_id: 0, next_tag: 0, filters_pushed: 0 };
+    let mut planner =
+        Planner { input, next_id: 0, next_tag: 0, filters_pushed: 0, joins_swapped: 0 };
     let mut bound = BTreeSet::new();
     let mut pending = Vec::new();
     let root = planner.plan_node(pattern, &mut bound, &mut pending);
@@ -70,6 +83,7 @@ pub fn plan(pattern: &GraphPattern, input: &PlannerInput<'_>) -> QueryPlan {
         unit_count: planner.next_id,
         planner_used: true,
         filters_pushed: planner.filters_pushed,
+        joins_swapped: planner.joins_swapped,
     }
 }
 
@@ -95,6 +109,7 @@ struct Planner<'a, 'b> {
     next_id: usize,
     next_tag: usize,
     filters_pushed: usize,
+    joins_swapped: usize,
 }
 
 impl Planner<'_, '_> {
@@ -107,12 +122,23 @@ impl Planner<'_, '_> {
         match pattern {
             GraphPattern::Bgp(triples) => PlanNode::Bgp(self.plan_bgp(triples, bound, pending)),
             GraphPattern::Join(a, b) => {
-                // Bindings thread left-to-right, so the right arm plans
-                // with the left arm's variables bound — and may absorb
-                // conjuncts the left arm could not.
-                let left = self.plan_node(a, bound, pending);
-                let right = self.plan_node(b, bound, pending);
-                PlanNode::Join(Box::new(left), Box::new(right))
+                // Inner arms commute, so the one estimated to produce
+                // fewer rows runs first; on a tie the written order stays.
+                let rows_a = self.inner_rows(a, &mut bound.clone());
+                let rows_b = self.inner_rows(b, &mut bound.clone());
+                let (first, second) = match (rows_a, rows_b) {
+                    (Some(rows_a), Some(rows_b)) if rows_b < rows_a => {
+                        self.joins_swapped += 1;
+                        (b, a)
+                    }
+                    _ => (a, b),
+                };
+                // Bindings thread first-to-second, so the second arm plans
+                // with the first arm's variables bound — and may absorb
+                // conjuncts the first arm could not.
+                let first = self.plan_node(first, bound, pending);
+                let second = self.plan_node(second, bound, pending);
+                PlanNode::Join(Box::new(first), Box::new(second))
             }
             GraphPattern::Optional(a, b) => {
                 // Conjuncts may sink into the left arm (every output row's
@@ -175,19 +201,9 @@ impl Planner<'_, '_> {
         bound: &mut BTreeSet<String>,
         pending: &mut Vec<Pending>,
     ) -> BgpPlan {
-        let mut remaining: Vec<(usize, &PatternTriple)> = triples.iter().enumerate().collect();
-        let mut units: Vec<PlannedUnit> = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            let mut best = 0;
-            let mut best_score = (usize::MAX, usize::MAX);
-            for (slot, (_, t)) in remaining.iter().enumerate() {
-                let score = self.score(t, bound);
-                if score < best_score {
-                    best_score = score;
-                    best = slot;
-                }
-            }
-            let (written_index, t) = remaining.remove(best);
+        let mut units: Vec<PlannedUnit> = Vec::with_capacity(triples.len());
+        for (written_index, estimated_rows) in self.greedy_order(triples, bound) {
+            let t = &triples[written_index];
             for v in t.vars() {
                 bound.insert(v.0.clone());
             }
@@ -196,7 +212,7 @@ impl Planner<'_, '_> {
             let mut unit = PlannedUnit {
                 triple: t.clone(),
                 written_index,
-                estimated_rows: best_score.1,
+                estimated_rows,
                 id,
                 filters: Vec::new(),
             };
@@ -215,6 +231,84 @@ impl Planner<'_, '_> {
             units.push(unit);
         }
         BgpPlan { units }
+    }
+
+    /// The greedy bound-variable-aware order of a BGP entered with `bound`:
+    /// `(written index, estimated rows)` per pattern, first-executed first.
+    /// Each pick is the remaining pattern with the lowest [`Self::score`];
+    /// its variables count as bound for the picks after it.
+    fn greedy_order(
+        &self,
+        triples: &[PatternTriple],
+        bound: &BTreeSet<String>,
+    ) -> Vec<(usize, usize)> {
+        let mut bound = bound.clone();
+        let mut remaining: Vec<usize> = (0..triples.len()).collect();
+        let mut order = Vec::with_capacity(triples.len());
+        while !remaining.is_empty() {
+            let mut best = 0;
+            let mut best_score = (usize::MAX, usize::MAX);
+            for (slot, &i) in remaining.iter().enumerate() {
+                let score = self.score(&triples[i], &bound);
+                if score < best_score {
+                    best_score = score;
+                    best = slot;
+                }
+            }
+            let i = remaining.remove(best);
+            for v in triples[i].vars() {
+                bound.insert(v.0.clone());
+            }
+            order.push((i, best_score.1));
+        }
+        order
+    }
+
+    /// Estimated output rows of a join arm entered with `bound`, which it
+    /// extends with the variables it definitely binds — or `None` when the
+    /// arm is not *inner* and so never changes places with its sibling.
+    ///
+    /// Inner arms are built only from BGPs, `Union` and `Join`, with no
+    /// property path. The executor binds by substitution, so any other
+    /// arm's answer depends on what is bound on entry: an `OPTIONAL` right
+    /// arm keeps or extends its row by it, a `FILTER` reads the sibling's
+    /// variables, and a nullable path with both ends free ranges only over
+    /// terms incident to its predicates.
+    ///
+    /// A BGP estimates the product of its units' estimates in greedy
+    /// order, a `Union` the sum of its arms, a `Join` the product of its
+    /// arms. Pure: no unit ids, no filter conjuncts.
+    fn inner_rows(&self, pattern: &GraphPattern, bound: &mut BTreeSet<String>) -> Option<usize> {
+        match pattern {
+            GraphPattern::Bgp(triples) => {
+                if triples.iter().any(|t| matches!(t.p, Verb::Path(_))) {
+                    return None;
+                }
+                let rows = self
+                    .greedy_order(triples, bound)
+                    .into_iter()
+                    .fold(1usize, |acc, (_, est)| acc.saturating_mul(est));
+                for t in triples {
+                    for v in t.vars() {
+                        bound.insert(v.0.clone());
+                    }
+                }
+                Some(rows)
+            }
+            GraphPattern::Union(a, b) => {
+                let mut right_bound = bound.clone();
+                let left = self.inner_rows(a, bound)?;
+                let right = self.inner_rows(b, &mut right_bound)?;
+                // Only variables both arms bind are definite afterwards.
+                bound.retain(|v| right_bound.contains(v));
+                Some(left.saturating_add(right))
+            }
+            GraphPattern::Join(a, b) => {
+                let left = self.inner_rows(a, bound)?;
+                Some(left.saturating_mul(self.inner_rows(b, bound)?))
+            }
+            GraphPattern::Optional(..) | GraphPattern::Filter(..) => None,
+        }
     }
 
     /// Scores one pattern under the current bound set:
@@ -423,6 +517,88 @@ mod tests {
         );
         assert_eq!(p.filters_pushed, 1);
         assert!(!matches!(p.root, PlanNode::Filter(_, _)));
+    }
+
+    /// The first pattern a plan runs, rendered.
+    fn first_pattern(node: &PlanNode) -> String {
+        match node {
+            PlanNode::Bgp(bgp) => crate::plan::render_triple(&bgp.units[0].triple),
+            PlanNode::Join(first, _)
+            | PlanNode::Optional(first, _)
+            | PlanNode::Union(first, _)
+            | PlanNode::Filter(_, first) => first_pattern(first),
+        }
+    }
+
+    #[test]
+    fn selective_union_runs_before_a_broad_class_scan() {
+        let store = skewed_store();
+        // 100 customers written first; each union arm matches one name.
+        let p = plan_for(
+            &store,
+            "SELECT ?x WHERE { ?x a <Customer> . \
+             { ?x <hasName> \"name 7\" } UNION { ?x <hasName> \"ACME AG\" } }",
+        );
+        assert_eq!(p.joins_swapped, 1);
+        let PlanNode::Join(first, second) = &p.root else { panic!("expected Join") };
+        assert!(matches!(first.as_ref(), PlanNode::Union(_, _)));
+        let PlanNode::Bgp(scan) = second.as_ref() else { panic!("expected BGP") };
+        // The class scan is planned with ?x bound: one probe per row, and
+        // its unit id comes after the union arms'.
+        assert!(scan.units[0].estimated_rows <= 2);
+        assert_eq!(scan.units[0].id, 2);
+    }
+
+    #[test]
+    fn plain_group_join_puts_the_cheaper_arm_first() {
+        let store = skewed_store();
+        let p = plan_for(&store, "SELECT ?x WHERE { ?x <hasName> ?n . { ?x a <Institution> } }");
+        assert_eq!(p.joins_swapped, 1);
+        assert!(first_pattern(&p.root).contains("<Institution>"));
+        // Already cheapest-first: nothing moves.
+        let p = plan_for(&store, "SELECT ?x WHERE { ?x a <Institution> . { ?x <hasName> ?n } }");
+        assert_eq!(p.joins_swapped, 0);
+        assert!(first_pattern(&p.root).contains("<Institution>"));
+    }
+
+    #[test]
+    fn equal_estimates_keep_the_written_order() {
+        let store = skewed_store();
+        let p = plan_for(&store, "SELECT ?x WHERE { ?x <hasName> ?n . { ?y <hasName> ?m } }");
+        assert_eq!(p.joins_swapped, 0);
+        assert!(first_pattern(&p.root).starts_with("?x"));
+    }
+
+    #[test]
+    fn a_filter_pending_above_a_swapped_join_lands_in_the_first_arm() {
+        let store = skewed_store();
+        let p = plan_for(
+            &store,
+            "SELECT ?x WHERE { ?x <hasName> ?n . { ?x a <Institution> } FILTER(?x != <cust1>) }",
+        );
+        assert_eq!((p.joins_swapped, p.filters_pushed), (1, 1));
+        let PlanNode::Join(first, _) = &p.root else { panic!("filter absorbed, Join root") };
+        let PlanNode::Bgp(bgp) = first.as_ref() else { panic!("expected BGP") };
+        assert_eq!(bgp.units[0].filters.len(), 1);
+    }
+
+    #[test]
+    fn arms_that_read_their_entry_bindings_never_move() {
+        let store = skewed_store();
+        // Each subgroup would be estimated far below the 101-row name
+        // scan, but its answer depends on what the scan binds first.
+        for q in [
+            // OPTIONAL: the right arm keeps or extends a row by ?n.
+            "SELECT ?x WHERE { ?x <hasName> ?n . { ?x a <Institution> OPTIONAL { ?x <alias> ?n } } }",
+            // FILTER in a subgroup reads the sibling's ?n.
+            "SELECT ?x WHERE { ?x <hasName> ?n . { ?x a <Institution> FILTER(?n != \"x\") } }",
+            // A nullable path from a constant.
+            "SELECT ?x WHERE { ?x <hasName> ?n . ?y <hasName> ?m . { <acme> <knows>* ?x } }",
+        ] {
+            let p = plan_for(&store, q);
+            assert_eq!(p.joins_swapped, 0, "{q}");
+            assert!(first_pattern(&p.root).contains("<hasName>"), "{q}");
+        }
     }
 
     #[test]

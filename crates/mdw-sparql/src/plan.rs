@@ -9,7 +9,8 @@
 //! * [`QueryPlan::naive`] — the patterns in written order, no filter
 //!   pushdown (the `--no-planner` baseline), and
 //! * [`crate::optimize::plan`] — the cost-based optimizer, which ranks
-//!   patterns by frozen-index selectivity statistics.
+//!   patterns by frozen-index selectivity statistics and runs the cheaper
+//!   arm of a commuting join first.
 //!
 //! After execution, [`ExplainReport::from_plan`] pairs the plan's
 //! estimates with the observed cardinalities — the `--explain` output.
@@ -74,6 +75,8 @@ pub struct QueryPlan {
     pub planner_used: bool,
     /// Filter conjuncts pushed into BGP units.
     pub filters_pushed: usize,
+    /// `Join` nodes whose arms run in the opposite of written order.
+    pub joins_swapped: usize,
 }
 
 impl QueryPlan {
@@ -84,7 +87,13 @@ impl QueryPlan {
     pub fn naive(pattern: &GraphPattern) -> QueryPlan {
         let mut next_id = 0;
         let root = naive_node(pattern, &mut next_id);
-        QueryPlan { root, unit_count: next_id, planner_used: false, filters_pushed: 0 }
+        QueryPlan {
+            root,
+            unit_count: next_id,
+            planner_used: false,
+            filters_pushed: 0,
+            joins_swapped: 0,
+        }
     }
 }
 
@@ -171,6 +180,8 @@ pub struct ExplainReport {
     pub planner_used: bool,
     /// Filter conjuncts pushed into BGP units.
     pub filters_pushed: usize,
+    /// `Join` nodes whose arms run in the opposite of written order.
+    pub joins_swapped: usize,
     /// The query's BGPs in plan pre-order.
     pub bgps: Vec<ExplainBgp>,
 }
@@ -184,6 +195,7 @@ impl ExplainReport {
         ExplainReport {
             planner_used: plan.planner_used,
             filters_pushed: plan.filters_pushed,
+            joins_swapped: plan.joins_swapped,
             bgps,
         }
     }
@@ -193,16 +205,19 @@ impl ExplainReport {
         self.bgps.iter().map(|b| b.entries.len()).sum()
     }
 
-    /// True when the chosen order differs from the written order in at
-    /// least one BGP.
+    /// True when the chosen order differs from the written order: a
+    /// swapped join, or a BGP whose patterns run out of written order.
     pub fn reordered(&self) -> bool {
-        self.bgps
-            .iter()
-            .any(|b| b.entries.iter().enumerate().any(|(i, e)| e.written_index != i))
+        self.joins_swapped > 0
+            || self
+                .bgps
+                .iter()
+                .any(|b| b.entries.iter().enumerate().any(|(i, e)| e.written_index != i))
     }
 
     /// A one-line summary for log lines and stream trailers, e.g.
-    /// `planner=cost-based pushed=1 order=[1,0]`.
+    /// `planner=cost-based pushed=1 order=[1,0]`, with ` swapped=N` at
+    /// the end when N joins run their arms out of written order.
     pub fn summary(&self) -> String {
         let mut out = format!(
             "planner={} pushed={}",
@@ -214,14 +229,22 @@ impl ExplainReport {
                 bgp.entries.iter().map(|e| e.written_index.to_string()).collect();
             let _ = write!(out, " order=[{}]", order.join(","));
         }
+        if self.joins_swapped > 0 {
+            let _ = write!(out, " swapped={}", self.joins_swapped);
+        }
         out
     }
 
     /// Renders the full report as indented plain text (the CLI's
     /// `--explain` output).
     pub fn to_text(&self) -> String {
+        let swapped = match self.joins_swapped {
+            0 => String::new(),
+            1 => ", 1 join's arms swapped".to_string(),
+            n => format!(", {n} joins' arms swapped"),
+        };
         let mut out = format!(
-            "plan: {} ({} filter conjunct{} pushed)\n",
+            "plan: {} ({} filter conjunct{} pushed{swapped})\n",
             if self.planner_used { "cost-based" } else { "written order (--no-planner)" },
             self.filters_pushed,
             if self.filters_pushed == 1 { "" } else { "s" },
@@ -383,5 +406,23 @@ mod tests {
         assert!(text.contains("written order"));
         assert!(text.contains("actual=5"));
         assert!(report.summary().contains("order=[0,1]"));
+    }
+
+    #[test]
+    fn a_swapped_join_counts_as_reordered_and_is_named() {
+        let p = pattern_of("SELECT ?x WHERE { ?x <hasName> ?n . { ?x a <Customer> } }");
+        let mut plan = QueryPlan::naive(&p);
+        let report = ExplainReport::from_plan(&plan, &[4, 1]);
+        // Nothing swapped: the summary and header carry no swap marker.
+        assert!(!report.reordered());
+        assert_eq!(report.summary(), "planner=written-order pushed=0 order=[0] order=[0]");
+        assert!(!report.to_text().contains("swapped"));
+        plan.joins_swapped = 1;
+        let report = ExplainReport::from_plan(&plan, &[4, 1]);
+        // Every BGP is in written order, yet the join's arms moved.
+        assert!(report.reordered());
+        assert!(report.summary().ends_with(" swapped=1"));
+        let header = report.to_text().lines().next().unwrap().to_string();
+        assert!(header.contains("1 join's arms swapped"), "{header}");
     }
 }

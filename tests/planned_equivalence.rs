@@ -3,8 +3,9 @@
 //!
 //! The planner rewrites basic graph patterns — selectivity-ranked join
 //! order from frozen-index statistics, filter conjuncts pushed to their
-//! binding scan — so the equivalence it must preserve is semantic, not
-//! positional: the same multiset of rows as written-order execution.
+//! binding scan — and runs the cheaper arm of a group join first when
+//! both arms commute, so the equivalence it must preserve is semantic,
+//! not positional: the same multiset of rows as written-order execution.
 //! These tests enforce that contract by construction over random mapping
 //! landscapes, adversarial pattern orderings, and every budget shape
 //! (unlimited, step-capped, row-capped, expired deadline, pre-cancelled):
@@ -59,11 +60,58 @@ fn queries(rulebased: bool) -> Vec<SemMatch> {
             "{{ {{ ?x rdf:type <http://ex.org/Class0> }} UNION {{ ?x <{mapped}> ?y }} ?x <{has_name}> ?n }}"
         ))
         .select(&["?x", "?n"]),
+        union_after_class(),
+        // A plain group join: either arm may run first.
+        SemMatch::new(format!("{{ ?a <{mapped}> ?b . {{ ?b <{has_name}> ?c }} }}"))
+            .select(&["?a", "?b", "?c"]),
     ];
+    qs.extend(non_commuting());
     if rulebased {
         qs = qs.into_iter().map(|q| q.rulebase("OWLPRIME")).collect();
     }
     qs
+}
+
+const CLASS0: &str = "http://ex.org/Class0";
+const CLASS1: &str = "http://ex.org/Class1";
+const ITEM1: &str = "http://ex.org/item1";
+const ITEM2: &str = "http://ex.org/item2";
+
+/// A class scan written before a selective UNION (the benchmark's UNION
+/// shape): the planner may run the union first and probe the class once
+/// per union row.
+fn union_after_class() -> SemMatch {
+    let mapped = vocab::cs::IS_MAPPED_TO;
+    SemMatch::new(format!(
+        "{{ ?x rdf:type <{CLASS0}> . {{ ?x <{mapped}> <{ITEM1}> }} UNION {{ ?x <{mapped}> <{ITEM2}> }} }}"
+    ))
+    .select(&["?x"])
+}
+
+/// Joins whose arms never commute: each subgroup's answer depends on what
+/// its sibling binds first, so the planner must keep the written order.
+fn non_commuting() -> Vec<SemMatch> {
+    let mapped = vocab::cs::IS_MAPPED_TO;
+    let has_name = vocab::cs::HAS_NAME;
+    vec![
+        // OPTIONAL inside a subgroup: the right arm keeps or extends a
+        // row by the sibling's ?a.
+        SemMatch::new(format!(
+            "{{ ?a <{mapped}> ?b . {{ ?b rdf:type <{CLASS1}> OPTIONAL {{ ?b <{mapped}> ?a }} }} }}"
+        ))
+        .select(&["?a", "?b"]),
+        // A subgroup FILTER that reads the sibling's ?n.
+        SemMatch::new(format!(
+            "{{ ?x <{has_name}> ?n . {{ ?y <{mapped}> ?x FILTER(regex(?n, \"a\")) }} }}"
+        ))
+        .select(&["?x", "?y", "?n"]),
+        // A nullable path with both ends free ranges only over nodes
+        // incident to its predicate; typed nodes without an edge differ.
+        SemMatch::new(format!("{{ ?x rdf:type <{CLASS1}> . {{ ?x <{mapped}>* ?y }} }}"))
+            .select(&["?x", "?y"]),
+        SemMatch::new(format!("{{ {{ ?x <{mapped}>* ?y }} ?x rdf:type <{CLASS1}> }}"))
+            .select(&["?x", "?y"]),
+    ]
 }
 
 /// Rows rendered for multiset comparison (canonical sort erases the
@@ -147,25 +195,86 @@ proptest! {
 /// on actually firing).
 #[test]
 fn planner_actually_reorders_the_adversarial_join_on_a_skewed_graph() {
+    // Twenty mapping edges against ten typed items: the chain hop is the
+    // broad pattern, the type scan the selective one.
     let l = RandomLandscape {
         names: (0..10).map(|i| format!("name{i:02}")).collect(),
         classes: vec![0; 10],
-        mappings: vec![(0, 1), (1, 2)],
+        mappings: (0..10u8).flat_map(|i| [(i, (i + 1) % 10), (i, (i + 2) % 10)]).collect(),
     };
     let w = build(&l);
     let mapped = vocab::cs::IS_MAPPED_TO;
     // Written order: broad chain hop first, then the type scan.
     let q = SemMatch::new(format!("{{ ?a <{mapped}> ?b . ?b rdf:type ?c }}"))
         .select(&["?a", "?b", "?c"]);
-    let (_, report) = w
+    let (planned, report) = w
         .sem_match_explained(&q, &QueryBudget::unlimited(), true)
         .unwrap();
     assert!(report.planner_used);
-    let (planned, _) = w
-        .sem_match_explained(&q, &QueryBudget::unlimited(), true)
-        .unwrap();
+    assert!(report.reordered());
+    // The type scan (written second) runs first.
+    assert_eq!(report.bgps[0].entries[0].written_index, 1, "{}", report.summary());
     let (naive, _) = w
         .sem_match_explained(&q, &QueryBudget::unlimited(), false)
         .unwrap();
     assert_eq!(sorted_rows(&planned), sorted_rows(&naive));
+    assert_eq!(planned.rows.len(), 20);
+}
+
+/// Deterministic pin: a class scan written before a selective UNION runs
+/// after it — the union arms' BGPs lead the report — with the same answer.
+#[test]
+fn planner_runs_a_selective_union_before_the_class_scan_written_first() {
+    // Ten items of Class0; two map to item1, one to item2.
+    let l = RandomLandscape {
+        names: (0..10).map(|i| format!("name{i:02}")).collect(),
+        classes: vec![0; 10],
+        mappings: vec![(0, 1), (2, 1), (3, 2), (4, 5), (6, 7), (8, 9)],
+    };
+    let w = build(&l);
+    let q = union_after_class();
+    let (planned, report) = w
+        .sem_match_explained(&q, &QueryBudget::unlimited(), true)
+        .unwrap();
+    assert_eq!(report.joins_swapped, 1, "{}", report.summary());
+    assert!(report.reordered());
+    let patterns: Vec<&str> =
+        report.bgps.iter().map(|b| b.entries[0].pattern.as_str()).collect();
+    assert!(patterns[0].ends_with(&format!("<{ITEM1}>")), "{patterns:?}");
+    assert!(patterns[1].ends_with(&format!("<{ITEM2}>")), "{patterns:?}");
+    assert!(patterns[2].ends_with(&format!("<{CLASS0}>")), "{patterns:?}");
+    let (naive, naive_report) = w
+        .sem_match_explained(&q, &QueryBudget::unlimited(), false)
+        .unwrap();
+    assert_eq!(naive_report.joins_swapped, 0);
+    assert_eq!(sorted_rows(&planned), sorted_rows(&naive));
+    assert_eq!(planned.rows.len(), 3);
+}
+
+/// Deterministic pin: on a landscape where running either sibling first
+/// changes the answer, joins whose arms read their entry bindings keep
+/// the written order and its answer.
+#[test]
+fn arms_that_read_their_entry_bindings_keep_the_written_order() {
+    // item1 and item9 are Class1; item1 maps on to item2, item9 has no
+    // mapping edge at all.
+    let mut classes = vec![0; 10];
+    classes[1] = 1;
+    classes[9] = 1;
+    let l = RandomLandscape {
+        names: (0..10).map(|i| format!("name{i:02}")).collect(),
+        classes,
+        mappings: vec![(0, 1), (1, 2), (3, 4), (5, 6)],
+    };
+    let w = build(&l);
+    for q in non_commuting() {
+        let (planned, report) = w
+            .sem_match_explained(&q, &QueryBudget::unlimited(), true)
+            .unwrap();
+        assert_eq!(report.joins_swapped, 0, "{}", q.to_sparql());
+        let (naive, _) = w
+            .sem_match_explained(&q, &QueryBudget::unlimited(), false)
+            .unwrap();
+        assert_eq!(sorted_rows(&planned), sorted_rows(&naive), "{}", q.to_sparql());
+    }
 }

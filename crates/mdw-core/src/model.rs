@@ -352,32 +352,6 @@ impl Census {
             .map(|(_, n)| *n)
             .unwrap_or(0)
     }
-
-    /// Node count for one kind.
-    pub fn nodes_of(&self, kind: NodeKind) -> usize {
-        self.node_counts
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
-    }
-}
-
-/// Finds all instances of a class via direct `rdf:type` edges (no
-/// inference) — a low-level helper used by tests and reports.
-pub fn direct_instances_of(
-    graph: &dyn TripleSource,
-    dict: &Dictionary,
-    class: &Term,
-) -> Vec<TermId> {
-    let (Some(ty), Some(class_id)) = (dict.lookup(&Term::iri(vocab::rdf::TYPE)), dict.lookup(class))
-    else {
-        return Vec::new();
-    };
-    graph
-        .scan_pattern(TriplePattern::with_po(ty, class_id))
-        .map(|t| t.s)
-        .collect()
 }
 
 #[cfg(test)]
@@ -491,20 +465,6 @@ mod tests {
                 && s == NodeKind::Instance
                 && o == NodeKind::Class
                 && n >= 2));
-    }
-
-    #[test]
-    fn direct_instances() {
-        let store = fig3_store();
-        let g = store.model("m").unwrap();
-        let hits = direct_instances_of(
-            g,
-            store.dict(),
-            &Term::iri(vocab::cs::dm("Application1_View_Column")),
-        );
-        assert_eq!(hits.len(), 1);
-        let none = direct_instances_of(g, store.dict(), &Term::iri("http://nope"));
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -299,11 +299,6 @@ impl Store {
         Ok(())
     }
 
-    /// Drops a model; `true` if it existed.
-    pub fn drop_model(&mut self, name: &str) -> bool {
-        self.models.remove(name).is_some()
-    }
-
     /// Looks up a model by name.
     pub fn model(&self, name: &str) -> Result<&Graph, RdfError> {
         self.models
@@ -498,14 +493,6 @@ mod tests {
         s.create_model("b").unwrap();
         s.create_model("a").unwrap();
         assert_eq!(s.model_names(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn drop_model() {
-        let mut s = store_with_model();
-        assert!(s.drop_model("DWH_CURR"));
-        assert!(!s.drop_model("DWH_CURR"));
-        assert!(!s.has_model("DWH_CURR"));
     }
 
     #[test]

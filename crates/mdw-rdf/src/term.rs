@@ -161,26 +161,10 @@ impl Term {
         matches!(self, Term::Literal(_))
     }
 
-    /// True if this term is a blank node.
-    pub fn is_blank(&self) -> bool {
-        matches!(self, Term::BlankNode(_))
-    }
-
     /// True if this term may appear in subject position
     /// (IRIs and blank nodes; RDF forbids literal subjects).
     pub fn is_subject_capable(&self) -> bool {
         !self.is_literal()
-    }
-
-    /// The local name of an IRI: everything after the last `#` or `/`.
-    /// Returns the full IRI if neither separator occurs; `None` for
-    /// non-IRI terms.
-    pub fn local_name(&self) -> Option<&str> {
-        let iri = self.as_iri()?;
-        Some(match iri.rfind(['#', '/']) {
-            Some(pos) => &iri[pos + 1..],
-            None => iri,
-        })
     }
 
     /// A human-readable label: the local name for IRIs, the label for blank
@@ -263,14 +247,6 @@ mod tests {
             None
         );
         assert_eq!(Term::plain("x").as_literal().unwrap().as_integer(), None);
-    }
-
-    #[test]
-    fn local_name_hash_and_slash() {
-        assert_eq!(Term::iri("http://ex.org/ns#Customer").local_name(), Some("Customer"));
-        assert_eq!(Term::iri("http://ex.org/Customer").local_name(), Some("Customer"));
-        assert_eq!(Term::iri("urn-no-separator").local_name(), Some("urn-no-separator"));
-        assert_eq!(Term::plain("x").local_name(), None);
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl TriplePattern {
         TriplePattern { s: Some(t.s), p: Some(t.p), o: Some(t.o) }
     }
 
-    /// Number of bound positions (0–3).
-    pub fn bound_count(&self) -> usize {
-        self.s.is_some() as usize + self.p.is_some() as usize + self.o.is_some() as usize
-    }
-
     /// Whether a concrete triple matches this pattern.
     pub fn matches(&self, t: Triple) -> bool {
         self.s.is_none_or(|s| s == t.s)
@@ -138,13 +133,5 @@ mod tests {
         assert!(TriplePattern::with_po(TermId(2), TermId(3)).matches(tr));
         assert!(!TriplePattern::with_po(TermId(2), TermId(4)).matches(tr));
         assert!(TriplePattern::exact(tr).matches(tr));
-    }
-
-    #[test]
-    fn bound_count() {
-        assert_eq!(TriplePattern::any().bound_count(), 0);
-        assert_eq!(TriplePattern::with_p(TermId(0)).bound_count(), 1);
-        assert_eq!(TriplePattern::with_sp(TermId(0), TermId(1)).bound_count(), 2);
-        assert_eq!(TriplePattern::exact(t(0, 1, 2)).bound_count(), 3);
     }
 }

@@ -122,7 +122,7 @@ pub fn fig2_flow() -> String {
         let names: Vec<String> = results
             .hits
             .iter()
-            .map(|h| h.name.clone())
+            .map(|h| results.name(h).to_string())
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();

@@ -47,12 +47,12 @@ pub fn render_search_trace(results: &SearchResults) -> String {
     let mut out = String::new();
     let t = &results.trace;
     let _ = writeln!(out, "Step 1 — relevant hierarchy classes ({}):", t.step1_hierarchy_classes.len());
-    for c in &t.step1_hierarchy_classes {
-        let _ = writeln!(out, "    {}", c.label());
+    for &c in &t.step1_hierarchy_classes {
+        let _ = writeln!(out, "    {}", results.term(c).label());
     }
     let _ = writeln!(out, "Step 2 — valid result types / intersection ({}):", t.step2_valid_classes.len());
-    for c in &t.step2_valid_classes {
-        let _ = writeln!(out, "    {}", c.label());
+    for &c in &t.step2_valid_classes {
+        let _ = writeln!(out, "    {}", results.term(c).label());
     }
     let _ = writeln!(out, "Step 3 — matching instances: {}", t.step3_instances);
     out

@@ -27,6 +27,8 @@
 //! become semantic" lesson).
 
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
+use std::sync::Arc;
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
@@ -84,12 +86,6 @@ impl SearchRequest {
         }
     }
 
-    /// Overrides the result cap.
-    pub fn with_max_results(mut self, n: usize) -> Self {
-        self.max_results = n;
-        self
-    }
-
     /// Attaches a resource budget.
     pub fn with_budget(mut self, budget: QueryBudget) -> Self {
         self.budget = budget;
@@ -121,27 +117,30 @@ impl SearchRequest {
     }
 }
 
-/// One matching instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One matching instance, as ids into its result's dictionary:
+/// [`SearchResults::term`], [`SearchResults::name`] and
+/// [`SearchResults::matched`] decode it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchHit {
     /// The instance node.
-    pub instance: Term,
-    /// The `dm:hasName` value that matched.
-    pub name: String,
-    /// Which expanded term matched (equals the request term unless synonym
+    pub instance: TermId,
+    /// The `dm:hasName` literal that matched.
+    pub name: TermId,
+    /// Which expanded term matched, as an index into
+    /// [`SearchResults::expanded_terms`] (the request term unless synonym
     /// expansion kicked in).
-    pub matched_term: String,
+    pub matched: u32,
 }
 
 /// One result group — a row of Figure 6's grouped frontend.
 #[derive(Debug, Clone)]
 pub struct SearchGroup {
     /// The grouping class from the meta-data schema.
-    pub class: Term,
+    pub class: TermId,
     /// Its display label (`rdfs:label`, falling back to the local name).
     pub label: String,
     /// The matching instances, as indices into [`SearchResults::hits`] in
-    /// ascending order; [`SearchResults::group_hits`] resolves them.
+    /// ascending order.
     pub hits: Vec<u32>,
 }
 
@@ -158,16 +157,18 @@ impl SearchGroup {
 pub struct SearchTrace {
     /// Step 1 — relevant hierarchy classes (filters plus their entailed
     /// subclasses).
-    pub step1_hierarchy_classes: Vec<Term>,
+    pub step1_hierarchy_classes: Vec<TermId>,
     /// Step 2 — the intersection: valid result-type classes.
-    pub step2_valid_classes: Vec<Term>,
+    pub step2_valid_classes: Vec<TermId>,
     /// Step 3 — how many distinct instances matched.
     pub step3_instances: usize,
 }
 
 /// Search results: groups sorted by label, plus the expanded terms and the
-/// algorithm trace.
-#[derive(Debug, Clone)]
+/// algorithm trace. Hits, groups and trace hold ids; the result keeps its
+/// generation's dictionary, the only place term strings live, to decode
+/// them.
+#[derive(Clone)]
 pub struct SearchResults {
     /// Every matching name, once, sorted by instance; an instance with two
     /// matching names has two hits.
@@ -181,6 +182,19 @@ pub struct SearchResults {
     /// Whether every qualifying instance is present or the result-cap /
     /// budget stopped the scan early.
     pub completeness: Completeness,
+    dict: Arc<Dictionary>,
+}
+
+impl fmt::Debug for SearchResults {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SearchResults")
+            .field("hits", &self.hits)
+            .field("groups", &self.groups)
+            .field("expanded_terms", &self.expanded_terms)
+            .field("trace", &self.trace)
+            .field("completeness", &self.completeness)
+            .finish_non_exhaustive()
+    }
 }
 
 impl SearchResults {
@@ -194,9 +208,20 @@ impl SearchResults {
         self.groups.iter().find(|g| g.label == label)
     }
 
-    /// The hits of one of this result's groups, in group order.
-    pub fn group_hits<'a>(&'a self, group: &'a SearchGroup) -> impl Iterator<Item = &'a SearchHit> {
-        group.hits.iter().map(|&i| &self.hits[i as usize])
+    /// The term behind one of this result's ids: a hit's instance, a
+    /// group's class, a traced class.
+    pub fn term(&self, id: TermId) -> &Term {
+        self.dict.term_unchecked(id)
+    }
+
+    /// A hit's name: its literal's lexical form.
+    pub fn name(&self, hit: &SearchHit) -> &str {
+        self.dict.term_unchecked(hit.name).label()
+    }
+
+    /// The expanded term a hit matched.
+    pub fn matched(&self, hit: &SearchHit) -> &str {
+        &self.expanded_terms[hit.matched as usize]
     }
 }
 
@@ -330,6 +355,7 @@ pub(crate) fn search(
     request: &SearchRequest,
 ) -> SearchResults {
     let dict = ctx.dict();
+    let dict_arc = Arc::clone(ctx.snapshot().dict_arc());
     let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
     let expanded_terms: Vec<String> = if request.expand_synonyms {
         synonyms.expand(&request.term)
@@ -344,6 +370,7 @@ pub(crate) fn search(
             expanded_terms,
             trace: SearchTrace::default(),
             completeness: Completeness::Complete,
+            dict: dict_arc,
         };
     }
     let sub_class = lookup(vocab::rdfs::SUB_CLASS_OF);
@@ -449,21 +476,29 @@ pub(crate) fn search(
 
     // ---- Assemble output --------------------------------------------------
     // One hit per matching row, in instance order (stable, so one
-    // instance's names keep scan order); equal hits — two literals with one
-    // lexical form — collapse. A group lists the hits whose instance has
-    // its class, so its hits keep the same order.
+    // instance's names keep scan order); consecutive hits of one instance
+    // and needle whose names share a lexical form — `"Kunde"` and
+    // `"Kunde"@de` — collapse. Ids decide first; the labels (a literal's
+    // label is its lexical form) only when the name ids differ. A group
+    // lists the hits whose instance has its class, so its hits keep the
+    // same order.
     matched_rows.sort_by_key(|&(i, _)| table.rows[i].rank);
     let mut hits: Vec<SearchHit> = Vec::with_capacity(matched_rows.len());
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); table.types.len()];
+    let same_name = |a: TermId, b: TermId| {
+        a == b || dict.term_unchecked(a).label() == dict.term_unchecked(b).label()
+    };
     for (i, needle) in matched_rows {
         let row = table.rows[i];
         let hit = SearchHit {
-            instance: dict.term_unchecked(row.subject).clone(),
-            // A literal's label is its lexical form.
-            name: dict.term_unchecked(row.object).label().to_string(),
-            matched_term: expanded_terms[needle].clone(),
+            instance: row.subject,
+            name: row.object,
+            matched: u32::try_from(needle).expect("fewer than 2^32 expanded terms"),
         };
-        if hits.last() == Some(&hit) {
+        if hits.last().is_some_and(|last| {
+            (last.instance, last.matched) == (hit.instance, hit.matched)
+                && same_name(last.name, hit.name)
+        }) {
             continue;
         }
         let at = u32::try_from(hits.len()).expect("fewer hits than table rows");
@@ -477,30 +512,32 @@ pub(crate) fn search(
         .zip(&table.types)
         .filter(|(hits, _)| !hits.is_empty())
         .map(|(hits, (class, label))| SearchGroup {
-            class: dict.term_unchecked(*class).clone(),
+            class: *class,
             label: label.clone(),
             hits,
         })
         .collect();
-    groups.sort_by(|a, b| a.label.cmp(&b.label).then_with(|| a.class.cmp(&b.class)));
-
-    let decode_set = |set: &BTreeSet<TermId>| -> Vec<Term> {
-        set.iter().map(|&id| dict.term_unchecked(id).clone()).collect()
-    };
+    groups.sort_by(|a, b| {
+        a.label.cmp(&b.label).then_with(|| {
+            dict.term_unchecked(a.class)
+                .cmp(dict.term_unchecked(b.class))
+        })
+    });
 
     SearchResults {
         hits,
         groups,
         expanded_terms,
         trace: SearchTrace {
-            step1_hierarchy_classes: decode_set(&step1),
-            step2_valid_classes: decode_set(&step2),
+            step1_hierarchy_classes: step1.into_iter().collect(),
+            step2_valid_classes: step2.into_iter().collect(),
             step3_instances: matched_instances.len(),
         },
         completeness: match truncated {
             Some(reason) => Completeness::Truncated { reason },
             None => Completeness::Complete,
         },
+        dict: dict_arc,
     }
 }
 
@@ -664,7 +701,10 @@ mod tests {
         assert!(expanded.expanded_terms.contains(&"customer".to_string()));
         // Hits record which expanded term matched.
         let col = expanded.group("Column").unwrap();
-        assert_eq!(expanded.group_hits(col).next().unwrap().matched_term, "customer");
+        assert_eq!(
+            expanded.matched(&expanded.hits[col.hits[0] as usize]),
+            "customer"
+        );
     }
 
     #[test]
@@ -731,11 +771,15 @@ mod tests {
     fn result_cap_truncates_with_row_limit() {
         let (store, m) = setup();
         // Two instances match "customer"; a cap of 1 must truncate.
-        let results = run(&store, &m, SearchRequest::new("customer").with_max_results(1));
+        let capped = |cap| SearchRequest {
+            max_results: cap,
+            ..SearchRequest::new("customer")
+        };
+        let results = run(&store, &m, capped(1));
         assert_eq!(results.instance_count(), 1);
         assert_eq!(results.completeness.reason(), Some(TruncationReason::RowLimit));
         // An exact fit stays complete.
-        let results = run(&store, &m, SearchRequest::new("customer").with_max_results(2));
+        let results = run(&store, &m, capped(2));
         assert_eq!(results.instance_count(), 2);
         assert!(results.completeness.is_complete());
     }

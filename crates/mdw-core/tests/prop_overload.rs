@@ -165,7 +165,7 @@ proptest! {
         let w = build(&l);
         let full = w.search(&SearchRequest::new(needle.clone())).unwrap();
         let capped = w
-            .search(&SearchRequest::new(needle).with_max_results(cap))
+            .search(&SearchRequest { max_results: cap, ..SearchRequest::new(needle) })
             .unwrap();
 
         prop_assert!(capped.instance_count() <= full.instance_count());
@@ -173,7 +173,7 @@ proptest! {
         // Subset: every capped hit appears in the full result.
         for hit in &capped.hits {
             let found = full.hits.iter().any(|h| h.instance == hit.instance);
-            prop_assert!(found, "capped hit {:?} missing from full result", hit.name);
+            prop_assert!(found, "capped hit {:?} missing from full result", capped.name(hit));
         }
 
         match capped.completeness {

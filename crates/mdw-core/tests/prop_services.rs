@@ -90,9 +90,10 @@ proptest! {
         let results = w.search(&SearchRequest::new(needle.clone())).unwrap();
         // Soundness: every hit's name contains the needle.
         for hit in &results.hits {
+            let name = results.name(hit);
             prop_assert!(
-                hit.name.to_lowercase().contains(&needle),
-                "hit {:?} does not contain {:?}", hit.name, needle
+                name.to_lowercase().contains(&needle),
+                "hit {:?} does not contain {:?}", name, needle
             );
         }
         // Completeness: every item whose name contains the needle is found.

@@ -353,12 +353,23 @@ pub fn start_chunked<W: Write>(
 /// event-driven streamer's building block: frames are staged in the
 /// connection's bounded write buffer and leave via the readiness loop.
 /// Empty payloads are skipped (an empty chunk would read as the
-/// terminator).
+/// terminator). The size's lowercase hex digits are written by hand, not
+/// through `fmt`: every streamed row pays for this header.
 pub fn push_chunk(out: &mut Vec<u8>, payload: &[u8]) {
     if payload.is_empty() {
         return;
     }
-    let _ = write!(out, "{:x}\r\n", payload.len());
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut size = [0u8; 2 * std::mem::size_of::<usize>()];
+    let mut at = size.len();
+    let mut n = payload.len();
+    while n > 0 {
+        at -= 1;
+        size[at] = HEX[n & 0xf];
+        n >>= 4;
+    }
+    out.extend_from_slice(&size[at..]);
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(payload);
     out.extend_from_slice(b"\r\n");
 }
@@ -370,6 +381,22 @@ mod tests {
     /// The request of a complete head.
     fn head(raw: &[u8]) -> Request {
         parse_head(raw).unwrap().expect("a complete head").0
+    }
+
+    #[test]
+    fn chunk_sizes_are_lowercase_hex() {
+        for len in [1, 9, 10, 15, 16, 255, 256, 4_095, 4_096, 65_536] {
+            let payload = vec![b'x'; len];
+            let mut out = Vec::new();
+            push_chunk(&mut out, &payload);
+            let mut want = format!("{len:x}\r\n").into_bytes();
+            want.extend_from_slice(&payload);
+            want.extend_from_slice(b"\r\n");
+            assert_eq!(out, want, "length {len}");
+        }
+        let mut out = b"kept".to_vec();
+        push_chunk(&mut out, b"");
+        assert_eq!(out, b"kept", "an empty payload frames nothing");
     }
 
     #[test]

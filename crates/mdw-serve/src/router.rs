@@ -8,13 +8,14 @@
 //!   the chaos pauses, and the query itself. It returns either a fixed
 //!   response (errors, sheds) or a [`RowStreamer`].
 //! * [`RowStreamer`] runs **back on the event loop**, interleaved with
-//!   socket readiness: each step charges the budget (deadline, byte cap,
-//!   drain cancellation) *before* framing one row — a slice of the answer's
-//!   row buffer, encoded on the worker — into the connection's bounded
-//!   write buffer, then a truthful summary and the chunk terminator. It
-//!   holds the request's admission permit and in-flight registration until
-//!   the frame is complete, so drain and the permit audit see streaming
-//!   requests as live.
+//!   socket readiness: each refill reads the deadline and drain
+//!   cancellation once, then frames rows — slices of the answer's row
+//!   buffer, encoded on the worker — into the connection's bounded write
+//!   buffer, charging the byte cap *before* each one; then come a
+//!   truthful summary and the chunk terminator. It holds the request's
+//!   admission permit and in-flight registration until the frame is
+//!   complete, so drain and the permit audit see streaming requests as
+//!   live.
 //!
 //! Responses stream as chunked `application/x-ndjson`: one JSON object per
 //! row, then exactly one `{"summary": …}` line, then the chunk terminator.
@@ -382,9 +383,10 @@ enum StreamStage {
 }
 
 /// Streams an [`Answer`] as budget-charged chunk frames, one piece per
-/// [`step`](RowStreamer::step). The budget is consulted **before** each row
-/// is framed — a tripped deadline, byte cap, or drain cancellation stops
-/// the rows and the summary says so truthfully. Holds the admission permit
+/// [`step`](RowStreamer::step), many per [`fill`](RowStreamer::fill). The
+/// byte cap is charged **before** each row is framed, and the deadline and
+/// drain cancellation are read before each step or fill — a trip stops the
+/// rows and the summary says so truthfully. Holds the admission permit
 /// and in-flight registration for the request's whole wire lifetime; both
 /// release when the streamer drops (completion, wire death, or teardown).
 pub struct RowStreamer {
@@ -430,13 +432,42 @@ impl RowStreamer {
     /// terminator) to `out`. Returns `false` once the frame is complete and
     /// nothing more will ever be appended.
     pub fn step(&mut self, out: &mut Vec<u8>) -> bool {
+        self.check_time();
+        self.frame(out)
+    }
+
+    /// Steps until `out` holds at least `high_water` bytes or the frame is
+    /// done — the event loop's refill, keeping write buffers bounded. The
+    /// deadline and drain cancellation are read once, before the first
+    /// row: a trip lands between fills, not inside one.
+    pub fn fill(&mut self, out: &mut Vec<u8>, high_water: usize) -> bool {
+        self.check_time();
+        while out.len() < high_water {
+            if !self.frame(out) {
+                return false;
+            }
+        }
+        !matches!(self.stage, StreamStage::Done)
+    }
+
+    /// Records a deadline or drain-cancellation trip while rows remain to
+    /// be framed; once every row is out, the answer is complete whatever
+    /// the clock says.
+    fn check_time(&mut self) {
+        let rows_left = self.sent < self.rows.len();
+        if matches!(self.stage, StreamStage::Rows) && self.trip.is_none() && rows_left {
+            self.trip = self.budget.check_time().err();
+        }
+    }
+
+    /// One protocol piece, with no clock read: the byte cap is charged
+    /// before each row is framed.
+    fn frame(&mut self, out: &mut Vec<u8>) -> bool {
         match self.stage {
             StreamStage::Rows => {
                 if self.trip.is_none() && self.sent < self.rows.len() {
                     let row = self.rows.row(self.sent);
-                    // Deadline or drain cancellation lands between rows, and
-                    // the byte cap is charged before the row is framed.
-                    match self.budget.check_time().and_then(|()| self.budget.charge_bytes(row.len() as u64)) {
+                    match self.budget.charge_bytes(row.len() as u64) {
                         Err(reason) => self.trip = Some(reason),
                         Ok(()) => {
                             http::push_chunk(out, row);
@@ -479,17 +510,6 @@ impl RowStreamer {
             StreamStage::Done => false,
         }
     }
-
-    /// Steps until `out` holds at least `high_water` bytes or the frame is
-    /// done — the event loop's refill, keeping write buffers bounded.
-    pub fn fill(&mut self, out: &mut Vec<u8>, high_water: usize) -> bool {
-        while out.len() < high_water {
-            if !self.step(out) {
-                return false;
-            }
-        }
-        !matches!(self.stage, StreamStage::Done)
-    }
 }
 
 fn run_search(
@@ -509,10 +529,21 @@ fn run_search(
         search.max_results = max;
     }
     let results = state.warehouse.search(&search)?;
+    // Each hit's tail and each group's head is escaped once, straight from
+    // the dictionary; a row is one head and one tail.
+    let mut tails = Rows::default();
+    for hit in &results.hits {
+        tails.search_tail(
+            results.term(hit.instance),
+            results.name(hit),
+            results.matched(hit),
+        );
+    }
     let mut rows = Rows::default();
     for group in &results.groups {
-        for hit in results.group_hits(group) {
-            rows.search(&group.label, &hit.instance, &hit.name, &hit.matched_term);
+        let head = rows::search_head(&group.label);
+        for &i in &group.hits {
+            rows.search(&head, tails.row(i as usize));
         }
     }
     Ok(Answer {
@@ -666,4 +697,90 @@ pub fn admin_stats_json(state: &ServeState) -> String {
         .map(|(key, value)| (key.to_string(), value)),
     );
     serde_json::to_string(&Value::Object(doc)).expect("stats serialize")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::parse_response;
+    use crate::drain::DrainController;
+    use mdw_rdf::budget::{ManualTime, TimeSource};
+
+    /// A streamer over `n` keyword-answer rows, under `budget`.
+    fn streamer(n: usize, budget: QueryBudget) -> RowStreamer {
+        let mut rows = Rows::default();
+        for i in 0..n {
+            rows.answer("row", &Term::iri("http://ex.org/x"), i);
+        }
+        let answer = Answer {
+            rows,
+            completeness: Completeness::Complete,
+            plan: None,
+            candidates: None,
+        };
+        let inflight = Arc::new(DrainController::new()).register(CancellationToken::new());
+        RowStreamer::new(answer, budget, None, inflight)
+    }
+
+    /// A trip between fills: the rows framed before it stay, the next fill
+    /// frames none, and the summary counts only the rows that went out.
+    #[test]
+    fn a_trip_between_fills_ends_the_rows_with_a_truthful_summary() {
+        let time = Arc::new(ManualTime::new());
+        let clock = Arc::clone(&time) as Arc<dyn TimeSource>;
+        let token = CancellationToken::new();
+        let trips: [(QueryBudget, &dyn Fn(), &str); 2] = [
+            (
+                QueryBudget::unlimited().with_deadline(Duration::from_millis(10), clock),
+                &|| time.advance(Duration::from_millis(20)),
+                "deadline exceeded",
+            ),
+            (
+                QueryBudget::unlimited().with_cancellation(&token),
+                &|| token.cancel(),
+                "cancelled",
+            ),
+        ];
+        for (budget, trip, reason) in trips {
+            let mut stream = streamer(5, budget);
+            let mut body = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+            let head = body.len();
+            // A high-water mark of one byte frames exactly one row per fill.
+            assert!(stream.fill(&mut body, head + 1));
+            let one_row = body.len();
+            assert!(stream.fill(&mut body, one_row + 1));
+            let framed = body.clone();
+            trip();
+            assert!(
+                !stream.fill(&mut body, usize::MAX),
+                "{reason}: the frame completes"
+            );
+            assert_eq!(
+                body[..framed.len()],
+                framed[..],
+                "{reason}: framed rows stay"
+            );
+
+            let response = parse_response(&body).expect("a well-formed frame");
+            assert!(response.complete_frame, "{reason}");
+            let lines = response.lines();
+            assert_eq!(
+                lines.len(),
+                3,
+                "{reason}: two rows and the summary, {lines:?}"
+            );
+            let row_bytes: usize = lines[..2].iter().map(|l| l.len() + 1).sum();
+            let summary: Value = serde_json::from_str(lines[2]).expect("summary parses");
+            assert_eq!(
+                summary,
+                json!({"summary": {
+                    "rows": 2,
+                    "complete": false,
+                    "truncated": reason,
+                    "bytes": row_bytes,
+                }}),
+                "{reason}"
+            );
+        }
+    }
 }

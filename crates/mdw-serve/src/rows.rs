@@ -34,11 +34,12 @@ impl Rows {
         n.checked_sub(1).map_or(0, |last| self.ends[last])
     }
 
-    /// `{"class":…,"instance":…,"name":…,"matched":…}` — a search hit.
-    pub(crate) fn search(&mut self, class: &str, instance: &Term, name: &str, matched: &str) {
+    /// `,"instance":…,"name":…,"matched":…}` and the newline — the half of
+    /// a search row that depends only on the hit. A hit repeats once per
+    /// group it belongs to, so its half is escaped once, as a row of its
+    /// own, and copied into every [`search`](Rows::search) row.
+    pub(crate) fn search_tail(&mut self, instance: &Term, name: &str, matched: &str) {
         let out = &mut self.bytes;
-        out.extend_from_slice(b"{\"class\":");
-        write_str(out, class);
         out.extend_from_slice(b",\"instance\":");
         write_term(out, instance);
         out.extend_from_slice(b",\"name\":");
@@ -46,6 +47,14 @@ impl Rows {
         out.extend_from_slice(b",\"matched\":");
         write_str(out, matched);
         self.end_row();
+    }
+
+    /// `{"class":…,"instance":…,"name":…,"matched":…}` — a search hit: a
+    /// group's [`search_head`] and a hit's [`search_tail`](Rows::search_tail).
+    pub(crate) fn search(&mut self, head: &[u8], tail: &[u8]) {
+        self.bytes.extend_from_slice(head);
+        self.bytes.extend_from_slice(tail);
+        self.ends.push(self.bytes.len());
     }
 
     /// `{"node":…,"name":…|null,"distance":…,"classes":[…]}` — a lineage
@@ -111,6 +120,14 @@ impl Rows {
         self.bytes.extend_from_slice(b"}\n");
         self.ends.push(self.bytes.len());
     }
+}
+
+/// `{"class":…` — the half of a search row that depends only on the
+/// group, escaped once per group.
+pub(crate) fn search_head(class: &str) -> Vec<u8> {
+    let mut head = b"{\"class\":".to_vec();
+    write_str(&mut head, class);
+    head
 }
 
 /// Writes `text` as a JSON string literal, escaped byte for byte as the
@@ -230,8 +247,10 @@ mod tests {
 
         #[test]
         fn search_rows_match_serde_json(class in text(), instance in term(), name in text(), matched in text()) {
+            let mut tails = Rows::default();
+            tails.search_tail(&instance, &name, &matched);
             prop_assert_eq!(
-                one(|rows| rows.search(&class, &instance, &name, &matched)),
+                one(|rows| rows.search(&search_head(&class), tails.row(0))),
                 line(json!({
                     "class": class.clone(),
                     "instance": instance.to_string(),

@@ -11,7 +11,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use metadata_warehouse::core::ingest::Extract;
-use metadata_warehouse::core::search::{SearchHit, SearchRequest, SearchResults};
+use metadata_warehouse::core::search::{SearchRequest, SearchResults};
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::rdf::budget::{
     CancellationToken, Completeness, ManualTime, QueryBudget, TimeSource, TruncationReason,
@@ -134,12 +134,21 @@ pub fn assert_truthful_prefix<T: PartialEq + Debug>(
     }
 }
 
+/// A search hit as a client sees it: the instance, its matching name and
+/// the expanded term that name contains.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hit {
+    pub instance: Term,
+    pub name: String,
+    pub matched_term: String,
+}
+
 /// A search answer flattened to what a client can observe: groups with
 /// their hits in order, the expanded terms, the three step traces, and the
-/// verdict.
+/// verdict — the service's ids decoded through its result's accessors.
 #[derive(Debug, PartialEq)]
 pub struct SearchAnswer {
-    pub groups: Vec<(String, Term, Vec<SearchHit>)>,
+    pub groups: Vec<(String, Term, Vec<Hit>)>,
     pub expanded_terms: Vec<String>,
     pub step1: Vec<Term>,
     pub step2: Vec<Term>,
@@ -149,21 +158,27 @@ pub struct SearchAnswer {
 
 impl SearchAnswer {
     pub fn of(results: &SearchResults) -> Self {
+        let decode = |ids: &[TermId]| ids.iter().map(|&id| results.term(id).clone()).collect();
+        let hit = |&i: &u32| {
+            let h = &results.hits[i as usize];
+            Hit {
+                instance: results.term(h.instance).clone(),
+                name: results.name(h).to_string(),
+                matched_term: results.matched(h).to_string(),
+            }
+        };
         SearchAnswer {
             groups: results
                 .groups
                 .iter()
                 .map(|g| {
-                    (
-                        g.label.clone(),
-                        g.class.clone(),
-                        results.group_hits(g).cloned().collect(),
-                    )
+                    let hits = g.hits.iter().map(hit).collect();
+                    (g.label.clone(), results.term(g.class).clone(), hits)
                 })
                 .collect(),
             expanded_terms: results.expanded_terms.clone(),
-            step1: results.trace.step1_hierarchy_classes.clone(),
-            step2: results.trace.step2_valid_classes.clone(),
+            step1: decode(&results.trace.step1_hierarchy_classes),
+            step2: decode(&results.trace.step2_valid_classes),
             instances: results.trace.step3_instances,
             completeness: results.completeness,
         }
@@ -232,7 +247,7 @@ pub fn reference_search(w: &MetadataWarehouse, request: &SearchRequest) -> Searc
     let budget = &request.budget;
     let mut truncated = budget.check().err();
     let mut instances: BTreeSet<TermId> = BTreeSet::new();
-    let mut groups: BTreeMap<TermId, Vec<SearchHit>> = BTreeMap::new();
+    let mut groups: BTreeMap<TermId, Vec<Hit>> = BTreeMap::new();
     let names = lookup(vocab::cs::HAS_NAME)
         .into_iter()
         .flat_map(|p| graph.scan(TriplePattern::with_p(p)));
@@ -285,7 +300,7 @@ pub fn reference_search(w: &MetadataWarehouse, request: &SearchRequest) -> Searc
             }
             instances.insert(t.s);
         }
-        let hit = SearchHit {
+        let hit = Hit {
             instance: dict.term_unchecked(t.s).clone(),
             name: lit.lexical.to_string(),
             matched_term: expanded_terms[matched].clone(),
@@ -305,7 +320,7 @@ pub fn reference_search(w: &MetadataWarehouse, request: &SearchRequest) -> Searc
             })
             .unwrap_or_else(|| dict.term_unchecked(class).label().to_string())
     };
-    let mut groups: Vec<(String, Term, Vec<SearchHit>)> = groups
+    let mut groups: Vec<(String, Term, Vec<Hit>)> = groups
         .into_iter()
         .map(|(class, mut hits)| {
             hits.sort_by(|a, b| a.instance.cmp(&b.instance));

@@ -106,11 +106,11 @@ fn every_search_hit_contains_a_needle() {
         .unwrap();
     let needles = &results.expanded_terms;
     for hit in &results.hits {
-        let lower = hit.name.to_lowercase();
+        let name = results.name(hit);
+        let lower = name.to_lowercase();
         assert!(
             needles.iter().any(|n| lower.contains(n.as_str())),
-            "hit {:?} matches none of {needles:?}",
-            hit.name
+            "hit {name:?} matches none of {needles:?}"
         );
     }
 }

@@ -49,15 +49,16 @@ fn listing1_sem_match_equals_search_service() {
     let service = w
         .search(&SearchRequest::new("customer").filter_class(dm("Application1_Item")))
         .unwrap();
-    let mut service_pairs: Vec<(String, String)> = service
-        .groups
-        .iter()
-        .flat_map(|g| {
-            service
-                .group_hits(g)
-                .map(move |h| (g.label.clone(), h.instance.label().to_string()))
-        })
-        .collect();
+    let mut service_pairs: Vec<(String, String)> = Vec::new();
+    for g in &service.groups {
+        for &i in &g.hits {
+            let h = &service.hits[i as usize];
+            service_pairs.push((
+                g.label.clone(),
+                service.term(h.instance).label().to_string(),
+            ));
+        }
+    }
     service_pairs.sort();
 
     // …must equal Listing 1's answer for the same class filter.
@@ -152,8 +153,8 @@ fn area_filters_match_figure2_stages() {
             .search(&SearchRequest::new("id").in_area(area.clone()))
             .unwrap();
         assert_eq!(results.instance_count(), 1, "area {}", area.as_str());
-        let hit = results.group_hits(&results.groups[0]).next().unwrap();
-        assert_eq!(hit.name, expected, "area {}", area.as_str());
+        let hit = &results.hits[results.groups[0].hits[0] as usize];
+        assert_eq!(results.name(hit), expected, "area {}", area.as_str());
     }
 }
 

@@ -110,7 +110,8 @@ fn requests() -> Vec<SearchRequest> {
             for case_sensitive in [false, true] {
                 for filter in &filters {
                     for cap in [DEFAULT_MAX_RESULTS, 1] {
-                        let mut request = filter(SearchRequest::new(term)).with_max_results(cap);
+                        let mut request = filter(SearchRequest::new(term));
+                        request.max_results = cap;
                         request.expand_synonyms = synonyms;
                         request.case_sensitive = case_sensitive;
                         requests.push(request);
@@ -172,7 +173,12 @@ fn table_keeps_the_reference_wrinkles() {
         results
             .hits
             .iter()
-            .map(|h| (h.instance.label().to_string(), h.name.clone()))
+            .map(|h| {
+                (
+                    results.term(h.instance).label().to_string(),
+                    results.name(h).to_string(),
+                )
+            })
             .collect()
     };
     let everything = hits("");
@@ -215,6 +221,7 @@ proptest! {
         cap in 1usize..12,
     ) {
         let w = build(&l);
-        check(&w, &SearchRequest::new(needle).with_max_results(cap), variant, limit);
+        let request = SearchRequest { max_results: cap, ..SearchRequest::new(needle) };
+        check(&w, &request, variant, limit);
     }
 }

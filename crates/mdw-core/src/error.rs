@@ -22,15 +22,6 @@ pub enum MdwError {
     Overloaded(crate::admission::Overloaded),
 }
 
-impl MdwError {
-    /// True for failures worth retrying: environment-level I/O errors and
-    /// injected faults from the substrate. Corruption, validation, and
-    /// logic errors are permanent.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, MdwError::Rdf(e) if e.is_transient())
-    }
-}
-
 impl fmt::Display for MdwError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

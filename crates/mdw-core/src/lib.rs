@@ -43,7 +43,6 @@ pub mod model;
 pub mod ontology;
 pub mod operators;
 pub mod report;
-pub mod resilience;
 pub mod search;
 pub mod sync;
 pub mod synonyms;
@@ -60,12 +59,11 @@ pub use assist::{find_sources, SourceCandidates};
 pub use error::MdwError;
 pub use governance::{who_can_access, AccessReport};
 pub use history::{History, VersionDiff, VersionRecord};
-pub use ingest::{Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport};
+pub use ingest::{Extract, IngestReport};
 pub use lineage::{Direction, ImpactSummary, LineageRequest, LineageResult};
 pub use model::{Census, EdgeCategory, NodeKind};
 pub use ontology::OntologyBuilder;
 pub use operators::{compose_mappings, extract_submodel, merge, MergeReport};
-pub use resilience::{Clock, RetryPolicy, SystemClock, TestClock};
 pub use search::{SearchRequest, SearchResults};
 pub use sync::{SourceRegistry, SyncReport};
 pub use synonyms::SynonymTable;

@@ -22,7 +22,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mdw_rdf::budget::{Completeness, QueryBudget};
-use mdw_rdf::failpoint;
 use mdw_rdf::frozen::{FrozenIndex, FrozenStore};
 use mdw_rdf::journal::JournalOp;
 use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
@@ -43,15 +42,12 @@ use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
 use crate::governance::{self, AccessReport, GovernanceGaps};
 use crate::history::{History, VersionDiff, VersionRecord};
-use crate::ingest::{
-    Extract, ExtractOutcome, ExtractStatus, IngestReport, ResilientIngestReport,
-};
+use crate::ingest::{Extract, IngestReport};
 use crate::lineage::{
     self, FlowRow, Hop, ImpactSummary, LineageRequest, LineageResult, MappingConditions,
 };
 use crate::model::{census, Census};
 use crate::search::{self, SearchRequest, SearchResults, SearchTable};
-use crate::resilience::{run_with_retry, Clock, RetryPolicy};
 use crate::sync::{SourceRegistry, SyncReport};
 use crate::synonyms::SynonymTable;
 
@@ -307,9 +303,9 @@ impl MetadataWarehouse {
     }
 
     /// The single write door: every mutation of the current model —
-    /// `ingest`, `ingest_resilient`, `resync`, `insert_fact`,
-    /// `load_synonym_edges` — is one delivery through here, and each stage
-    /// is wired exactly once, in this order:
+    /// `ingest`, `resync`, `insert_fact`, `load_synonym_edges` — is one
+    /// delivery through here, and each stage is wired exactly once, in this
+    /// order:
     ///
     /// 1. the engine validates the batch, journals it (one fsync) and only
     ///    then applies it to the memtable ([`LsmStore::write_batch`]): when
@@ -463,75 +459,6 @@ impl MetadataWarehouse {
         let delivered = valid.len();
         let loaded = self.write(Some(source), valid, Vec::new())?;
         Ok((LoadReport { loaded, duplicates: delivered - loaded, rejections }, staging))
-    }
-
-    /// Fault-tolerant variant of [`Self::ingest`]: each extract is staged
-    /// and loaded independently, transient failures — the journal's
-    /// included — are retried under `policy` (backoff slept on `clock`),
-    /// and extracts that cannot load are quarantined instead of failing the
-    /// whole release. Permanent errors quarantine the extract immediately,
-    /// as does an extract whose every triple fails validation (a
-    /// systematically broken export — retrying cannot help). Provenance is
-    /// recorded only for extracts that loaded.
-    ///
-    /// Failpoints consulted per attempt: `ingest::extract::<source>` first,
-    /// then the generic `ingest::extract`, plus whatever the staging and
-    /// persistence layers have armed.
-    pub fn ingest_resilient(
-        &mut self,
-        extracts: Vec<Extract>,
-        policy: &RetryPolicy,
-        clock: &dyn Clock,
-    ) -> Result<ResilientIngestReport, MdwError> {
-        let mut report = ResilientIngestReport::default();
-        for extract in extracts {
-            let Extract { source, triples } = extract;
-            let count = triples.len();
-            let specific = format!("ingest::extract::{source}");
-            let attempt = run_with_retry(policy, clock, |_| {
-                failpoint::check(&specific)?;
-                failpoint::check("ingest::extract")?;
-                Ok(self.load_extract(&source, triples.clone())?.0)
-            });
-            let outcome = match attempt {
-                Ok(retried) => {
-                    let load = retried.value;
-                    let fully_rejected = count > 0 && load.rejections.len() == count;
-                    let status = if fully_rejected {
-                        ExtractStatus::Quarantined {
-                            reason: format!(
-                                "validation rejected all {count} triples (first: {})",
-                                load.rejections[0].reason
-                            ),
-                            attempts: retried.attempts,
-                        }
-                    } else if retried.attempts > 1 {
-                        ExtractStatus::RetriedThenLoaded { attempts: retried.attempts }
-                    } else {
-                        ExtractStatus::Loaded
-                    };
-                    ExtractOutcome {
-                        source,
-                        triples: count,
-                        status,
-                        loaded: load.loaded,
-                        duplicates: load.duplicates,
-                        rejected: if fully_rejected { 0 } else { load.rejections.len() },
-                    }
-                }
-                Err((error, attempts)) => ExtractOutcome {
-                    source,
-                    triples: count,
-                    status: ExtractStatus::Quarantined { reason: error.to_string(), attempts },
-                    loaded: 0,
-                    duplicates: 0,
-                    rejected: 0,
-                },
-            };
-            report.outcomes.push(outcome);
-        }
-        self.fold();
-        Ok(report)
     }
 
     /// Re-delivers one source's extract with *replace* semantics: triples
@@ -967,7 +894,8 @@ impl MetadataWarehouse {
 mod tests {
     use super::*;
     use mdw_rdf::budget::TruncationReason;
-    use mdw_rdf::failpoint::FailSpec;
+    use mdw_rdf::failpoint::{self, FailSpec};
+    use mdw_rdf::RdfError;
     use mdw_rdf::vocab;
     use std::path::PathBuf;
 
@@ -1443,7 +1371,10 @@ mod tests {
                 "scanner",
                 vec![(dwh("lost"), Term::iri(vocab::rdf::TYPE), dm("Thing"))],
             )]);
-            assert!(matches!(failed, Err(MdwError::Rdf(ref e)) if e.is_transient()), "{failed:?}");
+            assert!(
+                matches!(failed, Err(MdwError::Rdf(RdfError::Injected { .. }))),
+                "{failed:?}"
+            );
             assert!(w.sources().is_empty(), "no provenance for an unjournaled delivery");
             // An unrelated mutation succeeds — and must not drag the failed
             // extract's triples into view.

@@ -24,8 +24,7 @@ pub enum RdfError {
         /// What went wrong.
         message: String,
     },
-    /// An I/O failure in the persistence layer (environment-level, usually
-    /// transient — retryable).
+    /// An I/O failure in the persistence layer (environment-level).
     Io {
         /// What the store was doing (e.g. "write manifest").
         context: String,
@@ -41,16 +40,15 @@ pub enum RdfError {
         /// What the validator found.
         message: String,
     },
-    /// A fault injected by an armed failpoint (testing/fault-drills only);
-    /// treated as transient by the retry machinery.
+    /// A fault injected by an armed failpoint (testing/fault-drills only).
     Injected {
         /// The failpoint that fired.
         failpoint: String,
     },
     /// A write was shed after stalling at the backpressure gate: compaction
     /// debt exceeded its threshold and did not drain within the deadline.
-    /// Transient — the typed alternative to unbounded memory growth; retry
-    /// once compaction catches up.
+    /// The typed alternative to unbounded memory growth; retry once
+    /// compaction catches up.
     Backpressure {
         /// Run-stack depth (compaction debt) at shed time.
         debt: usize,
@@ -68,15 +66,6 @@ impl RdfError {
     /// Builds a corruption error for a named on-disk artifact.
     pub fn corrupt(context: impl Into<String>, message: impl Into<String>) -> RdfError {
         RdfError::Corrupt { context: context.into(), message: message.into() }
-    }
-
-    /// True for failures worth retrying (environmental I/O and injected
-    /// faults); false for corruption, validation, and logic errors.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            RdfError::Io { .. } | RdfError::Injected { .. } | RdfError::Backpressure { .. }
-        )
     }
 }
 
@@ -138,10 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn transient_classification() {
-        assert!(RdfError::io("x", std::io::Error::other("boom")).is_transient());
-        assert!(RdfError::Injected { failpoint: "journal::append".into() }.is_transient());
-        assert!(!RdfError::corrupt("journal", "torn").is_transient());
-        assert!(!RdfError::UnknownModel("m".into()).is_transient());
+    fn fault_constructors_and_messages() {
+        let io = RdfError::io("x", std::io::Error::other("boom"));
+        assert!(matches!(io, RdfError::Io { .. }), "{io:?}");
+        let corrupt = RdfError::corrupt("journal", "torn");
+        assert!(matches!(corrupt, RdfError::Corrupt { .. }), "{corrupt:?}");
+        assert_eq!(
+            RdfError::Injected { failpoint: "journal::append".into() }.to_string(),
+            "injected fault at failpoint: journal::append"
+        );
+        let shed = RdfError::Backpressure { debt: 3, waited_ms: 7 }.to_string();
+        assert!(shed.contains("compaction debt 3 runs"), "{shed}");
     }
 }

@@ -4,8 +4,8 @@
 //! paths. In production nothing is armed and every check is a cheap
 //! thread-local map probe. Tests (and the `mdwh` CLI via `--inject`) arm
 //! failpoints to make the next pass through that code path fail — once, N
-//! times, always, or with a seeded probability — so crash-recovery and
-//! retry behavior can be exercised without real disk faults.
+//! times, always, or with a seeded probability — so crash recovery can be
+//! exercised without real disk faults.
 //!
 //! The registry is **thread-local**: arming a failpoint affects only the
 //! current thread, so parallel test binaries cannot interfere with each
@@ -21,9 +21,8 @@
 //! count keeps the unarmed fast path a single relaxed load.
 //!
 //! Naming convention: `layer::operation[::detail]`, e.g.
-//! `journal::append`, `snapshot::manifest`, `ingest::extract::app1`.
-//! [`check`] consults the exact name only; callers that want per-source
-//! targeting probe the specific name first, then the generic one.
+//! `journal::append`, `journal::append::partial`, `snapshot::manifest`.
+//! [`check`] consults the exact name only.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -335,11 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn injected_error_is_transient() {
+    fn fired_check_returns_injected() {
         reset();
         arm("t::err", FailSpec::Once);
         let err = check("t::err").unwrap_err();
-        assert!(err.is_transient());
+        assert!(matches!(err, RdfError::Injected { .. }), "{err:?}");
         assert!(err.to_string().contains("t::err"));
     }
 }

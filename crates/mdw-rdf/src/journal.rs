@@ -317,18 +317,16 @@ impl Journal {
     /// Rotates the journal after its batches were made durable elsewhere
     /// (sealed into a run file or folded into a snapshot): the file is
     /// rewritten to hold only a header with `base` — all batches ≤ `base`
-    /// live in a run or the snapshot now. Failpoints `journal::rotate` and
-    /// `journal::reset` fire before anything is touched, so the
-    /// kill-anywhere drill can crash between "run durable" and "journal
-    /// trimmed" and prove recovery tolerates the overlap (replaying a
-    /// batch already inside a run is idempotent). A success also clears
-    /// any poisoning — the rewrite replaces whatever uncertain state a
-    /// failed append left behind. A failure mid-rewrite poisons the handle
-    /// instead (the file may be truncated or headerless), so the next
-    /// append heals it first.
+    /// live in a run or the snapshot now. Failpoint `journal::rotate` fires
+    /// before anything is touched, so the kill-anywhere drill can crash
+    /// between "run durable" and "journal trimmed" and prove recovery
+    /// tolerates the overlap (replaying a batch already inside a run is
+    /// idempotent). A success also clears any poisoning — the rewrite
+    /// replaces whatever uncertain state a failed append left behind. A
+    /// failure mid-rewrite poisons the handle instead (the file may be
+    /// truncated or headerless), so the next append heals it first.
     pub fn rotate(&mut self, base: u64) -> Result<(), RdfError> {
         failpoint::check("journal::rotate")?;
-        failpoint::check("journal::reset")?;
         let header = format!("{MAGIC} base={base}\n");
         if let Err(e) = self
             .file

@@ -1418,7 +1418,6 @@ mod tests {
         store.seal_now().unwrap();
         let err = store.write_batch("m", &[ins("a", "c")]).unwrap_err();
         assert!(matches!(err, RdfError::Backpressure { debt: 1, .. }), "got {err:?}");
-        assert!(err.is_transient());
         let m = store.metrics();
         assert_eq!(m.sheds, 1);
         assert_eq!(m.stalls, 1);
@@ -1529,7 +1528,7 @@ mod tests {
             // acked, and the same store keeps running.
             failpoint::arm("journal::append::partial", failpoint::FailSpec::Once);
             let err = store.write_batch("m", &[ins("a", "c")]).unwrap_err();
-            assert!(err.is_transient(), "got {err:?}");
+            assert!(matches!(err, RdfError::Injected { .. }), "got {err:?}");
             // The next window must heal the tear before appending;
             // without that, recovery would refuse the whole journal
             // (uncommitted batch followed by committed data) and this
@@ -1554,7 +1553,7 @@ mod tests {
             // fsync fails: unacked, yet present on disk.
             failpoint::arm("journal::sync", failpoint::FailSpec::Once);
             let err = store.write_batch("m", &[ins("a", "c")]).unwrap_err();
-            assert!(err.is_transient(), "got {err:?}");
+            assert!(matches!(err, RdfError::Injected { .. }), "got {err:?}");
             store.write_batch("m", &[ins("a", "d")]).unwrap();
         }
         // Healing re-derived the next sequence from the on-disk state, so

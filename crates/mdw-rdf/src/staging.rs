@@ -10,11 +10,9 @@
 //! of deliveries, each tagged once with the source it came from.
 //! [`StagingArea::take_validated`] checks each staged triple (RDF
 //! well-formedness) and hands the valid ones to the loader — the warehouse's
-//! write door, or [`StagingArea::bulk_load`] for a plain [`Store`] — with a
-//! [`Rejection`] for every triple that failed and why.
+//! write door — with a [`Rejection`] for every triple that failed and why.
 
 use crate::error::RdfError;
-use crate::store::Store;
 use crate::term::Term;
 use crate::triple::check_well_formed;
 
@@ -54,11 +52,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Total staged triples processed.
-    pub fn total(&self) -> usize {
-        self.loaded + self.duplicates + self.rejections.len()
-    }
-
     /// True if nothing was rejected.
     pub fn is_clean(&self) -> bool {
         self.rejections.is_empty()
@@ -107,9 +100,9 @@ impl StagingArea {
     /// Drains the staging area through validation
     /// ([`check_well_formed`]): the well-formed triples come back in staging
     /// order, ready to load; the others as [`Rejection`]s. A delivery with
-    /// nothing to reject is handed back as staged, without a copy. Fails
-    /// *before* draining when a fault drill has armed the
-    /// `staging::bulk_load` failpoint, so a retry sees the same batch.
+    /// nothing to reject is handed back as staged, without a copy. Fails,
+    /// with nothing drained, when a fault drill has armed the
+    /// `staging::bulk_load` failpoint.
     pub fn take_validated(&mut self) -> Result<(Vec<Row>, Vec<Rejection>), RdfError> {
         crate::failpoint::check("staging::bulk_load")?;
         let mut valid = Vec::new();
@@ -136,24 +129,6 @@ impl StagingArea {
         }
         Ok((valid, rejections))
     }
-
-    /// Bulk-loads all staged triples into `model` of `store`, draining the
-    /// staging area. Valid triples are interned and inserted; invalid ones
-    /// are collected in the report. The model must exist (checked before
-    /// anything is drained).
-    pub fn bulk_load(&mut self, store: &mut Store, model: &str) -> Result<LoadReport, RdfError> {
-        store.model(model)?;
-        let (valid, rejections) = self.take_validated()?;
-        let mut report = LoadReport { rejections, ..LoadReport::default() };
-        for (s, p, o) in &valid {
-            if store.insert(model, s, p, o)? {
-                report.loaded += 1;
-            } else {
-                report.duplicates += 1;
-            }
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -166,9 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_and_load() {
-        let mut store = Store::new();
-        store.create_model("DWH_CURR").unwrap();
+    fn stage_and_validate() {
         let mut staging = StagingArea::new();
         staging.stage(
             "app-extract",
@@ -182,51 +155,37 @@ mod tests {
             vocab::has_name(),
             Term::plain("John Doe"),
         );
-        let report = staging.bulk_load(&mut store, "DWH_CURR").unwrap();
-        assert_eq!(report.loaded, 2);
-        assert!(report.is_clean());
+        let (valid, rejections) = staging.take_validated().unwrap();
+        assert_eq!(valid.len(), 2);
+        assert!(rejections.is_empty());
         assert!(staging.is_empty());
-        assert_eq!(store.model("DWH_CURR").unwrap().len(), 2);
     }
 
     #[test]
-    fn duplicates_counted_not_rejected() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+    fn duplicates_pass_validation() {
         let mut staging = StagingArea::new();
         for _ in 0..2 {
             staging.stage("src", iri("a"), iri("p"), iri("b"));
         }
-        let report = staging.bulk_load(&mut store, "m").unwrap();
-        assert_eq!(report.loaded, 1);
-        assert_eq!(report.duplicates, 1);
-        assert_eq!(report.total(), 2);
+        // Duplicates are counted by the loader, against the model.
+        let (valid, rejections) = staging.take_validated().unwrap();
+        assert_eq!(valid.len(), 2);
+        assert!(rejections.is_empty());
     }
 
     #[test]
     fn invalid_triples_rejected_with_reason() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
         let mut staging = StagingArea::new();
         staging.stage("src", Term::plain("lit"), iri("p"), iri("b"));
         staging.stage("src", iri("a"), Term::plain("p"), iri("b"));
         staging.stage("src", iri(""), iri("p"), iri("b"));
         staging.stage("src", iri("a"), iri("p"), iri("b")); // valid
-        let report = staging.bulk_load(&mut store, "m").unwrap();
-        assert_eq!(report.loaded, 1);
-        assert_eq!(report.rejections.len(), 3);
-        assert!(report.rejections[0].reason.contains("literal subject"));
-        assert!(report.rejections[1].reason.contains("non-IRI predicate"));
-        assert!(report.rejections[2].reason.contains("empty subject IRI"));
-    }
-
-    #[test]
-    fn load_into_missing_model_fails_and_keeps_staging() {
-        let mut store = Store::new();
-        let mut staging = StagingArea::new();
-        staging.stage("src", iri("a"), iri("p"), iri("b"));
-        assert!(staging.bulk_load(&mut store, "missing").is_err());
-        assert_eq!(staging.len(), 1); // not drained on failure
+        let (valid, rejections) = staging.take_validated().unwrap();
+        assert_eq!(valid, vec![(iri("a"), iri("p"), iri("b"))]);
+        assert_eq!(rejections.len(), 3);
+        assert!(rejections[0].reason.contains("literal subject"));
+        assert!(rejections[1].reason.contains("non-IRI predicate"));
+        assert!(rejections[2].reason.contains("empty subject IRI"));
     }
 
     #[test]

@@ -260,6 +260,23 @@ fn injected_wire_fault_reaches_the_in_process_server() {
     assert!(out.contains("io errors: 2"), "dropped connections not seen: {out}");
 }
 
+/// `generate`'s ingest stages every extract, so an armed
+/// `staging::bulk_load` fails it: exit 2, with the fault named.
+#[test]
+fn injected_staging_fault_fails_generate() {
+    let dir = std::env::temp_dir().join(format!("mdwh-cli-inject-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let output = mdwh()
+        .args(["generate", "--scale", "small", "--inject", "staging::bulk_load=once", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("run mdwh generate");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("injected fault at failpoint: staging::bulk_load"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let output = mdwh().arg("frobnicate").output().expect("run mdwh");

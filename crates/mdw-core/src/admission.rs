@@ -3,22 +3,19 @@
 //! Budgets ([`crate::budget`]) bound what one query may consume; admission
 //! control bounds how many queries run at once. The paper's services sit in
 //! front of a shared graph that "heavy traffic from millions of users"
-//! (ROADMAP north star) can easily melt, so the gate:
+//! (ROADMAP north star) can easily melt, so the gate caps concurrent
+//! queries overall and per class (search / lineage / SPARQL / answer), so
+//! one chatty client class cannot starve the others.
 //!
-//! * caps concurrent queries overall and per class (search / lineage /
-//!   SPARQL), so one chatty client class cannot starve the others,
-//! * keeps a **bounded** wait queue — a full queue sheds the request with a
-//!   typed [`Overloaded`] rejection carrying a `retry_after` hint, never an
-//!   unbounded hang.
-//!
-//! Everything is deterministic under test: waiting uses a condvar with a
-//! bounded timeout, and the non-blocking [`AdmissionController::try_admit`]
-//! path needs no threads at all.
+//! The gate never blocks: [`AdmissionController::try_admit`] grants a free
+//! slot or returns `None`, and [`AdmissionController::shed`] turns a refusal
+//! into the typed [`Overloaded`] rejection with its `retry_after` hint. A
+//! caller that lets requests wait for a slot keeps its own bounded queue
+//! and retries; the serving layer's event loop does (`mdw-serve::tenant`).
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use mdw_rdf::metrics::CounterSet;
@@ -120,7 +117,8 @@ pub struct AdmissionConfig {
     /// Concurrent queries per class, indexed by [`QueryClass::index`]
     /// order (search, lineage, sparql, answer).
     pub per_class: [usize; CLASS_COUNT],
-    /// Requests allowed to wait for a slot; beyond this the gate sheds.
+    /// Requests allowed to wait for a slot in the caller's queue (the
+    /// serving layer's per-tenant FIFO); a newcomer beyond it is shed.
     pub max_queued: usize,
     /// Longest a queued request waits before being shed.
     pub max_wait: Duration,
@@ -161,60 +159,24 @@ const COUNTER_NAMES: [(&str, &str); CLASS_COUNT] = [
 ];
 
 #[derive(Debug, Default)]
-struct GateState {
+struct Slots {
     active_total: usize,
     active: [usize; CLASS_COUNT],
-    /// FIFO wait queue: `(ticket, class)` in arrival order. Wake-ups grant
-    /// the *first eligible* waiter — the oldest one whose class has a free
-    /// slot — so waiters of a saturated class never head-of-line-block the
-    /// other classes, and same-class waiters are served strictly FIFO.
-    queue: VecDeque<(u64, QueryClass)>,
-    next_ticket: u64,
 }
 
-impl GateState {
-    fn has_slot(&self, config: &AdmissionConfig, class: QueryClass) -> bool {
-        self.active_total < config.max_concurrent
-            && self.active[class.index()] < config.per_class[class.index()]
-    }
-
-    /// The ticket of the oldest queued waiter that could run right now.
-    fn first_eligible(&self, config: &AdmissionConfig) -> Option<u64> {
-        self.queue
-            .iter()
-            .find(|(_, class)| self.has_slot(config, *class))
-            .map(|(ticket, _)| *ticket)
-    }
-
-    fn remove_ticket(&mut self, ticket: u64) {
-        self.queue.retain(|(t, _)| *t != ticket);
-    }
-}
-
+#[derive(Debug)]
 struct Gate {
     config: AdmissionConfig,
-    state: Mutex<GateState>,
-    freed: Condvar,
+    slots: Mutex<Slots>,
     admitted: [AtomicU64; CLASS_COUNT],
     shed: [AtomicU64; CLASS_COUNT],
 }
 
 /// The bounded-concurrency admission gate. Cheap to clone ([`Arc`] inside);
 /// clones share the slots and counters.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct AdmissionController {
     gate: Arc<Gate>,
-}
-
-impl fmt::Debug for AdmissionController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.gate.state.lock().unwrap();
-        f.debug_struct("AdmissionController")
-            .field("config", &self.gate.config)
-            .field("active_total", &state.active_total)
-            .field("waiting", &state.queue.len())
-            .finish()
-    }
 }
 
 impl AdmissionController {
@@ -223,101 +185,36 @@ impl AdmissionController {
         AdmissionController {
             gate: Arc::new(Gate {
                 config,
-                state: Mutex::new(GateState::default()),
-                freed: Condvar::new(),
+                slots: Mutex::new(Slots::default()),
                 admitted: Default::default(),
                 shed: Default::default(),
             }),
         }
     }
 
-    /// The configured sizing.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.gate.config
-    }
-
-    /// Non-blocking admission: a free slot admits immediately, otherwise
-    /// the request is shed. Deterministic — used by unit tests and by
-    /// callers that would rather shed than wait.
+    /// Non-blocking admission: a permit when both the total and `class`
+    /// have a free slot (counted as admitted), otherwise `None`, counted as
+    /// nothing — the caller either waits and retries or [`shed`]s.
     ///
-    /// Does not barge: if a queued waiter could use the free slot, the
-    /// request is shed instead (the waiter arrived first).
-    pub fn try_admit(&self, class: QueryClass) -> Result<Permit, Overloaded> {
-        let mut state = self.gate.state.lock().unwrap();
-        if state.has_slot(&self.gate.config, class)
-            && state.first_eligible(&self.gate.config).is_none()
-        {
-            return Ok(self.grant(&mut state, class));
+    /// [`shed`]: AdmissionController::shed
+    pub fn try_admit(&self, class: QueryClass) -> Option<Permit> {
+        let config = &self.gate.config;
+        let mut slots = self.gate.slots.lock().expect("no code panics while holding the slots");
+        let i = class.index();
+        if slots.active_total >= config.max_concurrent || slots.active[i] >= config.per_class[i] {
+            return None;
         }
-        let depth = state.queue.len();
-        drop(state);
-        Err(self.reject(class, ShedReason::QueueFull, depth))
+        slots.active_total += 1;
+        slots.active[i] += 1;
+        self.gate.admitted[i].fetch_add(1, Ordering::Relaxed);
+        Some(Permit { gate: Arc::clone(&self.gate), class })
     }
 
-    /// Blocking admission: waits (bounded by `max_wait`) in the bounded
-    /// FIFO queue for a slot. A full queue or an expired wait sheds the
-    /// request with a typed [`Overloaded`] — never an unbounded hang.
-    ///
-    /// Wake order is fair: when a slot frees, the *oldest* queued waiter
-    /// whose class has capacity is granted first, regardless of which
-    /// thread the scheduler happens to wake first.
-    pub fn admit(&self, class: QueryClass) -> Result<Permit, Overloaded> {
-        let mut state = self.gate.state.lock().unwrap();
-        if state.has_slot(&self.gate.config, class)
-            && state.first_eligible(&self.gate.config).is_none()
-        {
-            return Ok(self.grant(&mut state, class));
-        }
-        if state.queue.len() >= self.gate.config.max_queued {
-            let depth = state.queue.len();
-            drop(state);
-            return Err(self.reject(class, ShedReason::QueueFull, depth));
-        }
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        state.queue.push_back((ticket, class));
-        let deadline = self.gate.config.max_wait;
-        let mut waited = Duration::ZERO;
-        loop {
-            if state.first_eligible(&self.gate.config) == Some(ticket) {
-                state.remove_ticket(ticket);
-                let permit = self.grant(&mut state, class);
-                // The grant may have made the *next* queued waiter the
-                // first eligible one; let it re-check.
-                drop(state);
-                self.gate.freed.notify_all();
-                return Ok(permit);
-            }
-            let remaining = deadline.saturating_sub(waited);
-            if remaining.is_zero() {
-                state.remove_ticket(ticket);
-                let depth = state.queue.len();
-                drop(state);
-                // Our departure may unblock a younger waiter's eligibility
-                // bookkeeping — wake the queue to re-evaluate.
-                self.gate.freed.notify_all();
-                return Err(self.reject(class, ShedReason::WaitTimeout, depth));
-            }
-            let started = std::time::Instant::now();
-            let (next, _timeout) = self.gate.freed.wait_timeout(state, remaining).unwrap();
-            state = next;
-            waited += started.elapsed();
-        }
-    }
-
-    fn grant(&self, state: &mut GateState, class: QueryClass) -> Permit {
-        state.active_total += 1;
-        state.active[class.index()] += 1;
-        self.gate.admitted[class.index()].fetch_add(1, Ordering::Relaxed);
-        Permit { gate: Arc::clone(&self.gate), class }
-    }
-
-    /// Builds the typed rejection. The `retry_after` hint scales with the
-    /// observed queue depth (capped at 8× the configured base), so clients
-    /// shed from a deep queue back off harder than clients shed from an
-    /// empty one — and `mdwh drill overload` can report the distribution
-    /// operators tune quotas from.
-    fn reject(&self, class: QueryClass, reason: ShedReason, queue_depth: usize) -> Overloaded {
+    /// Counts a shed `class` request and builds its typed rejection. The
+    /// `retry_after` hint scales with `queue_depth`, the requests waiting
+    /// ahead of it (capped at 8× the configured base), so clients shed from
+    /// a deep queue back off harder than clients shed from an empty one.
+    pub fn shed(&self, class: QueryClass, reason: ShedReason, queue_depth: usize) -> Overloaded {
         self.gate.shed[class.index()].fetch_add(1, Ordering::Relaxed);
         let scale = (queue_depth.saturating_add(1)).min(8) as u32;
         Overloaded { class, reason, retry_after: self.gate.config.retry_after * scale }
@@ -325,15 +222,7 @@ impl AdmissionController {
 
     /// Queries currently holding a slot.
     pub fn active(&self) -> usize {
-        self.gate.state.lock().unwrap().active_total
-    }
-
-    /// Requests currently parked in the wait queue. Every `admit` exit path
-    /// — grant, queue-full shed, and wait-timeout shed — removes its queue
-    /// entry, so this returns to 0 once the gate quiesces (the permit-audit
-    /// invariant the serving layer's chaos suite asserts).
-    pub fn waiting(&self) -> usize {
-        self.gate.state.lock().unwrap().queue.len()
+        self.gate.slots.lock().expect("no code panics while holding the slots").active_total
     }
 }
 
@@ -353,31 +242,19 @@ impl CounterSet for AdmissionController {
 
 /// An admitted query's slot, released on drop (RAII — a panicking query
 /// still frees its slot during unwind).
+#[derive(Debug)]
 pub struct Permit {
     gate: Arc<Gate>,
     class: QueryClass,
 }
 
-impl Permit {
-    /// The class this permit was granted for.
-    pub fn class(&self) -> QueryClass {
-        self.class
-    }
-}
-
-impl fmt::Debug for Permit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Permit").field("class", &self.class).finish()
-    }
-}
-
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut state = self.gate.state.lock().unwrap();
-        state.active_total -= 1;
-        state.active[self.class.index()] -= 1;
-        drop(state);
-        self.gate.freed.notify_all();
+        // Every update leaves the counts whole, so a poisoned lock is
+        // still right; a panic here, during an unwind, would abort.
+        let mut slots = self.gate.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        slots.active_total -= 1;
+        slots.active[self.class.index()] -= 1;
     }
 }
 
@@ -385,77 +262,37 @@ impl Drop for Permit {
 mod tests {
     use super::*;
 
-    fn gate(total: usize, per_class: usize, queued: usize) -> AdmissionController {
-        AdmissionController::new(AdmissionConfig {
-            max_queued: queued,
-            max_wait: Duration::from_millis(10),
-            ..AdmissionConfig::with_quotas(total, per_class)
-        })
-    }
-
     #[test]
-    fn admits_up_to_quota_then_sheds() {
-        let gate = gate(2, 2, 0);
+    fn admits_up_to_quota_then_refuses() {
+        let gate = AdmissionController::new(AdmissionConfig::with_quotas(2, 2));
         let p1 = gate.try_admit(QueryClass::Search).unwrap();
         let _p2 = gate.try_admit(QueryClass::Lineage).unwrap();
-        let err = gate.try_admit(QueryClass::Sparql).unwrap_err();
-        assert_eq!(err.reason, ShedReason::QueueFull);
-        assert_eq!(err.class, QueryClass::Sparql);
-        assert!(err.retry_after > Duration::ZERO);
+        assert!(gate.try_admit(QueryClass::Sparql).is_none());
         // Releasing a slot re-opens the gate.
         drop(p1);
-        assert!(gate.try_admit(QueryClass::Sparql).is_ok());
+        assert!(gate.try_admit(QueryClass::Sparql).is_some());
     }
 
     #[test]
     fn per_class_quota_protects_other_classes() {
-        let gate = gate(10, 1, 0);
+        let gate = AdmissionController::new(AdmissionConfig::with_quotas(10, 1));
         let _search = gate.try_admit(QueryClass::Search).unwrap();
         // Search is at quota…
-        assert!(gate.try_admit(QueryClass::Search).is_err());
+        assert!(gate.try_admit(QueryClass::Search).is_none());
         // …but lineage still gets in.
-        assert!(gate.try_admit(QueryClass::Lineage).is_ok());
-    }
-
-    #[test]
-    fn blocking_admit_sheds_when_queue_is_full() {
-        let gate = gate(1, 1, 0);
-        let _held = gate.try_admit(QueryClass::Search).unwrap();
-        let err = gate.admit(QueryClass::Search).unwrap_err();
-        assert_eq!(err.reason, ShedReason::QueueFull);
-    }
-
-    #[test]
-    fn blocking_admit_times_out_with_typed_rejection() {
-        let gate = gate(1, 1, 4);
-        let _held = gate.try_admit(QueryClass::Search).unwrap();
-        // The slot is never released: the queued request must come back
-        // with WaitTimeout after max_wait, not hang.
-        let err = gate.admit(QueryClass::Search).unwrap_err();
-        assert_eq!(err.reason, ShedReason::WaitTimeout);
-    }
-
-    #[test]
-    fn queued_request_gets_freed_slot() {
-        let gate = AdmissionController::new(AdmissionConfig {
-            max_queued: 4,
-            max_wait: Duration::from_secs(5),
-            ..AdmissionConfig::with_quotas(1, 1)
-        });
-        let held = gate.try_admit(QueryClass::Search).unwrap();
-        let gate2 = gate.clone();
-        let waiter = std::thread::spawn(move || gate2.admit(QueryClass::Search).is_ok());
-        std::thread::sleep(Duration::from_millis(20));
-        drop(held);
-        assert!(waiter.join().unwrap());
+        assert!(gate.try_admit(QueryClass::Lineage).is_some());
     }
 
     #[test]
     fn stats_count_admissions_and_sheds_per_class() {
-        let gate = gate(1, 1, 0);
+        let gate = AdmissionController::new(AdmissionConfig::with_quotas(1, 1));
         let _p = gate.try_admit(QueryClass::Search).unwrap();
-        let _ = gate.try_admit(QueryClass::Search);
-        let _ = gate.try_admit(QueryClass::Lineage);
+        // A refusal alone counts nothing; a shed counts once.
+        assert!(gate.try_admit(QueryClass::Search).is_none());
+        let shed = gate.shed(QueryClass::Search, ShedReason::QueueFull, 0);
+        assert_eq!((shed.class, shed.reason), (QueryClass::Search, ShedReason::QueueFull));
+        assert_eq!(shed.retry_after, AdmissionConfig::default().retry_after);
+        let _ = gate.shed(QueryClass::Lineage, ShedReason::WaitTimeout, 0);
         let counters = gate.read();
         assert_eq!(&counters[..4], [
             ("search_admitted", 1),
@@ -470,142 +307,14 @@ mod tests {
 
     #[test]
     fn permit_released_on_panic_unwind() {
-        let gate = gate(1, 1, 0);
+        let gate = AdmissionController::new(AdmissionConfig::with_quotas(1, 1));
         let gate2 = gate.clone();
         let _ = std::panic::catch_unwind(move || {
             let _permit = gate2.try_admit(QueryClass::Search).unwrap();
             panic!("query blew up");
         });
         assert_eq!(gate.active(), 0);
-        assert!(gate.try_admit(QueryClass::Search).is_ok());
-    }
-
-    #[test]
-    fn waiters_wake_in_fifo_order_under_contention() {
-        let gate = AdmissionController::new(AdmissionConfig {
-            max_queued: 8,
-            max_wait: Duration::from_secs(10),
-            ..AdmissionConfig::with_quotas(1, 1)
-        });
-        let held = gate.try_admit(QueryClass::Search).unwrap();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut waiters = Vec::new();
-        for i in 0..4usize {
-            let gate2 = gate.clone();
-            let order2 = Arc::clone(&order);
-            waiters.push(std::thread::spawn(move || {
-                let permit = gate2.admit(QueryClass::Search).unwrap();
-                // Record while still holding the permit so the next waiter
-                // cannot be granted (and recorded) before us.
-                order2.lock().unwrap().push(i);
-                drop(permit);
-            }));
-            // Pin arrival order: don't start waiter i+1 until waiter i is
-            // parked in the queue.
-            while gate.waiting() != i + 1 {
-                std::thread::yield_now();
-            }
-        }
-        drop(held);
-        for w in waiters {
-            w.join().unwrap();
-        }
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(gate.waiting(), 0);
-        assert_eq!(gate.active(), 0);
-    }
-
-    #[test]
-    fn try_admit_does_not_barge_past_queued_waiters() {
-        let gate = AdmissionController::new(AdmissionConfig {
-            max_queued: 4,
-            max_wait: Duration::from_secs(10),
-            ..AdmissionConfig::with_quotas(1, 1)
-        });
-        let held = gate.try_admit(QueryClass::Search).unwrap();
-        let gate2 = gate.clone();
-        // The waiter parks its permit in the channel (instead of dropping
-        // it) so the slot stays occupied until this test is done probing.
-        let (parked_tx, parked) = std::sync::mpsc::channel();
-        let waiter = std::thread::spawn(move || match gate2.admit(QueryClass::Search) {
-            Ok(permit) => parked_tx.send(permit).is_ok(),
-            Err(_) => false,
-        });
-        while gate.waiting() != 1 {
-            std::thread::yield_now();
-        }
-        drop(held);
-        // Whether or not the waiter has claimed the freed slot yet, a
-        // newcomer must not get it: either the slot is taken, or the waiter
-        // is still first in line.
-        assert_eq!(gate.try_admit(QueryClass::Search).unwrap_err().reason, ShedReason::QueueFull);
-        assert!(waiter.join().unwrap());
-        drop(parked);
-    }
-
-    #[test]
-    fn saturated_class_waiter_does_not_block_other_classes() {
-        let gate = AdmissionController::new(AdmissionConfig {
-            max_queued: 4,
-            max_wait: Duration::from_secs(10),
-            ..AdmissionConfig::with_quotas(2, 1)
-        });
-        let held = gate.try_admit(QueryClass::Search).unwrap();
-        let gate2 = gate.clone();
-        let waiter = std::thread::spawn(move || gate2.admit(QueryClass::Search).is_ok());
-        while gate.waiting() != 1 {
-            std::thread::yield_now();
-        }
-        // A search waiter is queued (its class is at quota), but lineage
-        // has a free slot — the waiter must not head-of-line-block it.
-        let lineage = gate.try_admit(QueryClass::Lineage).unwrap();
-        drop(lineage);
-        drop(held);
-        assert!(waiter.join().unwrap());
-    }
-
-    #[test]
-    fn timed_out_waiter_leaves_no_queue_entry() {
-        let gate = gate(1, 1, 4);
-        let _held = gate.try_admit(QueryClass::Search).unwrap();
-        let err = gate.admit(QueryClass::Search).unwrap_err();
-        assert_eq!(err.reason, ShedReason::WaitTimeout);
-        assert_eq!(gate.waiting(), 0);
-    }
-
-    #[test]
-    fn retry_after_scales_with_queue_depth_and_caps() {
-        // Empty queue: base hint.
-        let empty = gate(1, 1, 0);
-        let _held = empty.try_admit(QueryClass::Search).unwrap();
-        let base = empty.config().retry_after;
-        assert_eq!(empty.try_admit(QueryClass::Search).unwrap_err().retry_after, base);
-
-        // Deep queue: the hint grows with depth, capped at 8×.
-        let gate = AdmissionController::new(AdmissionConfig {
-            max_queued: 16,
-            max_wait: Duration::from_secs(10),
-            ..AdmissionConfig::with_quotas(1, 1)
-        });
-        let held = gate.try_admit(QueryClass::Search).unwrap();
-        let mut waiters = Vec::new();
-        for i in 0..9usize {
-            let gate2 = gate.clone();
-            waiters.push(std::thread::spawn(move || {
-                let _ = gate2.admit(QueryClass::Search);
-            }));
-            while gate.waiting() != i + 1 {
-                std::thread::yield_now();
-            }
-        }
-        let deep = gate.try_admit(QueryClass::Search).unwrap_err();
-        assert_eq!(deep.retry_after, base * 8);
-        drop(held);
-        for w in waiters {
-            w.join().unwrap();
-        }
-        assert_eq!(gate.waiting(), 0);
-        assert_eq!(gate.active(), 0);
+        assert!(gate.try_admit(QueryClass::Search).is_some());
     }
 
     #[test]

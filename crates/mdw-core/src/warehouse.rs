@@ -36,7 +36,7 @@ use mdw_rdf::{vocab, QueryContext};
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
 
-use crate::admission::{AdmissionConfig, AdmissionController, QueryClass};
+use crate::admission::{AdmissionConfig, AdmissionController, QueryClass, ShedReason};
 use crate::answer::{self, AnswerRequest, AnswerResult, ExecutedCandidate, SchemaIndex};
 use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
@@ -592,8 +592,9 @@ impl MetadataWarehouse {
     }
 
     /// Puts an admission gate in front of the query entry points: beyond
-    /// the configured concurrency and queue bounds, queries are shed with
-    /// a typed [`MdwError::Overloaded`] instead of piling up.
+    /// the configured concurrency, queries are shed at once with a typed
+    /// [`MdwError::Overloaded`] instead of piling up (this gate keeps no
+    /// wait queue).
     pub fn enable_admission(&mut self, config: AdmissionConfig) {
         self.admission = Some(AdmissionController::new(config));
     }
@@ -643,7 +644,9 @@ impl MetadataWarehouse {
         rulebase: bool,
         run: impl FnOnce(&EntailedGraph<'_>, &QueryContext) -> Result<T, MdwError>,
     ) -> Result<T, MdwError> {
-        let _permit = self.admission.as_ref().map(|gate| gate.admit(class)).transpose()?;
+        let _permit = (self.admission.as_ref())
+            .map(|gate| gate.try_admit(class).ok_or_else(|| gate.shed(class, ShedReason::QueueFull, 0)))
+            .transpose()?;
         let base = self.pinned.store.model(model)?;
         let view = match &self.pinned.materialization {
             _ if !rulebase => {

@@ -116,11 +116,14 @@ pub fn arm_global(name: &str, spec: FailSpec) {
     GLOBAL_ARMED.store(map.len(), Ordering::SeqCst);
 }
 
-/// Disarms every global failpoint.
-pub fn reset_global() {
+/// Disarms every global failpoint and returns the names that were still
+/// armed — a `once` / `times:N` point that fired its last time is gone
+/// already, so a drill can tell which of its points never fired.
+pub fn reset_global() -> Vec<String> {
     let mut map = GLOBAL_REGISTRY.lock().unwrap();
-    map.clear();
+    let armed = std::mem::take(&mut *map).into_keys().collect();
     GLOBAL_ARMED.store(0, Ordering::SeqCst);
+    armed
 }
 
 /// Arms global failpoints from a comma-separated list of `name=spec` pairs

@@ -17,12 +17,14 @@
 //! Two drivers exist:
 //!
 //! * the epoll event loop in [`crate::server`], which feeds it nonblocking
-//!   reads, flushes via [`Conn::on_writable`], runs [`QueryJob`]s on a
-//!   worker pool, and enforces the per-state deadlines
+//!   reads, flushes via [`Conn::on_writable`], admits each [`QueryJob`] in
+//!   its tenant's FIFO and runs it on a worker pool, and enforces the
+//!   per-state deadlines
 //!   ([`Conn::check_deadline`]): head-read (slowloris), write-stall
 //!   (slow readers), and idle keep-alive reaping;
 //! * the blocking driver [`handle_connection`], which runs everything on
-//!   the calling thread over any `Read + Write` — the chaos suite's way of
+//!   the calling thread over any `Read + Write`, admitting without a queue
+//!   — the chaos suite's way of
 //!   making every wire fault deterministic. It flushes one protocol piece
 //!   per write call (head, then each row frame), so write-count-based fault
 //!   arming lands exactly where a test aims it.
@@ -80,7 +82,8 @@ pub enum Wants {
     Write,
     /// A [`QueryJob`] is ready for pickup via [`Conn::take_job`].
     Execute,
-    /// A job is out with the workers; nothing to watch.
+    /// A job waits for admission or is out with the workers; nothing to
+    /// watch.
     Wait,
     /// Tear the connection down.
     Close,
@@ -94,7 +97,8 @@ enum State {
     ReadingHead,
     /// Head parsed; draining the declared body.
     ReadingBody { request: Box<Request>, remaining: usize },
-    /// A query job is queued or running on a worker.
+    /// A query job waits for admission, or is queued or running on a
+    /// worker.
     Executing,
     /// Flushing the staged response (and refilling from the streamer).
     Streaming,

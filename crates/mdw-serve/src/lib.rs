@@ -16,8 +16,10 @@
 //!   charged *as they leave*, and a tripped budget yields a truthful
 //!   `Truncated` summary, never a silently short answer.
 //! * **Admission is per tenant** ([`tenant`]) — `X-Tenant` maps to a
-//!   bounded FIFO gate; overload sheds `503 + Retry-After` scaled by queue
-//!   depth.
+//!   quota and a bounded FIFO that the event loop decides before any
+//!   worker sees the request, so one tenant's backlog never parks a worker
+//!   another tenant needs; overload sheds `503 + Retry-After` scaled by
+//!   queue depth.
 //! * **Slow clients cannot park resources** ([`conn`]) — a head-read
 //!   deadline defeats slowloris drip-feeders, a write-stall deadline
 //!   defeats readers that stop reading mid-stream, and idle keep-alive

@@ -2,11 +2,12 @@
 //!
 //! * [`prepare`] runs **on the event loop** and must never block: it maps a
 //!   parsed request either to a ready-to-stage [`StagedResponse`] (health,
-//!   stats, admin, 404/405) or to a [`QueryJob`] for the worker pool.
+//!   stats, admin, 404/405) or to a [`QueryJob`]. The loop admits the job
+//!   in its tenant's FIFO ([`crate::tenant`]) before any worker sees it.
 //! * [`QueryJob::run`] runs **on a worker thread** and may block: drain
-//!   check, per-tenant admission (bounded FIFO wait), budget construction,
-//!   the chaos pauses, and the query itself. It returns either a fixed
-//!   response (errors, sheds) or a [`RowStreamer`].
+//!   check, budget construction, the chaos pauses, and the query itself.
+//!   It returns either a fixed response (errors, sheds) or a
+//!   [`RowStreamer`].
 //! * [`RowStreamer`] runs **back on the event loop**, interleaved with
 //!   socket readiness: each refill reads the deadline and drain
 //!   cancellation once, then frames rows — slices of the answer's row
@@ -31,7 +32,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mdw_core::admission::{Permit, QueryClass};
+use mdw_core::admission::{Overloaded, Permit, QueryClass};
 use mdw_core::answer::AnswerRequest;
 use mdw_core::error::MdwError;
 use mdw_core::lineage::LineageRequest;
@@ -189,11 +190,12 @@ pub fn prepare(state: &Arc<ServeState>, request: &Request) -> Prepared {
                 "/lineage" => QueryClass::Lineage,
                 _ => QueryClass::Sparql,
             };
-            Prepared::Query(QueryJob { request: request.clone(), class })
+            Prepared::Query(QueryJob { request: request.clone(), class, permit: None })
         }
         ("POST", "/answer") => Prepared::Query(QueryJob {
             request: request.clone(),
             class: QueryClass::Answer,
+            permit: None,
         }),
         (
             _,
@@ -207,8 +209,10 @@ pub fn prepare(state: &Arc<ServeState>, request: &Request) -> Prepared {
 /// A query request, parked until a worker picks it up. Everything blocking
 /// or slow lives in [`QueryJob::run`].
 pub struct QueryJob {
-    request: Request,
-    class: QueryClass,
+    pub(crate) request: Request,
+    pub(crate) class: QueryClass,
+    /// The tenant permit, once the event loop has granted it.
+    pub(crate) permit: Option<Permit>,
 }
 
 /// What a worker hands back to the connection.
@@ -233,15 +237,16 @@ pub fn execute_job(state: &Arc<ServeState>, job: QueryJob) -> JobResult {
     }
 }
 
-/// The storm valve's shed: the event loop found the worker queue full at
-/// dispatch time. A plain `503` — truthful, complete-framed, keep-alive —
-/// built without touching the (possibly blocking) admission gate.
-pub(crate) fn queue_full_shed(state: &ServeState) -> JobResult {
-    JobResult::Fixed(overloaded(
-        state,
-        Duration::from_secs(1),
-        "worker queue full",
-    ))
+/// The `503` for a request that arrives, or still waits for admission,
+/// while the server drains.
+pub(crate) fn draining(state: &ServeState) -> JobResult {
+    JobResult::Fixed(overloaded(state, state.config.drain_grace, "server draining"))
+}
+
+/// The `503` for a request its tenant's admission shed.
+pub(crate) fn tenant_shed(state: &ServeState, job: &QueryJob, shed: &Overloaded) -> JobResult {
+    let detail = format!("tenant {}: {shed}", job.tenant());
+    JobResult::Fixed(overloaded(state, shed.retry_after, &detail))
 }
 
 fn overloaded(state: &ServeState, retry_after: Duration, detail: &str) -> StagedResponse {
@@ -264,32 +269,29 @@ fn overloaded(state: &ServeState, retry_after: Duration, detail: &str) -> Staged
 }
 
 impl QueryJob {
-    /// The blocking half of a query request: drain check → tenant admission
-    /// → budget → chaos pauses → query. Returns a fixed error/shed response
-    /// or a [`RowStreamer`] carrying the admission permit and in-flight
-    /// registration.
-    fn run(self, state: &Arc<ServeState>) -> JobResult {
-        let request = &self.request;
-        if state.drain.is_draining() {
-            return JobResult::Fixed(overloaded(
-                state,
-                state.config.drain_grace,
-                "server draining",
-            ));
-        }
+    /// The tenant the request names, or [`DEFAULT_TENANT`].
+    pub(crate) fn tenant(&self) -> &str {
+        self.request.header("x-tenant").unwrap_or(DEFAULT_TENANT)
+    }
 
-        let tenant = request.header("x-tenant").unwrap_or(DEFAULT_TENANT);
+    /// The blocking half of a query request: drain check → budget → chaos
+    /// pauses → query. Returns a fixed error/shed response or a
+    /// [`RowStreamer`] carrying the admission permit and in-flight
+    /// registration. A job the event loop did not admit (the blocking
+    /// driver, in-process replays) takes its permit here, without waiting.
+    fn run(mut self, state: &Arc<ServeState>) -> JobResult {
+        if state.drain.is_draining() {
+            return draining(state);
+        }
         // RAII permit: held through streaming, released on every exit path.
-        let permit = match &state.tenants {
-            Some(gates) => match gates.admit(tenant, self.class) {
-                Ok(permit) => Some(permit),
-                Err(shed) => {
-                    let detail = format!("tenant {tenant}: {shed}");
-                    return JobResult::Fixed(overloaded(state, shed.retry_after, &detail));
-                }
+        let permit = match self.permit.take() {
+            Some(permit) => permit,
+            None => match state.tenants.admit(self.tenant(), self.class) {
+                Ok(permit) => permit,
+                Err(shed) => return tenant_shed(state, &self, &shed),
             },
-            None => None,
         };
+        let request = &self.request;
 
         // Budget: wire headers → deadline, row cap, byte cap, cancellation.
         let deadline = request
@@ -399,7 +401,7 @@ pub struct RowStreamer {
     budget: QueryBudget,
     trip: Option<TruncationReason>,
     stage: StreamStage,
-    _permit: Option<Permit>,
+    _permit: Permit,
     _inflight: InFlightGuard,
 }
 
@@ -407,7 +409,7 @@ impl RowStreamer {
     fn new(
         answer: Answer,
         budget: QueryBudget,
-        permit: Option<Permit>,
+        permit: Permit,
         inflight: InFlightGuard,
     ) -> Self {
         let base_reason = match answer.completeness {
@@ -675,15 +677,15 @@ pub fn admin_stats_json(state: &ServeState) -> String {
     doc.extend(render(&state.counters));
     let tenants: Vec<Value> = state
         .tenants
-        .iter()
-        .flat_map(|gates| gates.stats())
-        .map(|(tenant, gate)| {
+        .stats()
+        .into_iter()
+        .map(|(tenant, gate, waiting)| {
             json!({
                 "tenant": tenant,
                 "admitted": gate.total("_admitted"),
                 "shed": gate.total("_shed"),
                 "active": gate.active(),
-                "waiting": gate.waiting(),
+                "waiting": waiting,
             })
         })
         .collect();
@@ -704,6 +706,7 @@ mod tests {
     use super::*;
     use crate::client::parse_response;
     use crate::drain::DrainController;
+    use mdw_core::admission::{AdmissionConfig, AdmissionController};
     use mdw_rdf::budget::{ManualTime, TimeSource};
 
     /// A streamer over `n` keyword-answer rows, under `budget`.
@@ -719,7 +722,9 @@ mod tests {
             candidates: None,
         };
         let inflight = Arc::new(DrainController::new()).register(CancellationToken::new());
-        RowStreamer::new(answer, budget, None, inflight)
+        let gate = AdmissionController::new(AdmissionConfig::default());
+        let permit = gate.try_admit(QueryClass::Answer).expect("a free slot");
+        RowStreamer::new(answer, budget, permit, inflight)
     }
 
     /// A trip between fills: the rows framed before it stay, the next fill

@@ -5,18 +5,25 @@
 //! ```text
 //!            ┌────────────── event loop thread ──────────────┐
 //!  accept ──▶│ nonblocking sockets, one Conn state machine   │
-//!            │ each; parse / stage / flush; per-state        │◀─ waker
-//!            │ deadlines swept every ~20ms                   │
+//!            │ each; parse / stage / flush; per-tenant       │◀─ waker
+//!            │ admission FIFOs; deadlines swept every ~20ms  │
 //!            └──────┬────────────────────────────▲───────────┘
-//!                   │ QueryJob (token)           │ JobResult (token)
+//!                   │ QueryJob + permit (token)  │ JobResult (token)
 //!            ┌──────▼────────────────────────────┴───────────┐
-//!            │ worker pool: admission, budgets, query        │
-//!            │ execution, chaos pauses, panic isolation      │
+//!            │ worker pool: budgets, query execution,        │
+//!            │ chaos pauses, panic isolation                 │
 //!            └───────────────────────────────────────────────┘
 //! ```
 //!
 //! Invariants the loop maintains:
 //!
+//! * **Admission before dispatch** — a query request waits in its
+//!   tenant's bounded FIFO ([`crate::tenant`]) until the loop grants it a
+//!   permit or sheds it; only admitted jobs reach the workers, so the
+//!   worker queue is bounded by the permits outstanding and no worker ever
+//!   waits for one. The loop re-checks the FIFOs once per iteration: it
+//!   wakes at least every [`SWEEP`], and a permit dropped on a worker is
+//!   always followed by a result send and a wake.
 //! * **Bounded everything** — at most `max_connections` served
 //!   connections; beyond that, new sockets become lightweight shed
 //!   connections (read the head, answer `503`, close) within a fixed
@@ -40,12 +47,12 @@
 //!   stragglers still flush truthful truncated frames), and the loop exits
 //!   once the last connection closes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,6 +65,7 @@ use crate::drain::DrainController;
 use crate::epoll::{self, PollEvent, Poller};
 use crate::fault::{self, FaultStream};
 use crate::router::{self, QueryJob};
+use crate::tenant::TenantGates;
 
 /// Token the listener is registered under; connection tokens start at 1.
 const LISTENER_TOKEN: u64 = 0;
@@ -101,14 +109,8 @@ pub struct ServerConfig {
     pub max_response_bytes: u64,
     /// How long a drain lets in-flight requests finish before cancelling.
     pub drain_grace: Duration,
-    /// Per-tenant admission quota shape; `None` turns admission off (the
-    /// drill's baseline mode).
-    pub admission: Option<AdmissionConfig>,
-    /// Worker-queue depth bound: requests dispatched while this many jobs
-    /// already wait are shed at once with `503` instead of parking behind
-    /// the workers (admission's blocking FIFO wait runs on workers, so the
-    /// event loop needs its own storm valve in front of them).
-    pub max_queued_jobs: usize,
+    /// Per-tenant admission: quotas, FIFO depth and longest wait.
+    pub admission: AdmissionConfig,
     /// Pin each socket's kernel send buffer (deterministic write-stall
     /// tests); `None` leaves the kernel default.
     pub sndbuf_bytes: Option<usize>,
@@ -129,8 +131,7 @@ impl Default for ServerConfig {
             max_rows: 10_000,
             max_response_bytes: 8 * 1024 * 1024,
             drain_grace: Duration::from_secs(5),
-            admission: Some(AdmissionConfig::default()),
-            max_queued_jobs: 256,
+            admission: AdmissionConfig::default(),
             sndbuf_bytes: None,
         }
     }
@@ -148,7 +149,7 @@ mdw_rdf::counter_set! {
         /// `sheds` or `capacity_rejects` and a `500` in `panics`; answers
         /// to requests that never parsed are not counted here.
         pub served,
-        /// Requests shed with `503` (admission, drain, full worker queue).
+        /// Requests shed with `503` (admission, drain).
         pub sheds,
         /// Query panics turned into `500`s.
         pub panics,
@@ -171,9 +172,6 @@ mdw_rdf::counter_set! {
         pub idle_reaped,
         /// Requests served on a reused (keep-alive) connection.
         pub keepalive_reuses,
-        /// Requests shed at dispatch because the worker queue was full
-        /// (also counted in `sheds`).
-        pub queue_sheds,
     }
 }
 
@@ -185,8 +183,8 @@ pub struct ServeState {
     pub config: ServerConfig,
     /// The shared warehouse service handle.
     pub warehouse: Arc<MetadataWarehouse>,
-    /// Per-tenant admission gates (`None` = admission off).
-    pub tenants: Option<crate::tenant::TenantGates>,
+    /// Per-tenant admission gates and FIFOs.
+    pub tenants: TenantGates,
     /// Drain controller / in-flight registry.
     pub drain: Arc<DrainController>,
     /// Monotonic counters.
@@ -199,7 +197,7 @@ pub struct ServeState {
 impl ServeState {
     /// Fresh state for `warehouse` under `config`.
     pub fn new(warehouse: Arc<MetadataWarehouse>, config: ServerConfig) -> Arc<Self> {
-        let tenants = config.admission.clone().map(crate::tenant::TenantGates::new);
+        let tenants = TenantGates::new(config.admission.clone());
         Arc::new(ServeState {
             config,
             warehouse,
@@ -347,35 +345,22 @@ struct ConnEntry {
     interest: (bool, bool),
 }
 
-/// The job queue the loop feeds and the workers drain.
-struct WorkQueue {
-    /// (pending jobs, closed flag).
-    jobs: Mutex<(VecDeque<(u64, QueryJob)>, bool)>,
-    available: Condvar,
-}
+/// The admitted jobs the loop hands to the workers, taken in turn: one
+/// idle worker waits on the channel, the others on the lock. Once the loop
+/// drops its sender, the workers finish what is queued and exit.
+type Jobs = Arc<Mutex<mpsc::Receiver<(u64, QueryJob)>>>;
 
 fn worker_loop(
     state: Arc<ServeState>,
-    queue: Arc<WorkQueue>,
+    jobs: Jobs,
     results: mpsc::Sender<(u64, router::JobResult)>,
     waker: epoll::Waker,
 ) {
     loop {
-        let next = {
-            let mut guard = queue.jobs.lock().unwrap();
-            loop {
-                if let Some(job) = guard.0.pop_front() {
-                    break Some(job);
-                }
-                if guard.1 {
-                    break None;
-                }
-                guard = queue.available.wait(guard).unwrap();
-            }
-        };
-        let Some((token, job)) = next else { return };
-        // Admission waits, budget setup, chaos pauses, the query itself,
-        // and panic isolation all happen here, off the event loop.
+        let next = jobs.lock().unwrap().recv();
+        let Ok((token, job)) = next else { return };
+        // Budget setup, chaos pauses, the query itself and panic isolation
+        // all happen here, off the event loop; the job arrives admitted.
         let result = router::execute_job(&state, job);
         if results.send((token, result)).is_err() {
             return; // loop is gone; dropping the result releases its permit
@@ -386,7 +371,8 @@ fn worker_loop(
 
 fn event_loop(mut poller: Poller, listener: TcpListener, state: Arc<ServeState>) {
     let timeouts = ConnTimeouts::from(&state.config);
-    let queue = Arc::new(WorkQueue { jobs: Mutex::new((VecDeque::new(), false)), available: Condvar::new() });
+    let (jobs, jobs_rx) = mpsc::channel();
+    let jobs_rx: Jobs = Arc::new(Mutex::new(jobs_rx));
     let (results_tx, results_rx) = mpsc::channel();
     let mut workers = Vec::new();
     for i in 0..state.config.workers.max(1) {
@@ -394,10 +380,10 @@ fn event_loop(mut poller: Poller, listener: TcpListener, state: Arc<ServeState>)
             .name(format!("mdw-serve-worker-{i}"))
             .spawn({
                 let state = Arc::clone(&state);
-                let queue = Arc::clone(&queue);
+                let jobs = Arc::clone(&jobs_rx);
                 let results = results_tx.clone();
                 let waker = poller.waker();
-                move || worker_loop(state, queue, results, waker)
+                move || worker_loop(state, jobs, results, waker)
             })
             .expect("spawning a worker thread");
         workers.push(handle);
@@ -479,8 +465,10 @@ fn event_loop(mut poller: Poller, listener: TcpListener, state: Arc<ServeState>)
         touched.sort_unstable();
         touched.dedup();
         for token in touched.drain(..) {
-            post_process(&mut poller, &mut conns, &state, &queue, token, now);
+            post_process(&mut poller, &mut conns, &state, token, now);
         }
+        // After every place a permit can drop on this thread.
+        admit_waiting(&mut poller, &mut conns, &state, &jobs, now);
 
         if let Some(l) = &listener {
             if let Some(until) = backoff_until {
@@ -524,11 +512,7 @@ fn event_loop(mut poller: Poller, listener: TcpListener, state: Arc<ServeState>)
     if let Some(l) = listener.take() {
         let _ = poller.deregister(fd_of(&l));
     }
-    {
-        let mut guard = queue.jobs.lock().unwrap();
-        guard.1 = true;
-    }
-    queue.available.notify_all();
+    drop(jobs);
     for worker in workers {
         let _ = worker.join();
     }
@@ -553,13 +537,53 @@ fn read_conn(state: &Arc<ServeState>, entry: &mut ConnEntry, scratch: &mut [u8],
     }
 }
 
-/// Settles a connection after activity: hands queued jobs to the workers,
-/// flushes opportunistically, then syncs poll interest or tears down.
+/// Decides waiting query requests: a drain sheds them all; otherwise
+/// passes over the tenant FIFOs hand granted jobs, with their permits, to
+/// the workers and stage each shed request's `503` at once — until a pass
+/// decides nothing (a flushed `503` can release a pipelined request).
+fn admit_waiting(
+    poller: &mut Poller,
+    conns: &mut HashMap<u64, ConnEntry>,
+    state: &Arc<ServeState>,
+    jobs: &mpsc::Sender<(u64, QueryJob)>,
+    now: Instant,
+) {
+    let mut stage = |token: u64, result: router::JobResult| {
+        if let Some(entry) = conns.get_mut(&token) {
+            entry.conn.complete_job(state, result, now);
+            post_process(poller, conns, state, token, now);
+        }
+    };
+    if state.drain.is_draining() {
+        for token in state.tenants.take_waiting() {
+            stage(token, router::draining(state));
+        }
+    }
+    loop {
+        let decided = state.tenants.pass(now);
+        if decided.is_empty() {
+            return;
+        }
+        for (token, job, shed) in decided {
+            match shed {
+                Some(shed) => stage(token, router::tenant_shed(state, &job, &shed)),
+                // Fails only once every worker is gone (shutdown); the
+                // dropped job releases its permit.
+                None => {
+                    let _ = jobs.send((token, job));
+                }
+            }
+        }
+    }
+}
+
+/// Settles a connection after activity: queues a parsed query request for
+/// admission, flushes opportunistically, then syncs poll interest or tears
+/// down.
 fn post_process(
     poller: &mut Poller,
     conns: &mut HashMap<u64, ConnEntry>,
     state: &Arc<ServeState>,
-    queue: &Arc<WorkQueue>,
     token: u64,
     now: Instant,
 ) {
@@ -568,26 +592,7 @@ fn post_process(
         match entry.conn.wants() {
             Wants::Execute => {
                 let job = entry.conn.take_job().expect("Execute implies a queued job");
-                let queued = {
-                    let mut guard = queue.jobs.lock().unwrap();
-                    if guard.0.len() >= state.config.max_queued_jobs {
-                        false
-                    } else {
-                        guard.0.push_back((token, job));
-                        true
-                    }
-                };
-                if queued {
-                    queue.available.notify_one();
-                } else {
-                    // Storm valve: admission's blocking FIFO wait lives on
-                    // the workers, so a full queue must shed here — parking
-                    // ten thousand requests behind two workers would turn
-                    // every deadline into a timeout.
-                    state.counters.queue_sheds.fetch_add(1, Ordering::Relaxed);
-                    let shed = router::queue_full_shed(state);
-                    entry.conn.complete_job(state, shed, now);
-                }
+                state.tenants.enqueue(token, job, now);
             }
             Wants::Write => {
                 // Try at once — the socket is almost always writable; this
@@ -628,6 +633,7 @@ fn teardown(
     token: u64,
 ) {
     if let Some(entry) = conns.remove(&token) {
+        state.tenants.cancel(token);
         let _ = poller.deregister(entry.fd);
         if !entry.shed {
             state.active_connections.fetch_sub(1, Ordering::AcqRel);

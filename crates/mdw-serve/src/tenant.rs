@@ -1,82 +1,183 @@
-//! Per-tenant admission: one bounded [`AdmissionController`] per tenant,
-//! created on first sight.
+//! Per-tenant admission: one [`AdmissionController`] and one bounded FIFO
+//! of waiting requests per tenant, created on first sight.
 //!
 //! The paper's warehouse serves many consuming applications (SODA-style
 //! search frontends, lineage tools, ad-hoc SPARQL) that must not starve
-//! each other. The warehouse-internal gate protects the *process*; these
-//! gates partition that capacity per `X-Tenant`, so one chatty tenant sheds
-//! against its own quota while the others keep flowing. Tenants inherit a
-//! single configured quota shape; unknown tenants are lazily admitted with
-//! the same shape rather than rejected — metadata consumers come and go.
+//! each other. These gates partition the server's capacity per
+//! `X-Tenant`, so one chatty tenant sheds against its own quota while the
+//! others keep flowing. Tenants inherit a single configured quota shape;
+//! unknown tenants are lazily admitted with the same shape rather than
+//! rejected — metadata consumers come and go.
+//!
+//! Admission is decided on the event loop and never blocks. A query
+//! request joins the back of its tenant's FIFO ([`TenantGates::enqueue`]),
+//! and every loop iteration's [`TenantGates::pass`] walks each FIFO in
+//! arrival order, granting every waiter whose class has a free slot. So
+//! same-class waiters are served strictly FIFO, a newcomer never takes a
+//! slot an older waiter could use, and a waiter of a saturated class does
+//! not block the other classes. A waiter is shed — `503` with a
+//! `Retry-After` that scales with its FIFO's depth — when it finds
+//! `max_queued` requests already waiting, or once it has waited longer
+//! than `max_wait`. No worker thread ever waits for a permit.
 //!
 //! The header is untrusted, so the map is bounded: it holds at most 1 024
-//! gates, [`DEFAULT_TENANT`]'s among them from the start. A request naming
+//! tenants, [`DEFAULT_TENANT`] among them from the start. A request naming
 //! a new tenant once the map is full is admitted against
-//! [`DEFAULT_TENANT`]'s gate — a client rotating names gains no fresh quota
-//! and grows neither server memory nor the stats document.
+//! [`DEFAULT_TENANT`]'s gate and FIFO — a client rotating names gains no
+//! fresh quota and grows neither server memory nor the stats document.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
-use mdw_core::admission::{AdmissionConfig, AdmissionController, Overloaded, Permit, QueryClass};
+use mdw_core::admission::{
+    AdmissionConfig, AdmissionController, Overloaded, Permit, QueryClass, ShedReason,
+};
+
+use crate::router::QueryJob;
 
 /// The tenant used when a request carries no `X-Tenant` header.
 pub const DEFAULT_TENANT: &str = "public";
 
-/// Most tenant gates held at once, [`DEFAULT_TENANT`]'s included.
+/// Most tenants held at once, [`DEFAULT_TENANT`] included.
 const MAX_TENANTS: usize = 1024;
 
-/// Lazily-populated map of tenant name → admission gate.
+/// A query request waiting for its tenant's permit: the connection it
+/// answers, the job, and when it joined the FIFO.
+struct Waiter {
+    token: u64,
+    job: QueryJob,
+    arrived: Instant,
+}
+
+struct Tenant {
+    gate: AdmissionController,
+    waiting: VecDeque<Waiter>,
+}
+
+/// Lazily-populated map of tenant name → admission gate and FIFO.
 pub struct TenantGates {
     config: AdmissionConfig,
-    gates: Mutex<BTreeMap<String, AdmissionController>>,
+    tenants: Mutex<BTreeMap<String, Tenant>>,
 }
 
 impl TenantGates {
     /// Gates that hand every tenant a clone of `config`.
     pub fn new(config: AdmissionConfig) -> Self {
-        let public = (DEFAULT_TENANT.to_string(), AdmissionController::new(config.clone()));
-        TenantGates { config, gates: Mutex::new(BTreeMap::from([public])) }
+        let gates = TenantGates { config, tenants: Mutex::new(BTreeMap::new()) };
+        gates.lock().insert(DEFAULT_TENANT.to_string(), gates.fresh());
+        gates
     }
 
-    fn gate(&self, tenant: &str) -> AdmissionController {
-        let mut gates = self.gates.lock().unwrap();
-        if let Some(gate) = gates.get(tenant) {
-            return gate.clone();
-        }
-        if gates.len() >= MAX_TENANTS {
-            return gates[DEFAULT_TENANT].clone();
-        }
-        let gate = AdmissionController::new(self.config.clone());
-        gates.insert(tenant.to_string(), gate.clone());
-        gate
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Tenant>> {
+        self.tenants.lock().expect("no code panics while holding the tenant map")
     }
 
-    /// Admits a request for `tenant`, waiting (bounded) in the tenant's
-    /// FIFO queue. The returned [`Permit`] is RAII: dropping it — normally,
-    /// on error, or during a panic unwind — frees the slot.
+    fn fresh(&self) -> Tenant {
+        Tenant { gate: AdmissionController::new(self.config.clone()), waiting: VecDeque::new() }
+    }
+
+    /// `name`'s entry, created on first sight; once the map is full, a new
+    /// name gets [`DEFAULT_TENANT`]'s.
+    fn tenant<'a>(&self, tenants: &'a mut BTreeMap<String, Tenant>, name: &str) -> &'a mut Tenant {
+        if !tenants.contains_key(name) {
+            let name = if tenants.len() >= MAX_TENANTS { DEFAULT_TENANT } else { name };
+            return tenants.entry(name.to_string()).or_insert_with(|| self.fresh());
+        }
+        tenants.get_mut(name).expect("just checked")
+    }
+
+    /// Admits a request for `tenant` at once or sheds it — for callers
+    /// without an event loop (the blocking driver, in-process replays).
+    /// The returned [`Permit`] is RAII: dropping it — normally, on error,
+    /// or during a panic unwind — frees the slot. Never barges: while the
+    /// tenant has requests waiting, a newcomer is shed.
     pub fn admit(&self, tenant: &str, class: QueryClass) -> Result<Permit, Overloaded> {
-        self.gate(tenant).admit(class)
+        let mut tenants = self.lock();
+        let tenant = self.tenant(&mut tenants, tenant);
+        let depth = tenant.waiting.len();
+        let permit = if depth == 0 { tenant.gate.try_admit(class) } else { None };
+        permit.ok_or_else(|| tenant.gate.shed(class, ShedReason::QueueFull, depth))
     }
 
-    /// Every tenant's gate, sorted by name; each one is a
+    /// Puts `job`, answering connection `token`, at the back of its
+    /// tenant's FIFO; the next [`pass`](Self::pass) decides it.
+    pub(crate) fn enqueue(&self, token: u64, job: QueryJob, now: Instant) {
+        let mut tenants = self.lock();
+        let tenant = self.tenant(&mut tenants, job.tenant());
+        tenant.waiting.push_back(Waiter { token, job, arrived: now });
+    }
+
+    /// One admission pass over every FIFO, oldest waiter first. Returns the
+    /// decided requests: a granted job carries its permit and a shed one
+    /// its typed rejection. Per tenant, each waiter whose class has a free
+    /// slot is granted, each that has waited longer than `max_wait` is shed
+    /// ([`ShedReason::WaitTimeout`]), and then the newest beyond
+    /// `max_queued` are shed ([`ShedReason::QueueFull`]).
+    pub(crate) fn pass(&self, now: Instant) -> Vec<(u64, QueryJob, Option<Overloaded>)> {
+        let mut decided = Vec::new();
+        let max_queued = self.config.max_queued;
+        let mut tenants = self.lock();
+        for tenant in tenants.values_mut().filter(|t| !t.waiting.is_empty()) {
+            let mut i = 0;
+            while let Some(waiter) = tenant.waiting.get_mut(i) {
+                let class = waiter.job.class;
+                if let Some(permit) = tenant.gate.try_admit(class) {
+                    waiter.job.permit = Some(permit);
+                } else if now.duration_since(waiter.arrived) <= self.config.max_wait {
+                    i += 1;
+                    continue;
+                }
+                let Waiter { token, job, .. } = tenant.waiting.remove(i).expect("in range");
+                let shed = job.permit.is_none().then(|| {
+                    tenant.gate.shed(class, ShedReason::WaitTimeout, tenant.waiting.len())
+                });
+                decided.push((token, job, shed));
+            }
+            while tenant.waiting.len() > max_queued {
+                let Waiter { token, job, .. } = tenant.waiting.pop_back().expect("non-empty");
+                let shed = tenant.gate.shed(job.class, ShedReason::QueueFull, max_queued);
+                decided.push((token, job, Some(shed)));
+            }
+        }
+        decided
+    }
+
+    /// Drops the waiter answering connection `token`, if any: its
+    /// connection closed before it was admitted.
+    pub(crate) fn cancel(&self, token: u64) {
+        let mut tenants = self.lock();
+        for tenant in tenants.values_mut() {
+            tenant.waiting.retain(|waiter| waiter.token != token);
+        }
+    }
+
+    /// Empties every FIFO and returns the waiters' connection tokens — a
+    /// drain sheds them all.
+    pub(crate) fn take_waiting(&self) -> Vec<u64> {
+        let mut tenants = self.lock();
+        tenants.values_mut().flat_map(|t| t.waiting.drain(..)).map(|w| w.token).collect()
+    }
+
+    /// Every tenant's gate and FIFO depth, sorted by name; each gate is a
     /// [`CounterSet`](mdw_rdf::metrics::CounterSet).
-    pub fn stats(&self) -> Vec<(String, AdmissionController)> {
-        let gates = self.gates.lock().unwrap();
-        gates.iter().map(|(name, gate)| (name.clone(), gate.clone())).collect()
+    pub fn stats(&self) -> Vec<(String, AdmissionController, usize)> {
+        let tenants = self.lock();
+        tenants.iter().map(|(name, t)| (name.clone(), t.gate.clone(), t.waiting.len())).collect()
     }
 
     /// Total permits currently held across all tenants. The chaos suite
     /// asserts this returns to zero after every injected wire failure —
     /// a leaked permit would eventually wedge its tenant.
     pub fn total_active(&self) -> usize {
-        self.gates.lock().unwrap().values().map(|g| g.active()).sum()
+        self.lock().values().map(|t| t.gate.active()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http;
     use mdw_rdf::metrics::CounterSet;
     use std::time::Duration;
 
@@ -109,12 +210,13 @@ mod tests {
         let _ = gates.admit("a", QueryClass::Lineage);
         let _ = gates.admit("b", QueryClass::Sparql).unwrap();
         let stats = gates.stats();
-        let names: Vec<_> = stats.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<_> = stats.iter().map(|(n, _, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "b", DEFAULT_TENANT]);
-        let (_, a) = &stats[0];
+        let (_, a, waiting) = &stats[0];
         assert_eq!(a.total("_admitted"), 1);
         assert_eq!(a.total("_shed"), 1);
         assert_eq!(a.active(), 1);
+        assert_eq!(*waiting, 0);
     }
 
     #[test]
@@ -126,10 +228,194 @@ mod tests {
         }
         let stats = gates.stats();
         assert!(stats.len() <= MAX_TENANTS, "{} tenant gates", stats.len());
-        let admitted: u64 = stats.iter().map(|(_, gate)| gate.total("_admitted")).sum();
+        let admitted: u64 = stats.iter().map(|(_, gate, _)| gate.total("_admitted")).sum();
         assert_eq!(admitted, 2_000);
         // The names past the cap all met the default tenant's gate.
-        let public = &stats.iter().find(|(name, _)| name == DEFAULT_TENANT).unwrap().1;
+        let public = &stats.iter().find(|(name, _, _)| name == DEFAULT_TENANT).unwrap().1;
         assert_eq!(public.total("_admitted"), 2_000 - (MAX_TENANTS as u64 - 1));
+    }
+
+    // The loop's FIFO, driven by hand: every test holds the slots itself
+    // and steps an explicit `now`, so no thread and no clock is involved.
+
+    /// Tenant "t" with quota `total` (and `per_class` per class), a FIFO
+    /// of `queued` and a 100 ms `max_wait`.
+    fn fifo(total: usize, per_class: usize, queued: usize) -> TenantGates {
+        TenantGates::new(AdmissionConfig {
+            max_queued: queued,
+            max_wait: Duration::from_millis(100),
+            ..AdmissionConfig::with_quotas(total, per_class)
+        })
+    }
+
+    fn job(class: QueryClass) -> QueryJob {
+        let head = b"GET /search?q=x HTTP/1.1\r\nX-Tenant: t\r\n\r\n";
+        let (request, _) = http::parse_head(head).unwrap().unwrap();
+        QueryJob { request, class, permit: None }
+    }
+
+    /// `(token, granted, shed reason)` per decided request, in order.
+    fn decide(gates: &TenantGates, now: Instant) -> Vec<(u64, bool, Option<ShedReason>)> {
+        gates
+            .pass(now)
+            .into_iter()
+            .map(|(token, job, shed)| (token, job.permit.is_some(), shed.map(|o| o.reason)))
+            .collect()
+    }
+
+    fn waiting(gates: &TenantGates) -> usize {
+        gates.stats().iter().map(|(_, _, waiting)| waiting).sum()
+    }
+
+    #[test]
+    fn a_full_fifo_sheds_the_newcomer() {
+        let gates = fifo(1, 1, 1);
+        let t0 = Instant::now();
+        let _held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        gates.enqueue(2, job(QueryClass::Search), t0);
+        assert_eq!(decide(&gates, t0), [(2, false, Some(ShedReason::QueueFull))]);
+        assert_eq!(waiting(&gates), 1, "the older waiter keeps its place");
+    }
+
+    #[test]
+    fn a_waiter_past_max_wait_is_shed_with_wait_timeout() {
+        let gates = fifo(1, 1, 4);
+        let t0 = Instant::now();
+        let _held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        assert!(decide(&gates, t0 + Duration::from_millis(100)).is_empty());
+        let shed = gates.pass(t0 + Duration::from_millis(101));
+        let (token, _, shed) = &shed[0];
+        assert_eq!(*token, 1);
+        assert_eq!(shed.as_ref().unwrap().reason, ShedReason::WaitTimeout);
+    }
+
+    #[test]
+    fn queued_request_gets_freed_slot() {
+        let gates = fifo(1, 1, 4);
+        let t0 = Instant::now();
+        let held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        assert!(decide(&gates, t0).is_empty(), "no slot yet");
+        drop(held);
+        assert_eq!(decide(&gates, t0 + Duration::from_millis(10)), [(1, true, None)]);
+        assert_eq!(gates.total_active(), 0, "the granted job's permit was dropped with it");
+    }
+
+    #[test]
+    fn waiters_are_granted_in_fifo_order() {
+        let gates = fifo(1, 1, 8);
+        let t0 = Instant::now();
+        let held = gates.admit("t", QueryClass::Search).unwrap();
+        for token in 0..4 {
+            gates.enqueue(token, job(QueryClass::Search), t0);
+        }
+        drop(held);
+        let mut order = Vec::new();
+        for _ in 0..4 {
+            // Each grant holds the only slot until the next pass.
+            let mut granted = gates.pass(t0);
+            assert_eq!(granted.len(), 1);
+            let (token, job, _) = granted.pop().unwrap();
+            order.push(token);
+            drop(job);
+        }
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert_eq!(waiting(&gates), 0);
+        assert_eq!(gates.total_active(), 0);
+    }
+
+    #[test]
+    fn a_newcomer_does_not_barge_past_a_queued_waiter() {
+        let gates = fifo(1, 1, 4);
+        let t0 = Instant::now();
+        let held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        drop(held);
+        // The slot is free, but the waiter arrived first: the loop-less
+        // path sheds, and a queued newcomer is decided after the waiter.
+        assert_eq!(gates.admit("t", QueryClass::Search).unwrap_err().reason, ShedReason::QueueFull);
+        gates.enqueue(2, job(QueryClass::Search), t0);
+        let decided = gates.pass(t0);
+        assert_eq!(decided.len(), 1);
+        assert_eq!(decided[0].0, 1);
+        assert!(decided[0].1.permit.is_some());
+        assert_eq!(waiting(&gates), 1, "the newcomer waits behind the granted waiter");
+    }
+
+    #[test]
+    fn saturated_class_waiter_does_not_block_other_classes() {
+        let gates = fifo(2, 1, 4);
+        let t0 = Instant::now();
+        let _held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        gates.enqueue(2, job(QueryClass::Lineage), t0);
+        // The search waiter's class is at quota; the lineage request
+        // behind it has a free slot and is granted past it.
+        assert_eq!(decide(&gates, t0), [(2, true, None)]);
+        assert_eq!(waiting(&gates), 1);
+    }
+
+    #[test]
+    fn timed_out_waiter_leaves_no_queue_entry() {
+        let gates = fifo(1, 1, 4);
+        let t0 = Instant::now();
+        let _held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        gates.enqueue(2, job(QueryClass::Search), t0 + Duration::from_millis(50));
+        let decided = decide(&gates, t0 + Duration::from_millis(120));
+        assert_eq!(decided, [(1, false, Some(ShedReason::WaitTimeout))]);
+        assert_eq!(waiting(&gates), 1, "only the younger waiter is left");
+        assert_eq!(decided.len() + waiting(&gates), 2);
+    }
+
+    #[test]
+    fn retry_after_scales_with_fifo_depth_and_caps() {
+        // Empty FIFO: the base hint.
+        let empty = fifo(1, 1, 0);
+        let t0 = Instant::now();
+        let _held = empty.admit("t", QueryClass::Search).unwrap();
+        let base = empty.config.retry_after;
+        empty.enqueue(1, job(QueryClass::Search), t0);
+        assert_eq!(empty.pass(t0)[0].2.as_ref().unwrap().retry_after, base);
+
+        // A newcomer shed behind nine waiters: the hint is capped at 8×.
+        let deep = fifo(1, 1, 9);
+        let _held = deep.admit("t", QueryClass::Search).unwrap();
+        for token in 0..10 {
+            deep.enqueue(token, job(QueryClass::Search), t0);
+        }
+        let decided = deep.pass(t0);
+        let (token, _, shed) = &decided[0];
+        assert_eq!(*token, 9);
+        assert_eq!(shed.as_ref().unwrap().retry_after, base * 8);
+    }
+
+    #[test]
+    fn a_closed_waiter_leaves_the_fifo() {
+        let gates = fifo(1, 1, 4);
+        let t0 = Instant::now();
+        let held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        gates.enqueue(2, job(QueryClass::Search), t0);
+        gates.cancel(1);
+        assert_eq!(waiting(&gates), 1);
+        drop(held);
+        assert_eq!(decide(&gates, t0), [(2, true, None)], "the freed slot goes to the next");
+    }
+
+    #[test]
+    fn a_drain_takes_every_waiter() {
+        let gates = fifo(1, 1, 4);
+        let t0 = Instant::now();
+        let _held = gates.admit("t", QueryClass::Search).unwrap();
+        gates.enqueue(1, job(QueryClass::Search), t0);
+        gates.enqueue(2, job(QueryClass::Lineage), t0);
+        assert_eq!(gates.take_waiting(), [1, 2]);
+        assert_eq!(waiting(&gates), 0);
+        assert!(gates.pass(t0 + Duration::from_secs(1)).is_empty());
+        // Draining sheds are the drain's, not admission's.
+        assert_eq!(gates.stats()[1].1.total("_shed"), 0);
     }
 }

@@ -48,7 +48,7 @@ fn start_server(config: ServerConfig) -> ServerHandle {
 
 fn test_config() -> ServerConfig {
     ServerConfig {
-        admission: Some(AdmissionConfig::with_quotas(8, 8)),
+        admission: AdmissionConfig::with_quotas(8, 8),
         ..ServerConfig::default()
     }
 }
@@ -188,9 +188,7 @@ fn graceful_drain_cancels_stragglers_with_truthful_prefixes() {
 
     // Fully quiescent: nothing in flight, no permits held.
     assert_eq!(server.state().drain.inflight(), 0);
-    if let Some(gates) = &server.state().tenants {
-        assert_eq!(gates.total_active(), 0);
-    }
+    assert_eq!(server.state().tenants.total_active(), 0);
     // And the listener is gone: new connections fail outright or are torn
     // down without a served response.
     let after = client::get(addr, "/healthz", &[], Duration::from_millis(500));
@@ -229,9 +227,7 @@ fn handler_panic_over_tcp_leaves_the_server_serving() {
         .expect("post-panic response");
     assert!(resp.answer_complete());
     assert_eq!(server.state().drain.inflight(), 0);
-    if let Some(gates) = &server.state().tenants {
-        assert_eq!(gates.total_active(), 0);
-    }
+    assert_eq!(server.state().tenants.total_active(), 0);
 }
 
 #[test]
@@ -284,27 +280,6 @@ fn accept_storm_backs_off_and_recovers() {
 }
 
 #[test]
-fn full_worker_queue_sheds_at_dispatch() {
-    let _guard = chaos_lock();
-    // A zero-depth queue: every query request finds it "full" and must be
-    // shed by the event loop's storm valve, never parked behind workers.
-    let server = start_server(ServerConfig { max_queued_jobs: 0, ..test_config() });
-    let resp = client::get(server.addr(), "/search?q=client", &[], CLIENT_TIMEOUT).expect("shed");
-    assert_eq!(resp.status, 503);
-    assert!(resp.complete_frame);
-    assert!(resp.body.contains("worker queue full"), "body: {}", resp.body);
-    let counters = &server.state().counters;
-    assert_eq!(counters.queue_sheds.load(std::sync::atomic::Ordering::Relaxed), 1);
-    assert_eq!(counters.sheds.load(std::sync::atomic::Ordering::Relaxed), 1);
-    // Fixed routes never touch the queue; the server stays responsive.
-    let resp = client::get(server.addr(), "/healthz", &[], CLIENT_TIMEOUT).expect("healthz");
-    assert_eq!(resp.status, 200);
-    if let Some(gates) = &server.state().tenants {
-        assert_eq!(gates.total_active(), 0);
-    }
-}
-
-#[test]
 fn admin_stats_exposes_server_counters() {
     let _guard = chaos_lock();
     let server = start_server(test_config());
@@ -341,4 +316,58 @@ fn admin_drain_endpoint_starts_the_ladder() {
     // already be gone — either way nothing serves.
     let after = client::get(server.addr(), "/search?q=client", &[], Duration::from_millis(500));
     assert!(!matches!(&after, Ok(resp) if resp.status == 200));
+}
+
+/// Tenant isolation: tenant A holds its one permit with a heavy cross join
+/// and queues a second behind it, and tenant B's search, sent once both
+/// are in, still runs at once on the other worker. Fixed routes stay
+/// responsive.
+#[test]
+fn a_saturated_tenant_does_not_hold_up_another_tenant() {
+    let _guard = chaos_lock();
+    let server = start_server(ServerConfig {
+        workers: 2,
+        admission: AdmissionConfig {
+            max_wait: Duration::from_secs(2),
+            ..AdmissionConfig::with_quotas(1, 1)
+        },
+        ..test_config()
+    });
+    let addr = server.addr();
+    // SELECT (COUNT(*) AS ?n) WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }: no
+    // row cap ends it early, so it holds its permit until the deadline.
+    let cross_join = concat!(
+        "/sparql?query=SELECT%20%28COUNT%28%2A%29%20AS%20%3Fn%29%20WHERE%20",
+        "%7B%20%3Fa%20%3Fp%20%3Fb%20.%20%3Fc%20%3Fq%20%3Fd%20.%20%3Fe%20%3Fr%20%3Ff%20%7D"
+    );
+    let tenant_a: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let headers =
+                    [("X-Tenant", "a".to_string()), ("X-Deadline-Ms", "1500".to_string())];
+                client::get(addr, cross_join, &headers, CLIENT_TIMEOUT)
+            })
+        })
+        .collect();
+    wait_until("tenant a to hold its permit with a second request waiting", || {
+        let stats = server.state().tenants.stats();
+        stats.iter().any(|(name, gate, waiting)| name == "a" && gate.active() == 1 && *waiting == 1)
+    });
+
+    let began = Instant::now();
+    let tenant_b = [("X-Tenant", "b".to_string())];
+    let resp = client::get(addr, "/search?q=customer", &tenant_b, CLIENT_TIMEOUT)
+        .expect("tenant b's search");
+    let took = began.elapsed();
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert!(resp.answer_complete(), "body: {}", resp.body);
+    assert!(took < Duration::from_millis(250), "tenant b waited {took:?} behind tenant a");
+    let resp = client::get(addr, "/healthz", &[], CLIENT_TIMEOUT).expect("healthz");
+    assert_eq!(resp.status, 200);
+
+    // Shutting down cancels tenant a's query and drops its waiter.
+    drop(server);
+    for client in tenant_a {
+        let _ = client.join().unwrap();
+    }
 }

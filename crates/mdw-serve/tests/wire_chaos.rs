@@ -50,7 +50,7 @@ fn warehouse() -> Arc<MetadataWarehouse> {
 fn test_config() -> ServerConfig {
     ServerConfig {
         default_deadline: Duration::from_secs(5),
-        admission: Some(AdmissionConfig::with_quotas(4, 4)),
+        admission: AdmissionConfig::with_quotas(4, 4),
         ..ServerConfig::default()
     }
 }
@@ -106,9 +106,7 @@ fn drive(state: &Arc<ServeState>, request: &str) -> (ConnOutcome, Vec<u8>) {
 
 /// The permit-audit invariant: after any request, nothing is held.
 fn assert_nothing_leaked(state: &ServeState) {
-    if let Some(gates) = &state.tenants {
-        assert_eq!(gates.total_active(), 0, "leaked admission permit");
-    }
+    assert_eq!(state.tenants.total_active(), 0, "leaked admission permit");
     assert_eq!(state.drain.inflight(), 0, "leaked in-flight registration");
 }
 
@@ -317,11 +315,11 @@ fn bad_requests_get_4xx_complete_frames() {
 fn zero_quota_sheds_with_scaled_retry_after() {
     failpoint::reset();
     let state = state_with(ServerConfig {
-        admission: Some(AdmissionConfig {
+        admission: AdmissionConfig {
             max_queued: 0,
             max_wait: Duration::ZERO,
             ..AdmissionConfig::with_quotas(0, 0)
-        }),
+        },
         ..test_config()
     });
     let (outcome, raw) = drive(&state, &get_request("/search?q=client", &[]));
@@ -598,8 +596,7 @@ fn slow_reader_stall_reclaims_slot_and_permit() {
     let job = conn.take_job().expect("query job");
     conn.complete_job(&state, execute_job(&state, job), t0);
     assert_eq!(conn.wants(), Wants::Write, "rows staged for a reader that never reads");
-    let gates = state.tenants.as_ref().expect("admission on");
-    assert_eq!(gates.total_active(), 1, "the streamer holds the permit while in flight");
+    assert_eq!(state.tenants.total_active(), 1, "the streamer holds the permit while in flight");
 
     assert!(conn.check_deadline(&state, t0 + Duration::from_millis(61)), "stall must fire");
     assert_eq!(state.counters.write_stall_timeouts.load(Ordering::Relaxed), 1);

@@ -105,8 +105,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "serve",
         synopsis: "[--store DIR] [--addr HOST:PORT] [--quota N] [--max-conns N]
-                [--workers N] [--deadline-ms MS] [--drain-grace-ms MS]
-                [--no-admission] [--seed N]",
+                [--workers N] [--deadline-ms MS] [--drain-grace-ms MS] [--seed N]",
         run: cmd_serve,
     },
     Command {
@@ -120,8 +119,7 @@ const COMMANDS: &[Command] = &[
         name: "drill wire",
         synopsis: "[--addr HOST:PORT] [--connections N] [--requests N]
                   [--quota N] [--tenants N] [--max-conns N] [--deadline-ms MS]
-                  [--no-admission] [--expect-shed] [--rss-ceiling-kb N]
-                  [--store DIR] [--seed N]",
+                  [--expect-shed] [--rss-ceiling-kb N] [--store DIR] [--seed N]",
         run: drill_wire,
     },
     Command {
@@ -140,11 +138,13 @@ const USAGE_NOTES: &str = "
 Serving: `mdwh serve` answers GET /search?q=, /lineage?item=, /sparql?query=
 and POST /answer?q= as streamed ndjson over HTTP/1.1 keep-alive;
 X-Deadline-Ms / X-Max-Rows / X-Tenant headers map to a query budget and a
-per-tenant admission gate. GET /admin/stats reports the event loop's
-counters (accepted, timeouts by state, keep-alive reuses, accept backoffs);
-GET /healthz answers ok. SIGTERM or POST /admin/drain drains gracefully:
-in-flight responses finish (or return truthful truncated prefixes), then
-the process exits.
+per-tenant admission gate (--quota N concurrent queries; a request waits in
+its tenant's bounded FIFO on the event loop, or gets 503 + Retry-After when
+the FIFO is full or its wait runs out). GET /admin/stats reports the event
+loop's counters (accepted, timeouts by state, keep-alive reuses, accept
+backoffs); GET /healthz answers ok. SIGTERM or POST /admin/drain drains
+gracefully: in-flight responses finish (or return truthful truncated
+prefixes), then the process exits.
 
 Query budgets: a blown --deadline-ms, --max-rows or --max-steps budget
 returns the partial answer tagged `truncated` instead of an error.
@@ -1131,10 +1131,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(ms) = parse_opt(args, "drain-grace-ms")? {
         config.drain_grace = Duration::from_millis(ms);
     }
-    if args.flag("no-admission") {
-        config.admission = None;
-    } else if let Some(quota) = parse_opt(args, "quota")? {
-        config.admission = Some(AdmissionConfig::with_quotas(quota, quota));
+    if let Some(quota) = parse_opt(args, "quota")? {
+        config.admission = AdmissionConfig::with_quotas(quota, quota);
     }
     let grace = config.drain_grace;
 
@@ -1210,7 +1208,7 @@ fn drill_wire(args: &Args) -> Result<(), String> {
                 read_timeout: Duration::from_secs(120),
                 write_timeout: Duration::from_secs(30),
                 idle_timeout: Duration::from_secs(120),
-                admission: (!args.flag("no-admission")).then(|| queueless(quota)),
+                admission: queueless(quota),
                 ..ServerConfig::default()
             };
             let handle = serve(warehouse, config).map_err(|e| format!("bind failed: {e}"))?;
@@ -1218,10 +1216,9 @@ fn drill_wire(args: &Args) -> Result<(), String> {
         }
     };
 
-    let admission = if args.flag("no-admission") { "OFF" } else { "on" };
     eprintln!(
         "wire drill: {connections} held-open connection(s) × {requests} request(s) \
-         against {addr} (admission {admission})"
+         against {addr}"
     );
 
     // A bounded pool of client threads multiplexes the connections: the
@@ -1338,7 +1335,9 @@ const CRASH_FAILPOINTS: &[&str] = &[
 /// dropping the store, then reopens it and verifies the race against
 /// what recovery brought back: every *acknowledged* batch is whole, and
 /// no batch is torn (a torn run or half-replayed batch would break the
-/// batch-size multiple). Backpressure sheds are typed, never losses.
+/// batch-size multiple). Backpressure sheds are typed, never losses. A
+/// round fails too when its failpoint never fired, even after a forced
+/// seal and compaction.
 /// With `--store DIR` each round's recovered directory is kept as
 /// `DIR/<failpoint>` (for `fsck`, `info` and the other `--store`
 /// commands) instead of a removed temp dir.
@@ -1387,15 +1386,26 @@ fn drill_crash(args: &Args) -> Result<(), String> {
         failpoint::reset_global();
         failpoint::arm_global(point, FailSpec::Once);
         let outcome = race.run(&store)?;
+        // A background point (a seal, the journal rotation, a compaction)
+        // may not come up in a short race: while it is still armed, force a
+        // seal and a compaction; their errors are the injected fault.
+        if failpoint::reset_global().iter().any(|name| name == point) {
+            failpoint::arm_global(point, FailSpec::Once);
+            let _ = store.seal_now();
+            let _ = store.compact_once();
+        }
         // The "kill": drop the store with whatever half-finished seal or
         // compaction the fault left behind, then recover from disk alone.
         drop(store);
-        failpoint::reset_global();
+        let unfired = failpoint::reset_global().iter().any(|name| name == point);
 
         let reopen = LsmConfig { auto_compact: false, ..cfg.clone() };
         let (recovered, report) =
             LsmStore::open(&dir, reopen).map_err(|e| format!("reopen after {point}: {e}"))?;
-        let verdict = race.verify(&recovered.snapshot(), &outcome);
+        let verdict = match race.verify(&recovered.snapshot(), &outcome) {
+            Ok(()) if unfired => Err("the armed failpoint never fired".to_string()),
+            verdict => verdict,
+        };
         drop(recovered);
         println!(
             "{point:<26} acked {}/{} shed {} faulted {} | reopen: runs {}, \
@@ -1423,7 +1433,8 @@ fn drill_crash(args: &Args) -> Result<(), String> {
         return Err(format!("crash drill FAILED at {n} failpoint(s):\n  {list}"));
     }
     println!(
-        "crash drill: {} failpoint(s) survived — no acked batch lost, no torn batch surfaced",
+        "crash drill: {} failpoint(s) fired and survived — no acked batch lost, \
+         no torn batch surfaced",
         points.len()
     );
     Ok(())

@@ -1,6 +1,7 @@
 //! The two write-path drills of the `mdwh` command-line frontend, run the
-//! way an operator runs them: the snapshot writer race, and a crash drill
-//! whose kept directory must read back clean under `fsck`.
+//! way an operator runs them: the snapshot writer race, and the crash
+//! drill — one round whose kept directory must read back clean under
+//! `fsck`, and a full run in which every armed failpoint must fire.
 
 use std::process::{Command, Output};
 
@@ -46,4 +47,15 @@ fn crash_at_run_seal_recovers_every_acked_batch_and_fscks_clean() {
     let report = stdout_ok(&fsck, &mdwh(&fsck));
     assert!(report.lines().any(|l| l == "clean"), "kept directory is damaged: {report}");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every round's failpoint fires, the seal, rotation and compaction points
+/// included, which a short race alone does not reach; a round whose point
+/// never fired fails the drill.
+#[test]
+fn crash_drill_fires_every_armed_failpoint() {
+    let args = ["drill", "crash", "--writers", "2", "--batches", "12"];
+    let out = stdout_ok(&args, &mdwh(&args));
+    assert_eq!(out.matches("all acked recovered").count(), 10, "{out}");
+    assert!(out.contains("10 failpoint(s) fired and survived"), "{out}");
 }

@@ -354,8 +354,10 @@ impl SummaryGraph {
     /// one, asking for distances `d0 - 1 … 0` only, which enumerates
     /// exactly the shortest paths — in edge order, so the result is
     /// deterministic. Only paths whose first edge leaves `src` through its
-    /// *instances* qualify (the anchor variable must be instance-valued).
-    /// One budget step per edge examined, in the BFS and the DFS.
+    /// *instances* qualify (the anchor variable must be instance-valued), so
+    /// the DFS descends only such first edges and never walks a subtree
+    /// whose paths would all be dropped. One budget step per edge examined,
+    /// in the BFS and the DFS, root edges included.
     fn shortest_paths(
         &self,
         src: TermId,
@@ -420,7 +422,8 @@ impl SummaryGraph {
             return;
         }
         if d == 0 {
-            // Reached dst; the anchor's first edge must be instance-valued.
+            // Reached dst; the anchor's first edge must be instance-valued
+            // (always so, since the root skips every other edge).
             if path.first().map(|e| e.src_via_type).unwrap_or(false) {
                 out.push(path.clone());
             }
@@ -431,7 +434,9 @@ impl SummaryGraph {
                 *truncated = Some(reason);
                 return;
             }
-            if dist[e.to] != d - 1 {
+            // At the root, a first edge that is not instance-valued leads
+            // only to paths the anchor rejects: examined, never descended.
+            if dist[e.to] != d - 1 || (path.is_empty() && !e.edge.src_via_type) {
                 continue;
             }
             path.push(e.edge);
@@ -1253,6 +1258,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A hub anchor: one instance-valued edge and three class-valued ones,
+    /// each into the same wide layer of shortest paths. The pruned search
+    /// examines the anchor's four edges but descends only the first.
+    #[test]
+    fn path_search_never_descends_a_class_valued_first_edge() {
+        let (anchor, instance_side, target) = (TermId(1), TermId(2), TermId(3));
+        let class_sides = [TermId(4), TermId(5), TermId(6)];
+        let layer = [TermId(7), TermId(8), TermId(9), TermId(10)];
+        let mut edges: Vec<DistinctEdge> = vec![(anchor, true, TermId(20), instance_side, true)];
+        edges.extend(class_sides.iter().map(|&c| (anchor, false, TermId(20), c, true)));
+        for &mid in [instance_side].iter().chain(&class_sides) {
+            edges.extend(layer.iter().map(|&l| (mid, true, TermId(21), l, true)));
+        }
+        edges.extend(layer.iter().map(|&l| (l, true, TermId(22), target, true)));
+        let graph = SummaryGraph::from_edges(edges.iter().copied());
+        let adj = reference::adjacency(edges.iter().copied());
+        let run = |reference: bool| {
+            let (budget, mut truncated) = (QueryBudget::unlimited(), None);
+            let paths = if reference {
+                reference::shortest_paths(&adj, anchor, target, 8, 16, &budget, &mut truncated)
+            } else {
+                graph.shortest_paths(anchor, target, 8, 16, &budget, &mut truncated)
+            };
+            assert!(truncated.is_none());
+            (paths, budget.steps_charged())
+        };
+        let (want, reference_steps) = run(true);
+        let (got, steps) = run(false);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), layer.len(), "one path per layer node, all via the instance edge");
+        assert!(got.iter().all(|p| p[0].dst == instance_side));
+        // BFS 25 (target 4, layer 4 × 5, the first edge of the next level
+        // labels the anchor) + DFS 29 (anchor 4, instance side 5, layer
+        // 4 × 5); the unpruned DFS would add 3 × 25 for the class sides.
+        assert_eq!(steps, 54);
+        assert!(steps < reference_steps, "{steps} ≥ {reference_steps}");
     }
 
     use proptest::prelude::*;

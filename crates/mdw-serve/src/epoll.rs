@@ -256,10 +256,13 @@ mod imp {
         buf: Vec<EpollEvent>,
     }
 
+    /// `EPOLLRDHUP` rides only with read interest: it is level-triggered,
+    /// so a half-closed peer would otherwise report on every wait while
+    /// the loop does not want to read (a request waiting or running).
     fn interest_bits(readable: bool, writable: bool) -> u32 {
-        let mut events = EPOLLRDHUP;
+        let mut events = 0;
         if readable {
-            events |= EPOLLIN;
+            events |= EPOLLIN | EPOLLRDHUP;
         }
         if writable {
             events |= EPOLLOUT;
@@ -636,6 +639,31 @@ mod tests {
                 break; // EOF surfaces as readable (read returns 0).
             }
             assert!(std::time::Instant::now() < deadline, "hangup never reported");
+        }
+    }
+
+    /// A peer that half-closes (`shutdown(SHUT_WR)`) is news only to a
+    /// reader: without read interest the loop must not hear of it at all,
+    /// or it would wake on every wait.
+    #[test]
+    fn half_closed_peer_reports_only_to_read_interest() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+
+        let mut poller = Poller::new().unwrap();
+        poller.register(server.as_raw_fd(), 5, false, false).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Duration::from_millis(50)).unwrap();
+        assert!(events.is_empty(), "no interest, yet woken: {events:?}");
+
+        poller.modify(server.as_raw_fd(), 5, true, false).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !events.iter().any(|e| e.token == 5 && e.readable) {
+            assert!(std::time::Instant::now() < deadline, "half-close never reported");
+            poller.wait(&mut events, Duration::from_millis(50)).unwrap();
         }
     }
 

@@ -32,13 +32,16 @@
 //! the machine-independent work metric. EXPERIMENTS.md quotes this
 //! binary's output.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdw_bench::setup::{load_scale, parse_scale};
 use mdw_rdf::budget::QueryBudget;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::Scale;
-use mdw_rdf::store::Store;
+use mdw_rdf::frozen::FrozenStore;
+use mdw_rdf::journal::JournalOp;
+use mdw_rdf::lsm::{LsmConfig, LsmStore};
 use mdw_rdf::term::Term;
 use mdw_rdf::vocab;
 use mdw_sparql::{execute, parser, ExecOptions, SemMatch};
@@ -52,7 +55,7 @@ struct Measured {
     summary: String,
 }
 
-fn measure_direct(store: &Store, query_text: &str, use_planner: bool, iters: usize) -> Measured {
+fn measure_direct(store: &FrozenStore, query_text: &str, use_planner: bool, iters: usize) -> Measured {
     let query = parser::parse(query_text).expect("ablation query parses");
     let graph = store.model("ABLATION").expect("model");
     let mut best = Duration::MAX;
@@ -123,27 +126,28 @@ fn report(name: &str, naive: &Measured, planned: &Measured) {
 /// The skewed store: `wide` rows carrying a name, one `Institution`.
 /// Written-order execution of the adversarial query scans every name and
 /// probes each; the planned order starts from the one-row class scan.
-fn skewed_store(wide: usize) -> Store {
-    let mut store = Store::new();
-    store.create_model("ABLATION").expect("fresh store");
+/// The model is folded into a solid base, so the timings measure solid
+/// column scans.
+fn skewed_store(wide: usize) -> Arc<FrozenStore> {
     let ty = Term::iri(vocab::rdf::TYPE);
     let has_name = Term::iri("http://ex.org/hasName");
     let row_class = Term::iri("http://ex.org/Row");
+    let mut ops = Vec::with_capacity(2 * wide + 2);
     for i in 0..wide {
         let it = Term::iri(format!("http://ex.org/row{i}"));
-        store.insert("ABLATION", &it, &ty, &row_class).expect("insert");
-        store
-            .insert("ABLATION", &it, &has_name, &Term::plain(format!("row_{i}")))
-            .expect("insert");
+        ops.push(JournalOp::Insert(it.clone(), ty.clone(), row_class.clone()));
+        ops.push(JournalOp::Insert(it, has_name.clone(), Term::plain(format!("row_{i}"))));
     }
     let inst = Term::iri("http://ex.org/the_institution");
-    store
-        .insert("ABLATION", &inst, &ty, &Term::iri("http://ex.org/Institution"))
-        .expect("insert");
-    store
-        .insert("ABLATION", &inst, &has_name, &Term::plain("the_institution"))
-        .expect("insert");
-    store
+    ops.push(JournalOp::Insert(inst.clone(), ty, Term::iri("http://ex.org/Institution")));
+    ops.push(JournalOp::Insert(inst, has_name, Term::plain("the_institution")));
+    let store = LsmStore::in_memory(LsmConfig::default());
+    store.write_batch("ABLATION", &ops).expect("write");
+    store.seal_now().expect("seal");
+    store.compact_once().expect("compact");
+    let snapshot = store.snapshot();
+    assert!(!snapshot.model("ABLATION").expect("model").is_stacked());
+    snapshot
 }
 
 fn main() {

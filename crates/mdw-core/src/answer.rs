@@ -915,7 +915,10 @@ fn render_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::frozen::FrozenStore;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
+    use std::sync::Arc;
 
     #[test]
     fn empty_estimate_ranks_below_any_populated_candidate() {
@@ -930,9 +933,7 @@ mod tests {
 
     /// A miniature Figure-3-style warehouse: concepts, columns annotated
     /// with `representsConcept`, reports using items.
-    fn setup() -> Store {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+    fn setup() -> Arc<FrozenStore> {
         let dm = |l: &str| Term::iri(vocab::cs::dm(l));
         let dwh = |l: &str| Term::iri(vocab::cs::dwh(l));
         let iri = |s: &str| Term::iri(s);
@@ -970,15 +971,15 @@ mod tests {
             (dwh("rpt2"), iri(vocab::cs::HAS_NAME), Term::plain("Trade Blotter")),
             (dwh("rpt2"), uses.clone(), dwh("trade_ts")),
         ];
-        for (s, p, o) in triples {
-            store.insert("m", &s, &p, &o).unwrap();
-        }
-        store
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let ops: Vec<JournalOp> =
+            triples.into_iter().map(|(s, p, o)| JournalOp::Insert(s, p, o)).collect();
+        store.write_batch("m", &ops).unwrap();
+        store.snapshot()
     }
 
-    fn plan(store: &Store, req: AnswerRequest) -> CandidatePlan {
-        let frozen = store.freeze();
-        let (base, dict) = (frozen.model("m").unwrap(), frozen.dict());
+    fn plan(store: &FrozenStore, req: AnswerRequest) -> CandidatePlan {
+        let (base, dict) = (store.model("m").unwrap(), store.dict());
         let stats = base.planner_stats(dict.lookup(&Term::iri(vocab::rdf::TYPE)));
         let schema = SchemaIndex::build(base, dict);
         plan_candidates(&schema, dict, &SynonymTable::banking(), &stats, &req)

@@ -620,16 +620,16 @@ pub(crate) fn drill_down(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
     use mdw_reason::{Materialization, Rulebase};
 
     /// The Figure 2/3/8 fixture: client_information_id → partner_id →
     /// customer_id mapping chain across three schemas, with reified
     /// mappings carrying rule conditions.
-    fn setup() -> (Store, Materialization) {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
+    fn setup() -> (LsmStore, Materialization) {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let rb = store.with_dict(Rulebase::owlprime);
         let dm = |l: &str| Term::iri(vocab::cs::dm(l));
         let dt = |l: &str| Term::iri(vocab::cs::dt(l));
         let dwh = |l: &str| Term::iri(vocab::cs::dwh(l));
@@ -665,11 +665,16 @@ mod tests {
             (dwh("partner_id"), iri(vocab::cs::IN_SCHEMA), dwh("schema_integration")),
             (dwh("customer_id"), iri(vocab::cs::IN_SCHEMA), dwh("schema_app1")),
         ];
-        for (s, p, o) in triples {
-            store.insert("m", &s, &p, &o).unwrap();
-        }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let ops: Vec<JournalOp> =
+            triples.into_iter().map(|(s, p, o)| JournalOp::Insert(s, p, o)).collect();
+        store.write_batch("m", &ops).unwrap();
+        let m = materialize(&store, &rb);
         (store, m)
+    }
+
+    fn materialize(store: &LsmStore, rb: &Rulebase) -> Materialization {
+        let snap = store.snapshot();
+        Materialization::materialize(snap.model("m").unwrap(), rb, snap.dict())
     }
 
     fn view<'a>(ctx: &'a QueryContext, m: &'a Materialization) -> EntailedGraph<'a> {
@@ -677,9 +682,8 @@ mod tests {
         EntailedGraph::new(base, m.derived(), std::sync::Arc::new(m.entailed_stats(base, None)))
     }
 
-    fn run(store: &Store, m: &Materialization, req: LineageRequest) -> LineageResult {
-        let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
-            .with_budget(req.budget.clone());
+    fn run(store: &LsmStore, m: &Materialization, req: LineageRequest) -> LineageResult {
+        let ctx = QueryContext::new(store.snapshot()).with_budget(req.budget.clone());
         let view = view(&ctx, m);
         trace(&view, &ctx, &mapping_conditions(&view, ctx.dict()), &req)
     }
@@ -784,18 +788,16 @@ mod tests {
 
     #[test]
     fn cycle_safety() {
-        let (mut store, _) = setup();
+        let (store, _) = setup();
         // Make a cycle: customer_id → client_information_id.
-        store
-            .insert(
-                "m",
-                &dwh("customer_id"),
-                &Term::iri(vocab::cs::IS_MAPPED_TO),
-                &dwh("client_information_id"),
-            )
-            .unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let cycle = JournalOp::Insert(
+            dwh("customer_id"),
+            Term::iri(vocab::cs::IS_MAPPED_TO),
+            dwh("client_information_id"),
+        );
+        store.write_batch("m", &[cycle]).unwrap();
+        let rb = store.with_dict(Rulebase::owlprime);
+        let m = materialize(&store, &rb);
         let result = run(
             &store,
             &m,
@@ -856,7 +858,7 @@ mod tests {
     #[test]
     fn schema_flow_aggregates() {
         let (store, m) = setup();
-        let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
+        let ctx = QueryContext::new(store.snapshot());
         let view = view(&ctx, &m);
         let flows = schema_flow(&view, &ctx);
         assert_eq!(flows.len(), 2);
@@ -868,7 +870,7 @@ mod tests {
     #[test]
     fn impact_summary_groups_by_schema() {
         let (store, m) = setup();
-        let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
+        let ctx = QueryContext::new(store.snapshot());
         let view = view(&ctx, &m);
         let result = run(&store, &m, LineageRequest::downstream(dwh("client_information_id")));
         let summary = impact_summary(&view, &ctx, &result);
@@ -882,7 +884,7 @@ mod tests {
     #[test]
     fn drill_down_expands_one_pair() {
         let (store, m) = setup();
-        let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()));
+        let ctx = QueryContext::new(store.snapshot());
         let view = view(&ctx, &m);
         let conditions = mapping_conditions(&view, ctx.dict());
         let hops = drill_down(

@@ -357,12 +357,22 @@ impl Census {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::frozen::FrozenStore;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
+    use std::sync::Arc;
+
+    /// Model `"m"` of a volatile engine, written in one batch.
+    fn fixture(triples: Vec<(Term, Term, Term)>) -> Arc<FrozenStore> {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let ops: Vec<JournalOp> =
+            triples.into_iter().map(|(s, p, o)| JournalOp::Insert(s, p, o)).collect();
+        store.write_batch("m", &ops).unwrap();
+        store.snapshot()
+    }
 
     /// Builds the Figure 3 snippet: facts, schema, hierarchy layers.
-    fn fig3_store() -> Store {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+    fn fig3_store() -> Arc<FrozenStore> {
         let dm = |l: &str| Term::iri(vocab::cs::dm(l));
         let dwh = |l: &str| Term::iri(vocab::cs::dwh(l));
         let triples: Vec<(Term, Term, Term)> = vec![
@@ -380,10 +390,7 @@ mod tests {
             (dwh("client_information_id"), Term::iri(vocab::cs::IS_MAPPED_TO), dwh("partner_id")),
             (dwh("customer_id"), Term::iri(vocab::cs::HAS_NAME), Term::plain("customer_id")),
         ];
-        for (s, p, o) in triples {
-            store.insert("m", &s, &p, &o).unwrap();
-        }
-        store
+        fixture(triples)
     }
 
     #[test]
@@ -477,8 +484,7 @@ mod tests {
 
     #[test]
     fn empty_graph_census() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+        let store = fixture(Vec::new());
         let c = census(store.model("m").unwrap(), store.dict());
         assert_eq!(c.total_nodes, 0);
         assert_eq!(c.total_edges, 0);

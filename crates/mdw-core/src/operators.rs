@@ -7,9 +7,10 @@
 //! module provides the three Rondo-style operators a graph metadata
 //! warehouse actually needs day to day:
 //!
-//! * [`merge`] — union two models with conflict detection on functional
-//!   properties (two sources disagreeing on an item's name is a data-quality
-//!   incident, not a silent union),
+//! * [`merge`] — the union of two models, with conflict detection on
+//!   functional properties (two sources disagreeing on an item's name is a
+//!   data-quality incident, not a silent union); it reports the triples to
+//!   add and the caller writes them,
 //! * [`compose_mappings`] — Rondo's *compose*: collapse two mapping hops
 //!   into one derived end-to-end mapping, concatenating rule conditions
 //!   (the paper's "multiple edge paths … bypassed by just one additional
@@ -20,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::{Graph, TripleSource};
+use mdw_rdf::store::TripleSource;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::vocab;
@@ -41,8 +42,9 @@ pub struct MergeConflict {
 /// The outcome of a merge.
 #[derive(Debug, Clone, Default)]
 pub struct MergeReport {
-    /// Triples added to the target model.
-    pub added: usize,
+    /// Triples the target model lacks, in SPO order: what the caller
+    /// writes to it.
+    pub added: Vec<Triple>,
     /// Triples already present.
     pub duplicates: usize,
     /// Functional-property conflicts (both values end up in the model;
@@ -61,13 +63,14 @@ pub fn functional_properties() -> Vec<Term> {
     ]
 }
 
-/// Merges `other` into `target` (both decoded against `dict`), reporting
-/// conflicts on functional properties: each incoming value clashes with
-/// every other value the subject holds for that property in `target` or
-/// earlier in `other`.
+/// Merges `other` into `target` (both decoded against `dict`) without
+/// writing: the report lists the triples `target` lacks, which the caller
+/// writes through the write door, and the conflicts on functional
+/// properties: each incoming value clashes with every other value the
+/// subject holds for that property in `target` or earlier in `other`.
 pub fn merge(
-    target: &mut Graph,
-    other: &Graph,
+    target: &dyn TripleSource,
+    other: &dyn TripleSource,
     dict: &Dictionary,
 ) -> MergeReport {
     let functional: Vec<TermId> = functional_properties()
@@ -75,18 +78,18 @@ pub fn merge(
         .filter_map(|t| dict.lookup(t))
         .collect();
     let mut report = MergeReport::default();
-    // Conflicts are found against `target` as it was, read frozen once;
-    // `other` iterates in SPO order, so its own earlier values for the
-    // same (s, p) are the triples just before each one.
-    let before = target.freeze();
-    let incoming: Vec<Triple> = other.iter().collect();
+    // Sorted into SPO order (a source need not scan in it), `other`'s own
+    // earlier values for the same (s, p) are the triples just before each
+    // one.
+    let mut incoming: Vec<Triple> = other.scan_pattern(TriplePattern::any()).collect();
+    incoming.sort_unstable();
     for (i, &t) in incoming.iter().enumerate() {
         if !functional.contains(&t.p) {
             continue;
         }
         let earlier = incoming[..i].iter().rev().take_while(|e| (e.s, e.p) == (t.s, t.p));
-        let mut held: Vec<TermId> = before
-            .scan(TriplePattern::with_sp(t.s, t.p))
+        let mut held: Vec<TermId> = target
+            .scan_pattern(TriplePattern::with_sp(t.s, t.p))
             .chain(earlier.copied())
             .map(|existing| existing.o)
             .filter(|&o| o != t.o)
@@ -103,10 +106,10 @@ pub fn merge(
         }
     }
     for t in incoming {
-        if target.insert(t) {
-            report.added += 1;
-        } else {
+        if target.contains_triple(t) {
             report.duplicates += 1;
+        } else {
+            report.added.push(t);
         }
     }
     report.conflicts.sort_by(|a, b| {
@@ -235,28 +238,62 @@ pub fn extract_submodel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::frozen::FrozenStore;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
+    use std::sync::Arc;
 
     fn dwh(l: &str) -> Term {
         Term::iri(vocab::cs::dwh(l))
     }
 
+    fn ins(s: Term, p: &Term, o: Term) -> JournalOp {
+        JournalOp::Insert(s, p.clone(), o)
+    }
+
+    /// A volatile engine holding each `(model, ops)` batch, written in
+    /// order.
+    fn engine(batches: &[(&str, Vec<JournalOp>)]) -> LsmStore {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        for (model, ops) in batches {
+            store.write_batch(model, ops).unwrap();
+        }
+        store
+    }
+
+    /// Model `"m"` of a volatile engine, written in one batch.
+    fn fixture(ops: Vec<JournalOp>) -> Arc<FrozenStore> {
+        engine(&[("m", ops)]).snapshot()
+    }
+
+    /// Merges model `"b"` into model `"a"`: the report, and `"a"`'s size
+    /// once the caller has written what the report adds.
+    fn merge_b_into_a(store: &LsmStore) -> (MergeReport, usize) {
+        let snap = store.snapshot();
+        let report = merge(snap.model("a").unwrap(), snap.model("b").unwrap(), snap.dict());
+        let ops: Vec<JournalOp> = report
+            .added
+            .iter()
+            .map(|&t| {
+                let (s, p, o) = snap.decode(t).unwrap();
+                JournalOp::Insert(s.clone(), p.clone(), o.clone())
+            })
+            .collect();
+        store.write_batch("a", &ops).unwrap();
+        let len = store.snapshot().model("a").unwrap().len();
+        (report, len)
+    }
+
     #[test]
     fn merge_detects_name_conflicts() {
-        let mut store = Store::new();
-        store.create_model("a").unwrap();
-        store.create_model("b").unwrap();
         let name = Term::iri(vocab::cs::HAS_NAME);
-        store.insert("a", &dwh("x"), &name, &Term::plain("customer_id")).unwrap();
-        store.insert("a", &dwh("x"), &Term::iri("http://p"), &dwh("y")).unwrap();
-        store.insert("b", &dwh("x"), &name, &Term::plain("kunde_id")).unwrap();
-        store.insert("b", &dwh("x"), &Term::iri("http://p"), &dwh("y")).unwrap();
-
-        let other = store.model("b").unwrap().clone();
-        let dict = store.dict().clone();
-        let target = store.model_mut("a").unwrap();
-        let report = merge(target, &other, &dict);
-        assert_eq!(report.added, 1); // the conflicting name still lands
+        let p = Term::iri("http://p");
+        let store = engine(&[
+            ("a", vec![ins(dwh("x"), &name, Term::plain("customer_id")), ins(dwh("x"), &p, dwh("y"))]),
+            ("b", vec![ins(dwh("x"), &name, Term::plain("kunde_id")), ins(dwh("x"), &p, dwh("y"))]),
+        ]);
+        let (report, _) = merge_b_into_a(&store);
+        assert_eq!(report.added.len(), 1); // the conflicting name still lands
         assert_eq!(report.duplicates, 1);
         assert_eq!(report.conflicts.len(), 1);
         let c = &report.conflicts[0];
@@ -269,19 +306,19 @@ mod tests {
         // `other` names x twice and `target` a third time: every pair of
         // distinct values conflicts once, and the list is ordered by the
         // incoming value, then by the value it clashes with.
-        let mut store = Store::new();
-        store.create_model("a").unwrap();
-        store.create_model("b").unwrap();
         let name = Term::iri(vocab::cs::HAS_NAME);
-        store.insert("a", &dwh("x"), &name, &Term::plain("c_name")).unwrap();
-        store.insert("b", &dwh("x"), &name, &Term::plain("a_name")).unwrap();
-        store.insert("b", &dwh("x"), &name, &Term::plain("b_name")).unwrap();
-
-        let other = store.model("b").unwrap().clone();
-        let dict = store.dict().clone();
-        let target = store.model_mut("a").unwrap();
-        let report = merge(target, &other, &dict);
-        assert_eq!((report.added, report.duplicates), (2, 0));
+        let store = engine(&[
+            ("a", vec![ins(dwh("x"), &name, Term::plain("c_name"))]),
+            (
+                "b",
+                vec![
+                    ins(dwh("x"), &name, Term::plain("a_name")),
+                    ins(dwh("x"), &name, Term::plain("b_name")),
+                ],
+            ),
+        ]);
+        let (report, target_len) = merge_b_into_a(&store);
+        assert_eq!((report.added.len(), report.duplicates), (2, 0));
         let pairs: Vec<_> = report
             .conflicts
             .iter()
@@ -299,42 +336,35 @@ mod tests {
                 (plain("a_name"), plain("b_name")),
             ]
         );
-        assert_eq!(target.len(), 3);
+        assert_eq!(target_len, 3);
     }
 
     #[test]
     fn merge_without_conflicts_is_clean_union() {
-        let mut store = Store::new();
-        store.create_model("a").unwrap();
-        store.create_model("b").unwrap();
-        store.insert("a", &dwh("x"), &Term::iri("http://p"), &dwh("y")).unwrap();
-        store.insert("b", &dwh("y"), &Term::iri("http://p"), &dwh("z")).unwrap();
-        let other = store.model("b").unwrap().clone();
-        let dict = store.dict().clone();
-        let target = store.model_mut("a").unwrap();
-        let report = merge(target, &other, &dict);
-        assert_eq!(report.added, 1);
+        let p = Term::iri("http://p");
+        let store = engine(&[
+            ("a", vec![ins(dwh("x"), &p, dwh("y"))]),
+            ("b", vec![ins(dwh("y"), &p, dwh("z"))]),
+        ]);
+        let (report, target_len) = merge_b_into_a(&store);
+        assert_eq!(report.added.len(), 1);
         assert!(report.conflicts.is_empty());
-        assert_eq!(target.len(), 2);
+        assert_eq!(target_len, 2);
     }
 
     #[test]
     fn compose_concatenates_conditions() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
         let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
-        store.insert("m", &dwh("a"), &mapped, &dwh("b")).unwrap();
-        store.insert("m", &dwh("b"), &mapped, &dwh("c")).unwrap();
+        let mut ops = vec![ins(dwh("a"), &mapped, dwh("b")), ins(dwh("b"), &mapped, dwh("c"))];
         for (m, from, to, cond) in [
             ("m1", "a", "b", "x > 0"),
             ("m2", "b", "c", "y = 'CH'"),
         ] {
-            store.insert("m", &dwh(m), &Term::iri(vocab::cs::MAPS_FROM), &dwh(from)).unwrap();
-            store.insert("m", &dwh(m), &Term::iri(vocab::cs::MAPS_TO), &dwh(to)).unwrap();
-            store
-                .insert("m", &dwh(m), &Term::iri(vocab::cs::RULE_CONDITION), &Term::plain(cond))
-                .unwrap();
+            ops.push(ins(dwh(m), &Term::iri(vocab::cs::MAPS_FROM), dwh(from)));
+            ops.push(ins(dwh(m), &Term::iri(vocab::cs::MAPS_TO), dwh(to)));
+            ops.push(ins(dwh(m), &Term::iri(vocab::cs::RULE_CONDITION), Term::plain(cond)));
         }
+        let store = fixture(ops);
         let composed = compose_mappings(store.model("m").unwrap(), store.dict());
         assert_eq!(composed.len(), 1);
         assert_eq!(composed[0].from, dwh("a"));
@@ -345,11 +375,8 @@ mod tests {
 
     #[test]
     fn compose_handles_missing_conditions() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
         let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
-        store.insert("m", &dwh("a"), &mapped, &dwh("b")).unwrap();
-        store.insert("m", &dwh("b"), &mapped, &dwh("c")).unwrap();
+        let store = fixture(vec![ins(dwh("a"), &mapped, dwh("b")), ins(dwh("b"), &mapped, dwh("c"))]);
         let composed = compose_mappings(store.model("m").unwrap(), store.dict());
         assert_eq!(composed.len(), 1);
         assert_eq!(composed[0].condition, None);
@@ -357,16 +384,14 @@ mod tests {
 
     #[test]
     fn extract_neighbourhood_is_bounded() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
         let p = Term::iri("http://p");
         // chain: r → n1 → n2 → n3, plus incoming: up → r.
-        for (s, o) in [("r", "n1"), ("n1", "n2"), ("n2", "n3"), ("up", "r")] {
-            store.insert("m", &dwh(s), &p, &dwh(o)).unwrap();
-        }
-        store
-            .insert("m", &dwh("r"), &Term::iri(vocab::cs::HAS_NAME), &Term::plain("root"))
-            .unwrap();
+        let mut ops: Vec<JournalOp> = [("r", "n1"), ("n1", "n2"), ("n2", "n3"), ("up", "r")]
+            .into_iter()
+            .map(|(s, o)| ins(dwh(s), &p, dwh(o)))
+            .collect();
+        ops.push(ins(dwh("r"), &Term::iri(vocab::cs::HAS_NAME), Term::plain("root")));
+        let store = fixture(ops);
         let graph = store.model("m").unwrap();
         let depth1 = extract_submodel(graph, store.dict(), &[dwh("r")], 1);
         // r's own edges: r→n1, up→r, r hasName.
@@ -379,9 +404,7 @@ mod tests {
 
     #[test]
     fn extract_unknown_root_is_empty() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        store.insert("m", &dwh("a"), &Term::iri("http://p"), &dwh("b")).unwrap();
+        let store = fixture(vec![ins(dwh("a"), &Term::iri("http://p"), dwh("b"))]);
         let out = extract_submodel(store.model("m").unwrap(), store.dict(), &[dwh("nope")], 3);
         assert!(out.is_empty());
     }

@@ -559,15 +559,28 @@ fn has_value_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::frozen::FrozenStore;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
     use mdw_reason::{Materialization, Rulebase};
+    use std::sync::Arc;
+
+    /// Model `"m"` of a volatile engine — the OWLPRIME rulebase interned
+    /// first, then `triples` in one batch — and its materialization.
+    fn fixture(triples: Vec<(Term, Term, Term)>) -> (Arc<FrozenStore>, Materialization) {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let rb = store.with_dict(Rulebase::owlprime);
+        let ops: Vec<JournalOp> =
+            triples.into_iter().map(|(s, p, o)| JournalOp::Insert(s, p, o)).collect();
+        store.write_batch("m", &ops).unwrap();
+        let snap = store.snapshot();
+        let m = Materialization::materialize(snap.model("m").unwrap(), &rb, snap.dict());
+        (snap, m)
+    }
 
     /// Builds the Figure 5 fixture: the hierarchy of Figure 3 plus
     /// instances with names, areas, and levels.
-    fn setup() -> (Store, Materialization) {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
+    fn setup() -> (Arc<FrozenStore>, Materialization) {
         let dm = |l: &str| Term::iri(vocab::cs::dm(l));
         let dwh = |l: &str| Term::iri(vocab::cs::dwh(l));
         let iri = |s: &str| Term::iri(s);
@@ -597,27 +610,22 @@ mod tests {
             (dwh("customer_report"), iri(vocab::cs::HAS_NAME), Term::plain("Customer Overview Report")),
             (dm("Report"), iri(vocab::rdfs::LABEL), Term::plain("Report")),
         ];
-        for (s, p, o) in triples {
-            store.insert("m", &s, &p, &o).unwrap();
-        }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        (store, m)
+        fixture(triples)
     }
 
-    fn run(store: &Store, m: &Materialization, req: SearchRequest) -> SearchResults {
+    fn run(store: &Arc<FrozenStore>, m: &Materialization, req: SearchRequest) -> SearchResults {
         run_with(store, m, &SynonymTable::banking(), req)
     }
 
     fn run_with(
-        store: &Store,
+        store: &Arc<FrozenStore>,
         m: &Materialization,
         synonyms: &SynonymTable,
         req: SearchRequest,
     ) -> SearchResults {
-        let ctx = QueryContext::new(std::sync::Arc::new(store.freeze()))
-            .with_budget(req.budget.clone());
+        let ctx = QueryContext::new(Arc::clone(store)).with_budget(req.budget.clone());
         let base = ctx.graph("m").unwrap();
-        let stats = std::sync::Arc::new(m.entailed_stats(base, None));
+        let stats = Arc::new(m.entailed_stats(base, None));
         let view = EntailedGraph::new(base, m.derived(), stats);
         let table = SearchTable::build(&view, ctx.dict());
         search(&view, &ctx, &table, synonyms, &req)
@@ -734,12 +742,9 @@ mod tests {
         // Filtering by a grandparent class must still find instances typed
         // with the grandchild class — only possible through the entailed
         // subclass closure.
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
         let dm = |l: &str| Term::iri(vocab::cs::dm(l));
         let iri = |s: &str| Term::iri(s);
-        for (s, p, o) in [
+        let (store, m) = fixture(vec![
             (dm("L3"), iri(vocab::rdfs::SUB_CLASS_OF), dm("L2")),
             (dm("L2"), iri(vocab::rdfs::SUB_CLASS_OF), dm("L1")),
             (dm("L1"), iri(vocab::rdfs::SUB_CLASS_OF), dm("L0")),
@@ -749,10 +754,7 @@ mod tests {
                 iri(vocab::cs::HAS_NAME),
                 Term::plain("deep_customer_ref"),
             ),
-        ] {
-            store.insert("m", &s, &p, &o).unwrap();
-        }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        ]);
         let results = run_with(
             &store,
             &m,
@@ -835,10 +837,7 @@ mod tests {
 
     #[test]
     fn empty_graph_search() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, m) = fixture(Vec::new());
         let results = run_with(&store, &m, &SynonymTable::new(), SearchRequest::new("anything"));
         assert!(results.groups.is_empty());
     }

@@ -399,11 +399,6 @@ impl MetadataWarehouse {
         &self.pinned.store
     }
 
-    /// The synonym table (mutable, to load site-specific vocabularies).
-    pub fn synonyms_mut(&mut self) -> &mut SynonymTable {
-        &mut self.synonyms
-    }
-
     /// The synonym table.
     pub fn synonyms(&self) -> &SynonymTable {
         &self.synonyms

@@ -15,7 +15,7 @@
 //! * the current model is solid (`!is_stacked()`) after every bulk step;
 //! * a built semantic index — extended incrementally by every delivery
 //!   since — holds exactly the triples the reasoner derives from scratch
-//!   over a `Store`-built `Graph` of the oracle's current model.
+//!   over the oracle's current model, written to a fresh volatile engine.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -26,7 +26,8 @@ use mdw_core::ingest::Extract;
 use mdw_core::warehouse::{MetadataWarehouse, DEFAULT_MODEL};
 use mdw_core::MdwError;
 use mdw_rdf::frozen::FrozenStore;
-use mdw_rdf::store::Store;
+use mdw_rdf::journal::JournalOp;
+use mdw_rdf::lsm::{LsmConfig, LsmStore};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::Triple;
 use mdw_rdf::vocab;
@@ -116,16 +117,16 @@ fn source_name(i: u8) -> String {
     format!("source-{i}")
 }
 
-/// The reasoner's answer over a `Store`-built `Graph` of `facts`.
+/// The reasoner's answer over `facts`, written to a fresh volatile engine.
 fn reference_derived(facts: &BTreeSet<Fact>) -> BTreeSet<Fact> {
-    let mut store = Store::new();
-    store.create_model("m").unwrap();
-    let rulebase = Rulebase::owlprime(store.dict_mut());
-    for (s, p, o) in facts {
-        store.insert("m", s, p, o).unwrap();
-    }
-    let m = Materialization::materialize(store.model("m").unwrap(), &rulebase, store.dict());
-    decoded(&store.freeze(), m.derived().iter())
+    let store = LsmStore::in_memory(LsmConfig::default());
+    let rulebase = store.with_dict(Rulebase::owlprime);
+    let ops: Vec<JournalOp> =
+        facts.iter().map(|(s, p, o)| JournalOp::Insert(s.clone(), p.clone(), o.clone())).collect();
+    store.write_batch("m", &ops).unwrap();
+    let snap = store.snapshot();
+    let m = Materialization::materialize(snap.model("m").unwrap(), &rulebase, snap.dict());
+    decoded(&snap, m.derived().iter())
 }
 
 fn decoded(store: &FrozenStore, triples: impl Iterator<Item = Triple>) -> BTreeSet<Fact> {

@@ -79,21 +79,22 @@ impl QueryContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Store;
+    use crate::journal::JournalOp;
+    use crate::lsm::{LsmConfig, LsmStore};
     use crate::term::Term;
+
+    fn insert(store: &LsmStore, o: &str) {
+        let op = JournalOp::Insert(Term::iri("a"), Term::iri("p"), Term::iri(o));
+        store.write_batch("m", &[op]).unwrap();
+    }
 
     #[test]
     fn context_pins_one_generation() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        store
-            .insert("m", &Term::iri("a"), &Term::iri("p"), &Term::iri("b"))
-            .unwrap();
-        let ctx = QueryContext::new(Arc::new(store.freeze()));
+        let store = LsmStore::in_memory(LsmConfig::default());
+        insert(&store, "b");
+        let ctx = QueryContext::new(store.snapshot());
         // Later writes to the store do not reach the pinned snapshot.
-        store
-            .insert("m", &Term::iri("a"), &Term::iri("p"), &Term::iri("c"))
-            .unwrap();
+        insert(&store, "c");
         assert_eq!(ctx.graph("m").unwrap().len(), 1);
         assert!(ctx.dict().lookup(&Term::iri("c")).is_none());
         assert!(ctx.graph("missing").is_err());
@@ -101,9 +102,8 @@ mod tests {
 
     #[test]
     fn cloned_contexts_share_budget_counters() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let ctx = QueryContext::new(Arc::new(store.freeze()))
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let ctx = QueryContext::new(store.snapshot())
             .with_budget(QueryBudget::unlimited().with_max_steps(2));
         let clone = ctx.clone();
         assert!(ctx.budget().charge_step().is_ok());

@@ -894,11 +894,7 @@ mod tests {
 
     #[test]
     fn graph_freeze_preserves_contents_and_order() {
-        let mut graph = crate::store::Graph::new();
-        for &k in ROWS.iter().rev() {
-            graph.insert(Triple::from_tuple(k));
-        }
-        let frozen = graph.freeze();
+        let frozen = FrozenGraph::new(FrozenIndex::from_spo_rows(ROWS.iter().rev().copied().collect()));
         assert_eq!(frozen.len(), ROWS.len());
         let rows: Vec<_> = frozen.iter().collect();
         assert_eq!(rows, ROWS.map(Triple::from_tuple));
@@ -998,6 +994,29 @@ mod tests {
         assert_eq!(stats.distinct_predicates, 3);
         assert_eq!(stats.distinct_objects, 3);
         assert_eq!(stats.approx_bytes, 3 * 6 * std::mem::size_of::<Key>());
+    }
+
+    #[test]
+    fn stats_count_predicate_only_terms_as_no_node() {
+        // a -p-> b -p-> c: three nodes, two edges, one predicate.
+        let stats = FrozenGraph::new(FrozenIndex::from_spo_rows(vec![(1, 9, 2), (2, 9, 3)])).stats();
+        assert_eq!((stats.edges, stats.nodes, stats.distinct_predicates), (2, 3, 1));
+    }
+
+    #[test]
+    fn frozen_store_resolves_models_and_terms() {
+        let mut dict = Dictionary::new();
+        let known = dict.intern(&Term::iri("known"));
+        let graph = Arc::new(FrozenGraph::new(sample()));
+        let models = BTreeMap::from([("b".to_string(), Arc::clone(&graph)), ("a".to_string(), graph)]);
+        let store = FrozenStore::new(0, Arc::new(dict), models);
+        assert_eq!(store.model_names(), vec!["a", "b"]);
+        assert!(matches!(store.model("nope"), Err(RdfError::UnknownModel(_))));
+        let unknown = Term::iri("unknown");
+        assert!(store.pattern(Some(&unknown), None, None).is_none());
+        assert!(store.pattern(None, None, Some(&unknown)).is_none());
+        let pattern = store.pattern(Some(&Term::iri("known")), None, None).unwrap();
+        assert_eq!(pattern, TriplePattern::with_s(known));
     }
 
     #[test]

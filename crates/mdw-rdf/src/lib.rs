@@ -20,9 +20,9 @@
 //!   [`frozen::FrozenStore`] generation — readers never take a lock,
 //! * [`context::QueryContext`] — a snapshot-pinned, budget-carrying read
 //!   handle threaded through search, lineage, and SPARQL,
-//! * [`store::Store`] — the mutable builder for tests and benches: named
-//!   RDF models (the paper queries `SEM_MODELS('DWH_CURR')`) over a shared
-//!   dictionary, each one triple set read through its cached freeze,
+//! * [`store::TripleSource`] — the read interface every executor scans
+//!   through: a named model of a snapshot (the paper queries
+//!   `SEM_MODELS('DWH_CURR')`) or the entailed view over one,
 //! * [`staging::StagingArea`] — the staging-table + validating bulk-load
 //!   pipeline of the paper's Figure 4,
 //! * [`turtle`] — a Turtle/N-Triples subset parser and serializer used as the
@@ -79,6 +79,6 @@ pub use persist::{
 };
 pub use staging::{LoadReport, StagingArea};
 pub use stats::{FrozenStats, PredicateStats};
-pub use store::{Graph, GraphStats, Scan, Store, TripleSource};
+pub use store::{GraphStats, Scan, TripleSource};
 pub use term::{Literal, LiteralKind, Term};
 pub use triple::{Triple, TriplePattern};

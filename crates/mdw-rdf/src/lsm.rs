@@ -1594,26 +1594,80 @@ mod tests {
     #[test]
     fn invalid_ops_rejected_before_journal() {
         let store = LsmStore::in_memory(test_cfg());
-        let bad = JournalOp::Insert(
-            Term::plain("lit"),
-            Term::iri("p"),
-            Term::iri("o"),
-        );
-        assert!(matches!(
-            store.write_batch("m", &[bad]).unwrap_err(),
-            RdfError::InvalidTriple { .. }
-        ));
+        let literal_subject = JournalOp::Insert(Term::plain("lit"), Term::iri("p"), Term::iri("o"));
+        let literal_predicate = JournalOp::Insert(Term::iri("s"), Term::plain("p"), Term::iri("o"));
+        for bad in [literal_subject, literal_predicate] {
+            assert!(matches!(
+                store.write_batch("m", &[bad]).unwrap_err(),
+                RdfError::InvalidTriple { .. }
+            ));
+        }
         assert_eq!(store.metrics().committed_batches, 0);
     }
 
-    /// A snapshot directory the way a checkpoint leaves it, built from a
-    /// plain builder store.
+    #[test]
+    fn a_written_triple_reads_back_once_through_its_terms() {
+        let store = LsmStore::in_memory(test_cfg());
+        let (john, ty) = (Term::iri("http://ex.org/john"), crate::vocab::rdf_type());
+        let customer = Term::iri("http://ex.org/Customer");
+        let typed = JournalOp::Insert(john.clone(), ty.clone(), customer.clone());
+        store.write_batch("m", std::slice::from_ref(&typed)).unwrap();
+        // A duplicate insert leaves one copy.
+        store.write_batch("m", &[typed]).unwrap();
+        let snap = store.snapshot();
+        let g = snap.model("m").unwrap();
+        assert_eq!((g.len(), g.iter().count()), (1, 1));
+        let pattern = snap.pattern(Some(&john), Some(&ty), None).unwrap();
+        let hits: Vec<_> = g.scan(pattern).collect();
+        assert_eq!(hits.len(), 1);
+        assert_eq!(snap.decode(hits[0]).unwrap(), (&john, &ty, &customer));
+    }
+
+    #[test]
+    fn a_removed_triple_leaves_every_permutation() {
+        use crate::triple::TriplePattern;
+        let store = LsmStore::in_memory(test_cfg());
+        let term = |n: u64| Term::iri(format!("t{n}"));
+        let op = |insert: bool, (s, p, o): (u64, u64, u64)| {
+            let (s, p, o) = (term(s), term(p), term(o));
+            if insert { JournalOp::Insert(s, p, o) } else { JournalOp::Remove(s, p, o) }
+        };
+        let rows = [(1, 10, 100), (1, 10, 101), (1, 11, 100), (2, 10, 100)];
+        let inserts: Vec<_> = rows.iter().map(|&r| op(true, r)).collect();
+        store.write_batch("m", &inserts).unwrap();
+        // The insert is sealed into a run, so the remove is a tombstone in
+        // a later layer; then compaction folds both into the base.
+        store.seal_now().unwrap();
+        store.write_batch("m", &[op(false, rows[0])]).unwrap();
+        for compacted in [false, true] {
+            if compacted {
+                store.seal_now().unwrap();
+                assert!(store.compact_once().unwrap());
+            }
+            let snap = store.snapshot();
+            let g = snap.model("m").unwrap();
+            let id = |n: u64| snap.encode(&term(n)).unwrap();
+            let gone = Triple::new(id(1), id(10), id(100));
+            assert!(!g.contains(gone));
+            // No access path still sees it.
+            assert_eq!(g.scan(TriplePattern::with_s(id(1))).count(), 2);
+            assert_eq!(g.scan(TriplePattern::with_p(id(10))).count(), 2);
+            assert_eq!(g.scan(TriplePattern::with_o(id(100))).count(), 2);
+            assert_eq!(g.count_exact(TriplePattern::exact(gone)), 0);
+            if compacted {
+                assert_eq!(g.estimate_upto(TriplePattern::exact(gone), 10), 0);
+            }
+        }
+    }
+
+    /// A snapshot directory the way a checkpoint leaves it, saved from a
+    /// volatile engine's snapshot.
     fn seeded_dir(tag: &str) -> PathBuf {
         let dir = temp_dir(tag);
-        let mut seed = crate::store::Store::new();
-        seed.create_model("m").unwrap();
-        seed.insert("m", &Term::iri("base"), &Term::iri("p"), &Term::iri("v")).unwrap();
-        save_frozen_snapshot(seed.dict(), seed.freeze().models(), &dir, 0).unwrap();
+        let seed = LsmStore::in_memory(test_cfg());
+        seed.write_batch("m", &[ins("base", "v")]).unwrap();
+        let snap = seed.snapshot();
+        save_frozen_snapshot(snap.dict(), snap.models(), &dir, 0).unwrap();
         dir
     }
 
@@ -1738,10 +1792,10 @@ mod tests {
         let base = Arc::clone(store.snapshot().model("m").unwrap().base_arc());
         store.install_model("v1", Arc::clone(&base)).unwrap();
         assert!(Arc::ptr_eq(store.snapshot().model("v1").unwrap().base_arc(), &base));
-        assert!(matches!(
+        assert_eq!(
             store.install_model("v1", Arc::clone(&base)),
-            Err(RdfError::ModelExists(_))
-        ));
+            Err(RdfError::ModelExists("v1".into()))
+        );
         assert!(matches!(store.install_model("m", base), Err(RdfError::ModelExists(_))));
         // Later writes and compactions move "m" on; the version stays.
         store.write_batch("m", &[del("a", "b")]).unwrap();

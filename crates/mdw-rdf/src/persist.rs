@@ -283,8 +283,7 @@ fn read_model_file(
 }
 
 /// Loads one model file into frozen columns, interning its terms into
-/// `dict` — a loaded snapshot starts life immutable, never built through a
-/// mutable `Graph`.
+/// `dict` — a loaded snapshot starts life as immutable columns.
 fn load_model_file(
     dir: &Path,
     entry: &ManifestEntry,
@@ -698,7 +697,8 @@ pub fn model_files(dir: &Path) -> Result<Vec<PathBuf>, RdfError> {
 mod tests {
     use super::*;
     use crate::failpoint::FailSpec;
-    use crate::store::Store;
+    use crate::journal::JournalOp;
+    use crate::lsm::{LsmConfig, LsmStore};
     use crate::term::Term;
     use crate::vocab;
 
@@ -711,39 +711,43 @@ mod tests {
         dir
     }
 
-    fn sample_store() -> Store {
-        let mut store = Store::new();
-        store.create_model("DWH_CURR").unwrap();
-        store.create_model("HIST_2009.1").unwrap();
-        let data: Vec<(&str, Term, Term, Term)> = vec![
-            (
+    /// An engine holding two models, written through the write door.
+    fn sample_store() -> LsmStore {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        store
+            .write_batch(
                 "DWH_CURR",
-                Term::iri("http://ex.org/a"),
-                Term::iri(vocab::rdf::TYPE),
-                Term::iri("http://ex.org/Customer"),
-            ),
-            (
-                "DWH_CURR",
-                Term::iri("http://ex.org/a"),
-                Term::iri(vocab::cs::HAS_NAME),
-                Term::plain("a name with \"quotes\" and\nnewlines"),
-            ),
-            (
+                &[
+                    JournalOp::Insert(
+                        Term::iri("http://ex.org/a"),
+                        Term::iri(vocab::rdf::TYPE),
+                        Term::iri("http://ex.org/Customer"),
+                    ),
+                    JournalOp::Insert(
+                        Term::iri("http://ex.org/a"),
+                        Term::iri(vocab::cs::HAS_NAME),
+                        Term::plain("a name with \"quotes\" and\nnewlines"),
+                    ),
+                ],
+            )
+            .unwrap();
+        store
+            .write_batch(
                 "HIST_2009.1",
-                Term::iri("http://ex.org/old"),
-                Term::iri("http://ex.org/p"),
-                Term::integer(42),
-            ),
-        ];
-        for (m, s, p, o) in data {
-            store.insert(m, &s, &p, &o).unwrap();
-        }
+                &[JournalOp::Insert(
+                    Term::iri("http://ex.org/old"),
+                    Term::iri("http://ex.org/p"),
+                    Term::integer(42),
+                )],
+            )
+            .unwrap();
         store
     }
 
-    /// Snapshots a builder store the way the engine does: frozen models.
-    fn save(store: &Store, dir: &Path, journal_seq: u64) -> Result<SaveReport, RdfError> {
-        save_frozen_snapshot(store.dict(), store.freeze().models(), dir, journal_seq)
+    /// Snapshots the engine's current generation.
+    fn save(store: &LsmStore, dir: &Path, journal_seq: u64) -> Result<SaveReport, RdfError> {
+        let snap = store.snapshot();
+        save_frozen_snapshot(snap.dict(), snap.models(), dir, journal_seq)
     }
 
     fn model_lines(store: &FrozenStore, name: &str) -> Vec<String> {
@@ -768,7 +772,7 @@ mod tests {
         assert_eq!(report.models.len(), 2);
 
         let loaded = load_store(&dir).unwrap();
-        let store = store.freeze();
+        let store = store.snapshot();
         assert_eq!(loaded.model_names(), store.model_names());
         for name in store.model_names() {
             assert_eq!(model_lines(&store, name), model_lines(&loaded, name), "model {name}");
@@ -782,10 +786,9 @@ mod tests {
         let store = sample_store();
         save(&store, &dir, 0).unwrap();
         // Save a smaller store into the same directory.
-        let mut small = Store::new();
-        small.create_model("only").unwrap();
+        let small = LsmStore::in_memory(LsmConfig::default());
         small
-            .insert("only", &Term::iri("a"), &Term::iri("p"), &Term::iri("b"))
+            .write_batch("only", &[JournalOp::Insert(Term::iri("a"), Term::iri("p"), Term::iri("b"))])
             .unwrap();
         save(&small, &dir, 0).unwrap();
         let loaded = load_store(&dir).unwrap();
@@ -813,7 +816,7 @@ mod tests {
     #[test]
     fn empty_store_round_trips() {
         let dir = temp_dir("empty");
-        let store = Store::new();
+        let store = LsmStore::in_memory(LsmConfig::default());
         save(&store, &dir, 0).unwrap();
         let loaded = load_store(&dir).unwrap();
         assert!(loaded.model_names().is_empty());
@@ -888,13 +891,15 @@ mod tests {
         let dir = temp_dir("crash-snap");
         let store = sample_store();
         save(&store, &dir, 0).unwrap();
-        let mut bigger = sample_store();
+        let bigger = sample_store();
         bigger
-            .insert(
+            .write_batch(
                 "DWH_CURR",
-                &Term::iri("http://ex.org/new"),
-                &Term::iri("http://ex.org/p"),
-                &Term::iri("http://ex.org/v"),
+                &[JournalOp::Insert(
+                    Term::iri("http://ex.org/new"),
+                    Term::iri("http://ex.org/p"),
+                    Term::iri("http://ex.org/v"),
+                )],
             )
             .unwrap();
 
@@ -906,7 +911,7 @@ mod tests {
             let loaded = load_store(&dir).unwrap();
             assert_eq!(
                 model_lines(&loaded, "DWH_CURR"),
-                model_lines(&store.freeze(), "DWH_CURR")
+                model_lines(&store.snapshot(), "DWH_CURR")
             );
         }
         // And the next save succeeds and commits the new state.
@@ -914,7 +919,7 @@ mod tests {
         let loaded = load_store(&dir).unwrap();
         assert_eq!(
             model_lines(&loaded, "DWH_CURR"),
-            model_lines(&bigger.freeze(), "DWH_CURR")
+            model_lines(&bigger.snapshot(), "DWH_CURR")
         );
         fs::remove_dir_all(&dir).unwrap();
     }

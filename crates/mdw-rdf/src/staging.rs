@@ -192,8 +192,8 @@ mod tests {
     fn stage_batch() {
         let mut staging = StagingArea::new();
         let batch = vec![
-            (iri("A"), vocab::rdfs_sub_class_of(), iri("B")),
-            (iri("B"), vocab::rdfs_sub_class_of(), iri("C")),
+            (iri("A"), Term::iri(vocab::rdfs::SUB_CLASS_OF), iri("B")),
+            (iri("B"), Term::iri(vocab::rdfs::SUB_CLASS_OF), iri("C")),
         ];
         staging.stage_batch("ontology", batch.clone());
         assert_eq!(staging.len(), 2);

@@ -6,9 +6,9 @@ use crate::term::Term;
 /// The RDF well-formedness rules every write path enforces before a triple
 /// is interned: the subject is not a literal, the predicate is an IRI, and
 /// no IRI is empty. `Err` carries the reason. Staging turns it into a
-/// per-triple rejection; [`Store::insert`](crate::store::Store::insert),
-/// [`LsmStore::write_batch`](crate::lsm::LsmStore::write_batch) and the
-/// snapshot loader refuse the triple (and so the batch or file) with it.
+/// per-triple rejection; [`LsmStore::write_batch`](crate::lsm::LsmStore::write_batch)
+/// and the snapshot loader refuse the triple (and so the batch or file)
+/// with it.
 pub fn check_well_formed(s: &Term, p: &Term, o: &Term) -> Result<(), String> {
     if !s.is_subject_capable() {
         return Err(format!("literal subject: {s}"));

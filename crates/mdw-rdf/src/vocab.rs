@@ -144,11 +144,6 @@ pub fn rdf_type() -> Term {
     Term::iri(rdf::TYPE)
 }
 
-/// `rdfs:subClassOf` as a [`Term`].
-pub fn rdfs_sub_class_of() -> Term {
-    Term::iri(rdfs::SUB_CLASS_OF)
-}
-
 /// `owl:Class` as a [`Term`].
 pub fn owl_class() -> Term {
     Term::iri(owl::CLASS)

@@ -101,6 +101,7 @@ proptest! {
     fn stacked_multi_run_scan_equals_flat_freeze(
         ops in proptest::collection::vec(op(), 0..120),
         cuts in proptest::collection::vec(0usize..121, 0..4),
+        cap in 0usize..20,
     ) {
         // Reference: one mutable set, frozen once.
         let mut flat = BTreeSet::new();
@@ -148,18 +149,23 @@ proptest! {
         prop_assert_eq!(stacked.checksum(), reference.checksum());
 
         // Every bound-prefix shape agrees: scan rows, exact counts, and
-        // point membership.
+        // point membership. The planner's capped estimate stays within the
+        // cap and never under-estimates, stacked or solid; the solid one
+        // is exact.
         for (s, p, o) in [(0, 0, 0), (3, 2, 7), (9, 4, 9)] {
             for pattern in all_shapes(s, p, o) {
                 let got: Vec<Triple> = stacked.scan(pattern).collect();
                 let want: Vec<Triple> = reference.scan(pattern).collect();
                 prop_assert_eq!(&got, &want, "pattern {:?}", pattern);
-                prop_assert_eq!(
-                    stacked.count_exact(pattern),
-                    reference.count_exact(pattern),
-                    "count for pattern {:?}",
-                    pattern
+                let exact = reference.count_exact(pattern);
+                prop_assert_eq!(stacked.count_exact(pattern), exact, "count for pattern {:?}", pattern);
+                let estimate = stacked.estimate_upto(pattern, cap);
+                prop_assert!(estimate <= cap, "pattern {:?}: {} over cap {}", pattern, estimate, cap);
+                prop_assert!(
+                    estimate >= exact.min(cap),
+                    "pattern {:?}: {} under-estimates {} (cap {})", pattern, estimate, exact, cap
                 );
+                prop_assert_eq!(reference.estimate_upto(pattern, cap), exact.min(cap));
             }
             let probe = Triple::new(TermId(s), TermId(p), TermId(o));
             prop_assert_eq!(stacked.contains(probe), reference.contains(probe));

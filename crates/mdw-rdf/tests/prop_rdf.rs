@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::{Graph, TripleSource};
+use mdw_rdf::frozen::{FrozenGraph, FrozenIndex};
+use mdw_rdf::journal::JournalOp;
+use mdw_rdf::lsm::{LsmConfig, LsmStore};
 use mdw_rdf::term::{Literal, Term};
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::turtle;
@@ -95,10 +97,8 @@ proptest! {
         triples in proptest::collection::vec(small_triple(), 0..60),
         pattern in small_pattern(),
     ) {
-        let mut index = Graph::new();
-        for &t in &triples {
-            index.insert(t);
-        }
+        let rows = triples.iter().map(|t| t.as_tuple()).collect();
+        let index = FrozenGraph::new(FrozenIndex::from_spo_rows(rows));
         let mut got: Vec<Triple> = index.scan(pattern).collect();
         got.sort();
         got.dedup();
@@ -112,41 +112,49 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    /// Inserts and removes written through the engine, some batches sealed
+    /// into runs of their own, read back as the oracle set after every
+    /// batch.
     #[test]
     fn insert_remove_maintains_set_semantics(
-        ops in proptest::collection::vec((small_triple(), any::<bool>()), 0..80),
+        batches in proptest::collection::vec(
+            (proptest::collection::vec((small_triple(), any::<bool>()), 0..10), any::<bool>()),
+            0..10,
+        ),
     ) {
-        let mut index = Graph::new();
-        let mut oracle = std::collections::BTreeSet::new();
-        for (t, is_insert) in ops {
-            if is_insert {
-                prop_assert_eq!(index.insert(t), oracle.insert(t));
-            } else {
-                prop_assert_eq!(index.remove(t), oracle.remove(&t));
+        let engine = LsmStore::in_memory(LsmConfig { auto_compact: false, ..LsmConfig::default() });
+        // Term `tN` is interned first as id N, so the oracle's ids are the
+        // engine's.
+        let term = |id: TermId| Term::iri(format!("http://ex.org/t{}", id.0));
+        engine.with_dict(|dict| {
+            for id in 0..12 {
+                dict.intern(&term(TermId(id)));
             }
+        });
+        let mut oracle = std::collections::BTreeSet::new();
+        for (ops, seal) in batches {
+            let journal: Vec<JournalOp> = ops
+                .iter()
+                .map(|&(t, is_insert)| {
+                    let (s, p, o) = (term(t.s), term(t.p), term(t.o));
+                    if is_insert { JournalOp::Insert(s, p, o) } else { JournalOp::Remove(s, p, o) }
+                })
+                .collect();
+            engine.write_batch("m", &journal).unwrap();
+            if seal {
+                engine.seal_now().unwrap();
+            }
+            for (t, is_insert) in ops {
+                if is_insert {
+                    oracle.insert(t);
+                } else {
+                    oracle.remove(&t);
+                }
+            }
+            let snap = engine.snapshot();
+            let index = snap.model("m").unwrap();
             prop_assert_eq!(index.len(), oracle.len());
-        }
-        let got: Vec<Triple> = index.iter().collect();
-        let expected: Vec<Triple> = oracle.into_iter().collect();
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn count_cap_is_monotone(
-        triples in proptest::collection::vec(small_triple(), 0..50),
-        pattern in small_pattern(),
-        cap in 0usize..20,
-    ) {
-        let mut index = Graph::new();
-        for &t in &triples {
-            index.insert(t);
-        }
-        let capped = index.estimate(pattern, cap);
-        let full = index.scan(pattern).count();
-        prop_assert!(capped <= cap.max(full));
-        prop_assert!(capped <= full);
-        if full <= cap {
-            prop_assert_eq!(capped, full);
+            prop_assert!(index.iter().eq(oracle.iter().copied()));
         }
     }
 }

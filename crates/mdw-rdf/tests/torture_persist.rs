@@ -11,9 +11,7 @@ use mdw_rdf::frozen::FrozenStore;
 use mdw_rdf::journal::{self, Journal, JournalOp};
 use mdw_rdf::lsm::{LsmConfig, LsmOpenReport, LsmStore};
 use mdw_rdf::persist::{self, SaveReport};
-use mdw_rdf::store::Store;
 use mdw_rdf::term::Term;
-use mdw_rdf::triple::Triple;
 use mdw_rdf::RdfError;
 
 use proptest::prelude::*;
@@ -34,10 +32,11 @@ fn iri(ns: &str, n: u64) -> Term {
     Term::iri(format!("http://ex.org/{ns}/{n}"))
 }
 
-/// Snapshots a builder store the way a checkpoint does.
-fn save(store: &Store, dir: &std::path::Path, journal_seq: u64) -> SaveReport {
-    persist::save_frozen_snapshot(store.dict(), store.freeze().models(), dir, journal_seq)
-        .unwrap()
+/// Snapshots a volatile engine's current generation the way a checkpoint
+/// does.
+fn save(store: &LsmStore, dir: &std::path::Path, journal_seq: u64) -> SaveReport {
+    let snap = store.snapshot();
+    persist::save_frozen_snapshot(snap.dict(), snap.models(), dir, journal_seq).unwrap()
 }
 
 /// Recovery: the one engine's open. Returns the recovered state and what
@@ -64,43 +63,14 @@ fn state_lines(store: &FrozenStore) -> BTreeSet<String> {
     lines
 }
 
-fn apply_ops(store: &mut Store, model: &str, ops: &[JournalOp]) {
-    for op in ops {
-        match op {
-            JournalOp::Insert(s, p, o) => {
-                if !store.has_model(model) {
-                    store.create_model(model).unwrap();
-                }
-                store.insert(model, s, p, o).unwrap();
-            }
-            JournalOp::Remove(s, p, o) => {
-                let ids = (store.encode(s), store.encode(p), store.encode(o));
-                if let (Some(s), Some(p), Some(o)) = ids {
-                    if store.has_model(model) {
-                        store
-                            .model_mut(model)
-                            .unwrap()
-                            .remove(Triple::new(s, p, o));
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn base_store() -> Store {
-    let mut store = Store::new();
-    store.create_model("DWH_CURR").unwrap();
-    for i in 0..3 {
-        store
-            .insert(
-                "DWH_CURR",
-                &iri("base", i),
-                &iri("p", 0),
-                &Term::plain(format!("value {i}")),
-            )
-            .unwrap();
-    }
+/// The recovery oracle: the base written to a volatile engine. Recovered
+/// states are compared with it after the same batches.
+fn base_store() -> LsmStore {
+    let store = LsmStore::in_memory(LsmConfig::default());
+    let ops: Vec<JournalOp> = (0..3)
+        .map(|i| JournalOp::Insert(iri("base", i), iri("p", 0), Term::plain(format!("value {i}"))))
+        .collect();
+    store.write_batch("DWH_CURR", &ops).unwrap();
     store
 }
 
@@ -139,11 +109,11 @@ fn journal_truncated_at_every_byte_recovers_committed_prefix() {
     // Expected state after k committed batches.
     let expected: Vec<BTreeSet<String>> = (0..=batches.len())
         .map(|k| {
-            let mut s = base_store();
+            let s = base_store();
             for ops in &batches[..k] {
-                apply_ops(&mut s, "DWH_CURR", ops);
+                s.write_batch("DWH_CURR", ops).unwrap();
             }
-            state_lines(&s.freeze())
+            state_lines(&s.snapshot())
         })
         .collect();
 
@@ -248,16 +218,16 @@ proptest! {
         ),
     ) {
         let dir = temp_dir("prop-replay");
-        let mut live = base_store();
+        let live = base_store();
         save(&live, &dir, 0);
         {
             let mut j = Journal::open(&dir).unwrap();
             for ops in &batches {
-                apply_ops(&mut live, "DWH_CURR", ops);
+                live.write_batch("DWH_CURR", ops).unwrap();
                 j.append("DWH_CURR", ops).unwrap();
             }
         }
-        let live = state_lines(&live.freeze());
+        let live = state_lines(&live.snapshot());
         let (recovered, report) = recover(&dir).unwrap();
         prop_assert_eq!(&recovered, &live);
         prop_assert_eq!(report.replayed_batches, batches.len());

@@ -340,42 +340,61 @@ fn frozen_delta(triples: Vec<Triple>) -> FrozenIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
     use mdw_rdf::term::Term;
     use mdw_rdf::vocab;
 
-    /// Builds a store with a model `"m"` and interns the OWLPRIME rulebase.
-    fn setup() -> (Store, Rulebase) {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
+    /// A volatile engine with the OWLPRIME rulebase interned first; the
+    /// tests write to its model `"m"`.
+    fn setup() -> (LsmStore, Rulebase) {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let rb = store.with_dict(Rulebase::owlprime);
         (store, rb)
     }
 
-    fn insert(store: &mut Store, s: &str, p: &str, o: &str) {
-        store
-            .insert("m", &Term::iri(s), &Term::iri(p), &Term::iri(o))
-            .unwrap();
+    fn write(store: &LsmStore, s: &str, p: &str, o: Term) {
+        store.write_batch("m", &[JournalOp::Insert(Term::iri(s), Term::iri(p), o)]).unwrap();
     }
 
-    fn derived_contains(store: &Store, m: &Materialization, s: &str, p: &str, o: &str) -> bool {
+    fn insert(store: &LsmStore, s: &str, p: &str, o: &str) {
+        write(store, s, p, Term::iri(o));
+    }
+
+    /// Materializes the rulebase over model `"m"` as last written.
+    fn materialize(store: &LsmStore, rb: &Rulebase) -> Materialization {
+        let snap = store.snapshot();
+        Materialization::materialize(snap.model("m").unwrap(), rb, snap.dict())
+    }
+
+    /// Extends `m` over model `"m"` as last written.
+    fn extend(store: &LsmStore, m: &mut Materialization, rb: &Rulebase, new: Triple) {
+        let snap = store.snapshot();
+        m.extend(snap.model("m").unwrap(), rb, snap.dict(), &[new]);
+    }
+
+    fn id(store: &LsmStore, term: &Term) -> TermId {
+        store.snapshot().encode(term).unwrap()
+    }
+
+    fn derived_contains(store: &LsmStore, m: &Materialization, s: &str, p: &str, o: &str) -> bool {
         let t = Triple::new(
-            store.encode(&Term::iri(s)).unwrap(),
-            store.encode(&Term::iri(p)).unwrap(),
-            store.encode(&Term::iri(o)).unwrap(),
+            id(store, &Term::iri(s)),
+            id(store, &Term::iri(p)),
+            id(store, &Term::iri(o)),
         );
         m.derived().contains(t)
     }
 
     #[test]
     fn subclass_transitivity_and_type_inheritance() {
-        let (mut store, rb) = setup();
+        let (store, rb) = setup();
         // Individual ⊑ Party ⊑ LegalEntity; john : Individual.
-        insert(&mut store, "Individual", vocab::rdfs::SUB_CLASS_OF, "Party");
-        insert(&mut store, "Party", vocab::rdfs::SUB_CLASS_OF, "LegalEntity");
-        insert(&mut store, "john", vocab::rdf::TYPE, "Individual");
+        insert(&store, "Individual", vocab::rdfs::SUB_CLASS_OF, "Party");
+        insert(&store, "Party", vocab::rdfs::SUB_CLASS_OF, "LegalEntity");
+        insert(&store, "john", vocab::rdf::TYPE, "Individual");
 
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let m = materialize(&store, &rb);
         assert!(derived_contains(&store, &m, "Individual", vocab::rdfs::SUB_CLASS_OF, "LegalEntity"));
         assert!(derived_contains(&store, &m, "john", vocab::rdf::TYPE, "Party"));
         assert!(derived_contains(&store, &m, "john", vocab::rdf::TYPE, "LegalEntity"));
@@ -383,17 +402,17 @@ mod tests {
 
     #[test]
     fn deep_subclass_chain_closes() {
-        let (mut store, rb) = setup();
+        let (store, rb) = setup();
         for i in 0..10 {
             insert(
-                &mut store,
+                &store,
                 &format!("C{i}"),
                 vocab::rdfs::SUB_CLASS_OF,
                 &format!("C{}", i + 1),
             );
         }
-        insert(&mut store, "x", vocab::rdf::TYPE, "C0");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        insert(&store, "x", vocab::rdf::TYPE, "C0");
+        let m = materialize(&store, &rb);
         // x must be typed with every class up the chain.
         for i in 1..=10 {
             assert!(
@@ -410,55 +429,39 @@ mod tests {
 
     #[test]
     fn subproperty_inheritance() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "hasFirstName", vocab::rdfs::SUB_PROPERTY_OF, "hasName");
-        store
-            .insert(
-                "m",
-                &Term::iri("john"),
-                &Term::iri("hasFirstName"),
-                &Term::plain("John"),
-            )
-            .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "hasFirstName", vocab::rdfs::SUB_PROPERTY_OF, "hasName");
+        write(&store, "john", "hasFirstName", Term::plain("John"));
+        let m = materialize(&store, &rb);
         let t = Triple::new(
-            store.encode(&Term::iri("john")).unwrap(),
-            store.encode(&Term::iri("hasName")).unwrap(),
-            store.encode(&Term::plain("John")).unwrap(),
+            id(&store, &Term::iri("john")),
+            id(&store, &Term::iri("hasName")),
+            id(&store, &Term::plain("John")),
         );
         assert!(m.derived().contains(t));
     }
 
     #[test]
     fn domain_and_range_typing() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "hasFirstName", vocab::rdfs::DOMAIN, "Individual");
-        insert(&mut store, "worksFor", vocab::rdfs::RANGE, "Institution");
-        store
-            .insert(
-                "m",
-                &Term::iri("john"),
-                &Term::iri("hasFirstName"),
-                &Term::plain("John"),
-            )
-            .unwrap();
-        insert(&mut store, "john", "worksFor", "acme");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "hasFirstName", vocab::rdfs::DOMAIN, "Individual");
+        insert(&store, "worksFor", vocab::rdfs::RANGE, "Institution");
+        write(&store, "john", "hasFirstName", Term::plain("John"));
+        insert(&store, "john", "worksFor", "acme");
+        let m = materialize(&store, &rb);
         assert!(derived_contains(&store, &m, "john", vocab::rdf::TYPE, "Individual"));
         assert!(derived_contains(&store, &m, "acme", vocab::rdf::TYPE, "Institution"));
     }
 
     #[test]
     fn range_never_types_literals() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "hasName", vocab::rdfs::RANGE, "Name");
-        store
-            .insert("m", &Term::iri("john"), &Term::iri("hasName"), &Term::plain("John"))
-            .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "hasName", vocab::rdfs::RANGE, "Name");
+        write(&store, "john", "hasName", Term::plain("John"));
+        let m = materialize(&store, &rb);
         // "John" rdf:type Name would have a literal subject — must be absent.
-        let lit = store.encode(&Term::plain("John")).unwrap();
-        let ty = store.encode(&Term::iri(vocab::rdf::TYPE)).unwrap();
+        let lit = id(&store, &Term::plain("John"));
+        let ty = id(&store, &Term::iri(vocab::rdf::TYPE));
         assert_eq!(
             m.derived().run(TriplePattern::with_sp(lit, ty)).count(),
             0
@@ -467,22 +470,22 @@ mod tests {
 
     #[test]
     fn symmetric_property() {
-        let (mut store, rb) = setup();
+        let (store, rb) = setup();
         // The paper's example: isRelatedTo is symmetric.
-        insert(&mut store, "isRelatedTo", vocab::rdf::TYPE, vocab::owl::SYMMETRIC_PROPERTY);
-        insert(&mut store, "a", "isRelatedTo", "b");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        insert(&store, "isRelatedTo", vocab::rdf::TYPE, vocab::owl::SYMMETRIC_PROPERTY);
+        insert(&store, "a", "isRelatedTo", "b");
+        let m = materialize(&store, &rb);
         assert!(derived_contains(&store, &m, "b", "isRelatedTo", "a"));
     }
 
     #[test]
     fn transitive_property_closes_chain() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "feeds", vocab::rdf::TYPE, vocab::owl::TRANSITIVE_PROPERTY);
-        insert(&mut store, "a", "feeds", "b");
-        insert(&mut store, "b", "feeds", "c");
-        insert(&mut store, "c", "feeds", "d");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "feeds", vocab::rdf::TYPE, vocab::owl::TRANSITIVE_PROPERTY);
+        insert(&store, "a", "feeds", "b");
+        insert(&store, "b", "feeds", "c");
+        insert(&store, "c", "feeds", "d");
+        let m = materialize(&store, &rb);
         assert!(derived_contains(&store, &m, "a", "feeds", "c"));
         assert!(derived_contains(&store, &m, "a", "feeds", "d"));
         assert!(derived_contains(&store, &m, "b", "feeds", "d"));
@@ -490,25 +493,23 @@ mod tests {
 
     #[test]
     fn inverse_of_both_directions() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "feeds", vocab::owl::INVERSE_OF, "isFedBy");
-        insert(&mut store, "a", "feeds", "b");
-        insert(&mut store, "c", "isFedBy", "d");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "feeds", vocab::owl::INVERSE_OF, "isFedBy");
+        insert(&store, "a", "feeds", "b");
+        insert(&store, "c", "isFedBy", "d");
+        let m = materialize(&store, &rb);
         assert!(derived_contains(&store, &m, "b", "isFedBy", "a"));
         assert!(derived_contains(&store, &m, "d", "feeds", "c"));
     }
 
     #[test]
     fn inverse_over_literal_object_never_derives_literal_subject() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "hasLabel", vocab::owl::INVERSE_OF, "isLabelOf");
-        store
-            .insert("m", &Term::iri("x"), &Term::iri("hasLabel"), &Term::plain("a label"))
-            .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "hasLabel", vocab::owl::INVERSE_OF, "isLabelOf");
+        write(&store, "x", "hasLabel", Term::plain("a label"));
+        let m = materialize(&store, &rb);
         // "a label" isLabelOf x would have a literal subject — must be absent.
-        let lit = store.encode(&Term::plain("a label")).unwrap();
+        let lit = id(&store, &Term::plain("a label"));
         assert_eq!(
             m.derived().run(TriplePattern::with_s(lit)).count(),
             0,
@@ -518,34 +519,32 @@ mod tests {
 
     #[test]
     fn symmetric_over_literal_object_is_skipped() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "alias", vocab::rdf::TYPE, vocab::owl::SYMMETRIC_PROPERTY);
-        store
-            .insert("m", &Term::iri("x"), &Term::iri("alias"), &Term::plain("nickname"))
-            .unwrap();
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        let lit = store.encode(&Term::plain("nickname")).unwrap();
+        let (store, rb) = setup();
+        insert(&store, "alias", vocab::rdf::TYPE, vocab::owl::SYMMETRIC_PROPERTY);
+        write(&store, "x", "alias", Term::plain("nickname"));
+        let m = materialize(&store, &rb);
+        let lit = id(&store, &Term::plain("nickname"));
         assert_eq!(m.derived().run(TriplePattern::with_s(lit)).count(), 0);
     }
 
     #[test]
     fn equivalent_class_gives_mutual_membership() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "Customer", vocab::owl::EQUIVALENT_CLASS, "Client");
-        insert(&mut store, "x", vocab::rdf::TYPE, "Customer");
-        insert(&mut store, "y", vocab::rdf::TYPE, "Client");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "Customer", vocab::owl::EQUIVALENT_CLASS, "Client");
+        insert(&store, "x", vocab::rdf::TYPE, "Customer");
+        insert(&store, "y", vocab::rdf::TYPE, "Client");
+        let m = materialize(&store, &rb);
         assert!(derived_contains(&store, &m, "x", vocab::rdf::TYPE, "Client"));
         assert!(derived_contains(&store, &m, "y", vocab::rdf::TYPE, "Customer"));
     }
 
     #[test]
     fn same_as_copies_statements() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "cust_42", vocab::owl::SAME_AS, "partner_42");
-        insert(&mut store, "cust_42", "locatedIn", "Zurich");
-        insert(&mut store, "hq", "owns", "partner_42");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "cust_42", vocab::owl::SAME_AS, "partner_42");
+        insert(&store, "cust_42", "locatedIn", "Zurich");
+        insert(&store, "hq", "owns", "partner_42");
+        let m = materialize(&store, &rb);
         assert!(derived_contains(&store, &m, "partner_42", vocab::owl::SAME_AS, "cust_42"));
         assert!(derived_contains(&store, &m, "partner_42", "locatedIn", "Zurich"));
         assert!(derived_contains(&store, &m, "hq", "owns", "cust_42"));
@@ -553,51 +552,45 @@ mod tests {
 
     #[test]
     fn fixpoint_is_idempotent() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
-        insert(&mut store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
-        insert(&mut store, "x", vocab::rdf::TYPE, "A");
-        let m1 = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
+        insert(&store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
+        insert(&store, "x", vocab::rdf::TYPE, "A");
+        let m1 = materialize(&store, &rb);
         // Re-materializing a graph that already includes the derived triples
         // derives nothing new beyond them.
-        let mut enriched = store.model("m").unwrap().clone();
-        for t in m1.derived().iter() {
-            enriched.insert(t);
-        }
-        let m2 = Materialization::materialize(&enriched, &rb, store.dict());
+        let snap = store.snapshot();
+        let enriched = FrozenGraph::new(snap.model("m").unwrap().compact().union(m1.derived()));
+        let m2 = Materialization::materialize(&enriched, &rb, snap.dict());
         assert_eq!(m2.derived().len(), 0);
     }
 
     #[test]
     fn empty_rulebase_derives_nothing() {
-        let (mut store, _) = setup();
-        insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
-        let m = Materialization::materialize(
-            store.model("m").unwrap(),
-            &Rulebase::empty(),
-            store.dict(),
-        );
+        let (store, _) = setup();
+        insert(&store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
+        let m = materialize(&store, &Rulebase::empty());
         assert_eq!(m.derived().len(), 0);
         assert_eq!(m.stats().rounds, 0);
     }
 
     #[test]
     fn incremental_extend_matches_full_rematerialization() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
-        insert(&mut store, "x", vocab::rdf::TYPE, "A");
-        let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
+        insert(&store, "x", vocab::rdf::TYPE, "A");
+        let mut m = materialize(&store, &rb);
 
         // New release adds a superclass on top.
-        insert(&mut store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
+        insert(&store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
         let new = Triple::new(
-            store.encode(&Term::iri("B")).unwrap(),
-            store.encode(&Term::iri(vocab::rdfs::SUB_CLASS_OF)).unwrap(),
-            store.encode(&Term::iri("C")).unwrap(),
+            id(&store, &Term::iri("B")),
+            id(&store, &Term::iri(vocab::rdfs::SUB_CLASS_OF)),
+            id(&store, &Term::iri("C")),
         );
-        m.extend(store.model("m").unwrap(), &rb, store.dict(), &[new]);
+        extend(&store, &mut m, &rb, new);
 
-        let full = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let full = materialize(&store, &rb);
         let inc: Vec<_> = m.derived().iter().collect();
         let fl: Vec<_> = full.derived().iter().collect();
         assert_eq!(inc, fl);
@@ -606,43 +599,44 @@ mod tests {
 
     #[test]
     fn extend_moves_a_derived_fact_to_the_base_and_counts_it_once() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
-        insert(&mut store, "x", vocab::rdf::TYPE, "A");
-        let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        let ty = store.encode(&vocab::rdf_type()).unwrap();
-        let type_count = |m: &Materialization, store: &Store| {
-            let stats = m.entailed_stats(&store.model("m").unwrap().freeze(), Some(ty));
+        let (store, rb) = setup();
+        insert(&store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
+        insert(&store, "x", vocab::rdf::TYPE, "A");
+        let mut m = materialize(&store, &rb);
+        let ty = id(&store, &vocab::rdf_type());
+        let type_count = |m: &Materialization, store: &LsmStore| {
+            let stats = m.entailed_stats(store.snapshot().model("m").unwrap(), Some(ty));
             stats.predicate(ty).map(|p| p.count)
         };
         let before = type_count(&m, &store);
         assert!(derived_contains(&store, &m, "x", vocab::rdf::TYPE, "B"));
 
         // Assert what was derived: it leaves the index for the base.
-        insert(&mut store, "x", vocab::rdf::TYPE, "B");
+        insert(&store, "x", vocab::rdf::TYPE, "B");
         let moved = Triple::new(
-            store.encode(&Term::iri("x")).unwrap(),
+            id(&store, &Term::iri("x")),
             ty,
-            store.encode(&Term::iri("B")).unwrap(),
+            id(&store, &Term::iri("B")),
         );
-        m.extend(store.model("m").unwrap(), &rb, store.dict(), &[moved]);
+        extend(&store, &mut m, &rb, moved);
         assert!(!m.derived().contains(moved));
         assert_eq!(m.stats().derived, m.derived().len());
 
-        let base = store.model("m").unwrap().freeze();
-        let stats = m.entailed_stats(&base, Some(ty));
+        let snap = store.snapshot();
+        let base = snap.model("m").unwrap();
+        let stats = m.entailed_stats(base, Some(ty));
         assert_eq!(stats.total_triples(), base.len() + m.derived().len());
         assert_eq!(type_count(&m, &store), before);
-        assert_eq!(stats.class_count(store.encode(&Term::iri("B")).unwrap()), Some(1));
+        assert_eq!(stats.class_count(id(&store, &Term::iri("B"))), Some(1));
     }
 
     #[test]
     fn stats_per_rule_accounting() {
-        let (mut store, rb) = setup();
-        insert(&mut store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
-        insert(&mut store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
-        insert(&mut store, "x", vocab::rdf::TYPE, "A");
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = setup();
+        insert(&store, "A", vocab::rdfs::SUB_CLASS_OF, "B");
+        insert(&store, "B", vocab::rdfs::SUB_CLASS_OF, "C");
+        insert(&store, "x", vocab::rdf::TYPE, "A");
+        let m = materialize(&store, &rb);
         let stats = m.stats();
         assert_eq!(stats.derived, m.derived().len());
         assert!(stats.rounds >= 2);

@@ -101,27 +101,29 @@ mod tests {
     use super::*;
     use crate::engine::Materialization;
     use crate::rulebase::Rulebase;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::frozen::FrozenStore;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
     use mdw_rdf::term::Term;
     use mdw_rdf::vocab;
 
-    fn setup() -> (Store, Materialization) {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        let rb = Rulebase::owlprime(store.dict_mut());
-        for (s, p, o) in [
+    fn setup() -> (Arc<FrozenStore>, Materialization) {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let rb = store.with_dict(Rulebase::owlprime);
+        let ops: Vec<JournalOp> = [
             ("Individual", vocab::rdfs::SUB_CLASS_OF, "Party"),
             ("john", vocab::rdf::TYPE, "Individual"),
-        ] {
-            store
-                .insert("m", &Term::iri(s), &Term::iri(p), &Term::iri(o))
-                .unwrap();
-        }
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        (store, m)
+        ]
+        .into_iter()
+        .map(|(s, p, o)| JournalOp::Insert(Term::iri(s), Term::iri(p), Term::iri(o)))
+        .collect();
+        store.write_batch("m", &ops).unwrap();
+        let snap = store.snapshot();
+        let m = Materialization::materialize(snap.model("m").unwrap(), &rb, snap.dict());
+        (snap, m)
     }
 
-    fn view<'a>(store: &Store, g: &'a FrozenGraph, m: &'a Materialization) -> EntailedGraph<'a> {
+    fn view<'a>(store: &FrozenStore, g: &'a FrozenGraph, m: &'a Materialization) -> EntailedGraph<'a> {
         let type_id = store.dict().lookup(&vocab::rdf_type());
         EntailedGraph::new(g, m.derived(), Arc::new(m.entailed_stats(g, type_id)))
     }
@@ -129,8 +131,8 @@ mod tests {
     #[test]
     fn view_sees_base_and_derived() {
         let (store, m) = setup();
-        let g = store.model("m").unwrap().freeze();
-        let view = view(&store, &g, &m);
+        let g = store.model("m").unwrap();
+        let view = view(&store, g, &m);
 
         let john = store.encode(&Term::iri("john")).unwrap();
         let ty = store.encode(&Term::iri(vocab::rdf::TYPE)).unwrap();
@@ -146,21 +148,21 @@ mod tests {
     #[test]
     fn base_only_scan_misses_derived() {
         let (store, m) = setup();
-        let g = store.model("m").unwrap().freeze();
+        let g = store.model("m").unwrap();
         let john = store.encode(&Term::iri("john")).unwrap();
         let ty = store.encode(&Term::iri(vocab::rdf::TYPE)).unwrap();
         let party = store.encode(&Term::iri("Party")).unwrap();
         let derived_triple = mdw_rdf::triple::Triple::new(john, ty, party);
         assert!(!g.contains(derived_triple));
-        let view = view(&store, &g, &m);
+        let view = view(&store, g, &m);
         assert!(view.contains(derived_triple));
     }
 
     #[test]
     fn no_duplicates_in_union_scan() {
         let (store, m) = setup();
-        let g = store.model("m").unwrap().freeze();
-        let view = view(&store, &g, &m);
+        let g = store.model("m").unwrap();
+        let view = view(&store, g, &m);
         let mut all: Vec<_> = view.scan(TriplePattern::any()).collect();
         let before = all.len();
         all.sort();
@@ -171,8 +173,8 @@ mod tests {
     #[test]
     fn estimate_caps() {
         let (store, m) = setup();
-        let g = store.model("m").unwrap().freeze();
-        let view = view(&store, &g, &m);
+        let g = store.model("m").unwrap();
+        let view = view(&store, g, &m);
         assert_eq!(view.estimate(TriplePattern::any(), 1), 1);
         assert_eq!(view.estimate(TriplePattern::any(), 1000), view.len());
     }

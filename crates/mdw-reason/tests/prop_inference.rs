@@ -15,7 +15,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::{Graph, Scan, Store, TripleSource};
+use mdw_rdf::frozen::FrozenGraph;
+use mdw_rdf::journal::JournalOp;
+use mdw_rdf::lsm::{LsmConfig, LsmStore};
+use mdw_rdf::store::{Scan, TripleSource};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::vocab::{owl, rdf, rdfs};
@@ -84,24 +87,32 @@ fn triple((kind, a, b, c): Edge) -> (Term, Term, Term) {
     }
 }
 
-/// A store holding `edges` in model `"m"`, and its rulebase.
-fn build(edges: &[Edge], rdfs_only: bool) -> (Store, Rulebase) {
-    let mut store = Store::new();
-    store.create_model("m").unwrap();
-    let rb = if rdfs_only {
-        Rulebase::rdfs(store.dict_mut())
-    } else {
-        Rulebase::owlprime(store.dict_mut())
-    };
-    for &edge in edges {
-        let (s, p, o) = triple(edge);
-        store.insert("m", &s, &p, &o).unwrap();
-    }
+fn inserts(edges: &[Edge]) -> Vec<JournalOp> {
+    edges
+        .iter()
+        .map(|&edge| {
+            let (s, p, o) = triple(edge);
+            JournalOp::Insert(s, p, o)
+        })
+        .collect()
+}
+
+/// An engine holding `edges` in model `"m"`, and its rulebase (interned
+/// first).
+fn build(edges: &[Edge], rdfs_only: bool) -> (LsmStore, Rulebase) {
+    let store = LsmStore::in_memory(LsmConfig::default());
+    let rb = store.with_dict(if rdfs_only { Rulebase::rdfs } else { Rulebase::owlprime });
+    store.write_batch("m", &inserts(edges)).unwrap();
     (store, rb)
 }
 
-fn base(store: &Store) -> BTreeSet<Triple> {
-    store.model("m").unwrap().iter().collect()
+fn base(store: &LsmStore) -> BTreeSet<Triple> {
+    store.snapshot().model("m").unwrap().iter().collect()
+}
+
+fn materialize(store: &LsmStore, rb: &Rulebase) -> Materialization {
+    let snap = store.snapshot();
+    Materialization::materialize(snap.model("m").unwrap(), rb, snap.dict())
 }
 
 fn derived(m: &Materialization) -> BTreeSet<Triple> {
@@ -164,35 +175,37 @@ fn well_formed(dict: &Dictionary, t: Triple) -> bool {
     !dict.term(t.s).unwrap().is_literal() && dict.term(t.p).unwrap().is_iri()
 }
 
-/// Inserts `edges` into model `"m"` and extends `m` with the new ones.
-fn insert_and_extend(store: &mut Store, m: &mut Materialization, rb: &Rulebase, edges: &[Edge]) {
-    let mut new_facts = Vec::new();
-    for &edge in edges {
-        let (s, p, o) = triple(edge);
-        if store.insert("m", &s, &p, &o).unwrap() {
-            let id = |t: &Term| store.encode(t).unwrap();
-            new_facts.push(Triple::new(id(&s), id(&p), id(&o)));
-        }
-    }
-    m.extend(store.model("m").unwrap(), rb, store.dict(), &new_facts);
+/// Writes `edges` to model `"m"` and extends `m` with the ones the model
+/// did not hold.
+fn insert_and_extend(store: &LsmStore, m: &mut Materialization, rb: &Rulebase, edges: &[Edge]) {
+    let before = store.snapshot();
+    let held = before.model("m").unwrap();
+    let committed = store.write_batch("m", &inserts(edges)).unwrap();
+    // The dictionary is append-only, so a triple keeps its ids across the
+    // write, and one with a new term was not in the model.
+    let new_facts: Vec<Triple> =
+        committed.ops.into_iter().map(|(_, t)| t).filter(|&t| !held.contains(t)).collect();
+    let snap = store.snapshot();
+    m.extend(snap.model("m").unwrap(), rb, snap.dict(), &new_facts);
 }
 
 /// Materializes `edges[..split]`, extends with the rest, and checks the
 /// result against the oracle over all of `edges`.
 fn check_extend(edges: &[Edge], split: usize, rdfs_only: bool) {
-    let (mut store, rb) = build(&edges[..split], rdfs_only);
-    let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-    insert_and_extend(&mut store, &mut m, &rb, &edges[split..]);
-    assert_eq!(derived(&m), oracle(&base(&store), &rb, store.dict()));
+    let (store, rb) = build(&edges[..split], rdfs_only);
+    let mut m = materialize(&store, &rb);
+    insert_and_extend(&store, &mut m, &rb, &edges[split..]);
+    assert_eq!(derived(&m), oracle(&base(&store), &rb, store.snapshot().dict()));
 }
 
 /// The entailed view's planner statistics against a scan of the view: the
 /// total, every predicate's count and every class's instance count exact,
 /// and every predicate's distincts at least the union's.
-fn check_view_stats(store: &Store, m: &Materialization) {
-    let base = store.model("m").unwrap().freeze();
-    let type_id = store.dict().lookup(&Term::iri(rdf::TYPE));
-    let view = EntailedGraph::new(&base, m.derived(), Arc::new(m.entailed_stats(&base, type_id)));
+fn check_view_stats(store: &LsmStore, m: &Materialization) {
+    let snap = store.snapshot();
+    let base = snap.model("m").unwrap();
+    let type_id = snap.dict().lookup(&Term::iri(rdf::TYPE));
+    let view = EntailedGraph::new(base, m.derived(), Arc::new(m.entailed_stats(base, type_id)));
     let stats = view.planner_stats(type_id).expect("the entailed view has statistics");
 
     let mut predicates: BTreeMap<TermId, (usize, BTreeSet<TermId>, BTreeSet<TermId>)> =
@@ -230,8 +243,8 @@ proptest! {
     #[test]
     fn materialize_equals_the_fixpoint_oracle(edges in random_graph(), rdfs_only in any::<bool>()) {
         let (store, rb) = build(&edges, rdfs_only);
-        let m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
-        let expected = oracle(&base(&store), &rb, store.dict());
+        let m = materialize(&store, &rb);
+        let expected = oracle(&base(&store), &rb, store.snapshot().dict());
         prop_assert_eq!(derived(&m), expected.clone());
         prop_assert_eq!(m.stats().derived, expected.len());
         prop_assert_eq!(m.stats().per_rule.values().sum::<usize>(), expected.len());
@@ -253,12 +266,12 @@ proptest! {
         split in 0..=MAX_EDGES,
     ) {
         let split = split.min(edges.len());
-        let (mut store, rb) = build(&edges[..split], false);
-        let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+        let (store, rb) = build(&edges[..split], false);
+        let mut m = materialize(&store, &rb);
         // The first check caches the derived side's statistics; `extend`
         // must drop them.
         check_view_stats(&store, &m);
-        insert_and_extend(&mut store, &mut m, &rb, &edges[split..]);
+        insert_and_extend(&store, &mut m, &rb, &edges[split..]);
         check_view_stats(&store, &m);
     }
 }
@@ -290,7 +303,7 @@ fn extend_adds_a_subclass_edge_beside_a_self_loop() {
 
 /// A base graph that tallies the rows its pattern scans serve.
 struct CountingSource<'a> {
-    graph: &'a Graph,
+    graph: &'a FrozenGraph,
     rows: Cell<usize>,
 }
 
@@ -298,7 +311,7 @@ impl TripleSource for CountingSource<'_> {
     fn scan_pattern(&self, pattern: TriplePattern) -> Scan<'_> {
         self.rows
             .set(self.rows.get() + self.graph.scan(pattern).count());
-        self.graph.scan(pattern)
+        self.graph.scan(pattern).into()
     }
 
     fn contains_triple(&self, t: Triple) -> bool {
@@ -306,7 +319,7 @@ impl TripleSource for CountingSource<'_> {
     }
 
     fn estimate(&self, pattern: TriplePattern, cap: usize) -> usize {
-        self.graph.estimate(pattern, cap)
+        self.graph.estimate_upto(pattern, cap)
     }
 
     fn len_triples(&self) -> usize {
@@ -324,28 +337,26 @@ fn extend_reads_what_the_new_facts_reach_not_the_graph() {
         .chain([(4, 0, 0, 0), (2, 1, 2, 0)])
         .chain((0..50).map(|x| (11, x, 0, x + 1)))
         .collect();
-    let (mut store, rb) = build(&edges, false);
-    let mut m = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+    let (store, rb) = build(&edges, false);
+    let mut m = materialize(&store, &rb);
 
     // A fact over a property no schema edge mentions reaches nothing.
     let (s, p, o) = (inst(0), prop(3), inst(1));
-    assert!(store.insert("m", &s, &p, &o).unwrap());
-    let fact = Triple::new(
-        store.encode(&s).unwrap(),
-        store.encode(&p).unwrap(),
-        store.encode(&o).unwrap(),
-    );
+    let before = store.snapshot();
+    let fact = store.write_batch("m", &[JournalOp::Insert(s, p, o)]).unwrap().ops[0].1;
+    assert!(!before.model("m").unwrap().contains(fact));
+    let snap = store.snapshot();
     let counting = CountingSource {
-        graph: store.model("m").unwrap(),
+        graph: snap.model("m").unwrap(),
         rows: Cell::new(0),
     };
-    m.extend(&counting, &rb, store.dict(), &[fact]);
+    m.extend(&counting, &rb, snap.dict(), &[fact]);
     assert!(
         counting.rows.get() <= 4,
         "extend read {} base rows for one unrelated fact",
         counting.rows.get()
     );
 
-    let full = Materialization::materialize(store.model("m").unwrap(), &rb, store.dict());
+    let full = materialize(&store, &rb);
     assert_eq!(derived(&m), derived(&full));
 }

@@ -1191,12 +1191,23 @@ fn compare_cells(a: &Option<Term>, b: &Option<Term>) -> Ordering {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use mdw_rdf::store::Store;
+    use mdw_rdf::frozen::FrozenStore;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
     use mdw_rdf::vocab;
 
-    fn sample_store() -> Store {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+    fn ins(s: &str, p: &str, o: Term) -> JournalOp {
+        JournalOp::Insert(Term::iri(s), Term::iri(p), o)
+    }
+
+    /// Model `"m"` of a volatile engine, written in one batch.
+    fn fixture(ops: &[JournalOp]) -> Arc<FrozenStore> {
+        let store = LsmStore::in_memory(LsmConfig::default());
+        store.write_batch("m", ops).unwrap();
+        store.snapshot()
+    }
+
+    fn sample_store() -> Arc<FrozenStore> {
         let data: Vec<(&str, &str, Term)> = vec![
             ("john", vocab::rdf::TYPE, Term::iri("Customer")),
             ("jane", vocab::rdf::TYPE, Term::iri("Customer")),
@@ -1209,21 +1220,19 @@ mod tests {
             ("Customer", vocab::rdfs::LABEL, Term::plain("Customer")),
             ("Institution", vocab::rdfs::LABEL, Term::plain("Institution")),
         ];
-        for (s, p, o) in data {
-            store.insert("m", &Term::iri(s), &Term::iri(p), &o).unwrap();
-        }
-        store
+        let ops: Vec<JournalOp> = data.into_iter().map(|(s, p, o)| ins(s, p, o)).collect();
+        fixture(&ops)
     }
 
     fn try_run(
-        store: &Store,
+        store: &FrozenStore,
         q: &str,
         options: &ExecOptions,
     ) -> Result<(QueryOutput, ExplainReport), SparqlError> {
         execute(&parse(q).unwrap(), store.model("m").unwrap(), store.dict(), options)
     }
 
-    fn run(store: &Store, q: &str) -> QueryOutput {
+    fn run(store: &FrozenStore, q: &str) -> QueryOutput {
         try_run(store, q, &ExecOptions::default()).unwrap().0
     }
 
@@ -1380,14 +1389,7 @@ mod tests {
 
     #[test]
     fn repeated_variable_consistency() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        store
-            .insert("m", &Term::iri("a"), &Term::iri("p"), &Term::iri("a"))
-            .unwrap();
-        store
-            .insert("m", &Term::iri("a"), &Term::iri("p"), &Term::iri("b"))
-            .unwrap();
+        let store = fixture(&[ins("a", "p", Term::iri("a")), ins("a", "p", Term::iri("b"))]);
         let out = run(&store, "SELECT ?x WHERE { ?x <p> ?x }");
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0][0].as_ref().unwrap().label(), "a");
@@ -1507,7 +1509,7 @@ mod tests {
         assert!(matches!(err, SparqlError::Semantic(_)));
     }
 
-    fn run_budgeted(store: &Store, q: &str, budget: &QueryBudget) -> QueryOutput {
+    fn run_budgeted(store: &FrozenStore, q: &str, budget: &QueryBudget) -> QueryOutput {
         let options = ExecOptions { budget: budget.clone(), ..ExecOptions::default() };
         try_run(store, q, &options).unwrap().0
     }
@@ -1650,16 +1652,7 @@ mod tests {
 
     #[test]
     fn catastrophic_regex_trips_instead_of_hanging() {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
-        store
-            .insert(
-                "m",
-                &Term::iri("x"),
-                &Term::iri("hasName"),
-                &Term::plain("a".repeat(64)),
-            )
-            .unwrap();
+        let store = fixture(&[ins("x", "hasName", Term::plain("a".repeat(64)))]);
         let budget = QueryBudget::unlimited();
         let out = run_budgeted(
             &store,
@@ -1690,7 +1683,7 @@ mod tests {
         assert!(matches!(err, SparqlError::BadRegex(_)));
     }
 
-    fn run_mode(store: &Store, q: &str, use_planner: bool) -> QueryOutput {
+    fn run_mode(store: &FrozenStore, q: &str, use_planner: bool) -> QueryOutput {
         let options = ExecOptions { use_planner, ..ExecOptions::default() };
         try_run(store, q, &options).unwrap().0
     }
@@ -1746,23 +1739,15 @@ mod tests {
     fn planner_avoids_adversarial_scan_work() {
         // 200 hasName rows vs 1 Institution: with the planner the join
         // touches ~2 rows; in written order it walks every name.
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+        let mut ops = Vec::new();
         for i in 0..200 {
             let s = format!("c{i}");
-            store
-                .insert("m", &Term::iri(s.clone()), &Term::iri(vocab::rdf::TYPE), &Term::iri("Customer"))
-                .unwrap();
-            store
-                .insert("m", &Term::iri(s), &Term::iri("hasName"), &Term::plain(format!("n{i}")))
-                .unwrap();
+            ops.push(ins(&s, vocab::rdf::TYPE, Term::iri("Customer")));
+            ops.push(ins(&s, "hasName", Term::plain(format!("n{i}"))));
         }
-        store
-            .insert("m", &Term::iri("acme"), &Term::iri(vocab::rdf::TYPE), &Term::iri("Institution"))
-            .unwrap();
-        store
-            .insert("m", &Term::iri("acme"), &Term::iri("hasName"), &Term::plain("ACME"))
-            .unwrap();
+        ops.push(ins("acme", vocab::rdf::TYPE, Term::iri("Institution")));
+        ops.push(ins("acme", "hasName", Term::plain("ACME")));
+        let store = fixture(&ops);
         let q = "SELECT ?x ?n WHERE { ?x <hasName> ?n . ?x a <Institution> }";
 
         let planned_budget = QueryBudget::unlimited();

@@ -423,36 +423,33 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::plan::{PlanNode, UNTRACKED};
-    use mdw_rdf::store::{Store, TripleSource};
+    use mdw_rdf::frozen::FrozenStore;
+    use mdw_rdf::journal::JournalOp;
+    use mdw_rdf::lsm::{LsmConfig, LsmStore};
+    use mdw_rdf::store::TripleSource;
     use mdw_rdf::term::Term;
     use mdw_rdf::vocab;
 
     /// 100 customers with names, 1 institution; `hasName` is the fat
     /// predicate, `a <Institution>` the thin one.
-    fn skewed_store() -> Store {
-        let mut store = Store::new();
-        store.create_model("m").unwrap();
+    fn skewed_store() -> std::sync::Arc<FrozenStore> {
+        let ins = |s: &str, p: &str, o: Term| JournalOp::Insert(Term::iri(s), Term::iri(p), o);
+        let mut ops = Vec::new();
         for i in 0..100 {
             let s = format!("cust{i}");
-            store
-                .insert("m", &Term::iri(s.clone()), &Term::iri(vocab::rdf::TYPE), &Term::iri("Customer"))
-                .unwrap();
-            store
-                .insert("m", &Term::iri(s), &Term::iri("hasName"), &Term::plain(format!("name {i}")))
-                .unwrap();
+            ops.push(ins(&s, vocab::rdf::TYPE, Term::iri("Customer")));
+            ops.push(ins(&s, "hasName", Term::plain(format!("name {i}"))));
         }
-        store
-            .insert("m", &Term::iri("acme"), &Term::iri(vocab::rdf::TYPE), &Term::iri("Institution"))
-            .unwrap();
-        store
-            .insert("m", &Term::iri("acme"), &Term::iri("hasName"), &Term::plain("ACME AG"))
-            .unwrap();
-        store
+        ops.push(ins("acme", vocab::rdf::TYPE, Term::iri("Institution")));
+        ops.push(ins("acme", "hasName", Term::plain("ACME AG")));
+        let store = LsmStore::in_memory(LsmConfig::default());
+        store.write_batch("m", &ops).unwrap();
+        store.snapshot()
     }
 
-    fn plan_for(store: &Store, q: &str) -> QueryPlan {
+    fn plan_for(store: &FrozenStore, q: &str) -> QueryPlan {
         let query = parse(q).unwrap();
-        let source = store.model("m").unwrap();
+        let source: &dyn TripleSource = store.model("m").unwrap();
         let type_id = store.dict().lookup(&vocab::rdf_type());
         let stats = source.planner_stats(type_id);
         plan(
@@ -618,7 +615,7 @@ mod tests {
     fn untracked_subplans_have_no_counter_slots() {
         let store = skewed_store();
         let query = parse("SELECT ?x WHERE { ?x a <Customer> . ?x <hasName> ?n }").unwrap();
-        let source = store.model("m").unwrap();
+        let source: &dyn TripleSource = store.model("m").unwrap();
         let type_id = store.dict().lookup(&vocab::rdf_type());
         let stats = source.planner_stats(type_id);
         let node = plan_untracked(

@@ -1,7 +1,11 @@
 //! Tests for SPARQL 1.1 property paths — the query form the paper's lineage
 //! path expression `(isMappedTo)* rdf:type` (Figure 8) calls for.
 
-use mdw_rdf::store::Store;
+use std::sync::Arc;
+
+use mdw_rdf::frozen::FrozenStore;
+use mdw_rdf::journal::JournalOp;
+use mdw_rdf::lsm::{LsmConfig, LsmStore};
 use mdw_rdf::term::Term;
 use mdw_rdf::vocab;
 use mdw_sparql::exec::{execute, ExecOptions};
@@ -13,34 +17,33 @@ use mdw_sparql::parser::parse;
 /// client --maps--> partner --maps--> customer
 /// customer : ViewColumn ;  alt  --other--> side
 /// ```
-fn chain_store() -> Store {
-    let mut store = Store::new();
-    store.create_model("m").unwrap();
-    let maps = Term::iri("http://t/maps");
-    let other = Term::iri("http://t/other");
-    let ty = Term::iri(vocab::rdf::TYPE);
-    for (s, p, o) in [
-        ("client", &maps, "partner"),
-        ("partner", &maps, "customer"),
-        ("client", &other, "side"),
-        ("side", &maps, "customer"),
-    ] {
-        store
-            .insert("m", &Term::iri(format!("http://t/{s}")), p, &Term::iri(format!("http://t/{o}")))
-            .unwrap();
-    }
-    store
-        .insert(
-            "m",
-            &Term::iri("http://t/customer"),
-            &ty,
-            &Term::iri("http://t/ViewColumn"),
-        )
-        .unwrap();
-    store
+fn chain_ops() -> Vec<JournalOp> {
+    let t = |local: &str| Term::iri(format!("http://t/{local}"));
+    let mut ops: Vec<JournalOp> = [
+        ("client", "maps", "partner"),
+        ("partner", "maps", "customer"),
+        ("client", "other", "side"),
+        ("side", "maps", "customer"),
+    ]
+    .into_iter()
+    .map(|(s, p, o)| JournalOp::Insert(t(s), t(p), t(o)))
+    .collect();
+    ops.push(JournalOp::Insert(t("customer"), Term::iri(vocab::rdf::TYPE), t("ViewColumn")));
+    ops
 }
 
-fn run(store: &Store, q: &str) -> Vec<Vec<String>> {
+fn chain_store() -> Arc<FrozenStore> {
+    fixture(&chain_ops())
+}
+
+/// Model `"m"` of a volatile engine, written in one batch.
+fn fixture(ops: &[JournalOp]) -> Arc<FrozenStore> {
+    let store = LsmStore::in_memory(LsmConfig::default());
+    store.write_batch("m", ops).unwrap();
+    store.snapshot()
+}
+
+fn run(store: &FrozenStore, q: &str) -> Vec<Vec<String>> {
     let query = parse(q).unwrap();
     let (out, _) =
         execute(&query, store.model("m").unwrap(), store.dict(), &ExecOptions::default()).unwrap();
@@ -189,14 +192,12 @@ fn both_endpoints_free_enumerates_pairs() {
 
 #[test]
 fn path_over_cycle_terminates() {
-    let mut store = Store::new();
-    store.create_model("m").unwrap();
-    let p = Term::iri("http://t/p");
-    for (s, o) in [("a", "b"), ("b", "c"), ("c", "a")] {
-        store
-            .insert("m", &Term::iri(format!("http://t/{s}")), &p, &Term::iri(format!("http://t/{o}")))
-            .unwrap();
-    }
+    let t = |local: &str| Term::iri(format!("http://t/{local}"));
+    let ops: Vec<JournalOp> = [("a", "b"), ("b", "c"), ("c", "a")]
+        .into_iter()
+        .map(|(s, o)| JournalOp::Insert(t(s), t("p"), t(o)))
+        .collect();
+    let store = fixture(&ops);
     let rows = run(
         &store,
         "PREFIX t: <http://t/>\nSELECT ?x WHERE { t:a t:p+ ?x } ORDER BY ?x",
@@ -225,15 +226,13 @@ fn unknown_predicate_in_nullable_path_matches_zero_hops() {
 #[test]
 fn path_joins_with_plain_patterns() {
     // The full Listing-2 shape as a single query: path + type + name join.
-    let mut store = chain_store();
-    store
-        .insert(
-            "m",
-            &Term::iri("http://t/customer"),
-            &Term::iri(vocab::cs::HAS_NAME),
-            &Term::plain("customer_id"),
-        )
-        .unwrap();
+    let mut ops = chain_ops();
+    ops.push(JournalOp::Insert(
+        Term::iri("http://t/customer"),
+        Term::iri(vocab::cs::HAS_NAME),
+        Term::plain("customer_id"),
+    ));
+    let store = fixture(&ops);
     let rows = run(
         &store,
         "PREFIX t: <http://t/>\n\

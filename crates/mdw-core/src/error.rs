@@ -18,8 +18,6 @@ pub enum MdwError {
     NotFound(String),
     /// An invalid request (bad parameters).
     InvalidRequest(String),
-    /// The admission gate shed the request; retry after the hint.
-    Overloaded(crate::admission::Overloaded),
 }
 
 impl fmt::Display for MdwError {
@@ -32,14 +30,7 @@ impl fmt::Display for MdwError {
             }
             MdwError::NotFound(what) => write!(f, "not found: {what}"),
             MdwError::InvalidRequest(what) => write!(f, "invalid request: {what}"),
-            MdwError::Overloaded(o) => write!(f, "{o}"),
         }
-    }
-}
-
-impl From<crate::admission::Overloaded> for MdwError {
-    fn from(o: crate::admission::Overloaded) -> Self {
-        MdwError::Overloaded(o)
     }
 }
 

@@ -117,11 +117,6 @@ impl History {
         &self.versions
     }
 
-    /// The most recent version.
-    pub fn latest(&self) -> Option<&VersionRecord> {
-        self.versions.last()
-    }
-
     /// Looks up a version by tag.
     pub fn get(&self, tag: &str) -> Option<&VersionRecord> {
         self.versions.iter().find(|v| v.tag == tag)
@@ -316,7 +311,7 @@ mod tests {
         let series = history.growth_series();
         assert_eq!(series.len(), 2);
         assert!(series[1].2 > series[0].2);
-        assert_eq!(history.latest().unwrap().tag, "v2");
+        assert_eq!(history.versions().last().unwrap().tag, "v2");
         assert_eq!(history.versions()[0].sequence, 0);
     }
 }

@@ -48,9 +48,7 @@ pub mod sync;
 pub mod synonyms;
 pub mod warehouse;
 
-pub use admission::{
-    AdmissionConfig, AdmissionController, Overloaded, Permit, QueryClass, ShedReason,
-};
+pub use admission::{AdmissionConfig, Overloaded, QueryClass, ShedReason};
 pub use answer::{
     AnswerRequest, AnswerResult, AnswerRow, CandidatePlan, ExecutedCandidate, KeywordMatch,
     RankedCandidate,

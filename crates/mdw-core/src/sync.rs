@@ -96,9 +96,11 @@ impl SourceRegistry {
     /// `new_set` must be strictly ascending. Returns
     /// `(to_insert, to_remove, report)`, both ascending: `to_insert` are
     /// triples the model may not have yet; `to_remove` are triples that
-    /// must leave the model (no other source asserts them). The caller
-    /// writes both, and only once the write is acknowledged records the
-    /// delivery with [`replace`](Self::replace).
+    /// must leave the model (no other source asserts them). The report's
+    /// `added` counts the triples new to this source; the caller writes
+    /// both lists, sets `added` to what the model gained, and only once
+    /// the write is acknowledged records the delivery with
+    /// [`replace`](Self::replace).
     pub fn diff(
         &self,
         source: &str,

@@ -36,7 +36,6 @@ use mdw_rdf::{vocab, QueryContext};
 use mdw_reason::{EntailedGraph, Materialization, MaterializeStats, Rulebase};
 use mdw_sparql::{parser, ExecOptions, ExplainReport, QueryOutput, SemMatch};
 
-use crate::admission::{AdmissionConfig, AdmissionController, QueryClass, ShedReason};
 use crate::answer::{self, AnswerRequest, AnswerResult, ExecutedCandidate, SchemaIndex};
 use crate::assist::{self, SourceCandidates};
 use crate::error::MdwError;
@@ -206,7 +205,6 @@ pub struct MetadataWarehouse {
     synonyms: SynonymTable,
     history: History,
     sources: SourceRegistry,
-    admission: Option<AdmissionController>,
     /// Cumulative planner activity over served `SEM_MATCH` queries.
     planner: PlannerCounters,
     /// Cumulative keyword-answering activity.
@@ -264,7 +262,6 @@ impl MetadataWarehouse {
             synonyms: SynonymTable::banking(),
             history: History::new(),
             sources: SourceRegistry::new(),
-            admission: None,
             planner: PlannerCounters::default(),
             answer_counters: AnswerCounters::default(),
         }
@@ -471,7 +468,7 @@ impl MetadataWarehouse {
         }
         // Provenance is kept in id space, so the delivery gets its ids
         // first; the diff then names what to insert and what to remove.
-        let (delivered, inserts, removes, report) = self.lsm.with_dict(|dict| {
+        let (delivered, inserts, removes, mut report) = self.lsm.with_dict(|dict| {
             let mut delivered: Vec<Triple> = extract
                 .triples
                 .iter()
@@ -488,7 +485,9 @@ impl MetadataWarehouse {
             let removes = removed.iter().map(terms).collect();
             (delivered, inserts, removes, report)
         });
-        self.write(None, inserts, removes)?;
+        // The diff counts triples new to this source; the model gains only
+        // those no other source already asserted.
+        report.added = self.write(None, inserts, removes)?;
         self.sources.replace(&extract.source, delivered);
         self.fold();
         Ok(report)
@@ -578,38 +577,20 @@ impl MetadataWarehouse {
     /// Freezes this warehouse into a shared service handle. The warehouse
     /// is `Sync` (queries take `&self`; snapshots are immutable), so a
     /// serving layer can fan one handle out across connection threads; the
-    /// mutating setup surface (`load`, `build_*`, `enable_*`) is sealed off
-    /// because `Arc` only hands out shared references.
+    /// mutating surface (`ingest`, `resync`, `build_semantic_index`,
+    /// `snapshot`, …) is sealed off because `Arc` only hands out shared
+    /// references.
     pub fn into_shared(self) -> Arc<Self> {
         fn assert_service_handle<T: Send + Sync + 'static>() {}
         assert_service_handle::<MetadataWarehouse>();
         Arc::new(self)
     }
 
-    /// Puts an admission gate in front of the query entry points: beyond
-    /// the configured concurrency, queries are shed at once with a typed
-    /// [`MdwError::Overloaded`] instead of piling up (this gate keeps no
-    /// wait queue).
-    pub fn enable_admission(&mut self, config: AdmissionConfig) {
-        self.admission = Some(AdmissionController::new(config));
-    }
-
-    /// The admission gate, when enabled.
-    pub fn admission(&self) -> Option<&AdmissionController> {
-        self.admission.as_ref()
-    }
-
     /// Every counter this warehouse keeps, as named groups in a fixed
-    /// order: `planner` (`SEM_MATCH` planning), `answer` (keyword
-    /// answering), and `admission` (admitted / shed per class) when the gate
-    /// is on. The serving layer renders these; nothing copies them.
+    /// order: `planner` (`SEM_MATCH` planning) and `answer` (keyword
+    /// answering). The serving layer renders these; nothing copies them.
     pub fn counters(&self) -> Vec<(&'static str, &dyn CounterSet)> {
-        let mut groups: Vec<(&'static str, &dyn CounterSet)> =
-            vec![("planner", &self.planner), ("answer", &self.answer_counters)];
-        if let Some(gate) = &self.admission {
-            groups.push(("admission", gate));
-        }
-        groups
+        vec![("planner", &self.planner), ("answer", &self.answer_counters)]
     }
 
     fn empty_index() -> &'static FrozenIndex {
@@ -617,31 +598,26 @@ impl MetadataWarehouse {
         EMPTY.get_or_init(|| FrozenIndex::from_spo_rows(Vec::new()))
     }
 
-    /// The single query choke point: every admitted request — search,
-    /// lineage, `SEM_MATCH`, keyword answer — runs through here, and each
-    /// stage is wired exactly once, in this order:
+    /// The single query choke point: every request — search, lineage,
+    /// `SEM_MATCH`, keyword answer — runs through here, and each stage is
+    /// wired exactly once, in this order (admission is the caller's: the
+    /// serving layer decides it before a request gets here):
     ///
-    /// 1. an admission permit for `class` (shed requests surface as
-    ///    [`MdwError::Overloaded`]), held until the request returns;
-    /// 2. the view of `model` in the pinned snapshot generation — entailed
-    ///    (base ∪ semantic index, [`Self::entailed`]) iff the query named a
-    ///    `rulebase`, otherwise the base facts alone behind an empty overlay
-    ///    and with the base's statistics — so a request never observes a
-    ///    half-applied mutation;
-    /// 3. a [`QueryContext`] on that same generation carrying `budget` and
+    /// 1. pin the view of `model` in the pinned snapshot generation —
+    ///    entailed (base ∪ semantic index, [`Self::entailed`]) iff the query
+    ///    named a `rulebase`, otherwise the base facts alone behind an empty
+    ///    overlay and with the base's statistics — so a request never
+    ///    observes a half-applied mutation;
+    /// 2. a [`QueryContext`] on that same generation carrying `budget` and
     ///    the worker-thread policy;
-    /// 4. `run`, the workload itself.
+    /// 3. `run`, the workload itself.
     fn run_query<T>(
         &self,
-        class: QueryClass,
         budget: &QueryBudget,
         model: &str,
         rulebase: bool,
         run: impl FnOnce(&EntailedGraph<'_>, &QueryContext) -> Result<T, MdwError>,
     ) -> Result<T, MdwError> {
-        let _permit = (self.admission.as_ref())
-            .map(|gate| gate.try_admit(class).ok_or_else(|| gate.shed(class, ShedReason::QueueFull, 0)))
-            .transpose()?;
         let base = self.pinned.store.model(model)?;
         let view = match &self.pinned.materialization {
             _ if !rulebase => {
@@ -656,18 +632,17 @@ impl MetadataWarehouse {
         run(&view, &ctx)
     }
 
-    /// Runs the Section IV.A search. Honors the request's [`QueryBudget`]
-    /// and the admission gate.
+    /// Runs the Section IV.A search. Honors the request's [`QueryBudget`].
     pub fn search(&self, request: &SearchRequest) -> Result<SearchResults, MdwError> {
-        self.run_query(QueryClass::Search, &request.budget, &self.model, true, |view, ctx| {
+        self.run_query(&request.budget, &self.model, true, |view, ctx| {
             Ok(search::search(view, ctx, &self.index()?.search, &self.synonyms, request))
         })
     }
 
     /// Runs the Section IV.B lineage traversal. Honors the request's
-    /// [`QueryBudget`] and the admission gate.
+    /// [`QueryBudget`].
     pub fn lineage(&self, request: &LineageRequest) -> Result<LineageResult, MdwError> {
-        self.run_query(QueryClass::Lineage, &request.budget, &self.model, true, |view, ctx| {
+        self.run_query(&request.budget, &self.model, true, |view, ctx| {
             Ok(lineage::trace(view, ctx, &self.index()?.conditions, request))
         })
     }
@@ -737,7 +712,6 @@ impl MetadataWarehouse {
         use_planner: bool,
     ) -> Result<(QueryOutput, ExplainReport), MdwError> {
         self.run_query(
-            QueryClass::Sparql,
             budget,
             query.model_name().unwrap_or(&self.model),
             query.rulebase_name().is_some(),
@@ -773,12 +747,11 @@ impl MetadataWarehouse {
     /// cardinality estimate, and executes the top-k through the regular
     /// planner/budget stack. The whole request — planning and every
     /// candidate execution — is one pass through the query choke point:
-    /// one `Answer` admission permit, one pinned view. All phases charge
-    /// the request's single [`QueryBudget`], so truncation verdicts are
-    /// truthful prefixes of the unbudgeted run.
+    /// one pinned view. All phases charge the request's single
+    /// [`QueryBudget`], so truncation verdicts are truthful prefixes of the
+    /// unbudgeted run.
     pub fn answer(&self, request: &AnswerRequest) -> Result<AnswerResult, MdwError> {
         let result = self.run_query(
-            QueryClass::Answer,
             &request.budget,
             &self.model,
             true,
@@ -1091,7 +1064,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.rows.len(), 1);
         assert!(report.planner_used);
-        assert_eq!(report.pattern_count(), 1);
+        assert_eq!(report.bgps.iter().map(|b| b.entries.len()).sum::<usize>(), 1);
 
         let (off, naive) = w
             .sem_match_explained(&q, &QueryBudget::unlimited(), false)
@@ -1189,6 +1162,16 @@ mod tests {
             w.search(&SearchRequest::new("new_col")).unwrap().instance_count(),
             1
         );
+    }
+
+    #[test]
+    fn resync_counts_as_added_only_triples_new_to_the_model() {
+        let mut w = MetadataWarehouse::new();
+        let t = (dwh("shared_col"), Term::iri(vocab::rdf::TYPE), dm("Application1_View_Column"));
+        w.ingest(vec![Extract::new("appA", vec![t.clone()])]).unwrap();
+        let report = w.resync(Extract::new("appB", vec![t])).unwrap();
+        assert_eq!(report, SyncReport::default(), "the model already held t");
+        assert_eq!(w.stats().unwrap().edges, 1);
     }
 
     #[test]
@@ -1400,49 +1383,6 @@ mod tests {
         assert_eq!(w.load_synonym_edges().unwrap(), 0);
     }
 
-    /// One request per workload through the facade, reduced to its verdict.
-    type Probe = fn(&MetadataWarehouse) -> Result<Completeness, MdwError>;
-
-    const WORKLOADS: [(QueryClass, Probe); 4] = [
-        (QueryClass::Search, |w| {
-            Ok(w.search(&SearchRequest::new("customer"))?.completeness)
-        }),
-        (QueryClass::Lineage, |w| {
-            Ok(w.lineage(&LineageRequest::downstream(dwh("client_information_id")))?.completeness)
-        }),
-        (QueryClass::Sparql, |w| {
-            let q = SemMatch::new("{ ?x rdf:type ?c }").rulebase("OWLPRIME");
-            Ok(w.sem_match(&q)?.completeness)
-        }),
-        (QueryClass::Answer, |w| {
-            Ok(w.answer(&AnswerRequest::new("column"))?.completeness)
-        }),
-    ];
-
-    #[test]
-    fn zero_quota_sheds_every_workload_with_typed_overloaded() {
-        let mut w = loaded_warehouse();
-        w.enable_admission(AdmissionConfig {
-            max_concurrent: 0,
-            per_class: [0; crate::admission::CLASS_COUNT],
-            max_queued: 0,
-            max_wait: Duration::from_millis(10),
-            retry_after: Duration::from_millis(250),
-        });
-        for (class, probe) in WORKLOADS {
-            match probe(&w) {
-                Err(MdwError::Overloaded(o)) => {
-                    assert_eq!(o.class, class);
-                    assert!(o.retry_after >= Duration::from_millis(250));
-                }
-                other => panic!("{class:?}: expected Overloaded, got {other:?}"),
-            }
-        }
-        let gate = w.admission().unwrap();
-        assert_eq!(gate.total("_shed"), WORKLOADS.len() as u64);
-        assert_eq!(gate.total("_admitted"), 0);
-    }
-
     #[test]
     fn answer_executes_typeof_candidate_from_label() {
         let w = loaded_warehouse();
@@ -1627,19 +1567,6 @@ mod tests {
         assert_eq!(counter(&w, "answer", "index_builds"), 2);
     }
 
-    #[test]
-    fn admission_permits_release_after_each_query() {
-        let mut w = loaded_warehouse();
-        w.enable_admission(AdmissionConfig::with_quotas(1, 1));
-        for _ in 0..3 {
-            w.search(&SearchRequest::new("customer")).unwrap();
-        }
-        let gate = w.admission().unwrap();
-        assert_eq!(gate.total("_admitted"), 3);
-        assert_eq!(gate.total("_shed"), 0);
-        assert_eq!(gate.active(), 0);
-    }
-
     /// The caller alone picks the view: a request that names a rulebase
     /// reads base ∪ semantic index — also right after an entailed request
     /// blew its budget — and one that names none never sees an inferred
@@ -1707,7 +1634,7 @@ mod tests {
 
         let served = |w: &MetadataWarehouse| {
             let budget = QueryBudget::unlimited();
-            w.run_query(QueryClass::Sparql, &budget, &w.model, true, |view, _| {
+            w.run_query(&budget, &w.model, true, |view, _| {
                 Ok(view.planner_stats(type_id).unwrap())
             })
             .unwrap()

@@ -216,9 +216,12 @@ fn run(ops: Vec<Op>) {
                             removed += 1;
                         }
                     }
-                    let added = new.difference(&old).count();
+                    // Added counts what the model gains, not what is new
+                    // to the source: another source may assert it already.
+                    let current = oracle.current();
+                    let added =
+                        new.difference(&old).filter(|f| current.insert((*f).clone())).count();
                     let unchanged = new.intersection(&old).count();
-                    oracle.current().extend(new.difference(&old).cloned());
                     oracle.by_source.insert(source, new);
                     let report = result.unwrap();
                     let got =

@@ -53,11 +53,6 @@ impl<S> FaultStream<S> {
     pub fn new(inner: S) -> Self {
         FaultStream { inner, broken: false }
     }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: Read> Read for FaultStream<S> {
@@ -109,7 +104,7 @@ mod tests {
         let mut stream = FaultStream::new(io::Cursor::new(Vec::new()));
         assert_eq!(stream.write(b"hello").unwrap(), 5);
         stream.flush().unwrap();
-        assert_eq!(stream.get_ref().get_ref(), b"hello");
+        assert_eq!(stream.inner.get_ref(), b"hello");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mdw_core::admission::{Overloaded, Permit, QueryClass};
+use mdw_core::admission::{Overloaded, QueryClass};
 use mdw_core::answer::AnswerRequest;
 use mdw_core::error::MdwError;
 use mdw_core::lineage::LineageRequest;
@@ -51,7 +51,7 @@ use crate::drain::InFlightGuard;
 use crate::http::{self, Request};
 use crate::rows::{self, Rows};
 use crate::server::ServeState;
-use crate::tenant::DEFAULT_TENANT;
+use crate::tenant::{Permit, DEFAULT_TENANT};
 
 pub use crate::conn::handle_connection;
 
@@ -332,9 +332,6 @@ impl QueryJob {
             Ok(answer) => answer,
             Err(RouteError::BadRequest(msg)) => {
                 return JobResult::Fixed(StagedResponse::error_json(400, &msg));
-            }
-            Err(RouteError::Warehouse(MdwError::Overloaded(o))) => {
-                return JobResult::Fixed(overloaded(state, o.retry_after, &o.to_string()));
             }
             Err(RouteError::Warehouse(MdwError::NotFound(what))) => {
                 return JobResult::Fixed(StagedResponse::error_json(
@@ -660,10 +657,11 @@ fn run_answer(
 
 /// The one stats document, served at `GET /admin/stats` and `GET /stats`
 /// (the wire drill's `stats:` line prints it): the warehouse's counter
-/// groups as nested objects (`planner`, `answer`, and `admission` when the
-/// warehouse gates itself), the transport's [`Counters`](crate::Counters)
-/// at top level, the live gauges, and per-tenant admission. Every counter
-/// is rendered from its set's [`CounterSet::read`], in declaration order.
+/// groups as nested objects (`planner`, `answer`), the transport's
+/// [`Counters`](crate::Counters) at top level, the live gauges, and
+/// per-tenant admission from [`TenantGates`](crate::TenantGates), the only
+/// gate. Every counter is rendered from its set's [`CounterSet::read`], in
+/// declaration order.
 pub fn admin_stats_json(state: &ServeState) -> String {
     let render = |set: &dyn CounterSet| -> Vec<(String, Value)> {
         set.read().into_iter().map(|(name, value)| (name.to_string(), json!(value))).collect()
@@ -706,7 +704,8 @@ mod tests {
     use super::*;
     use crate::client::parse_response;
     use crate::drain::DrainController;
-    use mdw_core::admission::{AdmissionConfig, AdmissionController};
+    use crate::TenantGates;
+    use mdw_core::admission::AdmissionConfig;
     use mdw_rdf::budget::{ManualTime, TimeSource};
 
     /// A streamer over `n` keyword-answer rows, under `budget`.
@@ -722,8 +721,8 @@ mod tests {
             candidates: None,
         };
         let inflight = Arc::new(DrainController::new()).register(CancellationToken::new());
-        let gate = AdmissionController::new(AdmissionConfig::default());
-        let permit = gate.try_admit(QueryClass::Answer).expect("a free slot");
+        let gates = TenantGates::new(AdmissionConfig::default());
+        let permit = gates.admit("t", QueryClass::Answer).expect("a free slot");
         RowStreamer::new(answer, budget, permit, inflight)
     }
 

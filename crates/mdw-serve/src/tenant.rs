@@ -1,5 +1,6 @@
 //! Per-tenant admission: one [`AdmissionController`] and one bounded FIFO
-//! of waiting requests per tenant, created on first sight.
+//! of waiting requests per tenant, created on first sight. This is the
+//! only admission gate: the warehouse runs whatever it is handed.
 //!
 //! The paper's warehouse serves many consuming applications (SODA-style
 //! search frontends, lineage tools, ad-hoc SPARQL) that must not starve
@@ -7,7 +8,9 @@
 //! `X-Tenant`, so one chatty tenant sheds against its own quota while the
 //! others keep flowing. Tenants inherit a single configured quota shape;
 //! unknown tenants are lazily admitted with the same shape rather than
-//! rejected — metadata consumers come and go.
+//! rejected — metadata consumers come and go. Within a tenant, the gate
+//! caps concurrent queries overall and per class, so one chatty class
+//! cannot starve the others.
 //!
 //! Admission is decided on the event loop and never blocks. A query
 //! request joins the back of its tenant's FIFO ([`TenantGates::enqueue`]),
@@ -27,12 +30,11 @@
 //! fresh quota and grows neither server memory nor the stats document.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use mdw_core::admission::{
-    AdmissionConfig, AdmissionController, Overloaded, Permit, QueryClass, ShedReason,
-};
+use mdw_core::admission::{AdmissionConfig, Overloaded, QueryClass, ShedReason, CLASS_COUNT};
+use mdw_rdf::metrics::CounterSet;
 
 use crate::router::QueryJob;
 
@@ -42,6 +44,102 @@ pub const DEFAULT_TENANT: &str = "public";
 /// Most tenants held at once, [`DEFAULT_TENANT`] included.
 const MAX_TENANTS: usize = 1024;
 
+/// The gate's counter names, `(admitted, shed)` per class in
+/// [`QueryClass::ALL`] order.
+const COUNTER_NAMES: [(&str, &str); CLASS_COUNT] = [
+    ("search_admitted", "search_shed"),
+    ("lineage_admitted", "lineage_shed"),
+    ("sparql_admitted", "sparql_shed"),
+    ("answer_admitted", "answer_shed"),
+];
+
+/// The slots a tenant's running queries hold, shared with their permits.
+#[derive(Debug, Default)]
+struct Slots {
+    total: usize,
+    per_class: [usize; CLASS_COUNT],
+}
+
+/// One tenant's gate: the slots its running queries hold, and how many
+/// requests it admitted and shed per class. The counts change only under
+/// the tenant map's lock, so a clone ([`TenantGates::stats`]) reads them as
+/// of that moment; the slots are live, shared with every [`Permit`].
+#[derive(Clone, Debug, Default)]
+pub struct AdmissionController {
+    slots: Arc<Mutex<Slots>>,
+    admitted: [u64; CLASS_COUNT],
+    shed: [u64; CLASS_COUNT],
+}
+
+impl AdmissionController {
+    /// A permit when both the total and `class` have a free slot under
+    /// `config` (counted as admitted), otherwise `None`, counted as nothing
+    /// — the caller either waits and retries or [`shed`](Self::shed)s.
+    fn try_admit(&mut self, config: &AdmissionConfig, class: QueryClass) -> Option<Permit> {
+        let i = class.index();
+        let mut slots = self.slots.lock().expect("no code panics while holding the slots");
+        if slots.total >= config.max_concurrent || slots.per_class[i] >= config.per_class[i] {
+            return None;
+        }
+        slots.total += 1;
+        slots.per_class[i] += 1;
+        self.admitted[i] += 1;
+        Some(Permit { slots: Arc::clone(&self.slots), class })
+    }
+
+    /// Counts a shed `class` request and builds its typed rejection. The
+    /// `retry_after` hint scales with `queue_depth`, the requests waiting
+    /// ahead of it (capped at 8× the configured base), so clients shed from
+    /// a deep queue back off harder than clients shed from an empty one.
+    fn shed(
+        &mut self,
+        config: &AdmissionConfig,
+        class: QueryClass,
+        reason: ShedReason,
+        queue_depth: usize,
+    ) -> Overloaded {
+        self.shed[class.index()] += 1;
+        let scale = (queue_depth.saturating_add(1)).min(8) as u32;
+        Overloaded { class, reason, retry_after: config.retry_after * scale }
+    }
+
+    /// Queries currently holding a slot.
+    pub fn active(&self) -> usize {
+        self.slots.lock().expect("no code panics while holding the slots").total
+    }
+}
+
+/// Requests admitted and shed, per class: `search_admitted`, `search_shed`,
+/// `lineage_admitted`, … (totals: `total("_admitted")`, `total("_shed")`).
+impl CounterSet for AdmissionController {
+    fn read(&self) -> Vec<(&'static str, u64)> {
+        (0..CLASS_COUNT)
+            .flat_map(|i| {
+                let (admitted, shed) = COUNTER_NAMES[i];
+                [(admitted, self.admitted[i]), (shed, self.shed[i])]
+            })
+            .collect()
+    }
+}
+
+/// An admitted query's slot, released on drop (RAII — a panicking query
+/// still frees its slot during unwind).
+#[derive(Debug)]
+pub struct Permit {
+    slots: Arc<Mutex<Slots>>,
+    class: QueryClass,
+}
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        // Every update leaves the counts whole, so a poisoned lock is
+        // still right; a panic here, during an unwind, would abort.
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        slots.total -= 1;
+        slots.per_class[self.class.index()] -= 1;
+    }
+}
+
 /// A query request waiting for its tenant's permit: the connection it
 /// answers, the job, and when it joined the FIFO.
 struct Waiter {
@@ -50,6 +148,7 @@ struct Waiter {
     arrived: Instant,
 }
 
+#[derive(Default)]
 struct Tenant {
     gate: AdmissionController,
     waiting: VecDeque<Waiter>,
@@ -62,49 +161,45 @@ pub struct TenantGates {
 }
 
 impl TenantGates {
-    /// Gates that hand every tenant a clone of `config`.
+    /// Gates that size every tenant's by `config`.
     pub fn new(config: AdmissionConfig) -> Self {
-        let gates = TenantGates { config, tenants: Mutex::new(BTreeMap::new()) };
-        gates.lock().insert(DEFAULT_TENANT.to_string(), gates.fresh());
-        gates
+        let tenants = BTreeMap::from([(DEFAULT_TENANT.to_string(), Tenant::default())]);
+        TenantGates { config, tenants: Mutex::new(tenants) }
     }
 
     fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Tenant>> {
         self.tenants.lock().expect("no code panics while holding the tenant map")
     }
 
-    fn fresh(&self) -> Tenant {
-        Tenant { gate: AdmissionController::new(self.config.clone()), waiting: VecDeque::new() }
-    }
-
     /// `name`'s entry, created on first sight; once the map is full, a new
     /// name gets [`DEFAULT_TENANT`]'s.
-    fn tenant<'a>(&self, tenants: &'a mut BTreeMap<String, Tenant>, name: &str) -> &'a mut Tenant {
+    fn tenant<'a>(tenants: &'a mut BTreeMap<String, Tenant>, name: &str) -> &'a mut Tenant {
         if !tenants.contains_key(name) {
             let name = if tenants.len() >= MAX_TENANTS { DEFAULT_TENANT } else { name };
-            return tenants.entry(name.to_string()).or_insert_with(|| self.fresh());
+            return tenants.entry(name.to_string()).or_default();
         }
         tenants.get_mut(name).expect("just checked")
     }
 
     /// Admits a request for `tenant` at once or sheds it — for callers
-    /// without an event loop (the blocking driver, in-process replays).
-    /// The returned [`Permit`] is RAII: dropping it — normally, on error,
-    /// or during a panic unwind — frees the slot. Never barges: while the
-    /// tenant has requests waiting, a newcomer is shed.
+    /// without an event loop: the blocking driver, in-process replays and
+    /// `mdwh drill overload`. The returned [`Permit`] is RAII: dropping it
+    /// — normally, on error, or during a panic unwind — frees the slot.
+    /// Never barges: while the tenant has requests waiting, a newcomer is
+    /// shed.
     pub fn admit(&self, tenant: &str, class: QueryClass) -> Result<Permit, Overloaded> {
         let mut tenants = self.lock();
-        let tenant = self.tenant(&mut tenants, tenant);
+        let tenant = Self::tenant(&mut tenants, tenant);
         let depth = tenant.waiting.len();
-        let permit = if depth == 0 { tenant.gate.try_admit(class) } else { None };
-        permit.ok_or_else(|| tenant.gate.shed(class, ShedReason::QueueFull, depth))
+        let permit = if depth == 0 { tenant.gate.try_admit(&self.config, class) } else { None };
+        permit.ok_or_else(|| tenant.gate.shed(&self.config, class, ShedReason::QueueFull, depth))
     }
 
     /// Puts `job`, answering connection `token`, at the back of its
     /// tenant's FIFO; the next [`pass`](Self::pass) decides it.
     pub(crate) fn enqueue(&self, token: u64, job: QueryJob, now: Instant) {
         let mut tenants = self.lock();
-        let tenant = self.tenant(&mut tenants, job.tenant());
+        let tenant = Self::tenant(&mut tenants, job.tenant());
         tenant.waiting.push_back(Waiter { token, job, arrived: now });
     }
 
@@ -116,27 +211,28 @@ impl TenantGates {
     /// `max_queued` are shed ([`ShedReason::QueueFull`]).
     pub(crate) fn pass(&self, now: Instant) -> Vec<(u64, QueryJob, Option<Overloaded>)> {
         let mut decided = Vec::new();
-        let max_queued = self.config.max_queued;
+        let config = &self.config;
         let mut tenants = self.lock();
         for tenant in tenants.values_mut().filter(|t| !t.waiting.is_empty()) {
             let mut i = 0;
             while let Some(waiter) = tenant.waiting.get_mut(i) {
                 let class = waiter.job.class;
-                if let Some(permit) = tenant.gate.try_admit(class) {
+                if let Some(permit) = tenant.gate.try_admit(config, class) {
                     waiter.job.permit = Some(permit);
-                } else if now.duration_since(waiter.arrived) <= self.config.max_wait {
+                } else if now.duration_since(waiter.arrived) <= config.max_wait {
                     i += 1;
                     continue;
                 }
                 let Waiter { token, job, .. } = tenant.waiting.remove(i).expect("in range");
                 let shed = job.permit.is_none().then(|| {
-                    tenant.gate.shed(class, ShedReason::WaitTimeout, tenant.waiting.len())
+                    tenant.gate.shed(config, class, ShedReason::WaitTimeout, tenant.waiting.len())
                 });
                 decided.push((token, job, shed));
             }
-            while tenant.waiting.len() > max_queued {
+            while tenant.waiting.len() > config.max_queued {
                 let Waiter { token, job, .. } = tenant.waiting.pop_back().expect("non-empty");
-                let shed = tenant.gate.shed(job.class, ShedReason::QueueFull, max_queued);
+                let shed =
+                    tenant.gate.shed(config, job.class, ShedReason::QueueFull, config.max_queued);
                 decided.push((token, job, Some(shed)));
             }
         }
@@ -160,7 +256,7 @@ impl TenantGates {
     }
 
     /// Every tenant's gate and FIFO depth, sorted by name; each gate is a
-    /// [`CounterSet`](mdw_rdf::metrics::CounterSet).
+    /// [`CounterSet`].
     pub fn stats(&self) -> Vec<(String, AdmissionController, usize)> {
         let tenants = self.lock();
         tenants.iter().map(|(name, t)| (name.clone(), t.gate.clone(), t.waiting.len())).collect()
@@ -178,7 +274,6 @@ impl TenantGates {
 mod tests {
     use super::*;
     use crate::http;
-    use mdw_rdf::metrics::CounterSet;
     use std::time::Duration;
 
     fn gates(quota: usize) -> TenantGates {
@@ -187,6 +282,116 @@ mod tests {
             max_wait: Duration::ZERO,
             ..AdmissionConfig::with_quotas(quota, quota)
         })
+    }
+
+    // One tenant's gate on its own.
+
+    #[test]
+    fn admits_up_to_quota_then_refuses() {
+        let config = AdmissionConfig::with_quotas(2, 2);
+        let mut gate = AdmissionController::default();
+        let p1 = gate.try_admit(&config, QueryClass::Search).unwrap();
+        let _p2 = gate.try_admit(&config, QueryClass::Lineage).unwrap();
+        assert!(gate.try_admit(&config, QueryClass::Sparql).is_none());
+        // Releasing a slot re-opens the gate.
+        drop(p1);
+        assert!(gate.try_admit(&config, QueryClass::Sparql).is_some());
+    }
+
+    #[test]
+    fn per_class_quota_protects_other_classes() {
+        let config = AdmissionConfig::with_quotas(10, 1);
+        let mut gate = AdmissionController::default();
+        let _search = gate.try_admit(&config, QueryClass::Search).unwrap();
+        // Search is at quota…
+        assert!(gate.try_admit(&config, QueryClass::Search).is_none());
+        // …but lineage still gets in.
+        assert!(gate.try_admit(&config, QueryClass::Lineage).is_some());
+    }
+
+    #[test]
+    fn stats_count_admissions_and_sheds_per_class() {
+        let config = AdmissionConfig::with_quotas(1, 1);
+        let mut gate = AdmissionController::default();
+        let _p = gate.try_admit(&config, QueryClass::Search).unwrap();
+        // A refusal alone counts nothing; a shed counts once.
+        assert!(gate.try_admit(&config, QueryClass::Search).is_none());
+        let shed = gate.shed(&config, QueryClass::Search, ShedReason::QueueFull, 0);
+        assert_eq!((shed.class, shed.reason), (QueryClass::Search, ShedReason::QueueFull));
+        assert_eq!(shed.retry_after, config.retry_after);
+        let _ = gate.shed(&config, QueryClass::Lineage, ShedReason::WaitTimeout, 0);
+        let counters = gate.read();
+        assert_eq!(&counters[..4], [
+            ("search_admitted", 1),
+            ("search_shed", 1),
+            ("lineage_admitted", 0),
+            ("lineage_shed", 1),
+        ]);
+        assert_eq!(counters.len(), 2 * CLASS_COUNT);
+        assert_eq!(gate.total("_admitted"), 1);
+        assert_eq!(gate.total("_shed"), 2);
+    }
+
+    #[test]
+    fn permit_released_on_panic_unwind() {
+        let config = &AdmissionConfig::with_quotas(1, 1);
+        let mut gate = AdmissionController::default();
+        let mut shared = gate.clone();
+        let _ = std::panic::catch_unwind(move || {
+            let _permit = shared.try_admit(config, QueryClass::Search).unwrap();
+            panic!("query blew up");
+        });
+        assert_eq!(gate.active(), 0);
+        assert!(gate.try_admit(config, QueryClass::Search).is_some());
+    }
+
+    #[test]
+    fn overloaded_displays_usefully() {
+        let e = Overloaded {
+            class: QueryClass::Lineage,
+            reason: ShedReason::QueueFull,
+            retry_after: Duration::from_millis(250),
+        };
+        let s = e.to_string();
+        assert!(s.contains("lineage"));
+        assert!(s.contains("queue full"));
+    }
+
+    // The map of gates, admitting at once.
+
+    fn gate_of(gates: &TenantGates, tenant: &str) -> AdmissionController {
+        gates.stats().into_iter().find(|(name, ..)| name == tenant).expect("a seen tenant").1
+    }
+
+    #[test]
+    fn zero_quota_sheds_every_class_with_typed_overloaded() {
+        let base = Duration::from_millis(250);
+        let gates = TenantGates::new(AdmissionConfig {
+            max_concurrent: 0,
+            per_class: [0; CLASS_COUNT],
+            max_queued: 0,
+            max_wait: Duration::from_millis(10),
+            retry_after: base,
+        });
+        for class in QueryClass::ALL {
+            let shed = gates.admit("t", class).unwrap_err();
+            assert_eq!(shed.class, class);
+            assert!(shed.retry_after >= base, "{class}: {:?}", shed.retry_after);
+        }
+        for (name, count) in gate_of(&gates, "t").read() {
+            assert_eq!(count, u64::from(name.ends_with("_shed")), "{name}");
+        }
+    }
+
+    #[test]
+    fn permits_release_after_each_sequential_admit() {
+        let gates = gates(1);
+        for _ in 0..3 {
+            drop(gates.admit("t", QueryClass::Search).unwrap());
+        }
+        assert_eq!(gates.total_active(), 0);
+        let gate = gate_of(&gates, "t");
+        assert_eq!((gate.total("_admitted"), gate.total("_shed")), (3, 0));
     }
 
     #[test]

@@ -200,11 +200,6 @@ impl ExplainReport {
         }
     }
 
-    /// Total patterns across all BGPs.
-    pub fn pattern_count(&self) -> usize {
-        self.bgps.iter().map(|b| b.entries.len()).sum()
-    }
-
     /// True when the chosen order differs from the written order: a
     /// swapped join, or a BGP whose patterns run out of written order.
     pub fn reordered(&self) -> bool {
@@ -396,7 +391,7 @@ mod tests {
         let plan = QueryPlan::naive(&p);
         let report = ExplainReport::from_plan(&plan, &[2, 5]);
         assert_eq!(report.bgps.len(), 1);
-        assert_eq!(report.pattern_count(), 2);
+        assert_eq!(report.bgps.iter().map(|b| b.entries.len()).sum::<usize>(), 2);
         assert!(!report.reordered());
         let entries = &report.bgps[0].entries;
         assert_eq!(entries[0].actual_rows, 2);

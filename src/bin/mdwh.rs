@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use metadata_warehouse::core::admission::AdmissionConfig;
+use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass};
 use metadata_warehouse::core::answer::AnswerRequest;
 use metadata_warehouse::rdf::budget::{Completeness, MonotonicTime, QueryBudget};
 use metadata_warehouse::core::error::MdwError;
@@ -39,7 +39,8 @@ use metadata_warehouse::rdf::metrics::{self, CounterSet};
 use metadata_warehouse::rdf::persist;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::{FailSpec, FrozenGraph, FrozenStore, RdfError, Term, Triple};
-use metadata_warehouse::serve::{client, epoll, serve, signal, ServerConfig};
+use metadata_warehouse::serve::tenant::DEFAULT_TENANT;
+use metadata_warehouse::serve::{client, epoll, serve, signal, ServerConfig, TenantGates};
 use metadata_warehouse::sparql::SemMatch;
 
 fn main() -> ExitCode {
@@ -747,6 +748,16 @@ impl Shape {
         }
     }
 
+    /// The admission class the request is counted under.
+    fn class(self) -> QueryClass {
+        match self {
+            Shape::Search => QueryClass::Search,
+            Shape::Lineage => QueryClass::Lineage,
+            Shape::Answer => QueryClass::Answer,
+            Shape::CrossJoin => QueryClass::Sparql,
+        }
+    }
+
     /// Runs the request in process; `Ok(true)` when the answer came back
     /// truncated.
     fn run(self, warehouse: &MetadataWarehouse, budget: QueryBudget) -> Result<bool, MdwError> {
@@ -848,7 +859,7 @@ fn percentile(sorted: &[u64], pct: f64) -> u64 {
 }
 
 /// Forced-low, queueless quotas: overload sheds at once, which is the
-/// behavior the load drills want to observe.
+/// behavior the wire drill wants to observe.
 fn queueless(quota: usize) -> AdmissionConfig {
     let quotas = AdmissionConfig::with_quotas(quota, quota);
     AdmissionConfig { max_queued: 0, max_wait: Duration::ZERO, ..quotas }
@@ -856,7 +867,8 @@ fn queueless(quota: usize) -> AdmissionConfig {
 
 /// The overload drill: hammer one warehouse from many threads with a mixed
 /// search/lineage/sparql/answer load behind a deliberately small admission
-/// gate, then report latency percentiles and the shed rate. Every request
+/// gate — one tenant's, admitted at once through [`TenantGates::admit`] —
+/// then report latency percentiles and the shed rate. Every request
 /// either completes (possibly truncated by its deadline) or is shed with a
 /// typed `Overloaded` — the drill fails if anything panics or errors
 /// otherwise.
@@ -869,8 +881,8 @@ fn drill_overload(args: &Args) -> Result<(), String> {
     let quota: usize = parse_or(args, "quota", 2)?;
     let deadline_ms: u64 = parse_or(args, "deadline-ms", 50)?;
 
-    let mut warehouse = drill_warehouse(args)?;
-    warehouse.enable_admission(queueless(quota));
+    let warehouse = drill_warehouse(args)?;
+    let gates = TenantGates::new(AdmissionConfig::with_quotas(quota, quota));
 
     eprintln!(
         "overload drill: {threads} thread(s) × {requests} request(s), \
@@ -887,25 +899,26 @@ fn drill_overload(args: &Args) -> Result<(), String> {
             let budget = QueryBudget::unlimited()
                 .with_deadline(Duration::from_millis(deadline_ms), Arc::new(MonotonicTime::new()));
             let began = Instant::now();
-            let outcome = shape.run(warehouse, budget);
+            let outcome = (gates.admit(DEFAULT_TENANT, shape.class()))
+                .map(|_permit| shape.run(warehouse, budget));
             let latency = began.elapsed();
             let mut tally = tally.lock().unwrap();
             match outcome {
-                Ok(truncated) => tally.done(latency, truncated),
-                // The shed's back-off hint scales with queue depth.
-                Err(MdwError::Overloaded(o)) => {
-                    tally.retry_after_ms.push(o.retry_after.as_millis() as u64)
-                }
-                Err(e) => tally.failures.push(e.to_string()),
+                Ok(Ok(truncated)) => tally.done(latency, truncated),
+                Ok(Err(e)) => tally.failures.push(e.to_string()),
+                // A typed shed: its back-off hint is what a client waits.
+                Err(o) => tally.retry_after_ms.push(o.retry_after.as_millis() as u64),
             }
         }
     })?;
 
     let mut tally = tally.into_inner().unwrap();
     tally.report();
-    let gate = warehouse.admission().expect("admission enabled");
+    let (_, gate, _) = (gates.stats().into_iter())
+        .find(|(tenant, ..)| tenant == DEFAULT_TENANT)
+        .expect("the default tenant is always present");
     println!("admitted:  {}", gate.total("_admitted"));
-    println!("gate:      {}", metrics::to_line(gate));
+    println!("gate:      {}", metrics::to_line(&gate));
     tally.verdict(args.flag("expect-shed"))
 }
 

@@ -7,8 +7,9 @@
 //!   answer exactly; a truncated answer's pooled rows are a *prefix* of the
 //!   unlimited run's, the truncation reason matches the budget shape, and
 //!   the verdict never claims completeness the budget did not allow.
-//! * **Typed sheds** — with a zero Answer quota, `answer` returns
-//!   `MdwError::Overloaded` carrying the class and a retry-after hint.
+//! * **Typed sheds** — with a zero Answer quota, the tenant gate in front
+//!   of `answer` (`TenantGates::admit`) refuses with an `Overloaded`
+//!   carrying the class and a retry-after hint.
 
 mod common;
 
@@ -17,14 +18,14 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use common::{assert_truthful_prefix, make_budget, tripped_reason, BUDGET_VARIANTS};
-use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass, CLASS_COUNT};
+use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass};
 use metadata_warehouse::core::answer::AnswerRequest;
-use metadata_warehouse::core::error::MdwError;
 use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::rdf::metrics::CounterSet;
 use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
+use metadata_warehouse::serve::TenantGates;
 
 /// A labeled mid-size warehouse the keyword pipeline can really answer
 /// over: three labeled classes, 40 columns (every other one carrying the
@@ -132,29 +133,25 @@ proptest! {
     }
 }
 
-/// With a zero Answer quota every request sheds immediately with the typed
-/// error, the class, and a positive retry-after hint — never a panic, a
-/// wait, or a silent empty answer.
+/// With a zero Answer quota every answer request sheds at admission with
+/// the typed `Overloaded`, the class, and a positive retry-after hint —
+/// never a panic, a wait, or a silent empty answer — while the tenant's
+/// other classes still get in.
 #[test]
 fn overloaded_answer_sheds_with_retry_after() {
-    let mut w = answering_warehouse();
-    w.enable_admission(AdmissionConfig {
-        max_concurrent: 0,
-        per_class: [0; CLASS_COUNT],
-        max_queued: 0,
-        max_wait: Duration::from_millis(5),
+    let gates = TenantGates::new(AdmissionConfig {
+        per_class: [1, 1, 1, 0],
         retry_after: Duration::from_millis(300),
+        ..AdmissionConfig::default()
     });
-    for kw in ["customer", "customer report", "nonexistent"] {
-        match w.answer(&AnswerRequest::new(kw)) {
-            Err(MdwError::Overloaded(o)) => {
-                assert_eq!(o.class, QueryClass::Answer, "{kw}: wrong class");
-                assert!(o.retry_after >= Duration::from_millis(300), "{kw}: bad hint");
-            }
-            other => panic!("{kw}: expected Overloaded, got {other:?}"),
-        }
+    for attempt in 0..3 {
+        let shed = gates.admit("analyst", QueryClass::Answer).unwrap_err();
+        assert_eq!(shed.class, QueryClass::Answer, "attempt {attempt}: wrong class");
+        assert!(shed.retry_after >= Duration::from_millis(300), "attempt {attempt}: bad hint");
     }
-    let gate = w.admission().unwrap();
+    let _search = gates.admit("analyst", QueryClass::Search).expect("search has a slot");
+    let stats = gates.stats();
+    let (_, gate, _) = stats.iter().find(|(tenant, ..)| tenant == "analyst").unwrap();
     assert_eq!(gate.total("answer_shed"), 3);
-    assert_eq!(gate.total("_admitted"), 0);
+    assert_eq!(gate.total("_admitted"), 1);
 }

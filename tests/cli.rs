@@ -232,13 +232,19 @@ fn drill_overload_sheds_without_panicking() {
         "drill failed\nstdout: {stdout}\nstderr: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "worker panicked: {stderr}");
-    let shed: u64 = stdout
-        .lines()
-        .find(|l| l.starts_with("shed:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|n| n.parse().ok())
-        .expect("shed line present");
+    let count = |label: &str| -> u64 {
+        stdout
+            .lines()
+            .find(|l| l.starts_with(label))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no {label} line: {stdout}"))
+    };
+    let (shed, admitted, completed) = (count("shed:"), count("admitted:"), count("completed:"));
     assert!(shed > 0, "forced-low quotas must shed: {stdout}");
+    // The gate sees every request, and every admitted one is answered.
+    assert_eq!(admitted + shed, 8 * 32, "{stdout}");
+    assert_eq!(completed, admitted, "{stdout}");
 }
 
 /// `--inject` arms process-wide: a wire fault named on the command line

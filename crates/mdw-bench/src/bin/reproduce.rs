@@ -2,7 +2,10 @@
 //! of the paper, plus the three quantitative studies.
 //!
 //! Usage:
-//!   reproduce [EXPERIMENT] [--scale small|medium|paper] [--json FILE]
+//!
+//! ```text
+//! reproduce [EXPERIMENT] [--scale small|medium|paper] [--json FILE]
+//! ```
 //!
 //! With `--json FILE`, a machine-readable record of every experiment run
 //! (id, scale, report text, wall-clock) is appended to FILE — the archival

@@ -58,7 +58,7 @@ pub const DEFAULT_MODEL: &str = "DWH_CURR";
 /// writer and folds the run stack itself at the end of every bulk delivery
 /// ([`MetadataWarehouse::fold`]), so there is no background compactor to
 /// wake and no compaction debt to stall on; the memtable limit stays at the
-/// engine default, which bounds what every publish re-freezes.
+/// engine default, which bounds what every commit merges its batch into.
 fn engine_config() -> LsmConfig {
     LsmConfig {
         max_runs: usize::MAX,

@@ -7,15 +7,36 @@
 //! reverse direction a simple `Vec` lookup.
 //!
 //! Terms are stored once behind an [`Arc`]: the forward vector and the
-//! reverse map share the same allocation, so interning does a single clone
-//! and cloning the whole dictionary (for a frozen snapshot) costs one
-//! refcount bump per term rather than a string copy.
+//! reverse map share the same allocation, so interning does a single clone.
+//!
+//! ## One dictionary shared by every snapshot
+//!
+//! The storage engine interns under its writer lock and hands each
+//! published snapshot a read-only copy, so a copy must cost what was
+//! interned since the last one, not the whole id space. The dictionary is
+//! two parts:
+//!
+//! ```text
+//! base   ids 0..b     Arc-shared by every copy, never changed while shared
+//! tail   ids b..len   this copy's own, at most a few thousand terms
+//! ```
+//!
+//! A clone bumps the base's refcount and copies the tail. A term goes into
+//! the base directly while this copy owns it alone (a load or a bulk
+//! build, before anything shares it) and into the tail otherwise; the tail
+//! folds into the base once it holds `FOLD_AT` (4 096) terms when a
+//! snapshot takes its copy, or once it outgrows the base, so the
+//! copy a fold makes of a shared base is paid once per `FOLD_AT` terms.
+//! Resolving an id is a slice index behind one branch.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::term::Term;
+
+/// Tail size at which [`Dictionary::share`] folds the tail into the base.
+const FOLD_AT: usize = 4096;
 
 /// A dense identifier for an interned [`Term`].
 ///
@@ -36,6 +57,20 @@ impl fmt::Display for TermId {
     }
 }
 
+/// One part of a [`Dictionary`]: its terms in id order and the way back.
+#[derive(Debug, Default, Clone)]
+struct Part {
+    terms: Vec<Arc<Term>>,
+    ids: HashMap<Arc<Term>, TermId>,
+}
+
+impl Part {
+    fn push(&mut self, term: Arc<Term>, id: TermId) {
+        self.terms.push(Arc::clone(&term));
+        self.ids.insert(term, id);
+    }
+}
+
 /// An append-only interning dictionary.
 ///
 /// Interning the same term twice returns the same id; ids are never reused
@@ -43,10 +78,12 @@ impl fmt::Display for TermId {
 /// mechanism of `mdw-core`) can share one dictionary. Because ids are
 /// append-only, `len()` doubles as a cheap version number: two dictionaries
 /// derived from the same lineage with equal lengths have identical contents.
+/// Clones share every term interned before the last fold (see the module
+/// docs).
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    terms: Vec<Arc<Term>>,
-    ids: HashMap<Arc<Term>, TermId>,
+    base: Arc<Part>,
+    tail: Part,
 }
 
 impl Dictionary {
@@ -58,58 +95,104 @@ impl Dictionary {
     /// Interns a term, returning its id. Idempotent. First insertion clones
     /// the term exactly once; the vector and map share the allocation.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+        match self.lookup(term) {
+            Some(id) => id,
+            None => self.push(Arc::new(term.clone())),
         }
-        let id = TermId(self.terms.len() as u64);
-        let shared = Arc::new(term.clone());
-        self.terms.push(Arc::clone(&shared));
-        self.ids.insert(shared, id);
-        id
     }
 
     /// Interns a term by value; no clone at all on first insertion.
     pub fn intern_owned(&mut self, term: Term) -> TermId {
-        if let Some(&id) = self.ids.get(&term) {
-            return id;
+        match self.lookup(&term) {
+            Some(id) => id,
+            None => self.push(Arc::new(term)),
         }
-        let id = TermId(self.terms.len() as u64);
-        let shared = Arc::new(term);
-        self.terms.push(Arc::clone(&shared));
-        self.ids.insert(shared, id);
+    }
+
+    /// Appends a term known to be new: into the base while this copy owns
+    /// it alone and nothing waits in the tail, into the tail otherwise.
+    fn push(&mut self, term: Arc<Term>) -> TermId {
+        let id = TermId(self.len() as u64);
+        match Arc::get_mut(&mut self.base) {
+            Some(base) if self.tail.terms.is_empty() => base.push(term, id),
+            _ => {
+                self.tail.push(term, id);
+                if self.tail.terms.len() > self.base.terms.len() {
+                    self.fold();
+                }
+            }
+        }
         id
+    }
+
+    /// Moves the tail into the base, copying the base first if another
+    /// dictionary shares it.
+    fn fold(&mut self) {
+        let tail = std::mem::take(&mut self.tail);
+        let base = Arc::make_mut(&mut self.base);
+        base.terms.extend(tail.terms);
+        base.ids.extend(tail.ids);
+    }
+
+    /// A read-only copy for a published snapshot: shares the base and
+    /// copies the tail, folding the tail first once it holds [`FOLD_AT`]
+    /// terms — so a copy costs O(terms interned since the last fold).
+    pub(crate) fn share(&mut self) -> Dictionary {
+        if self.tail.terms.len() >= FOLD_AT {
+            self.fold();
+        }
+        self.clone()
+    }
+
+    /// Whether `self` and `other` share their base allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_base_with(&self, other: &Dictionary) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
     }
 
     /// Looks up an already-interned term without interning it.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.ids.get(term).copied()
+        match self.base.ids.get(term) {
+            Some(&id) => Some(id),
+            None if self.tail.terms.is_empty() => None,
+            None => self.tail.ids.get(term).copied(),
+        }
     }
 
     /// Resolves an id back to its term.
     pub fn term(&self, id: TermId) -> Option<&Term> {
-        self.terms.get(id.0 as usize).map(|t| t.as_ref())
+        let i = id.0 as usize;
+        let base = &self.base.terms;
+        let shared = if i < base.len() {
+            Some(&base[i])
+        } else {
+            self.tail.terms.get(i - base.len())
+        };
+        shared.map(|t| t.as_ref())
     }
 
     /// Resolves an id, panicking on foreign ids. For internal use where the
     /// id provably came from this dictionary.
     pub fn term_unchecked(&self, id: TermId) -> &Term {
-        &self.terms[id.0 as usize]
+        self.term(id).expect("term id from this dictionary")
     }
 
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.base.terms.len() + self.tail.terms.len()
     }
 
     /// True if no term has been interned.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over all `(id, term)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.terms
+        self.base
+            .terms
             .iter()
+            .chain(&self.tail.terms)
             .enumerate()
             .map(|(i, t)| (TermId(i as u64), t.as_ref()))
     }
@@ -119,11 +202,14 @@ impl Dictionary {
     /// between the vector and the map key through the `Arc`).
     pub fn approx_bytes(&self) -> usize {
         let arc_slot = std::mem::size_of::<Arc<Term>>();
-        let mut bytes = self.terms.capacity() * arc_slot;
-        for term in &self.terms {
-            bytes += std::mem::size_of::<Term>() + term_heap_bytes(term);
+        let id_slot = arc_slot + std::mem::size_of::<TermId>();
+        let mut bytes = 0;
+        for part in [self.base.as_ref(), &self.tail] {
+            bytes += part.terms.capacity() * arc_slot + part.ids.capacity() * id_slot;
+            for term in &part.terms {
+                bytes += std::mem::size_of::<Term>() + term_heap_bytes(term);
+            }
         }
-        bytes += self.ids.capacity() * (arc_slot + std::mem::size_of::<TermId>());
         bytes
     }
 }
@@ -225,8 +311,47 @@ mod tests {
     fn vector_and_map_share_one_allocation() {
         let mut d = Dictionary::new();
         let id = d.intern(&Term::iri("shared"));
-        let in_vec = Arc::clone(&d.terms[id.raw() as usize]);
+        let in_vec = Arc::clone(&d.base.terms[id.raw() as usize]);
         // One in the vec, one in the map key, one held here.
         assert_eq!(Arc::strong_count(&in_vec), 3);
+    }
+
+    #[test]
+    fn copies_share_the_base_and_resolve_the_tail() {
+        let mut d = Dictionary::new();
+        let a = d.intern(&Term::iri("a"));
+        let snap = d.share();
+        // Shared now: new terms go to the writer's tail, not the base.
+        let b = d.intern(&Term::iri("b"));
+        let later = d.share();
+        assert!(snap.shares_base_with(&later));
+        assert_eq!(later.term(b), Some(&Term::iri("b")));
+        assert_eq!(later.lookup(&Term::iri("b")), Some(b));
+        assert_eq!(snap.term(b), None, "an earlier copy never sees a later term");
+        assert_eq!(snap.lookup(&Term::iri("b")), None);
+        assert_eq!(d.intern(&Term::iri("a")), a);
+        let all: Vec<_> = later.iter().map(|(id, t)| (id, t.clone())).collect();
+        assert_eq!(all, vec![(a, Term::iri("a")), (b, Term::iri("b"))]);
+    }
+
+    #[test]
+    fn a_full_tail_folds_at_share_and_ids_stay_put() {
+        let mut d = Dictionary::new();
+        for i in 0..FOLD_AT {
+            d.intern(&Term::iri(format!("base{i}")));
+        }
+        let held = d.share();
+        for i in 0..FOLD_AT {
+            d.intern(&Term::iri(format!("tail{i}")));
+        }
+        assert_eq!(d.tail.terms.len(), FOLD_AT);
+        let folded = d.share();
+        assert!(d.tail.terms.is_empty() && !folded.shares_base_with(&held));
+        assert!(d.shares_base_with(&folded));
+        for (id, term) in folded.iter() {
+            assert_eq!(folded.lookup(term), Some(id));
+        }
+        assert_eq!(folded.len(), 2 * FOLD_AT);
+        assert_eq!(held.len(), FOLD_AT, "the held copy keeps its own base");
     }
 }

@@ -40,7 +40,7 @@
 //! refuse the whole journal, and re-issuing the sequence numbers of an
 //! unsynced-but-present record produces duplicate committed sequences.
 //! So every such failure marks the handle *poisoned*, and the next append
-//! first [`heal`](Journal::heal)s: re-scan the file, truncate the torn
+//! first heals (`Journal::heal`): re-scan the file, truncate the torn
 //! tail exactly like [`Journal::open`] does, and re-derive `next_seq`
 //! from the on-disk committed state (never backwards). If healing itself
 //! fails the journal stays poisoned and keeps rejecting appends.
@@ -99,17 +99,51 @@ impl JournalScan {
     }
 }
 
-/// CRC-32 (IEEE, reflected) — standard polynomial, table-free bitwise form.
+/// CRC-32 (IEEE, reflected) of `bytes` — the checksum of journal records,
+/// run files and snapshot model files.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// The byte-at-a-time lookup table of the reflected IEEE polynomial.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// A running [`crc32`], for bytes that are written or read in pieces:
+/// `update` over the pieces in order equals `crc32` over their
+/// concatenation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 >> 8) ^ CRC_TABLE[usize::from(self.0 as u8 ^ b)];
         }
     }
-    !crc
+
+    pub(crate) fn finish(self) -> u32 {
+        !self.0
+    }
 }
 
 pub(crate) fn render_term_line(op: &JournalOp) -> String {
@@ -769,6 +803,41 @@ mod tests {
         let got: Vec<u64> = scan.batches.iter().map(|b| b.seq).collect();
         assert_eq!(got, vec![1, 2, 3, 4]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The definition the table is built from: eight shift/mask steps
+    /// per byte.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_table_equals_bitwise_and_running_equals_whole(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            cut in 0usize..300,
+        ) {
+            let whole = crc32(&bytes);
+            proptest::prop_assert_eq!(whole, crc32_bitwise(&bytes));
+            let (head, tail) = bytes.split_at(cut.min(bytes.len()));
+            let mut running = Crc32::new();
+            running.update(head);
+            running.update(tail);
+            proptest::prop_assert_eq!(running.finish(), whole);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! writes are layered:
 //!
 //! ```text
-//! memtable         small live add/tombstone sets, re-frozen per publish
+//! memtable         one DeltaRun per model, each commit's batch merged in
 //! sealed runs      N immutable DeltaRuns (run_<id>.ops on disk): sealed
 //!                  memtables and bulk batches, in commit order
 //! solid base       one FrozenIndex per model (model_<G>_<i>.nt snapshot)
@@ -23,7 +23,12 @@
 //!
 //! A batch is interned once: [`LsmStore::write_batch`] encodes it, sorts
 //! it by triple keeping the newest op per triple, and hands those ids back
-//! ([`Committed`]) so the caller never looks a term up again. A batch of
+//! ([`Committed`]) so the caller never looks a term up again. A commit
+//! costs its batch, not the store: the batch freezes into a [`DeltaRun`]
+//! and merges into the memtable's run (one linear pass per column, see
+//! `merge_delta`), and a publish shares that run, the sealed runs, the
+//! base and the bulk of the dictionary by `Arc` — only the dictionary's
+//! tail of recently interned terms is copied. A batch of
 //! at least `memtable_limit` ops never enters the memtable: it is already
 //! sorted, so it freezes straight into a run of its own, sealed by the
 //! same routine as a memtable (after sealing whatever the memtable holds,
@@ -223,43 +228,27 @@ fn pwait_for<'a, T>(
     (g, timeout.timed_out())
 }
 
-/// The live memtable of one model: adds and tombstones, kept in sorted
-/// sets so publishing can freeze them without re-sorting the primary
-/// column.
-#[derive(Debug, Clone, Default)]
-struct MemDelta {
-    adds: BTreeSet<(u64, u64, u64)>,
-    dels: BTreeSet<(u64, u64, u64)>,
-}
-
-impl MemDelta {
-    fn ops(&self) -> usize {
-        self.adds.len() + self.dels.len()
+/// Merges a later delta into a memtable run: the later op per triple wins,
+/// so an insert clears a pending tombstone and a remove a pending add —
+/// `adds' = (adds − later.dels) ∪ later.adds`,
+/// `dels' = (dels − later.adds) ∪ later.dels` — one linear merge per
+/// column, and the two sides stay disjoint.
+fn merge_delta(mem: &DeltaRun, later: DeltaRun) -> DeltaRun {
+    if mem.is_empty() {
+        return later;
     }
-
-    /// Applies one op: an insert clears a pending tombstone, a remove
-    /// clears a pending add, so the two sides stay disjoint.
-    fn apply(&mut self, (insert, t): (bool, Triple)) {
-        let k = t.as_tuple();
-        if insert {
-            self.dels.remove(&k);
-            self.adds.insert(k);
-        } else {
-            self.adds.remove(&k);
-            self.dels.insert(k);
+    let side = |mine: &FrozenIndex, cleared: &FrozenIndex, added: &FrozenIndex| {
+        match (cleared.is_empty(), added.is_empty()) {
+            (true, true) => mine.clone(),
+            (true, false) => mine.union(added),
+            (false, true) => mine.difference(cleared),
+            (false, false) => mine.difference(cleared).union(added),
         }
-    }
-
-    fn freeze(&self) -> DeltaRun {
-        DeltaRun::new(
-            FrozenIndex::from_sorted_spo_rows(self.adds.iter().copied().collect()),
-            FrozenIndex::from_sorted_spo_rows(self.dels.iter().copied().collect()),
-        )
-    }
-
-    fn is_empty(&self) -> bool {
-        self.adds.is_empty() && self.dels.is_empty()
-    }
+    };
+    DeltaRun::new(
+        side(mem.adds(), later.dels(), later.adds()),
+        side(mem.dels(), later.adds(), later.dels()),
+    )
 }
 
 /// One sealed, immutable run (the in-memory face of a `run_<id>.ops`).
@@ -293,8 +282,9 @@ struct WriterState {
     base: BTreeMap<String, Arc<FrozenIndex>>,
     /// Sealed runs, oldest first.
     sealed: Vec<SealedRun>,
-    /// The live memtable.
-    mem: BTreeMap<String, MemDelta>,
+    /// The live memtable: one frozen run per model, which each commit
+    /// replaces by merging its batch in, and a publish shares by `Arc`.
+    mem: BTreeMap<String, Arc<DeltaRun>>,
     mem_ops: usize,
     /// On-disk run manifest mirror (empty for in-memory stores).
     runs: RunsManifest,
@@ -311,6 +301,27 @@ struct WriterState {
 impl WriterState {
     fn debt_exceeded(&self, cfg: &LsmConfig) -> bool {
         self.sealed.len() >= cfg.stall_runs || self.mem_ops >= cfg.stall_mem_ops
+    }
+
+    /// The dictionary as a snapshot shares it: the cached copy, refreshed
+    /// first if a term was interned since ([`Dictionary::share`] copies
+    /// only what the last fold left in the tail).
+    fn dict_snapshot(&mut self) -> Arc<Dictionary> {
+        if self.dict_snap.len() != self.dict.len() {
+            self.dict_snap = Arc::new(self.dict.share());
+        }
+        Arc::clone(&self.dict_snap)
+    }
+
+    /// Merges a batch's net ops ([`net_ops`]) into `model`'s memtable run.
+    fn merge_into_mem(&mut self, model: String, ops: &[(bool, Triple)]) {
+        let mem = self.mem.entry(model).or_default();
+        if ops.is_empty() {
+            return;
+        }
+        let before = mem.ops();
+        *mem = Arc::new(merge_delta(mem, delta_run(ops)));
+        self.mem_ops = self.mem_ops - before + mem.ops();
     }
 }
 
@@ -393,7 +404,9 @@ impl LsmStore {
         // 3. Journal replay into the memtable: committed batches past both
         // the snapshot and the newest run. Batches a run already contains
         // (overlap from a killed rotate) replay idempotently.
-        let mut mem: BTreeMap<String, MemDelta> = BTreeMap::new();
+        // Each model's replayed ops are netted together in journal order
+        // and merged into its memtable run once.
+        let mut replay: BTreeMap<String, Vec<(bool, Triple)>> = BTreeMap::new();
         let runs_seq = runs.last_seq().max(snap_seq);
         let mut last_seq = runs_seq;
         let journal_path = Journal::path_in(dir);
@@ -403,11 +416,16 @@ impl LsmStore {
                 if batch.seq <= runs_seq {
                     continue;
                 }
-                apply_ops_to_mem(&mut dict, &mut mem, &batch.model, &batch.ops);
+                let ops = replay.entry(batch.model.clone()).or_default();
+                ops.extend(batch.ops.iter().map(|op| encode(&mut dict, op)));
                 report.replayed_batches += 1;
                 last_seq = batch.seq;
             }
         }
+        let mem = replay
+            .into_iter()
+            .map(|(model, ops)| (model, Arc::new(delta_run(&net_ops(ops)))))
+            .collect();
         report.last_seq = last_seq;
         let journal = Journal::open(dir)?;
 
@@ -447,17 +465,17 @@ impl LsmStore {
     fn assemble(
         cfg: LsmConfig,
         dir: Option<PathBuf>,
-        dict: Dictionary,
+        mut dict: Dictionary,
         base: BTreeMap<String, Arc<FrozenIndex>>,
         sealed: Vec<SealedRun>,
-        mem: BTreeMap<String, MemDelta>,
+        mem: BTreeMap<String, Arc<DeltaRun>>,
         runs: RunsManifest,
         journal: Option<Journal>,
         last_seq: u64,
         next_run_id: u64,
     ) -> LsmStore {
-        let mem_ops = mem.values().map(MemDelta::ops).sum();
-        let dict_snap = Arc::new(dict.clone());
+        let mem_ops = mem.values().map(|run| run.ops()).sum();
+        let dict_snap = Arc::new(dict.share());
         let initial = Arc::new(FrozenStore::new(0, Arc::clone(&dict_snap), BTreeMap::new()));
         let state = WriterState {
             dict,
@@ -602,11 +620,6 @@ impl LsmStore {
         sealed.map(|()| true)
     }
 
-    /// Current compaction debt: the sealed-run depth.
-    pub fn compaction_debt(&self) -> usize {
-        plock(&self.inner.state).sealed.len()
-    }
-
     /// A counter snapshot for observability and drills.
     pub fn metrics(&self) -> LsmMetrics {
         let c = &self.inner.counters;
@@ -675,11 +688,7 @@ impl LsmStore {
                         .iter()
                         .filter_map(|run| run.deltas.get(name).cloned())
                         .collect();
-                    if let Some(mem) = st.mem.get(name) {
-                        if !mem.is_empty() {
-                            deltas.push(Arc::new(mem.freeze()));
-                        }
-                    }
+                    deltas.extend(st.mem.get(name).filter(|mem| !mem.is_empty()).cloned());
                     let folded = Arc::new(FrozenGraph::stacked(base, deltas).compact());
                     models.insert(name.clone(), folded);
                 }
@@ -690,7 +699,7 @@ impl LsmStore {
                     })
                     .collect();
                 let last_seq = st.last_seq;
-                let dict = st.dict.clone();
+                let dict = st.dict_snapshot();
                 drop(st);
                 let saved = save_frozen_snapshot(&dict, &graphs, &dir, last_seq);
                 st = plock(&inner.state);
@@ -889,13 +898,7 @@ impl Inner {
                         }
                     }
                     if !sealed {
-                        let state = &mut *st;
-                        let delta = state.mem.entry(p.model).or_default();
-                        let before = delta.ops();
-                        for &op in &p.encoded {
-                            delta.apply(op);
-                        }
-                        state.mem_ops = state.mem_ops + delta.ops() - before;
+                        st.merge_into_mem(p.model, &p.encoded);
                     }
                     st.last_seq = seq;
                     ops_committed += p.written as u64;
@@ -950,7 +953,9 @@ impl Inner {
                     .mem
                     .iter()
                     .filter(|(_, d)| !d.is_empty())
-                    .map(|(m, d)| (m.clone(), render_ops(&st.dict, &d.adds, &d.dels)))
+                    .map(|(m, d)| {
+                        (m.clone(), render_ops(&st.dict, d.adds().spo_rows(), d.dels().spo_rows()))
+                    })
                     .collect(),
             };
             let data = RunData { last_seq, models };
@@ -979,9 +984,9 @@ impl Inner {
 
         // The run is live (or the store is volatile): from here on even a
         // failed rotate loses nothing — replaying journal batches a run
-        // already holds is idempotent. The memtable is frozen only now,
-        // once its rendering is gone, and moves down a layer. Models must
-        // survive an empty memtable: pin their base entries.
+        // already holds is idempotent. The memtable's runs move down a
+        // layer as they are. Models must survive an empty memtable: pin
+        // their base entries.
         let (deltas, models): (BTreeMap<String, Arc<DeltaRun>>, Vec<String>) = match bulk {
             Some((model, run)) => (BTreeMap::from([(model.clone(), Arc::new(run))]), vec![model]),
             None => {
@@ -989,7 +994,7 @@ impl Inner {
                     .mem
                     .iter()
                     .filter(|(_, d)| !d.is_empty())
-                    .map(|(m, d)| (m.clone(), Arc::new(d.freeze())))
+                    .map(|(m, d)| (m.clone(), Arc::clone(d)))
                     .collect();
                 st.mem_ops = 0;
                 (deltas, std::mem::take(&mut st.mem).into_keys().collect())
@@ -1023,13 +1028,13 @@ impl Inner {
     }
 
     /// Publishes the next snapshot generation from the current layers.
-    /// Cheap by construction: base and sealed runs are shared Arcs, the
-    /// dictionary Arc is reused while no term was interned, and only the
-    /// memtable (bounded by `memtable_limit`) is frozen anew.
+    /// Every layer is shared, none is copied: base, sealed runs and the
+    /// memtable's runs are `Arc`s (a commit already merged its batch into
+    /// the memtable run), and the dictionary copy shares the base part of
+    /// the writer's dictionary and copies only its tail — the terms
+    /// interned since the last fold, fewer than a few thousand.
     fn publish_locked(&self, st: &mut WriterState) {
-        if st.dict_snap.len() != st.dict.len() {
-            st.dict_snap = Arc::new(st.dict.clone());
-        }
+        let dict = st.dict_snapshot();
         let mut names: BTreeSet<&String> = st.base.keys().collect();
         for run in &st.sealed {
             names.extend(run.deltas.keys());
@@ -1048,15 +1053,11 @@ impl Inner {
                 .iter()
                 .filter_map(|run| run.deltas.get(name).cloned())
                 .collect();
-            if let Some(mem) = st.mem.get(name) {
-                if !mem.is_empty() {
-                    deltas.push(Arc::new(mem.freeze()));
-                }
-            }
+            deltas.extend(st.mem.get(name).filter(|mem| !mem.is_empty()).cloned());
             models.insert(name.clone(), Arc::new(FrozenGraph::stacked(base, deltas)));
         }
         st.generation += 1;
-        let snapshot = FrozenStore::new(st.generation, Arc::clone(&st.dict_snap), models)
+        let snapshot = FrozenStore::new(st.generation, dict, models)
             .with_watermark(st.last_seq);
         self.current.store(Arc::new(snapshot));
         self.counters.publishes.fetch_add(1, Ordering::Relaxed);
@@ -1109,7 +1110,7 @@ impl Inner {
             st.compacting = true;
             let fold = st.sealed.clone();
             let folded_seq = fold.last().expect("non-empty").last_seq;
-            (fold, st.base.clone(), st.dict.clone(), folded_seq)
+            (fold, st.base.clone(), st.dict_snapshot(), folded_seq)
         };
         let folded_stems: BTreeSet<&str> = fold.iter().map(|r| r.stem.as_str()).collect();
 
@@ -1255,18 +1256,6 @@ fn load_sealed_run(dict: &mut Dictionary, stem: &str, data: &RunData) -> SealedR
     SealedRun { stem: stem.to_string(), last_seq: data.last_seq, deltas }
 }
 
-fn apply_ops_to_mem(
-    dict: &mut Dictionary,
-    mem: &mut BTreeMap<String, MemDelta>,
-    model: &str,
-    ops: &[JournalOp],
-) {
-    let delta = mem.entry(model.to_string()).or_default();
-    for op in ops {
-        delta.apply(encode(dict, op));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1335,7 +1324,7 @@ mod tests {
             let (store, _) = LsmStore::open(&dir, test_cfg()).unwrap();
             store.write_batch("m", &[ins("a", "b"), ins("a", "c")]).unwrap();
             assert!(store.seal_now().unwrap());
-            assert_eq!(store.compaction_debt(), 1);
+            assert_eq!(store.metrics().debt, 1);
             // Post-seal writes land in a fresh memtable.
             store.write_batch("m", &[del("a", "b"), ins("a", "d")]).unwrap();
             assert_eq!(model_len(&store, "m"), 2);
@@ -1357,9 +1346,9 @@ mod tests {
         store.seal_now().unwrap();
         store.write_batch("m", &[ins("a", "c"), del("a", "b")]).unwrap();
         store.seal_now().unwrap();
-        assert_eq!(store.compaction_debt(), 2);
+        assert_eq!(store.metrics().debt, 2);
         assert!(store.compact_once().unwrap());
-        assert_eq!(store.compaction_debt(), 0);
+        assert_eq!(store.metrics().debt, 0);
         assert_eq!(model_len(&store, "m"), 1);
         assert!(!store.snapshot().model("m").unwrap().is_stacked());
         assert!(!dir.join("run_1.ops").exists());
@@ -1396,7 +1385,7 @@ mod tests {
         assert_eq!(inserted.iter().filter(|&&i| !i).count(), 1);
         let m = store.metrics();
         assert_eq!((m.sealed_runs, m.memtable_ops), (2, 0), "memtable run, then the bulk run");
-        assert_eq!(store.compaction_debt(), 2);
+        assert_eq!(store.metrics().debt, 2);
         // The bulk run sits above the memtable's: its tombstone wins.
         assert!(objects_of(&store, "x").is_empty());
         assert_eq!(model_len(&store, "m"), 4);
@@ -1491,10 +1480,10 @@ mod tests {
             store.write_batch("m", &[ins("s", &format!("o{i}"))]).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(5);
-        while store.compaction_debt() > 1 && Instant::now() < deadline {
+        while store.metrics().debt > 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(store.compaction_debt() <= 1, "compactor never drained");
+        assert!(store.metrics().debt <= 1, "compactor never drained");
         assert!(store.metrics().compactions >= 1);
         assert_eq!(model_len(&store, "m"), 32);
         drop(store);
@@ -1510,7 +1499,7 @@ mod tests {
         store.write_batch("m", &[ins("a", "c")]).unwrap();
         let report = store.checkpoint().unwrap();
         assert_eq!(report.models, vec![("m".to_string(), 2)]);
-        assert_eq!(store.compaction_debt(), 0);
+        assert_eq!(store.metrics().debt, 0);
         drop(store);
         // The checkpointed dir loads as a plain solid store.
         let solid = persist::load_store(&dir).unwrap();
@@ -1740,9 +1729,11 @@ mod tests {
         let next = store.snapshot();
         assert!(Arc::ptr_eq(held.dict_arc(), next.dict_arc()));
         assert!(next.generation() > held.generation());
-        // A new term forces a fresh dictionary snapshot.
+        // A new term forces a fresh dictionary snapshot — which shares the
+        // bulk of the old one and copies only the new term.
         store.write_batch("m", &[ins("a", "c")]).unwrap();
         assert!(!Arc::ptr_eq(next.dict_arc(), store.snapshot().dict_arc()));
+        assert!(next.dict().shares_base_with(store.snapshot().dict()));
         // The held snapshot still reads the old generation, bit for bit.
         assert_eq!(held.model("m").unwrap().len(), 1);
         assert_eq!(held.model("m").unwrap().checksum(), held_sum);
@@ -1810,6 +1801,54 @@ mod tests {
         assert_eq!(model_len(&store, "v1"), 2);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A commit costs its batch: snapshots across writes share the
+    /// dictionary's bulk and every layer below the memtable, and a publish
+    /// shares the memtable's run as the last commit left it instead of
+    /// freezing it again.
+    #[test]
+    fn publishes_share_the_dictionary_and_the_memtable_run() {
+        let store = LsmStore::in_memory(test_cfg());
+        let first: Vec<JournalOp> = (0..64).map(|i| ins(&format!("s{i}"), "o")).collect();
+        store.write_batch("m", &first).unwrap();
+        store.seal_now().unwrap();
+        store.write_batch("m", &[ins("a", "b")]).unwrap();
+        let before = store.snapshot();
+        store.write_batch("m", &[ins("a", "fresh")]).unwrap();
+        let after = store.snapshot();
+        assert!(before.dict().shares_base_with(after.dict()));
+        assert_eq!(after.dict().len(), before.dict().len() + 1);
+        let (old, new) = (before.model("m").unwrap(), after.model("m").unwrap());
+        assert!(Arc::ptr_eq(&old.deltas()[0], &new.deltas()[0]), "the sealed run is shared");
+        // A republish with no write in between: the memtable's run is the
+        // very allocation the last commit made.
+        store.with_dict(|d| d.intern(&Term::iri("vocab")));
+        let republished = store.snapshot();
+        assert!(republished.generation() > after.generation());
+        let mem =
+            |snap: &FrozenStore| Arc::clone(snap.model("m").unwrap().deltas().last().unwrap());
+        assert!(Arc::ptr_eq(&mem(&after), &mem(&republished)));
+        assert_eq!(mem(&republished).adds().len(), 2);
+    }
+
+    /// Within a batch the last op per triple wins; across batches a later
+    /// op clears the earlier one from the memtable's other side.
+    #[test]
+    fn memtable_merge_keeps_the_newest_op_per_triple() {
+        let store = LsmStore::in_memory(test_cfg());
+        store.write_batch("m", &[ins("a", "b"), ins("a", "c"), del("a", "d")]).unwrap();
+        let later = [del("a", "b"), ins("a", "d"), ins("a", "e"), del("a", "e")];
+        store.write_batch("m", &later).unwrap();
+        let snap = store.snapshot();
+        let run = snap.model("m").unwrap().deltas().last().unwrap().clone();
+        let names = |idx: &FrozenIndex| -> Vec<String> {
+            idx.iter().map(|t| snap.dict().term(t.o).unwrap().label().to_string()).collect()
+        };
+        assert_eq!(names(run.adds()), ["c", "d"]);
+        assert_eq!(names(run.dels()), ["b", "e"]);
+        assert_eq!(store.metrics().memtable_ops, 4);
+        assert_eq!(objects_of(&store, "a"), vec![Term::iri("c"), Term::iri("d")]);
     }
 
     #[test]

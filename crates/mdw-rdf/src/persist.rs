@@ -24,24 +24,34 @@
 //! the old snapshot or the new one — never a mixture. Files from older
 //! generations are deleted only after the manifest commit.
 //!
+//! Model files are streamed both ways, so neither a save nor a load holds
+//! a file's text or its decoded triples in memory. A save sorts each
+//! graph's id rows by their terms' ranks — the order
+//! [`turtle::to_ntriples`] sorts decoded triples by, with no term cloned —
+//! and writes the lines through a buffered writer under a running CRC-32:
+//! the bytes are exactly what `to_ntriples` renders. A load checksums and
+//! parses chunks of whole lines as they arrive and interns their terms as
+//! it goes; the file is judged in a fixed order — checksum, parse, triple
+//! count, well-formedness — so damaged bytes always report as a checksum
+//! mismatch, whatever they parse as. [`fsck`] runs the same decoder.
+//!
 //! Recovery is [`LsmStore::open`](crate::lsm::LsmStore::open): load the
 //! snapshot, then the CRC-verified sealed runs, then replay every committed
 //! journal batch past both, truncating a torn journal tail. [`fsck`]
 //! performs the same checks read-only and reports what it finds.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, BufRead as _, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use std::collections::BTreeMap;
-
-use crate::dict::Dictionary;
+use crate::dict::{Dictionary, TermId};
 use crate::error::RdfError;
 use crate::failpoint;
 use crate::frozen::{FrozenGraph, FrozenIndex, FrozenStore};
-use crate::journal::{self, Journal, JournalOp};
+use crate::journal::{self, Crc32, Journal, JournalOp};
 use crate::term::Term;
 use crate::triple::check_well_formed;
 use crate::turtle;
@@ -158,16 +168,71 @@ pub fn snapshot_info(dir: &Path) -> Result<Option<SnapshotInfo>, RdfError> {
 /// Writes `bytes` to `final_path` atomically: temp file in the same
 /// directory, fsync, rename.
 fn write_atomic(final_path: &Path, bytes: &[u8], what: &str) -> Result<(), RdfError> {
+    write_atomic_with(final_path, what, |out| out.write_all(bytes))
+}
+
+/// [`write_atomic`] for content produced piece by piece: `write` streams
+/// it through a buffered writer into the temp file.
+fn write_atomic_with(
+    final_path: &Path,
+    what: &str,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> Result<(), RdfError> {
     let tmp = final_path.with_extension("tmp");
-    let mut file =
-        fs::File::create(&tmp).map_err(|e| RdfError::io(format!("create {what}"), e))?;
-    file.write_all(bytes)
+    let file = fs::File::create(&tmp).map_err(|e| RdfError::io(format!("create {what}"), e))?;
+    let mut out = BufWriter::with_capacity(IO_CHUNK, file);
+    write(&mut out)
+        .and_then(|()| out.flush())
         .map_err(|e| RdfError::io(format!("write {what}"), e))?;
-    file.sync_data()
+    out.get_ref()
+        .sync_data()
         .map_err(|e| RdfError::io(format!("sync {what}"), e))?;
-    drop(file);
+    drop(out);
     fs::rename(&tmp, final_path).map_err(|e| RdfError::io(format!("commit {what}"), e))?;
     Ok(())
+}
+
+/// Buffer size of the streamed model-file writer and reader, and the
+/// size of the line chunks the reader parses at a time.
+const IO_CHUNK: usize = 64 * 1024;
+
+/// Every term id's position in the terms' derived order — the order
+/// [`turtle::to_ntriples`] sorts triples by. Rows mapped to ranks sort as
+/// plain integers into exactly that order, and no term is cloned.
+fn term_ranks(dict: &Dictionary) -> (Vec<u64>, Vec<TermId>) {
+    let mut order: Vec<TermId> = (0..dict.len() as u64).map(TermId).collect();
+    order.sort_unstable_by(|&a, &b| dict.term_unchecked(a).cmp(dict.term_unchecked(b)));
+    let mut rank = vec![0u64; order.len()];
+    for (i, id) in order.iter().enumerate() {
+        rank[id.0 as usize] = i as u64;
+    }
+    (rank, order)
+}
+
+/// Streams one graph (its merged view, when stacked) into `out` as
+/// N-Triples, byte for byte what [`turtle::to_ntriples`] renders for its
+/// decoded triples, and returns the CRC-32 of the bytes written.
+fn write_ntriples(
+    out: &mut impl io::Write,
+    graph: &FrozenGraph,
+    dict: &Dictionary,
+    (rank, order): &(Vec<u64>, Vec<TermId>),
+) -> io::Result<u32> {
+    let mut rows: Vec<(u64, u64, u64)> = graph
+        .iter()
+        .map(|t| (rank[t.s.0 as usize], rank[t.p.0 as usize], rank[t.o.0 as usize]))
+        .collect();
+    rows.sort_unstable();
+    let term = |r: u64| dict.term_unchecked(order[r as usize]);
+    let mut crc = Crc32::new();
+    let mut line = String::new();
+    for (s, p, o) in rows {
+        line.clear();
+        let _ = writeln!(line, "{} {} {} .", term(s), term(p), term(o));
+        crc.update(line.as_bytes());
+        out.write_all(line.as_bytes())?;
+    }
+    Ok(crc.finish())
 }
 
 /// Best-effort directory fsync so the renames above are durable.
@@ -200,16 +265,16 @@ pub fn save_frozen_snapshot(
     let mut manifest = format!("{MANIFEST_MAGIC} gen={generation} journal_seq={journal_seq}\n");
     let mut models = Vec::new();
     let mut live: BTreeSet<String> = BTreeSet::new();
+    let ranks = term_ranks(dict);
     for (i, (name, graph)) in graphs.iter().enumerate() {
         failpoint::check("snapshot::model")?;
         let stem = format!("model_{generation}_{i}");
-        let text = turtle::graph_to_ntriples(graph, dict);
-        write_atomic(&dir.join(format!("{stem}.nt")), text.as_bytes(), "model file")?;
-        manifest.push_str(&format!(
-            "{stem}\t{}\t{:08x}\t{name}\n",
-            graph.len(),
-            journal::crc32(text.as_bytes()),
-        ));
+        let mut crc = 0;
+        write_atomic_with(&dir.join(format!("{stem}.nt")), "model file", |out| {
+            crc = write_ntriples(out, graph, dict, &ranks)?;
+            Ok(())
+        })?;
+        manifest.push_str(&format!("{stem}\t{}\t{crc:08x}\t{name}\n", graph.len()));
         live.insert(format!("{stem}.nt"));
         models.push((name.clone(), graph.len()));
     }
@@ -254,48 +319,102 @@ fn remove_stale_model_files(dir: &Path, live: &BTreeSet<String>) {
 
 /// Reads one model file and proves it whole: the bytes match the manifest's
 /// CRC, they parse, the triple count is the manifest's, and every triple is
-/// well-formed. The one decoder behind both loading and [`fsck`].
+/// well-formed — in that order of precedence. The file is streamed: chunks
+/// of whole lines are checksummed and parsed as they arrive, and each
+/// well-formed triple goes to `sink` until the first fault; after a fault
+/// the rest is only checksummed, so damage reports as a checksum mismatch
+/// whatever the bytes parse as. Returns the triple count. The one decoder
+/// behind both loading and [`fsck`]; a caller discards what `sink` saw
+/// when this fails.
 fn read_model_file(
     dir: &Path,
     entry: &ManifestEntry,
-) -> Result<Vec<(Term, Term, Term)>, RdfError> {
+    mut sink: impl FnMut(Term, Term, Term),
+) -> Result<usize, RdfError> {
     let file = format!("{}.nt", entry.stem);
-    let text = fs::read_to_string(dir.join(&file))
-        .map_err(|e| RdfError::io(format!("read model file {file}"), e))?;
-    let actual = journal::crc32(text.as_bytes());
+    let io_err = |e| RdfError::io(format!("read model file {file}"), e);
+    let mut reader =
+        BufReader::with_capacity(IO_CHUNK, fs::File::open(dir.join(&file)).map_err(io_err)?);
+    let mut crc = Crc32::new();
+    let (mut chunk, mut chunk_line, mut lines) = (Vec::with_capacity(2 * IO_CHUNK), 1, 0);
+    // The first parse fault (which stops parsing) and the first ill-formed
+    // triple (which stops only the sink, so the count stays checkable).
+    let (mut unparsable, mut ill_formed) = (None, None);
+    let mut count = 0;
+    loop {
+        let read = reader.read_until(b'\n', &mut chunk).map_err(io_err)?;
+        lines += 1;
+        if read > 0 && chunk.len() < IO_CHUNK {
+            continue;
+        }
+        crc.update(&chunk);
+        if unparsable.is_none() {
+            let parsed = std::str::from_utf8(&chunk)
+                .map_err(|e| RdfError::corrupt(&file, format!("not UTF-8: {e}")))
+                .and_then(|text| {
+                    turtle::parse(text).map_err(|e| match e {
+                        RdfError::Parse { line, message } => {
+                            RdfError::Parse { line: chunk_line + line - 1, message }
+                        }
+                        other => other,
+                    })
+                });
+            match parsed {
+                Ok(doc) => {
+                    for (s, p, o) in doc.triples {
+                        count += 1;
+                        if ill_formed.is_none() {
+                            match check_well_formed(&s, &p, &o) {
+                                Ok(()) => sink(s, p, o),
+                                Err(reason) => {
+                                    ill_formed = Some(RdfError::InvalidTriple { reason })
+                                }
+                            }
+                        }
+                    }
+                }
+                Err(e) => unparsable = Some(e),
+            }
+        }
+        chunk.clear();
+        chunk_line += lines;
+        lines = 0;
+        if read == 0 {
+            break;
+        }
+    }
+    let actual = crc.finish();
     if actual != entry.crc {
         return Err(RdfError::corrupt(
             &file,
             format!("checksum mismatch: manifest {:08x}, file {actual:08x}", entry.crc),
         ));
     }
-    let triples = turtle::parse(&text)?.triples;
-    if entry.count != triples.len() {
+    if let Some(e) = unparsable {
+        return Err(e);
+    }
+    if entry.count != count {
         return Err(RdfError::corrupt(
             &file,
-            format!("triple count mismatch: manifest {}, file {}", entry.count, triples.len()),
+            format!("triple count mismatch: manifest {}, file {count}", entry.count),
         ));
     }
-    for (s, p, o) in &triples {
-        check_well_formed(s, p, o).map_err(|reason| RdfError::InvalidTriple { reason })?;
-    }
-    Ok(triples)
+    ill_formed.map_or(Ok(count), Err)
 }
 
 /// Loads one model file into frozen columns, interning its terms into
-/// `dict` — a loaded snapshot starts life as immutable columns.
+/// `dict` as they are read — a loaded snapshot starts life as immutable
+/// columns.
 fn load_model_file(
     dir: &Path,
     entry: &ManifestEntry,
     dict: &mut Dictionary,
 ) -> Result<FrozenIndex, RdfError> {
-    let rows = read_model_file(dir, entry)?
-        .into_iter()
-        .map(|(s, p, o)| {
-            let mut id = |t| dict.intern_owned(t).raw();
-            (id(s), id(p), id(o))
-        })
-        .collect();
+    let mut rows = Vec::new();
+    read_model_file(dir, entry, |s, p, o| {
+        let mut id = |t| dict.intern_owned(t).raw();
+        rows.push((id(s), id(p), id(o)));
+    })?;
     Ok(FrozenIndex::from_spo_rows(rows))
 }
 
@@ -677,8 +796,8 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, RdfError> {
 }
 
 fn fsck_model(dir: &Path, entry: &ManifestEntry) -> FsckModel {
-    let (triples, problem) = match read_model_file(dir, entry) {
-        Ok(triples) => (Some(triples.len()), None),
+    let (triples, problem) = match read_model_file(dir, entry, |_, _, _| {}) {
+        Ok(count) => (Some(count), None),
         Err(e) => (None, Some(e.to_string())),
     };
     FsckModel { name: entry.name.clone(), file: format!("{}.nt", entry.stem), triples, problem }
@@ -699,7 +818,7 @@ mod tests {
     use crate::failpoint::FailSpec;
     use crate::journal::JournalOp;
     use crate::lsm::{LsmConfig, LsmStore};
-    use crate::term::Term;
+    use crate::term::{Literal, Term};
     use crate::vocab;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -761,6 +880,111 @@ mod tests {
             .collect();
         lines.sort();
         lines
+    }
+
+    /// The streamed writer against the reference serializer: a stacked
+    /// graph (base, a sealed run with a tombstone, a memtable with another)
+    /// holding escaped, language-tagged and typed literals and a blank
+    /// node is written as exactly `turtle::to_ntriples`'s bytes for its
+    /// decoded triples, under the manifest CRC of those bytes.
+    #[test]
+    fn streamed_model_file_is_the_reference_ntriples_bytes() {
+        let dir = temp_dir("stream-bytes");
+        let store = LsmStore::in_memory(LsmConfig { auto_compact: false, ..LsmConfig::default() });
+        let (s, name) = (Term::iri("http://ex.org/s"), Term::iri(vocab::cs::HAS_NAME));
+        let objects = [
+            Term::plain("tab\there, \"quoted\" \\ back\r\nslash"),
+            Term::lang("Kunde", "de"),
+            Term::integer(-7),
+            Term::Literal(Literal::typed("2012-04-01", "http://www.w3.org/2001/XMLSchema#date")),
+            Term::iri("http://ex.org/o"),
+            Term::bnode("b0"),
+        ];
+        let ops = |insert: bool, objs: &[Term]| -> Vec<JournalOp> {
+            objs.iter()
+                .map(|o| {
+                    let (s, p, o) = (s.clone(), name.clone(), o.clone());
+                    if insert { JournalOp::Insert(s, p, o) } else { JournalOp::Remove(s, p, o) }
+                })
+                .collect()
+        };
+        store.write_batch("m", &ops(true, &objects[..4])).unwrap();
+        store.seal_now().unwrap();
+        store.compact_once().unwrap();
+        store.write_batch("m", &ops(true, &objects[4..])).unwrap();
+        store.write_batch("m", &ops(false, &objects[..1])).unwrap();
+        store.seal_now().unwrap();
+        store.write_batch("m", &ops(false, &objects[4..5])).unwrap();
+        let typed = JournalOp::Insert(
+            Term::bnode("b1"),
+            Term::iri(vocab::rdf::TYPE),
+            Term::iri("http://ex.org/C"),
+        );
+        store.write_batch("m", &[typed]).unwrap();
+        let snap = store.snapshot();
+        let graph = snap.model("m").unwrap();
+        assert_eq!(graph.deltas().len(), 2, "base, a sealed run and the memtable");
+        assert_eq!(graph.len(), 5);
+        save(&store, &dir, 0).unwrap();
+
+        let decoded: Vec<(Term, Term, Term)> = graph
+            .iter()
+            .map(|t| {
+                let (s, p, o) = snap.decode(t).unwrap();
+                (s.clone(), p.clone(), o.clone())
+            })
+            .collect();
+        let reference = turtle::to_ntriples(&decoded);
+        let files = model_files(&dir).unwrap();
+        let written = fs::read(&files[0]).unwrap();
+        assert_eq!(String::from_utf8(written).unwrap(), reference);
+        let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let (_, entries) = parse_manifest(&manifest).unwrap();
+        assert_eq!(entries[0].crc, journal::crc32(reference.as_bytes()));
+        assert_eq!(entries[0].count, 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A model file larger than one read chunk loads whole, and a parse
+    /// error past the first chunk names the line a parse of the whole file
+    /// names.
+    #[test]
+    fn multi_chunk_model_file_loads_and_reports_file_lines() {
+        let dir = temp_dir("chunks");
+        let store = LsmStore::in_memory(LsmConfig::default());
+        let ops: Vec<JournalOp> = (0..3000)
+            .map(|i| {
+                JournalOp::Insert(
+                    Term::iri(format!("http://ex.org/item/{i:05}")),
+                    Term::iri(vocab::cs::HAS_NAME),
+                    Term::plain(format!("name number {i}")),
+                )
+            })
+            .collect();
+        store.write_batch("m", &ops).unwrap();
+        save(&store, &dir, 0).unwrap();
+        let file = &model_files(&dir).unwrap()[0];
+        let bytes = fs::read(file).unwrap();
+        assert!(bytes.len() > 2 * IO_CHUNK, "{} bytes", bytes.len());
+        let loaded = load_store(&dir).unwrap();
+        assert_eq!(model_lines(&loaded, "m"), model_lines(&store.snapshot(), "m"));
+
+        // Break line 2500 and re-sign the file, so only the parser objects.
+        let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+        lines[2499] = b"<http://ex.org/broken> .\n";
+        let damaged = lines.concat();
+        fs::write(file, &damaged).unwrap();
+        let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        let (_, entries) = parse_manifest(&manifest).unwrap();
+        let resigned = manifest.replace(
+            &format!("{:08x}", entries[0].crc),
+            &format!("{:08x}", journal::crc32(&damaged)),
+        );
+        fs::write(dir.join(MANIFEST_FILE), resigned).unwrap();
+        let whole = turtle::parse(std::str::from_utf8(&damaged).unwrap()).unwrap_err();
+        assert!(matches!(whole, RdfError::Parse { line: 2500..=2501, .. }), "{whole}");
+        assert_eq!(load_store(&dir).unwrap_err(), whole);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! The summary is computed **once per frozen snapshot** (a single ordered
 //! walk of the POS column plus run counts over SPO/OSP) and cached on the
-//! [`FrozenGraph`](crate::frozen::FrozenGraph) behind a `OnceLock`, so it
+//! [`FrozenGraph`] behind a `OnceLock`, so it
 //! rides the same `Arc`-reuse path as the snapshot itself: a no-op publish
 //! republishes the same graph Arcs and therefore the same stats — no
 //! histogram is ever rebuilt for an unchanged model.

@@ -18,8 +18,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::error::RdfError;
-use crate::frozen::FrozenGraph;
-use crate::dict::Dictionary;
 use crate::term::{Literal, LiteralKind, Term};
 use crate::vocab;
 
@@ -456,7 +454,9 @@ impl<'a> Parser<'a> {
 }
 
 /// Serializes a set of decoded triples as N-Triples (one triple per line,
-/// no prefixes). Deterministic: sorts by the terms' derived order.
+/// no prefixes). Deterministic: sorts by the terms' derived order. The
+/// reference for the snapshot writer, which streams a stored graph in
+/// exactly these bytes without decoding it into owned triples.
 pub fn to_ntriples(triples: &[(Term, Term, Term)]) -> String {
     let mut sorted: Vec<_> = triples.to_vec();
     sorted.sort();
@@ -465,18 +465,6 @@ pub fn to_ntriples(triples: &[(Term, Term, Term)]) -> String {
         let _ = writeln!(out, "{s} {p} {o} .");
     }
     out
-}
-
-/// Serializes a graph (its merged view, when stacked) as N-Triples.
-pub fn graph_to_ntriples(graph: &FrozenGraph, dict: &Dictionary) -> String {
-    let mut triples = Vec::with_capacity(graph.len());
-    for t in graph.iter() {
-        let s = dict.term_unchecked(t.s).clone();
-        let p = dict.term_unchecked(t.p).clone();
-        let o = dict.term_unchecked(t.o).clone();
-        triples.push((s, p, o));
-    }
-    to_ntriples(&triples)
 }
 
 /// Serializes triples as Turtle using the given prefix table: IRIs that

@@ -178,7 +178,7 @@ fn kill_and_recover_at(point: &str) -> bool {
             fault_seen = true;
             break;
         }
-        if store.compaction_debt() >= 2 {
+        if store.metrics().debt >= 2 {
             match store.compact_once() {
                 Ok(_) => {}
                 Err(_) => {

@@ -157,6 +157,61 @@ proptest! {
             prop_assert!(index.iter().eq(oracle.iter().copied()));
         }
     }
+
+    /// The memtable merge against the set oracle: a triple space of eight
+    /// so inserts and removes of one triple meet within a batch and across
+    /// batches, and a memtable limit of four so memtables seal mid-sequence
+    /// and larger batches seal as runs of their own (every third run
+    /// compacts). After every batch the
+    /// model is the oracle set, and the acknowledged ops are the batch's
+    /// newest op per triple, sorted by triple.
+    #[test]
+    fn memtable_merge_matches_the_oracle_across_seals(
+        batches in proptest::collection::vec(
+            proptest::collection::vec(((0u64..2, 0u64..2, 0u64..2), any::<bool>()), 0..9),
+            0..16,
+        ),
+    ) {
+        let cfg = LsmConfig { memtable_limit: 4, auto_compact: false, ..LsmConfig::default() };
+        let engine = LsmStore::in_memory(cfg);
+        let term = |id: u64| Term::iri(format!("http://ex.org/t{id}"));
+        engine.with_dict(|dict| {
+            for id in 0..2 {
+                dict.intern(&term(id));
+            }
+        });
+        let mut oracle = std::collections::BTreeSet::new();
+        for ops in batches {
+            let journal: Vec<JournalOp> = ops
+                .iter()
+                .map(|&((s, p, o), is_insert)| {
+                    let (s, p, o) = (term(s), term(p), term(o));
+                    if is_insert { JournalOp::Insert(s, p, o) } else { JournalOp::Remove(s, p, o) }
+                })
+                .collect();
+            let committed = engine.write_batch("m", &journal).unwrap();
+            if engine.metrics().debt >= 3 {
+                engine.compact_once().unwrap();
+            }
+            let mut newest = std::collections::BTreeMap::new();
+            for ((s, p, o), is_insert) in ops {
+                let t = Triple::new(TermId(s), TermId(p), TermId(o));
+                newest.insert(t, is_insert);
+                if is_insert {
+                    oracle.insert(t);
+                } else {
+                    oracle.remove(&t);
+                }
+            }
+            let expected: Vec<(bool, Triple)> = newest.into_iter().map(|(t, i)| (i, t)).collect();
+            prop_assert_eq!(committed.ops, expected);
+            let snap = engine.snapshot();
+            let index = snap.model("m").unwrap();
+            prop_assert_eq!(index.len(), oracle.len());
+            prop_assert!(index.iter().eq(oracle.iter().copied()));
+        }
+        prop_assert!(engine.metrics().sealed_runs > 0 || oracle.len() < 4);
+    }
 }
 
 // ---- Turtle ----------------------------------------------------------------

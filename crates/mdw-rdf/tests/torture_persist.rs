@@ -138,8 +138,8 @@ fn journal_truncated_at_every_byte_recovers_committed_prefix() {
 }
 
 /// Truncate each committed model file at every byte boundary: the load
-/// must DETECT the damage (checksum/count mismatch) rather than return a
-/// silently shortened graph.
+/// must DETECT the damage (the checksum is checked before anything the
+/// bytes parse as) rather than return a silently shortened graph.
 #[test]
 fn model_file_truncation_is_always_detected() {
     let dir = temp_dir("nt-cut");
@@ -151,12 +151,42 @@ fn model_file_truncation_is_always_detected() {
             fs::write(&path, &full[..cut]).unwrap();
             for err in [persist::load_store(&dir).unwrap_err(), recover(&dir).unwrap_err()] {
                 assert!(
-                    matches!(err, RdfError::Corrupt { .. } | RdfError::Parse { .. }),
+                    matches!(err, RdfError::Corrupt { .. }),
                     "cut at {cut}: unexpected error kind {err}"
                 );
             }
             let report = persist::fsck(&dir).unwrap();
             assert!(!report.clean(), "cut at {cut}: fsck missed the damage");
+        }
+        fs::write(&path, &full).unwrap();
+        assert!(persist::fsck(&dir).unwrap().clean());
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Flip one bit of each committed model file at every byte — the high
+/// bit, which also breaks UTF-8, on even offsets, the low bit on odd
+/// ones: load, recovery and fsck must each refuse the file as corrupt.
+#[test]
+fn model_file_flipped_byte_is_always_corrupt() {
+    let dir = temp_dir("nt-flip");
+    let store = base_store();
+    save(&store, &dir, 0);
+    for path in persist::model_files(&dir).unwrap() {
+        let full = fs::read(&path).unwrap();
+        for at in 0..full.len() {
+            let mut damaged = full.clone();
+            damaged[at] ^= if at % 2 == 0 { 0x80 } else { 0x01 };
+            fs::write(&path, &damaged).unwrap();
+            for err in [persist::load_store(&dir).unwrap_err(), recover(&dir).unwrap_err()] {
+                assert!(matches!(err, RdfError::Corrupt { .. }), "flip at {at}: {err}");
+            }
+            let report = persist::fsck(&dir).unwrap();
+            assert!(
+                report.issues.iter().any(|issue| issue.contains("checksum mismatch")),
+                "flip at {at}: {:?}",
+                report.issues
+            );
         }
         fs::write(&path, &full).unwrap();
         assert!(persist::fsck(&dir).unwrap().clean());

@@ -4,7 +4,7 @@
 //!   parsed request either to a ready-to-stage [`StagedResponse`] (health,
 //!   stats, admin, 404/405) or to a [`QueryJob`]. The loop admits the job
 //!   in its tenant's FIFO ([`crate::tenant`]) before any worker sees it.
-//! * [`QueryJob::run`] runs **on a worker thread** and may block: drain
+//! * `QueryJob::run` runs **on a worker thread** and may block: drain
 //!   check, budget construction, the chaos pauses, and the query itself.
 //!   It returns either a fixed response (errors, sheds) or a
 //!   [`RowStreamer`].
@@ -207,7 +207,7 @@ pub fn prepare(state: &Arc<ServeState>, request: &Request) -> Prepared {
 }
 
 /// A query request, parked until a worker picks it up. Everything blocking
-/// or slow lives in [`QueryJob::run`].
+/// or slow lives in `QueryJob::run`.
 pub struct QueryJob {
     pub(crate) request: Request,
     pub(crate) class: QueryClass,
@@ -381,7 +381,7 @@ enum StreamStage {
     Done,
 }
 
-/// Streams an [`Answer`] as budget-charged chunk frames, one piece per
+/// Streams an `Answer` as budget-charged chunk frames, one piece per
 /// [`step`](RowStreamer::step), many per [`fill`](RowStreamer::fill). The
 /// byte cap is charged **before** each row is framed, and the deadline and
 /// drain cancellation are read before each step or fill — a trip stops the

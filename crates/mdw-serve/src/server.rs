@@ -22,7 +22,7 @@
 //!   permit or sheds it; only admitted jobs reach the workers, so the
 //!   worker queue is bounded by the permits outstanding and no worker ever
 //!   waits for one. The loop re-checks the FIFOs once per iteration: it
-//!   wakes at least every [`SWEEP`], and a permit dropped on a worker is
+//!   wakes at least every `SWEEP`, and a permit dropped on a worker is
 //!   always followed by a result send and a wake.
 //! * **Bounded everything** — at most `max_connections` served
 //!   connections; beyond that, new sockets become lightweight shed

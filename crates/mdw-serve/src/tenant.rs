@@ -13,8 +13,8 @@
 //! cannot starve the others.
 //!
 //! Admission is decided on the event loop and never blocks. A query
-//! request joins the back of its tenant's FIFO ([`TenantGates::enqueue`]),
-//! and every loop iteration's [`TenantGates::pass`] walks each FIFO in
+//! request joins the back of its tenant's FIFO (`TenantGates::enqueue`),
+//! and every loop iteration's `TenantGates::pass` walks each FIFO in
 //! arrival order, granting every waiter whose class has a free slot. So
 //! same-class waiters are served strictly FIFO, a newcomer never takes a
 //! slot an older waiter could use, and a waiter of a saturated class does

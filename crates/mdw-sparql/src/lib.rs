@@ -19,18 +19,18 @@
 //!   without external dependencies,
 //! * [`plan`] — logical query plans: every basic graph pattern annotated
 //!   with an execution order, cardinality estimates, and pushed-down
-//!   filter conjuncts, plus the [`ExplainReport`](plan::ExplainReport)
+//!   filter conjuncts, plus the [`ExplainReport`]
 //!   pairing estimates with observed row counts,
 //! * [`optimize`] — the cost-based optimizer that builds those plans from
 //!   frozen-index statistics ([`mdw_rdf::FrozenStats`]): selectivity-ranked
 //!   greedy join ordering with plan-time bound-set propagation and filter
 //!   pushdown,
 //! * [`exec`] — the physical executor: one entry point,
-//!   [`execute`](exec::execute), running budget-charged nested index-loop
+//!   [`execute`], running budget-charged nested index-loop
 //!   joins driven by the plan over any
 //!   [`TripleSource`](mdw_rdf::TripleSource) — a plain model or an
 //!   entailed view (rulebase opted in) — on the calling thread, under
-//!   [`ExecOptions`](exec::ExecOptions) (budget, planner switch),
+//!   [`ExecOptions`] (budget, planner switch),
 //! * [`sem_match`] — the Oracle-flavoured query *builder* used by the
 //!   reproduction of the paper's listings; the warehouse facade in
 //!   `mdw-core` is what runs it.

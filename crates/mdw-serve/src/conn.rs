@@ -14,35 +14,24 @@
 //! The machine is **transport-agnostic**: it never touches a socket. It
 //! consumes bytes via [`Conn::feed`], stages responses into a bounded write
 //! buffer, and tells its driver what it needs next via [`Conn::wants`].
-//! Two drivers exist:
-//!
-//! * the epoll event loop in [`crate::server`], which feeds it nonblocking
-//!   reads, flushes via [`Conn::on_writable`], admits each [`QueryJob`] in
-//!   its tenant's FIFO and runs it on a worker pool, and enforces the
-//!   per-state deadlines
-//!   ([`Conn::check_deadline`]): head-read (slowloris), write-stall
-//!   (slow readers), and idle keep-alive reaping;
-//! * the blocking driver [`handle_connection`], which runs everything on
-//!   the calling thread over any `Read + Write`, admitting without a queue
-//!   — the chaos suite's way of
-//!   making every wire fault deterministic. It flushes one protocol piece
-//!   per write call (head, then each row frame), so write-count-based fault
-//!   arming lands exactly where a test aims it.
+//! Its driver is the loop core in [`crate::server`], which feeds it
+//! nonblocking reads, flushes via [`Conn::on_writable`], admits each
+//! [`QueryJob`] in its tenant's FIFO and runs it on a worker pool, and
+//! enforces the per-state deadlines ([`Conn::check_deadline`]): head-read
+//! (slowloris), write-stall (slow readers), and idle keep-alive reaping.
+//! Unit tests drive a `Conn` by hand, flushing into a `Vec`.
 //!
 //! Buffers are bounded: the read buffer can never exceed the request-head
 //! cap plus one byte (a drip-feeding client hits `431`, not OOM), and the
 //! write buffer refills from the row streamer only below a high-water mark.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::fault::FaultStream;
 use crate::http::{self, ParseError, Request};
-use crate::router::{
-    self, ConnOutcome, JobResult, Prepared, QueryJob, RowStreamer, StagedResponse,
-};
+use crate::router::{self, JobResult, Prepared, QueryJob, RowStreamer, StagedResponse};
 use crate::server::{ServeState, ServerConfig};
 
 /// Refill threshold for the write buffer: the streamer appends row frames
@@ -106,7 +95,7 @@ enum State {
     Closing,
 }
 
-/// One connection's full lifecycle. See the module docs for the drivers.
+/// One connection's full lifecycle. See the module docs for its driver.
 pub struct Conn {
     state: State,
     /// True for connections accepted purely to be told `503`: past the
@@ -122,8 +111,6 @@ pub struct Conn {
     close_after: bool,
     count_served: bool,
     count_wire_error: bool,
-    staged_outcome: ConnOutcome,
-    outcome: ConnOutcome,
     requests_served: u64,
     timeouts: ConnTimeouts,
     deadline: Option<Instant>,
@@ -146,8 +133,6 @@ impl Conn {
             close_after: false,
             count_served: false,
             count_wire_error: false,
-            staged_outcome: ConnOutcome::BadRequest,
-            outcome: ConnOutcome::BadRequest,
             requests_served: 0,
             timeouts,
             deadline: Some(now + timeouts.head),
@@ -170,15 +155,15 @@ impl Conn {
         }
     }
 
-    /// How one (or more) requests on this connection ended — the last
-    /// notable event wins.
-    pub fn outcome(&self) -> ConnOutcome {
-        self.outcome
-    }
-
     /// Requests fully answered on this connection so far.
     pub fn requests_served(&self) -> u64 {
         self.requests_served
+    }
+
+    /// True for a connection accepted past the capacity bound, only to be
+    /// told `503`; it holds no served slot.
+    pub(crate) fn is_shed(&self) -> bool {
+        self.shed
     }
 
     /// True when the connection sits between requests with nothing staged
@@ -220,15 +205,15 @@ impl Conn {
         }
     }
 
-    /// A read failed (timeout, reset, …). Mirrors the blocking server's
-    /// behavior: answer `400` best-effort — on a genuinely dead peer the
+    /// A read failed (timeout, reset, …): the request can no longer be
+    /// trusted, so answer `400` best-effort — on a genuinely dead peer the
     /// flush fails silently — and close.
     pub fn on_read_error(&mut self, s: &Arc<ServeState>, e: io::Error, now: Instant) {
         let e = ParseError::Io(e);
         self.stage_response(s, StagedResponse::parse_error(e.status(), &e.to_string()), now);
     }
 
-    /// Takes the queued job for execution (worker pool or inline).
+    /// Takes the queued job for admission and the worker pool.
     pub fn take_job(&mut self) -> Option<QueryJob> {
         self.job.take()
     }
@@ -278,33 +263,6 @@ impl Conn {
         }
     }
 
-    /// Blocking flush, one protocol piece per call: first the staged bytes
-    /// (head or whole fixed response) as one `write_all`, then each
-    /// streamer piece as its own `write_all`. This granularity is what lets
-    /// the chaos suite arm a fault "after N writes" and land it mid-body.
-    pub fn flush_step<W: Write>(&mut self, s: &Arc<ServeState>, w: &mut W) {
-        if !matches!(self.state, State::Streaming) {
-            return;
-        }
-        if self.out_pos < self.out_buf.len() {
-            let result =
-                w.write_all(&self.out_buf[self.out_pos..]).and_then(|()| w.flush());
-            match result {
-                Ok(()) => self.out_pos = self.out_buf.len(),
-                Err(_) => self.write_failed(s),
-            }
-            return;
-        }
-        self.out_buf.clear();
-        self.out_pos = 0;
-        if let Some(streamer) = &mut self.streamer {
-            if streamer.step(&mut self.out_buf) {
-                return; // staged one piece; the next call writes it
-            }
-        }
-        self.finish_response(s, Instant::now());
-    }
-
     /// Enforces the current state's deadline. Returns whether it fired:
     ///
     /// * head/body read overdue → `408` staged, connection will close
@@ -332,9 +290,6 @@ impl Conn {
                 // frame stays detectably incomplete.
                 if self.count_wire_error {
                     s.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
-                    self.outcome = ConnOutcome::WireError;
-                } else {
-                    self.outcome = self.staged_outcome;
                 }
                 self.streamer = None;
                 self.deadline = None;
@@ -438,7 +393,7 @@ impl Conn {
             &resp.body,
         )
         .expect("writing to a Vec cannot fail");
-        self.begin_flush(resp.count_served, resp.count_wire_error, resp.outcome, close, now);
+        self.begin_flush(resp.count_served, resp.count_wire_error, close, now);
     }
 
     fn stage_stream(&mut self, s: &Arc<ServeState>, streamer: RowStreamer, now: Instant) {
@@ -448,33 +403,29 @@ impl Conn {
         http::start_chunked(&mut self.out_buf, 200, !close, &[], "application/x-ndjson")
             .expect("writing to a Vec cannot fail");
         self.streamer = Some(streamer);
-        self.begin_flush(true, true, ConnOutcome::Served, close, now);
+        self.begin_flush(true, true, close, now);
     }
 
     fn begin_flush(
         &mut self,
         count_served: bool,
         count_wire_error: bool,
-        outcome: ConnOutcome,
         close: bool,
         now: Instant,
     ) {
         self.count_served = count_served;
         self.count_wire_error = count_wire_error;
-        self.staged_outcome = outcome;
         self.close_after = close;
         self.state = State::Streaming;
         self.deadline = Some(now + self.timeouts.write_stall);
     }
 
     fn write_failed(&mut self, s: &Arc<ServeState>) {
+        // Best-effort responses (parse errors, the post-panic 500) are not
+        // wire errors when the flush goes nowhere: the peer was already
+        // broken.
         if self.count_wire_error {
             s.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
-            self.outcome = ConnOutcome::WireError;
-        } else {
-            // Best-effort responses (parse errors, the post-panic 500) keep
-            // their verdict even when the flush goes nowhere.
-            self.outcome = self.staged_outcome;
         }
         self.streamer = None;
         self.deadline = None;
@@ -488,7 +439,6 @@ impl Conn {
         if self.count_served {
             s.counters.served.fetch_add(1, Ordering::Relaxed);
         }
-        self.outcome = self.staged_outcome;
         self.requests_served += 1;
         if self.close_after {
             self.deadline = None;
@@ -500,40 +450,6 @@ impl Conn {
         // Pipelined bytes of the next request may already be buffered.
         self.advance(s, now);
     }
-}
-
-/// Serves a whole connection from `stream` on the calling thread, with wire
-/// fault injection and panic isolation. This is the deterministic driver:
-/// thread-local failpoints armed by the caller fire inside this call. With
-/// keep-alive it serves requests until the peer closes or an error does.
-/// Never panics outward; never leaks a permit or an in-flight registration
-/// (both are RAII and released when the streamer drops).
-pub fn handle_connection<S: Read + Write>(state: &Arc<ServeState>, stream: S) -> ConnOutcome {
-    let mut stream = FaultStream::new(stream);
-    let mut conn = Conn::new(ConnTimeouts::from(&state.config), false, Instant::now());
-    let mut scratch = [0u8; 4096];
-    loop {
-        match conn.wants() {
-            Wants::Read => {
-                let cap = conn.read_cap().min(scratch.len());
-                let now = Instant::now();
-                match stream.read(&mut scratch[..cap]) {
-                    Ok(0) => conn.on_read_eof(state, now),
-                    Ok(n) => conn.feed(state, &scratch[..n], now),
-                    Err(e) => conn.on_read_error(state, e, now),
-                }
-            }
-            Wants::Execute => {
-                let job = conn.take_job().expect("Execute implies a queued job");
-                let result = router::execute_job(state, job);
-                conn.complete_job(state, result, Instant::now());
-            }
-            Wants::Write => conn.flush_step(state, &mut stream),
-            Wants::Wait => unreachable!("the blocking driver executes jobs inline"),
-            Wants::Close => break,
-        }
-    }
-    conn.outcome()
 }
 
 #[cfg(test)]
@@ -557,13 +473,11 @@ mod tests {
         }
     }
 
-    /// Drives the conn's staged bytes into a Vec until it stops wanting to
-    /// write.
+    /// Flushes the conn's staged bytes into a Vec, which never blocks: one
+    /// call writes every response the buffered requests produce.
     fn drain_writes(conn: &mut Conn, s: &Arc<ServeState>) -> Vec<u8> {
         let mut out = Vec::new();
-        while conn.wants() == Wants::Write {
-            conn.flush_step(s, &mut out);
-        }
+        conn.on_writable(s, &mut out, Instant::now());
         out
     }
 
@@ -585,7 +499,7 @@ mod tests {
         assert_eq!(resp.status, 408);
         assert!(resp.complete_frame);
         assert_eq!(conn.wants(), Wants::Close);
-        assert_eq!(conn.outcome(), ConnOutcome::BadRequest);
+        assert_eq!(s.counters.served.load(Ordering::Relaxed), 0, "a 408 is not a served request");
     }
 
     #[test]
@@ -599,7 +513,6 @@ mod tests {
         assert!(conn.check_deadline(&s, t0 + Duration::from_millis(150)));
         assert_eq!(s.counters.write_stall_timeouts.load(Ordering::Relaxed), 1);
         assert_eq!(conn.wants(), Wants::Close);
-        assert_eq!(conn.outcome(), ConnOutcome::WireError);
         assert_eq!(s.counters.wire_errors.load(Ordering::Relaxed), 1);
     }
 
@@ -615,8 +528,7 @@ mod tests {
         assert!(conn.check_deadline(&s, t0 + Duration::from_millis(250)));
         assert_eq!(s.counters.idle_reaped.load(Ordering::Relaxed), 1);
         assert_eq!(conn.wants(), Wants::Close);
-        // The served request's verdict survives the reap.
-        assert_eq!(conn.outcome(), ConnOutcome::Served);
+        assert_eq!(s.counters.served.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -626,17 +538,15 @@ mod tests {
         let mut conn = Conn::new(timeouts(), false, t0);
         let two = b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
         conn.feed(&s, two, t0);
-        let mut raw = drain_writes(&mut conn, &s);
         // After the first response the pipelined second request dispatches
         // without another read.
-        raw.extend(drain_writes(&mut conn, &s));
+        let raw = drain_writes(&mut conn, &s);
         let text = String::from_utf8(raw).unwrap();
         assert_eq!(text.matches("HTTP/1.1 200 OK").count(), 2, "{text}");
         assert_eq!(conn.requests_served(), 2);
         assert_eq!(s.counters.keepalive_reuses.load(Ordering::Relaxed), 1);
         assert_eq!(s.counters.served.load(Ordering::Relaxed), 2);
         assert_eq!(conn.wants(), Wants::Close, "Connection: close honored");
-        assert_eq!(conn.outcome(), ConnOutcome::Served);
     }
 
     #[test]
@@ -682,7 +592,7 @@ mod tests {
         assert_eq!(resp.status, 431);
         assert!(resp.complete_frame);
         assert_eq!(conn.wants(), Wants::Close);
-        assert_eq!(conn.outcome(), ConnOutcome::BadRequest);
+        assert_eq!(s.counters.served.load(Ordering::Relaxed), 0);
     }
 
     #[test]

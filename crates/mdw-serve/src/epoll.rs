@@ -11,6 +11,8 @@
 //! * [`Waker`] — a self-pipe whose read end lives inside the poller;
 //!   any thread can [`Waker::wake`] the loop out of its wait (worker
 //!   results, drain requests, shutdown).
+//! * [`Ready`] — the rule for what a registration reports, shared by both
+//!   backends and by the serving loop's simulator.
 //! * Socket and process helpers the serving layer needs around the loop:
 //!   [`set_sndbuf`] (the slow-reader tests pin the kernel send buffer so
 //!   write-stalls are reachable), [`raise_nofile_limit`] (a 10k-connection
@@ -25,7 +27,7 @@ use std::io;
 use std::time::Duration;
 
 /// Readiness of one registered descriptor, by its registration token.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PollEvent {
     /// The token supplied at registration.
     pub token: u64,
@@ -35,6 +37,62 @@ pub struct PollEvent {
     pub writable: bool,
     /// The peer hung up or the descriptor errored — teardown territory.
     pub hangup: bool,
+}
+
+/// Readiness conditions in the kernel's terms. A socket shows some set of
+/// them; a registration lets through the set [`Ready::interest`] names;
+/// [`Ready::event`] turns what got through into a [`PollEvent`]. Both
+/// backends and any model of them go through these two functions, so the
+/// rule for what a registration reports is written once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ready {
+    /// Bytes or end-of-file to read (`EPOLLIN` / `POLLIN`).
+    pub input: bool,
+    /// Room to write (`EPOLLOUT` / `POLLOUT`).
+    pub output: bool,
+    /// The peer shut its write side (`EPOLLRDHUP`; the poll(2) backend
+    /// sees it as `input`).
+    pub read_hangup: bool,
+    /// An error, or a hangup in both directions (`EPOLLERR` / `EPOLLHUP`,
+    /// `POLLERR` / `POLLHUP`).
+    pub hangup: bool,
+}
+
+impl Ready {
+    /// The conditions the kernel reports for a descriptor registered with
+    /// `(readable, writable)` interest. `read_hangup` rides only with read
+    /// interest: it is level-triggered, so a half-closed peer would
+    /// otherwise report on every wait while the loop does not want to read
+    /// (a request waiting or running). `hangup` is reported whatever the
+    /// interest — epoll and poll(2) always report errors and hangups — so
+    /// the loop must act on it even for a descriptor it watches for
+    /// nothing, or every wait returns at once.
+    pub const fn interest(readable: bool, writable: bool) -> Ready {
+        Ready { input: readable, output: writable, read_hangup: readable, hangup: true }
+    }
+
+    /// The event for `token`, or `None` when no condition is set. End of
+    /// file, an error and a hangup all make a read progress (it returns 0
+    /// or the error); an error or a hangup makes a write progress too.
+    pub fn event(self, token: u64) -> Option<PollEvent> {
+        let readable = self.input || self.read_hangup || self.hangup;
+        let writable = self.output || self.hangup;
+        let hangup = self.hangup;
+        (readable || writable).then_some(PollEvent { token, readable, writable, hangup })
+    }
+}
+
+impl std::ops::BitAnd for Ready {
+    type Output = Ready;
+
+    fn bitand(self, mask: Ready) -> Ready {
+        Ready {
+            input: self.input && mask.input,
+            output: self.output && mask.output,
+            read_hangup: self.read_hangup && mask.read_hangup,
+            hangup: self.hangup && mask.hangup,
+        }
+    }
 }
 
 #[cfg(unix)]
@@ -221,7 +279,7 @@ fn timeout_ms(timeout: Duration) -> i32 {
 mod imp {
     //! The epoll backend: O(1) per event, kernel-held interest list.
 
-    use super::{timeout_ms, PollEvent};
+    use super::{timeout_ms, PollEvent, Ready};
     use std::io;
     use std::time::Duration;
 
@@ -256,18 +314,13 @@ mod imp {
         buf: Vec<EpollEvent>,
     }
 
-    /// `EPOLLRDHUP` rides only with read interest: it is level-triggered,
-    /// so a half-closed peer would otherwise report on every wait while
-    /// the loop does not want to read (a request waiting or running).
     fn interest_bits(readable: bool, writable: bool) -> u32 {
-        let mut events = 0;
-        if readable {
-            events |= EPOLLIN | EPOLLRDHUP;
-        }
-        if writable {
-            events |= EPOLLOUT;
-        }
-        events
+        let ready = Ready::interest(readable, writable);
+        let bits = |set: bool, bits: u32| if set { bits } else { 0 };
+        bits(ready.input, EPOLLIN)
+            | bits(ready.output, EPOLLOUT)
+            | bits(ready.read_hangup, EPOLLRDHUP)
+            | bits(ready.hangup, EPOLLERR | EPOLLHUP)
     }
 
     fn ctl(epfd: CInt, op: CInt, fd: CInt, events: u32, token: u64) -> io::Result<()> {
@@ -317,12 +370,13 @@ mod imp {
             }
             for ev in &self.buf[..n as usize] {
                 let bits = ev.events;
-                out.push(PollEvent {
-                    token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                    writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+                let ready = Ready {
+                    input: bits & EPOLLIN != 0,
+                    output: bits & EPOLLOUT != 0,
+                    read_hangup: bits & EPOLLRDHUP != 0,
                     hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
+                };
+                out.extend(ready.event(ev.data));
             }
             Ok(())
         }
@@ -341,7 +395,7 @@ mod imp {
     //! flat `pollfd` array. O(n) per wait, which is fine for the
     //! connection counts a non-Linux dev box sees.
 
-    use super::{timeout_ms, PollEvent};
+    use super::{timeout_ms, PollEvent, Ready};
     use std::io;
     use std::time::Duration;
 
@@ -369,8 +423,11 @@ mod imp {
         tokens: Vec<u64>,
     }
 
+    /// poll(2) has no `RDHUP`: a half-closed peer shows as `POLLIN`, and
+    /// `POLLERR` / `POLLHUP` are reported without being asked for.
     fn interest_bits(readable: bool, writable: bool) -> i16 {
-        (if readable { POLLIN } else { 0 }) | (if writable { POLLOUT } else { 0 })
+        let ready = Ready::interest(readable, writable);
+        (if ready.input { POLLIN } else { 0 }) | (if ready.output { POLLOUT } else { 0 })
     }
 
     impl Imp {
@@ -421,15 +478,13 @@ mod imp {
             }
             for (p, token) in self.fds.iter().zip(&self.tokens) {
                 let bits = p.revents;
-                if bits == 0 {
-                    continue;
-                }
-                out.push(PollEvent {
-                    token: *token,
-                    readable: bits & (POLLIN | POLLERR | POLLHUP) != 0,
-                    writable: bits & (POLLOUT | POLLERR | POLLHUP) != 0,
+                let ready = Ready {
+                    input: bits & POLLIN != 0,
+                    output: bits & POLLOUT != 0,
+                    read_hangup: false,
                     hangup: bits & (POLLERR | POLLHUP) != 0,
-                });
+                };
+                out.extend(ready.event(*token));
             }
             Ok(())
         }
@@ -665,6 +720,40 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "half-close never reported");
             poller.wait(&mut events, Duration::from_millis(50)).unwrap();
         }
+    }
+
+    /// A peer that resets (`SO_LINGER` 0, then close) reports a hangup
+    /// even to a registration that asks for nothing — the case a loop must
+    /// act on or spin.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn reset_peer_reports_a_hangup_without_interest() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(server.as_raw_fd(), 9, false, false).unwrap();
+
+        const SO_LINGER: i32 = 13;
+        let linger: [i32; 2] = [1, 0];
+        let fd = client.as_raw_fd();
+        // SAFETY: the descriptor is open, and `linger` is a live `struct
+        // linger` (two ints) of the length passed.
+        let rc =
+            unsafe { sys::setsockopt(fd, sys::SOL_SOCKET, SO_LINGER, linger.as_ptr().cast(), 8) };
+        assert_eq!(rc, 0);
+        drop(client);
+
+        let mut events = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !events.iter().any(|e: &PollEvent| e.token == 9) {
+            assert!(std::time::Instant::now() < deadline, "reset never reported");
+            poller.wait(&mut events, Duration::from_millis(50)).unwrap();
+        }
+        let ev = events.iter().find(|e| e.token == 9).unwrap();
+        assert!(ev.hangup, "{ev:?}");
+        assert_eq!(Some(*ev), (Ready { hangup: true, ..Ready::default() }).event(9));
     }
 
     #[test]

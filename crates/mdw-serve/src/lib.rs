@@ -25,20 +25,25 @@
 //!   defeats readers that stop reading mid-stream, and idle keep-alive
 //!   connections are reaped; every firing is counted and visible in
 //!   `GET /admin/stats`.
-//! * **The wire can be killed deterministically** ([`fault`]) — the
-//!   substrate's failpoint registry extends to reads, writes, accepts, and
-//!   accept storms, so a chaos suite can cut every seam and assert no
-//!   deadlock, no leaked permit, no half-frame that parses as complete
-//!   ([`client`] is the strict judge of that).
+//! * **The wire can be killed deterministically** — the loop's decisions
+//!   live in one [`server::LoopCore`] that reaches sockets, the listener
+//!   and the workers only through a [`server::Transport`]; a seeded
+//!   simulator drives that same core with virtual clients that reset,
+//!   half-close, drip-feed and stop reading, virtual time and a virtual
+//!   worker pool, and asserts after every step that nothing deadlocks,
+//!   leaks a permit, spins on unconsumed readiness, or emits a half-frame
+//!   that parses as complete ([`client`] is the strict judge of that).
+//!   Accept failures and storms are failpoints ([`fault`]) armed on a real
+//!   server.
 //! * **Shutdown is a first-class path** ([`drain`], [`signal`]) — SIGTERM
 //!   stops the intake, reaps parked keep-alive connections, lets in-flight
 //!   requests finish until the drain grace, then cancels stragglers, which
 //!   still return valid truncated prefixes.
 //!
-//! The connection machine is transport-agnostic and the blocking driver
-//! ([`conn::handle_connection`]) is generic over `Read + Write`, so every
-//! one of those behaviors is tested without a socket, on one thread,
-//! deterministically.
+//! The connection machine is transport-agnostic and the loop core is
+//! generic over its transport, so every one of those behaviors is tested
+//! without a socket, on one thread, deterministically — through the code
+//! that serves.
 
 pub mod chaos;
 pub mod client;
@@ -53,8 +58,6 @@ pub mod server;
 pub mod signal;
 pub mod tenant;
 
-pub use conn::handle_connection;
 pub use drain::DrainController;
-pub use router::ConnOutcome;
 pub use server::{serve, Counters, ServeState, ServerConfig, ServerHandle};
 pub use tenant::TenantGates;

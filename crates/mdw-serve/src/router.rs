@@ -22,10 +22,6 @@
 //! row, then exactly one `{"summary": …}` line, then the chunk terminator.
 //! A frame missing its summary or terminator is *detectably* incomplete —
 //! that, not luck, is what the wire-failure model rests on.
-//!
-//! The legacy blocking entry point ([`handle_connection`]) drives the same
-//! state machine over any `Read + Write` stream on the calling thread —
-//! the chaos suite's determinism keystone.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -53,29 +49,12 @@ use crate::rows::{self, Rows};
 use crate::server::ServeState;
 use crate::tenant::{Permit, DEFAULT_TENANT};
 
-pub use crate::conn::handle_connection;
-
 /// Delay point: armed by drain tests to hold a request right before its
 /// query runs.
 pub const PAUSE_BEFORE_QUERY: &str = "serve::before_query";
 /// Delay point: armed by drain tests to hold a request between its query
 /// finishing and its rows streaming out.
 pub const PAUSE_BEFORE_ROWS: &str = "serve::before_rows";
-
-/// How one connection ended — the transport's bookkeeping signal. With
-/// keep-alive a connection may carry many requests; this reports the last
-/// notable thing that happened on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnOutcome {
-    /// A response frame was completed (including error responses).
-    Served,
-    /// A request never parsed (bad head, timeout, reset, oversized).
-    BadRequest,
-    /// The wire died mid-response; the frame is detectably incomplete.
-    WireError,
-    /// The handler panicked; a `500` was attempted.
-    Panicked,
-}
 
 /// A fixed-length response, fully decided, ready for the connection to
 /// encode into its write buffer.
@@ -96,8 +75,6 @@ pub struct StagedResponse {
     /// Force the connection closed after this response regardless of the
     /// request's keep-alive wish.
     pub close: bool,
-    /// What the connection's outcome becomes once this response lands.
-    pub outcome: ConnOutcome,
 }
 
 impl StagedResponse {
@@ -110,7 +87,6 @@ impl StagedResponse {
             count_served: true,
             count_wire_error: true,
             close: false,
-            outcome: ConnOutcome::Served,
         }
     }
 
@@ -128,7 +104,6 @@ impl StagedResponse {
             count_served: false,
             count_wire_error: false,
             close: true,
-            outcome: ConnOutcome::BadRequest,
             ..StagedResponse::error_json(status, message)
         }
     }
@@ -140,7 +115,6 @@ impl StagedResponse {
             count_served: false,
             count_wire_error: false,
             close: true,
-            outcome: ConnOutcome::Panicked,
             ..StagedResponse::error_json(500, "internal server error")
         }
     }
@@ -225,8 +199,9 @@ pub enum JobResult {
 
 /// Runs `job` with panic containment: an unwinding handler becomes a `500`
 /// and a bumped `panics` counter, and every RAII guard (permit, in-flight
-/// registration) is released during the unwind. Workers and the blocking
-/// driver both go through here.
+/// registration) is released during the unwind. The serving loop's
+/// workers run every job through here, and so do in-process replays that
+/// skip the loop.
 pub fn execute_job(state: &Arc<ServeState>, job: QueryJob) -> JobResult {
     match catch_unwind(AssertUnwindSafe(|| job.run(state))) {
         Ok(result) => result,
@@ -264,7 +239,6 @@ fn overloaded(state: &ServeState, retry_after: Duration, detail: &str) -> Staged
         count_served: false,
         count_wire_error: true,
         close: false,
-        outcome: ConnOutcome::Served,
     }
 }
 
@@ -277,8 +251,8 @@ impl QueryJob {
     /// The blocking half of a query request: drain check → budget → chaos
     /// pauses → query. Returns a fixed error/shed response or a
     /// [`RowStreamer`] carrying the admission permit and in-flight
-    /// registration. A job the event loop did not admit (the blocking
-    /// driver, in-process replays) takes its permit here, without waiting.
+    /// registration. A job the event loop did not admit (in-process
+    /// replays, hand-driven tests) takes its permit here, without waiting.
     fn run(mut self, state: &Arc<ServeState>) -> JobResult {
         if state.drain.is_draining() {
             return draining(state);
@@ -381,11 +355,10 @@ enum StreamStage {
     Done,
 }
 
-/// Streams an `Answer` as budget-charged chunk frames, one piece per
-/// [`step`](RowStreamer::step), many per [`fill`](RowStreamer::fill). The
-/// byte cap is charged **before** each row is framed, and the deadline and
-/// drain cancellation are read before each step or fill — a trip stops the
-/// rows and the summary says so truthfully. Holds the admission permit
+/// Streams an `Answer` as budget-charged chunk frames, many per
+/// [`fill`](RowStreamer::fill). The byte cap is charged **before** each row
+/// is framed, and the deadline and drain cancellation are read before each
+/// fill — a trip stops the rows and the summary says so truthfully. Holds the admission permit
 /// and in-flight registration for the request's whole wire lifetime; both
 /// release when the streamer drops (completion, wire death, or teardown).
 pub struct RowStreamer {
@@ -427,15 +400,7 @@ impl RowStreamer {
         }
     }
 
-    /// Appends one protocol piece (a row frame, the summary frame, or the
-    /// terminator) to `out`. Returns `false` once the frame is complete and
-    /// nothing more will ever be appended.
-    pub fn step(&mut self, out: &mut Vec<u8>) -> bool {
-        self.check_time();
-        self.frame(out)
-    }
-
-    /// Steps until `out` holds at least `high_water` bytes or the frame is
+    /// Frames until `out` holds at least `high_water` bytes or the frame is
     /// done — the event loop's refill, keeping write buffers bounded. The
     /// deadline and drain cancellation are read once, before the first
     /// row: a trip lands between fills, not inside one.

@@ -15,6 +15,13 @@
 //!            └───────────────────────────────────────────────┘
 //! ```
 //!
+//! The loop is two pieces: [`LoopCore`] holds every decision (the
+//! connection table, admission, accept backoff, drain, deadlines) and
+//! reaches the world only through a [`Transport`]; the epoll shell in
+//! [`serve`] implements that transport over the [`Poller`], the listener
+//! and the worker channel, and calls [`LoopCore::step`] after each wait.
+//! The serving-loop simulator drives the same core over a model transport.
+//!
 //! Invariants the loop maintains:
 //!
 //! * **Admission before dispatch** — a query request waits in its
@@ -48,7 +55,7 @@
 //!   once the last connection closes.
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -63,12 +70,10 @@ use mdw_rdf::failpoint;
 use crate::conn::{Conn, ConnTimeouts, Wants};
 use crate::drain::DrainController;
 use crate::epoll::{self, PollEvent, Poller};
-use crate::fault::{self, FaultStream};
+use crate::fault;
 use crate::router::{self, QueryJob};
 use crate::tenant::TenantGates;
 
-/// Token the listener is registered under; connection tokens start at 1.
-const LISTENER_TOKEN: u64 = 0;
 /// Deadline sweep cadence: the longest the loop will sleep.
 const SWEEP: Duration = Duration::from_millis(20);
 /// Most sockets accepted per readiness event (fairness under a storm).
@@ -176,8 +181,8 @@ mdw_rdf::counter_set! {
 }
 
 /// Everything a connection needs, shared across the loop and the workers.
-/// Tests build one directly (no listener required) and drive
-/// [`crate::conn::handle_connection`] with in-memory streams.
+/// Tests build one directly (no listener required) and drive a
+/// [`LoopCore`] over a model [`Transport`], or a [`Conn`] by hand.
 pub struct ServeState {
     /// The sizing this server runs under.
     pub config: ServerConfig,
@@ -313,7 +318,7 @@ pub fn serve(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let mut poller = Poller::new()?;
-    poller.register(fd_of(&listener), LISTENER_TOKEN, true, false)?;
+    poller.register(fd_of(&listener), LISTENER, true, false)?;
     let state = ServeState::new(warehouse, config);
     *state.waker.lock().unwrap() = Some(poller.waker());
     let loop_state = Arc::clone(&state);
@@ -334,15 +339,114 @@ fn fd_of<F>(_f: &F) -> i32 {
     -1
 }
 
-/// One connection as the event loop sees it.
-struct ConnEntry {
-    stream: FaultStream<TcpStream>,
-    fd: i32,
-    conn: Conn,
-    /// Accepted purely to be told 503 (doesn't hold a served slot).
-    shed: bool,
-    /// (readable, writable) interest currently registered.
-    interest: (bool, bool),
+/// Everything the loop core reaches outside itself: accepted sockets, the
+/// listener, readiness registration and the worker pool. [`serve`]'s
+/// implementation wraps the [`Poller`], the `TcpListener` and the job
+/// channel; a test can substitute a model of all four and drive the same
+/// [`LoopCore`] deterministically.
+pub trait Transport {
+    /// One accepted connection.
+    type Stream: Read + Write;
+
+    /// Accepts one pending connection; `WouldBlock` once none is left.
+    fn accept(&mut self) -> io::Result<Self::Stream>;
+
+    /// Applies the socket options a served connection needs and starts
+    /// watching `stream` for readability under `token`. An error means the
+    /// connection cannot be served safely; the core drops it.
+    fn register(&mut self, stream: &Self::Stream, token: u64) -> io::Result<()>;
+
+    /// Changes the `(readable, writable)` interest of a registered stream.
+    fn set_interest(
+        &mut self,
+        stream: &Self::Stream,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()>;
+
+    /// Stops watching `stream`; the core drops it next, which closes it.
+    fn deregister(&mut self, stream: &Self::Stream);
+
+    /// Turns the listener's readiness on or off (the accept backoff).
+    /// Readiness arrives under [`LISTENER`].
+    fn listen(&mut self, on: bool);
+
+    /// Closes the listener for good: a drain stops the intake.
+    fn close_listener(&mut self);
+
+    /// Hands an admitted job, with its permit, to the workers; its result
+    /// comes back to [`LoopCore::step`] under the same token.
+    fn dispatch(&mut self, token: u64, job: QueryJob);
+}
+
+/// The token readiness of the listener arrives under; connection tokens
+/// start at 1 and are never reused.
+pub const LISTENER: u64 = 0;
+
+/// [`serve`]'s transport: the poller, the listener and the job channel.
+struct Epoll {
+    poller: Poller,
+    listener: Option<TcpListener>,
+    jobs: mpsc::Sender<(u64, QueryJob)>,
+    sndbuf: Option<usize>,
+}
+
+impl Transport for Epoll {
+    type Stream = TcpStream;
+
+    fn accept(&mut self) -> io::Result<TcpStream> {
+        match &self.listener {
+            Some(listener) => listener.accept().map(|(stream, _peer)| stream),
+            None => Err(io::ErrorKind::WouldBlock.into()),
+        }
+    }
+
+    fn register(&mut self, stream: &TcpStream, token: u64) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        if let Some(bytes) = self.sndbuf {
+            epoll::set_sndbuf(fd_of(stream), bytes)?;
+        }
+        self.poller.register(fd_of(stream), token, true, false)
+    }
+
+    fn set_interest(
+        &mut self,
+        stream: &TcpStream,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()> {
+        self.poller.modify(fd_of(stream), token, readable, writable)
+    }
+
+    fn deregister(&mut self, stream: &TcpStream) {
+        let _ = self.poller.deregister(fd_of(stream));
+    }
+
+    fn listen(&mut self, on: bool) {
+        if let Some(listener) = &self.listener {
+            let fd = fd_of(listener);
+            let _ = if on {
+                self.poller.register(fd, LISTENER, true, false)
+            } else {
+                self.poller.deregister(fd)
+            };
+        }
+    }
+
+    fn close_listener(&mut self) {
+        if let Some(listener) = self.listener.take() {
+            let _ = self.poller.deregister(fd_of(&listener));
+        }
+    }
+
+    fn dispatch(&mut self, token: u64, job: QueryJob) {
+        // Fails only once every worker is gone (shutdown); the dropped job
+        // releases its permit.
+        let _ = self.jobs.send((token, job));
+    }
 }
 
 /// The admitted jobs the loop hands to the workers, taken in turn: one
@@ -369,8 +473,9 @@ fn worker_loop(
     }
 }
 
-fn event_loop(mut poller: Poller, listener: TcpListener, state: Arc<ServeState>) {
-    let timeouts = ConnTimeouts::from(&state.config);
+/// The epoll shell: the worker pool, then [`LoopCore::step`] after every
+/// wait until the core says the loop is done.
+fn event_loop(poller: Poller, listener: TcpListener, state: Arc<ServeState>) {
     let (jobs, jobs_rx) = mpsc::channel();
     let jobs_rx: Jobs = Arc::new(Mutex::new(jobs_rx));
     let (results_tx, results_rx) = mpsc::channel();
@@ -390,138 +495,342 @@ fn event_loop(mut poller: Poller, listener: TcpListener, state: Arc<ServeState>)
     }
     drop(results_tx);
 
-    let mut listener = Some(listener);
-    let mut conns: HashMap<u64, ConnEntry> = HashMap::new();
-    let mut next_token: u64 = LISTENER_TOKEN + 1;
+    let sndbuf = state.config.sndbuf_bytes;
+    let mut io = Epoll { poller, listener: Some(listener), jobs, sndbuf };
+    let mut core = LoopCore::new(state);
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut touched: Vec<u64> = Vec::new();
-    let mut scratch = vec![0u8; 16 * 1024];
-    let mut backoff = BACKOFF_MIN;
-    let mut backoff_until: Option<Instant> = None;
+    while core.step(&mut io, &events, results_rx.try_iter(), Instant::now()) {
+        let _ = io.poller.wait(&mut events, SWEEP);
+    }
+    drop(io.jobs);
+    for worker in workers {
+        let _ = worker.join();
+    }
+}
 
-    loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            break;
+/// One connection as the loop core sees it.
+struct ConnEntry<S> {
+    stream: S,
+    conn: Conn,
+    /// (readable, writable) interest currently registered.
+    interest: (bool, bool),
+}
+
+/// The serving loop's decisions, apart from its syscalls: the connection
+/// table, the tenant FIFO calls, the accept backoff, the drain ladder's
+/// loop half and the deadline sweeps. It is driven by [`LoopCore::step`]
+/// with each wait's events, the workers' results and the time, and
+/// reaches sockets, the listener and the workers only through its
+/// [`Transport`].
+pub struct LoopCore<S> {
+    state: Arc<ServeState>,
+    timeouts: ConnTimeouts,
+    conns: HashMap<u64, ConnEntry<S>>,
+    next_token: u64,
+    touched: Vec<u64>,
+    scratch: Vec<u8>,
+    /// The listener is open; a drain closes it for good.
+    listening: bool,
+    backoff: Duration,
+    backoff_until: Option<Instant>,
+}
+
+impl<S: Read + Write> LoopCore<S> {
+    /// A core serving `state`, with no connections and the listener on.
+    pub fn new(state: Arc<ServeState>) -> Self {
+        LoopCore {
+            timeouts: ConnTimeouts::from(&state.config),
+            state,
+            conns: HashMap::new(),
+            next_token: LISTENER + 1,
+            touched: Vec::new(),
+            scratch: vec![0u8; 16 * 1024],
+            listening: true,
+            backoff: BACKOFF_MIN,
+            backoff_until: None,
         }
-        if state.drain.is_draining() {
-            if let Some(l) = listener.take() {
+    }
+
+    /// One turn of the loop at `now`: the shutdown and drain checks, then
+    /// the workers' `results`, the readiness `events`, the deadline sweep,
+    /// the settling of every connection touched, one admission pass and
+    /// the accepts. Returns `false` once the loop is done: shut down, or
+    /// draining with no connection left.
+    pub fn step<T: Transport<Stream = S>>(
+        &mut self,
+        io: &mut T,
+        events: &[PollEvent],
+        results: impl IntoIterator<Item = (u64, router::JobResult)>,
+        now: Instant,
+    ) -> bool {
+        if self.state.shutdown.load(Ordering::Acquire) {
+            // Hard exit: dropping each connection releases any permit and
+            // in-flight registration its streamer still holds.
+            let tokens: Vec<u64> = self.conns.keys().copied().collect();
+            for token in tokens {
+                self.teardown(io, token);
+            }
+            io.close_listener();
+            return false;
+        }
+        if self.state.drain.is_draining() {
+            if self.listening {
                 // Intake first: nobody new gets in once a drain starts.
-                let _ = poller.deregister(fd_of(&l));
+                self.listening = false;
+                io.close_listener();
             }
             // Parked keep-alive connections are cancelled outright…
-            let parked: Vec<u64> = conns
+            let parked: Vec<u64> = self
+                .conns
                 .iter()
                 .filter(|(_, e)| e.conn.is_parked())
                 .map(|(t, _)| *t)
                 .collect();
             for token in parked {
-                teardown(&mut poller, &mut conns, &state, token);
+                self.teardown(io, token);
             }
             // …while in-flight ones finish under the drain ladder; the
             // loop's work is done when the last of them closes.
-            if conns.is_empty() {
-                break;
+            if self.conns.is_empty() {
+                return false;
             }
         }
 
-        let _ = poller.wait(&mut events, SWEEP);
-        let now = Instant::now();
-        touched.clear();
-
         // Worker results first, so a freshly staged response flushes in
-        // this same iteration.
-        while let Ok((token, result)) = results_rx.try_recv() {
-            if let Some(entry) = conns.get_mut(&token) {
-                entry.conn.complete_job(&state, result, now);
-                touched.push(token);
+        // this same turn.
+        for (token, result) in results {
+            if let Some(entry) = self.conns.get_mut(&token) {
+                entry.conn.complete_job(&self.state, result, now);
+                self.touched.push(token);
             }
             // A result for a torn-down connection is dropped here, which
             // releases its admission permit and in-flight registration.
         }
 
         let mut accept_ready = false;
-        for ev in &events {
-            if ev.token == LISTENER_TOKEN {
+        for ev in events {
+            if ev.token == LISTENER {
                 accept_ready = true;
                 continue;
             }
-            let Some(entry) = conns.get_mut(&ev.token) else { continue };
+            let Some(entry) = self.conns.get_mut(&ev.token) else { continue };
+            if ev.hangup && entry.conn.wants() == Wants::Wait {
+                // A reset peer reports whatever the interest; the request
+                // it waits on can never be answered, and ignoring the
+                // event would return every wait at once until the query
+                // ends. Its late result is dropped on arrival.
+                self.state.counters.wire_errors.fetch_add(1, Ordering::Relaxed);
+                self.teardown(io, ev.token);
+                continue;
+            }
             if ev.readable || ev.hangup {
-                read_conn(&state, entry, &mut scratch, now);
+                read_conn(&self.state, entry, &mut self.scratch, now);
             }
             if ev.writable && entry.conn.wants() == Wants::Write {
-                entry.conn.on_writable(&state, &mut entry.stream, now);
+                entry.conn.on_writable(&self.state, &mut entry.stream, now);
             }
-            touched.push(ev.token);
+            self.touched.push(ev.token);
         }
 
         // Deadline sweep: slowloris heads, stalled writers, idle parkers.
-        for (token, entry) in conns.iter_mut() {
-            if entry.conn.check_deadline(&state, now) {
-                touched.push(*token);
+        for (token, entry) in self.conns.iter_mut() {
+            if entry.conn.check_deadline(&self.state, now) {
+                self.touched.push(*token);
             }
         }
 
+        let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
         touched.dedup();
         for token in touched.drain(..) {
-            post_process(&mut poller, &mut conns, &state, token, now);
+            self.post_process(io, token, now);
         }
+        self.touched = touched;
         // After every place a permit can drop on this thread.
-        admit_waiting(&mut poller, &mut conns, &state, &jobs, now);
+        self.admit_waiting(io, now);
 
-        if let Some(l) = &listener {
-            if let Some(until) = backoff_until {
-                if now >= until {
-                    // Backoff over: re-arm the listener and try at once —
-                    // connections queued up while it was off.
-                    backoff_until = None;
-                    let _ = poller.register(fd_of(l), LISTENER_TOKEN, true, false);
-                    accept_ready = true;
-                }
+        if self.listening {
+            if self.backoff_until.is_some_and(|until| now >= until) {
+                // Backoff over: re-arm the listener and try at once —
+                // connections queued up while it was off.
+                self.backoff_until = None;
+                io.listen(true);
+                accept_ready = true;
             }
-            if accept_ready && backoff_until.is_none() {
-                let storm = accept_round(
-                    l,
-                    &mut poller,
-                    &mut conns,
-                    &state,
-                    &mut next_token,
-                    timeouts,
-                    &mut backoff,
-                    now,
-                );
-                if storm {
-                    // Accept keeps failing (EMFILE-shaped): stop asking
-                    // for readiness instead of hot-spinning on the error.
-                    state.counters.accept_backoffs.fetch_add(1, Ordering::Relaxed);
-                    let _ = poller.deregister(fd_of(l));
-                    backoff_until = Some(now + backoff);
-                    backoff = (backoff * 2).min(BACKOFF_MAX);
+            if accept_ready && self.backoff_until.is_none() && self.accept_round(io, now) {
+                // Accept keeps failing (EMFILE-shaped): stop asking for
+                // readiness instead of hot-spinning on the error.
+                self.state.counters.accept_backoffs.fetch_add(1, Ordering::Relaxed);
+                io.listen(false);
+                self.backoff_until = Some(now + self.backoff);
+                self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
+            }
+        }
+        true
+    }
+
+    /// Decides waiting query requests: a drain sheds them all; otherwise
+    /// passes over the tenant FIFOs hand granted jobs, with their permits,
+    /// to the workers and stage each shed request's `503` at once — until a
+    /// pass decides nothing (a flushed `503` can release a pipelined
+    /// request).
+    fn admit_waiting<T: Transport<Stream = S>>(&mut self, io: &mut T, now: Instant) {
+        if self.state.drain.is_draining() {
+            for token in self.state.tenants.take_waiting() {
+                let result = router::draining(&self.state);
+                self.stage(io, token, result, now);
+            }
+        }
+        loop {
+            let decided = self.state.tenants.pass(now);
+            if decided.is_empty() {
+                return;
+            }
+            for (token, job, shed) in decided {
+                match shed {
+                    Some(shed) => {
+                        let result = router::tenant_shed(&self.state, &job, &shed);
+                        self.stage(io, token, result, now);
+                    }
+                    None => io.dispatch(token, job),
                 }
             }
         }
     }
 
-    // Hard exit: close everything still open (streamer drops release any
-    // held permits and in-flight registrations), then stop the workers.
-    let tokens: Vec<u64> = conns.keys().copied().collect();
-    for token in tokens {
-        teardown(&mut poller, &mut conns, &state, token);
+    fn stage<T: Transport<Stream = S>>(
+        &mut self,
+        io: &mut T,
+        token: u64,
+        result: router::JobResult,
+        now: Instant,
+    ) {
+        if let Some(entry) = self.conns.get_mut(&token) {
+            entry.conn.complete_job(&self.state, result, now);
+            self.post_process(io, token, now);
+        }
     }
-    if let Some(l) = listener.take() {
-        let _ = poller.deregister(fd_of(&l));
+
+    /// Settles a connection after activity: queues a parsed query request
+    /// for admission, flushes at once, then syncs poll interest or tears
+    /// down.
+    fn post_process<T: Transport<Stream = S>>(&mut self, io: &mut T, token: u64, now: Instant) {
+        let Some(entry) = self.conns.get_mut(&token) else { return };
+        loop {
+            match entry.conn.wants() {
+                Wants::Execute => {
+                    let job = entry.conn.take_job().expect("Execute implies a queued job");
+                    self.state.tenants.enqueue(token, job, now);
+                }
+                Wants::Write => {
+                    // Try at once — the socket is almost always writable;
+                    // this saves a poll round-trip per response.
+                    entry.conn.on_writable(&self.state, &mut entry.stream, now);
+                    if entry.conn.wants() == Wants::Write {
+                        break; // genuinely blocked; wait for writability
+                    }
+                }
+                _ => break,
+            }
+        }
+        let desired = match entry.conn.wants() {
+            Wants::Close => return self.teardown(io, token),
+            Wants::Read => (true, false),
+            Wants::Write => (false, true),
+            _ => (false, false),
+        };
+        if desired != entry.interest {
+            if io.set_interest(&entry.stream, token, desired.0, desired.1).is_ok() {
+                entry.interest = desired;
+            } else {
+                // Can't watch it → can't serve it safely.
+                self.state.counters.sockopt_errors.fetch_add(1, Ordering::Relaxed);
+                self.teardown(io, token);
+            }
+        }
     }
-    drop(jobs);
-    for worker in workers {
-        let _ = worker.join();
+
+    fn teardown<T: Transport<Stream = S>>(&mut self, io: &mut T, token: u64) {
+        if let Some(entry) = self.conns.remove(&token) {
+            self.state.tenants.cancel(token);
+            io.deregister(&entry.stream);
+            if !entry.conn.is_shed() {
+                self.state.active_connections.fetch_sub(1, Ordering::AcqRel);
+            }
+            // Dropping the entry closes the socket and releases anything
+            // the connection still held (streamer → permit + in-flight
+            // guard).
+        }
+    }
+
+    /// Accepts a batch of pending sockets. Returns `true` when the loop
+    /// should back off (accept itself keeps failing — the storm case).
+    fn accept_round<T: Transport<Stream = S>>(&mut self, io: &mut T, now: Instant) -> bool {
+        for _ in 0..ACCEPT_BATCH {
+            match io.accept() {
+                Ok(stream) => {
+                    // Injected accept failure: count it, survive it.
+                    if failpoint::check(fault::ACCEPT).is_err() {
+                        self.state.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    // Injected accept *storm* (EMFILE-shaped): the socket
+                    // is lost and the listener backs off.
+                    if failpoint::check(fault::ACCEPT_ERROR).is_err() {
+                        self.state.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
+                        return true;
+                    }
+                    self.backoff = BACKOFF_MIN;
+                    self.setup_conn(io, stream, now);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.state.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    return true;
+                }
+            }
+        }
+        false // batch exhausted; level-triggered readiness re-fires next turn
+    }
+
+    fn setup_conn<T: Transport<Stream = S>>(&mut self, io: &mut T, stream: S, now: Instant) {
+        let state = &self.state;
+        let served = state.active_connections.load(Ordering::Acquire);
+        let shed = served >= state.config.max_connections;
+        if shed {
+            state.counters.capacity_rejects.fetch_add(1, Ordering::Relaxed);
+            let shed_open = self.conns.len().saturating_sub(served);
+            if shed_open >= SHED_HEADROOM {
+                return; // even the polite-503 lane is full; drop outright
+            }
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        // A socket whose protections can't be applied is closed, not
+        // served unprotected (and the failure is visible in the stats).
+        if io.register(&stream, token).is_err() {
+            state.counters.sockopt_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        state.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        if !shed {
+            state.active_connections.fetch_add(1, Ordering::AcqRel);
+        }
+        let conn = Conn::new(self.timeouts, shed, now);
+        self.conns.insert(token, ConnEntry { stream, conn, interest: (true, false) });
     }
 }
 
 /// Reads until the socket would block or the connection stops wanting
 /// bytes (a complete request parsed). Bounded per request by the head cap
 /// and the declared body length.
-fn read_conn(state: &Arc<ServeState>, entry: &mut ConnEntry, scratch: &mut [u8], now: Instant) {
+fn read_conn<S: Read>(
+    state: &Arc<ServeState>,
+    entry: &mut ConnEntry<S>,
+    scratch: &mut [u8],
+    now: Instant,
+) {
     loop {
         if entry.conn.wants() != Wants::Read {
             return;
@@ -535,204 +844,4 @@ fn read_conn(state: &Arc<ServeState>, entry: &mut ConnEntry, scratch: &mut [u8],
             Err(e) => return entry.conn.on_read_error(state, e, now),
         }
     }
-}
-
-/// Decides waiting query requests: a drain sheds them all; otherwise
-/// passes over the tenant FIFOs hand granted jobs, with their permits, to
-/// the workers and stage each shed request's `503` at once — until a pass
-/// decides nothing (a flushed `503` can release a pipelined request).
-fn admit_waiting(
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    state: &Arc<ServeState>,
-    jobs: &mpsc::Sender<(u64, QueryJob)>,
-    now: Instant,
-) {
-    let mut stage = |token: u64, result: router::JobResult| {
-        if let Some(entry) = conns.get_mut(&token) {
-            entry.conn.complete_job(state, result, now);
-            post_process(poller, conns, state, token, now);
-        }
-    };
-    if state.drain.is_draining() {
-        for token in state.tenants.take_waiting() {
-            stage(token, router::draining(state));
-        }
-    }
-    loop {
-        let decided = state.tenants.pass(now);
-        if decided.is_empty() {
-            return;
-        }
-        for (token, job, shed) in decided {
-            match shed {
-                Some(shed) => stage(token, router::tenant_shed(state, &job, &shed)),
-                // Fails only once every worker is gone (shutdown); the
-                // dropped job releases its permit.
-                None => {
-                    let _ = jobs.send((token, job));
-                }
-            }
-        }
-    }
-}
-
-/// Settles a connection after activity: queues a parsed query request for
-/// admission, flushes opportunistically, then syncs poll interest or tears
-/// down.
-fn post_process(
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    state: &Arc<ServeState>,
-    token: u64,
-    now: Instant,
-) {
-    let Some(entry) = conns.get_mut(&token) else { return };
-    loop {
-        match entry.conn.wants() {
-            Wants::Execute => {
-                let job = entry.conn.take_job().expect("Execute implies a queued job");
-                state.tenants.enqueue(token, job, now);
-            }
-            Wants::Write => {
-                // Try at once — the socket is almost always writable; this
-                // saves a poll round-trip per response.
-                entry.conn.on_writable(state, &mut entry.stream, now);
-                if entry.conn.wants() == Wants::Write {
-                    break; // genuinely blocked; wait for writability
-                }
-            }
-            _ => break,
-        }
-    }
-    match entry.conn.wants() {
-        Wants::Close => teardown(poller, conns, state, token),
-        wants => {
-            let desired = match wants {
-                Wants::Read => (true, false),
-                Wants::Write => (false, true),
-                _ => (false, false),
-            };
-            if desired != entry.interest {
-                if poller.modify(entry.fd, token, desired.0, desired.1).is_ok() {
-                    entry.interest = desired;
-                } else {
-                    // Can't watch it → can't serve it safely.
-                    state.counters.sockopt_errors.fetch_add(1, Ordering::Relaxed);
-                    teardown(poller, conns, state, token);
-                }
-            }
-        }
-    }
-}
-
-fn teardown(
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    state: &Arc<ServeState>,
-    token: u64,
-) {
-    if let Some(entry) = conns.remove(&token) {
-        state.tenants.cancel(token);
-        let _ = poller.deregister(entry.fd);
-        if !entry.shed {
-            state.active_connections.fetch_sub(1, Ordering::AcqRel);
-        }
-        // Dropping the entry closes the socket and releases anything the
-        // connection still held (streamer → permit + in-flight guard).
-    }
-}
-
-/// Accepts a batch of pending sockets. Returns `true` when the loop should
-/// back off (accept itself keeps failing — the storm case).
-#[allow(clippy::too_many_arguments)]
-fn accept_round(
-    listener: &TcpListener,
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    state: &Arc<ServeState>,
-    next_token: &mut u64,
-    timeouts: ConnTimeouts,
-    backoff: &mut Duration,
-    now: Instant,
-) -> bool {
-    for _ in 0..ACCEPT_BATCH {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Injected accept failure: count it, survive it.
-                if failpoint::check(fault::ACCEPT).is_err() {
-                    state.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // Injected accept *storm* (EMFILE-shaped): the socket is
-                // lost and the listener backs off.
-                if failpoint::check(fault::ACCEPT_ERROR).is_err() {
-                    state.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                *backoff = BACKOFF_MIN;
-                setup_conn(poller, conns, state, next_token, timeouts, stream, now);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                state.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-    }
-    false // batch exhausted; level-triggered readiness re-fires next round
-}
-
-fn setup_conn(
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    state: &Arc<ServeState>,
-    next_token: &mut u64,
-    timeouts: ConnTimeouts,
-    stream: TcpStream,
-    now: Instant,
-) {
-    let served = state.active_connections.load(Ordering::Acquire);
-    let shed = served >= state.config.max_connections;
-    if shed {
-        state.counters.capacity_rejects.fetch_add(1, Ordering::Relaxed);
-        let shed_open = conns.len().saturating_sub(served);
-        if shed_open >= SHED_HEADROOM {
-            return; // even the polite-503 lane is full; drop outright
-        }
-    }
-    // A socket whose protections can't be applied is closed, not served
-    // unprotected (and the failure is visible in the stats).
-    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-        state.counters.sockopt_errors.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let fd = fd_of(&stream);
-    if let Some(bytes) = state.config.sndbuf_bytes {
-        if epoll::set_sndbuf(fd, bytes).is_err() {
-            state.counters.sockopt_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    let token = *next_token;
-    *next_token += 1;
-    if poller.register(fd, token, true, false).is_err() {
-        state.counters.sockopt_errors.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    state.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    if !shed {
-        state.active_connections.fetch_add(1, Ordering::AcqRel);
-    }
-    conns.insert(
-        token,
-        ConnEntry {
-            stream: FaultStream::new(stream),
-            fd,
-            conn: Conn::new(timeouts, shed, now),
-            shed,
-            interest: (true, false),
-        },
-    );
 }

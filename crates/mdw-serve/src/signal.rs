@@ -46,41 +46,29 @@ pub fn install_termination_handler() {
     imp::install();
 }
 
-/// True once SIGTERM or SIGINT has been received (or [`request_termination`]
-/// was called).
+/// True once SIGTERM or SIGINT has been received.
 pub fn termination_requested() -> bool {
     TERMINATION.load(Ordering::SeqCst)
-}
-
-/// Sets the flag programmatically — lets tests (and `/admin/drain`-style
-/// paths) drive the same code path a signal would.
-pub fn request_termination() {
-    TERMINATION.store(true, Ordering::SeqCst);
-}
-
-/// Clears the flag (test hygiene between cases).
-pub fn reset_termination() {
-    TERMINATION.store(false, Ordering::SeqCst);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn flag_roundtrip() {
-        reset_termination();
-        assert!(!termination_requested());
-        request_termination();
-        assert!(termination_requested());
-        reset_termination();
-        assert!(!termination_requested());
-    }
-
+    /// The real signal path: with the handler installed (twice — it is
+    /// idempotent), a SIGTERM raised at this process sets the flag instead
+    /// of killing it. `raise` returns only after the handler has run.
     #[cfg(unix)]
     #[test]
-    fn installing_the_handler_is_harmless() {
+    fn sigterm_sets_the_termination_flag() {
+        extern "C" {
+            fn raise(signum: i32) -> i32;
+        }
         install_termination_handler();
         install_termination_handler();
+        // SAFETY: raise takes no pointers; the handler installed above
+        // only stores to an atomic.
+        assert_eq!(unsafe { raise(15) }, 0, "raise(SIGTERM)");
+        assert!(termination_requested());
     }
 }

@@ -182,8 +182,8 @@ impl TenantGates {
     }
 
     /// Admits a request for `tenant` at once or sheds it — for callers
-    /// without an event loop: the blocking driver, in-process replays and
-    /// `mdwh drill overload`. The returned [`Permit`] is RAII: dropping it
+    /// without an event loop: the bench's in-process replay,
+    /// `wire_transcript.rs`, hand-driven tests and `mdwh drill overload`. The returned [`Permit`] is RAII: dropping it
     /// — normally, on error, or during a panic unwind — frees the slot.
     /// Never barges: while the tenant has requests waiting, a newcomer is
     /// shed.
@@ -262,9 +262,10 @@ impl TenantGates {
         tenants.iter().map(|(name, t)| (name.clone(), t.gate.clone(), t.waiting.len())).collect()
     }
 
-    /// Total permits currently held across all tenants. The chaos suite
-    /// asserts this returns to zero after every injected wire failure —
-    /// a leaked permit would eventually wedge its tenant.
+    /// Total permits currently held across all tenants. The serving-loop
+    /// simulator asserts after every step that it equals the jobs out and
+    /// returns to zero at quiescence — a leaked permit would eventually
+    /// wedge its tenant.
     pub fn total_active(&self) -> usize {
         self.lock().values().map(|t| t.gate.active()).sum()
     }

@@ -371,3 +371,72 @@ fn a_saturated_tenant_does_not_hold_up_another_tenant() {
         let _ = client.join().unwrap();
     }
 }
+
+/// The loop thread's CPU time so far, from `/proc/self/task/*/stat`.
+#[cfg(target_os = "linux")]
+fn loop_thread_cpu() -> Duration {
+    extern "C" {
+        fn sysconf(name: i32) -> i64;
+    }
+    const SC_CLK_TCK: i32 = 2;
+    // SAFETY: sysconf reads a constant; it takes no pointers.
+    let ticks_per_s = unsafe { sysconf(SC_CLK_TCK) }.max(1) as u64;
+    for task in std::fs::read_dir("/proc/self/task").expect("proc") {
+        let dir = task.expect("task entry").path();
+        let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if name.trim_end() != "mdw-serve-loop" {
+            continue;
+        }
+        let stat = std::fs::read_to_string(dir.join("stat")).expect("task stat");
+        // utime and stime are fields 14 and 15; the name in field 2 may
+        // hold spaces, so count from the `)` that closes it.
+        let after_name = stat.rfind(')').expect("the name closes") + 2;
+        let fields: Vec<&str> = stat[after_name..].split(' ').collect();
+        let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+        return Duration::from_millis(ticks * 1000 / ticks_per_s);
+    }
+    panic!("no mdw-serve-loop thread");
+}
+
+/// A peer that resets (`SO_LINGER` 0) while its query runs must not spin
+/// the loop: epoll reports `ERR`/`HUP` whatever the registered interest,
+/// so a loop that ignored them would return from every wait at once until
+/// the query's 1.5 s deadline. The connection is torn down instead, and
+/// counted as a wire error.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_reset_peer_does_not_spin_the_loop() {
+    use std::io::Write;
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+
+    let _guard = chaos_lock();
+    let server = start_server(ServerConfig { workers: 2, ..test_config() });
+    let cross_join = concat!(
+        "/sparql?query=SELECT%20%28COUNT%28%2A%29%20AS%20%3Fn%29%20WHERE%20",
+        "%7B%20%3Fa%20%3Fp%20%3Fb%20.%20%3Fc%20%3Fq%20%3Fd%20.%20%3Fe%20%3Fr%20%3Ff%20%7D"
+    );
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    write!(stream, "GET {cross_join} HTTP/1.1\r\nHost: t\r\nX-Deadline-Ms: 1500\r\n\r\n")
+        .expect("send");
+    wait_until("the cross join to run", || server.state().drain.inflight() == 1);
+    let linger = [1i32, 0];
+    // SAFETY: the descriptor is open, and `linger` is a live `struct
+    // linger` (two ints) of the length passed.
+    let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_LINGER, linger.as_ptr(), 8) };
+    assert_eq!(rc, 0, "SO_LINGER");
+    drop(stream);
+    std::thread::sleep(Duration::from_millis(100));
+
+    let before = loop_thread_cpu();
+    std::thread::sleep(Duration::from_secs(1));
+    let used = loop_thread_cpu() - before;
+    assert_eq!(server.state().drain.inflight(), 1, "the window fell inside the query");
+    assert!(used < Duration::from_millis(250), "the loop used {used:?} of CPU in one second");
+    let wire_errors = &server.state().counters.wire_errors;
+    assert_eq!(wire_errors.load(std::sync::atomic::Ordering::Relaxed), 1);
+}

@@ -46,7 +46,7 @@ impl QueryContext {
     }
 
     /// The durable journal high-water mark the pinned snapshot reflects —
-    /// readers use this to tell which group-committed writes they observe
+    /// readers use this to tell which committed writes they observe
     /// (0 for snapshots not built by the journaled write path).
     pub fn watermark(&self) -> u64 {
         self.snapshot.watermark()

@@ -240,7 +240,7 @@ impl Journal {
     /// tail (exactly as [`open`](Self::open) would), reposition at the
     /// end, and re-derive `next_seq` from the on-disk committed state.
     /// `next_seq` never moves backwards, so a fully written but unsynced
-    /// group can never make a later window re-issue its sequence numbers.
+    /// batch can never make a later append re-issue its sequence number.
     fn heal(&mut self) -> Result<(), RdfError> {
         let scan = scan_file(&self.path)?;
         if scan.torn_bytes > 0 {
@@ -270,51 +270,27 @@ impl Journal {
         self.next_seq
     }
 
-    /// Appends one batch and fsyncs; returns its sequence number — a group
-    /// of one through [`append_batches`](Self::append_batches).
+    /// Appends one batch and fsyncs; returns its sequence number. On error
+    /// the batch is not committed: the handle is poisoned and the next
+    /// append heals the file first, so a torn tail is truncated (and an
+    /// unsynced batch's sequence number is never re-issued) before any
+    /// later batch reaches the disk.
     pub fn append(&mut self, model: &str, ops: &[JournalOp]) -> Result<u64, RdfError> {
-        Ok(self.append_batches(&[(model, ops)])?[0])
-    }
-
-    /// Appends a whole group of batches with **one** fsync — the group
-    /// commit primitive. Every batch gets its own sequence number and
-    /// commit marker, so recovery sees them as ordinary committed batches;
-    /// the single `sync_data` at the end is what amortizes the durability
-    /// cost across every writer in the window. On error *nothing* in the
-    /// group is considered committed: the handle is poisoned and the next
-    /// append heals the file first, so a torn group tail is truncated (and
-    /// an unsynced group's sequence numbers are never re-issued) before
-    /// any later window reaches the disk.
-    pub fn append_batches(
-        &mut self,
-        batches: &[(&str, &[JournalOp])],
-    ) -> Result<Vec<u64>, RdfError> {
-        if batches.is_empty() {
-            return Ok(Vec::new());
-        }
         if self.poisoned {
             self.heal()?;
         }
         failpoint::check("journal::append")?;
-        let mut buf = String::new();
-        let mut seqs = Vec::with_capacity(batches.len());
-        let mut seq = self.next_seq;
-        let mut last_marker_at = 0;
-        for (model, ops) in batches {
-            let start = buf.len();
-            buf.push_str(&format!("B {seq} {} {model}\n", ops.len()));
-            for op in *ops {
-                buf.push_str(&render_term_line(op));
-            }
-            let crc = crc32(&buf.as_bytes()[start..]);
-            last_marker_at = buf.len();
-            buf.push_str(&format!("C {seq} {crc:08x}\n"));
-            seqs.push(seq);
-            seq += 1;
+        let seq = self.next_seq;
+        let mut buf = format!("B {seq} {} {model}\n", ops.len());
+        for op in ops {
+            buf.push_str(&render_term_line(op));
         }
+        let crc = crc32(buf.as_bytes());
+        let marker_at = buf.len();
+        buf.push_str(&format!("C {seq} {crc:08x}\n"));
 
         if failpoint::check("journal::append::partial").is_err() {
-            // Simulate a crash mid-group: half the buffer reaches the disk.
+            // Simulate a crash mid-record: half the buffer reaches the disk.
             let half = &buf.as_bytes()[..buf.len() / 2];
             let _ = self.file.write_all(half);
             let _ = self.file.sync_data();
@@ -322,9 +298,9 @@ impl Journal {
             return Err(RdfError::Injected { failpoint: "journal::append::partial".into() });
         }
         if failpoint::check("journal::append::uncommitted").is_err() {
-            // Simulate a crash after the last batch's ops but before its
-            // commit marker.
-            let _ = self.file.write_all(&buf.as_bytes()[..last_marker_at]);
+            // Simulate a crash after the batch's ops but before its commit
+            // marker.
+            let _ = self.file.write_all(&buf.as_bytes()[..marker_at]);
             let _ = self.file.sync_data();
             self.poisoned = true;
             return Err(RdfError::Injected {
@@ -334,7 +310,7 @@ impl Journal {
 
         if let Err(e) = self.file.write_all(buf.as_bytes()) {
             self.poisoned = true;
-            return Err(RdfError::io("append journal group", e));
+            return Err(RdfError::io("append journal batch", e));
         }
         if let Err(e) = failpoint::check("journal::sync") {
             self.poisoned = true;
@@ -342,10 +318,10 @@ impl Journal {
         }
         if let Err(e) = self.file.sync_data() {
             self.poisoned = true;
-            return Err(RdfError::io("sync journal group", e));
+            return Err(RdfError::io("sync journal batch", e));
         }
-        self.next_seq = seq;
-        Ok(seqs)
+        self.next_seq = seq + 1;
+        Ok(seq)
     }
 
     /// Rotates the journal after its batches were made durable elsewhere
@@ -699,15 +675,17 @@ mod tests {
     }
 
     #[test]
-    fn group_append_commits_every_batch_with_one_sync() {
-        let dir = temp_dir("group");
+    fn appends_commit_every_batch_in_sequence() {
+        let dir = temp_dir("sequence");
         let mut j = Journal::open(&dir).unwrap();
         let ops1 = sample_ops();
         let ops2 = vec![JournalOp::Insert(iri("x"), iri("p"), iri("y"))];
-        let group: Vec<(&str, &[JournalOp])> =
-            vec![("m1", ops1.as_slice()), ("m2", ops2.as_slice()), ("m3", &[])];
-        let seqs = j.append_batches(&group).unwrap();
-        assert_eq!(seqs, vec![1, 2, 3]);
+        let seqs = [
+            j.append("m1", &ops1).unwrap(),
+            j.append("m2", &ops2).unwrap(),
+            j.append("m3", &[]).unwrap(),
+        ];
+        assert_eq!(seqs, [1, 2, 3]);
         assert_eq!(j.next_seq(), 4);
         drop(j);
 
@@ -719,28 +697,24 @@ mod tests {
         assert_eq!(scan.batches[1].model, "m2");
         assert_eq!(scan.batches[2].ops, vec![]);
 
-        // Interop: plain appends continue the sequence after a group.
+        // A reopened handle continues the sequence.
         let mut j = Journal::open(&dir).unwrap();
         assert_eq!(j.append("m4", &ops2).unwrap(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn torn_group_tail_loses_only_unacked_batches() {
-        let dir = temp_dir("group-torn");
+    fn torn_tail_loses_only_the_unacked_batch() {
+        let dir = temp_dir("torn-unacked");
         let mut j = Journal::open(&dir).unwrap();
         j.append("m", &sample_ops()).unwrap();
-        // A large first batch and a tiny second one, so the injected
-        // half-buffer cut deterministically lands inside the first batch.
-        let ops = sample_ops();
-        let group: Vec<(&str, &[JournalOp])> = vec![("a", ops.as_slice()), ("b", &[])];
         failpoint::arm("journal::append::partial", failpoint::FailSpec::Once);
-        let err = j.append_batches(&group).unwrap_err();
+        let err = j.append("a", &sample_ops()).unwrap_err();
         assert!(matches!(err, RdfError::Injected { .. }));
-        assert_eq!(j.next_seq(), 2, "a failed group must not consume sequence numbers");
+        assert_eq!(j.next_seq(), 2, "a failed append must not consume its sequence number");
         drop(j);
-        // Whatever prefix of the group hit the disk is torn tail; the one
-        // acked batch survives, and reopening heals the file.
+        // What hit the disk is torn tail; the one acked batch survives,
+        // and reopening heals the file.
         let scan = scan_file(&Journal::path_in(&dir)).unwrap();
         assert_eq!(scan.last_seq(), 1);
         assert!(scan.torn_bytes > 0);
@@ -786,22 +760,20 @@ mod tests {
     }
 
     #[test]
-    fn unsynced_group_never_reissues_sequence_numbers() {
+    fn unsynced_batch_never_reissues_its_sequence_number() {
         let dir = temp_dir("poison-sync");
         let mut j = Journal::open(&dir).unwrap();
         let ops = sample_ops();
-        let group: Vec<(&str, &[JournalOp])> = vec![("a", ops.as_slice()), ("b", &[])];
-        // The group is fully written (valid commit markers) but the fsync
+        // The batch is fully written (a valid commit marker) but the fsync
         // fails: unacked, yet present on disk.
         failpoint::arm("journal::sync", failpoint::FailSpec::Once);
-        assert!(j.append_batches(&group).is_err());
-        // Healing must advance the sequence past the on-disk records, so
-        // the retry cannot produce duplicate committed sequence numbers.
-        let seqs = j.append_batches(&group).unwrap();
-        assert_eq!(seqs, vec![3, 4]);
+        assert!(j.append("a", &ops).is_err());
+        // Healing must advance the sequence past the on-disk record, so
+        // the retry cannot produce a duplicate committed sequence number.
+        assert_eq!(j.append("a", &ops).unwrap(), 2);
         let scan = scan_file(&Journal::path_in(&dir)).unwrap();
         let got: Vec<u64> = scan.batches.iter().map(|b| b.seq).collect();
-        assert_eq!(got, vec![1, 2, 3, 4]);
+        assert_eq!(got, vec![1, 2]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,10 +14,11 @@
 //!   immutable sorted columns, with binary-search range scans for every
 //!   bound-prefix access pattern, exact O(log n) cardinalities, linear
 //!   union / difference, and `Arc`-shared snapshots,
-//! * [`lsm::LsmStore`] — the storage engine: journaled group commit into a
+//! * [`lsm::LsmStore`] — the storage engine: journaled commits into a
 //!   memtable, sealed CRC'd delta runs, compaction into the solid base,
-//!   recovery, and a lock-free [`epoch::ArcCell`] publish of every new
-//!   [`frozen::FrozenStore`] generation — readers never take a lock,
+//!   recovery, and the publish of every new [`frozen::FrozenStore`]
+//!   generation — serialized writers behind one lock, readers holding
+//!   whichever generation they took an `Arc` of,
 //! * [`context::QueryContext`] — a snapshot-pinned, budget-carrying read
 //!   handle threaded through search, lineage, and SPARQL,
 //! * [`store::TripleSource`] — the read interface every executor scans
@@ -44,7 +45,6 @@
 pub mod budget;
 pub mod context;
 pub mod dict;
-pub mod epoch;
 pub mod error;
 pub mod failpoint;
 pub mod frozen;
@@ -66,7 +66,6 @@ pub use budget::{
 };
 pub use context::QueryContext;
 pub use dict::{Dictionary, TermId};
-pub use epoch::ArcCell;
 pub use error::RdfError;
 pub use failpoint::FailSpec;
 pub use frozen::{DeltaRun, FrozenGraph, FrozenIndex, FrozenRun, FrozenStore, GraphScan, MergeScan};

@@ -1,5 +1,5 @@
 //! The storage engine: memtable + stacked delta runs + solid base, with
-//! group commit, compaction and recovery.
+//! journaled commits, compaction and recovery.
 //!
 //! [`LsmStore`] is the one place a triple is written, published to readers
 //! and recovered after a crash — the warehouse holds one (volatile or
@@ -37,14 +37,18 @@
 //! re-sorting them, so a run folded onto an empty base costs one linear
 //! pass per column.
 //!
-//! ## Group commit
+//! ## One lock
 //!
-//! Writers enqueue batches under one mutex; the first writer to find no
-//! commit in flight becomes the **leader**, drains the whole queue, writes
-//! every batch to the journal with **one fsync**
-//! ([`Journal::append_batches`]), applies them to the memtable, publishes
-//! the next snapshot generation, and wakes the followers. Thousands of
-//! concurrent writers thus amortize one `fsync` per commit window.
+//! The writer state's mutex is the writer lock. A commit holds it from
+//! the stall gate to the publish — intern, journal append and fsync,
+//! memtable merge or bulk seal — and so do [`LsmStore::seal_now`] and
+//! [`LsmStore::checkpoint`]: concurrent writers are serialized, and each
+//! is acknowledged after its own fsync. Only the compactor's merge and
+//! snapshot save run off the lock (guarded by the `compacting` flag), and
+//! a writer stalled at the backpressure gate releases it while it waits.
+//! Every seal covers everything the journal holds, so every seal trims
+//! the journal. Readers take the published snapshot's `Arc` under a
+//! mutex of its own, held for the clone.
 //!
 //! ## Crash consistency
 //!
@@ -73,14 +77,13 @@
 //! with the typed [`RdfError::Backpressure`] — bounded memory, observable
 //! degradation, never OOM.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::dict::Dictionary;
-use crate::epoch::ArcCell;
 use crate::error::RdfError;
 use crate::failpoint;
 use crate::frozen::{DeltaRun, FrozenGraph, FrozenIndex, FrozenStore};
@@ -93,13 +96,14 @@ use crate::persist::{
 use crate::triple::{check_well_formed, Triple};
 
 /// Tuning knobs of the LSM write path. The defaults favor the mixed
-/// read/write bench shape: windows of a few thousand ops, single-digit run
+/// read/write bench shape: memtables of 32 768 ops, single-digit run
 /// stacks, and a two-second stall budget before a typed shed.
 #[derive(Debug, Clone)]
 pub struct LsmConfig {
     /// Memtable ops (adds + tombstones) that trigger a run seal.
     pub memtable_limit: usize,
-    /// Sealed-run depth that wakes the background compactor.
+    /// Sealed-run depth past which the background compactor folds the
+    /// stack (it folds at `stall_runs` too, if that comes first).
     pub max_runs: usize,
     /// Sealed-run depth at which writers stall (backpressure gate).
     pub stall_runs: usize,
@@ -149,7 +153,7 @@ pub struct LsmOpenReport {
 /// A point-in-time counter snapshot of the write path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LsmMetrics {
-    /// Group-commit windows completed (one fsync each).
+    /// Commits completed (one journal fsync each; one per batch).
     pub commit_windows: u64,
     /// Batches acknowledged durable.
     pub committed_batches: u64,
@@ -259,20 +263,6 @@ struct SealedRun {
     deltas: BTreeMap<String, Arc<DeltaRun>>,
 }
 
-/// One writer's enqueued batch plus the slot its verdict lands in. Slots
-/// are filled and read while holding the state mutex, so no ordering
-/// subtleties.
-#[derive(Debug)]
-struct Pending {
-    model: String,
-    /// The batch's net ops in id space ([`net_ops`]).
-    encoded: Vec<(bool, Triple)>,
-    /// Ops as written, for the `committed_ops` counter.
-    written: usize,
-    raw: Vec<JournalOp>,
-    slot: Arc<Mutex<Option<Result<Committed, RdfError>>>>,
-}
-
 #[derive(Debug)]
 struct WriterState {
     dict: Dictionary,
@@ -293,14 +283,20 @@ struct WriterState {
     last_seq: u64,
     next_run_id: u64,
     generation: u64,
-    pending: VecDeque<Pending>,
-    committing: bool,
+    /// A compaction is merging off the lock.
     compacting: bool,
 }
 
 impl WriterState {
     fn debt_exceeded(&self, cfg: &LsmConfig) -> bool {
         self.sealed.len() >= cfg.stall_runs || self.mem_ops >= cfg.stall_mem_ops
+    }
+
+    /// The run stack is past `max_runs`, or deep enough to stall writers:
+    /// with commits serialized, a stalled writer seals no further run, so
+    /// a compactor that waited for one would leave every writer to shed.
+    fn compaction_due(&self, cfg: &LsmConfig) -> bool {
+        self.sealed.len() > cfg.max_runs || self.sealed.len() >= cfg.stall_runs
     }
 
     /// The dictionary as a snapshot shares it: the cached copy, refreshed
@@ -311,6 +307,24 @@ impl WriterState {
             self.dict_snap = Arc::new(self.dict.share());
         }
         Arc::clone(&self.dict_snap)
+    }
+
+    /// Every model with all three layers stacked: its base (empty if it
+    /// has none yet), the sealed runs that touch it, then its memtable run.
+    fn stacked(&self) -> impl Iterator<Item = (String, FrozenGraph)> + '_ {
+        let mut names: BTreeSet<&String> = self.base.keys().collect();
+        for run in &self.sealed {
+            names.extend(run.deltas.keys());
+        }
+        names.extend(self.mem.keys());
+        names.into_iter().map(|name| {
+            let base =
+                self.base.get(name).cloned().unwrap_or_else(|| Arc::new(FrozenIndex::default()));
+            let mut deltas: Vec<Arc<DeltaRun>> =
+                self.sealed.iter().filter_map(|run| run.deltas.get(name).cloned()).collect();
+            deltas.extend(self.mem.get(name).filter(|mem| !mem.is_empty()).cloned());
+            (name.clone(), FrozenGraph::stacked(base, deltas))
+        })
     }
 
     /// Merges a batch's net ops ([`net_ops`]) into `model`'s memtable run.
@@ -329,11 +343,12 @@ impl WriterState {
 struct Inner {
     cfg: LsmConfig,
     dir: Option<PathBuf>,
-    current: ArcCell<FrozenStore>,
+    /// The published generation; a reader clones the `Arc` under it.
+    current: Mutex<Arc<FrozenStore>>,
+    /// The writer lock: see the module docs.
     state: Mutex<WriterState>,
-    /// Followers waiting for their slot / the next leader hand-off.
-    commit_cv: Condvar,
-    /// Writers stalled on compaction debt.
+    /// Writers stalled on compaction debt, and callers waiting out a
+    /// compaction in flight.
     debt_cv: Condvar,
     /// The background compactor's wake-up.
     work_cv: Condvar,
@@ -341,8 +356,8 @@ struct Inner {
     counters: Counters,
 }
 
-/// The LSM store: group-committed durable writes, lock-free snapshot
-/// reads, background compaction. See the module docs for the layering.
+/// The LSM store: serialized durable writes, shared snapshot reads,
+/// background compaction. See the module docs for the layering.
 #[derive(Debug)]
 pub struct LsmStore {
     inner: Arc<Inner>,
@@ -444,8 +459,8 @@ impl LsmStore {
         Ok((store, report))
     }
 
-    /// A volatile LSM store: same layering, merge, group-commit windows,
-    /// and backpressure — no files, no journal. Used by benches and tests.
+    /// A volatile LSM store: same layering, merge, commits and
+    /// backpressure — no files, no journal. Used by benches and tests.
     pub fn in_memory(cfg: LsmConfig) -> LsmStore {
         Self::assemble(
             cfg,
@@ -489,16 +504,13 @@ impl LsmStore {
             last_seq,
             next_run_id,
             generation: 0,
-            pending: VecDeque::new(),
-            committing: false,
             compacting: false,
         };
         let inner = Arc::new(Inner {
             cfg,
             dir,
-            current: ArcCell::new(initial),
+            current: Mutex::new(initial),
             state: Mutex::new(state),
-            commit_cv: Condvar::new(),
             debt_cv: Condvar::new(),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -522,10 +534,10 @@ impl LsmStore {
         LsmStore { inner, compactor }
     }
 
-    /// The current published snapshot (lock-free load; stays valid and
-    /// immutable across later publishes).
+    /// The current published snapshot (an `Arc` clone under the publish
+    /// mutex; stays valid and immutable across later publishes).
     pub fn snapshot(&self) -> Arc<FrozenStore> {
-        self.inner.current.load()
+        Arc::clone(&plock(&self.inner.current))
     }
 
     /// The store directory, or `None` for a volatile store.
@@ -555,12 +567,9 @@ impl LsmStore {
     /// until the next [`checkpoint`](Self::checkpoint) or compaction writes
     /// the base snapshot.
     pub fn install_model(&self, name: &str, index: Arc<FrozenIndex>) -> Result<(), RdfError> {
-        let mut st = plock(&self.inner.state);
-        // A compaction or checkpoint in flight replaces the base map
-        // wholesale when it lands; wait it out so the entry is not lost.
-        while st.compacting {
-            (st, _) = pwait_for(&self.inner.commit_cv, st, Duration::from_millis(20));
-        }
+        // A compaction in flight replaces the base map wholesale when it
+        // lands; wait it out so the entry is not lost.
+        let mut st = self.inner.lock_idle();
         let taken = st.base.contains_key(name)
             || st.mem.contains_key(name)
             || st.sealed.iter().any(|run| run.deltas.contains_key(name));
@@ -572,11 +581,11 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Group-commits one batch of ops against `model` and, once durable,
-    /// returns its journal sequence and the ids its ops were applied as
-    /// ([`Committed`]). Blocks for at most one commit window (plus any
-    /// backpressure stall); concurrent callers are batched behind a single
-    /// fsync. A batch touching at least `memtable_limit` distinct triples
+    /// Commits one batch of ops against `model` and, once durable, returns
+    /// its journal sequence and the ids its ops were applied as
+    /// ([`Committed`]). Concurrent callers are serialized, each behind its
+    /// own fsync (plus any backpressure stall). A batch touching at least
+    /// `memtable_limit` distinct triples
     /// becomes a sealed run of its own instead of entering the memtable.
     /// The model is created if absent. Sheds with [`RdfError::Backpressure`] when compaction debt
     /// exceeds the stall threshold past the deadline.
@@ -601,22 +610,11 @@ impl LsmStore {
         if st.mem_ops == 0 {
             return Ok(false);
         }
-        // Sealing is a leader-only action: wait out any window in flight.
-        while st.committing {
-            st = pwait(&inner.commit_cv, st);
-        }
-        st.committing = true;
-        let (mut st, sealed) = inner.seal_locked(st, None);
+        let sealed = inner.seal_locked(&mut st, None);
         if sealed.is_ok() {
             inner.publish_locked(&mut st);
         }
-        st.committing = false;
-        let wake_compactor = st.sealed.len() > inner.cfg.max_runs;
-        drop(st);
-        inner.commit_cv.notify_all();
-        if wake_compactor {
-            inner.work_cv.notify_all();
-        }
+        inner.wake_compactor(st);
         sealed.map(|()| true)
     }
 
@@ -656,92 +654,43 @@ impl LsmStore {
     /// [`LsmMetrics::checkpoint_trim_failures`].
     pub fn checkpoint(&self) -> Result<persist::SaveReport, RdfError> {
         let inner = &self.inner;
-        let mut st = plock(&inner.state);
-        // Checkpoint owns both the commit window and the compaction slot.
-        while st.committing || st.compacting {
-            (st, _) = pwait_for(&inner.commit_cv, st, Duration::from_millis(20));
-        }
-        st.committing = true;
-        st.compacting = true;
-
-        let result = match inner.dir.clone() {
-            None => Err(RdfError::Io {
+        let Some(dir) = inner.dir.as_deref() else {
+            return Err(RdfError::Io {
                 context: "checkpoint".into(),
                 message: "in-memory store has no directory".into(),
-            }),
-            Some(dir) => {
-                // Fold all three layers per model.
-                let mut names: BTreeSet<String> = st.base.keys().cloned().collect();
-                for run in &st.sealed {
-                    names.extend(run.deltas.keys().cloned());
-                }
-                names.extend(st.mem.keys().cloned());
-                let mut models = BTreeMap::new();
-                for name in &names {
-                    let base = st
-                        .base
-                        .get(name)
-                        .cloned()
-                        .unwrap_or_else(|| Arc::new(FrozenIndex::default()));
-                    let mut deltas: Vec<Arc<DeltaRun>> = st
-                        .sealed
-                        .iter()
-                        .filter_map(|run| run.deltas.get(name).cloned())
-                        .collect();
-                    deltas.extend(st.mem.get(name).filter(|mem| !mem.is_empty()).cloned());
-                    let folded = Arc::new(FrozenGraph::stacked(base, deltas).compact());
-                    models.insert(name.clone(), folded);
-                }
-                let graphs: BTreeMap<String, Arc<FrozenGraph>> = models
-                    .iter()
-                    .map(|(n, idx)| {
-                        (n.clone(), Arc::new(FrozenGraph::from_arc(Arc::clone(idx))))
-                    })
-                    .collect();
-                let last_seq = st.last_seq;
-                let dict = st.dict_snapshot();
-                drop(st);
-                let saved = save_frozen_snapshot(&dict, &graphs, &dir, last_seq);
-                st = plock(&inner.state);
-                saved.map(|report| (dir, models, report))
-            }
+            });
         };
+        // A compaction in flight would land its fold over the checkpoint's.
+        let mut st = inner.lock_idle();
 
-        let outcome = match result {
-            Err(e) => Err(e),
-            Ok((dir, models, report)) => {
-                st.base = models;
-                st.sealed.clear();
-                st.runs.entries.clear();
-                st.mem.clear();
-                st.mem_ops = 0;
-                // The snapshot is the commit point; trimming runs.tsv and
-                // the journal is cleanup (recovery drops both once their
-                // last_seq is at or below the snapshot's). A trim failure
-                // still leaves stale files on disk, so count it where
-                // operators can see it rather than swallowing it.
-                if write_runs_manifest(&dir, &st.runs).is_err() {
-                    inner.counters.checkpoint_trim_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                let seq = st.last_seq;
-                if let Some(j) = st.journal.as_mut() {
-                    if j.rotate(seq).is_err() {
-                        inner
-                            .counters
-                            .checkpoint_trim_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                inner.publish_locked(&mut st);
-                Ok(report)
-            }
-        };
-        st.compacting = false;
-        st.committing = false;
+        let models: BTreeMap<String, Arc<FrozenIndex>> =
+            st.stacked().map(|(name, graph)| (name, Arc::new(graph.compact()))).collect();
+        let graphs: BTreeMap<String, Arc<FrozenGraph>> = models
+            .iter()
+            .map(|(n, idx)| (n.clone(), Arc::new(FrozenGraph::from_arc(Arc::clone(idx)))))
+            .collect();
+        let dict = st.dict_snapshot();
+        let report = save_frozen_snapshot(&dict, &graphs, dir, st.last_seq)?;
+
+        st.base = models;
+        st.sealed.clear();
+        st.runs.entries.clear();
+        st.mem.clear();
+        st.mem_ops = 0;
+        // The snapshot is the commit point; trimming runs.tsv and the
+        // journal is cleanup (recovery drops both once their last_seq is
+        // at or below the snapshot's). A trim failure still leaves stale
+        // files on disk, so count it where operators can see it rather
+        // than swallowing it.
+        let seq = st.last_seq;
+        let manifest_failed = write_runs_manifest(dir, &st.runs).is_err();
+        let rotate_failed = st.journal.as_mut().is_some_and(|j| j.rotate(seq).is_err());
+        let failures = u64::from(manifest_failed) + u64::from(rotate_failed);
+        inner.counters.checkpoint_trim_failures.fetch_add(failures, Ordering::Relaxed);
+        inner.publish_locked(&mut st);
         drop(st);
-        inner.commit_cv.notify_all();
         inner.debt_cv.notify_all();
-        outcome
+        Ok(report)
     }
 }
 
@@ -756,6 +705,25 @@ impl Drop for LsmStore {
 }
 
 impl Inner {
+    /// The writer lock, once no compaction is merging off it.
+    fn lock_idle(&self) -> MutexGuard<'_, WriterState> {
+        let mut st = plock(&self.state);
+        while st.compacting {
+            st = pwait(&self.debt_cv, st);
+        }
+        st
+    }
+
+    /// Releases the writer lock and wakes the compactor if compaction is
+    /// due.
+    fn wake_compactor(&self, st: MutexGuard<'_, WriterState>) {
+        let wake = st.compaction_due(&self.cfg);
+        drop(st);
+        if wake {
+            self.work_cv.notify_all();
+        }
+    }
+
     fn write_batch(&self, model: &str, ops: &[JournalOp]) -> Result<Committed, RdfError> {
         let mut st = plock(&self.state);
 
@@ -785,8 +753,8 @@ impl Inner {
             }
         }
 
-        // Validate and encode under the lock (the dictionary is the shared
-        // mutable id space). Invalid batches never reach the journal.
+        // Validate and encode (the dictionary is the shared mutable id
+        // space). Invalid batches never reach the journal.
         let mut encoded = Vec::with_capacity(ops.len());
         for op in ops {
             if let JournalOp::Insert(s, p, o) = op {
@@ -795,155 +763,63 @@ impl Inner {
             }
             encoded.push(encode(&mut st.dict, op));
         }
+        let encoded = net_ops(encoded);
 
-        let slot = Arc::new(Mutex::new(None));
-        // Only the journal reads the terms again; a volatile store keeps
-        // no second copy of the batch. (Asked of `dir`, not `st.journal`:
-        // a leader mid-window has the journal handle checked out.)
-        let raw = if self.dir.is_some() { ops.to_vec() } else { Vec::new() };
-        st.pending.push_back(Pending {
-            model: model.to_string(),
-            encoded: net_ops(encoded),
-            written: ops.len(),
-            raw,
-            slot: Arc::clone(&slot),
-        });
+        // A bulk batch never enters the memtable: it freezes straight into
+        // a run, stacked on whatever the memtable holds — sealed first,
+        // before the batch reaches the journal, so that seal trims the
+        // journal too and run order stays commit order. A failed seal is a
+        // retry, not a loss: the memtable stays journaled, and the batch
+        // joins it instead of sealing its own run.
+        let bulk = encoded.len() >= self.cfg.memtable_limit;
+        let below_sealed = !bulk || st.mem_ops == 0 || self.seal_locked(&mut st, None).is_ok();
 
-        loop {
-            if !st.committing && !st.pending.is_empty() {
-                st.committing = true;
-                st = self.commit_window(st);
-                st.committing = false;
-                self.commit_cv.notify_all();
-            }
-            if let Some(result) = plock(&slot).take() {
-                let wake_compactor = st.sealed.len() > self.cfg.max_runs;
-                drop(st);
-                if wake_compactor {
-                    self.work_cv.notify_all();
-                }
-                return result;
-            }
-            st = pwait(&self.commit_cv, st);
-        }
-    }
-
-    /// The leader's commit window: journal the whole pending queue with
-    /// one fsync, apply each batch to the memtable or seal it as a run of
-    /// its own, maybe seal the memtable, publish, and fill every
-    /// follower's slot. Runs with `committing == true`, so the
-    /// queue and memtable are the leader's alone even where the lock is
-    /// dropped for I/O.
-    fn commit_window<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, WriterState>,
-    ) -> MutexGuard<'a, WriterState> {
-        let group: Vec<Pending> = st.pending.drain(..).collect();
-        if group.is_empty() {
-            return st;
-        }
-
-        let seqs: Result<Vec<u64>, RdfError> = match st.journal.take() {
-            Some(mut j) => {
-                drop(st);
-                let result = {
-                    let refs: Vec<(&str, &[JournalOp])> = group
-                        .iter()
-                        .map(|p| (p.model.as_str(), p.raw.as_slice()))
-                        .collect();
-                    j.append_batches(&refs)
-                };
-                st = plock(&self.state);
-                st.journal = Some(j);
-                result
-            }
-            None => Ok((st.last_seq + 1..).take(group.len()).collect()),
+        // The journal poisons itself on failure: before the next append it
+        // heals — truncating any torn record and re-deriving the next
+        // sequence from the committed on-disk state — so a failed commit
+        // can neither corrupt later ones nor re-issue their sequences.
+        let seq = match st.journal.as_mut() {
+            Some(journal) => journal.append(model, ops)?,
+            None => st.last_seq + 1,
         };
-
-        match seqs {
-            Err(e) => {
-                // Nothing in the group was acked; every writer gets the
-                // typed failure and retries (or gives up) itself. The
-                // journal handle poisoned itself: before the next window
-                // appends, it heals — truncating any torn record and
-                // re-deriving the next sequence from the committed on-disk
-                // state — so a failed window can neither corrupt later
-                // committed windows nor re-issue their sequence numbers.
-                for p in &group {
-                    *plock(&p.slot) = Some(Err(e.clone()));
-                }
-            }
-            Ok(seqs) => {
-                let (batches, mut ops_committed) = (group.len() as u64, 0u64);
-                let mut acks = Vec::with_capacity(group.len());
-                // A failed seal below is a retry, not a loss: the batches
-                // are durable in the journal either way, and a batch whose
-                // run did not seal joins the memtable instead.
-                for (p, seq) in group.into_iter().zip(seqs) {
-                    let mut sealed = false;
-                    if p.encoded.len() >= self.cfg.memtable_limit {
-                        // A bulk batch never enters the memtable: it is
-                        // sorted already, so it freezes straight into a
-                        // run — stacked on whatever the memtable held, so
-                        // run order stays commit order.
-                        let mut outcome = Ok(());
-                        if st.mem_ops > 0 {
-                            (st, outcome) = self.seal_locked(st, None);
-                        }
-                        if outcome.is_ok() {
-                            st.last_seq = seq;
-                            let run = (p.model.clone(), delta_run(&p.encoded));
-                            (st, outcome) = self.seal_locked(st, Some(run));
-                            sealed = outcome.is_ok();
-                        }
-                    }
-                    if !sealed {
-                        st.merge_into_mem(p.model, &p.encoded);
-                    }
-                    st.last_seq = seq;
-                    ops_committed += p.written as u64;
-                    acks.push((p.slot, Committed { seq, ops: p.encoded }));
-                }
-                if st.mem_ops >= self.cfg.memtable_limit {
-                    let outcome;
-                    (st, outcome) = self.seal_locked(st, None);
-                    let _ = outcome;
-                }
-                self.publish_locked(&mut st);
-                for (slot, committed) in acks {
-                    *plock(&slot) = Some(Ok(committed));
-                }
-                self.counters.commit_windows.fetch_add(1, Ordering::Relaxed);
-                self.counters.committed_batches.fetch_add(batches, Ordering::Relaxed);
-                self.counters.committed_ops.fetch_add(ops_committed, Ordering::Relaxed);
-            }
+        st.last_seq = seq;
+        let sealed = bulk && below_sealed && {
+            let run = (model.to_string(), delta_run(&encoded));
+            self.seal_locked(&mut st, Some(run)).is_ok()
+        };
+        if !sealed {
+            st.merge_into_mem(model.to_string(), &encoded);
         }
-        st
+        if st.mem_ops >= self.cfg.memtable_limit {
+            let _ = self.seal_locked(&mut st, None);
+        }
+        self.publish_locked(&mut st);
+        self.counters.commit_windows.fetch_add(1, Ordering::Relaxed);
+        self.counters.committed_batches.fetch_add(1, Ordering::Relaxed);
+        self.counters.committed_ops.fetch_add(ops.len() as u64, Ordering::Relaxed);
+        self.wake_compactor(st);
+        Ok(Committed { seq, ops: encoded })
     }
 
     /// Seals one immutable run covering the journal up to `st.last_seq`:
     /// the memtable (`bulk == None`), or one bulk batch that never entered
-    /// it.
-    /// Writes `run_<id>.ops`, swaps `runs.tsv`, pushes the run onto the
-    /// stack (clearing the memtable when it was the source), then rotates
-    /// the journal if the run covers everything the journal holds. Each
-    /// step has a failpoint; a kill at any of them loses nothing (see
-    /// module docs). Requires `committing == true` (leader or `seal_now`).
-    fn seal_locked<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, WriterState>,
+    /// it. Writes `run_<id>.ops`, swaps `runs.tsv`, pushes the run onto
+    /// the stack (clearing the memtable when it was the source), then
+    /// rotates the journal — which holds nothing past the run. Each step
+    /// has a failpoint; a kill at any of them loses nothing (see module
+    /// docs).
+    fn seal_locked(
+        &self,
+        st: &mut WriterState,
         bulk: Option<(String, DeltaRun)>,
-    ) -> (MutexGuard<'a, WriterState>, Result<(), RdfError>) {
+    ) -> Result<(), RdfError> {
         if bulk.is_none() && st.mem_ops == 0 {
-            return (st, Ok(()));
+            return Ok(());
         }
         let stem = format!("run_{}", st.next_run_id);
         let last_seq = st.last_seq;
 
-        let entry = if let Some(dir) = self.dir.clone() {
-            // Render while locked (the dictionary must not move under us),
-            // write the run file unlocked (writers may keep enqueuing),
-            // swap the manifest locked (serialized against compaction).
+        let entry = if let Some(dir) = &self.dir {
             let models = match &bulk {
                 Some((model, run)) => {
                     let (adds, dels) = (run.adds().spo_rows(), run.dels().spo_rows());
@@ -959,23 +835,19 @@ impl Inner {
                     .collect(),
             };
             let data = RunData { last_seq, models };
-            let ops = data.ops();
-            drop(st);
-            let written = write_run_file(&dir, &stem, &data);
-            st = plock(&self.state);
-            let sealed = written.and_then(|crc| {
-                let entry = RunEntry { stem: stem.clone(), last_seq, ops, crc };
+            let sealed = write_run_file(dir, &stem, &data).and_then(|crc| {
+                let entry = RunEntry { stem: stem.clone(), last_seq, ops: data.ops(), crc };
                 let mut manifest = st.runs.clone();
                 manifest.entries.push(entry.clone());
                 failpoint::check("run::seal::manifest")?;
-                write_runs_manifest(&dir, &manifest)?;
+                write_runs_manifest(dir, &manifest)?;
                 Ok(entry)
             });
             match sealed {
                 Ok(entry) => Some(entry),
                 Err(e) => {
                     self.counters.seal_retries.fetch_add(1, Ordering::Relaxed);
-                    return (st, Err(e));
+                    return Err(e);
                 }
             }
         } else {
@@ -1004,27 +876,16 @@ impl Inner {
             st.base.entry(model).or_insert_with(|| Arc::new(FrozenIndex::default()));
         }
         st.sealed.push(SealedRun { stem, last_seq, deltas });
-        if let Some(entry) = entry {
-            st.runs.entries.push(entry);
-        }
+        st.runs.entries.extend(entry);
         st.next_run_id += 1;
         self.counters.sealed_runs.fetch_add(1, Ordering::Relaxed);
 
-        // A journal holding batches past the run (later batches of the same
-        // commit window) keeps everything; the next seal trims.
-        if st.journal.as_ref().is_some_and(|j| j.next_seq() == last_seq + 1) {
-            let mut j = st.journal.take().expect("checked");
-            drop(st);
-            let rotated = j.rotate(last_seq);
-            st = plock(&self.state);
-            st.journal = Some(j);
-            if rotated.is_err() {
-                // The journal still holds batches the run now covers;
-                // replay is idempotent and the next rotate trims them.
-                self.counters.seal_retries.fetch_add(1, Ordering::Relaxed);
-            }
+        if st.journal.as_mut().is_some_and(|j| j.rotate(last_seq).is_err()) {
+            // The journal still holds batches the run now covers; replay
+            // is idempotent and the next rotate trims them.
+            self.counters.seal_retries.fetch_add(1, Ordering::Relaxed);
         }
-        (st, Ok(()))
+        Ok(())
     }
 
     /// Publishes the next snapshot generation from the current layers.
@@ -1035,31 +896,11 @@ impl Inner {
     /// interned since the last fold, fewer than a few thousand.
     fn publish_locked(&self, st: &mut WriterState) {
         let dict = st.dict_snapshot();
-        let mut names: BTreeSet<&String> = st.base.keys().collect();
-        for run in &st.sealed {
-            names.extend(run.deltas.keys());
-        }
-        names.extend(st.mem.keys());
-
-        let mut models = BTreeMap::new();
-        for name in names {
-            let base = st
-                .base
-                .get(name)
-                .cloned()
-                .unwrap_or_else(|| Arc::new(FrozenIndex::default()));
-            let mut deltas: Vec<Arc<DeltaRun>> = st
-                .sealed
-                .iter()
-                .filter_map(|run| run.deltas.get(name).cloned())
-                .collect();
-            deltas.extend(st.mem.get(name).filter(|mem| !mem.is_empty()).cloned());
-            models.insert(name.clone(), Arc::new(FrozenGraph::stacked(base, deltas)));
-        }
+        let models = st.stacked().map(|(name, graph)| (name, Arc::new(graph))).collect();
         st.generation += 1;
         let snapshot = FrozenStore::new(st.generation, dict, models)
             .with_watermark(st.last_seq);
-        self.current.store(Arc::new(snapshot));
+        *plock(&self.current) = Arc::new(snapshot);
         self.counters.publishes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1068,9 +909,7 @@ impl Inner {
         loop {
             {
                 let mut st = plock(&self.state);
-                while !self.shutdown.load(Ordering::SeqCst)
-                    && st.sealed.len() <= self.cfg.max_runs
-                {
+                while !self.shutdown.load(Ordering::SeqCst) && !st.compaction_due(&self.cfg) {
                     (st, _) = pwait_for(&self.work_cv, st, RETRY_CADENCE);
                 }
             }
@@ -1079,7 +918,7 @@ impl Inner {
             }
             match self.compact_once() {
                 Ok(true) => {}
-                // Declined (a checkpoint holds the compaction slot) or
+                // Declined (a hand-driven compaction holds the slot) or
                 // failed (e.g. a persistently erroring disk): hold the
                 // retry cadence before probing again. The debt stays over
                 // the line in exactly these cases, so the wait above is
@@ -1114,7 +953,7 @@ impl Inner {
         };
         let folded_stems: BTreeSet<&str> = fold.iter().map(|r| r.stem.as_str()).collect();
 
-        // Merge + snapshot-save without the lock: writers keep committing.
+        // Merge + snapshot-save without the lock: commits go on meanwhile.
         let merged = (|| -> Result<BTreeMap<String, Arc<FrozenIndex>>, RdfError> {
             failpoint::check("compact::merge")?;
             let mut names: BTreeSet<&String> = base.keys().collect();
@@ -1171,7 +1010,7 @@ impl Inner {
             Ok(new_base)
         });
         st.compacting = false;
-        match result {
+        let outcome = match result {
             Err(e) => {
                 self.counters.compact_retries.fetch_add(1, Ordering::Relaxed);
                 Err(e)
@@ -1182,11 +1021,12 @@ impl Inner {
                 st.runs.entries.retain(|e| !folded_stems.contains(e.stem.as_str()));
                 self.publish_locked(&mut st);
                 self.counters.compactions.fetch_add(1, Ordering::Relaxed);
-                drop(st);
-                self.debt_cv.notify_all();
                 Ok(true)
             }
-        }
+        };
+        drop(st);
+        self.debt_cv.notify_all();
+        outcome
     }
 }
 
@@ -1416,37 +1256,43 @@ mod tests {
         assert_eq!(model_len(&store, "m"), 2);
     }
 
+    /// Racing writers are serialized: every ack carries its own sequence,
+    /// the sequences are exactly 1..=n, and each batch is its own commit.
     #[test]
-    fn concurrent_writers_all_acked_and_grouped() {
-        let store = Arc::new(LsmStore::in_memory(test_cfg()));
-        let threads = 8;
-        let batches = 16;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for b in 0..batches {
-                        store
-                            .write_batch("m", &[ins(&format!("s{w}"), &format!("o{b}"))])
-                            .unwrap();
-                    }
+    fn concurrent_writers_are_serialized_one_commit_each() {
+        let store = LsmStore::in_memory(test_cfg());
+        let (threads, batches) = (8, 16);
+        let mut seqs: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    let store = &store;
+                    scope.spawn(move || {
+                        (0..batches)
+                            .map(|b| {
+                                let op = ins(&format!("s{w}"), &format!("o{b}"));
+                                store.write_batch("m", &[op]).unwrap().seq
+                            })
+                            .collect::<Vec<u64>>()
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        seqs.sort_unstable();
+        let n = (threads * batches) as u64;
+        assert_eq!(seqs, (1..=n).collect::<Vec<u64>>(), "distinct, and exactly 1..=n");
         let m = store.metrics();
-        assert_eq!(m.committed_batches, (threads * batches) as u64);
+        assert_eq!(m.committed_batches, n);
+        assert_eq!(m.commit_windows, m.committed_batches, "one commit per batch");
         assert_eq!(model_len(&store, "m"), threads * batches);
-        assert_eq!(m.last_seq, (threads * batches) as u64);
+        assert_eq!(m.last_seq, n);
     }
 
-    /// Followers enqueue while the leader has the journal handle checked
-    /// out for its fsync; what they enqueue must still reach the journal.
+    /// Racing durable writers: every acked batch reaches the journal and
+    /// comes back on reopen.
     #[test]
     fn concurrent_durable_writers_survive_reopen() {
-        let dir = temp_dir("group-reopen");
+        let dir = temp_dir("racing-reopen");
         let (threads, batches) = (8, 16);
         {
             let (store, _) = LsmStore::open(&dir, test_cfg()).unwrap();
@@ -1490,6 +1336,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A writer stalled at the run line seals nothing more, so the
+    /// compactor folds at the stall line too, below `max_runs`.
+    #[test]
+    fn the_compactor_drains_the_debt_writers_stall_on() {
+        let cfg = LsmConfig {
+            memtable_limit: 2,
+            max_runs: 8,
+            stall_runs: 2,
+            stall_deadline: Duration::from_secs(5),
+            ..LsmConfig::default()
+        };
+        let store = LsmStore::in_memory(cfg);
+        for i in 0..16 {
+            let bulk = [ins("s", &format!("o{i}")), ins("t", &format!("o{i}"))];
+            store.write_batch("m", &bulk).unwrap();
+        }
+        let m = store.metrics();
+        assert_eq!(m.sheds, 0);
+        assert!(m.compactions >= 1);
+        assert_eq!(model_len(&store, "m"), 32);
+    }
+
     #[test]
     fn checkpoint_folds_everything_into_solid_snapshot() {
         let dir = temp_dir("checkpoint");
@@ -1508,17 +1376,17 @@ mod tests {
     }
 
     #[test]
-    fn torn_group_commit_heals_and_later_windows_survive_reopen() {
-        let dir = temp_dir("heal-group");
+    fn torn_commit_heals_and_later_commits_survive_reopen() {
+        let dir = temp_dir("heal-torn");
         {
             let (store, _) = LsmStore::open(&dir, test_cfg()).unwrap();
             store.write_batch("m", &[ins("a", "b")]).unwrap();
-            // A torn group: half the record reaches the disk, nothing is
+            // A torn commit: half the record reaches the disk, nothing is
             // acked, and the same store keeps running.
             failpoint::arm("journal::append::partial", failpoint::FailSpec::Once);
             let err = store.write_batch("m", &[ins("a", "c")]).unwrap_err();
             assert!(matches!(err, RdfError::Injected { .. }), "got {err:?}");
-            // The next window must heal the tear before appending;
+            // The next commit must heal the tear before appending;
             // without that, recovery would refuse the whole journal
             // (uncommitted batch followed by committed data) and this
             // acked batch would be lost.
@@ -1533,12 +1401,12 @@ mod tests {
     }
 
     #[test]
-    fn failed_sync_window_never_duplicates_sequences() {
+    fn failed_sync_commit_never_duplicates_sequences() {
         let dir = temp_dir("heal-sync");
         {
             let (store, _) = LsmStore::open(&dir, test_cfg()).unwrap();
             store.write_batch("m", &[ins("a", "b")]).unwrap();
-            // The group is fully written (valid commit marker) but the
+            // The batch is fully written (valid commit marker) but the
             // fsync fails: unacked, yet present on disk.
             failpoint::arm("journal::sync", failpoint::FailSpec::Once);
             let err = store.write_batch("m", &[ins("a", "c")]).unwrap_err();

@@ -1,6 +1,6 @@
 //! Kill-anywhere crash drills for the LSM write path.
 //!
-//! Every step the write path takes on disk — group journal append, fsync,
+//! Every step the write path takes on disk — journal append, fsync,
 //! run-file write (whole and torn), runs-manifest swap, journal rotation,
 //! compaction merge, compaction manifest swap, checkpoint snapshot — has a
 //! failpoint. These tests arm each one in turn, drive writes until the
@@ -257,7 +257,7 @@ fn every_seal_failpoint_fires_on_a_bulk_run_and_loses_nothing() {
         let metrics = store.metrics();
         assert_eq!(metrics.seal_retries, u64::from(point.is_some()), "{label}: fault not consumed");
         // A batch whose run failed to seal joins the memtable, which is
-        // then over its limit: the same window seals it as a run.
+        // then over its limit: the same commit seals it as a run.
         assert_eq!((metrics.sealed_runs, metrics.memtable_ops), (1, 0), "{label}");
         for b in 1..3 {
             acked.push((b, store.write_batch(MODEL, &batch_ops(b)).unwrap().seq));
@@ -270,8 +270,8 @@ fn every_seal_failpoint_fires_on_a_bulk_run_and_loses_nothing() {
 }
 
 /// A bulk batch arriving on a non-empty memtable seals the memtable first,
-/// and the journal is trimmed only once both runs are live: a kill right
-/// after loses neither batch.
+/// before the bulk batch reaches the journal, and each run trims only the
+/// journal it covers: a kill right after loses neither batch.
 #[test]
 fn a_bulk_batch_seals_the_memtable_below_it_first() {
     let dir = temp_dir("bulk-order");
@@ -288,12 +288,11 @@ fn a_bulk_batch_seals_the_memtable_below_it_first() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Racing writers put bulk and small batches into the same commit window.
-/// A bulk batch's run must not rotate away the journal records of the
-/// small batches committed after it in that window — they sit only in
-/// the memtable — so a kill at any point after the writes recovers every
-/// triple. (A variant that rotates after every seal fails here within a
-/// few rounds.)
+/// Racing writers interleave bulk and small batches, serialized by the
+/// engine's writer lock. Every seal — a bulk batch's own run, the
+/// memtable sealed below it, a full memtable — trims the journal, and no
+/// seal may rotate away a record that only the memtable holds, so a kill
+/// at any point after the writes recovers every triple.
 #[test]
 fn racing_bulk_and_small_batches_recover_whole() {
     // No compaction and no stall gate: the run stack just grows.

@@ -164,13 +164,9 @@ pub fn prepare(state: &Arc<ServeState>, request: &Request) -> Prepared {
                 "/lineage" => QueryClass::Lineage,
                 _ => QueryClass::Sparql,
             };
-            Prepared::Query(QueryJob { request: request.clone(), class, permit: None })
+            Prepared::Query(QueryJob::new(request.clone(), class))
         }
-        ("POST", "/answer") => Prepared::Query(QueryJob {
-            request: request.clone(),
-            class: QueryClass::Answer,
-            permit: None,
-        }),
+        ("POST", "/answer") => Prepared::Query(QueryJob::new(request.clone(), QueryClass::Answer)),
         (
             _,
             "/healthz" | "/stats" | "/search" | "/lineage" | "/sparql" | "/answer"
@@ -187,6 +183,7 @@ pub struct QueryJob {
     pub(crate) class: QueryClass,
     /// The tenant permit, once the event loop has granted it.
     pub(crate) permit: Option<Permit>,
+    cancel: CancellationToken,
 }
 
 /// What a worker hands back to the connection.
@@ -243,6 +240,17 @@ fn overloaded(state: &ServeState, retry_after: Duration, detail: &str) -> Staged
 }
 
 impl QueryJob {
+    pub(crate) fn new(request: Request, class: QueryClass) -> QueryJob {
+        QueryJob { request, class, permit: None, cancel: CancellationToken::new() }
+    }
+
+    /// The request's cancellation token, made with the job: the event loop
+    /// keeps a clone and fires it when the connection goes away, and the
+    /// query's budget reads it at every check.
+    pub fn cancellation(&self) -> &CancellationToken {
+        &self.cancel
+    }
+
     /// The tenant the request names, or [`DEFAULT_TENANT`].
     pub(crate) fn tenant(&self) -> &str {
         self.request.header("x-tenant").unwrap_or(DEFAULT_TENANT)
@@ -279,7 +287,7 @@ impl QueryJob {
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(state.config.max_rows)
             .min(state.config.max_rows);
-        let token = CancellationToken::new();
+        let token = self.cancel.clone();
         let inflight = state.drain.register(token.clone());
         let budget = QueryBudget::unlimited()
             .with_deadline(deadline, Arc::new(MonotonicTime::new()))

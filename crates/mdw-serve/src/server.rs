@@ -40,7 +40,9 @@
 //! * **Slow clients cannot park resources** — per-state deadlines: a head
 //!   that doesn't arrive in time gets `408` (slowloris), a peer that stops
 //!   reading gets hard-closed (write stall), an idle keep-alive connection
-//!   is reaped. All three are counted.
+//!   is reaped. All three are counted. A peer that resets is torn down at
+//!   once, and its query's cancellation fires: a query still on a worker
+//!   gives up its permit at its next budget check.
 //! * **The loop never dies** — accept errors (real or injected via
 //!   [`ACCEPT`](crate::fault::ACCEPT) /
 //!   [`ACCEPT_ERROR`](crate::fault::ACCEPT_ERROR)) are counted and
@@ -65,6 +67,7 @@ use std::time::{Duration, Instant};
 
 use mdw_core::admission::AdmissionConfig;
 use mdw_core::warehouse::MetadataWarehouse;
+use mdw_rdf::budget::CancellationToken;
 use mdw_rdf::failpoint;
 
 use crate::conn::{Conn, ConnTimeouts, Wants};
@@ -514,6 +517,11 @@ struct ConnEntry<S> {
     conn: Conn,
     /// (readable, writable) interest currently registered.
     interest: (bool, bool),
+    /// The cancellation of the last query request queued: fired at
+    /// teardown, so a query still waiting or running for a peer that left
+    /// gives up its worker, permit and in-flight slot at its next budget
+    /// check.
+    cancel: Option<CancellationToken>,
 }
 
 /// The serving loop's decisions, apart from its syscalls: the connection
@@ -720,6 +728,7 @@ impl<S: Read + Write> LoopCore<S> {
             match entry.conn.wants() {
                 Wants::Execute => {
                     let job = entry.conn.take_job().expect("Execute implies a queued job");
+                    entry.cancel = Some(job.cancellation().clone());
                     self.state.tenants.enqueue(token, job, now);
                 }
                 Wants::Write => {
@@ -753,13 +762,18 @@ impl<S: Read + Write> LoopCore<S> {
     fn teardown<T: Transport<Stream = S>>(&mut self, io: &mut T, token: u64) {
         if let Some(entry) = self.conns.remove(&token) {
             self.state.tenants.cancel(token);
+            if let Some(cancel) = &entry.cancel {
+                cancel.cancel();
+            }
             io.deregister(&entry.stream);
             if !entry.conn.is_shed() {
                 self.state.active_connections.fetch_sub(1, Ordering::AcqRel);
             }
             // Dropping the entry closes the socket and releases anything
             // the connection still held (streamer → permit + in-flight
-            // guard).
+            // guard). A query already on a worker saw its cancellation
+            // fire above: it stops at its next budget check, and its
+            // result, holding the permit, is dropped on arrival.
         }
     }
 
@@ -818,7 +832,7 @@ impl<S: Read + Write> LoopCore<S> {
             state.active_connections.fetch_add(1, Ordering::AcqRel);
         }
         let conn = Conn::new(self.timeouts, shed, now);
-        self.conns.insert(token, ConnEntry { stream, conn, interest: (true, false) });
+        self.conns.insert(token, ConnEntry { stream, conn, interest: (true, false), cancel: None });
     }
 }
 

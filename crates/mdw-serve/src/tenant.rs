@@ -457,7 +457,7 @@ mod tests {
     fn job(class: QueryClass) -> QueryJob {
         let head = b"GET /search?q=x HTTP/1.1\r\nX-Tenant: t\r\n\r\n";
         let (request, _) = http::parse_head(head).unwrap().unwrap();
-        QueryJob { request, class, permit: None }
+        QueryJob::new(request, class)
     }
 
     /// `(token, granted, shed reason)` per decided request, in order.

@@ -401,8 +401,9 @@ fn loop_thread_cpu() -> Duration {
 /// A peer that resets (`SO_LINGER` 0) while its query runs must not spin
 /// the loop: epoll reports `ERR`/`HUP` whatever the registered interest,
 /// so a loop that ignored them would return from every wait at once until
-/// the query's 1.5 s deadline. The connection is torn down instead, and
-/// counted as a wire error.
+/// the query's 1.5 s deadline. The connection is torn down instead,
+/// counted as a wire error, and its query cancelled: the in-flight slot
+/// frees long before the deadline.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_reset_peer_does_not_spin_the_loop() {
@@ -430,12 +431,16 @@ fn a_reset_peer_does_not_spin_the_loop() {
     let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_LINGER, linger.as_ptr(), 8) };
     assert_eq!(rc, 0, "SO_LINGER");
     drop(stream);
-    std::thread::sleep(Duration::from_millis(100));
+    let reset = Instant::now();
+    while server.state().drain.inflight() > 0 {
+        let waited = reset.elapsed();
+        assert!(waited < Duration::from_millis(500), "still in flight {waited:?} after the reset");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     let before = loop_thread_cpu();
     std::thread::sleep(Duration::from_secs(1));
     let used = loop_thread_cpu() - before;
-    assert_eq!(server.state().drain.inflight(), 1, "the window fell inside the query");
     assert!(used < Duration::from_millis(250), "the loop used {used:?} of CPU in one second");
     let wire_errors = &server.state().counters.wire_errors;
     assert_eq!(wire_errors.load(std::sync::atomic::Ordering::Relaxed), 1);

@@ -11,7 +11,8 @@
 //!   [`Ready::event`], the rule the epoll shim itself uses: `RDHUP` only
 //!   with read interest, `ERR`/`HUP` whatever the interest;
 //! * a virtual worker pool that runs the real [`execute_job`] and
-//!   completes jobs in a seeded order, after seeded delays;
+//!   completes jobs in a seeded order, after seeded delays — or, once a
+//!   job's cancellation fires, at its next budget check;
 //! * virtual time, and accept errors that trigger the listener backoff.
 //!
 //! After every step the simulator checks:
@@ -59,6 +60,10 @@ const SCHEDULES: u64 = 10_000;
 
 /// The loop's sweep cadence: the longest virtual time between two steps.
 const SWEEP_MS: u64 = 20;
+
+/// How often a virtual worker's query reads its cancellation, in virtual
+/// ms: the time its budget takes to charge one check interval of steps.
+const CHECK_MS: u64 = 5;
 
 // ---------------------------------------------------------------------------
 // The model network
@@ -433,8 +438,8 @@ struct Client {
     socket: Option<Shared>,
     token: Option<u64>,
     refused: bool,
-    /// The client reset or closed its end.
-    faulted: bool,
+    /// When the client reset or closed its end, in virtual ms.
+    faulted: Option<u64>,
     sent: usize,
     next_send: u64,
     next_read: u64,
@@ -468,7 +473,7 @@ impl Client {
             socket: None,
             token: None,
             refused: false,
-            faulted: false,
+            faulted: None,
             sent: 0,
             next_send: 0,
             next_read: 0,
@@ -518,7 +523,7 @@ impl Client {
 
     fn finished(&self) -> bool {
         self.refused
-            || self.faulted
+            || self.faulted.is_some()
             || self.socket.as_ref().is_some_and(|s| {
                 let s = s.borrow();
                 s.server_closed || s.reset
@@ -535,7 +540,7 @@ impl Client {
     }
 
     fn act(&mut self, t: u64, net: &mut Net) {
-        if self.refused || self.faulted {
+        if self.refused || self.faulted.is_some() {
             return;
         }
         let Some(socket) = &self.socket else {
@@ -583,14 +588,14 @@ impl Client {
             Fault::HalfClose if self.sent == self.bytes.len() => s.fin = true,
             Fault::ResetEarly(n) if self.sent >= n => {
                 s.reset = true;
-                self.faulted = true;
+                self.faulted = Some(t);
             }
             Fault::ResetWaiting => {
                 let first_query = self.requests.iter().position(|r| r.kind.class().is_some());
                 if let Some(i) = first_query {
                     if s.read >= self.requests[i].end && self.frames.len() <= i {
                         s.reset = true;
-                        self.faulted = true;
+                        self.faulted = Some(t);
                     }
                 }
             }
@@ -599,7 +604,7 @@ impl Client {
             {
                 s.fin = true;
                 s.closed = true;
-                self.faulted = true;
+                self.faulted = Some(t);
             }
             _ => {}
         }
@@ -618,7 +623,7 @@ impl Client {
 
     /// When this client next acts on its own, if it waits for time.
     fn next_action(&self, t: u64) -> Option<u64> {
-        if self.refused || self.faulted {
+        if self.refused || self.faulted.is_some() {
             return None;
         }
         if self.socket.is_none() {
@@ -781,6 +786,13 @@ impl World {
             let (least, most) = self.pool.latency;
             let done = self.t + least + self.rng.below(most - least + 1);
             self.pool.running.push((done, token, job));
+        }
+        // A running query reads its cancellation at every budget check: once
+        // the loop fires it, the job ends within one check interval.
+        for (done, _, job) in &mut self.pool.running {
+            if job.cancellation().is_cancelled() {
+                *done = (*done).min(self.t + CHECK_MS);
+            }
         }
         let mut due = Vec::new();
         let mut i = 0;
@@ -1038,7 +1050,7 @@ fn owed_responses_arrived(client: &Client) -> Check {
     let Some(socket) = &client.socket else { return Ok(()) };
     let socket = socket.borrow();
     let stalled = matches!(client.script.reading, Reading::Stalled);
-    let broken = client.faulted || socket.reset || stalled;
+    let broken = client.faulted.is_some() || socket.reset || stalled;
     if broken {
         // A frame cut by a reset must never parse as complete.
         let cut = &socket.written[client.frame_start..];
@@ -1333,10 +1345,38 @@ fn a_peer_reset_while_its_job_runs_is_torn_down_at_once() {
     if let Err(violation) = world.run() {
         panic!("{violation}");
     }
-    assert!(world.clients[0].faulted, "the client reset");
+    assert!(world.clients[0].faulted.is_some(), "the client reset");
     assert!(world.clients[0].frames.is_empty());
     assert_eq!(counter(&state, "wire_errors"), 1);
     assert_eq!(state.active_connections(), 0);
+    assert_nothing_leaked(&state);
+}
+
+/// A peer that resets while its query runs frees the query's worker,
+/// permit and in-flight slot within one budget check: the core fires the
+/// request's cancellation at teardown, so the query stops at its next
+/// check instead of holding all three until it ends.
+#[test]
+fn a_reset_mid_query_frees_its_permit_within_one_check_interval() {
+    quiet_injected_panics();
+    let state = ServeState::new(tiny_warehouse(), test_config());
+    let mut script = Script::new(vec![(Kind::Search, Some("r"))]);
+    script.fault = Fault::ResetWaiting;
+    let mut world = World::new(Arc::clone(&state), vec![script], 1, 7);
+    // Left alone, the query would keep its worker for a second.
+    world.pool.latency = (1_000, 1_000);
+    world.stop_when_settled = true;
+    if let Err(violation) = world.run() {
+        panic!("{violation}");
+    }
+    // The run stops at the first step with nothing held or in flight.
+    let reset_at = world.clients[0].faulted.expect("the client reset");
+    assert!(
+        world.t <= reset_at + CHECK_MS,
+        "permit and in-flight slot freed at {} ms, the peer reset at {reset_at} ms",
+        world.t
+    );
+    assert_eq!(counter(&state, "wire_errors"), 1);
     assert_nothing_leaked(&state);
 }
 

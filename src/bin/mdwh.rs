@@ -1343,7 +1343,7 @@ const CRASH_FAILPOINTS: &[&str] = &[
 
 /// `mdwh drill crash`: the kill-anywhere write-path drill. For each
 /// failpoint in [`CRASH_FAILPOINTS`], runs the writer/reader [`Race`] —
-/// `--writers` group-committing writers, `--readers` snapshot readers —
+/// `--writers` racing writers, `--readers` snapshot readers —
 /// on a durable store with a fault armed at that point, "crashes" by
 /// dropping the store, then reopens it and verifies the race against
 /// what recovery brought back: every *acknowledged* batch is whole, and
@@ -1394,8 +1394,8 @@ fn drill_crash(args: &Args) -> Result<(), String> {
         let (store, _) = LsmStore::open(&dir, cfg.clone()).map_err(|e| e.to_string())?;
         store.write_batch(RACE_MODEL, &[]).map_err(|e| e.to_string())?;
         // Global scope: the fault must be visible to whichever writer thread
-        // wins the commit-window leadership and to the background compactor,
-        // not just to the arming thread.
+        // commits when it fires and to the background compactor, not just
+        // to the arming thread.
         failpoint::reset_global();
         failpoint::arm_global(point, FailSpec::Once);
         let outcome = race.run(&store)?;

@@ -13,7 +13,6 @@ use mdw_core::search::SearchRequest;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_rdf::term::Term;
 use mdw_rdf::vocab;
-use mdw_sparql::SemMatch;
 
 fn item(i: u8) -> Term {
     Term::iri(format!("http://ex.org/item{i}"))
@@ -97,60 +96,6 @@ proptest! {
             Completeness::Truncated { reason } => {
                 prop_assert_eq!(reason, TruncationReason::StepLimit);
             }
-        }
-    }
-
-    /// A row-budgeted SPARQL query returns a prefix of the unbudgeted rows;
-    /// `Truncated{RowLimit}` appears exactly when rows really were cut off
-    /// (an exact fit stays `Complete`).
-    #[test]
-    fn budgeted_sparql_rows_are_a_truthful_prefix(
-        l in landscape(),
-        max_rows in 0u64..20,
-    ) {
-        let w = build(&l);
-        let query = SemMatch::new("{ ?x rdf:type ?c }").select(&["?x", "?c"]);
-        let full = w.sem_match(&query).unwrap();
-        let budgeted = w
-            .sem_match_explained(&query, &QueryBudget::unlimited().with_max_rows(max_rows), true)
-            .unwrap()
-            .0;
-
-        prop_assert!(budgeted.rows.len() <= full.rows.len());
-        prop_assert_eq!(&budgeted.rows[..], &full.rows[..budgeted.rows.len()]);
-
-        match budgeted.completeness {
-            Completeness::Complete => {
-                prop_assert_eq!(budgeted.rows.len(), full.rows.len());
-            }
-            Completeness::Truncated { reason } => {
-                prop_assert_eq!(reason, TruncationReason::RowLimit);
-                prop_assert_eq!(budgeted.rows.len() as u64, max_rows);
-                prop_assert!(full.rows.len() as u64 > max_rows, "reason must not be a false positive");
-            }
-        }
-    }
-
-    /// A step-budgeted SPARQL query is also a truthful prefix.
-    #[test]
-    fn step_budgeted_sparql_is_a_truthful_prefix(
-        l in landscape(),
-        max_steps in 0u64..40,
-    ) {
-        let w = build(&l);
-        let query = SemMatch::new("{ ?x rdf:type ?c }").select(&["?x", "?c"]);
-        let full = w.sem_match(&query).unwrap();
-        let budget = QueryBudget::unlimited().with_max_steps(max_steps);
-        let budgeted = w.sem_match_explained(&query, &budget, true).unwrap().0;
-
-        prop_assert!(budgeted.rows.len() <= full.rows.len());
-        prop_assert_eq!(&budgeted.rows[..], &full.rows[..budgeted.rows.len()]);
-
-        if let Completeness::Truncated { reason } = budgeted.completeness {
-            prop_assert_eq!(reason, TruncationReason::StepLimit);
-            prop_assert!(budget.steps_charged() > max_steps);
-        } else {
-            prop_assert_eq!(budgeted.rows.len(), full.rows.len());
         }
     }
 

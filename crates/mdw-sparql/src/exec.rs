@@ -1,4 +1,4 @@
-//! Physical query execution: binding sets over a [`TripleSource`].
+//! Physical query execution: a push pipeline over a [`TripleSource`].
 //!
 //! This is the bottom layer of the query pipeline. The parsed AST is
 //! first lowered to a logical [`QueryPlan`] — by default through the
@@ -7,13 +7,18 @@
 //! conjuncts down to the unit that binds their variables; under
 //! `--no-planner` through [`QueryPlan::naive`], which keeps the written
 //! order. The executor here then evaluates the plan on the calling thread
-//! with budget-charged nested index-loop joins.
+//! with budget-charged nested index-loop joins, one binding at a time:
+//! every plan node takes one input binding and pushes each solution it
+//! finds to a sink, and one final sink — DISTINCT, OFFSET, LIMIT, the
+//! budget's row cap — stops the whole pipeline when it has what it needs.
 //! [`execute`] returns the rows together with an [`ExplainReport`] pairing
 //! the plan's estimates with observed cardinalities.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -28,7 +33,7 @@ use mdw_rdf::vocab;
 use crate::ast::*;
 use crate::error::SparqlError;
 use crate::optimize::{self, PlannerInput};
-use crate::plan::{self, ExplainReport, PlanNode, PlannedUnit, QueryPlan};
+use crate::plan::{self, BgpPlan, ExplainReport, PlanNode, PlannedUnit, QueryPlan};
 use crate::regex_lite::Regex;
 
 /// Backtracking-step allowance per regex filter evaluation: generous for
@@ -36,8 +41,9 @@ use crate::regex_lite::Regex;
 /// query budget instead of hanging the executor.
 const REGEX_FUEL: u64 = 250_000;
 
-/// How many rows the result-materialization loops (projection,
-/// aggregation grouping) process between deadline/cancellation checks.
+/// How many rows the loop that drains a blocking stage (the sorted ORDER
+/// BY buffer, the final group rows) feeds the final sink between
+/// deadline/cancellation checks.
 const MATERIALIZE_CHECK: usize = 1024;
 
 /// One output row: values aligned with [`QueryOutput::columns`];
@@ -68,35 +74,23 @@ impl QueryOutput {
                 row.iter()
                     .enumerate()
                     .map(|(i, cell)| {
-                        let s = cell
-                            .as_ref()
-                            .map(term_display)
-                            .unwrap_or_else(|| "—".to_string());
+                        let s = cell.as_ref().map_or_else(|| "—".to_string(), term_display);
                         widths[i] = widths[i].max(s.len());
                         s
                     })
                     .collect()
             })
             .collect();
-        let mut out = String::new();
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:<width$}", width = widths[i]))
-            .collect();
-        out.push_str(&header.join(" | "));
-        out.push('\n');
+        let line = |cells: &[String]| {
+            let padded: Vec<String> =
+                cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}")).collect();
+            padded.join(" | ") + "\n"
+        };
+        let mut out = line(&self.columns);
         out.push_str(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>().join("-+-"));
         out.push('\n');
-        for row in rendered {
-            let cells: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{c:<width$}", width = widths[i]))
-                .collect();
-            out.push_str(&cells.join(" | "));
-            out.push('\n');
+        for row in &rendered {
+            out.push_str(&line(row));
         }
         out
     }
@@ -160,12 +154,14 @@ pub fn execute(
         source,
         dict,
         budget,
+        vars: VarTable::new(query),
         plan: query_plan,
         use_planner,
         stats,
         type_id,
         actuals,
         sub_plans: RefCell::new(HashMap::new()),
+        bgps: RefCell::new(HashMap::new()),
         regex_cache: RefCell::new(HashMap::new()),
         tripped: Cell::new(None),
     };
@@ -178,10 +174,44 @@ pub fn execute(
 /// A binding: var-index → term id (None = unbound).
 type Binding = Vec<Option<TermId>>;
 
+/// What a pipeline stage tells the stage that feeds it: go on, or stop.
+/// `Break(None)` is a clean stop — the final sink has what it needs, or
+/// the budget tripped ([`Executor::tripped`] says which); `Break(Some(e))`
+/// carries a query error (a bad regex, say) out of the pipeline.
+type Flow<T = ()> = ControlFlow<Option<SparqlError>, T>;
+
+/// Where a plan node pushes each solution it finds.
+type Sink<'s> = dyn FnMut(&Binding) -> Flow + 's;
+
+/// Lifts an expression result into the pipeline's control flow.
+fn lift<T>(result: Result<T, SparqlError>) -> Flow<T> {
+    result.map_or_else(|e| Break(Some(e)), Continue)
+}
+
+/// The pipeline's outcome as the caller sees it: only an error is one.
+fn finished(flow: Flow) -> Result<(), SparqlError> {
+    match flow {
+        Break(Some(e)) => Err(e),
+        _ => Ok(()),
+    }
+}
+
+/// One output cell before decoding: a dictionary id, or a computed count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum OutCell {
+    Id(TermId),
+    Count(u64),
+}
+
+/// One output row before decoding, aligned with the output columns.
+type OutRow = Vec<Option<OutCell>>;
+
 struct Executor<'a> {
     source: &'a dyn TripleSource,
     dict: &'a Dictionary,
     budget: &'a QueryBudget,
+    /// The query's variables: a binding's slots.
+    vars: VarTable,
     /// The logical plan execution follows.
     plan: QueryPlan,
     /// Whether EXISTS sub-patterns should also be cost-planned.
@@ -194,14 +224,12 @@ struct Executor<'a> {
     actuals: Vec<Cell<u64>>,
     /// Lazily-built plans for EXISTS sub-patterns, keyed by AST address.
     sub_plans: RefCell<HashMap<usize, Rc<PlanNode>>>,
+    /// Each BGP's units with their constants resolved, keyed by the plan
+    /// node's address; `None` when a constant is not in the dictionary.
+    bgps: RefCell<HashMap<usize, Option<Rc<[ResolvedUnit]>>>>,
     regex_cache: RefCell<HashMap<(String, String), Regex>>,
     /// First budget violation observed; once set, every loop unwinds.
     tripped: Cell<Option<TruncationReason>>,
-}
-
-/// True when an execution-level row cap has been reached.
-fn cap_reached(len: usize, cap: Option<usize>) -> bool {
-    cap.is_some_and(|c| len >= c)
 }
 
 struct VarTable {
@@ -226,8 +254,197 @@ impl VarTable {
         self.names.iter().position(|n| *n == var.0)
     }
 
+    /// The slot of a variable the query must mention.
+    fn slot(&self, var: &Var) -> Result<usize, SparqlError> {
+        self.index(var)
+            .ok_or_else(|| SparqlError::Semantic(format!("unknown variable ?{}", var.0)))
+    }
+
     fn len(&self) -> usize {
         self.names.len()
+    }
+}
+
+/// The final sink every query form shares. In order: DISTINCT on id rows,
+/// OFFSET, LIMIT, then the budget's row cap — the row that arrives when the
+/// cap is full trips `RowLimit`, so a cut is told apart from an exact fit.
+/// ASK keeps its first solution.
+struct Emit<'e, 'a> {
+    exec: &'e Executor<'a>,
+    seen: Option<HashSet<OutRow>>,
+    skip: usize,
+    limit: usize,
+    /// Rows the budget still allows.
+    room: usize,
+    rows: Vec<OutRow>,
+}
+
+impl<'e, 'a> Emit<'e, 'a> {
+    fn new(exec: &'e Executor<'a>, query: &Query) -> Self {
+        // One solution answers an ASK, and its one row is never capped.
+        let ask = query.ask;
+        let room = usize::try_from(exec.budget.rows_remaining()).unwrap_or(usize::MAX);
+        Emit {
+            exec,
+            seen: (query.distinct && !ask).then(HashSet::new),
+            skip: if ask { 0 } else { query.offset.unwrap_or(0) },
+            limit: if ask { 1 } else { query.limit.unwrap_or(usize::MAX) },
+            room: if ask { usize::MAX } else { room },
+            rows: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, row: OutRow) -> Flow {
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert(row.clone()) {
+                return Continue(());
+            }
+        }
+        if self.skip > 0 {
+            self.skip -= 1;
+            return Continue(());
+        }
+        if self.rows.len() >= self.limit {
+            return Break(None);
+        }
+        if self.rows.len() >= self.room {
+            self.exec.trip(TruncationReason::RowLimit);
+            return Break(None);
+        }
+        let _ = self.exec.budget.charge_row();
+        self.rows.push(row);
+        if self.rows.len() >= self.limit {
+            Break(None)
+        } else {
+            Continue(())
+        }
+    }
+}
+
+/// A projected column of an aggregate query.
+enum GroupColumn {
+    /// A grouped variable: its position in the group key.
+    Key(usize),
+    /// The `i`-th COUNT of the selection.
+    Count(usize),
+}
+
+/// One COUNT's running state in one group.
+enum Tally {
+    Rows(u64),
+    /// `COUNT(DISTINCT ?v)`: the distinct ids seen.
+    Ids(HashSet<TermId>),
+}
+
+/// Aggregation state: one entry per group, in first-seen order, holding
+/// each COUNT's tally — never the group's member bindings.
+struct Groups {
+    /// Binding slots of the GROUP BY variables.
+    keys: Vec<usize>,
+    /// Per COUNT: the counted variable's slot (`None` = `COUNT(*)`) and
+    /// whether it counts distinct values.
+    counts: Vec<(Option<usize>, bool)>,
+    columns: Vec<GroupColumn>,
+    index: HashMap<Vec<Option<TermId>>, usize>,
+    groups: Vec<(Vec<Option<TermId>>, Vec<Tally>)>,
+}
+
+impl Groups {
+    fn new(query: &Query, vars: &VarTable) -> Result<Groups, SparqlError> {
+        let Selection::Items(items) = &query.selection else {
+            return Err(SparqlError::Semantic(
+                "SELECT * cannot be combined with aggregation".to_string(),
+            ));
+        };
+        let keys = query
+            .group_by
+            .iter()
+            .map(|v| {
+                vars.index(v).ok_or_else(|| {
+                    SparqlError::Semantic(format!("GROUP BY variable ?{} not in pattern", v.0))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let mut counts = Vec::new();
+        let mut columns = Vec::with_capacity(items.len());
+        for item in items {
+            columns.push(match item {
+                SelectItem::Var(v) => {
+                    vars.slot(v)?;
+                    let key = query.group_by.iter().position(|g| g == v).ok_or_else(|| {
+                        SparqlError::Semantic(format!(
+                            "variable ?{} projected without being grouped",
+                            v.0
+                        ))
+                    })?;
+                    GroupColumn::Key(key)
+                }
+                SelectItem::Count { var, distinct, .. } => {
+                    let slot = var.as_ref().map(|v| vars.slot(v)).transpose()?;
+                    counts.push((slot, *distinct && slot.is_some()));
+                    GroupColumn::Count(counts.len() - 1)
+                }
+            });
+        }
+        Ok(Groups { keys, counts, columns, index: HashMap::new(), groups: Vec::new() })
+    }
+
+    /// A new group's tallies: nothing counted yet.
+    fn fresh_tallies(&self) -> Vec<Tally> {
+        let fresh = |&(_, distinct): &(Option<usize>, bool)| {
+            if distinct {
+                Tally::Ids(HashSet::new())
+            } else {
+                Tally::Rows(0)
+            }
+        };
+        self.counts.iter().map(fresh).collect()
+    }
+
+    /// Folds one solution into its group.
+    fn fold(&mut self, b: &Binding) {
+        let key: Vec<Option<TermId>> = self.keys.iter().map(|&i| b[i]).collect();
+        let g = match self.index.get(&key) {
+            Some(&g) => g,
+            None => {
+                self.index.insert(key.clone(), self.groups.len());
+                self.groups.push((key, self.fresh_tallies()));
+                self.groups.len() - 1
+            }
+        };
+        for (tally, &(slot, _)) in self.groups[g].1.iter_mut().zip(&self.counts) {
+            match (tally, slot.map(|i| b[i])) {
+                (Tally::Rows(n), None | Some(Some(_))) => *n += 1,
+                (Tally::Ids(ids), Some(Some(id))) => {
+                    ids.insert(id);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// One row per group. With no GROUP BY, COUNT over the whole solution
+    /// is one group — even when empty.
+    fn into_rows(mut self) -> Vec<OutRow> {
+        if self.groups.is_empty() && self.keys.is_empty() {
+            self.groups.push((Vec::new(), self.fresh_tallies()));
+        }
+        let columns = &self.columns;
+        self.groups
+            .into_iter()
+            .map(|(key, tallies)| {
+                columns
+                    .iter()
+                    .map(|c| match *c {
+                        GroupColumn::Key(k) => key[k].map(OutCell::Id),
+                        GroupColumn::Count(i) => Some(OutCell::Count(match &tallies[i] {
+                            Tally::Rows(n) => *n,
+                            Tally::Ids(ids) => ids.len() as u64,
+                        })),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -244,138 +461,85 @@ impl<'a> Executor<'a> {
         self.tripped.get().is_some()
     }
 
-    /// Periodic mid-materialization budget check: consults the clock and
-    /// the cancellation flag every [`MATERIALIZE_CHECK`] rows, so a query
-    /// cannot overrun its deadline while post-processing a large
-    /// intermediate result (the evaluation loops already stopped, but the
-    /// accumulated bindings still have to be projected or aggregated).
-    /// Returns `false` once the budget is tripped — stop materializing.
-    fn check_every(&self, i: usize) -> bool {
-        // A blown step or row cap is no reason to drop already-computed
-        // bindings — only time pressure (deadline, cancellation) is.
-        if matches!(
-            self.tripped.get(),
-            Some(TruncationReason::DeadlineExceeded | TruncationReason::Cancelled)
-        ) {
-            return false;
-        }
-        if i.is_multiple_of(MATERIALIZE_CHECK) {
-            if let Err(reason) = self.budget.check_time() {
-                self.trip(reason);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Charges one traversal step; `false` means "stop now".
-    fn charge(&self) -> bool {
+    /// Charges one traversal step; `Break` means "stop now".
+    fn charge(&self) -> Flow {
         if self.is_tripped() {
-            return false;
+            return Break(None);
         }
-        match self.budget.charge_step() {
-            Ok(()) => true,
-            Err(reason) => {
-                self.trip(reason);
-                false
-            }
+        if let Err(reason) = self.budget.charge_step() {
+            self.trip(reason);
+            return Break(None);
         }
+        Continue(())
     }
 
     fn run(&self, query: &Query) -> Result<QueryOutput, SparqlError> {
-        let vars = VarTable::new(query);
-        let empty = vec![None; vars.len()];
-        let offset = query.offset.unwrap_or(0);
-
-        // A budget already exhausted on arrival (deadline passed while
-        // queued, caller cancelled) short-circuits to an empty partial.
-        if let Err(reason) = self.budget.check() {
-            self.trip(reason);
-        }
-
-        // LIMIT pushdown: when nothing downstream can drop or reorder rows
-        // (no ORDER BY / DISTINCT / aggregation), cap execution at
-        // OFFSET+LIMIT solutions instead of materializing the full set.
-        // The budget's row cap joins in with one probe row so a cut can be
-        // told apart from an exact fit. ASK only ever needs one solution.
-        let cap: Option<usize> = if query.ask {
-            Some(1)
-        } else if query.order_by.is_empty() && !query.distinct && !query.is_aggregate() {
-            let mut c = usize::MAX;
-            if let Some(limit) = query.limit {
-                c = c.min(offset.saturating_add(limit));
-            }
-            let probe = usize::try_from(self.budget.rows_remaining().saturating_add(1))
-                .unwrap_or(usize::MAX);
-            c = c.min(offset.saturating_add(probe));
-            (c != usize::MAX).then_some(c)
-        } else {
-            None
-        };
-
-        let bindings = self.eval_pattern(&self.plan.root, &vars, vec![empty], cap)?;
-
         let columns = query.output_columns();
-        if query.ask {
-            let answer = !bindings.is_empty();
-            return Ok(QueryOutput {
-                columns,
-                rows: vec![vec![Some(Term::typed(
-                    answer.to_string(),
-                    mdw_rdf::vocab::xsd::BOOLEAN,
-                ))]],
-                completeness: self.completeness(),
-            });
-        }
-        let mut rows: Vec<ResultRow> = if query.is_aggregate() {
-            self.aggregate(query, &vars, bindings)?
+        let mut emit = Emit::new(self, query);
+        let root = &self.plan.root;
+        let empty = vec![None; self.vars.len()];
+        if let Err(reason) = self.budget.check() {
+            // A budget already exhausted on arrival (deadline passed while
+            // queued, caller cancelled) short-circuits to an empty partial.
+            self.trip(reason);
+        } else if query.is_aggregate() && !query.ask {
+            let mut groups = Groups::new(query, &self.vars)?;
+            finished(self.eval(root, &empty, &mut |b| {
+                groups.fold(b);
+                Continue(())
+            }))?;
+            self.drain(query, &columns, groups.into_rows(), &mut emit);
         } else {
-            let indices: Vec<Option<usize>> = match &query.selection {
-                Selection::Star => vars.names.iter().enumerate().map(|(i, _)| Some(i)).collect(),
-                Selection::Items(items) => items
-                    .iter()
-                    .map(|item| match item {
-                        SelectItem::Var(v) => Ok(vars.index(v)),
-                        SelectItem::Count { .. } => unreachable!("aggregate handled above"),
-                    })
-                    .collect::<Result<_, SparqlError>>()?,
-            };
-            let mut out: Vec<ResultRow> = Vec::new();
-            for (i, b) in bindings.into_iter().enumerate() {
-                if !self.check_every(i) {
-                    break;
+            let slots: Vec<Option<usize>> = match &query.selection {
+                _ if query.ask => Vec::new(),
+                Selection::Star => (0..self.vars.len()).map(Some).collect(),
+                Selection::Items(items) => {
+                    items.iter().map(|item| self.vars.index(item.output_var())).collect()
                 }
-                out.push(
-                    indices
-                        .iter()
-                        .map(|idx| {
-                            idx.and_then(|i| b[i]).map(|id| self.dict.term_unchecked(id).clone())
-                        })
-                        .collect(),
-                );
+            };
+            let project = |b: &Binding| -> OutRow {
+                slots.iter().map(|s| s.and_then(|i| b[i]).map(OutCell::Id)).collect()
+            };
+            if query.order_by.is_empty() {
+                finished(self.eval(root, &empty, &mut |b| emit.push(project(b))))?;
+            } else {
+                let mut buffer = Vec::new();
+                finished(self.eval(root, &empty, &mut |b| {
+                    buffer.push(project(b));
+                    Continue(())
+                }))?;
+                self.drain(query, &columns, buffer, &mut emit);
             }
-            out
-        };
-
-        if query.distinct {
-            let mut seen = std::collections::BTreeSet::new();
-            rows.retain(|row| seen.insert(row.clone()));
         }
 
-        if !query.order_by.is_empty() {
-            let key_indices: Vec<(usize, bool)> = query
-                .order_by
-                .iter()
-                .filter_map(|k| {
-                    columns
-                        .iter()
-                        .position(|c| *c == k.var.0)
-                        .map(|i| (i, k.ascending))
-                })
-                .collect();
+        let rows = if query.ask {
+            let answer = !emit.rows.is_empty();
+            vec![vec![Some(Term::typed(answer.to_string(), vocab::xsd::BOOLEAN))]]
+        } else {
+            let decode = |c: Option<OutCell>| c.map(|c| self.cell_term(c).into_owned());
+            emit.rows.into_iter().map(|row| row.into_iter().map(decode).collect()).collect()
+        };
+        Ok(QueryOutput { columns, rows, completeness: self.completeness() })
+    }
+
+    /// Feeds the rows of a blocking stage — the ORDER BY buffer or the
+    /// group rows — to the final sink, sorted by the ORDER BY keys. A stage
+    /// whose input the budget cut short emits nothing: sorted or counted,
+    /// part of the input is neither the answer nor a prefix of it. The
+    /// drain checks the clock every [`MATERIALIZE_CHECK`] rows.
+    fn drain(&self, query: &Query, columns: &[String], mut rows: Vec<OutRow>, emit: &mut Emit) {
+        if self.is_tripped() {
+            return;
+        }
+        let keys: Vec<(usize, bool)> = query
+            .order_by
+            .iter()
+            .filter_map(|k| columns.iter().position(|c| *c == k.var.0).map(|i| (i, k.ascending)))
+            .collect();
+        if !keys.is_empty() {
             rows.sort_by(|a, b| {
-                for &(i, asc) in &key_indices {
-                    let ord = compare_cells(&a[i], &b[i]);
+                for &(i, asc) in &keys {
+                    let ord = self.compare_cells(a[i], b[i]);
                     if ord != Ordering::Equal {
                         return if asc { ord } else { ord.reverse() };
                     }
@@ -383,29 +547,33 @@ impl<'a> Executor<'a> {
                 Ordering::Equal
             });
         }
+        for (i, row) in rows.into_iter().enumerate() {
+            if i.is_multiple_of(MATERIALIZE_CHECK) {
+                if let Err(reason) = self.budget.check_time() {
+                    self.trip(reason);
+                    return;
+                }
+            }
+            if emit.push(row).is_break() {
+                return;
+            }
+        }
+    }
 
-        if offset > 0 {
-            rows = rows.into_iter().skip(offset).collect();
+    fn cell_term(&self, cell: OutCell) -> Cow<'a, Term> {
+        match cell {
+            OutCell::Id(id) => Cow::Borrowed(self.dict.term_unchecked(id)),
+            OutCell::Count(n) => Cow::Owned(Term::integer(n as i64)),
         }
-        if let Some(limit) = query.limit {
-            rows.truncate(limit);
-        }
+    }
 
-        // The budget's row cap applies to what the caller actually
-        // receives, after LIMIT/OFFSET (a `LIMIT 10` that fits the cap is
-        // Complete — the query asked for 10 and got 10). The pushdown probe
-        // above guarantees an excess row is present exactly when more rows
-        // existed, so `Truncated{RowLimit}` is never a false positive.
-        let remaining = usize::try_from(self.budget.rows_remaining()).unwrap_or(usize::MAX);
-        if rows.len() > remaining {
-            rows.truncate(remaining);
-            self.trip(TruncationReason::RowLimit);
+    fn compare_cells(&self, a: Option<OutCell>, b: Option<OutCell>) -> Ordering {
+        match (a, b) {
+            (None, None) => Ordering::Equal,
+            (None, Some(_)) => Ordering::Less,
+            (Some(_), None) => Ordering::Greater,
+            (Some(x), Some(y)) => compare_terms(&self.cell_term(x), &self.cell_term(y)),
         }
-        for _ in &rows {
-            let _ = self.budget.charge_row();
-        }
-
-        Ok(QueryOutput { columns, rows, completeness: self.completeness() })
     }
 
     fn completeness(&self) -> Completeness {
@@ -415,205 +583,82 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn aggregate(
-        &self,
-        query: &Query,
-        vars: &VarTable,
-        bindings: Vec<Binding>,
-    ) -> Result<Vec<ResultRow>, SparqlError> {
-        let Selection::Items(items) = &query.selection else {
-            return Err(SparqlError::Semantic(
-                "SELECT * cannot be combined with aggregation".to_string(),
-            ));
-        };
-        let group_indices: Vec<usize> = query
-            .group_by
-            .iter()
-            .map(|v| {
-                vars.index(v).ok_or_else(|| {
-                    SparqlError::Semantic(format!("GROUP BY variable ?{} not in pattern", v.0))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Group key → (representative binding, group members).
-        let mut groups: Vec<(Vec<Option<TermId>>, Vec<Binding>)> = Vec::new();
-        let mut lookup: HashMap<Vec<Option<TermId>>, usize> = HashMap::new();
-        for (i, b) in bindings.into_iter().enumerate() {
-            if !self.check_every(i) {
-                break;
-            }
-            let key: Vec<Option<TermId>> = group_indices.iter().map(|&i| b[i]).collect();
-            match lookup.get(&key) {
-                Some(&g) => groups[g].1.push(b),
-                None => {
-                    lookup.insert(key.clone(), groups.len());
-                    groups.push((key, vec![b]));
-                }
-            }
-        }
-        // With no GROUP BY, COUNT over the whole solution is one group —
-        // even when empty.
-        if groups.is_empty() && query.group_by.is_empty() {
-            groups.push((vec![], vec![]));
-        }
-
-        let mut rows = Vec::with_capacity(groups.len());
-        for (_, members) in &groups {
-            let mut row: ResultRow = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    SelectItem::Var(v) => {
-                        let idx = vars.index(v).ok_or_else(|| {
-                            SparqlError::Semantic(format!("unknown variable ?{}", v.0))
-                        })?;
-                        if !query.group_by.contains(v) {
-                            return Err(SparqlError::Semantic(format!(
-                                "variable ?{} projected without being grouped",
-                                v.0
-                            )));
-                        }
-                        let value = members
-                            .first()
-                            .and_then(|m| m[idx])
-                            .map(|id| self.dict.term_unchecked(id).clone());
-                        row.push(value);
-                    }
-                    SelectItem::Count { var, distinct, .. } => {
-                        let count = match var {
-                            None => members.len(),
-                            Some(v) => {
-                                let idx = vars.index(v).ok_or_else(|| {
-                                    SparqlError::Semantic(format!("unknown variable ?{}", v.0))
-                                })?;
-                                if *distinct {
-                                    let mut ids: Vec<TermId> =
-                                        members.iter().filter_map(|m| m[idx]).collect();
-                                    ids.sort_unstable();
-                                    ids.dedup();
-                                    ids.len()
-                                } else {
-                                    members.iter().filter(|m| m[idx].is_some()).count()
-                                }
-                            }
-                        };
-                        row.push(Some(Term::integer(count as i64)));
-                    }
-                }
-            }
-            rows.push(row);
-        }
-        Ok(rows)
-    }
-
-    /// Evaluates a plan node. `cap` is an execution-level bound on the
-    /// number of solutions to produce; it may only be passed down edges
-    /// where "first `cap` solutions of the sub-pattern" equals "first `cap`
-    /// solutions overall" — never into a Filter input or a Join's left arm.
-    fn eval_pattern(
-        &self,
-        node: &PlanNode,
-        vars: &VarTable,
-        input: Vec<Binding>,
-        cap: Option<usize>,
-    ) -> Result<Vec<Binding>, SparqlError> {
+    /// Evaluates a plan node on one input binding, pushing every solution
+    /// to `sink`. A `Break` from the sink or the budget unwinds the whole
+    /// pipeline at once.
+    fn eval(&self, node: &PlanNode, input: &Binding, sink: &mut Sink<'_>) -> Flow {
         match node {
-            PlanNode::Bgp(bgp) => {
-                // Pre-resolve constants once per BGP; a constant absent
-                // from the dictionary can never match, so the BGP is
-                // empty. (Property paths are exempt: a nullable path can
-                // match even when its predicate is unknown.)
-                let mut units: Vec<(ResolvedUnit, &PlannedUnit)> =
-                    Vec::with_capacity(bgp.units.len());
-                for u in &bgp.units {
-                    let Some(rt) = self.resolve_unit(&u.triple, vars) else {
-                        return Ok(Vec::new());
-                    };
-                    units.push((rt, u));
+            PlanNode::Bgp(bgp) => match self.resolved(bgp) {
+                Some(units) => self.bgp_step(&units, &bgp.units, input, sink),
+                None => Continue(()),
+            },
+            PlanNode::Join(a, b) => self.eval(a, input, &mut |left| self.eval(b, left, sink)),
+            PlanNode::Optional(a, b) => self.eval(a, input, &mut |left| {
+                let mut extended = false;
+                self.eval(b, left, &mut |row| {
+                    extended = true;
+                    sink(row)
+                })?;
+                if extended {
+                    Continue(())
+                } else if self.is_tripped() {
+                    // The budget tripped inside the right arm, so "no
+                    // extension" is unknown, not established: emitting the
+                    // bare left row could contradict the complete answer.
+                    // Withhold it — the output stays a prefix.
+                    Break(None)
+                } else {
+                    sink(left)
                 }
-                let mut out = Vec::new();
-                for binding in input {
-                    if self.is_tripped() || cap_reached(out.len(), cap) {
-                        break;
-                    }
-                    self.bgp_step(&units, binding, cap, vars, &mut out)?;
-                }
-                Ok(out)
-            }
-            PlanNode::Join(a, b) => {
-                // The left arm must run uncapped: a left solution may find
-                // no partner on the right, so capping it could starve the
-                // join of rows that exist.
-                let left = self.eval_pattern(a, vars, input, None)?;
-                self.eval_pattern(b, vars, left, cap)
-            }
-            PlanNode::Optional(a, b) => {
-                // Every left solution yields at least one output row, so
-                // the cap passes through the left arm unchanged.
-                let left = self.eval_pattern(a, vars, input, cap)?;
-                let mut out = Vec::new();
-                for binding in left {
-                    if self.is_tripped() || cap_reached(out.len(), cap) {
-                        break;
-                    }
-                    let sub_cap = cap.map(|c| c - out.len());
-                    let extended = self.eval_pattern(b, vars, vec![binding.clone()], sub_cap)?;
-                    if !extended.is_empty() {
-                        out.extend(extended);
-                    } else if self.is_tripped() {
-                        // The budget tripped inside the right arm, so "no
-                        // extension" is unknown, not established: emitting
-                        // the bare left row could contradict the complete
-                        // answer. Withhold it — the output stays a prefix.
-                        break;
-                    } else {
-                        out.push(binding);
-                    }
-                }
-                Ok(out)
-            }
+            }),
             PlanNode::Union(a, b) => {
-                let mut left = self.eval_pattern(a, vars, input.clone(), cap)?;
-                let right_cap = cap.map(|c| c.saturating_sub(left.len()));
-                if right_cap != Some(0) && !self.is_tripped() {
-                    let right = self.eval_pattern(b, vars, input, right_cap)?;
-                    left.extend(right);
-                }
-                Ok(left)
+                self.eval(a, input, sink)?;
+                self.eval(b, input, sink)
             }
-            PlanNode::Filter(expr, inner) => {
-                // The filter may drop any number of rows, so the inner
-                // pattern runs uncapped; only the surviving rows are capped.
-                let rows = self.eval_pattern(inner, vars, input, None)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for b in rows {
-                    if cap_reached(out.len(), cap) {
-                        break;
-                    }
-                    // SPARQL semantics: an erroring filter is falsy.
-                    if self.eval_expr(expr, vars, &b)?.unwrap_or(false) {
-                        out.push(b);
-                    }
+            PlanNode::Filter(expr, inner) => self.eval(inner, input, &mut |b| {
+                if self.pass_filters(std::slice::from_ref(expr), b)? {
+                    sink(b)
+                } else {
+                    Continue(())
                 }
-                Ok(out)
-            }
+            }),
         }
     }
 
-    /// Evaluates the plan's pushed-down filter conjuncts for one binding;
-    /// `false` drops the binding (errors are falsy, as at a Filter node).
-    fn pass_filters(
-        &self,
-        filters: &[Expr],
-        vars: &VarTable,
-        binding: &Binding,
-    ) -> Result<bool, SparqlError> {
+    /// The BGP's units with their constants resolved, once per query. A
+    /// constant absent from the dictionary can never match, so the BGP is
+    /// empty: `None`. (Property paths are exempt: a nullable path can
+    /// match even when its predicate is unknown.)
+    fn resolved(&self, bgp: &BgpPlan) -> Option<Rc<[ResolvedUnit]>> {
+        let key = bgp as *const BgpPlan as usize;
+        if let Some(units) = self.bgps.borrow().get(&key) {
+            return units.clone();
+        }
+        let units: Option<Rc<[ResolvedUnit]>> = bgp
+            .units
+            .iter()
+            .map(|u| self.resolve_unit(&u.triple))
+            .collect::<Option<Vec<_>>>()
+            .map(Rc::from);
+        self.bgps.borrow_mut().insert(key, units.clone());
+        units
+    }
+
+    /// Evaluates filter conjuncts for one binding; a conjunct that errors
+    /// is false, as at a Filter node. A conjunct that trips the budget (a
+    /// regex out of fuel) leaves the verdict unknown, so the pipeline
+    /// stops rather than keep or drop the binding.
+    fn pass_filters(&self, filters: &[Expr], binding: &Binding) -> Flow<bool> {
         for f in filters {
-            if !self.eval_expr(f, vars, binding)?.unwrap_or(false) {
-                return Ok(false);
+            let pass = lift(self.eval_expr(f, binding))?.unwrap_or(false);
+            if self.is_tripped() {
+                return Break(None);
+            }
+            if !pass {
+                return Continue(false);
             }
         }
-        Ok(true)
+        Continue(true)
     }
 
     /// Bumps the actual-row counter of a tracked plan unit.
@@ -623,59 +668,51 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Evaluates one BGP unit in plan order, recursing into the rest for
-    /// every extended binding.
+    /// Extends `binding` by the first unit and recurses into the rest for
+    /// every extension; a binding that has passed every unit goes to
+    /// `sink`. Each depth holds one binding, reused across its matches.
     fn bgp_step(
         &self,
-        units: &[(ResolvedUnit, &PlannedUnit)],
-        binding: Binding,
-        cap: Option<usize>,
-        vars: &VarTable,
-        out: &mut Vec<Binding>,
-    ) -> Result<(), SparqlError> {
-        if self.is_tripped() || cap_reached(out.len(), cap) {
-            return Ok(());
-        }
-        let Some(((unit, planned), rest)) = units.split_first() else {
-            out.push(binding);
-            return Ok(());
+        units: &[ResolvedUnit],
+        planned: &[PlannedUnit],
+        binding: &Binding,
+        sink: &mut Sink<'_>,
+    ) -> Flow {
+        let (Some((unit, units)), Some((planned, rest))) =
+            (units.split_first(), planned.split_first())
+        else {
+            return sink(binding);
+        };
+        let mut next = binding.clone();
+        let mut extended = |next: &Binding| -> Flow {
+            self.count_actual(planned.id);
+            if self.pass_filters(&planned.filters, next)? {
+                self.bgp_step(units, rest, next, sink)?;
+            }
+            Continue(())
         };
         match unit {
             ResolvedUnit::Triple(rt) => {
-                for t in self.source.scan_pattern(rt.to_pattern(&binding)) {
-                    if !self.charge() || cap_reached(out.len(), cap) {
-                        break;
-                    }
-                    let mut next = binding.clone();
+                for t in self.source.scan_pattern(rt.to_pattern(binding)) {
+                    self.charge()?;
+                    next.clone_from(binding);
                     if rt.extend(&mut next, t) {
-                        self.count_actual(planned.id);
-                        if self.pass_filters(&planned.filters, vars, &next)? {
-                            self.bgp_step(rest, next, cap, vars, out)?;
-                        }
+                        extended(&next)?;
                     }
                 }
             }
             ResolvedUnit::Path { s, path, o } => {
-                let pairs = self.eval_path(
-                    path,
-                    s.resolve_pos(&binding),
-                    o.resolve_pos(&binding),
-                );
+                let pairs = self.eval_path(path, s.resolve_pos(binding), o.resolve_pos(binding));
                 for (from, to) in pairs {
-                    if !self.charge() || cap_reached(out.len(), cap) {
-                        break;
-                    }
-                    let mut next = binding.clone();
+                    self.charge()?;
+                    next.clone_from(binding);
                     if s.bind(&mut next, from) && o.bind(&mut next, to) {
-                        self.count_actual(planned.id);
-                        if self.pass_filters(&planned.filters, vars, &next)? {
-                            self.bgp_step(rest, next, cap, vars, out)?;
-                        }
+                        extended(&next)?;
                     }
                 }
             }
         }
-        Ok(())
+        Continue(())
     }
 
     /// The (cached) plan for an EXISTS/NOT EXISTS sub-pattern, keyed by
@@ -705,10 +742,12 @@ impl<'a> Executor<'a> {
         rc
     }
 
-    fn resolve_unit(&self, t: &PatternTriple, vars: &VarTable) -> Option<ResolvedUnit> {
+    fn resolve_unit(&self, t: &PatternTriple) -> Option<ResolvedUnit> {
         let pos = |n: &NodeRef| -> Option<ResolvedPos> {
             Some(match n {
-                NodeRef::Var(v) => ResolvedPos::Var(vars.index(v).expect("var table complete")),
+                NodeRef::Var(v) => {
+                    ResolvedPos::Var(self.vars.index(v).expect("var table complete"))
+                }
                 NodeRef::Term(term) => ResolvedPos::Const(self.dict.lookup(term)?),
             })
         };
@@ -725,7 +764,6 @@ impl<'a> Executor<'a> {
             },
         })
     }
-
     fn compile_path(&self, path: &PathExpr) -> CompiledPath {
         match path {
             // An unknown predicate can never match a hop, but nullable
@@ -776,8 +814,9 @@ impl<'a> Executor<'a> {
                 // SPARQL spec zero-length paths range over all graph terms;
                 // we restrict to terms incident to the path's predicates,
                 // which is what every practical query needs.
-                let mut out = std::collections::BTreeSet::new();
-                let starts = self.path_start_candidates(path);
+                let mut out = BTreeSet::new();
+                let mut starts = BTreeSet::new();
+                self.collect_start_candidates(path, false, &mut starts);
                 for s in starts {
                     if self.is_tripped() {
                         break;
@@ -797,7 +836,7 @@ impl<'a> Executor<'a> {
         match path {
             CompiledPath::Pred(Some(p)) => {
                 for t in self.source.scan_pattern(TriplePattern::with_sp(from, *p)) {
-                    if !self.charge() {
+                    if self.charge().is_break() {
                         break;
                     }
                     out.insert(t.o);
@@ -809,7 +848,7 @@ impl<'a> Executor<'a> {
                 // object index (avoids re-wrapping into Inverse forever).
                 CompiledPath::Pred(Some(p)) => {
                     for t in self.source.scan_pattern(TriplePattern::with_po(*p, from)) {
-                        if !self.charge() {
+                        if self.charge().is_break() {
                             break;
                         }
                         out.insert(t.s);
@@ -853,7 +892,7 @@ impl<'a> Executor<'a> {
             // The closure is where the lineage-shaped `(isMappedTo)*`
             // queries spend their time: charge every node expansion so a
             // runaway transitive walk stops at the budget, not at OOM.
-            if !self.charge() {
+            if self.charge().is_break() {
                 break;
             }
             for next in self.path_from(step, node) {
@@ -867,12 +906,6 @@ impl<'a> Executor<'a> {
 
     /// Candidate start nodes when both path endpoints are unbound: the
     /// subjects (and, under inverses, objects) of the base predicates.
-    fn path_start_candidates(&self, path: &CompiledPath) -> BTreeSet<TermId> {
-        let mut out = BTreeSet::new();
-        self.collect_start_candidates(path, false, &mut out);
-        out
-    }
-
     fn collect_start_candidates(
         &self,
         path: &CompiledPath,
@@ -882,7 +915,7 @@ impl<'a> Executor<'a> {
         match path {
             CompiledPath::Pred(Some(p)) => {
                 for t in self.source.scan_pattern(TriplePattern::with_p(*p)) {
-                    if !self.charge() {
+                    if self.charge().is_break() {
                         break;
                     }
                     out.insert(if inverted { t.o } else { t.s });
@@ -909,10 +942,9 @@ impl<'a> Executor<'a> {
     fn eval_expr(
         &self,
         expr: &Expr,
-        vars: &VarTable,
         binding: &Binding,
     ) -> Result<Option<bool>, SparqlError> {
-        Ok(match self.eval_value(expr, vars, binding)? {
+        Ok(match self.eval_value(expr, binding)? {
             Some(Value::Bool(b)) => Some(b),
             Some(Value::Term(_)) => None, // a bare term is not a boolean
             None => None,
@@ -922,33 +954,23 @@ impl<'a> Executor<'a> {
     fn eval_value(
         &self,
         expr: &Expr,
-        vars: &VarTable,
         binding: &Binding,
     ) -> Result<Option<Value>, SparqlError> {
         let v = match expr {
-            Expr::Var(v) => {
-                let idx = vars
-                    .index(v)
-                    .ok_or_else(|| SparqlError::Semantic(format!("unknown variable ?{}", v.0)))?;
-                binding[idx].map(|id| Value::Term(self.dict.term_unchecked(id).clone()))
-            }
+            Expr::Var(v) => binding[self.vars.slot(v)?]
+                .map(|id| Value::Term(self.dict.term_unchecked(id).clone())),
             Expr::Const(t) => Some(Value::Term(t.clone())),
-            Expr::Bound(v) => {
-                let idx = vars
-                    .index(v)
-                    .ok_or_else(|| SparqlError::Semantic(format!("unknown variable ?{}", v.0)))?;
-                Some(Value::Bool(binding[idx].is_some()))
-            }
-            Expr::Str(inner) => match self.eval_value(inner, vars, binding)? {
+            Expr::Bound(v) => Some(Value::Bool(binding[self.vars.slot(v)?].is_some())),
+            Expr::Str(inner) => match self.eval_value(inner, binding)? {
                 Some(Value::Term(t)) => Some(Value::Term(Term::plain(term_string(&t)))),
                 other => other,
             },
             Expr::Not(inner) => self
-                .eval_expr(inner, vars, binding)?
+                .eval_expr(inner, binding)?
                 .map(|b| Value::Bool(!b)),
             Expr::And(a, b) => {
-                let l = self.eval_expr(a, vars, binding)?;
-                let r = self.eval_expr(b, vars, binding)?;
+                let l = self.eval_expr(a, binding)?;
+                let r = self.eval_expr(b, binding)?;
                 match (l, r) {
                     (Some(false), _) | (_, Some(false)) => Some(Value::Bool(false)),
                     (Some(true), Some(true)) => Some(Value::Bool(true)),
@@ -956,33 +978,34 @@ impl<'a> Executor<'a> {
                 }
             }
             Expr::Or(a, b) => {
-                let l = self.eval_expr(a, vars, binding)?;
-                let r = self.eval_expr(b, vars, binding)?;
+                let l = self.eval_expr(a, binding)?;
+                let r = self.eval_expr(b, binding)?;
                 match (l, r) {
                     (Some(true), _) | (_, Some(true)) => Some(Value::Bool(true)),
                     (Some(false), Some(false)) => Some(Value::Bool(false)),
                     _ => None,
                 }
             }
-            Expr::Eq(a, b) => self.compare(a, b, vars, binding)?.map(|o| Value::Bool(o == Ordering::Equal)),
-            Expr::Ne(a, b) => self.compare(a, b, vars, binding)?.map(|o| Value::Bool(o != Ordering::Equal)),
-            Expr::Lt(a, b) => self.compare(a, b, vars, binding)?.map(|o| Value::Bool(o == Ordering::Less)),
-            Expr::Le(a, b) => self.compare(a, b, vars, binding)?.map(|o| Value::Bool(o != Ordering::Greater)),
-            Expr::Gt(a, b) => self.compare(a, b, vars, binding)?.map(|o| Value::Bool(o == Ordering::Greater)),
-            Expr::Ge(a, b) => self.compare(a, b, vars, binding)?.map(|o| Value::Bool(o != Ordering::Less)),
-            Expr::Exists(pattern) => {
-                // Existence needs exactly one witness.
+            Expr::Eq(a, b) => self.compare(a, b, binding)?.map(|o| Value::Bool(o == Ordering::Equal)),
+            Expr::Ne(a, b) => self.compare(a, b, binding)?.map(|o| Value::Bool(o != Ordering::Equal)),
+            Expr::Lt(a, b) => self.compare(a, b, binding)?.map(|o| Value::Bool(o == Ordering::Less)),
+            Expr::Le(a, b) => self.compare(a, b, binding)?.map(|o| Value::Bool(o != Ordering::Greater)),
+            Expr::Gt(a, b) => self.compare(a, b, binding)?.map(|o| Value::Bool(o == Ordering::Greater)),
+            Expr::Ge(a, b) => self.compare(a, b, binding)?.map(|o| Value::Bool(o != Ordering::Less)),
+            Expr::Exists(pattern) | Expr::NotExists(pattern) => {
+                // A sub-pipeline on this binding that stops at its first
+                // witness.
                 let sub = self.sub_plan(pattern);
-                let rows = self.eval_pattern(&sub, vars, vec![binding.clone()], Some(1))?;
-                Some(Value::Bool(!rows.is_empty()))
-            }
-            Expr::NotExists(pattern) => {
-                let sub = self.sub_plan(pattern);
-                let rows = self.eval_pattern(&sub, vars, vec![binding.clone()], Some(1))?;
-                Some(Value::Bool(rows.is_empty()))
+                let mut found = false;
+                let flow = self.eval(&sub, binding, &mut |_| {
+                    found = true;
+                    Break(None)
+                });
+                finished(flow)?;
+                Some(Value::Bool(found == matches!(expr, Expr::Exists(_))))
             }
             Expr::Regex { target, pattern, flags } => {
-                let target = self.eval_value(target, vars, binding)?;
+                let target = self.eval_value(target, binding)?;
                 match target {
                     Some(Value::Term(t)) => {
                         let text = term_string(&t);
@@ -1024,12 +1047,11 @@ impl<'a> Executor<'a> {
         &self,
         a: &Expr,
         b: &Expr,
-        vars: &VarTable,
         binding: &Binding,
     ) -> Result<Option<Ordering>, SparqlError> {
         let (Some(Value::Term(l)), Some(Value::Term(r))) = (
-            self.eval_value(a, vars, binding)?,
-            self.eval_value(b, vars, binding)?,
+            self.eval_value(a, binding)?,
+            self.eval_value(b, binding)?,
         ) else {
             return Ok(None);
         };
@@ -1126,33 +1148,17 @@ struct ResolvedTriple {
 
 impl ResolvedTriple {
     fn to_pattern(self, binding: &Binding) -> TriplePattern {
-        let resolve = |p: ResolvedPos| match p {
-            ResolvedPos::Const(id) => Some(id),
-            ResolvedPos::Var(idx) => binding[idx],
-        };
         TriplePattern {
-            s: resolve(self.s),
-            p: resolve(self.p),
-            o: resolve(self.o),
+            s: self.s.resolve_pos(binding),
+            p: self.p.resolve_pos(binding),
+            o: self.o.resolve_pos(binding),
         }
     }
 
     /// Extends `binding` with the triple's values; `false` if a repeated
     /// variable disagrees.
     fn extend(self, binding: &mut Binding, t: mdw_rdf::triple::Triple) -> bool {
-        let mut set = |pos: ResolvedPos, id: TermId| -> bool {
-            match pos {
-                ResolvedPos::Const(c) => c == id,
-                ResolvedPos::Var(idx) => match binding[idx] {
-                    Some(existing) => existing == id,
-                    None => {
-                        binding[idx] = Some(id);
-                        true
-                    }
-                },
-            }
-        };
-        set(self.s, t.s) && set(self.p, t.p) && set(self.o, t.o)
+        self.s.bind(binding, t.s) && self.p.bind(binding, t.p) && self.o.bind(binding, t.o)
     }
 }
 
@@ -1176,15 +1182,6 @@ fn compare_terms(a: &Term, b: &Term) -> Ordering {
         return la.lexical.cmp(&lb.lexical);
     }
     a.cmp(b)
-}
-
-fn compare_cells(a: &Option<Term>, b: &Option<Term>) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => compare_terms(x, y),
-    }
 }
 
 #[cfg(test)]
@@ -1522,15 +1519,15 @@ mod tests {
     }
 
     #[test]
-    fn limit_pushdown_stops_early_and_stays_complete() {
+    fn limit_stops_the_pipeline_and_stays_complete() {
         let store = sample_store();
         let budget = QueryBudget::unlimited();
         let out = run_budgeted(&store, "SELECT ?x WHERE { ?x <hasName> ?n } LIMIT 2", &budget);
         assert_eq!(out.rows.len(), 2);
         // A satisfied LIMIT is a complete answer, not a truncation.
         assert!(out.completeness.is_complete());
-        // The pushdown actually stopped the scan: 3 name triples exist but
-        // at most the capped prefix was expanded.
+        // The final sink stopped the scan: 3 name triples exist but at
+        // most the prefix the LIMIT needed was expanded.
         assert!(budget.steps_charged() <= 3);
     }
 
@@ -1627,7 +1624,7 @@ mod tests {
     }
 
     #[test]
-    fn ask_still_answers_under_pushdown() {
+    fn ask_stops_at_its_first_solution() {
         let store = sample_store();
         let budget = QueryBudget::unlimited();
         let out = run_budgeted(&store, "ASK { ?x a <Customer> }", &budget);

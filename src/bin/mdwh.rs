@@ -1407,6 +1407,9 @@ fn drill_crash(args: &Args) -> Result<(), String> {
             let _ = store.seal_now();
             let _ = store.compact_once();
         }
+        // Writers the stall gate held back: shows whether the race reached
+        // backpressure at all.
+        let stalls = store.metrics().stalls;
         // The "kill": drop the store with whatever half-finished seal or
         // compaction the fault left behind, then recover from disk alone.
         drop(store);
@@ -1421,7 +1424,7 @@ fn drill_crash(args: &Args) -> Result<(), String> {
         };
         drop(recovered);
         println!(
-            "{point:<26} acked {}/{} shed {} faulted {} | reopen: runs {}, \
+            "{point:<26} acked {}/{} shed {} stalls {stalls} faulted {} | reopen: runs {}, \
              folded {}, replayed {}, quarantined {} | {}",
             outcome.acked.len(),
             writers * batches,

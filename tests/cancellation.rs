@@ -5,52 +5,12 @@
 
 mod common;
 
-use common::assert_truthful_prefix;
-use metadata_warehouse::core::ingest::Extract;
+use common::{assert_truthful_prefix, chained_warehouse};
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::rdf::budget::{
     CancellationToken, QueryBudget, TruncationReason, CHECK_INTERVAL,
 };
-use metadata_warehouse::rdf::term::Term;
-use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::sparql::{QueryOutput, SemMatch};
-
-/// A deterministic mid-size landscape: three "stages" of 60 items each,
-/// chained `stage0_i -> stage1_i -> stage2_i` with a shared hub creating
-/// fan-in — about 550 triples, so a cross join runs for ≈ 300 k steps.
-fn chained_warehouse() -> MetadataWarehouse {
-    let mut triples = Vec::new();
-    let ty = Term::iri(vocab::rdf::TYPE);
-    let has_name = Term::iri(vocab::cs::HAS_NAME);
-    let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
-    let node = |stage: usize, i: usize| Term::iri(format!("http://ex.org/s{stage}_item{i}"));
-    let hub = Term::iri("http://ex.org/hub");
-    triples.push((hub.clone(), ty.clone(), Term::iri("http://ex.org/Class0")));
-    triples.push((hub.clone(), has_name.clone(), Term::plain("hub_item")));
-    for i in 0..60usize {
-        for stage in 0..3usize {
-            let it = node(stage, i);
-            triples.push((
-                it.clone(),
-                ty.clone(),
-                Term::iri(format!("http://ex.org/Class{}", stage)),
-            ));
-            triples.push((
-                it.clone(),
-                has_name.clone(),
-                Term::plain(format!("item_{stage}_{i}")),
-            ));
-        }
-        triples.push((node(0, i), mapped.clone(), node(1, i)));
-        triples.push((node(1, i), mapped.clone(), node(2, i)));
-        // Fan-in: every stage-1 item also feeds the hub.
-        triples.push((node(1, i), mapped.clone(), hub.clone()));
-    }
-    let mut w = MetadataWarehouse::new();
-    w.ingest(vec![Extract::new("pin", triples)]).unwrap();
-    w.build_semantic_index().unwrap();
-    w
-}
 
 /// A heavy cross join that cannot plausibly finish before the canceller
 /// fires a few hundred steps in.

@@ -41,7 +41,11 @@ pub fn landscape() -> impl Strategy<Value = RandomLandscape> {
         proptest::collection::vec(0u8..4, n..=n),
         proptest::collection::vec((0u8..10, 0u8..10), 0..28),
     )
-        .prop_map(|(names, classes, mappings)| RandomLandscape { names, classes, mappings })
+        .prop_map(|(names, classes, mappings)| RandomLandscape {
+            names,
+            classes,
+            mappings,
+        })
 }
 
 pub fn build(l: &RandomLandscape) -> MetadataWarehouse {
@@ -67,6 +71,43 @@ pub fn build(l: &RandomLandscape) -> MetadataWarehouse {
     w
 }
 
+/// A deterministic mid-size landscape: three "stages" of 60 items each,
+/// chained `stage0_i -> stage1_i -> stage2_i` with a shared hub creating
+/// fan-in — about 550 triples, so a cross join runs for ≈ 300 k steps.
+pub fn chained_warehouse() -> MetadataWarehouse {
+    let mut triples = Vec::new();
+    let ty = Term::iri(vocab::rdf::TYPE);
+    let has_name = Term::iri(vocab::cs::HAS_NAME);
+    let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
+    let node = |stage: usize, i: usize| Term::iri(format!("http://ex.org/s{stage}_item{i}"));
+    let hub = Term::iri("http://ex.org/hub");
+    triples.push((hub.clone(), ty.clone(), Term::iri("http://ex.org/Class0")));
+    triples.push((hub.clone(), has_name.clone(), Term::plain("hub_item")));
+    for i in 0..60usize {
+        for stage in 0..3usize {
+            let it = node(stage, i);
+            triples.push((
+                it.clone(),
+                ty.clone(),
+                Term::iri(format!("http://ex.org/Class{}", stage)),
+            ));
+            triples.push((
+                it.clone(),
+                has_name.clone(),
+                Term::plain(format!("item_{stage}_{i}")),
+            ));
+        }
+        triples.push((node(0, i), mapped.clone(), node(1, i)));
+        triples.push((node(1, i), mapped.clone(), node(2, i)));
+        // Fan-in: every stage-1 item also feeds the hub.
+        triples.push((node(1, i), mapped.clone(), hub.clone()));
+    }
+    let mut w = MetadataWarehouse::new();
+    w.ingest(vec![Extract::new("pin", triples)]).unwrap();
+    w.build_semantic_index().unwrap();
+    w
+}
+
 /// How many budget shapes [`make_budget`] knows.
 pub const BUDGET_VARIANTS: u8 = 5;
 
@@ -81,8 +122,10 @@ pub fn make_budget(variant: u8, limit: u64) -> QueryBudget {
         2 => QueryBudget::unlimited().with_max_rows(limit % 8),
         3 => {
             let time = Arc::new(ManualTime::new());
-            let budget = QueryBudget::unlimited()
-                .with_deadline(Duration::from_millis(1), Arc::clone(&time) as Arc<dyn TimeSource>);
+            let budget = QueryBudget::unlimited().with_deadline(
+                Duration::from_millis(1),
+                Arc::clone(&time) as Arc<dyn TimeSource>,
+            );
             time.advance(Duration::from_millis(5));
             budget
         }
@@ -115,10 +158,16 @@ pub fn assert_truthful_prefix<T: PartialEq + Debug>(
     full: (&[T], Completeness),
 ) {
     let ((rows, verdict), (all, reference)) = (budgeted, full);
-    assert!(reference.is_complete(), "the reference answer must be complete");
+    assert!(
+        reference.is_complete(),
+        "the reference answer must be complete"
+    );
     match verdict {
         Completeness::Complete => {
-            assert_eq!(rows, all, "an answer claiming completeness differs from the full answer")
+            assert_eq!(
+                rows, all,
+                "an answer claiming completeness differs from the full answer"
+            )
         }
         Completeness::Truncated { reason } => {
             assert!(

@@ -15,7 +15,9 @@
 //! 2. **Truncated is a truthful prefix** — a budget-tripped run's rows are
 //!    a prefix of *its own mode's* complete answer (plans differ, so each
 //!    mode is prefix-consistent with itself, not with the other), and the
-//!    verdict names the tripped budget dimension.
+//!    verdict names the tripped budget dimension. Under a row or a step
+//!    cap alone the verdict is exact: `RowLimit` only when rows really
+//!    were cut, `StepLimit` only when more steps were charged than allowed.
 //!
 //! Both statistics regimes are covered: queries without a rulebase run on
 //! the frozen base graph and plan from its `FrozenStats`; queries naming
@@ -30,7 +32,7 @@ use common::{
     assert_truthful_prefix, build, landscape, make_budget, tripped_reason,
     RandomLandscape, BUDGET_VARIANTS,
 };
-use metadata_warehouse::rdf::budget::QueryBudget;
+use metadata_warehouse::rdf::budget::{QueryBudget, TruncationReason};
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::sparql::SemMatch;
 
@@ -64,11 +66,32 @@ fn queries(rulebased: bool) -> Vec<SemMatch> {
         // A plain group join: either arm may run first.
         SemMatch::new(format!("{{ ?a <{mapped}> ?b . {{ ?b <{has_name}> ?c }} }}"))
             .select(&["?a", "?b", "?c"]),
+        // DISTINCT: the final sink drops repeats as they arrive.
+        SemMatch::new(format!("{{ ?a <{mapped}> ?b . ?b rdf:type ?c }}"))
+            .select(&["?c"])
+            .distinct(),
     ];
     qs.extend(non_commuting());
     if rulebased {
         qs = qs.into_iter().map(|q| q.rulebase("OWLPRIME")).collect();
     }
+    qs
+}
+
+/// The budget properties' query set: [`queries`] plus a LIMIT/OFFSET
+/// shape, whose final sink stops the pipeline early. Which rows a LIMIT
+/// without ORDER BY keeps depends on the plan, so the shape is compared
+/// with its own mode's complete answer only.
+fn budget_queries(rulebased: bool) -> Vec<SemMatch> {
+    let has_name = vocab::cs::HAS_NAME;
+    let mut limited = SemMatch::new(format!(
+        "SELECT ?x ?n WHERE {{ ?x rdf:type ?c . ?x <{has_name}> ?n }} LIMIT 4 OFFSET 2"
+    ));
+    if rulebased {
+        limited = limited.rulebase("OWLPRIME");
+    }
+    let mut qs = queries(rulebased);
+    qs.push(limited);
     qs
 }
 
@@ -164,7 +187,7 @@ proptest! {
         limit in 0u64..40,
     ) {
         let w = build(&l);
-        for query in &queries(rulebased) {
+        for query in &budget_queries(rulebased) {
             for use_planner in [true, false] {
                 // The mode's own complete answer is the prefix reference.
                 let (full, _) = w
@@ -185,6 +208,64 @@ proptest! {
                     (&budgeted.rows, budgeted.completeness),
                     (&full.rows, full.completeness),
                 );
+            }
+        }
+    }
+
+    /// A row-capped run is a truthful prefix with an exact verdict:
+    /// `RowLimit` only when rows really were cut off — an exact fit stays
+    /// `Complete`.
+    #[test]
+    fn budgeted_sparql_rows_are_a_truthful_prefix(
+        l in landscape(),
+        rulebased in any::<bool>(),
+        max_rows in 0u64..20,
+    ) {
+        let w = build(&l);
+        for query in &budget_queries(rulebased) {
+            for use_planner in [true, false] {
+                let (full, _) = w
+                    .sem_match_explained(query, &QueryBudget::unlimited(), use_planner)
+                    .unwrap();
+                let budget = QueryBudget::unlimited().with_max_rows(max_rows);
+                let (capped, _) = w.sem_match_explained(query, &budget, use_planner).unwrap();
+                assert_truthful_prefix(
+                    (&capped.rows, capped.completeness),
+                    (&full.rows, full.completeness),
+                );
+                if let Some(reason) = capped.completeness.reason() {
+                    prop_assert_eq!(reason, TruncationReason::RowLimit);
+                    prop_assert_eq!(capped.rows.len() as u64, max_rows);
+                    prop_assert!(
+                        full.rows.len() as u64 > max_rows,
+                        "RowLimit must not be a false positive"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A step-capped run is a truthful prefix, and `StepLimit` means the
+    /// cap really was passed.
+    #[test]
+    fn step_budgeted_sparql_is_a_truthful_prefix(
+        l in landscape(),
+        rulebased in any::<bool>(),
+        max_steps in 0u64..60,
+    ) {
+        let w = build(&l);
+        for query in &budget_queries(rulebased) {
+            for use_planner in [true, false] {
+                let (full, _) = w
+                    .sem_match_explained(query, &QueryBudget::unlimited(), use_planner)
+                    .unwrap();
+                let budget = QueryBudget::unlimited().with_max_steps(max_steps);
+                let (cut, _) = w.sem_match_explained(query, &budget, use_planner).unwrap();
+                assert_truthful_prefix((&cut.rows, cut.completeness), (&full.rows, full.completeness));
+                if let Some(reason) = cut.completeness.reason() {
+                    prop_assert_eq!(reason, TruncationReason::StepLimit);
+                    prop_assert!(budget.steps_charged() > max_steps);
+                }
             }
         }
     }

@@ -12,6 +12,7 @@ use mdw_core::report;
 use mdw_core::search::SearchRequest;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_corpus::{eval_cases, eval_config, fig2, generate, CorpusConfig, Grade, Scale};
+use mdw_rdf::budget::QueryBudget;
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::Triple;
 use mdw_rdf::vocab;
@@ -368,7 +369,8 @@ pub fn fig6_search(scale: Scale) -> String {
 pub fn fig7_provenance(scale: Scale) -> String {
     let loaded = load_scale(scale);
     let t = Instant::now();
-    let flows = loaded.warehouse.schema_flow().expect("flows");
+    let unlimited = QueryBudget::unlimited();
+    let flows = loaded.warehouse.schema_flow(&unlimited).expect("flows").flows;
     let flow_time = t.elapsed();
     let mut out = String::new();
     let _ = writeln!(out, "== F7 / Figure 7 — provenance tool at {scale:?} scale ==\n");
@@ -379,7 +381,7 @@ pub fn fig7_provenance(scale: Scale) -> String {
         let src = &loaded.corpus.stage_schemas[0];
         let dst = &loaded.corpus.stage_schemas[1];
         let t = Instant::now();
-        let hops = loaded.warehouse.drill_down(src, dst).expect("drill down");
+        let hops = loaded.warehouse.drill_down(src, dst, &unlimited).expect("drill down").hops;
         let drill_time = t.elapsed();
         let _ = writeln!(
             out,

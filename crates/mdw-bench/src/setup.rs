@@ -67,6 +67,6 @@ mod tests {
         let loaded = load_scale(Scale::Small);
         assert!(loaded.ingest.is_clean());
         assert!(loaded.inference.derived > 0);
-        assert!(loaded.warehouse.has_semantic_index());
+        assert!(loaded.warehouse.entailed().is_ok());
     }
 }

@@ -51,6 +51,7 @@ use mdw_rdf::vocab;
 use mdw_rdf::FrozenGraph;
 use mdw_sparql::{ExplainReport, QueryOutput, SemMatch};
 
+use crate::query::iri_ref;
 use crate::synonyms::{normalize, SynonymTable};
 
 /// Candidates executed unless the caller overrides `top_k`.
@@ -660,7 +661,7 @@ pub(crate) fn plan_candidates(
         node_rank.iter().take(MAX_MATCHED_NODES).map(|(n, _)| *n).collect();
 
     let filters: Vec<String> = plan.unmatched_tokens.iter().filter_map(|t| filter_regex(t)).collect();
-    let has_name_iri = has_name.and_then(|id| dict.term_unchecked(id).as_iri().map(String::from));
+    let has_name_iri = has_name.and_then(|id| spliced(dict, id));
     let mut raw: Vec<RankedCandidate> = Vec::new();
 
     let coverage_of = |nodes: &[TermId]| -> (usize, u64) {
@@ -686,22 +687,21 @@ pub(crate) fn plan_candidates(
     if let Some(name_iri) = has_name_iri.as_deref() {
         // Single-node candidates for every matched node.
         for &node in node_rank.iter().map(|(n, _)| n) {
-            let Some(node_iri) = dict.term_unchecked(node).as_iri() else { continue };
+            let Some(node_iri) = spliced(dict, node) else { continue };
             let (cov, score) = coverage_of(&[node]);
             if schema.classes.contains(&node) {
                 // TypeOf: every (entailed) instance of the class.
                 let pattern =
-                    format!("{{ ?a rdf:type <{node_iri}> . ?a <{name_iri}> ?name }}");
+                    format!("{{ ?a rdf:type {node_iri} . ?a {name_iri} ?name }}");
                 let est = stats.class_count(node).unwrap_or(0);
                 raw.push(make_candidate(pattern, &filters, cov, score, 0, est));
                 // PointsTo: instances whose edge targets the class node
                 // itself (concept annotations).
                 if let Some(preds) = schema.incoming.get(&node) {
                     for &p in preds {
-                        let Some(p_iri) = dict.term_unchecked(p).as_iri() else { continue };
-                        let pattern = format!(
-                            "{{ ?a <{p_iri}> <{node_iri}> . ?a <{name_iri}> ?name }}"
-                        );
+                        let Some(p_iri) = spliced(dict, p) else { continue };
+                        let pattern =
+                            format!("{{ ?a {p_iri} {node_iri} . ?a {name_iri} ?name }}");
                         let est = stats.estimate_pattern(TriplePattern::with_po(p, node));
                         raw.push(make_candidate(pattern, &filters, cov, score, 1, est));
                     }
@@ -710,7 +710,7 @@ pub(crate) fn plan_candidates(
             if schema.properties.contains(&node) {
                 // PropertyOf: everything carrying the matched property.
                 let pattern =
-                    format!("{{ ?a <{node_iri}> ?v . ?a <{name_iri}> ?name }}");
+                    format!("{{ ?a {node_iri} ?v . ?a {name_iri} ?name }}");
                 let est = stats.predicate(node).map(|s| s.count).unwrap_or(0);
                 raw.push(make_candidate(pattern, &filters, cov, score, 1, est));
             }
@@ -761,7 +761,7 @@ pub(crate) fn plan_candidates(
             let all_filters: Vec<String> =
                 tokens.iter().filter_map(|t| filter_regex(t)).collect();
             if !all_filters.is_empty() {
-                let pattern = format!("{{ ?a <{name_iri}> ?name }}");
+                let pattern = format!("{{ ?a {name_iri} ?name }}");
                 let est = has_name.and_then(|p| stats.predicate(p)).map_or(0, |s| s.count);
                 raw.push(make_candidate(pattern, &all_filters, 0, 0, 0, est));
             }
@@ -862,10 +862,18 @@ fn filter_regex(token: &str) -> Option<String> {
     }
 }
 
+/// The term `id` as an IRI reference to splice into a candidate's text, or
+/// `None` — a literal, or an IRI [`iri_ref`] refuses — and the candidate
+/// that needs it is dropped.
+fn spliced(dict: &Dictionary, id: TermId) -> Option<String> {
+    dict.term_unchecked(id).as_iri().and_then(iri_ref)
+}
+
 /// Renders a join path into a SPARQL group pattern anchored at `?a`, and
 /// returns the pattern plus its cardinality estimate (the minimum over the
 /// anchor class count and each hop's `FrozenStats` bound — the tightest
-/// single constraint bounds the join from above).
+/// single constraint bounds the join from above). A path through a term
+/// that cannot be [`spliced`] renders none.
 fn render_path(
     dict: &Dictionary,
     stats: &FrozenStats,
@@ -873,39 +881,38 @@ fn render_path(
     path: &[SchemaEdge],
     name_iri: &str,
 ) -> Option<(String, usize)> {
-    let anchor_iri = dict.term_unchecked(anchor).as_iri()?.to_string();
-    let mut parts = vec![format!("?a rdf:type <{anchor_iri}>")];
+    let iri = |id| spliced(dict, id);
+    let mut parts = vec![format!("?a rdf:type {}", iri(anchor)?)];
     let mut est = stats.class_count(anchor).unwrap_or(usize::MAX);
     let n = path.len();
     for (i, e) in path.iter().enumerate() {
-        let p_iri = dict.term_unchecked(e.pred).as_iri()?;
+        let p_iri = iri(e.pred)?;
         let src_var = if i == 0 { "?a".to_string() } else { format!("?x{i}") };
         let last = i + 1 == n;
         let hop_est;
         let dst_repr = if last && !e.dst_via_type {
-            let dst_iri = dict.term_unchecked(e.dst).as_iri()?;
+            let dst_iri = iri(e.dst)?;
             hop_est = if e.forward {
                 stats.estimate_pattern(TriplePattern::with_po(e.pred, e.dst))
             } else {
                 stats.estimate_pattern(TriplePattern::with_sp(e.dst, e.pred))
             };
-            format!("<{dst_iri}>")
+            dst_iri
         } else {
             hop_est = stats.predicate(e.pred).map(|s| s.count).unwrap_or(0);
             format!("?x{}", i + 1)
         };
         est = est.min(hop_est);
         parts.push(if e.forward {
-            format!("{src_var} <{p_iri}> {dst_repr}")
+            format!("{src_var} {p_iri} {dst_repr}")
         } else {
-            format!("{dst_repr} <{p_iri}> {src_var}")
+            format!("{dst_repr} {p_iri} {src_var}")
         });
         if last && e.dst_via_type {
-            let dst_iri = dict.term_unchecked(e.dst).as_iri()?;
-            parts.push(format!("?x{} rdf:type <{dst_iri}>", i + 1));
+            parts.push(format!("?x{} rdf:type {}", i + 1, iri(e.dst)?));
         }
     }
-    parts.push(format!("?a <{name_iri}> ?name"));
+    parts.push(format!("?a {name_iri} ?name"));
     if est == usize::MAX {
         est = 0;
     }

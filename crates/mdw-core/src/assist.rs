@@ -8,7 +8,7 @@
 //! information is stored in a data warehouse with the appropriate
 //! freshness, granularity and data quality."
 //!
-//! [`find_sources`] answers exactly that: given a *business concept* (a
+//! `find_sources` answers exactly that: given a *business concept* (a
 //! class from the hierarchy), find every information item that represents
 //! the concept — or any of its (entailed) subconcepts — and rank the
 //! candidates by how report-ready they are:
@@ -20,16 +20,19 @@
 //! * items already consumed by reports get a reuse bonus ("sharing the
 //!   knowledge of consistently integrated and cleansed data … stimulates
 //!   data reuse", Section VII).
+//!
+//! Two fixed SPARQL texts find the concepts and the candidates; Rust keeps
+//! what the query language lacks here — the first-of choices and the
+//! ranking — and the renderer.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use mdw_rdf::dict::{Dictionary, TermId};
+use mdw_rdf::budget::Completeness;
 use mdw_rdf::term::Term;
-use mdw_rdf::triple::TriplePattern;
-use mdw_rdf::vocab;
-use mdw_reason::EntailedGraph;
 
+use crate::error::MdwError;
 use crate::model::{AbstractionLevel, Area};
+use crate::query::{lexical, term_ref, Queries};
 
 /// One candidate data source for a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +62,9 @@ pub struct SourceCandidates {
     pub expanded_concepts: Vec<Term>,
     /// Candidates, best first.
     pub candidates: Vec<SourceCandidate>,
+    /// Whether both queries ran to completion, or why not. The ranking is a
+    /// blocking stage: a cut answer carries no candidates.
+    pub completeness: Completeness,
 }
 
 fn area_score(area: Option<&str>) -> u32 {
@@ -72,102 +78,70 @@ fn area_score(area: Option<&str>) -> u32 {
     }
 }
 
-/// Finds and ranks data sources for a business concept.
-pub fn find_sources(
-    graph: &EntailedGraph<'_>,
-    dict: &Dictionary,
+/// The concept and every entailed subconcept ("a search for Party includes
+/// looking for Individuals"), sorted.
+const CONCEPTS: &str = "SELECT ?c WHERE { ?c rdfs:subClassOf? $concept } ORDER BY ?c";
+
+/// Every item representing one of those concepts, with what the ranking
+/// reads: its names, areas, schemas, levels and the reports using it.
+const CANDIDATES: &str = "SELECT ?item ?c ?name ?area ?schema ?level ?report WHERE { \
+    ?c rdfs:subClassOf? $concept . ?item dm:representsConcept ?c . \
+    OPTIONAL { ?item dm:hasName ?name } OPTIONAL { ?item dm:inArea ?area } \
+    OPTIONAL { ?item dm:inSchema ?schema } OPTIONAL { ?item dm:atLevel ?level } \
+    OPTIONAL { ?report dm:usesItem ?item } }";
+
+/// Finds and ranks data sources for a business concept. An item's first
+/// row names its concept, name, area and schema; a conceptual level on any
+/// row and every distinct report count toward its score.
+pub(crate) fn find_sources(
+    q: &mut Queries<'_>,
     concept: &Term,
-) -> SourceCandidates {
-    let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
-    let empty = SourceCandidates {
-        concept: concept.clone(),
-        expanded_concepts: Vec::new(),
-        candidates: Vec::new(),
-    };
-    let (Some(concept_id), Some(represents)) = (
-        dict.lookup(concept),
-        lookup(&vocab::cs::dm("representsConcept")),
-    ) else {
-        return empty;
-    };
-    let sub_class = lookup(vocab::rdfs::SUB_CLASS_OF);
-    let has_name = lookup(vocab::cs::HAS_NAME);
-    let in_area = lookup(vocab::cs::IN_AREA);
-    let in_schema = lookup(vocab::cs::IN_SCHEMA);
-    let at_level = lookup(vocab::cs::AT_LEVEL);
-    let uses_item = lookup(&vocab::cs::dm("usesItem"));
-    let conceptual = dict.lookup(&AbstractionLevel::Conceptual.term());
-
-    // The concept plus every entailed subconcept ("a search for Party
-    // includes looking for Individuals").
-    let mut concepts: BTreeSet<TermId> = BTreeSet::new();
-    concepts.insert(concept_id);
-    if let Some(sub) = sub_class {
-        for t in graph.scan(TriplePattern::with_po(sub, concept_id)) {
-            concepts.insert(t.s);
-        }
-    }
-
-    let mut candidates = Vec::new();
-    for &c in &concepts {
-        for t in graph.scan(TriplePattern::with_po(represents, c)) {
-            let item = t.s;
-            let name = has_name.and_then(|p| {
-                graph
-                    .scan(TriplePattern::with_sp(item, p))
-                    .next()
-                    .and_then(|t| dict.term(t.o))
-                    .and_then(|term| term.as_literal().map(|l| l.lexical.to_string()))
-            });
-            let area = in_area.and_then(|p| {
-                graph
-                    .scan(TriplePattern::with_sp(item, p))
-                    .next()
-                    .and_then(|t| dict.term(t.o))
-                    .and_then(|term| term.as_literal().map(|l| l.lexical.to_string()))
-            });
-            let schema = in_schema.and_then(|p| {
-                graph
-                    .scan(TriplePattern::with_sp(item, p))
-                    .next()
-                    .map(|t| dict.term_unchecked(t.o).clone())
-            });
-            let used_by_reports = uses_item
-                .map(|p| graph.scan(TriplePattern::with_po(p, item)).count())
-                .unwrap_or(0);
-            let is_conceptual = match (at_level, conceptual) {
-                (Some(p), Some(v)) => {
-                    graph.contains(mdw_rdf::triple::Triple::new(item, p, v))
-                }
-                _ => false,
+) -> Result<SourceCandidates, MdwError> {
+    let concept_ref = term_ref(concept)?;
+    let expanded_concepts = q
+        .rows(&CONCEPTS.replace("$concept", &concept_ref))?
+        .into_iter()
+        .filter_map(|row| row[0].clone())
+        .collect();
+    let rows = q.rows(&CANDIDATES.replace("$concept", &concept_ref))?;
+    let conceptual = AbstractionLevel::Conceptual.term();
+    let mut items: BTreeMap<&Term, (SourceCandidate, bool, BTreeSet<&Term>)> = BTreeMap::new();
+    for row in &rows {
+        let [Some(item), Some(c), name, area, schema, level, report] = &row[..] else {
+            continue;
+        };
+        let (_, is_conceptual, reports) = items.entry(item).or_insert_with(|| {
+            let candidate = SourceCandidate {
+                item: item.clone(),
+                name: lexical(name),
+                concept: c.clone(),
+                area: lexical(area),
+                schema: schema.clone(),
+                used_by_reports: 0,
+                score: 0,
             };
-            let mut score = area_score(area.as_deref());
-            if is_conceptual {
-                score += 30;
-            }
-            score += (used_by_reports.min(10) as u32) * 5;
-            candidates.push(SourceCandidate {
-                item: dict.term_unchecked(item).clone(),
-                name,
-                concept: dict.term_unchecked(c).clone(),
-                area,
-                schema,
-                used_by_reports,
-                score,
-            });
+            (candidate, false, BTreeSet::new())
+        });
+        *is_conceptual |= level.as_ref() == Some(&conceptual);
+        reports.extend(report);
+    }
+    let mut candidates: Vec<SourceCandidate> = Vec::new();
+    if q.complete() {
+        for (_, (mut candidate, is_conceptual, reports)) in items {
+            candidate.used_by_reports = reports.len();
+            candidate.score = area_score(candidate.area.as_deref())
+                + if is_conceptual { 30 } else { 0 }
+                + (reports.len().min(10) as u32) * 5;
+            candidates.push(candidate);
         }
+        candidates.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.item.cmp(&b.item)));
     }
-    candidates.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.item.cmp(&b.item)));
-    candidates.dedup_by(|a, b| a.item == b.item);
-
-    SourceCandidates {
+    Ok(SourceCandidates {
         concept: concept.clone(),
-        expanded_concepts: concepts
-            .into_iter()
-            .map(|c| dict.term_unchecked(c).clone())
-            .collect(),
+        expanded_concepts,
         candidates,
-    }
+        completeness: q.completeness(),
+    })
 }
 
 /// Renders the assistant's answer for the developer.
@@ -202,6 +176,12 @@ mod tests {
     use super::*;
     use crate::ingest::Extract;
     use crate::warehouse::MetadataWarehouse;
+    use mdw_rdf::budget::QueryBudget;
+    use mdw_rdf::vocab;
+
+    fn sources(w: &MetadataWarehouse, concept: &Term) -> SourceCandidates {
+        w.find_sources(concept, &QueryBudget::unlimited()).unwrap()
+    }
 
     fn dm(l: &str) -> Term {
         Term::iri(vocab::cs::dm(l))
@@ -250,8 +230,7 @@ mod tests {
     #[test]
     fn mart_items_rank_first() {
         let w = warehouse();
-        let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Party"));
+        let result = sources(&w, &dm("Party"));
         assert_eq!(result.candidates.len(), 3);
         // The mart item representing the SUBconcept ranks first — found
         // through the hierarchy, ranked by area + level + reuse.
@@ -265,11 +244,10 @@ mod tests {
     #[test]
     fn subconcepts_are_searched() {
         let w = warehouse();
-        let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Party"));
+        let result = sources(&w, &dm("Party"));
         assert!(result.expanded_concepts.contains(&dm("Individual")));
         // Asking for the subconcept directly finds only its item.
-        let narrow = find_sources(&view, w.store().dict(), &dm("Individual"));
+        let narrow = sources(&w, &dm("Individual"));
         assert_eq!(narrow.candidates.len(), 1);
         assert_eq!(narrow.candidates[0].item, dwh("mart_item"));
     }
@@ -277,18 +255,22 @@ mod tests {
     #[test]
     fn unknown_concept_is_empty_with_message() {
         let w = warehouse();
-        let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Derivative"));
+        let result = sources(&w, &dm("Derivative"));
         assert!(result.candidates.is_empty());
         let text = render_sources(&result);
         assert!(text.contains("not in the DWH"));
     }
 
     #[test]
+    fn an_unspliceable_concept_is_refused() {
+        let refused = warehouse().find_sources(&dm("Pa{rty"), &QueryBudget::unlimited());
+        assert!(matches!(refused, Err(MdwError::InvalidRequest(_))), "{refused:?}");
+    }
+
+    #[test]
     fn rendering_lists_ranked_candidates() {
         let w = warehouse();
-        let view = w.entailed().unwrap();
-        let result = find_sources(&view, w.store().dict(), &dm("Party"));
+        let result = sources(&w, &dm("Party"));
         let text = render_sources(&result);
         assert!(text.contains("Data sources for concept Party"));
         assert!(text.contains("mart_item"));

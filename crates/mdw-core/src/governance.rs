@@ -7,8 +7,8 @@
 //! of owners and consumers of data to meta-data" as a data-governance use
 //! case (Figure 9).
 //!
-//! [`who_can_access`] answers the auditor's question over the entailed
-//! graph:
+//! `who_can_access` answers the auditor's question with two queries over
+//! the entailed graph:
 //!
 //! 1. the item's (entailed) classes identify the owning applications — an
 //!    item typed `Application1_View_Column` inherits `Application1_Item`,
@@ -19,14 +19,18 @@
 //!    Figure 9 extension) are reported directly,
 //! 5. reports that use the item (`dm:usesItem`) widen the audit to its
 //!    consumers' surface.
+//!
+//! Each service is a fixed SPARQL text beside its renderer, run by the
+//! warehouse under the caller's budget; Rust only groups the rows.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
-use mdw_rdf::dict::{Dictionary, TermId};
+use mdw_rdf::budget::Completeness;
 use mdw_rdf::term::Term;
-use mdw_rdf::triple::{Triple, TriplePattern};
-use mdw_rdf::vocab;
-use mdw_reason::EntailedGraph;
+
+use crate::error::MdwError;
+use crate::query::{lexical, term_ref, Queries};
 
 /// One role grant relevant to the audited item.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +61,9 @@ pub struct AccessReport {
     pub consumers: Vec<Term>,
     /// Reports that use the item (`dm:usesItem`).
     pub used_by_reports: Vec<Term>,
+    /// Whether the queries ran to completion under the caller's budget, or
+    /// why not; a cut report's lists are prefixes of the complete ones.
+    pub completeness: Completeness,
 }
 
 impl AccessReport {
@@ -73,138 +80,68 @@ impl AccessReport {
     }
 }
 
-/// Computes the audit report for an information item.
-pub fn who_can_access(
-    graph: &EntailedGraph<'_>,
-    dict: &Dictionary,
-    item: &Term,
-) -> AccessReport {
-    let empty = AccessReport {
-        item: item.clone(),
-        applications: Vec::new(),
-        grants: Vec::new(),
-        owners: Vec::new(),
-        consumers: Vec::new(),
-        used_by_reports: Vec::new(),
-    };
-    let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
-    let (Some(item_id), Some(ty)) = (dict.lookup(item), lookup(vocab::rdf::TYPE)) else {
-        return empty;
-    };
-    let application_class = lookup(&vocab::cs::dm("Application"));
-    let for_application = lookup(&vocab::cs::dm("forApplication"));
-    let has_role = lookup(&vocab::cs::dm("hasRole"));
-    let has_name = lookup(vocab::cs::HAS_NAME);
-    let has_owner = lookup(&vocab::cs::dm("hasOwner"));
-    let has_consumer = lookup(&vocab::cs::dm("hasConsumer"));
-    let uses_item = lookup(&vocab::cs::dm("usesItem"));
-    let sub_class = lookup(vocab::rdfs::SUB_CLASS_OF);
+/// The item's applications with their role grants: every application
+/// that shares a class with the item — other than `dm:Application` and its
+/// superclasses, which every application carries — and each role scoped to
+/// it, with the role's names and holders. Sorted by application, then role.
+const GRANTS: &str = "SELECT DISTINCT ?app ?role ?name ?user WHERE { \
+    $item rdf:type ?c . ?app rdf:type dm:Application . ?app rdf:type ?c . \
+    FILTER(?c != dm:Application && NOT EXISTS { dm:Application rdfs:subClassOf ?c }) \
+    OPTIONAL { ?role dm:forApplication ?app \
+        OPTIONAL { ?role dm:hasName ?name } OPTIONAL { ?user dm:hasRole ?role } } \
+    } ORDER BY ?app ?role";
 
-    // 1. The item's entailed classes, minus classes every application
-    //    trivially carries (superclasses of dm:Application like dm:Item).
-    let item_classes: BTreeSet<TermId> = graph
-        .scan(TriplePattern::with_sp(item_id, ty))
-        .map(|t| t.o)
-        .collect();
-    let is_generic = |class: TermId| -> bool {
-        match (application_class, sub_class) {
-            (Some(app), Some(sub)) => graph.contains(Triple::new(app, sub, class)),
-            _ => false,
+/// The item's owners, consumers and using reports, one column each. An
+/// unbound cell sorts first, so each column comes out sorted.
+const EDGES: &str = "SELECT DISTINCT ?owner ?consumer ?report WHERE { \
+    { $item dm:hasOwner ?owner } UNION { $item dm:hasConsumer ?consumer } \
+    UNION { ?report dm:usesItem $item } } ORDER BY ?owner ?consumer ?report";
+
+/// Computes the audit report for an information item. The grants are
+/// re-sorted by role, so a cut [`GRANTS`] run yields none.
+pub(crate) fn who_can_access(q: &mut Queries<'_>, item: &Term) -> Result<AccessReport, MdwError> {
+    let item_ref = term_ref(item)?;
+    let mut applications: Vec<Term> = Vec::new();
+    let mut grants: Vec<RoleGrant> = Vec::new();
+    for row in q.rows(&GRANTS.replace("$item", &item_ref))? {
+        let [Some(app), role, name, user] = <[Option<Term>; 4]>::try_from(row).expect("4 columns")
+        else {
+            continue;
+        };
+        if applications.last() != Some(&app) {
+            applications.push(app.clone());
         }
-    };
-    let mut applications: BTreeSet<TermId> = BTreeSet::new();
-    if let Some(app_class) = application_class {
-        for t in graph.scan(TriplePattern::with_po(ty, app_class)) {
-            let app = t.s;
-            // Shared non-generic class with the item?
-            let shares = graph
-                .scan(TriplePattern::with_sp(app, ty))
-                .any(|at| at.o != app_class && item_classes.contains(&at.o) && !is_generic(at.o));
-            if shares {
-                applications.insert(app);
-            }
+        let Some(role) = role else { continue };
+        match grants.last_mut() {
+            Some(g) if g.role == role && g.application == app => g.users.extend(user),
+            _ => grants.push(RoleGrant {
+                role,
+                role_name: lexical(&name),
+                application: app,
+                users: user.into_iter().collect(),
+            }),
         }
     }
-
-    // 2–3. Roles scoped to those applications and their holders.
-    let mut grants = Vec::new();
-    if let Some(for_app) = for_application {
-        for &app in &applications {
-            for t in graph.scan(TriplePattern::with_po(for_app, app)) {
-                let role = t.s;
-                let role_name = has_name.and_then(|p| {
-                    graph
-                        .scan(TriplePattern::with_sp(role, p))
-                        .next()
-                        .and_then(|t| dict.term(t.o))
-                        .and_then(|term| term.as_literal().map(|l| l.lexical.to_string()))
-                });
-                let mut users: Vec<Term> = match has_role {
-                    Some(hr) => graph
-                        .scan(TriplePattern::with_po(hr, role))
-                        .map(|t| dict.term_unchecked(t.s).clone())
-                        .collect(),
-                    None => Vec::new(),
-                };
-                users.sort();
-                users.dedup();
-                grants.push(RoleGrant {
-                    role: dict.term_unchecked(role).clone(),
-                    role_name,
-                    application: dict.term_unchecked(app).clone(),
-                    users,
-                });
-            }
+    if q.complete() {
+        for grant in &mut grants {
+            grant.users.sort();
+            grant.users.dedup();
         }
+        grants.sort_by(|a, b| a.role.cmp(&b.role));
+    } else {
+        grants.clear();
     }
-    grants.sort_by(|a, b| a.role.cmp(&b.role));
-
-    // 4. Explicit governance edges.
-    let scan_objects = |p: Option<TermId>| -> Vec<Term> {
-        match p {
-            Some(p) => {
-                let mut v: Vec<Term> = graph
-                    .scan(TriplePattern::with_sp(item_id, p))
-                    .map(|t| dict.term_unchecked(t.o).clone())
-                    .collect();
-                v.sort();
-                v.dedup();
-                v
-            }
-            None => Vec::new(),
-        }
-    };
-    let owners = scan_objects(has_owner);
-    let consumers = scan_objects(has_consumer);
-
-    // 5. Reports using the item.
-    let used_by_reports = match uses_item {
-        Some(p) => {
-            let mut v: Vec<Term> = graph
-                .scan(TriplePattern::with_po(p, item_id))
-                .map(|t| dict.term_unchecked(t.s).clone())
-                .collect();
-            v.sort();
-            v.dedup();
-            v
-        }
-        None => Vec::new(),
-    };
-
-    let mut applications: Vec<Term> = applications
-        .into_iter()
-        .map(|a| dict.term_unchecked(a).clone())
-        .collect();
-    applications.sort();
-
-    AccessReport {
+    let edges = q.rows(&EDGES.replace("$item", &item_ref))?;
+    let column = |i: usize| edges.iter().filter_map(|row| row[i].clone()).collect();
+    Ok(AccessReport {
         item: item.clone(),
         applications,
         grants,
-        owners,
-        consumers,
-        used_by_reports,
-    }
+        owners: column(0),
+        consumers: column(1),
+        used_by_reports: column(2),
+        completeness: q.completeness(),
+    })
 }
 
 /// A data-governance gap: items that *should* have an assigned owner but
@@ -217,6 +154,8 @@ pub struct GovernanceGaps {
     pub ownerless: Vec<Term>,
     /// Data-mart items inspected.
     pub inspected: usize,
+    /// Whether both queries ran to completion, or why not.
+    pub completeness: Completeness,
 }
 
 impl GovernanceGaps {
@@ -229,35 +168,48 @@ impl GovernanceGaps {
     }
 }
 
-/// Finds data-mart items (`dm:inArea "Data Mart"`) with no owner — the
-/// `NOT EXISTS { ?item dm:hasOwner ?u }` of a governance report.
-pub fn ownerless_items(graph: &EntailedGraph<'_>, dict: &Dictionary) -> GovernanceGaps {
-    let lookup = |iri: &str| dict.lookup(&Term::iri(iri));
-    let (Some(in_area), Some(mart)) = (
-        lookup(vocab::cs::IN_AREA),
-        dict.lookup(&crate::model::Area::DataMart.term()),
-    ) else {
-        return GovernanceGaps { ownerless: Vec::new(), inspected: 0 };
-    };
-    let has_owner = lookup(&vocab::cs::dm("hasOwner"));
-    let mut ownerless = Vec::new();
-    let mut inspected = 0usize;
-    for t in graph.scan(TriplePattern::with_po(in_area, mart)) {
-        inspected += 1;
-        let owned = has_owner
-            .map(|p| graph.scan(TriplePattern::with_sp(t.s, p)).next().is_some())
-            .unwrap_or(false);
-        if !owned {
-            ownerless.push(dict.term_unchecked(t.s).clone());
-        }
+/// The number of data-mart items (`dm:inArea "Data Mart"`).
+const DATA_MART_ITEMS: &str =
+    "SELECT (COUNT(*) AS ?n) WHERE { ?item dm:inArea \"Data Mart\" }";
+
+/// The data-mart items with no owner, sorted.
+const OWNERLESS: &str = "SELECT ?item WHERE { ?item dm:inArea \"Data Mart\" \
+    FILTER(NOT EXISTS { ?item dm:hasOwner ?owner }) } ORDER BY ?item";
+
+/// Finds data-mart items with no owner — the `NOT EXISTS` of a governance
+/// report.
+pub(crate) fn ownerless_items(q: &mut Queries<'_>) -> Result<GovernanceGaps, MdwError> {
+    let count = q.rows(DATA_MART_ITEMS)?;
+    let inspected = count
+        .first()
+        .and_then(|row| row[0].as_ref()?.as_literal()?.as_integer())
+        .map_or(0, |n| n as usize);
+    let ownerless = q.rows(OWNERLESS)?.into_iter().filter_map(|row| row[0].clone()).collect();
+    Ok(GovernanceGaps { ownerless, inspected, completeness: q.completeness() })
+}
+
+/// Renders the gap analysis as `mdwh gaps` prints it: the coverage line,
+/// then the first twenty ownerless items.
+pub fn render_gaps(gaps: &GovernanceGaps) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "data-mart items inspected: {}  |  ownerless: {}  |  coverage: {:.1} %",
+        gaps.inspected,
+        gaps.ownerless.len(),
+        gaps.coverage() * 100.0
+    );
+    for item in gaps.ownerless.iter().take(20) {
+        let _ = writeln!(out, "  {}", item.label());
     }
-    ownerless.sort();
-    GovernanceGaps { ownerless, inspected }
+    if gaps.ownerless.len() > 20 {
+        let _ = writeln!(out, "  … and {} more", gaps.ownerless.len() - 20);
+    }
+    out
 }
 
 /// Renders the report as plain text for the audit trail.
 pub fn render_access(report: &AccessReport) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "Access audit for {}", report.item.label());
     let _ = writeln!(out, "  applications ({}):", report.applications.len());
@@ -295,6 +247,8 @@ mod tests {
     use super::*;
     use crate::ingest::Extract;
     use crate::warehouse::MetadataWarehouse;
+    use mdw_rdf::budget::QueryBudget;
+    use mdw_rdf::vocab;
 
     fn dm(l: &str) -> Term {
         Term::iri(vocab::cs::dm(l))
@@ -348,8 +302,7 @@ mod tests {
     }
 
     fn audit(w: &MetadataWarehouse, item: &Term) -> AccessReport {
-        let view = w.entailed().unwrap();
-        who_can_access(&view, w.store().dict(), item)
+        w.who_can_access(item, &QueryBudget::unlimited()).unwrap()
     }
 
     #[test]
@@ -403,7 +356,6 @@ mod tests {
 
     #[test]
     fn governance_gaps() {
-        use mdw_rdf::vocab;
         let ty = Term::iri(vocab::rdf::TYPE);
         let in_area = Term::iri(vocab::cs::IN_AREA);
         let mut w = MetadataWarehouse::new();
@@ -422,44 +374,21 @@ mod tests {
         )])
         .unwrap();
         w.build_semantic_index().unwrap();
-        let view = w.entailed().unwrap();
-        let gaps = ownerless_items(&view, w.store().dict());
+        let gaps = w.governance_gaps(&QueryBudget::unlimited()).unwrap();
         assert_eq!(gaps.inspected, 2);
         assert_eq!(gaps.ownerless, vec![dwh("orphan")]);
         assert!((gaps.coverage() - 0.5).abs() < 1e-9);
+        assert!(render_gaps(&gaps).starts_with(
+            "data-mart items inspected: 2  |  ownerless: 1  |  coverage: 50.0 %\n  orphan\n"
+        ));
     }
 
     #[test]
-    fn governance_gaps_match_not_exists_query() {
-        use mdw_sparql::SemMatch;
-        let w = {
-            let mut w = warehouse();
-            // Give app2's decoy an area so the query has scope.
-            w.insert_fact(
-                &dwh("balance"),
-                &Term::iri(mdw_rdf::vocab::cs::IN_AREA),
-                &crate::model::Area::DataMart.term(),
-            )
-            .unwrap();
-            w
-        };
-        let view = w.entailed().unwrap();
-        let gaps = ownerless_items(&view, w.store().dict());
-        // balance has an owner (dave) → no gaps.
-        assert_eq!(gaps.inspected, 1);
-        assert!(gaps.ownerless.is_empty());
-
-        // The same question as SPARQL NOT EXISTS.
-        let out = w
-            .sem_match(
-                &SemMatch::new(
-                    "{ ?item dm:inArea \"Data Mart\" FILTER(NOT EXISTS { ?item dm:hasOwner ?u }) }",
-                )
-                .alias("dm", mdw_rdf::vocab::cs::DM)
-                .select(&["?item"]),
-            )
-            .unwrap();
-        assert!(out.rows.is_empty());
+    fn an_unspliceable_item_is_refused() {
+        let w = warehouse();
+        let item = Term::iri("http://x/bal>ance");
+        let refused = w.who_can_access(&item, &QueryBudget::unlimited());
+        assert!(matches!(refused, Err(MdwError::InvalidRequest(_))), "{refused:?}");
     }
 
     #[test]

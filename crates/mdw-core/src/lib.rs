@@ -42,6 +42,7 @@ pub mod lineage;
 pub mod model;
 pub mod ontology;
 pub mod operators;
+mod query;
 pub mod report;
 pub mod search;
 pub mod sync;
@@ -53,9 +54,9 @@ pub use answer::{
     AnswerRequest, AnswerResult, AnswerRow, CandidatePlan, ExecutedCandidate, KeywordMatch,
     RankedCandidate,
 };
-pub use assist::{find_sources, SourceCandidates};
+pub use assist::SourceCandidates;
 pub use error::MdwError;
-pub use governance::{who_can_access, AccessReport};
+pub use governance::AccessReport;
 pub use history::{History, VersionDiff, VersionRecord};
 pub use ingest::{Extract, IngestReport};
 pub use lineage::{Direction, ImpactSummary, LineageRequest, LineageResult};

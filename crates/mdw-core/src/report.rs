@@ -234,11 +234,12 @@ mod tests {
     #[test]
     fn flow_rendering() {
         let w = warehouse();
-        let flows = w.schema_flow().unwrap();
+        let budget = mdw_rdf::budget::QueryBudget::unlimited();
+        let flows = w.schema_flow(&budget).unwrap().flows;
         let text = render_flows(&flows);
         assert!(text.contains("s1"));
         assert!(text.contains("s2"));
-        let hops = w.drill_down(&dwh("s2"), &dwh("s1")).unwrap();
+        let hops = w.drill_down(&dwh("s2"), &dwh("s1"), &budget).unwrap().hops;
         let text = render_drill_down("s2", "s1", &hops);
         assert!(text.contains("partner_id → customer_id"));
         let empty = render_drill_down("x", "y", &[]);

@@ -708,7 +708,8 @@ mod tests {
     #[test]
     fn schema_flows_cover_consecutive_stages() {
         let (w, corpus) = load(&CorpusConfig::small());
-        let flows = w.schema_flow().unwrap();
+        let budget = mdw_rdf::budget::QueryBudget::unlimited();
+        let flows = w.schema_flow(&budget).unwrap().flows;
         // stage0→stage1 and stage1→stage2 must both appear.
         for s in 0..corpus.config.dwh_stages - 1 {
             assert!(

@@ -20,6 +20,7 @@ use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::operators::{compose_mappings, extract_submodel};
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::corpus::{generate, CorpusConfig};
+use metadata_warehouse::rdf::budget::QueryBudget;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::Term;
 
@@ -35,7 +36,7 @@ fn main() {
     let impact = warehouse
         .lineage(&LineageRequest::downstream(chain_start.clone()))
         .expect("lineage");
-    let summary = warehouse.impact_summary(&impact).expect("summary");
+    let summary = warehouse.impact_summary(&impact, &QueryBudget::unlimited()).expect("summary");
     println!(
         "changing {} affects {} item(s) across {} schema(s):",
         chain_start.label(),
@@ -48,7 +49,8 @@ fn main() {
 
     // --- 2. Who has access to the endpoint we are about to change? ---------
     println!();
-    print!("{}", render_access(&warehouse.who_can_access(&chain_end).expect("audit")));
+    let audit = warehouse.who_can_access(&chain_end, &QueryBudget::unlimited()).expect("audit");
+    print!("{}", render_access(&audit));
 
     // --- 3. A per-application scanner delivers, then re-delivers ------------
     // First delivery: two staging columns from one application's scanner.
@@ -116,7 +118,7 @@ fn main() {
     );
 
     // --- 5. Governance gaps after the release --------------------------------
-    let gaps = warehouse.governance_gaps().expect("gaps");
+    let gaps = warehouse.governance_gaps(&QueryBudget::unlimited()).expect("gaps");
     println!(
         "\ngovernance: {}/{} data-mart items have owners ({:.1} % coverage)",
         gaps.inspected - gaps.ownerless.len(),

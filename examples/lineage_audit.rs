@@ -9,6 +9,7 @@ use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::report;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::corpus::{generate, CorpusConfig};
+use metadata_warehouse::rdf::budget::QueryBudget;
 
 fn main() {
     let corpus = generate(&CorpusConfig::medium());
@@ -58,14 +59,15 @@ fn main() {
     );
 
     // --- Figure 7: schema-level flows with drill-down -----------------------
-    let flows = warehouse.schema_flow().expect("flows");
+    let flows = warehouse.schema_flow(&QueryBudget::unlimited()).expect("flows").flows;
     println!("\nschema-level data flows (Figure 7, coarse):");
     print!("{}", report::render_flows(&flows));
 
     if stage_schemas.len() >= 2 {
         let hops = warehouse
-            .drill_down(&stage_schemas[0], &stage_schemas[1])
-            .expect("drill down");
+            .drill_down(&stage_schemas[0], &stage_schemas[1], &QueryBudget::unlimited())
+            .expect("drill down")
+            .hops;
         println!();
         let text = report::render_drill_down(
             stage_schemas[0].label(),

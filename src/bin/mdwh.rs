@@ -25,7 +25,8 @@ use metadata_warehouse::core::admission::{AdmissionConfig, QueryClass};
 use metadata_warehouse::core::answer::AnswerRequest;
 use metadata_warehouse::rdf::budget::{Completeness, MonotonicTime, QueryBudget};
 use metadata_warehouse::core::error::MdwError;
-use metadata_warehouse::core::governance::render_access;
+use metadata_warehouse::core::assist::render_sources;
+use metadata_warehouse::core::governance::{render_access, render_gaps};
 use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::model::Area;
 use metadata_warehouse::core::report;
@@ -606,7 +607,7 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     let item = &args.positional[0];
     let warehouse = open_warehouse(args)?;
     let report = warehouse
-        .who_can_access(&resolve_item(item))
+        .who_can_access(&resolve_item(item), &QueryBudget::unlimited())
         .map_err(|e| e.to_string())?;
     print!("{}", render_access(&report));
     Ok(())
@@ -614,19 +615,8 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 
 fn cmd_gaps(args: &Args) -> Result<(), String> {
     let warehouse = open_warehouse(args)?;
-    let gaps = warehouse.governance_gaps().map_err(|e| e.to_string())?;
-    println!(
-        "data-mart items inspected: {}  |  ownerless: {}  |  coverage: {:.1} %",
-        gaps.inspected,
-        gaps.ownerless.len(),
-        gaps.coverage() * 100.0
-    );
-    for item in gaps.ownerless.iter().take(20) {
-        println!("  {}", item.label());
-    }
-    if gaps.ownerless.len() > 20 {
-        println!("  … and {} more", gaps.ownerless.len() - 20);
-    }
+    let gaps = warehouse.governance_gaps(&QueryBudget::unlimited()).map_err(|e| e.to_string())?;
+    print!("{}", render_gaps(&gaps));
     Ok(())
 }
 
@@ -634,12 +624,9 @@ fn cmd_sources(args: &Args) -> Result<(), String> {
     let concept = &args.positional[0];
     let warehouse = open_warehouse(args)?;
     let result = warehouse
-        .find_sources(&resolve(concept, vocab::cs::dm))
+        .find_sources(&resolve(concept, vocab::cs::dm), &QueryBudget::unlimited())
         .map_err(|e| e.to_string())?;
-    print!(
-        "{}",
-        metadata_warehouse::core::assist::render_sources(&result)
-    );
+    print!("{}", render_sources(&result));
     Ok(())
 }
 

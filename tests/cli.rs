@@ -178,6 +178,15 @@ fn store_commands_see_writes_that_were_never_checkpointed() {
 }
 
 #[test]
+fn gaps_reports_coverage() {
+    let out = run_ok(&["gaps", "@STORE"]);
+    // The base corpus assigns no owners: every data-mart item is a gap.
+    let head = "data-mart items inspected: 10  |  ownerless: 10  |  coverage: 0.0 %\n";
+    assert!(out.starts_with(head), "{out}");
+    assert_eq!(out.lines().filter(|l| l.starts_with("  dwh_stage2_item")).count(), 10);
+}
+
+#[test]
 fn sources_ranks_candidates() {
     let out = run_ok(&["sources", "@STORE", "Party"]);
     assert!(out.contains("Data sources for concept Party"));

@@ -27,9 +27,13 @@
 //! small." A [`LineageRequest::rule_condition_filter`] restricts traversal
 //! to mapping edges whose reified rule condition matches.
 //!
-//! Traversal runs in two stages on the calling thread: a level-synchronous
-//! BFS discovers the reachable mapping subgraph, and a DFS then enumerates
-//! simple paths over the discovered adjacency.
+//! Traversal runs in two stages on the calling thread. Stage 1 discovers the
+//! reachable mapping subgraph on [`mdw_rdf::walk`], the budgeted
+//! level-synchronous BFS that SPARQL property paths walk too: lineage
+//! supplies the neighbour function (`isMappedTo` edges in the request's
+//! direction, minus those the rule-condition filter rejects) and a sink that
+//! records every passing edge and each node's first-reach depth. Stage 2, a
+//! DFS, then enumerates simple paths over the discovered adjacency.
 //!
 //! [`SchemaFlows`] aggregates attribute-level mappings to schema-level flows
 //! and [`DrillDown`] expands one schema pair back to attribute granularity —
@@ -39,13 +43,14 @@
 //! warehouse's per-generation index rather than scanning for them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::ControlFlow::{Break, Continue};
 
 use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::TriplePattern;
 use mdw_rdf::vocab;
-use mdw_rdf::QueryContext;
+use mdw_rdf::{walk, QueryContext};
 use mdw_reason::EntailedGraph;
 
 use crate::error::MdwError;
@@ -251,63 +256,57 @@ pub(crate) fn trace(
         Some(iter.fold(first, |acc, s| acc.intersection(&s).copied().collect()))
     };
 
-    // Step 3 + Figure 8, stage 1: level-synchronous BFS discovery. Each
-    // level scans the outgoing `isMappedTo` edges of its frontier in
-    // order, charging one budget step per scanned edge, applying the
-    // rule-condition filter and recording passing edges. The clock and the
-    // cancellation flag are checked when the walk starts and again at the
-    // start of every later level, besides the interval checks of
-    // `charge_step`.
+    // Step 3 + Figure 8, stage 1: discovery on the shared closure walk,
+    // which checks the budget at every level. The neighbour function
+    // charges one step per scanned `isMappedTo` edge, then applies the
+    // rule-condition filter. Every passing edge joins the adjacency
+    // (stage 2 needs the edges into already-reached nodes for diamond
+    // fan-in and cycle paths), and each first reach records its BFS depth,
+    // the exact shortest-hop distance.
     let budget = ctx.budget();
-    let mut tripped: Option<TruncationReason> = budget.check().err();
+    let direction = request.direction;
+    // Traversal order to data-flow order, and back: the same swap.
+    let data_flow = |from: TermId, to: TermId| match direction {
+        Direction::Downstream => (from, to),
+        Direction::Upstream => (to, from),
+    };
     let mut adj: HashMap<TermId, Vec<Edge>> = HashMap::new();
     let mut reached: BTreeMap<TermId, usize> = BTreeMap::new();
-    let mut frontier: Vec<TermId> = vec![start];
-    let mut depth = 0usize;
-    while tripped.is_none() && !frontier.is_empty() && depth < request.max_depth {
-        if depth > 0 {
-            if let Err(reason) = budget.check() {
-                tripped = Some(reason);
-                break;
-            }
-        }
-        let mut next: Vec<TermId> = Vec::new();
-        'level: for &node in &frontier {
-            let pattern = match request.direction {
-                Direction::Downstream => TriplePattern::with_sp(node, mapped),
-                Direction::Upstream => TriplePattern::with_po(mapped, node),
-            };
-            for t in graph.scan(pattern) {
-                if let Err(reason) = budget.charge_step() {
-                    tripped = Some(reason);
-                    break 'level;
-                }
-                let (from, to) = (t.s, t.o);
-                let (source, step_to) = match request.direction {
-                    Direction::Downstream => (from, to),
-                    Direction::Upstream => (to, from),
+    let tripped: Option<TruncationReason> = budget.check().err().or_else(|| {
+        walk(
+            budget,
+            start,
+            request.max_depth,
+            |reason| reason,
+            &mut |node, push| {
+                let pattern = match direction {
+                    Direction::Downstream => TriplePattern::with_sp(node, mapped),
+                    Direction::Upstream => TriplePattern::with_po(mapped, node),
                 };
-                let condition = conditions.get(&(from, to)).cloned();
-                if let Some(filter) = request.rule_condition_filter.as_deref() {
-                    match &condition {
-                        Some(c) if c.contains(filter) => {}
-                        _ => continue,
+                for t in graph.scan(pattern) {
+                    budget.charge_step().map_or_else(Break, Continue)?;
+                    let (_, next) = data_flow(t.s, t.o);
+                    let passes = request.rule_condition_filter.as_deref().is_none_or(|filter| {
+                        conditions.get(&(t.s, t.o)).is_some_and(|c| c.contains(filter))
+                    });
+                    if passes {
+                        push(next)?;
                     }
                 }
-                // Every passing edge joins the adjacency (stage 2 needs the
-                // edges into already-reached nodes for diamond fan-in and
-                // cycle paths), but only newly-reached nodes join the next
-                // frontier, which keeps distances exact shortest-hop counts.
+                Continue(())
+            },
+            &mut |source, node, depth, first| {
+                let (from, to) = data_flow(source, node);
+                let condition = conditions.get(&(from, to)).cloned();
                 adj.entry(source).or_default().push(Edge { from, to, condition });
-                if step_to != start && !reached.contains_key(&step_to) {
-                    reached.insert(step_to, depth + 1);
-                    next.push(step_to);
+                if first {
+                    reached.insert(node, depth);
                 }
-            }
-        }
-        frontier = next;
-        depth += 1;
-    }
+                Continue(())
+            },
+        )
+        .break_value()
+    });
 
     // Stage 2: simple-path enumeration over the discovered adjacency. A
     // stage-1 trip skips enumeration entirely: the budget is spent, and
@@ -817,6 +816,19 @@ mod tests {
                 .with_rule_filter("active"),
         );
         assert!(result.endpoints.is_empty());
+    }
+
+    #[test]
+    fn a_rejected_edge_costs_its_step() {
+        let (store, m) = setup();
+        let budget = QueryBudget::unlimited();
+        let req = LineageRequest::downstream(dwh("client_information_id"))
+            .with_rule_filter("active")
+            .with_budget(budget.clone());
+        let result = run(&store, &m, req);
+        assert!(result.endpoints.is_empty());
+        // The one edge out of the start was scanned, then rejected.
+        assert_eq!(budget.steps_charged(), 1);
     }
 
     #[test]

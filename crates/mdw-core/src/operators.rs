@@ -18,10 +18,12 @@
 //! * [`extract_submodel`] — Rondo's *extract*: the bounded neighbourhood of
 //!   a set of root items, for "show me everything about application X".
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow::{self, Continue};
 
+use mdw_rdf::budget::QueryBudget;
 use mdw_rdf::dict::{Dictionary, TermId};
-use mdw_rdf::store::TripleSource;
+use mdw_rdf::store::{walk, TripleSource};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::{Triple, TriplePattern};
 use mdw_rdf::vocab;
@@ -196,41 +198,31 @@ fn reified_conditions(graph: &dyn TripleSource, dict: &Dictionary) -> BTreeMap<(
 /// Rondo's *extract*: all triples within `depth` hops of the root items,
 /// following edges in both directions (an application's neighbourhood
 /// includes both what it owns and what points at it). Literal nodes are
-/// collected but not expanded.
+/// collected but not expanded. Each root is one unbudgeted closure walk;
+/// a triple within `depth` hops of any root is in the union.
 pub fn extract_submodel(
     graph: &dyn TripleSource,
     dict: &Dictionary,
     roots: &[Term],
     depth: usize,
 ) -> Vec<Triple> {
-    let mut frontier: VecDeque<(TermId, usize)> = roots
-        .iter()
-        .filter_map(|t| dict.lookup(t))
-        .map(|id| (id, 0))
-        .collect();
-    let mut visited: BTreeSet<TermId> = frontier.iter().map(|(id, _)| *id).collect();
     let mut triples: BTreeSet<Triple> = BTreeSet::new();
-
-    while let Some((node, d)) = frontier.pop_front() {
-        if d >= depth {
-            continue;
-        }
-        for t in graph.scan_pattern(TriplePattern::with_s(node)) {
-            triples.insert(t);
-            let expandable = dict
-                .term(t.o)
-                .map(|term| !term.is_literal())
-                .unwrap_or(false);
-            if expandable && visited.insert(t.o) {
-                frontier.push_back((t.o, d + 1));
+    let budget = QueryBudget::unlimited();
+    for root in roots.iter().filter_map(|t| dict.lookup(t)) {
+        let mut neighbours = |node, push: &mut dyn FnMut(TermId) -> ControlFlow<()>| {
+            for t in graph.scan_pattern(TriplePattern::with_s(node)) {
+                triples.insert(t);
+                if dict.term(t.o).is_some_and(|term| !term.is_literal()) {
+                    push(t.o)?;
+                }
             }
-        }
-        for t in graph.scan_pattern(TriplePattern::with_o(node)) {
-            triples.insert(t);
-            if visited.insert(t.s) {
-                frontier.push_back((t.s, d + 1));
+            for t in graph.scan_pattern(TriplePattern::with_o(node)) {
+                triples.insert(t);
+                push(t.s)?;
             }
-        }
+            Continue(())
+        };
+        let _ = walk(&budget, root, depth, |_| (), &mut neighbours, &mut |_, _, _, _| Continue(()));
     }
     triples.into_iter().collect()
 }

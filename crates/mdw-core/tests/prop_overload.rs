@@ -1,14 +1,14 @@
-//! Property-based tests for query-side overload protection: a budgeted
-//! query must return a prefix-consistent subset of the unbudgeted answer,
-//! and its `Completeness` verdict must be accurate — `Complete` exactly
-//! when nothing was cut off, `Truncated{reason}` naming the cap that
-//! actually tripped.
+//! Property-based tests for query-side overload protection: a capped
+//! search must return a subset of the uncapped answer, and its
+//! `Completeness` verdict must be accurate — `Complete` exactly when
+//! nothing was cut off, `Truncated{reason}` naming the cap that actually
+//! tripped. Lineage's truthful-prefix property is the root suite's
+//! (`tests/properties.rs`), under every budget shape.
 
 use proptest::prelude::*;
 
-use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
+use mdw_rdf::budget::{Completeness, TruncationReason};
 use mdw_core::ingest::Extract;
-use mdw_core::lineage::LineageRequest;
 use mdw_core::search::SearchRequest;
 use mdw_core::warehouse::MetadataWarehouse;
 use mdw_rdf::term::Term;
@@ -64,40 +64,6 @@ fn build(l: &RandomLandscape) -> MetadataWarehouse {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// A step-budgeted lineage walk enumerates a prefix of the unbudgeted
-    /// walk's paths, and its verdict tells the truth: `Complete` means the
-    /// full answer, `Truncated{StepLimit}` means the step cap tripped.
-    #[test]
-    fn budgeted_lineage_is_a_truthful_prefix(
-        l in landscape(),
-        start in 0u8..8,
-        max_steps in 0u64..60,
-    ) {
-        let w = build(&l);
-        let full = w.lineage(&LineageRequest::downstream(item(start))).unwrap();
-        let budgeted = w
-            .lineage(
-                &LineageRequest::downstream(item(start))
-                    .with_budget(QueryBudget::unlimited().with_max_steps(max_steps)),
-            )
-            .unwrap();
-
-        // Prefix consistency: the walk is deterministic and aborts cleanly,
-        // so the budgeted paths are exactly the first paths of the full walk.
-        prop_assert!(budgeted.paths.len() <= full.paths.len());
-        prop_assert_eq!(&budgeted.paths[..], &full.paths[..budgeted.paths.len()]);
-
-        match budgeted.completeness {
-            Completeness::Complete => {
-                prop_assert_eq!(budgeted.paths.len(), full.paths.len());
-                prop_assert_eq!(budgeted.endpoints.len(), full.endpoints.len());
-            }
-            Completeness::Truncated { reason } => {
-                prop_assert_eq!(reason, TruncationReason::StepLimit);
-            }
-        }
-    }
 
     /// A capped search finds a subset of the uncapped instances and reports
     /// `RowLimit` exactly when instances were actually dropped.

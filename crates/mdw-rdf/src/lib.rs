@@ -23,7 +23,9 @@
 //!   handle threaded through search, lineage, and SPARQL,
 //! * [`store::TripleSource`] — the read interface every executor scans
 //!   through: a named model of a snapshot (the paper queries
-//!   `SEM_MODELS('DWH_CURR')`) or the entailed view over one,
+//!   `SEM_MODELS('DWH_CURR')`) or the entailed view over one, and
+//!   [`store::walk`], the budgeted breadth-first closure walk that property
+//!   paths and lineage share,
 //! * [`staging::StagingArea`] — the staging-table + validating bulk-load
 //!   pipeline of the paper's Figure 4,
 //! * [`turtle`] — a Turtle/N-Triples subset parser and serializer used as the
@@ -78,6 +80,6 @@ pub use persist::{
 };
 pub use staging::{LoadReport, StagingArea};
 pub use stats::{FrozenStats, PredicateStats};
-pub use store::{GraphStats, Scan, TripleSource};
+pub use store::{walk, GraphStats, Scan, TripleSource};
 pub use term::{Literal, LiteralKind, Term};
 pub use triple::{Triple, TriplePattern};

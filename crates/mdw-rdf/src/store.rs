@@ -9,10 +9,15 @@
 //! every graph a reader sees comes from it. This module holds what the
 //! readers share: [`TripleSource`] (pattern scans, estimates and planner
 //! statistics over a frozen graph or the entailed view in `mdw-reason`),
-//! the concrete [`Scan`] iterator, and [`GraphStats`].
+//! the concrete [`Scan`] iterator, [`GraphStats`], and [`walk`], the one
+//! budgeted breadth-first walk that SPARQL property paths, lineage
+//! discovery and `extract_submodel` run on.
 
+use std::collections::HashSet;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
+use crate::budget::{QueryBudget, TruncationReason};
 use crate::dict::TermId;
 use crate::frozen::{FrozenGraph, FrozenRun, GraphScan, MergeScan};
 use crate::stats::FrozenStats;
@@ -54,6 +59,60 @@ pub trait TripleSource {
         None
     }
 }
+
+/// The one closure walk: a budgeted, level-synchronous breadth-first search
+/// from `start`, `max_depth` levels deep.
+///
+/// `neighbours(node, push)` scans `node`'s edges, charging one budget step
+/// per scanned edge — it alone sees them all, the ones a filter rejects
+/// and a composite step's inner hops included — and pushes the far end of
+/// each edge it follows, in scan order. Each push goes on to
+/// `sink(from, node, depth, first)`: `from` is the node whose expansion
+/// scanned the edge, `depth` is `node`'s level (one more than `from`'s),
+/// and `first` says whether the edge is the walk's first to reach `node` —
+/// the start counts as reached before the walk begins. Only a first reach
+/// joins the next level, so its `depth` is `node`'s shortest hop count.
+///
+/// The walk checks the budget (clock, cancellation, step cap) at the start
+/// of every level after the first and stops with `on_trip(reason)` when it
+/// has tripped. A `Break` from either callback stops the walk and is
+/// returned. The walk holds one visited set and two levels of nodes, never
+/// the edges.
+pub fn walk<B>(
+    budget: &QueryBudget,
+    start: TermId,
+    max_depth: usize,
+    on_trip: impl Fn(TruncationReason) -> B,
+    neighbours: &mut Neighbours<'_, B>,
+    sink: &mut dyn FnMut(TermId, TermId, usize, bool) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let mut visited = HashSet::from([start]);
+    let mut frontier = vec![start];
+    for depth in 0..max_depth {
+        if frontier.is_empty() {
+            break;
+        } else if depth > 0 {
+            budget.check().map_err(&on_trip).map_or_else(Break, Continue)?;
+        }
+        let mut next = Vec::new();
+        for &from in &frontier {
+            neighbours(from, &mut |node| {
+                let first = visited.insert(node);
+                if first {
+                    next.push(node);
+                }
+                sink(from, node, depth + 1, first)
+            })?;
+        }
+        frontier = next;
+    }
+    Continue(())
+}
+
+/// A [`walk`]'s neighbour function: `(node, push)`, where `push` takes the
+/// far end of one scanned edge.
+type Neighbours<'n, B> =
+    dyn FnMut(TermId, &mut dyn FnMut(TermId) -> ControlFlow<B>) -> ControlFlow<B> + 'n;
 
 /// A concrete pattern-scan iterator — no boxing on the hot path.
 ///

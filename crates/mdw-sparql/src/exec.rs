@@ -17,7 +17,7 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use mdw_rdf::budget::{Completeness, QueryBudget, TruncationReason};
 use mdw_rdf::dict::{Dictionary, TermId};
 use mdw_rdf::stats::FrozenStats;
-use mdw_rdf::store::TripleSource;
+use mdw_rdf::store::{walk, TripleSource};
 use mdw_rdf::term::Term;
 use mdw_rdf::triple::TriplePattern;
 use mdw_rdf::vocab;
@@ -702,14 +702,15 @@ impl<'a> Executor<'a> {
                 }
             }
             ResolvedUnit::Path { s, path, o } => {
-                let pairs = self.eval_path(path, s.resolve_pos(binding), o.resolve_pos(binding));
-                for (from, to) in pairs {
+                let (from, to) = (s.resolve_pos(binding), o.resolve_pos(binding));
+                self.eval_path(path, from, to, &mut |from, to| {
                     self.charge()?;
                     next.clone_from(binding);
                     if s.bind(&mut next, from) && o.bind(&mut next, to) {
                         extended(&next)?;
                     }
-                }
+                    Continue(())
+                })?;
             }
         }
         Continue(())
@@ -757,184 +758,176 @@ impl<'a> Executor<'a> {
                 p: pos(p)?,
                 o: pos(&t.o)?,
             }),
-            Verb::Path(path) => ResolvedUnit::Path {
-                s: pos(&t.s)?,
-                path: self.compile_path(path),
-                o: pos(&t.o)?,
-            },
+            Verb::Path(path) => {
+                ResolvedUnit::Path { s: pos(&t.s)?, path: path.clone(), o: pos(&t.o)? }
+            }
         })
     }
-    fn compile_path(&self, path: &PathExpr) -> CompiledPath {
+
+    /// The predicates a path with both ends free can start with: its first
+    /// hops, and a sequence's right arm too when its left arm is nullable.
+    fn start_predicates(&self, path: &PathExpr, out: &mut Vec<TermId>) {
         match path {
-            // An unknown predicate can never match a hop, but nullable
-            // closures around it still match zero hops.
-            PathExpr::Iri(term) => CompiledPath::Pred(self.dict.lookup(term)),
-            PathExpr::Inverse(p) => CompiledPath::Inverse(Box::new(self.compile_path(p))),
-            PathExpr::Seq(a, b) => CompiledPath::Seq(
-                Box::new(self.compile_path(a)),
-                Box::new(self.compile_path(b)),
-            ),
-            PathExpr::Alt(a, b) => CompiledPath::Alt(
-                Box::new(self.compile_path(a)),
-                Box::new(self.compile_path(b)),
-            ),
-            PathExpr::ZeroOrMore(p) => {
-                CompiledPath::ZeroOrMore(Box::new(self.compile_path(p)))
+            PathExpr::Iri(term) => out.extend(self.dict.lookup(term)),
+            PathExpr::Seq(a, b) => {
+                self.start_predicates(a, out);
+                if a.is_nullable() {
+                    self.start_predicates(b, out);
+                }
             }
-            PathExpr::OneOrMore(p) => CompiledPath::OneOrMore(Box::new(self.compile_path(p))),
-            PathExpr::ZeroOrOne(p) => CompiledPath::ZeroOrOne(Box::new(self.compile_path(p))),
+            PathExpr::Alt(a, b) => {
+                self.start_predicates(a, out);
+                self.start_predicates(b, out);
+            }
+            PathExpr::Inverse(p)
+            | PathExpr::ZeroOrMore(p)
+            | PathExpr::OneOrMore(p)
+            | PathExpr::ZeroOrOne(p) => self.start_predicates(p, out),
         }
     }
 
-    /// Evaluates a property path, returning `(from, to)` pairs consistent
-    /// with the given endpoint bindings.
+    /// Streams the `(from, to)` pairs of a property path that agree with
+    /// the given endpoint bindings to `emit`, each pair once. A bound end
+    /// walks from that end, and two bound ends stop the walk at the target.
+    /// With both ends free, every term incident to one of the predicates
+    /// the path can start with is a start (DESIGN §12), taken once, in the
+    /// predicate scan's order.
     fn eval_path(
         &self,
-        path: &CompiledPath,
+        path: &PathExpr,
         s: Option<TermId>,
         o: Option<TermId>,
-    ) -> Vec<(TermId, TermId)> {
+        emit: &mut dyn FnMut(TermId, TermId) -> Flow,
+    ) -> Flow {
         match (s, o) {
             (Some(s), Some(o)) => {
-                let targets = self.path_from(path, s);
-                if targets.contains(&o) {
-                    vec![(s, o)]
+                let mut reached = false;
+                let flow = self.path_ends(path, s, false, &mut |t| {
+                    reached = t == o;
+                    if reached {
+                        Break(None)
+                    } else {
+                        Continue(())
+                    }
+                });
+                if reached {
+                    emit(s, o)
                 } else {
-                    Vec::new()
+                    flow
                 }
             }
-            (Some(s), None) => self.path_from(path, s).into_iter().map(|t| (s, t)).collect(),
-            (None, Some(o)) => {
-                let rev = path.reversed();
-                self.path_from(&rev, o).into_iter().map(|t| (t, o)).collect()
-            }
+            (Some(s), None) => self.distinct_ends(path, s, false, &mut |t| emit(s, t)),
+            (None, Some(o)) => self.distinct_ends(path, o, true, &mut |t| emit(t, o)),
             (None, None) => {
-                // Both ends free: enumerate candidate start nodes from the
-                // path's base predicates, then evaluate forward. Per the
-                // SPARQL spec zero-length paths range over all graph terms;
-                // we restrict to terms incident to the path's predicates,
-                // which is what every practical query needs.
-                let mut out = BTreeSet::new();
-                let mut starts = BTreeSet::new();
-                self.collect_start_candidates(path, false, &mut starts);
-                for s in starts {
-                    if self.is_tripped() {
-                        break;
-                    }
-                    for t in self.path_from(path, s) {
-                        out.insert((s, t));
-                    }
-                }
-                out.into_iter().collect()
-            }
-        }
-    }
-
-    /// All nodes reachable from `from` via `path`.
-    fn path_from(&self, path: &CompiledPath, from: TermId) -> BTreeSet<TermId> {
-        let mut out = BTreeSet::new();
-        match path {
-            CompiledPath::Pred(Some(p)) => {
-                for t in self.source.scan_pattern(TriplePattern::with_sp(from, *p)) {
-                    if self.charge().is_break() {
-                        break;
-                    }
-                    out.insert(t.o);
-                }
-            }
-            CompiledPath::Pred(None) => {}
-            CompiledPath::Inverse(inner) => match inner.as_ref() {
-                // Base case: traverse one predicate backwards via the
-                // object index (avoids re-wrapping into Inverse forever).
-                CompiledPath::Pred(Some(p)) => {
-                    for t in self.source.scan_pattern(TriplePattern::with_po(*p, from)) {
-                        if self.charge().is_break() {
-                            break;
+                let (mut starts, mut seen) = (Vec::new(), HashSet::new());
+                self.start_predicates(path, &mut starts);
+                for p in starts {
+                    for t in self.source.scan_pattern(TriplePattern::with_p(p)) {
+                        self.charge()?;
+                        for s in [t.s, t.o] {
+                            if seen.insert(s) {
+                                self.distinct_ends(path, s, false, &mut |end| emit(s, end))?;
+                            }
                         }
-                        out.insert(t.s);
                     }
                 }
-                CompiledPath::Pred(None) => {}
-                other => out.extend(self.path_from(&other.reversed(), from)),
-            },
-            CompiledPath::Seq(a, b) => {
-                for mid in self.path_from(a, from) {
-                    if self.is_tripped() {
-                        break;
-                    }
-                    out.extend(self.path_from(b, mid));
-                }
-            }
-            CompiledPath::Alt(a, b) => {
-                out.extend(self.path_from(a, from));
-                out.extend(self.path_from(b, from));
-            }
-            CompiledPath::ZeroOrMore(p) => {
-                out = self.closure_from(p, from);
-                out.insert(from);
-            }
-            CompiledPath::OneOrMore(p) => {
-                out = self.closure_from(p, from);
-            }
-            CompiledPath::ZeroOrOne(p) => {
-                out = self.path_from(p, from);
-                out.insert(from);
+                Continue(())
             }
         }
-        out
     }
 
-    /// BFS closure: every node reachable in ≥1 application of `step`.
-    fn closure_from(&self, step: &CompiledPath, from: TermId) -> BTreeSet<TermId> {
-        let mut seen = BTreeSet::new();
-        let mut frontier = vec![from];
-        while let Some(node) = frontier.pop() {
-            // The closure is where the lineage-shaped `(isMappedTo)*`
-            // queries spend their time: charge every node expansion so a
-            // runaway transitive walk stops at the budget, not at OOM.
-            if self.charge().is_break() {
-                break;
-            }
-            for next in self.path_from(step, node) {
-                if seen.insert(next) {
-                    frontier.push(next);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Candidate start nodes when both path endpoints are unbound: the
-    /// subjects (and, under inverses, objects) of the base predicates.
-    fn collect_start_candidates(
+    /// Streams the ends of `path` from `from` to `emit`, each once: the set
+    /// holds one start's ends, never the pairs.
+    fn distinct_ends(
         &self,
-        path: &CompiledPath,
-        inverted: bool,
-        out: &mut BTreeSet<TermId>,
-    ) {
+        path: &PathExpr,
+        from: TermId,
+        backward: bool,
+        emit: &mut dyn FnMut(TermId) -> Flow,
+    ) -> Flow {
+        let mut seen = HashSet::new();
+        self.path_ends(path, from, backward, &mut |t| {
+            if seen.insert(t) {
+                emit(t)
+            } else {
+                Continue(())
+            }
+        })
+    }
+
+    /// Streams every end of `path` from `from` (`backward`: every node the
+    /// path leads from to `from`) to `emit` as the walk reaches it — an end
+    /// reached along two routes comes twice. Each scanned edge costs a step.
+    fn path_ends(
+        &self,
+        path: &PathExpr,
+        from: TermId,
+        backward: bool,
+        emit: &mut dyn FnMut(TermId) -> Flow,
+    ) -> Flow {
         match path {
-            CompiledPath::Pred(Some(p)) => {
-                for t in self.source.scan_pattern(TriplePattern::with_p(*p)) {
-                    if self.charge().is_break() {
-                        break;
-                    }
-                    out.insert(if inverted { t.o } else { t.s });
-                    // Nullable wrappers above may pair any incident node
-                    // with itself; include both endpoints to be safe.
-                    out.insert(if inverted { t.s } else { t.o });
+            PathExpr::Iri(p) => {
+                // An unknown predicate matches no hop.
+                let Some(p) = self.dict.lookup(p) else { return Continue(()) };
+                let (s, o) = if backward { (None, Some(from)) } else { (Some(from), None) };
+                for t in self.source.scan_pattern(TriplePattern { s, p: Some(p), o }) {
+                    self.charge()?;
+                    emit(if backward { t.s } else { t.o })?;
                 }
+                Continue(())
             }
-            CompiledPath::Pred(None) => {}
-            CompiledPath::Inverse(p) => self.collect_start_candidates(p, !inverted, out),
-            CompiledPath::Seq(a, _) => self.collect_start_candidates(a, inverted, out),
-            CompiledPath::Alt(a, b) => {
-                self.collect_start_candidates(a, inverted, out);
-                self.collect_start_candidates(b, inverted, out);
+            PathExpr::Inverse(p) => self.path_ends(p, from, !backward, emit),
+            PathExpr::Seq(a, b) => {
+                let (a, b) = if backward { (b, a) } else { (a, b) };
+                self.path_ends(a, from, backward, &mut |mid| self.path_ends(b, mid, backward, emit))
             }
-            CompiledPath::ZeroOrMore(p)
-            | CompiledPath::OneOrMore(p)
-            | CompiledPath::ZeroOrOne(p) => self.collect_start_candidates(p, inverted, out),
+            PathExpr::Alt(a, b) => {
+                self.path_ends(a, from, backward, emit)?;
+                self.path_ends(b, from, backward, emit)
+            }
+            PathExpr::ZeroOrOne(p) => {
+                emit(from)?;
+                self.path_ends(p, from, backward, emit)
+            }
+            PathExpr::ZeroOrMore(p) => {
+                emit(from)?;
+                self.closure(p, from, backward, emit)
+            }
+            PathExpr::OneOrMore(p) => self.closure(p, from, backward, emit),
         }
+    }
+
+    /// Streams the nodes reachable from `from` in one or more `step`s, on
+    /// the shared closure walk: each node's expansion streams `step` from it
+    /// as a sub-path, at one step for the expansion and one per scanned
+    /// edge. The start is an end only when a cycle leads back to it.
+    fn closure(
+        &self,
+        step: &PathExpr,
+        from: TermId,
+        backward: bool,
+        emit: &mut dyn FnMut(TermId) -> Flow,
+    ) -> Flow {
+        walk(
+            self.budget,
+            from,
+            usize::MAX,
+            |reason| {
+                self.trip(reason);
+                None
+            },
+            &mut |node, push| {
+                self.charge()?;
+                self.path_ends(step, node, backward, push)
+            },
+            &mut |_, node, _, first| {
+                if first || node == from {
+                    emit(node)
+                } else {
+                    Continue(())
+                }
+            },
+        )
     }
 
     /// Evaluates a filter expression to a boolean; `Ok(None)` is an error
@@ -1099,44 +1092,7 @@ impl ResolvedPos {
 #[derive(Debug, Clone)]
 enum ResolvedUnit {
     Triple(ResolvedTriple),
-    Path {
-        s: ResolvedPos,
-        path: CompiledPath,
-        o: ResolvedPos,
-    },
-}
-
-/// A property path with dictionary-resolved predicates. `Pred(None)` is a
-/// predicate the graph has never seen — it matches no hop (but nullable
-/// wrappers around it still match zero hops).
-#[derive(Debug, Clone)]
-enum CompiledPath {
-    Pred(Option<TermId>),
-    Inverse(Box<CompiledPath>),
-    Seq(Box<CompiledPath>, Box<CompiledPath>),
-    Alt(Box<CompiledPath>, Box<CompiledPath>),
-    ZeroOrMore(Box<CompiledPath>),
-    OneOrMore(Box<CompiledPath>),
-    ZeroOrOne(Box<CompiledPath>),
-}
-
-impl CompiledPath {
-    /// The path that matches exactly the reversed pairs.
-    fn reversed(&self) -> CompiledPath {
-        match self {
-            CompiledPath::Pred(p) => CompiledPath::Inverse(Box::new(CompiledPath::Pred(*p))),
-            CompiledPath::Inverse(p) => (**p).clone(),
-            CompiledPath::Seq(a, b) => {
-                CompiledPath::Seq(Box::new(b.reversed()), Box::new(a.reversed()))
-            }
-            CompiledPath::Alt(a, b) => {
-                CompiledPath::Alt(Box::new(a.reversed()), Box::new(b.reversed()))
-            }
-            CompiledPath::ZeroOrMore(p) => CompiledPath::ZeroOrMore(Box::new(p.reversed())),
-            CompiledPath::OneOrMore(p) => CompiledPath::OneOrMore(Box::new(p.reversed())),
-            CompiledPath::ZeroOrOne(p) => CompiledPath::ZeroOrOne(Box::new(p.reversed())),
-        }
-    }
+    Path { s: ResolvedPos, path: PathExpr, o: ResolvedPos },
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -5,6 +5,11 @@ use proptest::prelude::*;
 use mdw_sparql::parser::parse;
 use mdw_sparql::regex_lite::Regex;
 
+/// An unbounded match: the engine's answer with no step limit.
+fn matches(re: &Regex, text: &str) -> bool {
+    re.try_is_match(text, u64::MAX).expect("an unbounded match never runs out of steps")
+}
+
 /// Escapes a string so the regex engine treats it literally.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() * 2);
@@ -24,7 +29,7 @@ proptest! {
         haystack in "[a-zA-Z0-9_ .*+?()\\[\\]|^$\\\\]{0,24}",
     ) {
         let re = Regex::new(&escape(&needle)).unwrap();
-        prop_assert_eq!(re.is_match(&haystack), haystack.contains(&needle));
+        prop_assert_eq!(matches(&re, &haystack), haystack.contains(&needle));
     }
 
     #[test]
@@ -34,7 +39,7 @@ proptest! {
     ) {
         let ci = Regex::with_flags(&needle, "i").unwrap();
         let lower = Regex::new(&needle.to_lowercase()).unwrap();
-        prop_assert_eq!(ci.is_match(&haystack), lower.is_match(&haystack.to_lowercase()));
+        prop_assert_eq!(matches(&ci, &haystack), matches(&lower, &haystack.to_lowercase()));
     }
 
     #[test]
@@ -43,9 +48,9 @@ proptest! {
         haystack in "[a-z]{0,16}",
     ) {
         let re = Regex::new(&format!("^{needle}")).unwrap();
-        prop_assert_eq!(re.is_match(&haystack), haystack.starts_with(&needle));
+        prop_assert_eq!(matches(&re, &haystack), haystack.starts_with(&needle));
         let re = Regex::new(&format!("{needle}$")).unwrap();
-        prop_assert_eq!(re.is_match(&haystack), haystack.ends_with(&needle));
+        prop_assert_eq!(matches(&re, &haystack), haystack.ends_with(&needle));
     }
 
     #[test]
@@ -53,7 +58,7 @@ proptest! {
         // Arbitrary patterns either compile (and match without panicking)
         // or produce a parse error — never a crash or hang.
         if let Ok(re) = Regex::new(&pattern) {
-            let _ = re.is_match(&input);
+            let _ = matches(&re, &input);
         }
     }
 
@@ -61,7 +66,7 @@ proptest! {
     fn star_closure_matches_repetitions(unit in "[a-z]{1,3}", n in 0usize..5) {
         let text = unit.repeat(n);
         let re = Regex::new(&format!("^({})*$", escape(&unit))).unwrap();
-        prop_assert!(re.is_match(&text));
+        prop_assert!(matches(&re, &text));
     }
 }
 

@@ -263,3 +263,18 @@ fn parse_errors_for_malformed_paths() {
     assert!(parse("SELECT ?x WHERE { ?x ^ ?y }").is_err());
     assert!(parse("SELECT ?x WHERE { ?x (<p> ?y }").is_err());
 }
+
+#[test]
+fn free_sequence_with_nullable_prefix_starts_at_its_second_arm() {
+    // `p?` matches zero hops from `lone`, so `lone p?/q far` holds, and a
+    // free start must range over the terms incident to `q` as well.
+    let t = |local: &str| Term::iri(format!("http://t/{local}"));
+    let store = fixture(&[
+        JournalOp::Insert(t("a"), t("p"), t("b")),
+        JournalOp::Insert(t("lone"), t("q"), t("far")),
+    ]);
+    let bound = run(&store, "PREFIX t: <http://t/>\nSELECT ?y WHERE { t:lone t:p?/t:q ?y }");
+    assert_eq!(bound, vec![vec!["far".to_string()]]);
+    let free = run(&store, "PREFIX t: <http://t/>\nSELECT ?x ?y WHERE { ?x t:p?/t:q ?y }");
+    assert_eq!(free, vec![vec!["lone".to_string(), "far".to_string()]]);
+}

@@ -9,6 +9,13 @@
 //! - a two-pattern cross join under `LIMIT 5`, which must stop within a few
 //!   steps of its fifth row.
 //!
+//! Then three on a chain of 2 000 `isMappedTo` edges, where a property
+//! path's closure grows as the square of the chain:
+//! - `COUNT(*)` over `?a isMappedTo* ?b` (≈ 2 M pairs), which must hold one
+//!   start's closure at a time, not every pair;
+//! - the same pattern under `LIMIT 1`, which must stop at its first pair;
+//! - `ASK { n0 isMappedTo* n1 }`, which must stop at its target.
+//!
 //! The binary holds one test: the counters are process-wide, and a second
 //! test running beside it would count into them.
 
@@ -18,8 +25,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use common::chained_warehouse;
+use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
 use metadata_warehouse::rdf::budget::{QueryBudget, TruncationReason};
+use metadata_warehouse::rdf::term::Term;
+use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::sparql::{QueryOutput, SemMatch};
 
 /// Counts live heap bytes and their high-water mark.
@@ -68,6 +78,28 @@ static ALLOCATOR: Counting = Counting;
 /// The ceiling on heap growth while one query runs.
 const CEILING: usize = 8 << 20;
 
+/// The path probes' ceiling: one start's closure, not the pairs.
+const PATH_CEILING: usize = 1 << 20;
+
+/// Edges in the path probes' chain.
+const CHAIN: usize = 2_000;
+
+/// `n0 isMappedTo n1 … isMappedTo n2000`.
+fn chain_warehouse() -> MetadataWarehouse {
+    let mapped = Term::iri(vocab::cs::IS_MAPPED_TO);
+    let triples = (0..CHAIN)
+        .map(|i| (node(i), mapped.clone(), node(i + 1)))
+        .collect();
+    let mut w = MetadataWarehouse::new();
+    w.ingest(vec![Extract::new("chain", triples)]).unwrap();
+    w.build_semantic_index().unwrap();
+    w
+}
+
+fn node(i: usize) -> Term {
+    Term::iri(format!("http://ex.org/n{i}"))
+}
+
 /// Runs `query` under `budget` and returns its answer with the peak heap
 /// growth over the live bytes at the start.
 fn measured(w: &MetadataWarehouse, query: &SemMatch, budget: &QueryBudget) -> (QueryOutput, usize) {
@@ -111,4 +143,46 @@ fn streaming_queries_hold_bounded_memory() {
         budget.steps_charged()
     );
     assert!(grown < CEILING, "LIMIT 5 grew the heap by {grown} bytes");
+
+    path_queries_stream_their_closure();
+}
+
+/// The chain probes: part of the one test, so nothing runs beside them.
+fn path_queries_stream_their_closure() {
+    let w = chain_warehouse();
+    let mapped = format!("<{}>", vocab::cs::IS_MAPPED_TO);
+    let count = SemMatch::new(format!("SELECT (COUNT(*) AS ?n) WHERE {{ ?a {mapped}* ?b }}"));
+    w.sem_match_explained(&count, &QueryBudget::unlimited().with_max_steps(10), true)
+        .unwrap();
+
+    let budget = QueryBudget::unlimited();
+    let (out, grown) = measured(&w, &count, &budget);
+    assert!(out.completeness.is_complete());
+    let pairs = (CHAIN + 1) * (CHAIN + 2) / 2;
+    assert_eq!(out.rows[0][0], Some(Term::integer(pairs as i64)));
+    assert!(
+        grown <= PATH_CEILING,
+        "COUNT(*) over {pairs} path pairs grew the heap by {grown} bytes"
+    );
+
+    let first = SemMatch::new(format!("SELECT ?a ?b WHERE {{ ?a {mapped}* ?b }} LIMIT 1"));
+    let budget = QueryBudget::unlimited();
+    let (out, _) = measured(&w, &first, &budget);
+    assert_eq!(out.rows.len(), 1);
+    assert!(
+        budget.steps_charged() <= 10,
+        "LIMIT 1 over the path charged {} steps",
+        budget.steps_charged()
+    );
+
+    let (n0, n1) = (node(0), node(1));
+    let ask = SemMatch::new(format!("ASK {{ {n0} {mapped}* {n1} }}"));
+    let budget = QueryBudget::unlimited();
+    let (out, _) = measured(&w, &ask, &budget);
+    assert_eq!(out.rows[0][0].as_ref().map(Term::label), Some("true"));
+    assert!(
+        budget.steps_charged() <= 4,
+        "the bound-bound ASK charged {} steps",
+        budget.steps_charged()
+    );
 }

@@ -1,10 +1,14 @@
 //! Cross-crate property tests: the lineage *service* and the SPARQL
 //! *property path* are two implementations of the same Figure 8 semantics —
 //! on any random mapping graph they must agree. Likewise the graph and
-//! relational stores must agree on reachability.
+//! relational stores must agree on reachability. And under every budget
+//! shape, a lineage walk is a truthful prefix of the unlimited walk.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{assert_truthful_prefix, landscape, make_budget, tripped_reason, BUDGET_VARIANTS};
 use metadata_warehouse::core::ingest::Extract;
 use metadata_warehouse::core::lineage::LineageRequest;
 use metadata_warehouse::core::warehouse::MetadataWarehouse;
@@ -130,5 +134,36 @@ proptest! {
         let (out, _) = execute(&query, graph, w.store().dict(), &ExecOptions::default()).unwrap();
         let answer = out.rows[0][0].as_ref().unwrap().label() == "true";
         prop_assert_eq!(answer, reachable);
+    }
+
+    /// Under every budget shape, a lineage walk in either direction
+    /// enumerates a truthful prefix of the unlimited walk's paths, a
+    /// complete one reaches the same endpoints, and a truncated one names
+    /// the budget that tripped.
+    #[test]
+    fn budgeted_lineage_is_a_truthful_prefix(
+        l in landscape(),
+        start in 0u8..10,
+        upstream in any::<bool>(),
+        variant in 0u8..BUDGET_VARIANTS,
+        limit in 0u64..60,
+    ) {
+        let w = common::build(&l);
+        let request = if upstream {
+            LineageRequest::upstream(common::item(start))
+        } else {
+            LineageRequest::downstream(common::item(start))
+        };
+        let full = w.lineage(&request).unwrap();
+        let cut = w
+            .lineage(&request.with_budget(make_budget(variant, limit)))
+            .unwrap();
+        if let Some(reason) = cut.completeness.reason() {
+            prop_assert_eq!(Some(reason), tripped_reason(variant));
+        }
+        assert_truthful_prefix((&cut.paths, cut.completeness), (&full.paths, full.completeness));
+        if cut.completeness.is_complete() {
+            prop_assert_eq!(&cut.endpoints, &full.endpoints);
+        }
     }
 }

@@ -13,7 +13,13 @@
 //! view, `execute`'s rows equal the oracle's: as multisets, and as
 //! sequences where the query has a total ORDER BY. Under every budget
 //! shape, each truncated run is a truthful prefix of its own complete run.
-//! Property paths are `crates/mdw-sparql/tests/property_paths.rs`'s.
+//!
+//! Property paths (`^`, `/`, `|`, `*`, `+`, `?`) are evaluated by fixpoint
+//! over the same set: a bound end reaches everything the path relates it
+//! to, a zero-length path relates a node to itself, and a path with both
+//! ends free starts at the terms incident to the predicates it can start
+//! with (a sequence's right arm's too when its left arm is nullable), as
+//! DESIGN §12 documents.
 
 mod common;
 
@@ -31,7 +37,7 @@ use metadata_warehouse::rdf::term::Term;
 use metadata_warehouse::rdf::vocab;
 use metadata_warehouse::rdf::TriplePattern;
 use metadata_warehouse::sparql::ast::{
-    Expr, GraphPattern, NodeRef, PatternTriple, Query, SelectItem, Selection, Verb,
+    Expr, GraphPattern, NodeRef, PathExpr, PatternTriple, Query, SelectItem, Selection, Verb,
 };
 use metadata_warehouse::sparql::parser::parse;
 use metadata_warehouse::sparql::{ResultRow, SemMatch};
@@ -78,6 +84,20 @@ fn queries() -> Vec<(String, bool)> {
             "SELECT ?x (COUNT(?y) AS ?n) WHERE {{ ?x {name} ?m OPTIONAL {{ ?x {map} ?y }} }} \
              GROUP BY ?x"
         ),
+        // Property paths: both ends free, nullable or not.
+        format!("SELECT ?a ?b WHERE {{ ?a {map}+ ?b }}"),
+        format!("SELECT ?a ?b WHERE {{ ?a {map}* ?b }}"),
+        format!("SELECT ?x ?y WHERE {{ ?x ^{map}/{map} ?y }}"),
+        format!("SELECT ?x ?n WHERE {{ ?x {map}?/{name} ?n }}"),
+        format!("SELECT ?x ?y WHERE {{ ?x ({map}|^{map})? ?y }}"),
+        format!("SELECT ?x WHERE {{ ?x {map}* ?x }}"),
+        // Paths with an end bound by a constant or by an earlier pattern.
+        format!("SELECT ?x WHERE {{ ?x {map}+ <http://ex.org/item3> }}"),
+        format!("SELECT ?x ?y WHERE {{ ?x {name} ?n . ?x ({map}/{map})+ ?y }}"),
+        format!("SELECT ?x ?c WHERE {{ ?x a {c1} . ?x {map}*/a ?c }}"),
+        format!("SELECT ?x ?y WHERE {{ ?x {map} ?y . ?y {map}* ?x }}"),
+        format!("SELECT (COUNT(*) AS ?n) WHERE {{ ?a {map}* ?b }}"),
+        format!("SELECT DISTINCT ?a WHERE {{ ?a ^{map}+ ?b }}"),
     ];
     let ordered = [
         format!("SELECT ?a ?b WHERE {{ ?a {map} ?b }} ORDER BY ?a DESC(?b)"),
@@ -85,6 +105,7 @@ fn queries() -> Vec<(String, bool)> {
         "SELECT DISTINCT ?c WHERE { ?x a ?c } ORDER BY DESC(?c) LIMIT 2".to_string(),
         "SELECT ?c (COUNT(?x) AS ?n) WHERE { ?x a ?c } GROUP BY ?c ORDER BY DESC(?n) ?c"
             .to_string(),
+        format!("SELECT ?a ?b WHERE {{ ?a {map}+ ?b }} ORDER BY ?b ?a LIMIT 7"),
         format!(
             "SELECT ?x ?y WHERE {{ ?x {name} ?n OPTIONAL {{ ?x {map} ?y }} }} \
              ORDER BY ?x ?y OFFSET 3"
@@ -157,9 +178,6 @@ impl Oracle<'_> {
     }
 
     fn match_triple(&self, t: &PatternTriple, s: &Solution) -> Vec<Solution> {
-        let Verb::Node(p) = &t.p else {
-            panic!("property paths are outside the oracle's subset")
-        };
         let bind = |s: &mut Solution, node: &NodeRef, value: &Term| match node {
             NodeRef::Term(term) => term == value,
             NodeRef::Var(v) => match s.get(&v.0) {
@@ -170,6 +188,19 @@ impl Oracle<'_> {
                 }
             },
         };
+        let p = match &t.p {
+            Verb::Node(p) => p,
+            Verb::Path(path) => {
+                return self
+                    .path_pairs(path, value_of(&t.s, s), value_of(&t.o, s))
+                    .into_iter()
+                    .filter_map(|(a, b)| {
+                        let mut next = s.clone();
+                        (bind(&mut next, &t.s, &a) && bind(&mut next, &t.o, &b)).then_some(next)
+                    })
+                    .collect();
+            }
+        };
         self.graph
             .iter()
             .filter_map(|(ts, tp, to)| {
@@ -178,6 +209,100 @@ impl Oracle<'_> {
                     .then_some(next)
             })
             .collect()
+    }
+
+    /// The pairs a path relates that agree with its bound ends.
+    fn path_pairs(&self, path: &PathExpr, s: Option<Term>, o: Option<Term>) -> Vec<(Term, Term)> {
+        match (s, o) {
+            (Some(a), _) => {
+                let ends = self.reach(path, &a, false);
+                ends.into_iter().map(|b| (a.clone(), b)).collect()
+            }
+            (None, Some(b)) => {
+                let ends = self.reach(path, &b, true);
+                ends.into_iter().map(|a| (a, b.clone())).collect()
+            }
+            (None, None) => self
+                .starts(path)
+                .into_iter()
+                .flat_map(|a| self.reach(path, &a, false).into_iter().map(move |b| (a.clone(), b)))
+                .collect(),
+        }
+    }
+
+    /// Every node `path` leads to from `from` (backwards: leads from).
+    fn reach(&self, path: &PathExpr, from: &Term, backward: bool) -> BTreeSet<Term> {
+        match path {
+            PathExpr::Iri(p) => self
+                .graph
+                .iter()
+                .filter(|(s, tp, o)| tp == p && if backward { o == from } else { s == from })
+                .map(|(s, _, o)| if backward { s.clone() } else { o.clone() })
+                .collect(),
+            PathExpr::Inverse(p) => self.reach(p, from, !backward),
+            PathExpr::Seq(a, b) => {
+                let (first, then) = if backward { (b, a) } else { (a, b) };
+                self.reach(first, from, backward)
+                    .iter()
+                    .flat_map(|mid| self.reach(then, mid, backward))
+                    .collect()
+            }
+            PathExpr::Alt(a, b) => {
+                let mut out = self.reach(a, from, backward);
+                out.extend(self.reach(b, from, backward));
+                out
+            }
+            PathExpr::ZeroOrOne(p) => {
+                let mut out = self.reach(p, from, backward);
+                out.insert(from.clone());
+                out
+            }
+            PathExpr::OneOrMore(p) | PathExpr::ZeroOrMore(p) => {
+                let mut out = self.reach(p, from, backward);
+                loop {
+                    let next: Vec<Term> =
+                        out.iter().flat_map(|n| self.reach(p, n, backward)).collect();
+                    let known = out.len();
+                    out.extend(next);
+                    if out.len() == known {
+                        break;
+                    }
+                }
+                if matches!(path, PathExpr::ZeroOrMore(_)) {
+                    out.insert(from.clone());
+                }
+                out
+            }
+        }
+    }
+
+    /// Where a path with both ends free starts: both ends of every edge of
+    /// the predicates it can start with.
+    fn starts(&self, path: &PathExpr) -> BTreeSet<Term> {
+        match path {
+            PathExpr::Iri(p) => self
+                .graph
+                .iter()
+                .filter(|(_, tp, _)| tp == p)
+                .flat_map(|(s, _, o)| [s.clone(), o.clone()])
+                .collect(),
+            PathExpr::Seq(a, b) => {
+                let mut out = self.starts(a);
+                if nullable(a) {
+                    out.extend(self.starts(b));
+                }
+                out
+            }
+            PathExpr::Alt(a, b) => {
+                let mut out = self.starts(a);
+                out.extend(self.starts(b));
+                out
+            }
+            PathExpr::Inverse(p)
+            | PathExpr::ZeroOrMore(p)
+            | PathExpr::OneOrMore(p)
+            | PathExpr::ZeroOrOne(p) => self.starts(p),
+        }
     }
 
     /// A filter's truth value; `None` is an error.
@@ -274,6 +399,25 @@ impl Oracle<'_> {
             .skip(query.offset.unwrap_or(0))
             .take(query.limit.unwrap_or(usize::MAX))
             .collect()
+    }
+}
+
+/// Whether a path relates every node to itself.
+fn nullable(path: &PathExpr) -> bool {
+    match path {
+        PathExpr::Iri(_) => false,
+        PathExpr::ZeroOrMore(_) | PathExpr::ZeroOrOne(_) => true,
+        PathExpr::Inverse(p) | PathExpr::OneOrMore(p) => nullable(p),
+        PathExpr::Seq(a, b) => nullable(a) && nullable(b),
+        PathExpr::Alt(a, b) => nullable(a) || nullable(b),
+    }
+}
+
+/// A pattern node's value under a solution, if it has one.
+fn value_of(node: &NodeRef, s: &Solution) -> Option<Term> {
+    match node {
+        NodeRef::Term(t) => Some(t.clone()),
+        NodeRef::Var(v) => s.get(&v.0).cloned(),
     }
 }
 
